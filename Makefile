@@ -18,6 +18,7 @@ RACE_PKGS := ./internal/parallel/ \
 	./internal/shard/ \
 	./internal/obs/ \
 	./internal/source/ \
+	./internal/socialnet/ \
 	.
 
 METRICS_COVER_MIN := 90
@@ -91,9 +92,10 @@ cover-obs:
 # speedup-vs-reference compares the presorted-column split engine against
 # the legacy per-node-sort scan (algorithmic win, visible on any core
 # count); speedup-vs-1worker compares the default worker count against a
-# single-worker fit (expect ~1.0 on a single-core machine).
+# single-worker fit (expect ~1.0 on a single-core machine). Rotate is one
+# hourly node rotation over the columnar screening index (cold and warm).
 bench:
-	$(GO) test -run NONE -bench 'TreeFit|ForestFit|BoostFit|CrossValidate|DetectorClassify' \
+	$(GO) test -run NONE -bench 'TreeFit|ForestFit|BoostFit|CrossValidate|DetectorClassify|Rotate' \
 		./internal/ml/tree/ ./internal/ml/forest/ ./internal/ml/boost/ \
 		./internal/ml/ ./internal/core/
 	$(GO) test -run NONE -bench 'ObsDisabled' ./internal/obs/

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 	"time"
@@ -66,6 +67,58 @@ func BenchmarkDetectorClassify(b *testing.B) {
 	if par > 0 {
 		b.ReportMetric(seq.Seconds()/par.Seconds(), "speedup-vs-1worker")
 	}
+}
+
+// BenchmarkRotate times one hourly node rotation (paper §III-D) of the
+// 123-selector StandardSpecs(4) plan over the 20k-account world bench/
+// runs: one op is one rotation, so ns/op and allocs/op read as ns/rotation
+// and allocs/rotation. "cold" is hour 0 — nobody is Active yet, so every
+// group takes the dormant fallback and the sparse ones the reuse fallback
+// (≈ 2 scans per group); "warm" is hour 3 of a monitored run, with active
+// candidates and the exclusion set three rotations have filled.
+func BenchmarkRotate(b *testing.B) {
+	cfg := socialnet.DefaultConfig()
+	cfg.NumAccounts = 20000
+	cfg.OrganicTweetsPerHour = 4000
+	newMonitor := func(w *socialnet.World) *Monitor {
+		return NewMonitor(
+			MonitorConfig{Specs: StandardSpecs(4), ActiveOnly: true, Seed: 1},
+			&LocalScreener{World: w, Rng: rand.New(rand.NewSource(2))})
+	}
+	// rotate runs b.N rotations from the same monitor state. Each gets its
+	// own instant, as each hour of a run does: a repeated instant on an
+	// unchanged world would be served by the previous iteration's
+	// screening index and hide the cost of building it.
+	rotate := func(b *testing.B, m *Monitor, now time.Time) {
+		used := m.used
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			m.used = maps.Clone(used)
+			b.StartTimer()
+			m.Rotate(now.Add(time.Duration(i)), time.Hour)
+		}
+	}
+
+	b.Run("cold", func(b *testing.B) {
+		w, err := socialnet.NewWorld(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rotate(b, newMonitor(w), socialnet.NewEngine(w).Now())
+	})
+	b.Run("warm", func(b *testing.B) {
+		w, err := socialnet.NewWorld(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e := socialnet.NewEngine(w)
+		m := newMonitor(w)
+		defer Attach(m, e)()
+		e.RunHours(3)
+		rotate(b, m, e.Now())
+	})
 }
 
 // benchStreamMonitor builds a monitor with a realistic node set and a

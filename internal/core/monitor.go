@@ -19,7 +19,10 @@ type Screener interface {
 	Screen(q socialnet.ScreenQuery, now time.Time) []*socialnet.Account
 }
 
-// LocalScreener screens an in-process world.
+// LocalScreener screens an in-process world. World.Screen answers from a
+// columnar index it keeps while the world and the instant are unchanged
+// (DESIGN.md §18), so it must be called from the goroutine that drives the
+// world's engine — where Rotate runs in every topology.
 type LocalScreener struct {
 	World *socialnet.World
 	Rng   *rand.Rand
@@ -239,6 +242,10 @@ func (m *Monitor) CurrentNodes() map[socialnet.AccountID][]int {
 // Rotate drops the previous node set and selects a fresh one (the paper
 // rotates hourly). period is the time the new set will be monitored; it
 // feeds the node-hours PGE denominator.
+//
+// Every group screens at the same now, with up to two fallback queries:
+// against an in-process world all of them share one screening index, built
+// by the first.
 func (m *Monitor) Rotate(now time.Time, period time.Duration) {
 	start := time.Now()
 	tr := m.tracer.Start("rotate")

@@ -145,6 +145,7 @@ func (e *Engine) runHour() {
 	e.decayActivity()
 	e.suspend(now)
 	e.churn(now)
+	e.world.profilesChanged() // mention counters and suspensions moved
 	e.rebuildVictimSampler(now)
 	e.scheduleOrganic(now)
 	e.scheduleSpam(now, hourEnd)
@@ -562,6 +563,7 @@ func (e *Engine) emit(t *Tweet) {
 		}
 		e.stats.MentionTweets++
 	}
+	e.world.profilesChanged() // before the subscribers below can screen
 	e.stats.TweetsTotal++
 	if t.Spam {
 		e.stats.SpamTotal++

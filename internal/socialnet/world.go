@@ -14,16 +14,34 @@ import (
 // World is a generated social network: the account population, the spam
 // campaigns hiding inside it, and the trend feed. A World is created once
 // and then driven by an Engine.
+//
+// Like Engine, World is not safe for concurrent use: its methods — Screen
+// included, which maintains a cached index — belong to the goroutine that
+// drives the engine.
 type World struct {
-	cfg       Config
-	rng       *rand.Rand
-	gen       *textGen
-	accounts  []*Account
-	byID      map[AccountID]*Account
+	cfg      Config
+	rng      *rand.Rand
+	gen      *textGen
+	accounts []*Account
+	byID     map[AccountID]*Account
+	// byName maps a screen name to the first account registered under it.
+	byName    map[string]*Account
 	campaigns []*Campaign
 	trends    *TrendSet
 	start     time.Time
+
+	// generation counts in-package writes to the account fields Screen
+	// reads (see profilesChanged); screen is the index keyed on it.
+	generation uint64
+	screen     screenIndex
 }
+
+// profilesChanged invalidates the screening index. Every site in this
+// package that writes a field Screen reads on a world account — Suspended,
+// lastPostAt, recentMentions, CreatedAt, the five profile counts, hashtag
+// category, trend affinity — or changes w.accounts must call it before
+// control can next reach Screen (a subscriber, an hour hook, the caller).
+func (w *World) profilesChanged() { w.generation++ }
 
 // NewWorld generates a world from cfg. Generation is deterministic in
 // cfg.Seed.
@@ -37,6 +55,7 @@ func NewWorld(cfg Config) (*World, error) {
 		rng:    rng,
 		gen:    newTextGen(rng),
 		byID:   make(map[AccountID]*Account, cfg.NumAccounts),
+		byName: make(map[string]*Account, cfg.NumAccounts),
 		trends: NewTrendSet(rand.New(rand.NewSource(cfg.Seed + 1))),
 		start:  simclock.Epoch,
 	}
@@ -69,13 +88,14 @@ func (w *World) Accounts() []*Account {
 
 // ByScreenName finds an account by screen name, or nil. Screen names are
 // not guaranteed unique; the first match wins, as in a search API.
-func (w *World) ByScreenName(name string) *Account {
-	for _, a := range w.accounts {
-		if a.ScreenName == name {
-			return a
-		}
+func (w *World) ByScreenName(name string) *Account { return w.byName[name] }
+
+// registerName indexes a under its screen name unless an earlier account
+// already holds it.
+func (w *World) registerName(a *Account) {
+	if _, taken := w.byName[a.ScreenName]; !taken {
+		w.byName[a.ScreenName] = a
 	}
-	return nil
 }
 
 // AddAccount registers an externally created account (e.g. a traditional
@@ -92,6 +112,8 @@ func (w *World) AddAccount(a *Account) AccountID {
 	a.ID = id
 	w.accounts = append(w.accounts, a)
 	w.byID[id] = a
+	w.registerName(a)
+	w.profilesChanged()
 	return id
 }
 
@@ -144,6 +166,11 @@ func (w *World) generate() {
 	w.rng.Shuffle(len(w.accounts), func(i, j int) {
 		w.accounts[i], w.accounts[j] = w.accounts[j], w.accounts[i]
 	})
+	// After the shuffle, so the first holder of a duplicated name is the
+	// first in w.accounts order — the one a scan would find.
+	for _, a := range w.accounts {
+		w.registerName(a)
+	}
 }
 
 // hashAvatar computes the configured perceptual hash of an avatar image.
@@ -377,6 +404,7 @@ func (w *World) AdvanceSuspensions(hours float64, rng *rand.Rand) int {
 			n++
 		}
 	}
+	w.profilesChanged()
 	return n
 }
 

@@ -198,6 +198,7 @@ func (s *Store) recover() (*Recovery, error) {
 
 	rec := &Recovery{}
 	ckptSeqs := listSeqs(names, checkpointPrefix, checkpointSuffix)
+	var ckptErr error // why the oldest checkpoint tried was rejected
 	for i := len(ckptSeqs) - 1; i >= 0 && rec.Checkpoint == nil; i-- {
 		ck, err := readCheckpointFile(s.b, ckptSeqs[i])
 		if err != nil {
@@ -205,6 +206,7 @@ func (s *Store) recover() (*Recovery, error) {
 			// covers are still on disk (pruning trails by one).
 			rec.Fallbacks++
 			s.obs.checkpointFallbacks.Inc()
+			ckptErr = err
 			continue
 		}
 		rec.Checkpoint = ck
@@ -215,7 +217,7 @@ func (s *Store) recover() (*Recovery, error) {
 		// Every checkpoint failed verification and the early WAL was
 		// already pruned: full replay is impossible, and pretending the
 		// pruned prefix never happened would silently diverge.
-		return nil, fmt.Errorf("store: all %d checkpoints unreadable and WAL history pruned", len(ckptSeqs))
+		return nil, fmt.Errorf("store: all %d checkpoints unreadable and WAL history pruned (%w)", len(ckptSeqs), ckptErr)
 	}
 	var base uint64
 	if rec.Checkpoint != nil {

@@ -1,11 +1,15 @@
 package store_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -571,5 +575,124 @@ func TestDirLockStaleReclaim(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// checkpointBackends runs a test over the local-disk backend and the
+// fault-injection double.
+func checkpointBackends(t *testing.T, fn func(t *testing.T, b store.Backend)) {
+	t.Run("dir", func(t *testing.T) {
+		d, err := store.NewDir(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn(t, d)
+	})
+	t.Run("fstest", func(t *testing.T) { fn(t, fstest.New()) })
+}
+
+// A checkpoint holds the whole derived state and outgrows the WAL's 16 MiB
+// per-record bound within ten simulated hours at bench scale; the reader
+// used to apply that bound to checkpoints the writer had happily written,
+// leaving such a store impossible to reopen.
+func TestLargeCheckpointReopens(t *testing.T) {
+	state := make([]byte, store.MaxRecordSize+(1<<20))
+	rand.New(rand.NewSource(1)).Read(state)
+	checkpointBackends(t, func(t *testing.T, b store.Backend) {
+		s, _ := openTest(t, b, 1)
+		// The third checkpoint is the large one; by then the WAL prefix
+		// is pruned, so an unreadable newest checkpoint shows as a
+		// fallback.
+		for round := 0; round < 3; round++ {
+			appendN(t, s, round*5, 5)
+			ck := &store.Checkpoint{Components: map[string][]byte{"labels": state[:1<<10]}}
+			if round == 2 {
+				ck.Components["labels"] = state
+			}
+			if err := s.WriteCheckpoint(ck); err != nil {
+				t.Fatalf("WriteCheckpoint: %v", err)
+			}
+		}
+		appendN(t, s, 15, 2)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		s2, rec := openTest(t, b, 1)
+		defer func() { _ = s2.Close() }()
+		if rec.Fallbacks != 0 || rec.Checkpoint == nil || rec.Checkpoint.Seq != 15 {
+			t.Fatalf("recovered checkpoint %+v with %d fallbacks, want seq 15 and none",
+				rec.Checkpoint, rec.Fallbacks)
+		}
+		if !bytes.Equal(rec.Checkpoint.Components["labels"], state) {
+			t.Error("large component did not round-trip")
+		}
+		if len(rec.Records) != 2 {
+			t.Errorf("replayed %d records past the checkpoint, want 2", len(rec.Records))
+		}
+	})
+}
+
+// A checkpoint whose header claims more payload than the file holds — a
+// torn write, or a corrupt length field — is rejected without allocating
+// the claimed length, and recovery falls back to the previous checkpoint.
+func TestLyingCheckpointHeaderFallsBack(t *testing.T) {
+	header := func(length uint32) []byte {
+		hdr := make([]byte, 16, 16+100)
+		copy(hdr, "PHCKP001")
+		binary.LittleEndian.PutUint32(hdr[8:12], length)
+		return append(hdr, make([]byte, 100)...)
+	}
+	for _, tc := range []struct {
+		name    string
+		content []byte
+	}{
+		{"truncated payload", header(store.MaxCheckpointSize)},
+		{"over the bound", header(store.MaxCheckpointSize + 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkpointBackends(t, func(t *testing.T, b store.Backend) {
+				s, _ := openTest(t, b, 1)
+				for round := 0; round < 2; round++ {
+					appendN(t, s, round*5, 5)
+					ck := &store.Checkpoint{Components: map[string][]byte{"v": {byte(round)}}}
+					if err := s.WriteCheckpoint(ck); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				f, err := b.Create(fmt.Sprintf("ckpt-%016d.ckpt", 10))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.Write(tc.content); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Close(); err != nil {
+					t.Fatal(err)
+				}
+
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				s2, rec := openTest(t, b, 1)
+				runtime.ReadMemStats(&after)
+				defer func() { _ = s2.Close() }()
+				if rec.Fallbacks != 1 || rec.Checkpoint == nil || rec.Checkpoint.Seq != 5 {
+					t.Fatalf("recovered checkpoint %+v with %d fallbacks, want seq 5 after 1",
+						rec.Checkpoint, rec.Fallbacks)
+				}
+				if len(rec.Records) != 5 {
+					t.Errorf("replayed %d records, want 5 (seqs 6..10)", len(rec.Records))
+				}
+				if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+					t.Errorf("reopening allocated %d MB for a 116-byte file", grew>>20)
+				}
+			})
+		})
 	}
 }
