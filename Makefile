@@ -21,13 +21,30 @@ RACE_PKGS := ./internal/parallel/ \
 	./internal/socialnet/ \
 	.
 
+# Statement-coverage gates, one per cover-<pkg> target: `make cover-store`
+# gates internal/store at >= $(STORE_COVER_MIN)%.
+#
+# metrics: the registry sits on every hot path, so untested branches there
+# are untested everywhere.
 METRICS_COVER_MIN := 90
+# trace: the span tracer is woven through every pipeline stage, so a
+# regression there silently corrupts latency attribution everywhere.
 TRACE_COVER_MIN := 90
+# store: the WAL and checkpoint machinery is what stands between a crash
+# and silent data loss, so untested recovery branches are latent
+# divergence bugs.
 STORE_COVER_MIN := 90
+# obs: the federation merge and the watchdog are what operators see of a
+# sharded fleet — an untested branch there is a blind spot in the one
+# deployment mode that matters at scale.
 OBS_COVER_MIN := 90
+# source: the ingestion layer decides what the whole pipeline sees, so an
+# untested delivery or merge branch is a silent stream corruption.
 SOURCE_COVER_MIN := 90
 
-.PHONY: check vet vulncheck build test race bench bench-e2e bench-e2e-check bench-store bench-store-check bench-shard bench-shard-check bench-ingest bench-ingest-check cover-metrics cover-trace cover-store cover-obs cover-source
+upper = $(shell echo $(1) | tr a-z A-Z)
+
+.PHONY: check vet vulncheck build test race bench bench-e2e bench-e2e-check bench-store bench-store-check bench-shard bench-shard-check bench-ingest bench-ingest-check
 
 check: vet vulncheck build test race cover-metrics cover-trace cover-store cover-obs cover-source
 
@@ -53,39 +70,16 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# cover-metrics gates internal/metrics at >= $(METRICS_COVER_MIN)%
-# statement coverage: the registry sits on every hot path, so untested
-# branches there are untested everywhere.
-cover-metrics:
-	@$(GO) test -coverprofile=.metrics.cover ./internal/metrics/ > /dev/null
-	@$(GO) tool cover -func=.metrics.cover | awk -v min=$(METRICS_COVER_MIN) \
+# cover-<pkg> gates internal/<pkg> at >= $(<PKG>_COVER_MIN)% statement
+# coverage; a package without a gate variable is an error, not a pass.
+cover-%:
+	@test -n "$($(call upper,$*)_COVER_MIN)" || { echo "no $(call upper,$*)_COVER_MIN gate for internal/$*"; exit 1; }
+	@$(GO) test -coverprofile=.$*.cover ./internal/$*/ > /dev/null
+	@$(GO) tool cover -func=.$*.cover | awk -v min=$($(call upper,$*)_COVER_MIN) \
 		'/^total:/ { gsub(/%/, "", $$3); \
-		if ($$3 + 0 < min) { printf "FAIL: internal/metrics coverage %s%% < %d%% gate\n", $$3, min; exit 1 } \
-		else printf "internal/metrics coverage %s%% (gate %d%%)\n", $$3, min }'
-	@rm -f .metrics.cover
-
-# cover-trace gates internal/trace at >= $(TRACE_COVER_MIN)% statement
-# coverage: the span tracer is woven through every pipeline stage, so a
-# regression there silently corrupts latency attribution everywhere.
-cover-trace:
-	@$(GO) test -coverprofile=.trace.cover ./internal/trace/ > /dev/null
-	@$(GO) tool cover -func=.trace.cover | awk -v min=$(TRACE_COVER_MIN) \
-		'/^total:/ { gsub(/%/, "", $$3); \
-		if ($$3 + 0 < min) { printf "FAIL: internal/trace coverage %s%% < %d%% gate\n", $$3, min; exit 1 } \
-		else printf "internal/trace coverage %s%% (gate %d%%)\n", $$3, min }'
-	@rm -f .trace.cover
-
-# cover-obs gates internal/obs at >= $(OBS_COVER_MIN)% statement
-# coverage: the federation merge and the watchdog are what operators see
-# of a sharded fleet — an untested branch there is a blind spot in the
-# one deployment mode that matters at scale.
-cover-obs:
-	@$(GO) test -coverprofile=.obs.cover ./internal/obs/ > /dev/null
-	@$(GO) tool cover -func=.obs.cover | awk -v min=$(OBS_COVER_MIN) \
-		'/^total:/ { gsub(/%/, "", $$3); \
-		if ($$3 + 0 < min) { printf "FAIL: internal/obs coverage %s%% < %d%% gate\n", $$3, min; exit 1 } \
-		else printf "internal/obs coverage %s%% (gate %d%%)\n", $$3, min }'
-	@rm -f .obs.cover
+		if ($$3 + 0 < min) { printf "FAIL: internal/$* coverage %s%% < %d%% gate\n", $$3, min; exit 1 } \
+		else printf "internal/$* coverage %s%% (gate %d%%)\n", $$3, min }'
+	@rm -f .$*.cover
 
 # bench runs the ML training and parallel-layer benchmarks, then
 # regenerates the committed BENCH_ml.json baseline via cmd/benchreport.
@@ -117,18 +111,6 @@ bench-e2e:
 bench-e2e-check:
 	$(GO) run ./cmd/benchreport -e2echeck BENCH_e2e.json
 
-# cover-store gates internal/store at >= $(STORE_COVER_MIN)% statement
-# coverage: the WAL and checkpoint machinery is what stands between a
-# crash and silent data loss, so untested recovery branches are latent
-# divergence bugs.
-cover-store:
-	@$(GO) test -coverprofile=.store.cover ./internal/store/ > /dev/null
-	@$(GO) tool cover -func=.store.cover | awk -v min=$(STORE_COVER_MIN) \
-		'/^total:/ { gsub(/%/, "", $$3); \
-		if ($$3 + 0 < min) { printf "FAIL: internal/store coverage %s%% < %d%% gate\n", $$3, min; exit 1 } \
-		else printf "internal/store coverage %s%% (gate %d%%)\n", $$3, min }'
-	@rm -f .store.cover
-
 # bench-store regenerates the committed durable-store baseline: WAL
 # append throughput per group-commit setting, recovery time for a
 # 30k-record log, and checkpoint write latency.
@@ -156,17 +138,6 @@ bench-shard:
 # Set PH_SKIP_SHARD_CHECK=1 to skip on shared or throttled machines.
 bench-shard-check:
 	$(GO) run ./cmd/benchreport -shardcheck BENCH_shard.json
-
-# cover-source gates internal/source at >= $(SOURCE_COVER_MIN)% statement
-# coverage: the ingestion layer decides what the whole pipeline sees, so
-# an untested delivery or merge branch is a silent stream corruption.
-cover-source:
-	@$(GO) test -coverprofile=.source.cover ./internal/source/ > /dev/null
-	@$(GO) tool cover -func=.source.cover | awk -v min=$(SOURCE_COVER_MIN) \
-		'/^total:/ { gsub(/%/, "", $$3); \
-		if ($$3 + 0 < min) { printf "FAIL: internal/source coverage %s%% < %d%% gate\n", $$3, min; exit 1 } \
-		else printf "internal/source coverage %s%% (gate %d%%)\n", $$3, min }'
-	@rm -f .source.cover
 
 # bench-ingest regenerates the committed source-ingest baseline: posts/sec
 # through the Source interface onto the monitor match path, for a direct

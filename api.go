@@ -170,9 +170,9 @@ func (s *Simulation) NewAPIServer(opts ...twitterapi.ServerOption) *APIServer {
 // StreamConfig parameterizes the sniffer's staged streaming runtime
 // (DESIGN.md §12). Zero values take the pipeline package defaults.
 type StreamConfig struct {
-	// Enabled runs the sniffer on the stage graph: match → feature →
-	// label → detect, with micro-batching and backpressure. Disabled
-	// (the default) keeps the synchronous batch path.
+	// Enabled runs the sniffer on the stage graph: match → extract →
+	// merge → label → detect, with micro-batching and backpressure.
+	// Disabled (the default) keeps the synchronous batch path.
 	Enabled bool
 	// BatchSize is the micro-batch flush size bound (default 64).
 	BatchSize int
@@ -214,17 +214,14 @@ type SnifferConfig struct {
 	// to NewSniffer may be nil (replayed runs have no live simulation).
 	Sources []IngestSource
 	// Shards partitions the honeypot node set across N shard workers by
-	// consistent hashing on node id, each running its own stream filter
-	// and staged pipeline, with a coordinator merging the capture streams
-	// back into the deterministic single-monitor order (DESIGN.md §15).
-	// Values above 1 require Stream.Enabled. Zero or 1 keeps the
-	// unsharded topology (unless ShardMode forces proc workers).
+	// consistent hashing on node id, each running its own extract stage,
+	// with a coordinator merging the capture streams back into the
+	// deterministic single-monitor order (DESIGN.md §15). Values above 1
+	// require Stream.Enabled. Zero or 1 is the same graph with one shard.
 	Shards int
 	// ShardMode selects how shards are isolated: "inproc" (the default)
 	// runs goroutine-isolated shards in this process; "proc" runs one
 	// worker subprocess per shard speaking the HTTP/NDJSON epoch wire.
-	// Proc mode requires driving the run through Sniffer.RunHours and is
-	// incompatible with Durability.
 	ShardMode string
 	// Durability enables the WAL + checkpoint store so a crashed run can
 	// be resumed without losing captures (requires Stream.Enabled).
@@ -250,46 +247,41 @@ type Sniffer struct {
 	cfg     SnifferConfig
 	detach  func()
 
-	// Streaming mode only.
-	runner     *pipeline.Runner
-	ingest     *pipeline.Queue[*core.Capture]
-	labelStore *label.Store
-
-	// Ingestion layer (streaming/sharded modes): src delivers the post
-	// stream (the implicit twitter adapter unless cfg.Sources was set, in
-	// which case explicit is true and lookups/oracles resolve through the
-	// source rather than the simulation). srcErr latches the first replay
-	// adoption failure; it is delivery-goroutine state, reported by
-	// RunHours and DetectAll.
+	// Streaming only (nil on the batch path). src delivers the post stream:
+	// the implicit twitter adapter unless cfg.Sources was set, in which case
+	// explicit is true and lookups/oracles resolve through the source rather
+	// than the simulation. exec is the extract executor — the one thing that
+	// varies between streaming topologies — and tail the stateful end they
+	// all share. runErr latches the first failure of the run (a replay
+	// adoption, a proc epoch flush); it is delivery-goroutine state,
+	// reported by RunHours and DetectAll.
 	src      source.Source
 	explicit bool
 	srcIns   *sourceInstruments
-	srcErr   error
-
-	// Profile-epilogue bookkeeping (Durability.RecordRotations): the
-	// accounts every WAL'd capture referenced, in first-appearance order.
-	// Touched only by the stage goroutine that appends to the WAL, then
-	// read at Close after the stage graph has stopped.
-	profSeen map[socialnet.AccountID]struct{}
-	profIDs  []socialnet.AccountID
-
-	// Sharded modes only (SnifferConfig.Shards > 1 or ShardMode "proc").
-	fanout *shard.Fanout
-	proc   *shard.ProcCoordinator
+	exec     executor
+	tail     *tail
+	runErr   error
 
 	// Durability (WAL + checkpoints), nil/zero when disabled. watermark
 	// is the highest durably-accounted tweet id at startup: the re-run
 	// simulation's tweets at or below it are already in the restored
-	// state and are skipped by the subscribe callback. lastCaptured
-	// tracks the newest captured tweet id; both are engine-goroutine
-	// state (set once at recovery, then only touched by engine hooks).
-	store        *store.Store
-	recovery     *store.Recovery
-	watermark    socialnet.TweetID
-	lastCaptured socialnet.TweetID
-	ckptEvery    int
+	// state and are skipped by the subscribe callback.
+	store     *store.Store
+	recovery  *store.Recovery
+	watermark socialnet.TweetID
+	ckptEvery int
 
 	closeOnce sync.Once
+}
+
+// executor is what moves matched posts to the tail: goroutine shards
+// (shard.Fanout) or worker subprocesses (shard.ProcCoordinator).
+type executor interface {
+	// Drain returns once everything ingested so far has cleared the tail.
+	// The producer must be quiescent.
+	Drain() error
+	// Close drains, then stops the executor's goroutines or processes.
+	Close() error
 }
 
 // Validate checks the configuration's cross-field constraints — every
@@ -306,9 +298,6 @@ func (cfg SnifferConfig) Validate() error {
 	if (cfg.Shards > 1 || cfg.ShardMode == "proc") && !cfg.Stream.Enabled {
 		return errors.New("pseudohoneypot: sharding requires the streaming pipeline (set Stream.Enabled)")
 	}
-	if cfg.ShardMode == "proc" && cfg.Durability.enabled() {
-		return errors.New("pseudohoneypot: proc shard mode does not support durability")
-	}
 	if cfg.Durability.enabled() && !cfg.Stream.Enabled {
 		return errors.New("pseudohoneypot: durability requires the streaming pipeline (set Stream.Enabled)")
 	}
@@ -320,22 +309,21 @@ func (cfg SnifferConfig) Validate() error {
 			return errors.New("pseudohoneypot: explicit Sources require the streaming pipeline (set Stream.Enabled)")
 		}
 		if cfg.ShardMode == "proc" {
-			return errors.New("pseudohoneypot: proc shard mode does not support explicit Sources")
+			return errors.New("pseudohoneypot: proc shard mode does not support explicit Sources: " +
+				"the epoch wire stamps one origin per epoch and merges hits by tweet id, " +
+				"which a mux's interleaved origins and per-source id offsets break")
 		}
 		if cfg.Durability.enabled() {
-			return errors.New("pseudohoneypot: explicit Sources do not support durability (record with the implicit twitter source, then replay)")
+			return errors.New("pseudohoneypot: explicit Sources do not support durability: " +
+				"the recovery watermark is a tweet id, which is not monotone under a mux's per-source id offsets " +
+				"(record with the implicit twitter source, then replay)")
 		}
 		for _, src := range cfg.Sources {
 			if src == nil {
 				return errors.New("pseudohoneypot: nil entry in Sources")
 			}
-			if _, ok := src.(source.ReplayBacked); ok {
-				if len(cfg.Sources) > 1 {
-					return errors.New("pseudohoneypot: a replay source must be the sole source")
-				}
-				if cfg.Shards > 1 {
-					return errors.New("pseudohoneypot: a replay source cannot be sharded")
-				}
+			if _, ok := src.(source.ReplayBacked); ok && len(cfg.Sources) > 1 {
+				return errors.New("pseudohoneypot: a replay source must be the sole source")
 			}
 		}
 	}
@@ -406,32 +394,22 @@ func NewSniffer(sim *Simulation, cfg SnifferConfig) (*Sniffer, error) {
 			return nil, err
 		}
 	}
-	switch {
-	case cfg.ShardMode == "proc":
-		if err := s.attachProc(); err != nil {
-			return nil, err
-		}
-	case cfg.Shards > 1:
-		s.attachSharded()
-	case cfg.Stream.Enabled:
-		s.attachStreaming()
-	default:
+	var err error
+	if cfg.Stream.Enabled {
+		err = s.attachStream()
+	} else {
 		s.detach = core.Attach(m, sim.engine)
 	}
-	if s.store != nil {
-		if err := s.recoverDurable(); err != nil {
-			s.Close()
-			return nil, err
-		}
+	if err == nil && s.store != nil {
+		err = s.recoverDurable()
+	}
+	if err != nil {
+		// Release whatever was acquired: stages, workers, the store's
+		// directory lock.
+		s.Close()
+		return nil, err
 	}
 	return s, nil
-}
-
-// labeledCapture pairs a capture with its stream-time provisional label on
-// the label→detect queue.
-type labeledCapture struct {
-	c    *core.Capture
-	spam bool
 }
 
 // labelConfig is the labeling configuration shared by the batch oracle and
@@ -442,106 +420,81 @@ func (s *Sniffer) labelConfig() label.Config {
 	return lcfg
 }
 
-// attachStreaming wires the stage graph and subscribes the monitor's match
-// step to the ingest source. Stage topology (DESIGN.md §12):
+// attachStream wires the one streaming stage graph (DESIGN.md §12) and
+// subscribes it to the ingest source:
 //
-//	source ─→ match (delivery goroutine) ─→ [feature] ─→ [label] ─→ [detect]
+//	source ─→ match ─→ [extract ×N] ─→ [merge] ─→ [label] ─→ [detect]
+//	                    executor        └────────── tail ──────────┘
 //
-// Match stays on the delivery goroutine (it mutates group stats that
-// Rotate reads there); everything downstream runs on stage goroutines
-// against profile snapshots frozen at match time.
-func (s *Sniffer) attachStreaming() {
+// Only the executor varies. In-process (the default, any N ≥ 1) the match
+// step stays on the delivery goroutine — it mutates group stats that Rotate
+// reads there — and routes each capture to its owning shard goroutine by
+// consistent hashing on the receiver node; shards run stateless extraction
+// and label precompute concurrently against profile snapshots frozen at
+// match time, and the merge stage restores ingest order. In proc mode the
+// delivery goroutine only buffers candidates, encoded at emit time; each
+// hour's epoch goes to worker subprocesses (spawned by re-executing this
+// binary — see shard.MaybeWorker) that match and extract, and the merged
+// hits reach the tail at the next hour boundary, drain, or Close.
+func (s *Sniffer) attachStream() error {
 	m, cfg, src := s.monitor, s.cfg, s.src
-	runner := pipeline.NewRunner(pipeline.Config{
-		FlushSize:     cfg.Stream.BatchSize,
-		FlushInterval: cfg.Stream.FlushInterval,
-		QueueCap:      cfg.Stream.QueueDepth,
-		Metrics:       cfg.Metrics,
-		Tracer:        cfg.Tracer,
-		Source:        src.ID(),
-	})
-	qFeature := pipeline.NewQueue[*core.Capture](runner, "feature")
-	qLabel := pipeline.NewQueue[*core.Capture](runner, "label")
-	qDetect := pipeline.NewQueue[labeledCapture](runner, "detect")
-
-	pipeline.Through(runner, "feature", qFeature, qLabel,
-		func(batch []*core.Capture) []*core.Capture {
-			for _, c := range batch {
-				m.ExtractCapture(c)
-				m.Store().Append(c)
-				if s.store != nil {
-					// WAL the capture in extraction order — the order
-					// recovery must replay to rebuild extractor state.
-					s.walAppend(c)
-				}
-			}
-			return batch
-		})
-
-	ls := label.NewStore(s.labelConfig())
+	t := &tail{
+		monitor:        m,
+		labels:         label.NewStore(s.labelConfig()),
+		prep:           label.NewPrepper(s.labelConfig()),
+		online:         cfg.Online,
+		recordProfiles: cfg.Durability.RecordRotations,
+	}
 	if s.explicit {
 		// Caller-provided sources resolve user ids through the source at
 		// Snapshot time (mux namespacing, replay epilogue profiles); the
 		// implicit twitter path keeps the store's default live pointers.
-		ls.SetResolver(src.Lookup)
+		t.labels.SetResolver(src.Lookup)
 	}
-	pipeline.Through(runner, "label", qLabel, qDetect,
-		func(batch []*core.Capture) []labeledCapture {
-			tweets := make([]*socialnet.Tweet, len(batch))
-			authors := make([]*socialnet.Account, len(batch))
-			profiles := make([]*socialnet.Account, len(batch))
-			for i, c := range batch {
-				tweets[i] = c.Tweet
-				authors[i] = c.Sender
-				profiles[i] = c.SenderSnapshot()
-			}
-			provisional := ls.AddBatch(tweets, authors, profiles)
-			out := make([]labeledCapture, len(batch))
-			for i, c := range batch {
-				out[i] = labeledCapture{c: c, spam: provisional[i]}
-			}
-			return out
+	s.tail = t
+
+	if cfg.ShardMode == "proc" {
+		pc, err := shard.NewProcCoordinator(shard.ProcConfig{
+			Shards:  cfg.Shards,
+			Lookup:  src.Lookup,
+			Metrics: cfg.Metrics,
+			Tracer:  cfg.Tracer,
+			Origin:  src.ID(),
+			Apply: func(batch []shard.Merged) error {
+				items := make([]shard.Item, len(batch))
+				for i, mg := range batch {
+					c, err := m.AdoptCapture(mg.Tweet, mg.Sender, mg.Receiver, mg.Groups, src.Lookup)
+					if err != nil {
+						return err
+					}
+					c.Source = mg.Origin
+					items[i] = shard.Item{C: c, Vec: mg.Vec, TweetPrep: mg.TweetPrep, UserPrep: mg.UserPrep}
+				}
+				t.apply(items)
+				return nil
+			},
 		})
-
-	online := cfg.Online
-	pipeline.Sink(runner, "detect", qDetect, func(batch []labeledCapture) {
-		if online == nil {
-			return
+		if err != nil {
+			return err
 		}
-		for _, lc := range batch {
-			// Errors only surface before the window holds both
-			// classes; the window still fills, so ignore them.
-			_ = online.Observe(lc.c, lc.spam)
-		}
-	})
-	runner.Start()
-
-	src.OnHourStart(s.rotateHour)
-	cancel := src.Subscribe(func(p source.Post) {
-		if c := s.matchPost(p); c != nil {
-			// Blocking push is the backpressure contract: a full
-			// feature queue pauses the firehose right here.
-			_ = qFeature.Push(c)
-		}
-	})
-	s.runner, s.ingest, s.labelStore, s.detach = runner, qFeature, ls, cancel
-}
-
-// attachSharded wires the in-process sharded topology (DESIGN.md §15):
-// the match step stays on the engine goroutine and routes each capture to
-// its owning shard by consistent hashing on the receiver node; shards run
-// stateless extraction and label precompute concurrently; the coordinator
-// merges by ingest sequence number and runs the order-dependent stages,
-// so every downstream structure evolves exactly as in the 1-shard run.
-//
-//	source ─→ match ─ring─→ shard 1..N [extract] ─→ [merge]─[label]─[detect]
-func (s *Sniffer) attachSharded() {
-	m, cfg, src := s.monitor, s.cfg, s.src
-	ls := label.NewStore(s.labelConfig())
-	if s.explicit {
-		ls.SetResolver(src.Lookup)
+		s.exec = pc
+		src.OnHourStart(func(hour int, now time.Time) {
+			// Rotation barrier: the previous epoch reaches the tail before
+			// the node set changes (and before rotateHour's checkpoint), and
+			// the new assignment reaches the tap before any of the hour's
+			// traffic.
+			s.drainPipeline()
+			s.rotateHour(hour, now)
+			pc.BeginEpoch(m.CurrentNodes())
+		})
+		s.detach = src.Subscribe(func(p source.Post) {
+			if p.Tweet.ID > s.watermark {
+				pc.OnTweet(p.Tweet)
+			}
+		})
+		return nil
 	}
-	online := cfg.Online
+
 	f := shard.NewFanout(shard.FanoutConfig{
 		Shards: cfg.Shards,
 		Pipeline: pipeline.Config{
@@ -552,172 +505,81 @@ func (s *Sniffer) attachSharded() {
 			Tracer:        cfg.Tracer,
 			Source:        src.ID(),
 		},
-		Monitor: m,
-		Prepper: label.NewPrepper(s.labelConfig()),
-		Complete: func(it *shard.Item) {
-			m.CompleteCapture(it.C, it.Vec)
-			m.Store().Append(it.C)
-			if s.store != nil {
-				// The merge stage restores ingest order, so the WAL sees
-				// captures in exactly the order recovery must replay.
-				s.walAppend(it.C)
-			}
-		},
-		Label: func(items []shard.Item) []bool {
-			tweets := make([]*socialnet.Tweet, len(items))
-			authors := make([]*socialnet.Account, len(items))
-			profiles := make([]*socialnet.Account, len(items))
-			tweetPreps := make([]label.TweetPrep, len(items))
-			userPreps := make([]*label.UserPrep, len(items))
-			for i, it := range items {
-				tweets[i] = it.C.Tweet
-				authors[i] = it.C.Sender
-				profiles[i] = it.C.SenderSnapshot()
-				tweetPreps[i] = it.TweetPrep
-				userPreps[i] = it.UserPrep
-			}
-			return ls.AddBatchPrepared(tweets, authors, profiles, tweetPreps, userPreps)
-		},
-		Observe: func(c *core.Capture, spam bool) {
-			if online != nil {
-				_ = online.Observe(c, spam)
-			}
-		},
+		Monitor:  m,
+		Prepper:  t.prep,
+		Complete: t.complete,
+		Label:    t.label,
+		Observe:  t.observe,
 	})
-
+	s.exec = f
 	src.OnHourStart(s.rotateHour)
-	cancel := src.Subscribe(func(p source.Post) {
+	s.detach = src.Subscribe(func(p source.Post) {
 		if c := s.matchPost(p); c != nil {
+			// Blocking push is the backpressure contract: a full extract
+			// queue pauses the firehose right here.
 			f.Ingest(c)
 		}
 	})
-	s.fanout, s.labelStore, s.detach = f, ls, cancel
-}
-
-// attachProc wires the separate-process sharded topology: the coordinator
-// taps the stream on the engine goroutine, buffering candidates encoded at
-// emit time, and Sniffer.RunHours flushes one epoch per simulated hour to
-// the worker fleet (spawned by re-executing this binary — see
-// shard.MaybeWorker).
-func (s *Sniffer) attachProc() error {
-	m, cfg := s.monitor, s.cfg
-	ls := label.NewStore(s.labelConfig())
-	online := cfg.Online
-	world := s.sim.world
-	pc, err := shard.NewProcCoordinator(shard.ProcConfig{
-		Shards:  cfg.Shards,
-		Lookup:  world.Account,
-		Metrics: cfg.Metrics,
-		Tracer:  cfg.Tracer,
-		Apply: func(batch []shard.Merged) error {
-			tweets := make([]*socialnet.Tweet, len(batch))
-			authors := make([]*socialnet.Account, len(batch))
-			profiles := make([]*socialnet.Account, len(batch))
-			tweetPreps := make([]label.TweetPrep, len(batch))
-			userPreps := make([]*label.UserPrep, len(batch))
-			caps := make([]*core.Capture, len(batch))
-			for i, mg := range batch {
-				c, err := m.AdoptCapture(mg.Tweet, mg.Sender, mg.Receiver, mg.Groups, world.Account)
-				if err != nil {
-					return err
-				}
-				c.Source = mg.Origin
-				m.CompleteCapture(c, mg.Vec)
-				m.Store().Append(c)
-				caps[i] = c
-				tweets[i] = c.Tweet
-				authors[i] = c.Sender
-				profiles[i] = c.SenderSnapshot()
-				tweetPreps[i] = mg.TweetPrep
-				userPreps[i] = mg.UserPrep
-			}
-			// One epoch is one label batch; AddBatchPrepared's ingest is
-			// batching-invariant, so the result matches the streaming
-			// micro-batches bit for bit.
-			spam := ls.AddBatchPrepared(tweets, authors, profiles, tweetPreps, userPreps)
-			if online != nil {
-				for i, c := range caps {
-					_ = online.Observe(c, spam[i])
-				}
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		return err
-	}
-	s.sim.engine.OnHourStart(func(hour int, now time.Time) {
-		// Rotation barrier: the previous epoch was flushed before this
-		// hook can run, and the new assignment reaches the tap before any
-		// of the hour's traffic.
-		m.Rotate(now, time.Hour)
-		pc.BeginEpoch(m.CurrentNodes())
-	})
-	cancel := s.sim.engine.Subscribe(pc.OnTweet)
-	s.proc, s.labelStore, s.detach = pc, ls, cancel
 	return nil
 }
 
-// RunHours advances the simulation n hours through the sniffer. For the
-// separate-process shard mode this is the only way to advance time (each
-// hour's captures are flushed to the worker fleet at the hour boundary);
-// every other mode is equivalent to Simulation.RunHours.
+// latch records the run's first error for RunHours and DetectAll.
+func (s *Sniffer) latch(err error) {
+	if s.runErr == nil {
+		s.runErr = err
+	}
+}
+
+// RunHours advances the simulation n hours through the sniffer —
+// equivalent to Simulation.RunHours (or the explicit source's RunHours)
+// plus the run's latched error, if any.
 func (s *Sniffer) RunHours(n int) error {
-	if s.proc != nil {
-		for i := 0; i < n; i++ {
-			s.sim.engine.RunHours(1)
-			if err := s.proc.FlushEpoch(); err != nil {
-				return err
-			}
-		}
+	if s.src == nil {
+		s.sim.RunHours(n)
 		return nil
 	}
-	if s.src != nil {
-		if err := s.src.RunHours(n); err != nil {
-			return err
-		}
-		return s.srcErr
+	if err := s.src.RunHours(n); err != nil {
+		return err
 	}
-	s.sim.RunHours(n)
-	return nil
+	return s.runErr
 }
 
-// drainPipeline blocks until every capture ingested so far has cleared
-// whichever stage topology is attached.
+// drainPipeline blocks until every post delivered so far has cleared the
+// tail. The source must be quiescent: between RunHours calls, or inside an
+// hour hook.
 func (s *Sniffer) drainPipeline() {
-	if s.fanout != nil {
-		s.fanout.Drain()
-		return
-	}
-	if s.runner != nil {
-		s.runner.Drain()
+	if s.exec != nil {
+		s.latch(s.exec.Drain())
 	}
 }
 
-// Close detaches the sniffer from the simulation's stream and, in
-// streaming mode, shuts the stage graph down.
+// stopStages detaches from the post stream and stops the executor; work
+// already ingested still lands in the tail (and the store's buffers), but
+// nothing is flushed to the backend — what a crash leaves behind, and the
+// first half of Close.
+func (s *Sniffer) stopStages() {
+	if s.detach != nil {
+		s.detach()
+	}
+	if s.exec != nil {
+		_ = s.exec.Close()
+	}
+}
+
+// Close detaches the sniffer from the post stream, shuts the stage graph
+// down, and closes the durable store. Close is idempotent.
 func (s *Sniffer) Close() {
 	s.closeOnce.Do(func() {
-		s.detach()
-		if s.runner != nil {
-			s.ingest.Close()
-			s.runner.Wait()
-		}
-		if s.fanout != nil {
-			s.fanout.Close()
-		}
-		if s.proc != nil {
-			_ = s.proc.Close()
-		}
+		s.stopStages()
 		if s.explicit {
 			// The implicit twitter adapter holds no resources; explicit
 			// sources (reddit engines, replay logs, muxes) do.
 			_ = s.src.Close()
 		}
 		if s.store != nil {
-			// The stage graph has stopped appending: stamp the profile
-			// epilogue (replay labels suspensions against end-of-run
-			// profiles), then sync the WAL tail and release the lock.
+			// The tail has stopped appending: stamp the profile epilogue
+			// (replay labels suspensions against end-of-run profiles), then
+			// sync the WAL tail and release the lock.
 			s.writeProfileEpilogue()
 			_ = s.store.Close()
 		}
@@ -733,10 +595,10 @@ func (s *Sniffer) Monitor() *Monitor { return s.monitor }
 // A respawned worker changes its entry, so callers should re-read rather
 // than cache — the fleet federator's Targets hook does exactly that.
 func (s *Sniffer) ShardAdminURLs() []string {
-	if s.proc == nil {
-		return nil
+	if pc, ok := s.exec.(*shard.ProcCoordinator); ok {
+		return pc.AdminURLs()
 	}
-	return s.proc.AdminURLs()
+	return nil
 }
 
 // HealthExtra returns the /healthz hook reporting the durable store's WAL
@@ -772,8 +634,8 @@ type DetectionResult struct {
 // label store instead of re-clustering from scratch.
 func (s *Sniffer) DetectAll() (*DetectionResult, error) {
 	s.drainPipeline()
-	if s.srcErr != nil {
-		return nil, s.srcErr
+	if s.runErr != nil {
+		return nil, s.runErr
 	}
 	captures := s.monitor.Captures()
 	if len(captures) == 0 {
@@ -790,9 +652,9 @@ func (s *Sniffer) DetectAll() (*DetectionResult, error) {
 		oracle = label.NewNoisyOracle(s.sim.world, s.cfg.ManualLabelErrorRate, s.cfg.Seed+2)
 	}
 	var labels *label.Result
-	if s.labelStore != nil {
-		labels = s.labelStore.Snapshot(oracle)
-		adoptLabelSpans(s.labelStore.LastTrace(), captures)
+	if s.tail != nil {
+		labels = s.tail.labels.Snapshot(oracle)
+		adoptLabelSpans(s.tail.labels.LastTrace(), captures)
 	} else {
 		tweets := make([]*socialnet.Tweet, len(captures))
 		for i, c := range captures {

@@ -117,10 +117,8 @@ func shardPass(caps []*core.Capture, m *core.Monitor, shards int) float64 {
 		Monitor:  m,
 		Prepper:  label.NewPrepper(label.DefaultConfig()),
 		Complete: func(*shard.Item) { done++ },
-		Label: func(items []shard.Item) []bool {
-			return make([]bool, len(items))
-		},
-		Observe: func(*core.Capture, bool) {},
+		Label:    func([]shard.Item) {},
+		Observe:  func(*shard.Item) {},
 	})
 	start := time.Now()
 	for r := 0; r < shardBenchReplay; r++ {
@@ -128,9 +126,9 @@ func shardPass(caps []*core.Capture, m *core.Monitor, shards int) float64 {
 			f.Ingest(c)
 		}
 	}
-	f.Drain()
+	_ = f.Drain() // a Fanout's Drain and Close never fail
 	secs := time.Since(start).Seconds()
-	f.Close()
+	_ = f.Close()
 	if want := len(caps) * shardBenchReplay; done != want {
 		panic(fmt.Sprintf("shardbench: fanout completed %d of %d captures", done, want))
 	}

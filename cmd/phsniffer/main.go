@@ -24,16 +24,23 @@
 // Reddit-like firehose (own account population, crossposting spam),
 // and "replay:DIR" re-feeds a capture WAL recorded by an earlier
 // -store-dir run with rotation records. Several comma-separated sources
-// are merged deterministically; a replay source must ride alone.
-// -source implies -stream and is incompatible with -store-dir and
-// -shard-mode proc.
+// are merged deterministically; a replay source must ride alone (at any
+// -shards N). -source implies -stream and is incompatible with -store-dir
+// (the recovery watermark is a tweet id, not monotone across muxed
+// sources) and -shard-mode proc (the epoch wire carries one origin per
+// epoch and merges hits by tweet id).
 //
 // With -stream, the sniffer runs on the staged streaming pipeline
-// (match → feature → label → detect) with micro-batching tuned by
+// (match → extract → merge → label → detect) with micro-batching tuned by
 // -batch-size and -flush-interval; queue depth and backpressure appear
-// under ph_pipeline_* on /metrics. Results are identical to the default
-// batch mode at the same seed. -capture-cap bounds retained captures
-// (FIFO eviction past the cap; 0 keeps everything) in either mode.
+// under ph_pipeline_* on /metrics (stage extract on shard "1".."N",
+// stages merge/label/detect on shard "coord"). Results are identical to
+// the default batch mode at the same seed. -capture-cap bounds retained
+// captures (FIFO eviction past the cap; 0 keeps everything) in either
+// mode. -shards N runs N extract workers on the same graph (-stream alone
+// is N = 1), as goroutines or, with -shard-mode proc, as worker
+// subprocesses fed one epoch per simulated hour; every combination with
+// -store-dir gives the same result.
 //
 // With -store-dir (implies -stream), every capture is written to a WAL in
 // that directory and the pipeline state is checkpointed each simulated
@@ -115,11 +122,11 @@ func run() error {
 		stream      = flag.Bool("stream", false, "run on the staged streaming pipeline instead of batch mode")
 		batchSize   = flag.Int("batch-size", pseudohoneypot.DefaultStreamBatchSize, "streaming micro-batch flush size")
 		flushEvery  = flag.Duration("flush-interval", pseudohoneypot.DefaultStreamFlushInterval, "streaming partial-batch age bound")
-		shards      = flag.Int("shards", 0, "partition the honeypot nodes across N shard monitors (implies -stream; 0/1 = unsharded)")
+		shards      = flag.Int("shards", 0, "run N extract workers, partitioning the honeypot nodes among them (implies -stream; 0/1 = one worker, what -stream alone runs)")
 		shardMode   = flag.String("shard-mode", "", "shard isolation: inproc (goroutines, default) or proc (worker subprocesses over loopback HTTP)")
 		captureCap  = flag.Int("capture-cap", 0, "max captures retained (FIFO eviction past the cap; 0 = unbounded)")
-		storeDir    = flag.String("store-dir", "", "durable WAL+checkpoint directory; a restart against it resumes without double-counting (implies -stream)")
-	recordRot   = flag.Bool("record-rotations", false, "journal hourly rotations and a profile epilogue into the WAL so -source replay:DIR can re-feed it (requires -store-dir)")
+		storeDir    = flag.String("store-dir", "", "durable WAL+checkpoint directory; a restart against it resumes without double-counting (implies -stream; works with any -shards/-shard-mode, not with -source)")
+		recordRot   = flag.Bool("record-rotations", false, "journal hourly rotations and a profile epilogue into the WAL so -source replay:DIR can re-feed it (requires -store-dir)")
 		syncEvery   = flag.Int("sync-every", 1, "WAL appends per fsync (group commit; 1 = every capture durable immediately)")
 		ckptEvery   = flag.Int("checkpoint-every", 1, "simulated hours between pipeline checkpoints")
 		server      = flag.String("server", "", "twitterd base URL for remote monitoring (e.g. http://127.0.0.1:8331)")

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/core"
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/shard"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/store"
 )
@@ -109,20 +110,21 @@ func (s *Sniffer) openDurable() error {
 }
 
 // recoverDurable applies the recovered checkpoint and replays the WAL tail
-// through the same code path the streaming stages run: AdoptCapture
-// repeats Match's bookkeeping, ExtractCapture rebuilds the vector (and the
-// extractor state), the label store re-indexes, and the online detector
-// re-observes. The watermark then tells the subscribe callback which
-// tweets of the re-run simulation are already accounted for.
+// through the tail the live stream runs: AdoptCapture repeats Match's
+// bookkeeping, the stateless vector and tweet prep are recomputed from the
+// logged snapshots, and tail.apply rebuilds the extractor state, re-indexes
+// the label store and re-feeds the online detector. The watermark then
+// tells the subscribe callback which tweets of the re-run simulation are
+// already accounted for.
 func (s *Sniffer) recoverDurable() error {
-	rec := s.recovery
+	rec, t := s.recovery, s.tail
 	world := s.sim.world
 	// Accounts spawned mid-run (campaign churn) do not exist yet in the
 	// re-seeded world while recovery runs — they reappear only as the
 	// simulation re-runs. Any user bound to a frozen fallback here is
 	// therefore rebound to the live account at Snapshot time, when it
 	// exists again and carries the re-run's mutations (suspensions).
-	s.labelStore.SetResolver(world.Account)
+	t.labels.SetResolver(world.Account)
 	if ck := rec.Checkpoint; ck != nil {
 		if b, ok := ck.Components[ckCaptures]; ok {
 			if err := s.monitor.Store().ReadSnapshot(bytes.NewReader(b)); err != nil {
@@ -130,7 +132,7 @@ func (s *Sniffer) recoverDurable() error {
 			}
 		}
 		if b, ok := ck.Components[ckLabels]; ok {
-			if err := s.labelStore.ReadSnapshot(bytes.NewReader(b), world.Account); err != nil {
+			if err := t.labels.ReadSnapshot(bytes.NewReader(b), world.Account); err != nil {
 				return fmt.Errorf("pseudohoneypot: restore label store: %w", err)
 			}
 		}
@@ -153,11 +155,11 @@ func (s *Sniffer) recoverDurable() error {
 				return fmt.Errorf("pseudohoneypot: restore online detector: %w", err)
 			}
 		}
-		s.watermark = socialnet.TweetID(ck.TweetWatermark)
+		t.lastCaptured = socialnet.TweetID(ck.TweetWatermark)
 	}
+	items := make([]shard.Item, 0, len(rec.Records))
 	var lastSeq uint64
 	for _, r := range rec.Records {
-		t := &r.Tweet
 		if r.Seq <= lastSeq && lastSeq > 0 {
 			// walAppend retries a failed append into a fresh segment; when
 			// the "failed" frame nevertheless persisted (write landed, only
@@ -169,61 +171,19 @@ func (s *Sniffer) recoverDurable() error {
 			continue
 		}
 		lastSeq = r.Seq
-		c, err := s.monitor.AdoptCapture(t, r.Sender, r.Receiver, r.Groups, world.Account)
+		tw := &r.Tweet
+		c, err := s.monitor.AdoptCapture(tw, r.Sender, r.Receiver, r.Groups, world.Account)
 		if err != nil {
-			return fmt.Errorf("pseudohoneypot: replay capture %d: %w", t.ID, err)
+			return fmt.Errorf("pseudohoneypot: replay capture %d: %w", tw.ID, err)
 		}
-		s.monitor.ExtractCapture(c)
-		s.monitor.Store().Append(c)
-		author := c.Sender
-		if author == nil {
-			// The sender was spawned after the simulation started, so the
-			// hour-zero world cannot resolve it yet. Index the frozen
-			// profile in its place — first-appearance order is what the
-			// cluster indices depend on — and let the Snapshot-time
-			// resolver rebind the id once the re-run recreates the account.
-			author = c.SenderSnapshot()
-		}
-		provisional := s.labelStore.Add(t, author, c.SenderSnapshot())
-		if s.cfg.Online != nil {
-			_ = s.cfg.Online.Observe(c, provisional)
-		}
-		if t.ID > s.watermark {
-			s.watermark = t.ID
-		}
+		items = append(items, shard.Item{C: c, Vec: s.monitor.StatelessVector(c), TweetPrep: t.prep.PrepTweet(tw)})
 	}
-	s.lastCaptured = s.watermark
+	t.apply(items)
+	// The replayed captures are already in the log; from here on the tail
+	// appends, and the stream skips what the restored state accounts for.
+	t.wal = s.store
+	s.watermark = t.lastCaptured
 	return nil
-}
-
-// walAppend logs one freshly extracted capture. The WAL persists the
-// frozen profile snapshots, not the live accounts: replay re-extracts
-// against exactly the values the original extraction read.
-//
-// A failed append is retried once: the failure latches the broken
-// segment, so the retry rotates to a fresh one. Without the retry a
-// mid-run write fault would tear this record while later appends
-// succeed — a hole in the replayable history that the recovery
-// watermark would silently skip. If the retry also fails the backend is
-// truly down; the store's append_errors counter records it, and the
-// capture becomes durable again at the next full-state checkpoint.
-func (s *Sniffer) walAppend(c *core.Capture) {
-	rec := store.CaptureRecord{
-		Tweet:    *c.Tweet,
-		Sender:   c.SenderSnapshot(),
-		Receiver: c.ReceiverSnapshot(),
-		Groups:   c.Groups,
-		Src:      c.Source,
-	}
-	if err := s.store.AppendCapture(&rec); err != nil {
-		_ = s.store.AppendCapture(&rec)
-	}
-	if s.cfg.Durability.RecordRotations {
-		s.trackProfile(c.Tweet.AuthorID)
-		if r := c.ReceiverSnapshot(); r != nil {
-			s.trackProfile(r.ID)
-		}
-	}
 }
 
 // checkpointDurable runs at an hour boundary on the engine goroutine: the
@@ -234,7 +194,7 @@ func (s *Sniffer) walAppend(c *core.Capture) {
 func (s *Sniffer) checkpointDurable() error {
 	s.drainPipeline()
 	ck := &store.Checkpoint{
-		TweetWatermark: int64(s.lastCaptured),
+		TweetWatermark: int64(s.tail.lastCaptured),
 		Components:     make(map[string][]byte, 5),
 	}
 	var buf bytes.Buffer
@@ -248,7 +208,7 @@ func (s *Sniffer) checkpointDurable() error {
 	}
 	err := errors.Join(
 		snap(ckCaptures, func(b *bytes.Buffer) error { return s.monitor.Store().WriteSnapshot(b) }),
-		snap(ckLabels, func(b *bytes.Buffer) error { return s.labelStore.WriteSnapshot(b) }),
+		snap(ckLabels, func(b *bytes.Buffer) error { return s.tail.labels.WriteSnapshot(b) }),
 		snap(ckExtractor, func(b *bytes.Buffer) error { return s.monitor.Extractor().WriteSnapshot(b) }),
 		snap(ckGroups, func(b *bytes.Buffer) error {
 			return gob.NewEncoder(b).Encode(s.monitor.SnapshotGroupStats())

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/parallel"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/store"
@@ -17,30 +16,41 @@ import (
 // against that same pinned fingerprint: recovery is correct exactly when a
 // crashed-and-restarted run is indistinguishable from one that never died.
 func durableConfig(b StoreBackend, syncEvery int) SnifferConfig {
-	return SnifferConfig{
-		Specs: RandomSpec(120),
-		Seed:  1,
-		Stream: StreamConfig{
-			Enabled:       true,
-			BatchSize:     16,
-			FlushInterval: time.Millisecond,
-		},
-		Durability: DurabilityConfig{Backend: b, SyncEvery: syncEvery},
-	}
+	return goldenStream(func(cfg *SnifferConfig) {
+		cfg.Durability = DurabilityConfig{Backend: b, SyncEvery: syncEvery}
+	})
 }
 
 // crashSniffer kills a durable sniffer the way kill -9 would: detach from
-// the engine, let in-flight stage work land in the store's buffers, then
-// discard everything unsynced — keeping tornBytes of a half-flushed tail —
-// and abandon the directory lock. The store is deliberately NOT closed: a
+// the engine, let in-flight stage work land in the store's buffers (the
+// first half of Close, in whatever topology is attached), then discard
+// everything unsynced — keeping tornBytes of a half-flushed tail — and
+// abandon the directory lock. The store is deliberately NOT closed: a
 // dead process never gets to flush, so anything still buffered must be
 // recovered by re-simulation, not by a graceful shutdown the real failure
 // would never have run.
 func crashSniffer(s *Sniffer, b *fstest.Backend, tornBytes int) {
-	s.detach()
-	s.ingest.Close()
-	s.runner.Wait()
+	s.stopStages()
 	b.Crash(tornBytes)
+}
+
+// crashAndRecover is one crash scenario in any topology: run cfg (durable
+// on b) for crashHour hours — with fault, if any, armed first — kill it
+// keeping torn bytes of the unsynced tail, restart against the surviving
+// bytes, and require the finished run to land on the golden fingerprint.
+func crashAndRecover(t *testing.T, cfg SnifferConfig, b *fstest.Backend, crashHour, torn int, fault func(*fstest.Backend)) {
+	t.Helper()
+	sim := testSimulation(t)
+	sn, err := NewSniffer(sim, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fault != nil {
+		fault(b)
+	}
+	sim.RunHours(crashHour)
+	crashSniffer(sn, b, torn)
+	assertGolden(t, restartAndFinish(t, cfg, 6))
 }
 
 // restartAndFinish is the second half of every crash scenario: a fresh
@@ -74,13 +84,8 @@ func restartAndFinish(t *testing.T, cfg SnifferConfig, hours int) *DetectionResu
 // pinned streaming fingerprint bit for bit, and leaves segments plus
 // checkpoints on the backend.
 func TestDurableStreamingMatchesGolden(t *testing.T) {
-	t.Setenv(parallel.EnvWorkers, "2")
 	b := fstest.New()
-	res := runDetection(t, durableConfig(b, 1), 6)
-	if got := fingerprintResult(res); got != goldenStreamingFingerprint {
-		t.Fatalf("durable run drifted from golden:\n got  %s\n want %s",
-			got, goldenStreamingFingerprint)
-	}
+	goldenCell(t, durableConfig(b, 1))
 	names, err := b.List()
 	if err != nil {
 		t.Fatal(err)
@@ -103,14 +108,9 @@ func TestDurableStreamingMatchesGolden(t *testing.T) {
 // TestDurableDirBackendGolden runs the same property on the real local-disk
 // backend — the path the daemons use.
 func TestDurableDirBackendGolden(t *testing.T) {
-	t.Setenv(parallel.EnvWorkers, "2")
 	cfg := durableConfig(nil, 4)
 	cfg.Durability = DurabilityConfig{Dir: t.TempDir(), SyncEvery: 4}
-	res := runDetection(t, cfg, 6)
-	if got := fingerprintResult(res); got != goldenStreamingFingerprint {
-		t.Fatalf("dir-backed run drifted from golden:\n got  %s\n want %s",
-			got, goldenStreamingFingerprint)
-	}
+	goldenCell(t, cfg)
 }
 
 // TestCrashRecoveryEquivalence is the fault-injection harness: kill a
@@ -156,23 +156,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 			for _, sc := range perWorker[workers] {
 				t.Run(sc.name, func(t *testing.T) {
 					b := fstest.New()
-					cfg := durableConfig(b, sc.syncEvery)
-					sim := testSimulation(t)
-					sn, err := NewSniffer(sim, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if sc.fault != nil {
-						sc.fault(b)
-					}
-					sim.RunHours(sc.crashHour)
-					crashSniffer(sn, b, sc.torn)
-
-					res := restartAndFinish(t, cfg, 6)
-					if got := fingerprintResult(res); got != goldenStreamingFingerprint {
-						t.Fatalf("recovered run diverged from golden:\n got  %s\n want %s",
-							got, goldenStreamingFingerprint)
-					}
+					crashAndRecover(t, durableConfig(b, sc.syncEvery), b, sc.crashHour, sc.torn, sc.fault)
 				})
 			}
 		})
@@ -203,11 +187,7 @@ func TestCrashRecoveryDoubleCrash(t *testing.T) {
 	sim2.RunHours(4)
 	crashSniffer(sn2, b, 0)
 
-	res := restartAndFinish(t, cfg, 6)
-	if got := fingerprintResult(res); got != goldenStreamingFingerprint {
-		t.Fatalf("twice-crashed run diverged from golden:\n got  %s\n want %s",
-			got, goldenStreamingFingerprint)
-	}
+	assertGolden(t, restartAndFinish(t, cfg, 6))
 }
 
 // TestDurableCleanRestartResumes: a graceful Close and reopen against the
@@ -215,10 +195,17 @@ func TestCrashRecoveryDoubleCrash(t *testing.T) {
 // on the golden fingerprint, and recovery reports both a checkpoint and a
 // replayed WAL tail.
 func TestDurableCleanRestartResumes(t *testing.T) {
-	t.Setenv(parallel.EnvWorkers, "2")
 	cfg := durableConfig(nil, 1)
 	cfg.Durability = DurabilityConfig{Dir: t.TempDir()}
+	cleanRestartResumes(t, cfg)
+}
 
+// cleanRestartResumes runs cfg (durable) for three hours, closes it
+// gracefully, reopens the same store with a fresh simulation and finishes
+// the six hours.
+func cleanRestartResumes(t *testing.T, cfg SnifferConfig) {
+	t.Helper()
+	t.Setenv(parallel.EnvWorkers, "2")
 	sim := testSimulation(t)
 	sn, err := NewSniffer(sim, cfg)
 	if err != nil {
@@ -245,10 +232,7 @@ func TestDurableCleanRestartResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fingerprintResult(res); got != goldenStreamingFingerprint {
-		t.Fatalf("resumed run diverged from golden:\n got  %s\n want %s",
-			got, goldenStreamingFingerprint)
-	}
+	assertGolden(t, res)
 }
 
 // TestCrashRecoveryOnlineDetector: the online detector's sliding window and

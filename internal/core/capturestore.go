@@ -20,8 +20,8 @@ import (
 // behaviour).
 //
 // The store is not internally synchronized: in the streaming pipeline only
-// the feature stage appends, and the reporting paths (Snapshot, Range)
-// run at drain quiescence.
+// the tail's complete step appends, and the reporting paths (Snapshot,
+// Range) run at drain quiescence.
 type CaptureStore struct {
 	capLimit int
 	buf      []*Capture

@@ -158,11 +158,10 @@ type Monitor struct {
 
 	// scratchGroups is reused across Match calls so the hot stream path
 	// allocates nothing on a miss; scratchAttrs is reused across
-	// ExtractCapture calls. In streaming mode Match runs on the engine
-	// goroutine and ExtractCapture on the feature stage goroutine, so the
-	// two scratch slices must never be touched by the other method.
-	// scratchMergeAttrs belongs to CompleteCapture, which the sharded
-	// coordinator runs on its merge goroutine.
+	// ExtractCapture calls. In streaming mode Match runs on the delivery
+	// goroutine and CompleteCapture on the merge stage goroutine, so
+	// scratchMergeAttrs belongs to CompleteCapture alone and neither method
+	// may touch the other's scratch slice.
 	scratchGroups     []int
 	scratchAttrs      []string
 	scratchMergeAttrs []string
@@ -350,9 +349,9 @@ func (m *Monitor) AccrueGroupNodes(counts []int, period time.Duration) {
 // authored by one (the paper's Categories (1)–(3)).
 //
 // OnTweet is the synchronous batch path: match, extract, and retain in one
-// call. The streaming pipeline calls the same three steps itself — Match
-// on the engine goroutine, ExtractCapture + Store().Append on the feature
-// stage — so both modes run identical code in identical order.
+// call. The streaming pipeline runs the same steps split across goroutines
+// — Match on the delivery goroutine, StatelessVector on a shard,
+// CompleteCapture + Store().Append on the merge stage — in identical order.
 func (m *Monitor) OnTweet(t *socialnet.Tweet, lookup func(socialnet.AccountID) *socialnet.Account) {
 	c := m.Match(t, lookup)
 	if c == nil {
@@ -435,8 +434,10 @@ func (m *Monitor) Match(t *socialnet.Tweet, lookup func(socialnet.AccountID) *so
 	return c
 }
 
-// ExtractCapture is the feature stage: it extracts the 58-feature vector
-// from the capture's profile snapshots and finishes the capture trace.
+// ExtractCapture is the feature step in one call (the batch path; streaming
+// splits it into StatelessVector + CompleteCapture): it extracts the
+// 58-feature vector from the capture's profile snapshots and finishes the
+// capture trace.
 // The extractor folds per-account history, so ExtractCapture must see
 // captures in stream order — one goroutine, FIFO.
 func (m *Monitor) ExtractCapture(c *Capture) {

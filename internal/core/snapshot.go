@@ -95,8 +95,8 @@ func (c *Capture) ReceiverSnapshot() *socialnet.Account { return c.receiverSnap 
 // (Tweets, Senders, instrument counters). The group indices were decided
 // by the original Match against the then-current node set, so no filtering
 // happens here; lookup resolves the live accounts of the restored world.
-// The caller then runs ExtractCapture and Store().Append exactly as the
-// feature stage would. Replayed captures are untraced.
+// The caller then completes and appends the capture exactly as the live
+// stream's tail would. Replayed captures are untraced.
 func (m *Monitor) AdoptCapture(t *socialnet.Tweet, senderSnap, receiverSnap *socialnet.Account,
 	groups []int, lookup func(socialnet.AccountID) *socialnet.Account) (*Capture, error) {
 	for _, gi := range groups {

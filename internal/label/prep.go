@@ -9,8 +9,9 @@ import (
 // This file exports the pure, per-item half of the label store's ingest —
 // normalization, shingling, MinHash signing, Σ-Seq computation — so shard
 // workers (in-process goroutines or separate worker processes on the NDJSON
-// wire) can precompute it concurrently. AddBatchPrepared then applies the
-// stateful index joins sequentially, bit-identical to AddBatch.
+// wire) can precompute it concurrently; the store's own AddBatch runs the
+// same Prepper over the worker pool. AddBatchPrepared then applies the
+// stateful index joins sequentially.
 
 // TweetPrep is the precomputed pure portion of one tweet add. Fields are
 // exported (and JSON-shaped) so proc-mode shard workers can ship preps over
@@ -28,12 +29,11 @@ type UserPrep struct {
 	DescSig  minhash.Signature `json:"desc_sig,omitempty"` // nil when DescNorm == ""
 }
 
-// Prepper computes label preps outside the store. It derives its MinHash
-// schemes from the same Config (Seed for descriptions, Seed+1 for tweets)
-// NewStore uses, so its signatures are bit-identical to the store's own
-// precompute. A Prepper is immutable after construction and safe for
-// concurrent use... except that minhash.Scheme.Sign must itself be
-// re-entrant, which it is (read-only coefficient tables).
+// Prepper computes label preps. It derives its MinHash schemes from the
+// Config (Seed for descriptions, Seed+1 for tweets), so two Preppers of one
+// Config — a shard worker's and the store's own — sign identically. A
+// Prepper is immutable after construction and safe for concurrent use
+// (minhash.Scheme.Sign only reads its coefficient tables).
 type Prepper struct {
 	cfg        Config
 	descScheme *minhash.Scheme
@@ -51,7 +51,7 @@ func NewPrepper(cfg Config) *Prepper {
 }
 
 // PrepTweet precomputes the normalization + near-duplicate signature of one
-// tweet, exactly as AddBatch's parallel precompute does.
+// tweet.
 func (p *Prepper) PrepTweet(t *socialnet.Tweet) TweetPrep {
 	tp := TweetPrep{Norm: normalizedKey(t)}
 	if len(tp.Norm) >= p.cfg.MinTweetLen {
@@ -60,8 +60,7 @@ func (p *Prepper) PrepTweet(t *socialnet.Tweet) TweetPrep {
 	return tp
 }
 
-// PrepUser precomputes the Σ-Seq and description signature of one profile,
-// exactly as AddBatch's parallel precompute does for a first appearance.
+// PrepUser precomputes the Σ-Seq and description signature of one profile.
 func (p *Prepper) PrepUser(profile *socialnet.Account) UserPrep {
 	up := UserPrep{
 		NameSeq:  textutil.ClassSeqWithRunLengths(profile.ScreenName),
@@ -74,61 +73,33 @@ func (p *Prepper) PrepUser(profile *socialnet.Account) UserPrep {
 }
 
 // AddBatchPrepared ingests one micro-batch whose pure precompute already
-// happened elsewhere. tweetPreps[i] must be PrepTweet(tweets[i]);
-// userPreps[i], when non-nil, must be PrepUser of authors[i]'s capture-time
-// profile. A nil userPrep for a first-appearance author is recomputed
-// inline (shard workers dedupe preps per shard, and the globally-first
-// capture of an author is always the shard-locally-first too, so inline
-// recompute only covers callers that skipped prep entirely). Results are
-// bit-identical to AddBatch over the same arguments.
+// happened elsewhere, applying the stateful index joins sequentially in
+// stream order — the one ingest path; AddBatch is a prep in front of it.
+// tweetPreps[i] must be PrepTweet(tweets[i]); userPreps[i], when non-nil,
+// must be PrepUser of authors[i]'s capture-time profile. A nil userPrep for
+// a first-appearance author is recomputed inline (shard workers dedupe
+// preps per shard, and the globally-first capture of an author is always
+// the shard-locally-first too, so inline recompute only covers callers that
+// skipped prep entirely: WAL replay, a respawned proc worker's successor).
 func (s *Store) AddBatchPrepared(tweets []*socialnet.Tweet, authors, profiles []*socialnet.Account,
 	tweetPreps []TweetPrep, userPreps []*UserPrep) []bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	// First-appearance users in this batch, in batch order — the same
-	// dedupe AddBatch runs.
-	var newUsers []userPrep
-	queued := make(map[socialnet.AccountID]struct{})
-	for i := range tweets {
-		author := authors[i]
-		if author == nil {
-			continue
+	// User joins and tweet joins hit disjoint indices, so applying all of
+	// the batch's first-appearance users first preserves the global
+	// author-first-appearance sequence.
+	for _, i := range s.firstAppearancesLocked(authors) {
+		up := userPreps[i]
+		if up == nil {
+			p := s.prep.PrepUser(profileOr(profiles[i], authors[i]))
+			up = &p
 		}
-		if _, ok := s.users[author.ID]; ok {
-			continue
-		}
-		if _, ok := queued[author.ID]; ok {
-			continue
-		}
-		queued[author.ID] = struct{}{}
-		profile := profiles[i]
-		if profile == nil {
-			profile = author
-		}
-		up := userPrep{batchIdx: i, user: author}
-		if p := userPreps[i]; p != nil {
-			up.nameSeq, up.descNorm, up.descSig = p.NameSeq, p.DescNorm, p.DescSig
-		} else {
-			up.nameSeq = textutil.ClassSeqWithRunLengths(profile.ScreenName)
-			up.descNorm = textutil.NormalizeDescription(profile.Description)
-			if up.descNorm != "" {
-				up.descSig = s.descScheme.Sign(textutil.Shingles(up.descNorm, 3))
-			}
-		}
-		newUsers = append(newUsers, up)
-	}
-
-	for _, up := range newUsers {
-		s.addUserLocked(up)
+		s.addUserLocked(authors[i], *up)
 	}
 	spam := make([]bool, len(tweets))
 	for i, t := range tweets {
-		profile := profiles[i]
-		if profile == nil {
-			profile = authors[i]
-		}
-		spam[i] = s.addTweetLocked(t, profile, tweetPrep{norm: tweetPreps[i].Norm, sig: tweetPreps[i].Sig})
+		spam[i] = s.addTweetLocked(t, profileOr(profiles[i], authors[i]), tweetPreps[i])
 	}
 	return spam
 }

@@ -20,7 +20,7 @@ func TestStoreSnapshotRestoreResumesStream(t *testing.T) {
 	})
 
 	st := NewStore(DefaultConfig())
-	feedStore(st, prefix, 13)
+	feedStore(st, prefix, 13, nil)
 	var buf bytes.Buffer
 	if err := st.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func TestStoreSnapshotRestoreResumesStream(t *testing.T) {
 	rest := NewCorpus(corpus.Tweets[half:], func(id socialnet.AccountID) *socialnet.Account {
 		return corpus.Users[id]
 	})
-	feedStore(restored, rest, 13)
+	feedStore(restored, rest, 13, nil)
 	got := restored.Snapshot(NewNoisyOracle(w, 0.02, 7))
 	want := NewPipeline(DefaultConfig()).Run(corpus, NewNoisyOracle(w, 0.02, 7))
 	if !reflect.DeepEqual(want, got) {

@@ -7,7 +7,6 @@ import (
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/minhash"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/parallel"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/textutil"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/trace"
 )
 
@@ -50,17 +49,18 @@ type Store struct {
 	nameMembers map[string][]socialnet.AccountID
 	nameOrder   []string
 
+	// prep signs descriptions and tweets for the two MinHash indices below.
+	prep *Prepper
+
 	// Description near-duplicates: persistent MinHash banding + union-find.
-	descScheme *minhash.Scheme
-	descIndex  *minhash.Index
-	descIDs    []socialnet.AccountID
-	descUF     *unionFind
+	descIndex *minhash.Index
+	descIDs   []socialnet.AccountID
+	descUF    *unionFind
 
 	// Tweet near-duplicates: persistent MinHash banding + union-find.
-	twScheme *minhash.Scheme
-	twIndex  *minhash.Index
-	twPool   []*socialnet.Tweet
-	twUF     *unionFind
+	twIndex *minhash.Index
+	twPool  []*socialnet.Tweet
+	twUF    *unionFind
 
 	// Rule state for provisional labels.
 	repeats map[string]int
@@ -82,10 +82,9 @@ func NewStore(cfg Config) *Store {
 		img:         imagehash.NewGrouper(cfg.ImageHammingThreshold),
 		imgMembers:  make(map[int][]socialnet.AccountID),
 		nameMembers: make(map[string][]socialnet.AccountID),
-		descScheme:  newLSHScheme(cfg.Seed),
+		prep:        NewPrepper(cfg),
 		descIndex:   minhash.NewIndex(lshBands, lshRows),
 		descUF:      &unionFind{},
-		twScheme:    newLSHScheme(cfg.Seed + 1),
 		twIndex:     minhash.NewIndex(lshBands, lshRows),
 		twUF:        &unionFind{},
 		repeats:     make(map[string]int),
@@ -110,21 +109,6 @@ func (s *Store) SetResolver(resolve func(socialnet.AccountID) *socialnet.Account
 	s.resolve = resolve
 }
 
-// tweetPrep is the precomputed (parallelizable) part of one tweet add.
-type tweetPrep struct {
-	norm string
-	sig  minhash.Signature // nil below MinTweetLen
-}
-
-// userPrep is the precomputed part of one first-appearance user add.
-type userPrep struct {
-	batchIdx int // index in the batch of the author's first tweet
-	user     *socialnet.Account
-	nameSeq  string
-	descNorm string
-	descSig  minhash.Signature // nil when descNorm == ""
-}
-
 // Add ingests one capture: t joins the live cluster indices, and — on the
 // author's first appearance — so does the author's profile. author is the
 // live account retained for the snapshot corpus (exactly what the batch
@@ -141,20 +125,36 @@ func (s *Store) Add(t *socialnet.Tweet, author, profile *socialnet.Account) bool
 		[]*socialnet.Account{author}, []*socialnet.Account{profile})[0]
 }
 
-// AddBatch ingests one micro-batch in stream order, fanning the pure
-// per-item work (normalization, shingling, MinHash signing, Σ-Seq
-// computation) over the shared worker pool before applying the stateful
-// index joins sequentially. Results are bit-identical to item-by-item Add
-// at any worker count.
+// AddBatch ingests one micro-batch in stream order: it fans the pure
+// per-item work (the Prepper's normalization, shingling, MinHash signing,
+// Σ-Seq computation) over the shared worker pool, then hands the preps to
+// AddBatchPrepared for the sequential index joins. Results are
+// bit-identical to item-by-item Add at any worker count.
 func (s *Store) AddBatch(tweets []*socialnet.Tweet, authors, profiles []*socialnet.Account) []bool {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	first := s.firstAppearancesLocked(authors)
+	s.mu.Unlock()
+	// One writer (the Store contract), so the first-appearance set cannot
+	// change before AddBatchPrepared retakes the lock.
+	users := parallel.Map(len(first), s.cfg.Workers, func(k int) UserPrep {
+		return s.prep.PrepUser(profileOr(profiles[first[k]], authors[first[k]]))
+	})
+	userPreps := make([]*UserPrep, len(tweets))
+	for k, i := range first {
+		userPreps[i] = &users[k]
+	}
+	tweetPreps := parallel.Map(len(tweets), s.cfg.Workers, func(i int) TweetPrep {
+		return s.prep.PrepTweet(tweets[i])
+	})
+	return s.AddBatchPrepared(tweets, authors, profiles, tweetPreps, userPreps)
+}
 
-	// First-appearance users in this batch, in batch order.
-	var newUsers []userPrep
+// firstAppearancesLocked returns the batch indices whose author the store
+// has not seen, one per author, in batch order.
+func (s *Store) firstAppearancesLocked(authors []*socialnet.Account) []int {
+	var first []int
 	queued := make(map[socialnet.AccountID]struct{})
-	for i := range tweets {
-		author := authors[i]
+	for i, author := range authors {
 		if author == nil {
 			continue
 		}
@@ -165,53 +165,22 @@ func (s *Store) AddBatch(tweets []*socialnet.Tweet, authors, profiles []*socialn
 			continue
 		}
 		queued[author.ID] = struct{}{}
-		profile := profiles[i]
-		if profile == nil {
-			profile = author
-		}
-		newUsers = append(newUsers, userPrep{batchIdx: i, user: author,
-			nameSeq: profile.ScreenName, descNorm: profile.Description})
+		first = append(first, i)
 	}
+	return first
+}
 
-	// Pure precompute, fanned over the worker pool. The fields were
-	// seeded with the raw strings above; Map replaces them in place.
-	preppedUsers := parallel.Map(len(newUsers), s.cfg.Workers, func(i int) userPrep {
-		up := newUsers[i]
-		up.nameSeq = textutil.ClassSeqWithRunLengths(up.nameSeq)
-		up.descNorm = textutil.NormalizeDescription(up.descNorm)
-		if up.descNorm != "" {
-			up.descSig = s.descScheme.Sign(textutil.Shingles(up.descNorm, 3))
-		}
-		return up
-	})
-	preps := parallel.Map(len(tweets), s.cfg.Workers, func(i int) tweetPrep {
-		p := tweetPrep{norm: normalizedKey(tweets[i])}
-		if len(p.norm) >= s.cfg.MinTweetLen {
-			p.sig = s.twScheme.Sign(textutil.Shingles(p.norm, 3))
-		}
-		return p
-	})
-
-	// Sequential joins, in stream order. User joins and tweet joins hit
-	// disjoint indices, so applying all of the batch's first-appearance
-	// users first preserves the global author-first-appearance sequence.
-	for _, up := range preppedUsers {
-		s.addUserLocked(up)
+// profileOr returns the capture-time profile snapshot, or the live author
+// when the caller took none.
+func profileOr(profile, author *socialnet.Account) *socialnet.Account {
+	if profile == nil {
+		return author
 	}
-	spam := make([]bool, len(tweets))
-	for i, t := range tweets {
-		profile := profiles[i]
-		if profile == nil {
-			profile = authors[i]
-		}
-		spam[i] = s.addTweetLocked(t, profile, preps[i])
-	}
-	return spam
+	return profile
 }
 
 // addUserLocked joins one first-appearance user into the profile indices.
-func (s *Store) addUserLocked(up userPrep) {
-	u := up.user
+func (s *Store) addUserLocked(u *socialnet.Account, up UserPrep) {
 	s.users[u.ID] = u
 	s.userOrder = append(s.userOrder, u.ID)
 
@@ -226,39 +195,39 @@ func (s *Store) addUserLocked(up userPrep) {
 	}
 
 	// Name: Σ-Seq class membership.
-	if len(s.nameMembers[up.nameSeq]) == 0 {
-		s.nameOrder = append(s.nameOrder, up.nameSeq)
+	if len(s.nameMembers[up.NameSeq]) == 0 {
+		s.nameOrder = append(s.nameOrder, up.NameSeq)
 	}
-	s.nameMembers[up.nameSeq] = append(s.nameMembers[up.nameSeq], u.ID)
+	s.nameMembers[up.NameSeq] = append(s.nameMembers[up.NameSeq], u.ID)
 
 	// Description: banding probe against all prior descriptions, then
 	// join the index. Probing before Add excludes self-candidates and
 	// reproduces the batch pair set {(i,j): j<i, shared band, sim ≥ τ}.
-	if up.descSig != nil {
+	if up.DescSig != nil {
 		idx := s.descUF.add()
-		for _, cand := range s.descIndex.Candidates(up.descSig) {
-			if minhash.Similarity(up.descSig, s.descIndex.Signature(cand)) >= s.cfg.DescSimilarity {
+		for _, cand := range s.descIndex.Candidates(up.DescSig) {
+			if minhash.Similarity(up.DescSig, s.descIndex.Signature(cand)) >= s.cfg.DescSimilarity {
 				s.descUF.union(idx, cand)
 			}
 		}
-		s.descIndex.Add(up.descSig)
+		s.descIndex.Add(up.DescSig)
 		s.descIDs = append(s.descIDs, u.ID)
 	}
 }
 
 // addTweetLocked joins one tweet into the stream mirror, the near-duplicate
 // index, and the rule state, returning the provisional spam flag.
-func (s *Store) addTweetLocked(t *socialnet.Tweet, profile *socialnet.Account, p tweetPrep) bool {
+func (s *Store) addTweetLocked(t *socialnet.Tweet, profile *socialnet.Account, p TweetPrep) bool {
 	s.tweets = append(s.tweets, t)
-	s.repeats[p.norm]++
-	if p.sig != nil {
+	s.repeats[p.Norm]++
+	if p.Sig != nil {
 		idx := s.twUF.add()
-		for _, cand := range s.twIndex.Candidates(p.sig) {
-			if minhash.Similarity(p.sig, s.twIndex.Signature(cand)) >= s.cfg.TweetSimilarity {
+		for _, cand := range s.twIndex.Candidates(p.Sig) {
+			if minhash.Similarity(p.Sig, s.twIndex.Signature(cand)) >= s.cfg.TweetSimilarity {
 				s.twUF.union(idx, cand)
 			}
 		}
-		s.twIndex.Add(p.sig)
+		s.twIndex.Add(p.Sig)
 		s.twPool = append(s.twPool, t)
 	}
 	if profile != nil && profile.Suspended {
@@ -299,8 +268,14 @@ func (s *Store) Snapshot(oracle Oracle) *Result {
 	r := p.run(c, oracle, func(*Corpus) ([][]socialnet.AccountID, [][]*socialnet.Tweet) {
 		var userGroups [][]socialnet.AccountID
 		for _, fn := range []func() [][]socialnet.AccountID{
-			func() [][]socialnet.AccountID { defer p.tr.StartSpan("label_cluster_image").End(); return s.imageGroupsLocked() },
-			func() [][]socialnet.AccountID { defer p.tr.StartSpan("label_cluster_name").End(); return s.nameGroupsLocked() },
+			func() [][]socialnet.AccountID {
+				defer p.tr.StartSpan("label_cluster_image").End()
+				return s.imageGroupsLocked()
+			},
+			func() [][]socialnet.AccountID {
+				defer p.tr.StartSpan("label_cluster_name").End()
+				return s.nameGroupsLocked()
+			},
 			func() [][]socialnet.AccountID {
 				defer p.tr.StartSpan("label_cluster_description").End()
 				return s.descGroupsLocked()

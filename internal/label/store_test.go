@@ -9,8 +9,13 @@ import (
 )
 
 // feedStore pushes the corpus stream into a store in arrival order, in
-// micro-batches of batchSize (1 = item-by-item Add).
-func feedStore(s *Store, c *Corpus, batchSize int) {
+// micro-batches of batchSize (1 = item-by-item Add). With a prepper the
+// batches take the shard workers' route instead: preps computed outside the
+// store — a user prep only for the prepper-side first appearance of an
+// author, as a shard dedupes, and none at all for odd ids, as WAL replay
+// ships none — then AddBatchPrepared, which recomputes the missing ones.
+func feedStore(s *Store, c *Corpus, batchSize int, prepper *Prepper) {
+	shipped := make(map[socialnet.AccountID]bool)
 	for i := 0; i < len(c.Tweets); i += batchSize {
 		end := i + batchSize
 		if end > len(c.Tweets) {
@@ -23,14 +28,30 @@ func feedStore(s *Store, c *Corpus, batchSize int) {
 		}
 		// In-process the live account doubles as its own profile
 		// snapshot: the feed is synchronous with the (finished) stream.
-		s.AddBatch(batch, authors, authors)
+		if prepper == nil {
+			s.AddBatch(batch, authors, authors)
+			continue
+		}
+		tweetPreps := make([]TweetPrep, len(batch))
+		userPreps := make([]*UserPrep, len(batch))
+		for j, tw := range batch {
+			tweetPreps[j] = prepper.PrepTweet(tw)
+			if a := authors[j]; a != nil && !shipped[a.ID] && a.ID%2 == 0 {
+				shipped[a.ID] = true
+				up := prepper.PrepUser(a)
+				userPreps[j] = &up
+			}
+		}
+		s.AddBatchPrepared(batch, authors, authors, tweetPreps, userPreps)
 	}
 }
 
 // TestStoreMatchesBatchOracle is the tentpole's correctness property: on a
 // seed corpus, the incremental store — fed the stream one tweet at a time
-// or micro-batched, at several worker counts — must produce a Snapshot
-// deeply equal to the full-batch Pipeline.Run oracle over the same data.
+// or micro-batched, through AddBatch or through a Prepper plus
+// AddBatchPrepared, at several worker counts — must produce a Snapshot
+// deeply equal to the full-batch Pipeline.Run oracle over the same data,
+// so the three ingest routes are bit-identical to each other.
 func TestStoreMatchesBatchOracle(t *testing.T) {
 	corpus, w := collectCorpus(t, 8)
 	if len(corpus.Tweets) == 0 {
@@ -43,18 +64,26 @@ func TestStoreMatchesBatchOracle(t *testing.T) {
 				cfg.Workers = workers
 				want := NewPipeline(cfg).Run(corpus, NewNoisyOracle(w, 0.02, 7))
 
-				st := NewStore(cfg)
-				feedStore(st, corpus, batchSize)
-				got := st.Snapshot(NewNoisyOracle(w, 0.02, 7))
+				routes := []*Prepper{nil}
+				if workers == 1 {
+					// The prepared route never touches the worker pool.
+					routes = append(routes, NewPrepper(cfg))
+				}
+				for _, prepper := range routes {
+					st := NewStore(cfg)
+					feedStore(st, corpus, batchSize, prepper)
+					got := st.Snapshot(NewNoisyOracle(w, 0.02, 7))
 
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("incremental snapshot diverged from batch oracle:\n"+
-						"batch: spams=%d spammers=%d ham=%d benign=%d checks=%d\n"+
-						"store: spams=%d spammers=%d ham=%d benign=%d checks=%d",
-						len(want.SpamTweets), len(want.Spammers), len(want.HamTweets),
-						len(want.Benign), want.ManualChecks,
-						len(got.SpamTweets), len(got.Spammers), len(got.HamTweets),
-						len(got.Benign), got.ManualChecks)
+					if !reflect.DeepEqual(want, got) {
+						t.Fatalf("incremental snapshot (prepared=%t) diverged from batch oracle:\n"+
+							"batch: spams=%d spammers=%d ham=%d benign=%d checks=%d\n"+
+							"store: spams=%d spammers=%d ham=%d benign=%d checks=%d",
+							prepper != nil,
+							len(want.SpamTweets), len(want.Spammers), len(want.HamTweets),
+							len(want.Benign), want.ManualChecks,
+							len(got.SpamTweets), len(got.Spammers), len(got.HamTweets),
+							len(got.Benign), got.ManualChecks)
+					}
 				}
 			})
 		}
@@ -74,7 +103,7 @@ func TestStoreSnapshotIsRepeatable(t *testing.T) {
 	})
 
 	st := NewStore(DefaultConfig())
-	feedStore(st, prefix, 13)
+	feedStore(st, prefix, 13, nil)
 	gotHalf := st.Snapshot(NewNoisyOracle(w, 0.02, 7))
 	wantHalf := NewPipeline(DefaultConfig()).Run(prefix, NewNoisyOracle(w, 0.02, 7))
 	if !reflect.DeepEqual(wantHalf, gotHalf) {
@@ -84,7 +113,7 @@ func TestStoreSnapshotIsRepeatable(t *testing.T) {
 	rest := NewCorpus(corpus.Tweets[half:], func(id socialnet.AccountID) *socialnet.Account {
 		return corpus.Users[id]
 	})
-	feedStore(st, rest, 13)
+	feedStore(st, rest, 13, nil)
 	got := st.Snapshot(NewNoisyOracle(w, 0.02, 7))
 	want := NewPipeline(DefaultConfig()).Run(corpus, NewNoisyOracle(w, 0.02, 7))
 	if !reflect.DeepEqual(want, got) {

@@ -16,19 +16,16 @@ import (
 // (stateless features, label preps). Seq is the coordinator-assigned
 // ingest sequence number; the merge stage reorders by it so downstream
 // stages observe captures in exactly the single-monitor stream order.
+//
+// Spam is the label step's stream-time provisional verdict, read by the
+// detect step.
 type Item struct {
 	Seq       uint64
 	C         *core.Capture
 	Vec       features.Vector
 	TweetPrep label.TweetPrep
 	UserPrep  *label.UserPrep
-}
-
-// labeledItem pairs a merged capture with its rule-label verdict between
-// the coordinator's label and detect stages.
-type labeledItem struct {
-	c    *core.Capture
-	spam bool
+	Spam      bool
 }
 
 // FanoutConfig parameterizes the in-process sharded topology.
@@ -47,10 +44,11 @@ type FanoutConfig struct {
 	// order, before labeling: stateful feature completion, capture-store
 	// append, WAL append.
 	Complete func(it *Item)
-	// Label rule-labels one merged micro-batch, in stream order.
-	Label func(items []Item) []bool
+	// Label rule-labels one merged micro-batch, in stream order, setting
+	// each item's Spam.
+	Label func(items []Item)
 	// Observe feeds one labeled capture to the online detector.
-	Observe func(c *core.Capture, spam bool)
+	Observe func(it *Item)
 }
 
 // Fanout is the in-process sharded pipeline: N shard runners (stateless
@@ -84,7 +82,7 @@ func NewFanout(cfg FanoutConfig) *Fanout {
 	coord := pipeline.NewRunner(ccfg)
 	f.merge = pipeline.NewQueue[Item](coord, "merge")
 	qLabel := pipeline.NewQueue[Item](coord, "label")
-	qDetect := pipeline.NewQueue[labeledItem](coord, "detect")
+	qDetect := pipeline.NewQueue[Item](coord, "detect")
 
 	// merge: reorder by ingest sequence. pending holds out-of-order
 	// arrivals; next is the sequence number the stream is waiting on.
@@ -108,17 +106,13 @@ func NewFanout(cfg FanoutConfig) *Fanout {
 		}
 		return ready
 	})
-	pipeline.Through(coord, "label", qLabel, qDetect, func(items []Item) []labeledItem {
-		spam := cfg.Label(items)
-		out := make([]labeledItem, len(items))
-		for i, it := range items {
-			out[i] = labeledItem{c: it.C, spam: spam[i]}
-		}
-		return out
+	pipeline.Through(coord, "label", qLabel, qDetect, func(items []Item) []Item {
+		cfg.Label(items)
+		return items
 	})
-	pipeline.Sink(coord, "detect", qDetect, func(batch []labeledItem) {
-		for _, li := range batch {
-			cfg.Observe(li.c, li.spam)
+	pipeline.Sink(coord, "detect", qDetect, func(items []Item) {
+		for i := range items {
+			cfg.Observe(&items[i])
 		}
 	})
 	coord.Start()
@@ -189,19 +183,22 @@ func (f *Fanout) Ingest(c *core.Capture) {
 // topology: shard runners first (so all merge pushes happened), then the
 // coordinator. After Drain, the merge stage's pending map is empty — the
 // reorder can only hold gaps while some earlier capture is still inside a
-// shard runner.
-func (f *Fanout) Drain() {
+// shard runner. The error is always nil; it is there so a Fanout and a
+// ProcCoordinator drain through one signature.
+func (f *Fanout) Drain() error {
 	for _, r := range f.shards {
 		r.Drain()
 	}
 	f.coord.Drain()
+	return nil
 }
 
 // Close shuts the topology down in dependency order: shard queues close,
 // shard runners finish (after which no goroutine can push to the shared
-// merge queue), then the merge queue closes and the coordinator finishes.
-// Close is idempotent.
-func (f *Fanout) Close() {
+// merge queue), then the merge queue closes and the coordinator finishes —
+// so everything ingested before Close still clears the tail. Close is
+// idempotent and always returns nil.
+func (f *Fanout) Close() error {
 	f.closeOnce.Do(func() {
 		for _, q := range f.queues {
 			q.Close()
@@ -212,4 +209,5 @@ func (f *Fanout) Close() {
 		f.merge.Close()
 		f.coord.Wait()
 	})
+	return nil
 }

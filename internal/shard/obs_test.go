@@ -50,7 +50,7 @@ func runStitchedEpochs(t *testing.T, shards, hours int) []trace.TraceInfo {
 	defer cancel()
 	for h := 0; h < hours; h++ {
 		e.RunHours(1)
-		if err := pc.FlushEpoch(); err != nil {
+		if err := pc.Drain(); err != nil {
 			t.Fatal(err)
 		}
 	}

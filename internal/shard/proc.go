@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -82,8 +83,8 @@ type ProcConfig struct {
 // emit time, freezing the profile snapshots exactly as an in-process
 // match would), posts each shard its subset, merge-sorts the hit streams
 // by tweet id, and applies the merged captures. The hour boundary is the
-// rotation barrier: BeginEpoch distributes the post-rotation node
-// assignment, FlushEpoch completes strictly before the next rotation.
+// rotation barrier: the caller's hour hook Drains the previous epoch, rotates,
+// and hands BeginEpoch the post-rotation node assignment.
 type ProcCoordinator struct {
 	cfg    ProcConfig
 	ring   *Ring
@@ -95,6 +96,7 @@ type ProcCoordinator struct {
 	etrace  *trace.Trace // the current epoch's coordinator trace
 	nodes   map[socialnet.AccountID][]int
 	bufs    []bytes.Buffer
+	hdrLen  []int // per shard: length of the epoch header line in bufs
 	lines   map[int64][]byte
 	tweets  map[int64]*socialnet.Tweet
 	scratch []int
@@ -161,6 +163,7 @@ func NewProcCoordinator(cfg ProcConfig) (*ProcCoordinator, error) {
 		obs:    newProcObs(cfg.Metrics, ring.Shards()),
 		tracer: tracer,
 		bufs:   make([]bytes.Buffer, ring.Shards()),
+		hdrLen: make([]int, ring.Shards()),
 		lines:  make(map[int64][]byte),
 		tweets: make(map[int64]*socialnet.Tweet),
 	}, nil
@@ -193,7 +196,7 @@ func (pc *ProcCoordinator) BeginEpoch(nodes map[socialnet.AccountID][]int) {
 	pc.epoch++
 	pc.nodes = nodes
 	// One coordinator trace per epoch; its id travels in every shard's
-	// header so worker spans stitch back under it at FlushEpoch.
+	// header so worker spans stitch back under it at Drain.
 	pc.etrace = pc.tracer.Start("shard_epoch")
 	pc.etrace.SetAttr("epoch", strconv.Itoa(pc.epoch))
 	n := pc.ring.Shards()
@@ -214,6 +217,7 @@ func (pc *ProcCoordinator) BeginEpoch(nodes map[socialnet.AccountID][]int) {
 		})
 		pc.bufs[s].Write(hdr)
 		pc.bufs[s].WriteByte('\n')
+		pc.hdrLen[s] = pc.bufs[s].Len()
 	}
 	clear(pc.lines)
 	clear(pc.tweets)
@@ -254,18 +258,32 @@ func (pc *ProcCoordinator) OnTweet(t *socialnet.Tweet) {
 	pc.scratch = targets[:0]
 }
 
-// FlushEpoch posts the buffered epoch to every shard, retrying a failed
-// shard after a worker restart (the request buffer is retained untouched,
-// so a retried epoch is byte-identical — and the response is idempotent),
-// then merges the hit streams and applies the captures in stream order.
-func (pc *ProcCoordinator) FlushEpoch() error {
+// Drain flushes the open epoch: it posts the buffered candidates to every
+// shard, retrying a failed shard after a worker restart (the request bytes
+// are retained untouched, so a retried epoch is byte-identical — and the
+// response is idempotent), then merges the hit streams and applies the
+// captures in stream order. The buffers are emptied back to their headers
+// whether or not the flush succeeded, so an epoch is attempted once and a
+// Drain with nothing buffered — a second call, an hour without candidates,
+// a call before the first BeginEpoch — does nothing.
+func (pc *ProcCoordinator) Drain() error {
+	if len(pc.tweets) == 0 {
+		return nil
+	}
+	defer func() {
+		for s := range pc.bufs {
+			pc.bufs[s].Truncate(pc.hdrLen[s])
+		}
+		clear(pc.lines)
+		clear(pc.tweets)
+	}()
 	n := pc.ring.Shards()
 	hits := make([][]Hit, n)
 	for s := 0; s < n; s++ {
 		// Detach the request bytes from the reusable epoch buffer: the
 		// HTTP transport may still be draining an aborted body write in a
 		// background goroutine after a failed attempt returns, and the
-		// next BeginEpoch rewrites the buffer in place.
+		// buffer is truncated and rewritten in place.
 		body := append([]byte(nil), pc.bufs[s].Bytes()...)
 		esp := pc.etrace.StartSpan("shard_extract")
 		esp.SetAttr("shard", strconv.Itoa(s+1))
@@ -422,5 +440,8 @@ func (pc *ProcCoordinator) combine(tweetID int64, group []Hit) (Merged, error) {
 	return m, nil
 }
 
-// Close shuts the worker fleet down.
-func (pc *ProcCoordinator) Close() error { return pc.tr.Close() }
+// Close flushes the open epoch — like Fanout.Close, everything tapped
+// before Close still reaches Apply — and shuts the worker fleet down.
+func (pc *ProcCoordinator) Close() error {
+	return errors.Join(pc.Drain(), pc.tr.Close())
+}

@@ -122,7 +122,7 @@ func runProcEpochsReg(t *testing.T, tr Transport, shards, hours int, reg *metric
 	defer cancel()
 	for h := 0; h < hours; h++ {
 		e.RunHours(1)
-		if err := pc.FlushEpoch(); err != nil {
+		if err := pc.Drain(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,7 +264,7 @@ func (ut *unrecoverableTransport) Epoch(s int, body []byte) ([]byte, error) {
 }
 
 // TestProcExhaustedRetriesSurface verifies a permanently dead shard turns
-// into a FlushEpoch error instead of silently dropping its captures.
+// into a Drain error instead of silently dropping its captures.
 func TestProcExhaustedRetriesSurface(t *testing.T) {
 	w, e, m := testWorld(t)
 	pc, err := NewProcCoordinator(ProcConfig{
@@ -283,7 +283,7 @@ func TestProcExhaustedRetriesSurface(t *testing.T) {
 	cancel := e.Subscribe(pc.OnTweet)
 	defer cancel()
 	e.RunHours(1)
-	if err := pc.FlushEpoch(); err == nil {
+	if err := pc.Drain(); err == nil {
 		t.Fatal("permanently dead shard did not surface an error")
 	}
 }

@@ -99,11 +99,8 @@ func TestFanoutPreservesStreamOrder(t *testing.T) {
 				t.Error("stateless vector mismatch")
 			}
 		},
-		Label: func(items []Item) []bool {
-			labeled += len(items)
-			return make([]bool, len(items))
-		},
-		Observe: func(*core.Capture, bool) {},
+		Label:   func(items []Item) { labeled += len(items) },
+		Observe: func(*Item) {},
 	})
 
 	ingested := 0
@@ -142,8 +139,8 @@ func TestFanoutCloseIdempotent(t *testing.T) {
 		Monitor:  m,
 		Prepper:  testPrepper(),
 		Complete: func(*Item) {},
-		Label:    func(items []Item) []bool { return make([]bool, len(items)) },
-		Observe:  func(*core.Capture, bool) {},
+		Label:    func([]Item) {},
+		Observe:  func(*Item) {},
 	})
 	f.Close()
 	f.Close()

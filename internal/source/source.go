@@ -95,8 +95,7 @@ type Source interface {
 // ReplayBacked is an optional Source capability marking sources that
 // re-feed a recording rather than generate live traffic. Config
 // validation uses it: a replay-backed source must be the sole source of
-// a run (its recorded captures carry match context no mux can remap) and
-// cannot be sharded (the recording pins one capture order).
+// a run (its recorded captures carry match context no mux can remap).
 type ReplayBacked interface {
 	// ReplayBacked reports whether the source replays a recording.
 	ReplayBacked() bool

@@ -67,6 +67,12 @@ func TestProcFederationEndToEnd(t *testing.T) {
 	if err := sniffer.RunHours(hours); err != nil {
 		t.Fatal(err)
 	}
+	// The last hour's epoch is still open (it flushes at the next hour
+	// boundary, drain, or Close); DetectAll drains it, so the workers have
+	// seen every line the coordinator counted.
+	if _, err := sniffer.DetectAll(); err != nil {
+		t.Fatal(err)
+	}
 
 	urls := sniffer.ShardAdminURLs()
 	if len(urls) != shards {

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"os"
 	"testing"
-	"time"
 
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/parallel"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/shard"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/trace"
 )
@@ -20,54 +18,26 @@ func TestMain(m *testing.M) {
 }
 
 // shardGoldenConfig is the reference configuration of the pinned streaming
-// fingerprint (goldenStreamingFingerprint in streaming_test.go), extended
-// with a shard topology. Tracing and an isolated metrics registry are on:
-// the observability layer — epoch trace ids on the wire, stitched worker
+// fingerprint (goldenStream in source_test.go), extended with a shard
+// topology. Tracing and an isolated metrics registry are on: the
+// observability layer — epoch trace ids on the wire, stitched worker
 // spans, federated counters — must be invisible in every fingerprinted
 // observable.
 func shardGoldenConfig(shards int, mode string) SnifferConfig {
-	return SnifferConfig{
-		Specs: RandomSpec(120),
-		Seed:  1,
-		Stream: StreamConfig{
-			Enabled:       true,
-			BatchSize:     16,
-			FlushInterval: time.Millisecond,
-		},
-		Shards:    shards,
-		ShardMode: mode,
-		Metrics:   NewMetricsRegistry(),
-		Tracer:    trace.New(trace.Config{Enabled: true, Buffer: 64}),
-	}
-}
-
-// runShardedDetection mirrors runDetection but drives the run through
-// Sniffer.RunHours, which proc mode requires (the coordinator flushes one
-// epoch to the worker fleet per simulated hour).
-func runShardedDetection(t *testing.T, cfg SnifferConfig, hours int) *DetectionResult {
-	t.Helper()
-	sim := testSimulation(t)
-	sniffer, err := NewSniffer(sim, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sniffer.Close()
-	if err := sniffer.RunHours(hours); err != nil {
-		t.Fatal(err)
-	}
-	res, err := sniffer.DetectAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return goldenStream(func(cfg *SnifferConfig) {
+		cfg.Shards = shards
+		cfg.ShardMode = mode
+		cfg.Metrics = NewMetricsRegistry()
+		cfg.Tracer = trace.New(trace.Config{Enabled: true, Buffer: 64})
+	})
 }
 
 // TestShardedDeterminism is the tentpole's acceptance property: for shard
 // counts {1,2,4,8} in both isolation modes, the sharded run's output —
 // captures, labels, PGE tables, detection result — is bit-identical to
-// the unsharded streaming run's pinned golden fingerprint at the same
-// seed. The consistent-hash partition, per-shard pipelines, and merge
-// must be invisible in every observable.
+// the pinned golden fingerprint at the same seed. The consistent-hash
+// partition, per-shard pipelines, and merge must be invisible in every
+// observable.
 func TestShardedDeterminism(t *testing.T) {
 	for _, mode := range []string{"inproc", "proc"} {
 		for _, shards := range []int{1, 2, 4, 8} {
@@ -75,12 +45,7 @@ func TestShardedDeterminism(t *testing.T) {
 				if testing.Short() && mode == "proc" && shards > 2 {
 					t.Skip("short mode")
 				}
-				t.Setenv(parallel.EnvWorkers, "2")
-				res := runShardedDetection(t, shardGoldenConfig(shards, mode), 6)
-				if got := fingerprintResult(res); got != goldenStreamingFingerprint {
-					t.Fatalf("mode=%s shards=%d fingerprint %s, golden %s",
-						mode, shards, got, goldenStreamingFingerprint)
-				}
+				goldenCell(t, shardGoldenConfig(shards, mode))
 			})
 		}
 	}

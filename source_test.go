@@ -49,16 +49,15 @@ func TestTwitterSourceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fingerprintResult(res); got != goldenStreamingFingerprint {
-		t.Fatalf("explicit twitter source drifted from the golden run:\n got  %s\n want %s",
-			got, goldenStreamingFingerprint)
-	}
+	assertGolden(t, res)
 }
 
 // TestReplayReproducesRun is the replay acceptance property: a durable run
 // recorded with rotation records, re-fed through the full pipeline by a
 // ReplaySource, reproduces the recording's detection result bit for bit —
-// twice, since a recording is replayable any number of times.
+// repeatedly, since a recording is replayable any number of times, and at
+// 1, 2 and 4 shards: the recording pins a capture order, and the fanout's
+// merge restores it (the "a replay source cannot be sharded" rule is gone).
 func TestReplayReproducesRun(t *testing.T) {
 	t.Setenv(parallel.EnvWorkers, "2")
 	dir := t.TempDir()
@@ -89,13 +88,14 @@ func TestReplayReproducesRun(t *testing.T) {
 	}
 	rec.Close() // stamps the profile epilogue the replay labels against
 
-	for round := 0; round < 2; round++ {
+	for _, shards := range []int{1, 2, 4} {
 		src, err := NewReplaySource(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rep, err := NewSniffer(nil, goldenStream(func(cfg *SnifferConfig) {
 			cfg.Sources = []IngestSource{src}
+			cfg.Shards = shards
 		}))
 		if err != nil {
 			t.Fatal(err)
@@ -108,7 +108,7 @@ func TestReplayReproducesRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := fingerprintResult(repRes); got != want {
-			t.Fatalf("replay %d diverged from its recording:\n got  %s\n want %s", round, got, want)
+			t.Fatalf("replay at %d shards diverged from its recording:\n got  %s\n want %s", shards, got, want)
 		}
 		rep.Close()
 	}
@@ -162,7 +162,10 @@ func TestMuxDeterminism(t *testing.T) {
 }
 
 // TestSnifferConfigValidate covers every cross-field rule Validate
-// enforces, including the ones NewSniffer used to reject piecemeal.
+// enforces, including the ones NewSniffer used to reject piecemeal. The
+// "proc with durability" and "replay cannot shard" rows are valid since the
+// one-tail refactor: TestTopologyMatrix and TestReplayReproducesRun run
+// those combinations end to end.
 func TestSnifferConfigValidate(t *testing.T) {
 	stream := StreamConfig{Enabled: true}
 	replaySrc := func(t *testing.T) IngestSource {
@@ -222,7 +225,7 @@ func TestSnifferConfigValidate(t *testing.T) {
 		{"proc with durability", func(*testing.T) SnifferConfig {
 			return SnifferConfig{ShardMode: "proc", Stream: stream,
 				Durability: DurabilityConfig{Dir: "x"}}
-		}, "proc shard mode does not support durability"},
+		}, ""},
 		{"durability without stream", func(*testing.T) SnifferConfig {
 			return SnifferConfig{Durability: DurabilityConfig{Dir: "x"}}
 		}, "durability requires the streaming pipeline"},
@@ -236,12 +239,12 @@ func TestSnifferConfigValidate(t *testing.T) {
 		{"sources in proc mode", func(t *testing.T) SnifferConfig {
 			return SnifferConfig{Stream: stream, ShardMode: "proc",
 				Sources: []IngestSource{tw(t)}}
-		}, "proc shard mode does not support explicit Sources"},
+		}, "proc shard mode does not support explicit Sources: the epoch wire stamps one origin per epoch"},
 		{"sources with durability", func(t *testing.T) SnifferConfig {
 			return SnifferConfig{Stream: stream,
 				Durability: DurabilityConfig{Dir: "x"},
 				Sources:    []IngestSource{tw(t)}}
-		}, "explicit Sources do not support durability"},
+		}, "explicit Sources do not support durability: the recovery watermark is a tweet id"},
 		{"nil source entry", func(*testing.T) SnifferConfig {
 			return SnifferConfig{Stream: stream, Sources: []IngestSource{nil}}
 		}, "nil entry in Sources"},
@@ -252,7 +255,7 @@ func TestSnifferConfigValidate(t *testing.T) {
 		{"replay cannot shard", func(t *testing.T) SnifferConfig {
 			return SnifferConfig{Stream: stream, Shards: 2,
 				Sources: []IngestSource{replaySrc(t)}}
-		}, "replay source cannot be sharded"},
+		}, ""},
 		{"valid multi-source", func(t *testing.T) SnifferConfig {
 			return SnifferConfig{Stream: stream,
 				Sources: []IngestSource{tw(t), tw(t)}}

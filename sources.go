@@ -81,11 +81,11 @@ func (si *sourceInstruments) capture(origin string) {
 	c.Inc()
 }
 
-// rotateHour is the hour hook shared by the streaming and inproc-sharded
-// topologies: rotate the node set (or re-accrue a replayed rotation),
-// journal the rotation when recording, and checkpoint on cadence. It runs
-// on the source's delivery goroutine at an hour boundary, when the
-// producer is idle — the quiescence the durable checkpoint needs.
+// rotateHour is the hour hook every streaming topology shares: rotate the
+// node set (or re-accrue a replayed rotation), journal the rotation when
+// recording, and checkpoint on cadence. It runs on the source's delivery
+// goroutine at an hour boundary, when the producer is idle — the
+// quiescence the durable checkpoint needs.
 func (s *Sniffer) rotateHour(hour int, now time.Time) {
 	if counts := s.src.Rotation(hour); counts != nil {
 		// A replayed recording cannot re-screen its world; credit the
@@ -125,9 +125,7 @@ func (s *Sniffer) matchPost(p source.Post) *core.Capture {
 		var err error
 		c, err = s.monitor.AdoptCapture(t, p.Replay.Sender, p.Replay.Receiver, p.Replay.Groups, s.src.Lookup)
 		if err != nil {
-			if s.srcErr == nil {
-				s.srcErr = err
-			}
+			s.latch(err)
 			return nil
 		}
 	} else {
@@ -138,21 +136,7 @@ func (s *Sniffer) matchPost(p source.Post) *core.Capture {
 	}
 	c.Source = p.Origin
 	s.srcIns.capture(p.Origin)
-	s.lastCaptured = t.ID
 	return c
-}
-
-// trackProfile records an account id for the end-of-run profile epilogue
-// in first-appearance order. Called from the WAL-append stage goroutine.
-func (s *Sniffer) trackProfile(id socialnet.AccountID) {
-	if s.profSeen == nil {
-		s.profSeen = make(map[socialnet.AccountID]struct{})
-	}
-	if _, ok := s.profSeen[id]; ok {
-		return
-	}
-	s.profSeen[id] = struct{}{}
-	s.profIDs = append(s.profIDs, id)
 }
 
 // writeProfileEpilogue appends the final live profiles of every account
@@ -160,11 +144,12 @@ func (s *Sniffer) trackProfile(id socialnet.AccountID) {
 // stopped; replay resolves senders and receivers (suspension state
 // included) from this record instead of a live world.
 func (s *Sniffer) writeProfileEpilogue() {
-	if !s.cfg.Durability.RecordRotations || len(s.profIDs) == 0 {
+	ids := s.tail.profIDs
+	if len(ids) == 0 {
 		return
 	}
-	accounts := make([]*socialnet.Account, 0, len(s.profIDs))
-	for _, id := range s.profIDs {
+	accounts := make([]*socialnet.Account, 0, len(ids))
+	for _, id := range ids {
 		if a := s.sim.world.Account(id); a != nil {
 			accounts = append(accounts, a)
 		}

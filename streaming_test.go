@@ -135,19 +135,7 @@ const goldenStreamingFingerprint = "70abfdaa81854edaeb5f286f7df5cbf68e1f7a40dc13
 
 // TestStreamingGoldenFingerprint checks the pinned end-to-end fingerprint.
 func TestStreamingGoldenFingerprint(t *testing.T) {
-	t.Setenv(parallel.EnvWorkers, "2")
-	res := runDetection(t, SnifferConfig{
-		Specs: RandomSpec(120),
-		Seed:  1,
-		Stream: StreamConfig{
-			Enabled:       true,
-			BatchSize:     16,
-			FlushInterval: time.Millisecond,
-		},
-	}, 6)
-	if got := fingerprintResult(res); got != goldenStreamingFingerprint {
-		t.Fatalf("streaming fingerprint drifted:\n got  %s\n want %s", got, goldenStreamingFingerprint)
-	}
+	goldenCell(t, goldenStream(nil))
 }
 
 // TestStreamingBoundedCaptureStore streams far more captures than the
