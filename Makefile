@@ -11,6 +11,8 @@ RACE_PKGS := ./internal/parallel/ \
 	./internal/label/ \
 	./internal/core/ \
 	./internal/imagehash/ \
+	./internal/minhash/ \
+	./internal/textutil/ \
 	./internal/metrics/ \
 	./internal/trace/ \
 	./internal/twitterapi/ \
@@ -88,10 +90,13 @@ cover-%:
 # count); speedup-vs-1worker compares the default worker count against a
 # single-worker fit (expect ~1.0 on a single-core machine). Rotate is one
 # hourly node rotation over the columnar screening index (cold and warm).
+# SignText, IndexAddProbe and StoreAddBatch are the near-duplicate kernel:
+# signing one text, probe-then-add over 10k campaign-skewed signatures, and
+# the label stage over a small world's captures.
 bench:
-	$(GO) test -run NONE -bench 'TreeFit|ForestFit|BoostFit|CrossValidate|DetectorClassify|Rotate' \
+	$(GO) test -run NONE -bench 'TreeFit|ForestFit|BoostFit|CrossValidate|DetectorClassify|Rotate|SignText|IndexAddProbe|StoreAddBatch' \
 		./internal/ml/tree/ ./internal/ml/forest/ ./internal/ml/boost/ \
-		./internal/ml/ ./internal/core/
+		./internal/ml/ ./internal/core/ ./internal/minhash/ ./internal/label/
 	$(GO) test -run NONE -bench 'ObsDisabled' ./internal/obs/
 	$(GO) run ./cmd/benchreport -mlbench BENCH_ml.json
 	$(GO) run ./cmd/benchreport -e2ebench BENCH_e2e.json

@@ -267,7 +267,7 @@ func (p *Pipeline) LastTrace() *trace.Trace { return p.tr }
 // Run labels the corpus: suspended accounts, clustering, rules, then
 // manual checking against the oracle.
 func (p *Pipeline) Run(c *Corpus, oracle Oracle) *Result {
-	return p.run(c, oracle, func(c *Corpus) ([][]socialnet.AccountID, [][]*socialnet.Tweet) {
+	return p.run(c, oracle, func(c *Corpus, norms []string) ([][]socialnet.AccountID, [][]*socialnet.Tweet) {
 		// The user and tweet clusterings are independent of each other,
 		// so they run concurrently; their deterministically ordered
 		// output feeds the sequential propagation.
@@ -277,7 +277,7 @@ func (p *Pipeline) Run(c *Corpus, oracle Oracle) *Result {
 			if i == 0 {
 				userGroups = p.clusterUsers(c)
 			} else {
-				tweetGroups = p.clusterTweets(c)
+				tweetGroups = p.clusterTweets(c, norms)
 			}
 		})
 		return userGroups, tweetGroups
@@ -289,8 +289,10 @@ func (p *Pipeline) Run(c *Corpus, oracle Oracle) *Result {
 // which materializes groups from its persistent indices): suspended →
 // cluster propagation → rules → manual, one trace span per pass. Both
 // paths produce identical Results on the same stream because the cluster
-// callbacks produce identical group lists (see DESIGN.md §12).
-func (p *Pipeline) run(c *Corpus, oracle Oracle, cluster func(*Corpus) ([][]socialnet.AccountID, [][]*socialnet.Tweet)) *Result {
+// callbacks produce identical group lists (see DESIGN.md §12). Each tweet's
+// normalizedKey is computed here, once per pass, for the tweet clustering
+// and the rules to share.
+func (p *Pipeline) run(c *Corpus, oracle Oracle, cluster func(c *Corpus, norms []string) ([][]socialnet.AccountID, [][]*socialnet.Tweet)) *Result {
 	r := &Result{
 		SpamTweets: make(map[socialnet.TweetID]Method),
 		HamTweets:  make(map[socialnet.TweetID]Method),
@@ -309,12 +311,20 @@ func (p *Pipeline) run(c *Corpus, oracle Oracle, cluster func(*Corpus) ([][]soci
 		sp.End()
 	}
 	pass("label_suspended", func() { p.labelSuspended(c, r) })
-	userGroups, tweetGroups := cluster(c)
+	norms := p.tweetNorms(c)
+	userGroups, tweetGroups := cluster(c, norms)
 	p.propagate(r, userGroups, tweetGroups)
-	pass("label_rules", func() { p.labelRules(c, r) })
+	pass("label_rules", func() { p.labelRules(c, r, norms) })
 	pass("label_manual", func() { p.manualCheck(c, r, oracle) })
 	p.tr.Finish()
 	return r
+}
+
+// tweetNorms returns normalizedKey of every corpus tweet, in corpus order.
+func (p *Pipeline) tweetNorms(c *Corpus) []string {
+	return parallel.Map(len(c.Tweets), p.cfg.Workers, func(i int) string {
+		return normalizedKey(c.Tweets[i])
+	})
 }
 
 // labelSuspended marks platform-suspended users as spammers and their
@@ -544,12 +554,10 @@ func (p *Pipeline) clusterByDescription(c *Corpus, ids []socialnet.AccountID) []
 }
 
 // clusterTweets returns near-duplicate tweet groups within the time window.
-func (p *Pipeline) clusterTweets(c *Corpus) [][]*socialnet.Tweet {
+// norms[i] is normalizedKey(c.Tweets[i]).
+func (p *Pipeline) clusterTweets(c *Corpus, norms []string) [][]*socialnet.Tweet {
 	defer p.ins.clusterSecs.With("tweets").ObserveDuration(time.Now())
 	defer p.tr.StartSpan("label_cluster_tweets").End()
-	norms := parallel.Map(len(c.Tweets), p.cfg.Workers, func(i int) string {
-		return textutil.NormalizeDescription(stripMentions(c.Tweets[i].Text))
-	})
 	var pool []*socialnet.Tweet
 	var texts []string
 	for i, t := range c.Tweets {
@@ -599,10 +607,12 @@ func splitByWindow(members []*socialnet.Tweet, window time.Duration) [][]*social
 // lshBands/lshRows shape the MinHash banding index: 16 bands × 4 rows over
 // a 64-permutation signature. clusterTexts (batch) and Store (incremental)
 // must share them — the banding candidate sets define which pairs are even
-// considered for similarity confirmation.
+// considered for similarity confirmation. shingleWidth is the paper's
+// tri-gram shingling, shared for the same reason.
 const (
-	lshBands = 16
-	lshRows  = 4
+	lshBands     = 16
+	lshRows      = 4
+	shingleWidth = 3
 )
 
 // newLSHScheme builds the seeded 64-permutation MinHash scheme both paths
@@ -614,20 +624,20 @@ func newLSHScheme(seed int64) *minhash.Scheme {
 // clusterTexts groups near-duplicate texts via MinHash banding + union-find
 // confirmation, returning groups of indices into texts.
 //
-// The expensive passes — tri-gram shingling + signing, and the pairwise
-// similarity confirmation of banding candidates — fan out over the worker
-// pool. The banding index is built once up front; restricting each text's
-// candidates to lower indices reproduces exactly the pair set (and order)
-// of the former incremental insert-then-query loop, and the union-find
-// merge itself runs sequentially in that order, so the grouping is
-// bit-identical at any worker count.
+// The expensive passes — signing, and the pairwise similarity confirmation
+// of banding candidates — fan out over the worker pool. The banding index
+// is built once up front; restricting each text's candidates to lower
+// indices reproduces exactly the pair set of an incremental
+// probe-then-insert loop (Store's join, which skips some of those pairs as
+// redundant), and the union-find merge itself runs sequentially in index
+// order, so the grouping is bit-identical at any worker count.
 func clusterTexts(texts []string, simThreshold float64, seed int64, workers int) [][]int {
 	if len(texts) == 0 {
 		return nil
 	}
 	scheme := newLSHScheme(seed)
 	sigs := parallel.Map(len(texts), workers, func(i int) minhash.Signature {
-		return scheme.Sign(textutil.Shingles(texts[i], 3))
+		return scheme.SignText(texts[i], shingleWidth)
 	})
 
 	index := minhash.NewIndex(lshBands, lshRows)
@@ -637,13 +647,13 @@ func clusterTexts(texts []string, simThreshold float64, seed int64, workers int)
 
 	// Pairwise confirmation: for each text, the banding candidates below
 	// it that clear the similarity threshold. Candidates returns ids in
-	// ascending insertion order, so the filtered pair lists match the
-	// former incremental scan exactly.
+	// ascending order, which here is the order of texts, so the candidates
+	// below i are a prefix. The probes only read the finished index.
 	matches := parallel.Map(len(texts), workers, func(i int) []int {
 		var ms []int
 		for _, cand := range index.Candidates(sigs[i]) {
 			if cand >= i {
-				continue
+				break
 			}
 			if minhash.Similarity(sigs[i], sigs[cand]) >= simThreshold {
 				ms = append(ms, cand)

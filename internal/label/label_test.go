@@ -13,7 +13,7 @@ import (
 // collectCorpus runs a small world for hours and returns the mention
 // corpus (the kind of data a pseudo-honeypot monitor collects) plus the
 // world.
-func collectCorpus(t *testing.T, hours int) (*Corpus, *socialnet.World) {
+func collectCorpus(t testing.TB, hours int) (*Corpus, *socialnet.World) {
 	t.Helper()
 	cfg := socialnet.DefaultConfig()
 	cfg.NumAccounts = 1500
@@ -148,7 +148,7 @@ func TestRuleSpamKeywords(t *testing.T) {
 	}
 	for _, tt := range tests {
 		tw := &socialnet.Tweet{Text: tt.text}
-		if got := ruleSpam(tw, repeats, 3); got != tt.want {
+		if got := ruleSpam(tw, normalizedKey(tw), repeats, 3); got != tt.want {
 			t.Errorf("ruleSpam(%q) = %v, want %v", tt.text, got, tt.want)
 		}
 	}
@@ -159,7 +159,7 @@ func TestRuleSpamMaliciousURL(t *testing.T) {
 		Text: "check this out",
 		URLs: []string{"http://spam-click.example/abc"},
 	}
-	if !ruleSpam(tw, map[string]int{}, 3) {
+	if !ruleSpam(tw, normalizedKey(tw), map[string]int{}, 3) {
 		t.Fatal("malicious URL not flagged")
 	}
 }
@@ -168,11 +168,11 @@ func TestRuleSpamRepetition(t *testing.T) {
 	text := "identical long promotional message that repeats"
 	tw := &socialnet.Tweet{Text: text}
 	repeats := map[string]int{normalizedKey(tw): 5}
-	if !ruleSpam(tw, repeats, 3) {
+	if !ruleSpam(tw, normalizedKey(tw), repeats, 3) {
 		t.Fatal("repeated content not flagged")
 	}
 	repeats[normalizedKey(tw)] = 2
-	if ruleSpam(tw, repeats, 3) {
+	if ruleSpam(tw, normalizedKey(tw), repeats, 3) {
 		t.Fatal("below-threshold repetition flagged")
 	}
 }
@@ -196,7 +196,7 @@ func TestSeedWhitelist(t *testing.T) {
 		Benign:     make(map[socialnet.AccountID]Method),
 	}
 	p := NewPipeline(DefaultConfig())
-	p.labelRules(c, r)
+	p.labelRules(c, r, p.tweetNorms(c))
 	if _, ok := r.SpamTweets[1]; ok {
 		t.Fatal("seed tweet labeled spam")
 	}
@@ -246,7 +246,7 @@ func TestClusteringPropagatesThroughCampaign(t *testing.T) {
 		if i == 0 {
 			userGroups = p.clusterUsers(c)
 		} else {
-			tweetGroups = p.clusterTweets(c)
+			tweetGroups = p.clusterTweets(c, p.tweetNorms(c))
 		}
 	})
 	p.propagate(r, userGroups, tweetGroups)
@@ -443,7 +443,7 @@ func TestTweetWindowSplitsGroups(t *testing.T) {
 		Users: map[socialnet.AccountID]*socialnet.Account{},
 	}
 	p := NewPipeline(DefaultConfig())
-	groups := p.clusterTweets(c)
+	groups := p.clusterTweets(c, p.tweetNorms(c))
 	for _, g := range groups {
 		for _, tw := range g {
 			if tw.ID == 3 && len(g) > 1 {

@@ -33,7 +33,7 @@ type UserPrep struct {
 // Config (Seed for descriptions, Seed+1 for tweets), so two Preppers of one
 // Config — a shard worker's and the store's own — sign identically. A
 // Prepper is immutable after construction and safe for concurrent use
-// (minhash.Scheme.Sign only reads its coefficient tables).
+// (minhash.Scheme.SignText only reads its coefficient tables).
 type Prepper struct {
 	cfg        Config
 	descScheme *minhash.Scheme
@@ -50,12 +50,18 @@ func NewPrepper(cfg Config) *Prepper {
 	}
 }
 
+// sigShapeOK reports whether a prep's signature is absent (the text was too
+// short to sign) or has the length the banding indices are built for.
+func sigShapeOK(sig minhash.Signature) bool {
+	return sig == nil || len(sig) == lshBands*lshRows
+}
+
 // PrepTweet precomputes the normalization + near-duplicate signature of one
 // tweet.
 func (p *Prepper) PrepTweet(t *socialnet.Tweet) TweetPrep {
 	tp := TweetPrep{Norm: normalizedKey(t)}
 	if len(tp.Norm) >= p.cfg.MinTweetLen {
-		tp.Sig = p.twScheme.Sign(textutil.Shingles(tp.Norm, 3))
+		tp.Sig = p.twScheme.SignText(tp.Norm, shingleWidth)
 	}
 	return tp
 }
@@ -67,7 +73,7 @@ func (p *Prepper) PrepUser(profile *socialnet.Account) UserPrep {
 		DescNorm: textutil.NormalizeDescription(profile.Description),
 	}
 	if up.DescNorm != "" {
-		up.DescSig = p.descScheme.Sign(textutil.Shingles(up.DescNorm, 3))
+		up.DescSig = p.descScheme.SignText(up.DescNorm, shingleWidth)
 	}
 	return up
 }
@@ -81,6 +87,10 @@ func (p *Prepper) PrepUser(profile *socialnet.Account) UserPrep {
 // preps per shard, and the globally-first capture of an author is always
 // the shard-locally-first too, so inline recompute only covers callers that
 // skipped prep entirely: WAL replay, a respawned proc worker's successor).
+// So is any prep whose signature is not lshBands×lshRows words long: preps
+// cross a process boundary in proc mode, and a signature of another shape
+// would never match in the index and would make the next checkpoint one
+// that ReadSnapshot refuses.
 func (s *Store) AddBatchPrepared(tweets []*socialnet.Tweet, authors, profiles []*socialnet.Account,
 	tweetPreps []TweetPrep, userPreps []*UserPrep) []bool {
 	s.mu.Lock()
@@ -91,7 +101,7 @@ func (s *Store) AddBatchPrepared(tweets []*socialnet.Tweet, authors, profiles []
 	// author-first-appearance sequence.
 	for _, i := range s.firstAppearancesLocked(authors) {
 		up := userPreps[i]
-		if up == nil {
+		if up == nil || !sigShapeOK(up.DescSig) {
 			p := s.prep.PrepUser(profileOr(profiles[i], authors[i]))
 			up = &p
 		}
@@ -99,7 +109,11 @@ func (s *Store) AddBatchPrepared(tweets []*socialnet.Tweet, authors, profiles []
 	}
 	spam := make([]bool, len(tweets))
 	for i, t := range tweets {
-		spam[i] = s.addTweetLocked(t, profileOr(profiles[i], authors[i]), tweetPreps[i])
+		tp := tweetPreps[i]
+		if !sigShapeOK(tp.Sig) {
+			tp = s.prep.PrepTweet(t)
+		}
+		spam[i] = s.addTweetLocked(t, profileOr(profiles[i], authors[i]), tp)
 	}
 	return spam
 }

@@ -29,15 +29,15 @@ var (
 
 // labelRules applies the paper's rule-based labeling to the not-yet-labeled
 // remainder: malicious URLs, repetitive content, keyword rules, and the
-// seed-account whitelist.
-func (p *Pipeline) labelRules(c *Corpus, r *Result) {
+// seed-account whitelist. norms[i] is normalizedKey(c.Tweets[i]).
+func (p *Pipeline) labelRules(c *Corpus, r *Result, norms []string) {
 	// Repetition counting over normalized, mention-stripped text.
 	repeats := make(map[string]int, len(c.Tweets))
-	for _, t := range c.Tweets {
-		repeats[normalizedKey(t)]++
+	for _, key := range norms {
+		repeats[key]++
 	}
 
-	for _, t := range c.Tweets {
+	for i, t := range c.Tweets {
 		if _, ok := r.SpamTweets[t.ID]; ok {
 			continue
 		}
@@ -55,7 +55,7 @@ func (p *Pipeline) labelRules(c *Corpus, r *Result) {
 			continue
 		}
 
-		if !ruleSpam(t, repeats, p.cfg.RepeatThreshold) {
+		if !ruleSpam(t, norms[i], repeats, p.cfg.RepeatThreshold) {
 			continue
 		}
 		r.SpamTweets[t.ID] = MethodRule
@@ -65,12 +65,12 @@ func (p *Pipeline) labelRules(c *Corpus, r *Result) {
 	}
 }
 
-// ruleSpam reports whether any rule fires on the tweet.
-func ruleSpam(t *socialnet.Tweet, repeats map[string]int, repeatThreshold int) bool {
+// ruleSpam reports whether any rule fires on the tweet, whose
+// normalizedKey is key.
+func ruleSpam(t *socialnet.Tweet, key string, repeats map[string]int, repeatThreshold int) bool {
 	if hasMaliciousURL(t) {
 		return true
 	}
-	key := normalizedKey(t)
 	if len(key) >= 20 && repeats[key] >= repeatThreshold {
 		return true
 	}

@@ -130,6 +130,17 @@ func (s *Store) ReadSnapshot(r io.Reader, resolve func(socialnet.AccountID) *soc
 			return fmt.Errorf("label: snapshot pool index %d out of %d tweets", idx, len(snap.Tweets))
 		}
 	}
+	// The banding indices key on whole bands, so a signature of any other
+	// length (a corrupt checkpoint, or one from a build with another
+	// scheme) could never match again: refuse it instead.
+	for _, sigs := range [][]minhash.Signature{snap.DescSigs, snap.TwSigs} {
+		for i, sig := range sigs {
+			if len(sig) != lshBands*lshRows {
+				return fmt.Errorf("label: snapshot signature %d has %d words, want %d",
+					i, len(sig), lshBands*lshRows)
+			}
+		}
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -2,6 +2,7 @@ package label
 
 import (
 	"bytes"
+	"encoding/gob"
 	"reflect"
 	"testing"
 
@@ -10,10 +11,12 @@ import (
 
 // TestStoreSnapshotRestoreResumesStream is the checkpoint-equivalence
 // property: feed half the stream, serialize, restore into a FRESH store,
-// feed the rest, and the final Snapshot must equal the full-batch oracle —
-// i.e. a crash between the halves is invisible.
+// feed the rest, and the final groups and Snapshot must equal the full-batch
+// oracle's — i.e. a crash between the halves is invisible. The adversarial
+// corpus puts half of its 300-tweet campaign on each side of the cut, so the
+// restored union-find and banding index have to carry it across.
 func TestStoreSnapshotRestoreResumesStream(t *testing.T) {
-	corpus, w := collectCorpus(t, 8)
+	corpus, w, _ := adversarialCorpus(t)
 	half := len(corpus.Tweets) / 2
 	prefix := NewCorpus(corpus.Tweets[:half], func(id socialnet.AccountID) *socialnet.Account {
 		return corpus.Users[id]
@@ -41,10 +44,13 @@ func TestStoreSnapshotRestoreResumesStream(t *testing.T) {
 		return corpus.Users[id]
 	})
 	feedStore(restored, rest, 13, nil)
-	got := restored.Snapshot(NewNoisyOracle(w, 0.02, 7))
-	want := NewPipeline(DefaultConfig()).Run(corpus, NewNoisyOracle(w, 0.02, 7))
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("post-restore snapshot diverged from the full batch oracle")
+	requireStoreMatchesBatch(t, restored, DefaultConfig(), corpus, w)
+
+	// … and equals the store that never stopped.
+	feedStore(st, rest, 13, nil)
+	if !reflect.DeepEqual(st.tweetGroupsLocked(), restored.tweetGroupsLocked()) ||
+		!reflect.DeepEqual(st.descGroupsLocked(), restored.descGroupsLocked()) {
+		t.Fatal("restored store's groups diverged from the uninterrupted store's")
 	}
 }
 
@@ -120,8 +126,8 @@ func TestStoreSnapshotResolverRebindsAtSnapshotTime(t *testing.T) {
 // the store untouched and report an error.
 func TestStoreSnapshotRejectsCorruption(t *testing.T) {
 	st := NewStore(DefaultConfig())
-	a := &socialnet.Account{ID: 1, ScreenName: "alice"}
-	st.Add(&socialnet.Tweet{ID: 1, AuthorID: 1, Text: "some tweet text"}, a, a)
+	a := &socialnet.Account{ID: 1, ScreenName: "alice", Description: "gardener and amateur beekeeper"}
+	st.Add(&socialnet.Tweet{ID: 1, AuthorID: 1, Text: "some tweet text, long enough to be signed"}, a, a)
 	var buf bytes.Buffer
 	if err := st.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -134,6 +140,26 @@ func TestStoreSnapshotRejectsCorruption(t *testing.T) {
 	truncated := buf.Bytes()[:buf.Len()/2]
 	if err := fresh.ReadSnapshot(bytes.NewReader(truncated), nil); err == nil {
 		t.Fatal("truncated snapshot accepted")
+	}
+	// A well-formed payload whose signatures are not lshBands×lshRows words
+	// long: the banding index could never match them again.
+	for name, corrupt := range map[string]func(*storeSnapshot){
+		"short description signature": func(snap *storeSnapshot) { snap.DescSigs[0] = snap.DescSigs[0][:lshRows] },
+		"long tweet signature":        func(snap *storeSnapshot) { snap.TwSigs[0] = append(snap.TwSigs[0], 1) },
+		"empty tweet signature":       func(snap *storeSnapshot) { snap.TwSigs[0] = nil },
+	} {
+		var snap storeSnapshot
+		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		corrupt(&snap)
+		var bad bytes.Buffer
+		if err := gob.NewEncoder(&bad).Encode(snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.ReadSnapshot(&bad, nil); err == nil {
+			t.Fatalf("snapshot with a %s accepted", name)
+		}
 	}
 	if tweets, users := fresh.Len(); tweets != 0 || users != 0 {
 		t.Fatalf("failed restore mutated store: %d/%d", tweets, users)

@@ -16,7 +16,12 @@ import (
 // the image-dHash grouper, the Σ-Seq name classes, and the MinHash banding
 // indices (plus union-find) for descriptions and near-duplicate tweets —
 // so ingesting a capture costs ~O(cluster lookup): one grouper probe, one
-// map insert, and two LSH band probes, instead of a full recluster.
+// map insert, and two LSH band probes, instead of a full recluster. A probe's
+// candidates are confirmed with minhash.Similarity only where the union-find
+// has not already put them in the new item's set (see join): a union inside
+// one set changes nothing, so the partition is the one all-pairs
+// confirmation builds, and Snapshot reads nothing of the union-find but its
+// partition.
 //
 // Snapshot then materializes groups from the live indices and runs the
 // batch pipeline's own propagation/rules/manual passes over them, so on
@@ -200,19 +205,31 @@ func (s *Store) addUserLocked(u *socialnet.Account, up UserPrep) {
 	}
 	s.nameMembers[up.NameSeq] = append(s.nameMembers[up.NameSeq], u.ID)
 
-	// Description: banding probe against all prior descriptions, then
-	// join the index. Probing before Add excludes self-candidates and
-	// reproduces the batch pair set {(i,j): j<i, shared band, sim ≥ τ}.
 	if up.DescSig != nil {
-		idx := s.descUF.add()
-		for _, cand := range s.descIndex.Candidates(up.DescSig) {
-			if minhash.Similarity(up.DescSig, s.descIndex.Signature(cand)) >= s.cfg.DescSimilarity {
-				s.descUF.union(idx, cand)
-			}
-		}
-		s.descIndex.Add(up.DescSig)
+		join(s.descIndex, s.descUF, up.DescSig, s.cfg.DescSimilarity)
 		s.descIDs = append(s.descIDs, u.ID)
 	}
+}
+
+// join adds sig to a banding index and its union-find, uniting it with the
+// sets of the earlier signatures that share a band with it and clear the
+// similarity threshold. Probing before Add excludes self-candidates and
+// reproduces the partition of the batch pair set {(i,j): j<i, shared band,
+// sim ≥ τ}. Not every pair of that set is confirmed: a candidate already in
+// sig's set — joined through an earlier candidate of this same probe — is
+// skipped, because uniting a set with itself is a no-op whatever the
+// similarity says.
+func join(ix *minhash.Index, uf *unionFind, sig minhash.Signature, threshold float64) {
+	idx := uf.add()
+	for _, cand := range ix.Candidates(sig) {
+		if uf.find(cand) == uf.find(idx) {
+			continue
+		}
+		if minhash.Similarity(sig, ix.Signature(cand)) >= threshold {
+			uf.union(idx, cand)
+		}
+	}
+	ix.Add(sig)
 }
 
 // addTweetLocked joins one tweet into the stream mirror, the near-duplicate
@@ -221,19 +238,13 @@ func (s *Store) addTweetLocked(t *socialnet.Tweet, profile *socialnet.Account, p
 	s.tweets = append(s.tweets, t)
 	s.repeats[p.Norm]++
 	if p.Sig != nil {
-		idx := s.twUF.add()
-		for _, cand := range s.twIndex.Candidates(p.Sig) {
-			if minhash.Similarity(p.Sig, s.twIndex.Signature(cand)) >= s.cfg.TweetSimilarity {
-				s.twUF.union(idx, cand)
-			}
-		}
-		s.twIndex.Add(p.Sig)
+		join(s.twIndex, s.twUF, p.Sig, s.cfg.TweetSimilarity)
 		s.twPool = append(s.twPool, t)
 	}
 	if profile != nil && profile.Suspended {
 		return true
 	}
-	return ruleSpam(t, s.repeats, s.cfg.RepeatThreshold)
+	return ruleSpam(t, p.Norm, s.repeats, s.cfg.RepeatThreshold)
 }
 
 // Len reports the ingested stream size: tweets and distinct users.
@@ -265,7 +276,7 @@ func (s *Store) Snapshot(oracle Oracle) *Result {
 		c.Users[id] = u
 	}
 	p := NewPipeline(s.cfg)
-	r := p.run(c, oracle, func(*Corpus) ([][]socialnet.AccountID, [][]*socialnet.Tweet) {
+	r := p.run(c, oracle, func(*Corpus, []string) ([][]socialnet.AccountID, [][]*socialnet.Tweet) {
 		var userGroups [][]socialnet.AccountID
 		for _, fn := range []func() [][]socialnet.AccountID{
 			func() [][]socialnet.AccountID {

@@ -141,6 +141,10 @@ func NormalizeDescription(s string) string {
 // step uses tri-gram shingling (n = 3). Strings shorter than n yield a
 // single shingle containing the whole string, so short descriptions still
 // compare equal only to identical short descriptions.
+//
+// This is the definition of the shingle set. The labeler signs texts with
+// minhash.Scheme.SignText, which hashes the same windows without building
+// them and is tested equal to signing this function's result.
 func Shingles(s string, n int) []string {
 	if n <= 0 {
 		n = 3
