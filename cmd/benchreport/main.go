@@ -13,6 +13,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -26,55 +27,32 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("benchreport", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		scaleName = flag.String("scale", "small", "experiment scale: small, medium, or full")
-		table     = flag.Int("table", 0, "regenerate only Table N (2-7)")
-		figure    = flag.Int("figure", 0, "regenerate only Figure N (2-6)")
-		format    = flag.String("format", "text", "output format: text, csv, or json")
-		outDir    = flag.String("out", "", "also write each experiment as a CSV file into this directory")
-		mlBench   = flag.String("mlbench", "", "skip the experiment tables and regenerate the ML training baseline JSON at this path (e.g. BENCH_ml.json)")
-		e2eBench  = flag.String("e2ebench", "", "skip the experiment tables and regenerate the end-to-end ingest+inference baseline JSON at this path (e.g. BENCH_e2e.json)")
-		e2eCheck  = flag.String("e2echeck", "", "measure the end-to-end hot path fresh and fail if optimized tweets/sec regressed >10% vs this baseline JSON (PH_SKIP_E2E_CHECK=1 skips)")
-		stBench   = flag.String("storebench", "", "skip the experiment tables and regenerate the durable-store baseline JSON at this path (e.g. BENCH_store.json)")
-		stCheck   = flag.String("storecheck", "", "measure WAL append/recovery fresh and fail on regression or a blown overhead budget vs this baseline JSON (PH_SKIP_STORE_CHECK=1 skips)")
-		shBench   = flag.String("shardbench", "", "skip the experiment tables and regenerate the shard-scaling baseline JSON at this path (e.g. BENCH_shard.json)")
-		shCheck   = flag.String("shardcheck", "", "measure the shard-count scaling curve fresh and fail if the 4-shard speedup misses the core-count-tiered floor vs this baseline JSON (PH_SKIP_SHARD_CHECK=1 skips)")
-		inBench   = flag.String("ingestbench", "", "skip the experiment tables and regenerate the source-ingest baseline JSON at this path (e.g. BENCH_ingest.json)")
-		inCheck   = flag.String("ingestcheck", "", "measure source-ingest overhead fresh and fail if the single-child mux costs more than 5% of direct-source throughput vs this baseline JSON (PH_SKIP_INGEST_CHECK=1 skips)")
+		scaleName = fs.String("scale", "small", "experiment scale: small, medium, or full")
+		table     = fs.Int("table", 0, "regenerate only Table N (2-7)")
+		figure    = fs.Int("figure", 0, "regenerate only Figure N (2-6)")
+		format    = fs.String("format", "text", "output format: text, csv, or json")
+		outDir    = fs.String("out", "", "also write each experiment as a CSV file into this directory")
 	)
-	flag.Parse()
-	if *mlBench != "" {
-		return runMLBench(*mlBench)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	if *e2eBench != "" {
-		return runE2EBench(*e2eBench)
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	if *e2eCheck != "" {
-		return runE2ECheck(*e2eCheck)
+	if *table != 0 && (*table < 2 || *table > 7) {
+		return fmt.Errorf("no Table %d: -table takes 2-7", *table)
 	}
-	if *stBench != "" {
-		return runStoreBench(*stBench)
-	}
-	if *stCheck != "" {
-		return runStoreCheck(*stCheck)
-	}
-	if *shBench != "" {
-		return runShardBench(*shBench)
-	}
-	if *shCheck != "" {
-		return runShardCheck(*shCheck)
-	}
-	if *inBench != "" {
-		return runIngestBench(*inBench)
-	}
-	if *inCheck != "" {
-		return runIngestCheck(*inCheck)
+	if *figure != 0 && (*figure < 2 || *figure > 6) {
+		return fmt.Errorf("no Figure %d: -figure takes 2-6", *figure)
 	}
 	if *format != "text" && *format != "csv" && *format != "json" {
 		return fmt.Errorf("unknown format %q", *format)
@@ -87,9 +65,9 @@ func run() error {
 	r := experiments.NewRunner(scale)
 	// The banner goes to stderr for machine-readable formats, keeping
 	// stdout pure CSV/JSON.
-	banner := os.Stdout
+	banner := stdout
 	if *format != "text" {
-		banner = os.Stderr
+		banner = stderr
 	}
 	fmt.Fprintf(banner, "benchreport: scale=%s (world: %d accounts; main run: %d h × %d-node network)\n\n",
 		scale.Name, scale.World.NumAccounts, scale.MainHours,
@@ -118,10 +96,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		defer func() {
+		if err := v.WriteCSV(f); err != nil {
 			_ = f.Close()
-		}()
-		return v.WriteCSV(f)
+			return err
+		}
+		return f.Close()
 	}
 	show := func(v renderable, err error) error {
 		if err != nil {
@@ -132,18 +111,18 @@ func run() error {
 		}
 		switch *format {
 		case "csv":
-			if err := v.WriteCSV(os.Stdout); err != nil {
+			if err := v.WriteCSV(stdout); err != nil {
 				return err
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		case "json":
 			data, err := json.Marshal(v)
 			if err != nil {
 				return err
 			}
-			fmt.Println(string(data))
+			fmt.Fprintln(stdout, string(data))
 		default:
-			fmt.Println(v.Render())
+			fmt.Fprintln(stdout, v.Render())
 		}
 		return nil
 	}
@@ -194,11 +173,11 @@ func run() error {
 			if serr != nil {
 				return serr
 			}
-			fmt.Printf("advanced pseudo-honeypot PGE speedup: %.1fx vs best literature honeypot (absolute PGE is scale-dependent; see EXPERIMENTS.md)\n", vsLit)
+			fmt.Fprintf(stdout, "advanced pseudo-honeypot PGE speedup: %.1fx vs best literature honeypot (absolute PGE is scale-dependent; see EXPERIMENTS.md)\n", vsLit)
 			if vsSim > 0 {
-				fmt.Printf("speedup vs the traditional honeypot simulated in the same world: %.1fx\n\n", vsSim)
+				fmt.Fprintf(stdout, "speedup vs the traditional honeypot simulated in the same world: %.1fx\n\n", vsSim)
 			} else {
-				fmt.Printf("the traditional honeypot simulated in the same world captured no spammers at all\n\n")
+				fmt.Fprintf(stdout, "the traditional honeypot simulated in the same world captured no spammers at all\n\n")
 			}
 		}
 	}

@@ -13,18 +13,14 @@ func BenchmarkBoostFit(b *testing.B) {
 	x, y := circleData(2000, 1)
 	cfg := Config{Rounds: 100, MaxDepth: 3, Seed: 1}
 
-	fitOnce := func(reference bool) time.Duration {
-		c := cfg
-		c.Reference = reference
-		bst := New(c)
+	fitRefOnce := func() time.Duration {
+		bst := New(cfg)
 		start := time.Now()
-		if err := bst.Fit(x, y); err != nil {
-			b.Fatal(err)
-		}
+		bst.fitRef(x, y)
 		return time.Since(start)
 	}
-	fitOnce(false) // warm caches
-	ref := fitOnce(true)
+	fitRefOnce() // warm caches
+	ref := fitRefOnce()
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

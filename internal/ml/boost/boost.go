@@ -29,9 +29,6 @@ type Config struct {
 	// regression tree (see tree.Config.Bins); non-positive keeps the
 	// exact scan.
 	Bins int
-	// Reference selects the legacy per-node sort.Slice split scan, the
-	// property-suite oracle and -mlbench baseline.
-	Reference bool
 }
 
 // Boost is a trained gradient-boosting classifier.
@@ -68,6 +65,29 @@ func (b *Boost) Fit(x [][]float64, y []bool) error {
 	if len(x) == 0 || len(x) != len(y) {
 		return errors.New("boost: empty or mismatched training data")
 	}
+	// Sort the feature space once; each round's tree view (full or
+	// subsampled) is derived from the pristine order in O(d·n) and the
+	// engine's buffers are recycled round to round.
+	presort := split.NewPresort(x)
+	var eng *split.Engine
+	b.fitRounds(x, y, func(t *regTree, idx []int, grad, hess []float64) {
+		if len(idx) == len(x) {
+			eng = presort.NewEngine(x, eng)
+		} else {
+			eng = presort.NewSubsetEngine(x, idx, eng)
+		}
+		if b.cfg.Bins > 1 {
+			eng.SetBins(b.cfg.Bins)
+		}
+		t.fitEngine(eng, grad, hess)
+	})
+	return nil
+}
+
+// fitRounds runs the boosting loop over validated data, leaving how each
+// round's tree is grown on the sampled rows idx to grow: Fit grows on the
+// presorted engine, the test oracle on the reference scan.
+func (b *Boost) fitRounds(x [][]float64, y []bool, grow func(t *regTree, idx []int, grad, hess []float64)) {
 	n := len(x)
 	pos := 0
 	for _, v := range y {
@@ -86,15 +106,6 @@ func (b *Boost) Fit(x [][]float64, y []bool) error {
 	hess := make([]float64, n)
 	rng := rand.New(rand.NewSource(b.cfg.Seed))
 
-	// Sort the feature space once; each round's tree view (full or
-	// subsampled) is derived from the pristine order in O(d·n) and the
-	// engine's buffers are recycled round to round.
-	var presort *split.Presort
-	var eng *split.Engine
-	if !b.cfg.Reference {
-		presort = split.NewPresort(x)
-	}
-
 	b.trees = b.trees[:0]
 	for round := 0; round < b.cfg.Rounds; round++ {
 		for i := range f {
@@ -106,27 +117,13 @@ func (b *Boost) Fit(x [][]float64, y []bool) error {
 			grad[i] = target - prob
 			hess[i] = prob * (1 - prob)
 		}
-		idx := b.sampleRows(n, rng)
 		t := &regTree{maxDepth: b.cfg.MaxDepth, minLeaf: b.cfg.MinLeaf}
-		if b.cfg.Reference {
-			t.fitRef(x, grad, hess, idx)
-		} else {
-			if len(idx) == n {
-				eng = presort.NewEngine(x, eng)
-			} else {
-				eng = presort.NewSubsetEngine(x, idx, eng)
-			}
-			if b.cfg.Bins > 1 {
-				eng.SetBins(b.cfg.Bins)
-			}
-			t.fitEngine(eng, grad, hess)
-		}
+		grow(t, b.sampleRows(n, rng), grad, hess)
 		b.trees = append(b.trees, t)
 		for i := range f {
 			f[i] += b.cfg.LearningRate * t.predict(x[i])
 		}
 	}
-	return nil
 }
 
 func (b *Boost) sampleRows(n int, rng *rand.Rand) []int {

@@ -9,7 +9,7 @@ import "github.com/pseudo-honeypot/pseudohoneypot/internal/ml/split"
 // and every round's tree grows by stable partitioning, scanning each
 // node in a single cumulative-gradient pass per feature. Cumulative sums
 // follow the engine's (value, id) order, so they are deterministic and
-// bit-identical to the reference scan in regtree_ref.go.
+// bit-identical to the reference scan in regtree_ref_test.go.
 type regTree struct {
 	maxDepth int
 	minLeaf  int

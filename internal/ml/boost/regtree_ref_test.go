@@ -3,12 +3,20 @@ package boost
 import "sort"
 
 // This file preserves the pre-presort regression-tree induction path —
-// gather and sort.Slice every feature at every node — selected by
-// Config.Reference, as the property-suite oracle and the -mlbench
-// baseline. Two deliberate alignments with the engine path keep the two
-// bit-comparable: ties sort by original index (so cumulative gradient
-// sums accumulate in the same order as the engine's stable columns), and
-// the MinLeaf guard sits inside the scan.
+// gather and sort.Slice every feature at every node — as the oracle the
+// property test cross-checks the engine against and the baseline
+// BenchmarkBoostFit measures its speedup over. Two deliberate alignments
+// with the engine path keep the two bit-comparable: ties sort by original
+// index (so cumulative gradient sums accumulate in the same order as the
+// engine's stable columns), and the MinLeaf guard sits inside the scan.
+
+// fitRef is Fit with every round's tree grown on the reference scan, for
+// non-empty x.
+func (b *Boost) fitRef(x [][]float64, y []bool) {
+	b.fitRounds(x, y, func(t *regTree, idx []int, grad, hess []float64) {
+		t.fitRef(x, grad, hess, idx)
+	})
+}
 
 func (t *regTree) fitRef(x [][]float64, grad, hess []float64, idx []int) {
 	t.root = t.growRef(x, grad, hess, idx, 0)

@@ -6,19 +6,16 @@ import (
 )
 
 // BenchmarkForestFit times ensemble training under the paper deployment
-// configuration (70 trees, depth 700) at the default worker count. Two
-// custom metrics accompany the timing: the speedup over the legacy
-// per-node-sort reference scan (the presorted-column engine win, visible
-// even on one core) and the speedup over a single-worker fit of the same
-// workload (the pool fan-out win, ~1 on a single-core runner).
+// configuration (70 trees, depth 700) at the default worker count, and
+// reports the speedup over a single-worker fit of the same workload (the
+// pool fan-out win, ~1 on a single-core runner).
 func BenchmarkForestFit(b *testing.B) {
 	x, y := noisyData(2000, 11)
 	cfg := PaperConfig()
 
-	fitOnce := func(workers int, reference bool) time.Duration {
+	fitOnce := func(workers int) time.Duration {
 		c := cfg
 		c.Workers = workers
-		c.Reference = reference
 		f := New(c)
 		start := time.Now()
 		if err := f.Fit(x, y); err != nil {
@@ -26,9 +23,8 @@ func BenchmarkForestFit(b *testing.B) {
 		}
 		return time.Since(start)
 	}
-	fitOnce(1, false) // warm caches
-	seq := fitOnce(1, false)
-	ref := fitOnce(0, true)
+	fitOnce(1) // warm caches
+	seq := fitOnce(1)
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -37,9 +33,7 @@ func BenchmarkForestFit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	par := b.Elapsed() / time.Duration(b.N)
-	if par > 0 {
-		b.ReportMetric(ref.Seconds()/par.Seconds(), "speedup-vs-reference")
+	if par := b.Elapsed() / time.Duration(b.N); par > 0 {
 		b.ReportMetric(seq.Seconds()/par.Seconds(), "speedup-vs-1worker")
 	}
 }

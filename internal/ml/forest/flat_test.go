@@ -4,25 +4,17 @@ import (
 	"testing"
 )
 
-// fitPair trains the same configuration twice: once serving through the
-// compiled flat pool (the default) and once through the pointer trees
-// (PointerPredict, the oracle). Fitting is bit-identical for a seed, so
-// any prediction divergence is the flat predictor's fault.
-func fitPair(t *testing.T, cfg Config, x [][]float64, y []bool) (*Forest, *Forest) {
-	t.Helper()
-	flat := New(cfg)
-	if err := flat.Fit(x, y); err != nil {
-		t.Fatal(err)
+// pointerVotes is the inference oracle for the flat predictor: it counts
+// spam votes by walking the original pointer trees the pool was compiled
+// from, so any prediction divergence is the flat predictor's fault.
+func pointerVotes(f *Forest, x []float64) int {
+	votes := 0
+	for _, t := range f.trees {
+		if t.Predict(x) {
+			votes++
+		}
 	}
-	cfg.PointerPredict = true
-	oracle := New(cfg)
-	if err := oracle.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if flat.flat == nil || oracle.flat != nil {
-		t.Fatal("predictor selection did not follow PointerPredict")
-	}
-	return flat, oracle
+	return votes
 }
 
 // TestFlatForestBitIdentical is the property suite for the flat predictor:
@@ -36,22 +28,30 @@ func TestFlatForestBitIdentical(t *testing.T) {
 			{Trees: 10, MinLeaf: 4, Bins: 16, Seed: seed},
 		} {
 			x, y := noisyData(400, seed)
-			flat, oracle := fitPair(t, cfg, x, y)
+			f := New(cfg)
+			if err := f.Fit(x, y); err != nil {
+				t.Fatal(err)
+			}
 			tx, _ := noisyData(700, seed+100)
+			wantV := make([]bool, len(tx))
+			wantP := make([]float64, len(tx))
+			for i := range tx {
+				votes := pointerVotes(f, tx[i])
+				wantV[i] = votes*2 > len(f.trees)
+				wantP[i] = float64(votes) / float64(len(f.trees))
+			}
 
 			for i := range tx {
-				if flat.Predict(tx[i]) != oracle.Predict(tx[i]) {
+				if f.Predict(tx[i]) != wantV[i] {
 					t.Fatalf("seed %d cfg %+v: verdict mismatch at sample %d", seed, cfg, i)
 				}
-				if flat.PredictProba(tx[i]) != oracle.PredictProba(tx[i]) {
+				if f.PredictProba(tx[i]) != wantP[i] {
 					t.Fatalf("seed %d cfg %+v: probability mismatch at sample %d", seed, cfg, i)
 				}
 			}
 			for _, workers := range []int{1, 2, 8} {
-				flat.cfg.Workers = workers
-				oracle.cfg.Workers = workers
-				gotV, wantV := flat.PredictBatch(tx), oracle.PredictBatch(tx)
-				gotP, wantP := flat.PredictProbaBatch(tx), oracle.PredictProbaBatch(tx)
+				f.cfg.Workers = workers
+				gotV, gotP := f.PredictBatch(tx), f.PredictProbaBatch(tx)
 				for i := range tx {
 					if gotV[i] != wantV[i] {
 						t.Fatalf("seed %d workers %d: batch verdict mismatch at %d", seed, workers, i)

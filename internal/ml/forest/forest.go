@@ -35,16 +35,6 @@ type Config struct {
 	// Bins enables histogram-binned split finding in every tree (see
 	// tree.Config.Bins); non-positive keeps the exact scan.
 	Bins int
-	// Reference grows every tree with the legacy per-node sort.Slice
-	// scan — the property-suite oracle and -mlbench baseline. Exact-mode
-	// ensembles are identical either way.
-	Reference bool
-	// PointerPredict serves predictions by walking the original pointer
-	// trees instead of the flattened contiguous node pool compiled at the
-	// end of Fit — the inference oracle for the flat predictor's property
-	// suite and the -e2ebench baseline. Verdicts and probabilities are
-	// bit-identical either way; only the memory layout differs.
-	PointerPredict bool
 }
 
 // PaperConfig returns the configuration the paper deploys: 70 trees with a
@@ -57,7 +47,7 @@ func PaperConfig() Config {
 type Forest struct {
 	cfg   Config
 	trees []*tree.Tree
-	// flat is the compiled contiguous predictor (nil under PointerPredict).
+	// flat is the compiled contiguous predictor (nil until Fit succeeds).
 	flat *flatForest
 }
 
@@ -82,39 +72,18 @@ func (f *Forest) Fit(x [][]float64, y []bool) error {
 	if len(x) == 0 || len(x) != len(y) {
 		return errors.New("forest: empty or mismatched training data")
 	}
-	maxFeatures := f.cfg.MaxFeatures
-	if maxFeatures <= 0 {
-		maxFeatures = int(math.Sqrt(float64(len(x[0]))))
-		if maxFeatures < 1 {
-			maxFeatures = 1
-		}
-	}
-	rng := rand.New(rand.NewSource(f.cfg.Seed))
 	f.trees = make([]*tree.Tree, f.cfg.Trees)
-
 	n := len(x)
-	boots := make([][]int32, f.cfg.Trees)
-	seeds := make([]int64, f.cfg.Trees)
-	for ti := range f.trees {
-		idx := make([]int32, n)
-		for i := 0; i < n; i++ {
-			idx[i] = int32(rng.Intn(n))
-		}
-		boots[ti] = idx
-		seeds[ti] = rng.Int63()
-	}
+	boots, seeds := f.drawBootstraps(n)
 
 	// The feature space is sorted once; every tree's bootstrap view is
 	// expanded from the shared pristine order in O(d·n) instead of
 	// re-sorting per tree (Presort is immutable and safe to share).
-	var presort *split.Presort
-	if !f.cfg.Reference {
-		presort = split.NewPresort(x)
-	}
+	presort := split.NewPresort(x)
 
 	workers := parallel.Resolve(f.cfg.Workers, f.cfg.Trees)
 	// Per-worker bootstrap views: a tree's training view is consumed by
-	// tree.Fit before its worker moves on, so the buffers (including the
+	// FitEngine before its worker moves on, so the buffers (including the
 	// split engine) can be reused.
 	type scratch struct {
 		bx  [][]float64
@@ -133,21 +102,9 @@ func (f *Forest) Fit(x [][]float64, y []bool) error {
 			s.bx[i] = x[j]
 			s.by[i] = y[j]
 		}
-		t := tree.New(tree.Config{
-			MaxDepth:    f.cfg.MaxDepth,
-			MinLeaf:     f.cfg.MinLeaf,
-			MaxFeatures: maxFeatures,
-			Seed:        seeds[ti],
-			Bins:        f.cfg.Bins,
-			Reference:   f.cfg.Reference,
-		})
-		var err error
-		if f.cfg.Reference {
-			err = t.Fit(s.bx, s.by)
-		} else {
-			s.eng = presort.NewBootstrapEngine(s.bx, boots[ti], s.eng)
-			err = t.FitEngine(s.eng, s.by)
-		}
+		t := tree.New(f.treeConfig(len(x[0]), seeds[ti]))
+		s.eng = presort.NewBootstrapEngine(s.bx, boots[ti], s.eng)
+		err := t.FitEngine(s.eng, s.by)
 		boots[ti] = nil // release while later trees still train
 		if err != nil {
 			errs[ti] = err
@@ -157,28 +114,55 @@ func (f *Forest) Fit(x [][]float64, y []bool) error {
 	})
 	for _, err := range errs {
 		if err != nil {
-			f.trees = nil
+			f.trees, f.flat = nil, nil
 			return err
 		}
 	}
-	if !f.cfg.PointerPredict {
-		f.flat = compileFlat(f.trees)
-	}
+	f.flat = compileFlat(f.trees)
 	return nil
+}
+
+// drawBootstraps draws every tree's bootstrap row indices over n rows and
+// its split seed from the master RNG, in tree order.
+func (f *Forest) drawBootstraps(n int) (boots [][]int32, seeds []int64) {
+	rng := rand.New(rand.NewSource(f.cfg.Seed))
+	boots = make([][]int32, f.cfg.Trees)
+	seeds = make([]int64, f.cfg.Trees)
+	for ti := range boots {
+		idx := make([]int32, n)
+		for i := 0; i < n; i++ {
+			idx[i] = int32(rng.Intn(n))
+		}
+		boots[ti] = idx
+		seeds[ti] = rng.Int63()
+	}
+	return boots, seeds
+}
+
+// treeConfig is one member tree's configuration over d features.
+func (f *Forest) treeConfig(d int, seed int64) tree.Config {
+	maxFeatures := f.cfg.MaxFeatures
+	if maxFeatures <= 0 {
+		maxFeatures = int(math.Sqrt(float64(d)))
+		if maxFeatures < 1 {
+			maxFeatures = 1
+		}
+	}
+	return tree.Config{
+		MaxDepth:    f.cfg.MaxDepth,
+		MinLeaf:     f.cfg.MinLeaf,
+		MaxFeatures: maxFeatures,
+		Seed:        seed,
+		Bins:        f.cfg.Bins,
+	}
 }
 
 // Predict returns the majority vote.
 func (f *Forest) Predict(x []float64) bool {
-	if f.flat != nil {
-		return f.flat.votes(x)*2 > len(f.trees)
+	if f.flat == nil {
+		return false
 	}
-	votes := 0
-	for _, t := range f.trees {
-		if t.Predict(x) {
-			votes++
-		}
-	}
-	return votes*2 > len(f.trees)
+	return f.flat.votes(x)*2 > len(f.trees)
 }
 
 // PredictBatch majority-votes every sample, fanning the batch out over
@@ -199,11 +183,7 @@ func (f *Forest) PredictBatchInto(x [][]float64, out []bool) []bool {
 	}
 	out = out[:len(x)]
 	if f.flat == nil {
-		parallel.ForEachChunk(len(x), f.cfg.Workers, batchMinChunk, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out[i] = f.Predict(x[i])
-			}
-		})
+		clear(out)
 		return out
 	}
 	ff := f.flat
@@ -239,11 +219,7 @@ func (f *Forest) PredictProbaBatchInto(x [][]float64, out []float64) []float64 {
 	}
 	out = out[:len(x)]
 	if f.flat == nil {
-		parallel.ForEachChunk(len(x), f.cfg.Workers, batchMinChunk, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out[i] = f.PredictProba(x[i])
-			}
-		})
+		clear(out)
 		return out
 	}
 	ff := f.flat
@@ -284,17 +260,8 @@ func (f *Forest) FeatureImportance(d int) []float64 {
 
 // PredictProba returns the fraction of trees voting spam.
 func (f *Forest) PredictProba(x []float64) float64 {
-	if len(f.trees) == 0 {
+	if f.flat == nil {
 		return 0
 	}
-	if f.flat != nil {
-		return float64(f.flat.votes(x)) / float64(len(f.trees))
-	}
-	votes := 0
-	for _, t := range f.trees {
-		if t.Predict(x) {
-			votes++
-		}
-	}
-	return float64(votes) / float64(len(f.trees))
+	return float64(f.flat.votes(x)) / float64(len(f.trees))
 }

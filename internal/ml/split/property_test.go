@@ -5,16 +5,14 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/ml/boost"
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/ml/split"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/ml/tree"
 )
 
-// propDataset fabricates an adversarial training set for the split
-// cross-check: normal columns, quantized (heavily tied) columns, an
-// all-equal column, and a two-valued column, with labels carrying signal
-// plus noise. Sizes straddle split.LeafSortCutoff so both the
-// partitioned-column and the gather-and-sort regimes are exercised.
+// propDataset fabricates an adversarial training set: normal columns,
+// quantized (heavily tied) columns, an all-equal column, and a two-valued
+// column, with labels carrying signal plus noise. The tree and boost
+// packages cross-check the engine against their reference scans on the
+// same generator (their property_test.go).
 func propDataset(rng *rand.Rand, n int) ([][]float64, []bool) {
 	x := make([][]float64, n)
 	y := make([]bool, n)
@@ -33,128 +31,6 @@ func propDataset(rng *rand.Rand, n int) ([][]float64, []bool) {
 		}
 	}
 	return x, y
-}
-
-var propSizes = []int{
-	2, 7, split.LeafSortCutoff - 1, split.LeafSortCutoff,
-	split.LeafSortCutoff + 1, 300,
-}
-
-// TestTreePresortedMatchesReference cross-checks the presorted-column
-// tree against the legacy per-node-sort oracle: same data, same config ⇒
-// identical predictions and identical Gini-gain importances (bit for
-// bit), across node sizes, MinLeaf settings, and feature subsampling.
-func TestTreePresortedMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range propSizes {
-		for _, cfg := range []tree.Config{
-			{MaxDepth: 0, MinLeaf: 1},
-			{MaxDepth: 8, MinLeaf: 1},
-			{MaxDepth: 0, MinLeaf: 4},
-			{MaxDepth: 6, MinLeaf: 2, MaxFeatures: 2, Seed: 9},
-		} {
-			x, y := propDataset(rng, n)
-			ref := cfg
-			ref.Reference = true
-			a, b := tree.New(cfg), tree.New(ref)
-			if err := a.Fit(x, y); err != nil {
-				t.Fatal(err)
-			}
-			if err := b.Fit(x, y); err != nil {
-				t.Fatal(err)
-			}
-			if a.Depth() != b.Depth() {
-				t.Fatalf("n=%d cfg=%+v: depth %d vs reference %d", n, cfg, a.Depth(), b.Depth())
-			}
-			impA, impB := make([]float64, 6), make([]float64, 6)
-			a.FeatureImportance(impA)
-			b.FeatureImportance(impB)
-			for f := range impA {
-				if impA[f] != impB[f] {
-					t.Fatalf("n=%d cfg=%+v: importance[%d] %v vs reference %v", n, cfg, f, impA[f], impB[f])
-				}
-			}
-			for i := 0; i < 200; i++ {
-				probe := []float64{
-					rng.NormFloat64(), math.Round(rng.NormFloat64() * 2), 7,
-					float64(rng.Intn(2)), rng.NormFloat64(), math.Round(rng.NormFloat64()*4) / 4,
-				}
-				if a.Predict(probe) != b.Predict(probe) {
-					t.Fatalf("n=%d cfg=%+v: prediction diverges on %v", n, cfg, probe)
-				}
-			}
-		}
-	}
-}
-
-// TestBoostPresortedMatchesReference cross-checks the engine-driven
-// booster against the legacy oracle: probabilities must match bit for
-// bit, which also pins the cumulative-gradient accumulation order.
-func TestBoostPresortedMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, n := range propSizes {
-		if n < 4 {
-			continue // boosting needs a handful of rows to do anything
-		}
-		for _, cfg := range []boost.Config{
-			{Rounds: 20, MaxDepth: 3, MinLeaf: 1, Seed: 3},
-			{Rounds: 20, MaxDepth: 4, MinLeaf: 5, Seed: 3},
-			{Rounds: 15, MaxDepth: 3, MinLeaf: 2, Subsample: 0.7, Seed: 5},
-		} {
-			x, y := propDataset(rng, n)
-			ref := cfg
-			ref.Reference = true
-			a, b := boost.New(cfg), boost.New(ref)
-			if err := a.Fit(x, y); err != nil {
-				t.Fatal(err)
-			}
-			if err := b.Fit(x, y); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 100; i++ {
-				probe := []float64{
-					rng.NormFloat64(), math.Round(rng.NormFloat64() * 2), 7,
-					float64(rng.Intn(2)), rng.NormFloat64(), math.Round(rng.NormFloat64()*4) / 4,
-				}
-				pa, pb := a.PredictProba(probe), b.PredictProba(probe)
-				if pa != pb {
-					t.Fatalf("n=%d cfg=%+v: proba %v vs reference %v on %v", n, cfg, pa, pb, probe)
-				}
-			}
-		}
-	}
-}
-
-// TestTreeDegenerateColumns pins the hard edges explicitly: an all-equal
-// matrix must become a majority leaf in both modes, and a matrix whose
-// only signal is a two-valued column must split on it identically.
-func TestTreeDegenerateColumns(t *testing.T) {
-	x := [][]float64{{7, 1}, {7, 1}, {7, 0}, {7, 0}, {7, 1}}
-	y := []bool{true, true, false, false, true}
-	for _, reference := range []bool{false, true} {
-		tr := tree.New(tree.Config{Reference: reference})
-		if err := tr.Fit(x, y); err != nil {
-			t.Fatal(err)
-		}
-		if tr.Depth() != 1 {
-			t.Fatalf("reference=%v: depth %d, want 1 (split on the informative column)", reference, tr.Depth())
-		}
-		if !tr.Predict([]float64{7, 1}) || tr.Predict([]float64{7, 0}) {
-			t.Fatalf("reference=%v: wrong predictions", reference)
-		}
-	}
-	// Fully constant matrix: majority leaf.
-	xc := [][]float64{{3}, {3}, {3}}
-	yc := []bool{true, false, true}
-	for _, reference := range []bool{false, true} {
-		tr := tree.New(tree.Config{Reference: reference})
-		if err := tr.Fit(xc, yc); err != nil {
-			t.Fatal(err)
-		}
-		if tr.Depth() != 0 || !tr.Predict([]float64{3}) {
-			t.Fatalf("reference=%v: constant matrix not a majority leaf", reference)
-		}
-	}
 }
 
 // TestBinnedTreeStillLearns sanity-checks the histogram mode: a binned

@@ -30,16 +30,14 @@ func benchData(n, d int, seed int64) ([][]float64, []bool) {
 func BenchmarkTreeFit(b *testing.B) {
 	x, y := benchData(2000, 17, 1)
 
-	fitOnce := func(reference bool) time.Duration {
-		tr := New(Config{MaxDepth: 700, Seed: 1, Reference: reference})
+	fitRefOnce := func() time.Duration {
+		tr := New(Config{MaxDepth: 700, Seed: 1})
 		start := time.Now()
-		if err := tr.Fit(x, y); err != nil {
-			b.Fatal(err)
-		}
+		tr.fitRef(x, y)
 		return time.Since(start)
 	}
-	fitOnce(true) // warm caches
-	ref := fitOnce(true)
+	fitRefOnce() // warm caches
+	ref := fitRefOnce()
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

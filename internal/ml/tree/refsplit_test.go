@@ -4,11 +4,20 @@ import "sort"
 
 // This file preserves the pre-presort induction path — gather and
 // sort.Slice every candidate feature at every node, O(d·n·log n) per
-// node — selected by Config.Reference. It is the oracle the property
-// suite cross-checks the presorted engine against and the baseline
-// cmd/benchreport -mlbench measures speedups over. The only change from
-// the original is the MinLeaf guard moving into the scan, mirroring the
-// engine's semantics so the two stay comparable at any MinLeaf.
+// node. It is the oracle the property tests cross-check the presorted
+// engine against and the baseline BenchmarkTreeFit measures its speedup
+// over. The only change from the original is the MinLeaf guard moving
+// into the scan, mirroring the engine's semantics so the two stay
+// comparable at any MinLeaf.
+
+// fitRef is Fit on the reference scan, for non-empty x.
+func (t *Tree) fitRef(x [][]float64, y []bool) {
+	idx := make([]int, len(x))
+	for i := range idx {
+		idx[i] = i
+	}
+	t.root = t.growRef(x, y, idx, 0)
+}
 
 func (t *Tree) growRef(x [][]float64, y []bool, idx []int, depth int) *node {
 	pos := 0

@@ -6,8 +6,8 @@
 // each feature is sorted once per fit and nodes grow by stable in-place
 // partitioning, so a node's scan is one O(n) cumulative-class-count pass
 // per candidate feature and nothing is sorted below the root. The legacy
-// per-node sort.Slice scan survives behind Config.Reference as the
-// cross-check oracle and benchmark baseline; in exact mode both select
+// per-node sort.Slice scan survives in refsplit_test.go as the oracle the
+// property tests cross-check against; in exact mode both select
 // bit-identical (feature, threshold) splits.
 package tree
 
@@ -39,11 +39,6 @@ type Config struct {
 	// keeps the exact scan, whose splits are bit-identical to the
 	// legacy implementation.
 	Bins int
-	// Reference selects the legacy per-node sort.Slice split scan, kept
-	// as the oracle for the property suite and the baseline for
-	// BENCH_ml.json speedups. Exact-mode models are identical either
-	// way; only the training cost differs.
-	Reference bool
 }
 
 // Tree is a trained decision tree.
@@ -78,14 +73,6 @@ func New(cfg Config) *Tree {
 func (t *Tree) Fit(x [][]float64, y []bool) error {
 	if len(x) == 0 || len(x) != len(y) {
 		return errors.New("tree: empty or mismatched training data")
-	}
-	if t.cfg.Reference {
-		idx := make([]int, len(x))
-		for i := range idx {
-			idx[i] = i
-		}
-		t.root = t.growRef(x, y, idx, 0)
-		return nil
 	}
 	return t.FitEngine(split.NewPresort(x).NewEngine(x, nil), y)
 }

@@ -144,10 +144,7 @@ func TestTreeMinLeafGuardInScan(t *testing.T) {
 	x := [][]float64{{0}, {1}, {2}, {3}, {4}, {5}, {6}, {7}, {8}, {9}}
 	y := []bool{true, false, false, false, false, false, false, false, false, false}
 	for _, reference := range []bool{false, true} {
-		tr := New(Config{MinLeaf: 2, Reference: reference})
-		if err := tr.Fit(x, y); err != nil {
-			t.Fatal(err)
-		}
+		tr := fitWith(t, Config{MinLeaf: 2}, reference, x, y)
 		if tr.Depth() != 1 {
 			t.Fatalf("reference=%v: depth %d, want 1 admissible split", reference, tr.Depth())
 		}

@@ -3,6 +3,7 @@ package twitterapi
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -270,4 +271,61 @@ func FuzzNDJSONDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestTweetScratchMatchesDecodeTweet holds the allocation-free conversion
+// to the owning one: over every corpus line encoding/json accepts, a
+// capture retained from the scratch path (StreamDecoder → TweetScratch →
+// Clone, one decoder and one scratch reused across lines) must equal
+// what json.Unmarshal → DecodeTweet builds. Empty and nil slices compare
+// equal: the scratch keeps its backing arrays, the owning form starts nil.
+func TestTweetScratchMatchesDecodeTweet(t *testing.T) {
+	d := NewStreamDecoder()
+	var conv TweetScratch
+	checked := 0
+	for _, line := range decoderCorpus() {
+		var wire Tweet
+		if json.Unmarshal([]byte(line), &wire) != nil {
+			continue
+		}
+		want, _ := DecodeTweet(&wire)
+		wt, err := d.Decode([]byte(line))
+		if err != nil {
+			t.Fatalf("scratch decoder rejects %q: %v", line, err)
+		}
+		got := conv.Convert(wt).Clone()
+		if got.ID != want.ID || got.AuthorID != want.AuthorID || !got.CreatedAt.Equal(want.CreatedAt) ||
+			got.Kind != want.Kind || got.Source != want.Source || got.Text != want.Text ||
+			got.Topic != want.Topic || got.Spam != want.Spam || got.CampaignID != want.CampaignID ||
+			!slices.Equal(got.Hashtags, want.Hashtags) || !slices.Equal(got.URLs, want.URLs) ||
+			!slices.Equal(got.Mentions, want.Mentions) {
+			t.Fatalf("line %q:\nscratch %+v\nowning  %+v", line, got, want)
+		}
+		checked++
+	}
+	if checked < 10 {
+		t.Fatalf("only %d corpus lines were comparable", checked)
+	}
+}
+
+// BenchmarkStreamDecode times the in-process NDJSON ingest step no
+// whole-run bench/ workload exercises: StreamDecoder.Decode plus
+// TweetScratch.Convert over a fully populated spam line and a bare
+// organic one, in steady state (0 allocs/op, as the alloc tests pin).
+func BenchmarkStreamDecode(b *testing.B) {
+	lines := [][]byte{
+		[]byte(decoderCorpus()[0]),
+		[]byte(`{"id":102,"text":"plain organic tweet","user":{"id":43,"screen_name":"human"},"entities":{"hashtags":[],"user_mentions":[],"urls":[]}}`),
+	}
+	d := NewStreamDecoder()
+	var conv TweetScratch
+	b.SetBytes(int64(len(lines[0])+len(lines[1])) / 2)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tw, err := d.Decode(lines[i%2])
+		if err != nil {
+			b.Fatal(err)
+		}
+		conv.Convert(tw)
+	}
 }
