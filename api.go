@@ -209,9 +209,10 @@ type SnifferConfig struct {
 	// Sources overrides the sniffer's ingestion: instead of subscribing
 	// to the simulation's engine (the implicit twitter source), the
 	// sniffer consumes the given sources — several are merged with
-	// deterministic k-way ordering. Requires Stream.Enabled; a replay
-	// source must be the sole entry. When Sources is set the sim argument
-	// to NewSniffer may be nil (replayed runs have no live simulation).
+	// deterministic k-way ordering. Requires Stream.Enabled and works with
+	// every Shards/ShardMode (not yet with Durability); a replay source
+	// must be the sole entry. When Sources is set the sim argument to
+	// NewSniffer may be nil (replayed runs have no live simulation).
 	Sources []IngestSource
 	// Shards partitions the honeypot node set across N shard workers by
 	// consistent hashing on node id, each running its own extract stage,
@@ -219,9 +220,11 @@ type SnifferConfig struct {
 	// deterministic single-monitor order (DESIGN.md §15). Values above 1
 	// require Stream.Enabled. Zero or 1 is the same graph with one shard.
 	Shards int
-	// ShardMode selects how shards are isolated: "inproc" (the default)
-	// runs goroutine-isolated shards in this process; "proc" runs one
-	// worker subprocess per shard speaking the HTTP/NDJSON epoch wire.
+	// ShardMode selects where a shard's extract step runs: "inproc" (the
+	// default) on the shard's goroutine; "proc" in one worker subprocess
+	// per shard, which the shard goroutine calls once per micro-batch over
+	// loopback HTTP. Everything else — match, merge, label, detect, the
+	// hour hook — is the same code in both.
 	ShardMode string
 	// Durability enables the WAL + checkpoint store so a crashed run can
 	// be resumed without losing captures (requires Stream.Enabled).
@@ -250,15 +253,14 @@ type Sniffer struct {
 	// Streaming only (nil on the batch path). src delivers the post stream:
 	// the implicit twitter adapter unless cfg.Sources was set, in which case
 	// explicit is true and lookups/oracles resolve through the source rather
-	// than the simulation. exec is the extract executor — the one thing that
-	// varies between streaming topologies — and tail the stateful end they
-	// all share. runErr latches the first failure of the run (a replay
-	// adoption, a proc epoch flush); it is delivery-goroutine state,
-	// reported by RunHours and DetectAll.
+	// than the simulation. fanout is the stage graph and tail the stateful
+	// end it feeds. runErr latches the first failure of the run (a replay
+	// adoption, a proc batch out of retries); it is delivery-goroutine
+	// state, reported by RunHours and DetectAll.
 	src      source.Source
 	explicit bool
 	srcIns   *sourceInstruments
-	exec     executor
+	fanout   *shard.Fanout
 	tail     *tail
 	runErr   error
 
@@ -272,16 +274,6 @@ type Sniffer struct {
 	ckptEvery int
 
 	closeOnce sync.Once
-}
-
-// executor is what moves matched posts to the tail: goroutine shards
-// (shard.Fanout) or worker subprocesses (shard.ProcCoordinator).
-type executor interface {
-	// Drain returns once everything ingested so far has cleared the tail.
-	// The producer must be quiescent.
-	Drain() error
-	// Close drains, then stops the executor's goroutines or processes.
-	Close() error
 }
 
 // Validate checks the configuration's cross-field constraints — every
@@ -307,11 +299,6 @@ func (cfg SnifferConfig) Validate() error {
 	if len(cfg.Sources) > 0 {
 		if !cfg.Stream.Enabled {
 			return errors.New("pseudohoneypot: explicit Sources require the streaming pipeline (set Stream.Enabled)")
-		}
-		if cfg.ShardMode == "proc" {
-			return errors.New("pseudohoneypot: proc shard mode does not support explicit Sources: " +
-				"the epoch wire stamps one origin per epoch and merges hits by tweet id, " +
-				"which a mux's interleaved origins and per-source id offsets break")
 		}
 		if cfg.Durability.enabled() {
 			return errors.New("pseudohoneypot: explicit Sources do not support durability: " +
@@ -424,18 +411,16 @@ func (s *Sniffer) labelConfig() label.Config {
 // subscribes it to the ingest source:
 //
 //	source ─→ match ─→ [extract ×N] ─→ [merge] ─→ [label] ─→ [detect]
-//	                    executor        └────────── tail ──────────┘
+//	                                   └────────── tail ──────────┘
 //
-// Only the executor varies. In-process (the default, any N ≥ 1) the match
-// step stays on the delivery goroutine — it mutates group stats that Rotate
-// reads there — and routes each capture to its owning shard goroutine by
-// consistent hashing on the receiver node; shards run stateless extraction
-// and label precompute concurrently against profile snapshots frozen at
-// match time, and the merge stage restores ingest order. In proc mode the
-// delivery goroutine only buffers candidates, encoded at emit time; each
-// hour's epoch goes to worker subprocesses (spawned by re-executing this
-// binary — see shard.MaybeWorker) that match and extract, and the merged
-// hits reach the tail at the next hour boundary, drain, or Close.
+// The match step stays on the delivery goroutine — it mutates group stats
+// that Rotate reads there — and routes each capture to its owning shard
+// goroutine by consistent hashing on the receiver node; shards run
+// stateless extraction and label precompute concurrently against profile
+// snapshots frozen at match time, and the merge stage restores ingest
+// order. ShardMode "proc" changes one thing: each shard goroutine hands its
+// micro-batches to a worker subprocess (spawned by re-executing this binary
+// — see shard.MaybeWorker) instead of extracting them itself.
 func (s *Sniffer) attachStream() error {
 	m, cfg, src := s.monitor, s.cfg, s.src
 	t := &tail{
@@ -453,50 +438,16 @@ func (s *Sniffer) attachStream() error {
 	}
 	s.tail = t
 
+	var workers shard.Transport
 	if cfg.ShardMode == "proc" {
-		pc, err := shard.NewProcCoordinator(shard.ProcConfig{
-			Shards:  cfg.Shards,
-			Lookup:  src.Lookup,
-			Metrics: cfg.Metrics,
-			Tracer:  cfg.Tracer,
-			Origin:  src.ID(),
-			Apply: func(batch []shard.Merged) error {
-				items := make([]shard.Item, len(batch))
-				for i, mg := range batch {
-					c, err := m.AdoptCapture(mg.Tweet, mg.Sender, mg.Receiver, mg.Groups, src.Lookup)
-					if err != nil {
-						return err
-					}
-					c.Source = mg.Origin
-					items[i] = shard.Item{C: c, Vec: mg.Vec, TweetPrep: mg.TweetPrep, UserPrep: mg.UserPrep}
-				}
-				t.apply(items)
-				return nil
-			},
-		})
-		if err != nil {
+		var err error
+		if workers, err = shard.SpawnWorkers(cfg.Shards); err != nil {
 			return err
 		}
-		s.exec = pc
-		src.OnHourStart(func(hour int, now time.Time) {
-			// Rotation barrier: the previous epoch reaches the tail before
-			// the node set changes (and before rotateHour's checkpoint), and
-			// the new assignment reaches the tap before any of the hour's
-			// traffic.
-			s.drainPipeline()
-			s.rotateHour(hour, now)
-			pc.BeginEpoch(m.CurrentNodes())
-		})
-		s.detach = src.Subscribe(func(p source.Post) {
-			if p.Tweet.ID > s.watermark {
-				pc.OnTweet(p.Tweet)
-			}
-		})
-		return nil
 	}
-
-	f := shard.NewFanout(shard.FanoutConfig{
-		Shards: cfg.Shards,
+	s.fanout = shard.NewFanout(shard.FanoutConfig{
+		Shards:  cfg.Shards,
+		Workers: workers,
 		Pipeline: pipeline.Config{
 			FlushSize:     cfg.Stream.BatchSize,
 			FlushInterval: cfg.Stream.FlushInterval,
@@ -511,13 +462,12 @@ func (s *Sniffer) attachStream() error {
 		Label:    t.label,
 		Observe:  t.observe,
 	})
-	s.exec = f
 	src.OnHourStart(s.rotateHour)
 	s.detach = src.Subscribe(func(p source.Post) {
 		if c := s.matchPost(p); c != nil {
 			// Blocking push is the backpressure contract: a full extract
 			// queue pauses the firehose right here.
-			f.Ingest(c)
+			s.fanout.Ingest(c)
 		}
 	})
 	return nil
@@ -541,6 +491,7 @@ func (s *Sniffer) RunHours(n int) error {
 	if err := s.src.RunHours(n); err != nil {
 		return err
 	}
+	s.latch(s.fanout.Err())
 	return s.runErr
 }
 
@@ -548,12 +499,12 @@ func (s *Sniffer) RunHours(n int) error {
 // tail. The source must be quiescent: between RunHours calls, or inside an
 // hour hook.
 func (s *Sniffer) drainPipeline() {
-	if s.exec != nil {
-		s.latch(s.exec.Drain())
+	if s.fanout != nil {
+		s.latch(s.fanout.Drain())
 	}
 }
 
-// stopStages detaches from the post stream and stops the executor; work
+// stopStages detaches from the post stream and stops the stage graph; work
 // already ingested still lands in the tail (and the store's buffers), but
 // nothing is flushed to the backend — what a crash leaves behind, and the
 // first half of Close.
@@ -561,8 +512,8 @@ func (s *Sniffer) stopStages() {
 	if s.detach != nil {
 		s.detach()
 	}
-	if s.exec != nil {
-		_ = s.exec.Close()
+	if s.fanout != nil {
+		_ = s.fanout.Close()
 	}
 }
 
@@ -590,15 +541,15 @@ func (s *Sniffer) Close() {
 func (s *Sniffer) Monitor() *Monitor { return s.monitor }
 
 // ShardAdminURLs returns the admin base URLs of the proc-mode shard
-// workers (each serves /metrics, /healthz, and /debug/traces on its
-// loopback epoch-wire listener), indexed by shard. Nil outside proc mode.
-// A respawned worker changes its entry, so callers should re-read rather
-// than cache — the fleet federator's Targets hook does exactly that.
+// workers (each serves /metrics and /healthz on its loopback extract
+// listener), indexed by shard. Nil outside proc mode. A respawned worker
+// changes its entry, so callers should re-read rather than cache — the
+// fleet federator's Targets hook does exactly that.
 func (s *Sniffer) ShardAdminURLs() []string {
-	if pc, ok := s.exec.(*shard.ProcCoordinator); ok {
-		return pc.AdminURLs()
+	if s.fanout == nil {
+		return nil
 	}
-	return nil
+	return s.fanout.AdminURLs()
 }
 
 // HealthExtra returns the /healthz hook reporting the durable store's WAL

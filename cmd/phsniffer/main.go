@@ -25,10 +25,9 @@
 // and "replay:DIR" re-feeds a capture WAL recorded by an earlier
 // -store-dir run with rotation records. Several comma-separated sources
 // are merged deterministically; a replay source must ride alone (at any
-// -shards N). -source implies -stream and is incompatible with -store-dir
-// (the recovery watermark is a tweet id, not monotone across muxed
-// sources) and -shard-mode proc (the epoch wire carries one origin per
-// epoch and merges hits by tweet id).
+// -shards N, in either -shard-mode). -source implies -stream and is
+// incompatible with -store-dir (the recovery watermark is a tweet id, not
+// monotone across muxed sources).
 //
 // With -stream, the sniffer runs on the staged streaming pipeline
 // (match → extract → merge → label → detect) with micro-batching tuned by
@@ -38,9 +37,9 @@
 // the default batch mode at the same seed. -capture-cap bounds retained
 // captures (FIFO eviction past the cap; 0 keeps everything) in either
 // mode. -shards N runs N extract workers on the same graph (-stream alone
-// is N = 1), as goroutines or, with -shard-mode proc, as worker
-// subprocesses fed one epoch per simulated hour; every combination with
-// -store-dir gives the same result.
+// is N = 1), as goroutines or, with -shard-mode proc, as goroutines that
+// hand each micro-batch to a worker subprocess of their own; every
+// combination with -store-dir or -source gives the same result.
 //
 // With -store-dir (implies -stream), every capture is written to a WAL in
 // that directory and the pipeline state is checkpointed each simulated
@@ -101,7 +100,7 @@ var logger = trace.NewLogger(os.Stderr, trace.LevelInfo)
 func main() {
 	// In -shard-mode proc the coordinator spawns shard workers by
 	// re-executing this binary; a process carrying the worker marker
-	// serves the epoch RPC instead of running a sniffer.
+	// serves the extract RPC instead of running a sniffer.
 	shard.MaybeWorker()
 	if err := run(); err != nil {
 		logger.Error("run failed", "err", err)
@@ -118,12 +117,12 @@ func run() error {
 		classifier  = flag.String("classifier", "RF", "detector family: DT, kNN, SVM, EGB, RF")
 		seed        = flag.Int64("seed", 1, "world and selection seed")
 		top         = flag.Int("top", 10, "PGE rows to print")
-		srcSpec     = flag.String("source", "", "comma-separated ingest sources: twitter, reddit, replay:DIR (empty = implicit twitter; implies -stream)")
+		srcSpec     = flag.String("source", "", "comma-separated ingest sources: twitter, reddit, replay:DIR (empty = implicit twitter; implies -stream; works with any -shards/-shard-mode, not with -store-dir)")
 		stream      = flag.Bool("stream", false, "run on the staged streaming pipeline instead of batch mode")
 		batchSize   = flag.Int("batch-size", pseudohoneypot.DefaultStreamBatchSize, "streaming micro-batch flush size")
 		flushEvery  = flag.Duration("flush-interval", pseudohoneypot.DefaultStreamFlushInterval, "streaming partial-batch age bound")
 		shards      = flag.Int("shards", 0, "run N extract workers, partitioning the honeypot nodes among them (implies -stream; 0/1 = one worker, what -stream alone runs)")
-		shardMode   = flag.String("shard-mode", "", "shard isolation: inproc (goroutines, default) or proc (worker subprocesses over loopback HTTP)")
+		shardMode   = flag.String("shard-mode", "", "where a shard's extract step runs: inproc (its goroutine, default) or proc (a worker subprocess the shard calls per micro-batch over loopback HTTP)")
 		captureCap  = flag.Int("capture-cap", 0, "max captures retained (FIFO eviction past the cap; 0 = unbounded)")
 		storeDir    = flag.String("store-dir", "", "durable WAL+checkpoint directory; a restart against it resumes without double-counting (implies -stream; works with any -shards/-shard-mode, not with -source)")
 		recordRot   = flag.Bool("record-rotations", false, "journal hourly rotations and a profile epilogue into the WAL so -source replay:DIR can re-feed it (requires -store-dir)")

@@ -52,7 +52,7 @@ func main() {
 	// Proc-mode shard coordinators spawn workers by re-executing the
 	// current binary, so every daemon in this repo installs the worker
 	// hook first thing in main — a process carrying the worker marker
-	// serves the shard epoch RPC instead of booting the daemon.
+	// serves the shard extract RPC instead of booting the daemon.
 	shard.MaybeWorker()
 	if err := run(); err != nil {
 		logger.Error("run failed", "err", err)

@@ -43,7 +43,7 @@ type Target struct {
 	// MergeLabel value on its per-instance series and as the per-shard key
 	// in the aggregated health view.
 	Name string
-	// URL is the member's admin base URL (the worker's loopback epoch-wire
+	// URL is the member's admin base URL (the worker's loopback extract
 	// server); /metrics is appended for scrapes.
 	URL string
 }

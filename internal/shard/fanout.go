@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"strconv"
 	"sync"
 
@@ -11,11 +12,11 @@ import (
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 )
 
-// Item is one matched capture in flight from a shard worker to the
-// coordinator: the capture plus everything the shard precomputed for it
-// (stateless features, label preps). Seq is the coordinator-assigned
-// ingest sequence number; the merge stage reorders by it so downstream
-// stages observe captures in exactly the single-monitor stream order.
+// Item is one matched capture in flight from a shard to the coordinator:
+// the capture plus everything the shard precomputed for it (stateless
+// features, label preps). Seq is the coordinator-assigned ingest sequence
+// number; the merge stage reorders by it so downstream stages observe
+// captures in exactly the single-monitor stream order.
 //
 // Spam is the label step's stream-time provisional verdict, read by the
 // detect step.
@@ -28,10 +29,15 @@ type Item struct {
 	Spam      bool
 }
 
-// FanoutConfig parameterizes the in-process sharded topology.
+// FanoutConfig parameterizes the sharded topology.
 type FanoutConfig struct {
 	// Shards is the shard count (min 1).
 	Shards int
+	// Workers, when set, moves each shard's extract step into a worker
+	// subprocess (proc mode): the shard goroutine ships every micro-batch
+	// to its worker and reads the results back. Nil extracts in-process.
+	// The fanout owns the fleet and closes it.
+	Workers Transport
 	// Pipeline is the per-runner pipeline configuration; the fanout
 	// stamps Shard itself ("1".."N" for shards, "coord" for the
 	// coordinator).
@@ -51,15 +57,17 @@ type FanoutConfig struct {
 	Observe func(it *Item)
 }
 
-// Fanout is the in-process sharded pipeline: N shard runners (stateless
-// extraction + label precompute over value-partitioned captures) feeding a
-// coordinator runner (merge → label → detect) through one shared queue.
+// Fanout is the sharded pipeline: N shard runners (stateless extraction +
+// label precompute over value-partitioned captures) feeding a coordinator
+// runner (merge → label → detect) through one shared queue.
 //
 //	Ingest ──ring──▶ shard 1..N ("extract") ──▶ merge ─▶ label ─▶ detect
 //
 // Shards own disjoint node subsets, so every capture visits exactly one
 // shard; the merge stage's sequence-number reorder restores the global
-// stream order those parallel shards scrambled.
+// stream order those parallel shards scrambled. Where a shard's extract
+// step runs — on the shard goroutine or behind an RPC to a worker
+// subprocess — is the only thing FanoutConfig.Workers changes.
 type Fanout struct {
 	cfg    FanoutConfig
 	ring   *Ring
@@ -69,7 +77,14 @@ type Fanout struct {
 	merge  *pipeline.Queue[Item]
 	coord  *pipeline.Runner
 
+	// err is the first worker-fleet failure (a batch whose retries ran
+	// out), latched by a shard goroutine and reported by Err, Drain and
+	// Close.
+	errMu sync.Mutex
+	err   error
+
 	closeOnce sync.Once
+	closeErr  error
 }
 
 // NewFanout builds and starts the sharded topology.
@@ -130,7 +145,7 @@ func NewFanout(cfg FanoutConfig) *Fanout {
 		// see AddBatchPrepared's inline-recompute contract for the rest).
 		seen := make(map[socialnet.AccountID]struct{})
 		shardLabel := scfg.Shard
-		pipeline.Sink(r, "extract", q, func(batch []Item) {
+		extract := func(batch []Item) {
 			for _, it := range batch {
 				sp := it.C.Trace.StartSpan("shard_extract")
 				sp.SetAttr("shard", shardLabel)
@@ -154,7 +169,11 @@ func NewFanout(cfg FanoutConfig) *Fanout {
 				// merge queue safe.
 				_ = f.merge.Push(it)
 			}
-		})
+		}
+		if cfg.Workers != nil {
+			extract = f.remoteExtract(s, shardLabel, extract)
+		}
+		pipeline.Sink(r, "extract", q, extract)
 		r.Start()
 		f.queues = append(f.queues, q)
 		f.shards = append(f.shards, r)
@@ -179,25 +198,42 @@ func (f *Fanout) Ingest(c *core.Capture) {
 	_ = f.queues[f.ring.Owner(id)].Push(Item{Seq: f.seq, C: c})
 }
 
+// latch records the run's first worker-fleet failure.
+func (f *Fanout) latch(err error) {
+	f.errMu.Lock()
+	if f.err == nil {
+		f.err = err
+	}
+	f.errMu.Unlock()
+}
+
+// Err returns the first worker-fleet failure latched so far, without
+// waiting for anything; always nil in-process.
+func (f *Fanout) Err() error {
+	f.errMu.Lock()
+	defer f.errMu.Unlock()
+	return f.err
+}
+
 // Drain blocks until every capture ingested so far has fully cleared the
 // topology: shard runners first (so all merge pushes happened), then the
 // coordinator. After Drain, the merge stage's pending map is empty — the
 // reorder can only hold gaps while some earlier capture is still inside a
-// shard runner. The error is always nil; it is there so a Fanout and a
-// ProcCoordinator drain through one signature.
+// shard runner. It returns Err: a failed worker batch was extracted
+// in-process, so the drain itself always completes.
 func (f *Fanout) Drain() error {
 	for _, r := range f.shards {
 		r.Drain()
 	}
 	f.coord.Drain()
-	return nil
+	return f.Err()
 }
 
 // Close shuts the topology down in dependency order: shard queues close,
 // shard runners finish (after which no goroutine can push to the shared
 // merge queue), then the merge queue closes and the coordinator finishes —
-// so everything ingested before Close still clears the tail. Close is
-// idempotent and always returns nil.
+// so everything ingested before Close still clears the tail — and last
+// the worker fleet, if any, stops. Close is idempotent.
 func (f *Fanout) Close() error {
 	f.closeOnce.Do(func() {
 		for _, q := range f.queues {
@@ -208,6 +244,10 @@ func (f *Fanout) Close() error {
 		}
 		f.merge.Close()
 		f.coord.Wait()
+		f.closeErr = f.Err()
+		if f.cfg.Workers != nil {
+			f.closeErr = errors.Join(f.closeErr, f.cfg.Workers.Close())
+		}
 	})
-	return nil
+	return f.closeErr
 }

@@ -1,9 +1,9 @@
-// Package shard partitions the honeypot node set across N shard workers,
-// each running its own stream filter and staged pipeline over its node
-// subset, with a coordinator that merges the capture streams back into the
-// deterministic single-monitor order. Two modes share the interface:
-// goroutine-isolated in-process shards (Fanout) and separate worker
-// processes speaking an HTTP/NDJSON epoch wire (ProcCoordinator).
+// Package shard partitions the honeypot node set across N shards, each
+// running the stateless extract step over the captures of its node subset,
+// with a coordinator that merges the capture streams back into the
+// deterministic single-monitor order (Fanout). A shard extracts on its own
+// goroutine or, in proc mode, hands each micro-batch to a worker subprocess
+// over loopback HTTP (Transport, WorkerCore).
 package shard
 
 import (
@@ -20,9 +20,8 @@ const vnodesPerShard = 64
 
 // Ring is a consistent-hash ring over shard indices. Node ids hash onto
 // the ring and are owned by the next virtual point clockwise. The ring is
-// a pure function of the shard count — every process (coordinator, worker,
-// test) derives the identical assignment independently, which is what lets
-// proc-mode workers filter their subset without a membership protocol.
+// a pure function of the shard count — coordinator and tests derive the
+// identical assignment independently; nothing is negotiated.
 type Ring struct {
 	n      int
 	points []ringPoint

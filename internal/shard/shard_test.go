@@ -9,6 +9,7 @@ import (
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/core"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/label"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/trace"
 )
 
 // testPrepper builds the default-config prepper the sniffer uses.
@@ -61,7 +62,12 @@ func TestRingBalance(t *testing.T) {
 
 // testWorld builds a small simulated world with a rotating monitor, the
 // setup every topology test shares.
-func testWorld(t *testing.T) (*socialnet.World, *socialnet.Engine, *core.Monitor) {
+func testWorld(t testing.TB) (*socialnet.World, *socialnet.Engine, *core.Monitor) {
+	return testWorldTraced(t, nil)
+}
+
+// testWorldTraced is testWorld with the monitor's captures traced.
+func testWorldTraced(t testing.TB, tracer *trace.Tracer) (*socialnet.World, *socialnet.Engine, *core.Monitor) {
 	t.Helper()
 	cfg := socialnet.DefaultConfig()
 	cfg.NumAccounts = 1200
@@ -75,6 +81,7 @@ func testWorld(t *testing.T) (*socialnet.World, *socialnet.Engine, *core.Monitor
 		Specs:      core.RandomSpec(80),
 		ActiveOnly: true,
 		Seed:       7,
+		Tracer:     tracer,
 	}, &core.LocalScreener{World: w, Rng: rand.New(rand.NewSource(8))})
 	return w, e, m
 }

@@ -1,335 +1,171 @@
 package shard
 
 import (
-	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
-	"sort"
 	"strconv"
+	"time"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/features"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/label"
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/pipeline"
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/metrics"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/trace"
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/twitterapi"
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/store"
 )
 
-// Proc-mode epoch wire (NDJSON over HTTP POST, one round-trip per shard
-// per simulated hour — DESIGN.md §15). The request is a header line naming
-// the shard's node subset for the epoch followed by one twitterapi wire
-// tweet per line (profiles embedded via x_mention_users). The response is
-// one Hit per matched tweet, in request order, closed by a {"done":N}
+// Proc-mode extract wire (one HTTP POST per shard micro-batch — DESIGN.md
+// §15). The request is the batch's captures, each a 4-byte little-endian
+// length followed by a store.EncodeCapture payload — the WAL's capture
+// codec: tweet, frozen sender/receiver snapshots, groups, source id, with
+// Seq carrying the fanout's ingest sequence number. The response is NDJSON:
+// one result line per capture, in request order, closed by a {"done":N}
 // trailer whose count lets the coordinator detect truncated streams.
 
-// NodeAssignment is one honeypot node handed to a shard for an epoch.
-type NodeAssignment struct {
-	ID     int64 `json:"id"`
-	Groups []int `json:"groups"`
+// result is one response line: everything the extract step computes for
+// one capture.
+type result struct {
+	Vec       []float64       `json:"vec"`
+	TweetPrep label.TweetPrep `json:"tweet_prep"`
+	UserPrep  *label.UserPrep `json:"user_prep,omitempty"`
 }
 
-// epochHeader is the first request line of an epoch POST.
-type epochHeader struct {
-	Epoch int              `json:"epoch"`
-	Nodes []NodeAssignment `json:"nodes"`
-	// Origin is the ingest-source id of the tweet stream ("twitter" when
-	// absent); workers tag their epoch traces with it so cross-process
-	// trace stitching keeps the source dimension.
-	Origin string `json:"origin,omitempty"`
-	// TraceID is the coordinator's epoch-trace correlation id. The worker
-	// attaches it to its own epoch trace and echoes its spans in the
-	// response trailer, so the coordinator can stitch one cross-process
-	// tree per capture epoch (DESIGN.md §16).
-	TraceID string `json:"trace_id,omitempty"`
+// trailer closes a response: the result count, and how long the worker
+// spent on the batch.
+type trailer struct {
+	Done      int   `json:"done"`
+	ElapsedNS int64 `json:"elapsed_ns"`
 }
 
-// WireSpan is one worker-side span exported in the epoch response: the
-// worker's trace content flattened to wall-clock-free primitives the
-// coordinator re-ingests into its own tracer via Trace.AddSpan.
-type WireSpan struct {
-	Stage         string     `json:"stage"`
-	StartUnixNano int64      `json:"start_unix_nano"`
-	DurationNS    int64      `json:"duration_ns"`
-	Attrs         []trace.KV `json:"attrs,omitempty"`
+// resultLine is the response-line union readResults decodes into.
+type resultLine struct {
+	result
+	Done      *int  `json:"done"`
+	ElapsedNS int64 `json:"elapsed_ns"`
 }
 
-// Hit is one worker-side match result: the shard's view of the capture
-// (groups from its node subset only) plus everything it precomputed.
-type Hit struct {
-	TweetID int64 `json:"tweet_id"`
-	// MentionIdx is the index (into the tweet's mention list) of the
-	// first mention matching this shard's subset whose profile resolved,
-	// -1 when the capture matched through the author only. The
-	// coordinator picks the hit with the globally smallest index as the
-	// receiver donor, reproducing Match's first-resolvable-mention rule.
-	MentionIdx int             `json:"mention_idx"`
-	Groups     []int           `json:"groups"`
-	Vec        []float64       `json:"vec"`
-	TweetPrep  label.TweetPrep `json:"tweet_prep"`
-	UserPrep   *label.UserPrep `json:"user_prep,omitempty"`
+// appendRequest frames batch onto buf.
+func appendRequest(buf []byte, batch []Item) []byte {
+	for i := range batch {
+		c := batch[i].C
+		rec := store.CaptureRecord{
+			Seq:      batch[i].Seq,
+			Tweet:    *c.Tweet,
+			Sender:   c.SenderSnapshot(),
+			Receiver: c.ReceiverSnapshot(),
+			Groups:   c.Groups,
+			Src:      c.Source,
+		}
+		at := len(buf)
+		buf = store.EncodeCapture(append(buf, 0, 0, 0, 0), &rec)
+		binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+	}
+	return buf
 }
 
-// hitLine is the response-line union: a Hit or the final trailer, which
-// carries the worker's exported spans alongside the hit count.
-type hitLine struct {
-	Hit
-	Done  *int       `json:"done,omitempty"`
-	Spans []WireSpan `json:"spans,omitempty"`
-}
-
-// scannerFor builds a line scanner sized for embedded-profile tweet lines.
-func scannerFor(r io.Reader) *bufio.Scanner {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	return sc
-}
-
-// WorkerCore is one proc-mode shard's matching engine, independent of its
-// HTTP shell so failure-injection tests can drive it in-memory. It keeps
-// the shard-local first-appearance set across epochs; a respawned worker
-// starts with an empty set, which only makes it ship redundant profile
-// preps (AddBatchPrepared recomputes or ignores as needed), never wrong
-// ones.
+// WorkerCore is one proc-mode shard's extract step, independent of its HTTP
+// shell so failure-injection tests can drive it in-memory. It does exactly
+// what an in-process shard goroutine does — the stateless vector, the tweet
+// prep, and the author's profile prep on first appearance — from the frozen
+// snapshots in the request. The first-appearance set is shard-local and
+// lives as long as the worker; a respawned worker starts with an empty one,
+// which only makes it ship redundant profile preps (AddBatchPrepared
+// ignores them), never wrong ones.
 type WorkerCore struct {
-	shard   int
-	prepper *label.Prepper
-	pcfg    pipeline.Config
-	seen    map[socialnet.AccountID]struct{}
+	prepper   *label.Prepper
+	seen      map[socialnet.AccountID]struct{}
+	extracted *metrics.Counter // ph_shard_worker_extracted_total{shard}
 }
 
-// NewWorkerCore creates the matching engine for one shard. lcfg must be
-// the coordinator's labeling config (the default config — preps depend
-// only on its seed and length bounds).
-func NewWorkerCore(shard int, lcfg label.Config, pcfg pipeline.Config) *WorkerCore {
-	pcfg.Shard = strconv.Itoa(shard + 1)
+// NewWorkerCore creates the extract step for one shard. lcfg must be the
+// coordinator's labeling config (the default config — preps depend only on
+// its seed and length bounds); a nil reg binds metrics.Default().
+func NewWorkerCore(shard int, lcfg label.Config, reg *metrics.Registry) *WorkerCore {
+	if reg == nil {
+		reg = metrics.Default()
+	}
 	return &WorkerCore{
-		shard:   shard,
 		prepper: label.NewPrepper(lcfg),
-		pcfg:    pcfg,
 		seen:    make(map[socialnet.AccountID]struct{}),
+		extracted: reg.CounterVec("ph_shard_worker_extracted_total",
+			"Captures this shard worker process extracted (worker side of ph_shard_batch_captures_total).",
+			"shard").With(strconv.Itoa(shard + 1)),
 	}
 }
 
-// Epoch consumes one epoch request stream and writes the response stream.
-// Tweets flow through a shard-labeled staged pipeline: the request reader
-// feeds a match+prep stage whose single sink goroutine writes hits in
-// input order, so responses are ascending in tweet id by construction.
-func (w *WorkerCore) Epoch(req io.Reader, resp io.Writer) error {
-	sc := scannerFor(req)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return fmt.Errorf("shard: epoch header: %w", err)
+// Extract answers one batch request. A request that does not decode is an
+// error and yields no partial response: the coordinator retries the whole
+// batch.
+func (w *WorkerCore) Extract(req []byte) ([]byte, error) {
+	start := time.Now()
+	var out bytes.Buffer
+	enc := json.NewEncoder(&out)
+	n := 0
+	for len(req) > 0 {
+		if len(req) < 4 {
+			return nil, errors.New("shard: extract request: torn length prefix")
 		}
-		return fmt.Errorf("shard: empty epoch request")
-	}
-	var hdr epochHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return fmt.Errorf("shard: epoch header: %w", err)
-	}
-	nodes := make(map[socialnet.AccountID][]int, len(hdr.Nodes))
-	for _, na := range hdr.Nodes {
-		nodes[socialnet.AccountID(na.ID)] = na.Groups
-	}
-
-	// The worker-side epoch trace: its spans travel back in the response
-	// trailer tagged with the coordinator's trace id, giving the
-	// coordinator one stitched tree per epoch. A nil/disabled tracer makes
-	// every call below a no-op and the trailer span-free.
-	tracer := w.pcfg.Tracer
-	if tracer == nil {
-		tracer = trace.Default()
-	}
-	wtr := tracer.Start("shard_worker_epoch")
-	wtr.SetAttr("shard", strconv.Itoa(w.shard+1))
-	wtr.SetAttr("epoch", strconv.Itoa(hdr.Epoch))
-	if hdr.TraceID != "" {
-		wtr.SetAttr("coord_trace", hdr.TraceID)
-	}
-	if hdr.Origin != "" {
-		wtr.SetAttr("source", hdr.Origin)
-	}
-	msp := wtr.StartSpan("worker_match")
-
-	bw := bufio.NewWriter(resp)
-	enc := json.NewEncoder(bw)
-	count := 0
-	var writeErr error
-
-	r := pipeline.NewRunner(w.pcfg)
-	q := pipeline.NewQueue[*twitterapi.Tweet](r, "match")
-	pipeline.Sink(r, "match", q, func(batch []*twitterapi.Tweet) {
-		for _, wt := range batch {
-			hit, ok := w.match(nodes, wt)
-			if !ok || writeErr != nil {
-				continue
-			}
-			if writeErr = enc.Encode(hit); writeErr == nil {
-				count++
+		size := int(binary.LittleEndian.Uint32(req))
+		if req = req[4:]; size > len(req) {
+			return nil, fmt.Errorf("shard: extract request: capture %d runs past the body", n)
+		}
+		rec, err := store.DecodeCapture(req[:size])
+		if err != nil {
+			return nil, fmt.Errorf("shard: extract request: capture %d: %w", n, err)
+		}
+		req = req[size:]
+		vec := features.Stateless(features.Observation{Tweet: &rec.Tweet, Sender: rec.Sender, Receiver: rec.Receiver})
+		res := result{Vec: vec[:], TweetPrep: w.prepper.PrepTweet(&rec.Tweet)}
+		if rec.Sender != nil {
+			if _, ok := w.seen[rec.Sender.ID]; !ok {
+				w.seen[rec.Sender.ID] = struct{}{}
+				up := w.prepper.PrepUser(rec.Sender)
+				res.UserPrep = &up
 			}
 		}
-	})
-	r.Start()
-
-	var scanErr error
-	for sc.Scan() {
-		wt := new(twitterapi.Tweet)
-		if scanErr = json.Unmarshal(sc.Bytes(), wt); scanErr != nil {
-			break
+		if err := enc.Encode(res); err != nil {
+			return nil, fmt.Errorf("shard: extract response: %w", err)
 		}
-		_ = q.Push(wt)
+		n++
 	}
-	if scanErr == nil {
-		scanErr = sc.Err()
-	}
-	q.Close()
-	r.Wait()
-	msp.SetAttr("hits", strconv.Itoa(count))
-	msp.End()
-	wtr.Finish()
-	if scanErr != nil {
-		return fmt.Errorf("shard: epoch request: %w", scanErr)
-	}
-	if writeErr != nil {
-		return fmt.Errorf("shard: epoch response: %w", writeErr)
-	}
-	if err := enc.Encode(struct {
-		Done  int        `json:"done"`
-		Spans []WireSpan `json:"spans,omitempty"`
-	}{count, exportSpans(wtr)}); err != nil {
-		return err
-	}
-	return bw.Flush()
+	w.extracted.Add(float64(n))
+	err := enc.Encode(trailer{Done: n, ElapsedNS: int64(time.Since(start))})
+	return out.Bytes(), err
 }
 
-// exportSpans flattens a worker trace's spans for the response trailer.
-func exportSpans(tr *trace.Trace) []WireSpan {
-	info := tr.Snapshot()
-	if len(info.Spans) == 0 {
-		return nil
-	}
-	out := make([]WireSpan, 0, len(info.Spans))
-	for _, s := range info.Spans {
-		out = append(out, WireSpan{
-			Stage:         s.Stage,
-			StartUnixNano: s.Start.UnixNano(),
-			DurationNS:    s.DurationNS,
-			Attrs:         s.Attrs,
-		})
-	}
-	return out
-}
-
-// match runs the mention filter for one wire tweet against the epoch's
-// node subset and precomputes the stateless vector and label preps from
-// the embedded profile snapshots.
-func (w *WorkerCore) match(nodes map[socialnet.AccountID][]int, wt *twitterapi.Tweet) (Hit, bool) {
-	var groups []int
-	mentionIdx := -1
-	for i, m := range wt.Entities.Mentions {
-		if gis, ok := nodes[socialnet.AccountID(m.ID)]; ok {
-			groups = appendUnique(groups, gis)
-			if mentionIdx < 0 && i < len(wt.XMentionUsers) && wt.XMentionUsers[i].ID != 0 {
-				mentionIdx = i
-			}
-		}
-	}
-	if gis, ok := nodes[socialnet.AccountID(wt.User.ID)]; ok {
-		groups = appendUnique(groups, gis)
-	}
-	if len(groups) == 0 {
-		return Hit{}, false
-	}
-	sort.Ints(groups)
-
-	t, sender := decodeCandidate(wt)
-	var receiver *socialnet.Account
-	if mentionIdx >= 0 {
-		receiver = twitterapi.DecodeUser(&wt.XMentionUsers[mentionIdx])
-	}
-	vec := features.Stateless(features.Observation{Tweet: t, Sender: sender, Receiver: receiver})
-	hit := Hit{
-		TweetID:    wt.ID,
-		MentionIdx: mentionIdx,
-		Groups:     groups,
-		Vec:        vec[:],
-		TweetPrep:  w.prepper.PrepTweet(t),
-	}
-	if sender != nil {
-		if _, ok := w.seen[sender.ID]; !ok {
-			w.seen[sender.ID] = struct{}{}
-			up := w.prepper.PrepUser(sender)
-			hit.UserPrep = &up
-		}
-	}
-	return hit, true
-}
-
-// decodeCandidate reconstructs the tweet and its author snapshot from the
-// wire, honouring the author-missing marker (a capture whose author lookup
-// failed at emit time has no sender snapshot, exactly as Match produces).
-func decodeCandidate(wt *twitterapi.Tweet) (*socialnet.Tweet, *socialnet.Account) {
-	t, sender := twitterapi.DecodeTweet(wt)
-	if wt.XAuthorMissing {
-		sender = nil
-	}
-	return t, sender
-}
-
-// appendUnique merges gis into dst, preserving set semantics (the same
-// helper Match uses for multi-mention tweets).
-func appendUnique(dst []int, gis []int) []int {
-next:
-	for _, gi := range gis {
-		for _, have := range dst {
-			if have == gi {
-				continue next
-			}
-		}
-		dst = append(dst, gi)
-	}
-	return dst
-}
-
-// parseHits decodes one shard's epoch response, verifying the done
-// trailer: a missing trailer or a count mismatch means the stream was
-// truncated mid-write (worker died) and the epoch must be retried. The
-// trailer's exported worker spans ride back alongside the hits.
-func parseHits(resp []byte, shard int) ([]Hit, []WireSpan, error) {
-	var hits []Hit
-	var spans []WireSpan
-	sc := scannerFor(bytes.NewReader(resp))
+// readResults decodes one extract response for a batch of want captures.
+// It returns exactly want well-formed results or an error: a torn line, a
+// missing trailer, or a count that disagrees with the trailer or the
+// request means the worker died mid-write (or is not the worker we think
+// it is) and the batch must be retried.
+func readResults(resp []byte, want int) (results []result, workerNS int64, err error) {
 	done := -1
-	for sc.Scan() {
+	for len(resp) > 0 {
 		if done >= 0 {
-			return nil, nil, fmt.Errorf("shard %d: data after done trailer", shard)
+			return nil, 0, errors.New("data after done trailer")
 		}
-		var line hitLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			return nil, nil, fmt.Errorf("shard %d: response line: %w", shard, err)
+		var raw []byte
+		raw, resp, _ = bytes.Cut(resp, []byte("\n"))
+		var line resultLine
+		if err := json.Unmarshal(raw, &line); err != nil {
+			return nil, 0, fmt.Errorf("response line: %w", err)
 		}
 		if line.Done != nil {
-			done = *line.Done
-			spans = line.Spans
+			done, workerNS = *line.Done, line.ElapsedNS
 			continue
 		}
 		if len(line.Vec) != features.NumFeatures {
-			return nil, nil, fmt.Errorf("shard %d: hit vector has %d features", shard, len(line.Vec))
+			return nil, 0, fmt.Errorf("result vector has %d features", len(line.Vec))
 		}
-		if n := len(hits); n > 0 && hits[n-1].TweetID >= line.TweetID {
-			return nil, nil, fmt.Errorf("shard %d: hits out of order", shard)
-		}
-		hits = append(hits, line.Hit)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("shard %d: response: %w", shard, err)
+		results = append(results, line.result)
 	}
 	if done < 0 {
-		return nil, nil, fmt.Errorf("shard %d: response truncated (no done trailer)", shard)
+		return nil, 0, errors.New("response truncated (no done trailer)")
 	}
-	if done != len(hits) {
-		return nil, nil, fmt.Errorf("shard %d: response truncated (%d hits, trailer says %d)", shard, len(hits), done)
+	if done != len(results) || done != want {
+		return nil, 0, fmt.Errorf("response truncated (%d results, trailer says %d, batch has %d)", len(results), done, want)
 	}
-	return hits, spans, nil
+	return results, workerNS, nil
 }

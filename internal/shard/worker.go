@@ -3,6 +3,7 @@ package shard
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -11,37 +12,34 @@ import (
 	"os/exec"
 	"strings"
 	"sync"
-	"time"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/label"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/metrics"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/obs"
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/pipeline"
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/trace"
 )
 
-// EnvWorker marks a process as a proc-mode shard worker; its value is
+// envWorker marks a process as a proc-mode shard worker; its value is
 // "<shard>/<shards>". The coordinator spawns workers by re-executing the
 // current binary with this variable set, so any binary embedding the
 // coordinator must call MaybeWorker first thing in main (and in TestMain).
-const EnvWorker = "PH_SHARD_WORKER"
+const envWorker = "PH_SHARD_WORKER"
 
 // addrPrefix tags the worker's listen-address line on stdout.
 const addrPrefix = "PH_SHARD_ADDR "
 
 // MaybeWorker turns the current process into a shard worker when the
-// worker env marker is set: it serves the epoch RPC on a loopback
+// worker env marker is set: it serves the extract RPC on a loopback
 // listener, announces the address on stdout, and exits when stdin closes
 // (coordinator shutdown or death). It never returns in worker processes
 // and is a no-op otherwise.
 func MaybeWorker() {
-	spec := os.Getenv(EnvWorker)
+	spec := os.Getenv(envWorker)
 	if spec == "" {
 		return
 	}
 	var shardIdx, shards int
 	if _, err := fmt.Sscanf(spec, "%d/%d", &shardIdx, &shards); err != nil {
-		fmt.Fprintf(os.Stderr, "shard worker: bad %s=%q: %v\n", EnvWorker, spec, err)
+		fmt.Fprintf(os.Stderr, "shard worker: bad %s=%q: %v\n", envWorker, spec, err)
 		os.Exit(2)
 	}
 	if err := runWorker(shardIdx); err != nil {
@@ -51,57 +49,39 @@ func MaybeWorker() {
 	os.Exit(0)
 }
 
-// runWorker serves one shard's epoch RPC until stdin closes. The same
-// loopback listener doubles as the worker's admin surface: /metrics,
-// /healthz, and /debug/traces, scraped by the coordinator's fleet
-// federator (internal/obs) and browsable directly when debugging one
-// shard.
+// runWorker serves one shard's extract RPC until stdin closes. The same
+// loopback listener doubles as the worker's admin surface: /metrics and
+// /healthz, scraped by the coordinator's fleet federator (internal/obs)
+// and browsable directly when debugging one shard.
 func runWorker(shardIdx int) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
-	// Worker-side observability: spans for the epoch trace stitching, the
-	// runtime collector, and the pipeline stall watchdog, all against the
-	// process-default registry the admin /metrics serves.
-	tracer := trace.Default()
-	tracer.Configure(trace.Config{
-		Enabled:  true,
-		Observer: metrics.Default().SpanObserver(),
-	})
-	collector := obs.NewCollector(metrics.Default())
-	stopCollector := collector.Start(0)
+	stopCollector := obs.NewCollector(metrics.Default()).Start(0)
 	defer stopCollector()
-	watchdog := obs.NewWatchdog(obs.WatchdogConfig{
-		Metrics: metrics.Default(),
-		Logger:  trace.NewLogger(os.Stderr, trace.LevelWarn),
-	})
-	stopWatchdog := watchdog.Start()
-	defer stopWatchdog()
 
-	core := NewWorkerCore(shardIdx, label.DefaultConfig(), pipeline.Config{
-		Tracer:    tracer,
-		Heartbeat: watchdog.HeartbeatFunc(),
-	})
+	core := NewWorkerCore(shardIdx, label.DefaultConfig(), nil)
 	mux := http.NewServeMux()
 	mux.Handle("GET /metrics", metrics.Default().Handler())
 	mux.Handle("GET /healthz", metrics.HealthHandler())
-	mux.Handle("GET /debug/traces", tracer.Handler())
-	mux.Handle("GET /debug/traces/{id}", tracer.Handler())
-	mux.HandleFunc("POST /shard/epoch", func(w http.ResponseWriter, r *http.Request) {
-		// Buffer the whole response and write it only after the request
-		// body is fully consumed: HTTP/1.1 is half-duplex, and the Go
-		// server reacts to a response write with the body still uploading
-		// by draining and closing the body, truncating the epoch stream
-		// mid-request. A failed epoch maps to a non-200, which the
+	mux.HandleFunc("POST /shard/extract", func(w http.ResponseWriter, r *http.Request) {
+		// The response is written only after the request body is fully
+		// consumed: HTTP/1.1 is half-duplex, and the Go server reacts to a
+		// response write with the body still uploading by draining and
+		// closing the body. A failed batch maps to a non-200, which the
 		// coordinator treats like a dead worker and retries.
-		var buf bytes.Buffer
-		if err := core.Epoch(r.Body, &buf); err != nil {
-			fmt.Fprintf(os.Stderr, "shard worker %d: epoch: %v\n", shardIdx, err)
+		body, err := io.ReadAll(r.Body)
+		var resp []byte
+		if err == nil {
+			resp, err = core.Extract(body)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "shard worker %d: extract: %v\n", shardIdx, err)
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		_, _ = w.Write(buf.Bytes())
+		_, _ = w.Write(resp)
 	})
 	srv := &http.Server{Handler: mux}
 	go func() {
@@ -122,12 +102,11 @@ type workerProc struct {
 }
 
 // procTransport is the production Transport: one worker subprocess per
-// shard, epoch requests POSTed over loopback HTTP. The mutex guards the
-// worker table: Restart swaps entries on the coordinator goroutine while
-// the federator's scrape loop reads AdminURLs concurrently.
+// shard, batch requests POSTed over loopback HTTP. The mutex guards the
+// worker table: Restart swaps entries on a shard goroutine while the
+// federator's scrape loop reads AdminURLs concurrently.
 type procTransport struct {
 	shards int
-	client *http.Client
 
 	mu      sync.Mutex
 	workers []*workerProc
@@ -148,13 +127,13 @@ func (pt *procTransport) AdminURLs() []string {
 	return urls
 }
 
-func newProcTransport(shards int) (*procTransport, error) {
-	pt := &procTransport{
-		shards: shards,
-		client: &http.Client{Timeout: 5 * time.Minute},
-	}
-	for s := 0; s < shards; s++ {
-		w, err := spawnWorker(s, shards)
+// SpawnWorkers starts the production worker fleet — one subprocess per
+// shard (min 1), each this binary re-executed with envWorker set — for
+// FanoutConfig.Workers.
+func SpawnWorkers(shards int) (Transport, error) {
+	pt := &procTransport{shards: max(shards, 1)}
+	for s := 0; s < pt.shards; s++ {
+		w, err := spawnWorker(s, pt.shards)
 		if err != nil {
 			_ = pt.Close()
 			return nil, err
@@ -168,7 +147,7 @@ func newProcTransport(shards int) (*procTransport, error) {
 // to announce its listen address.
 func spawnWorker(shardIdx, shards int) (*workerProc, error) {
 	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), fmt.Sprintf("%s=%d/%d", EnvWorker, shardIdx, shards))
+	cmd.Env = append(os.Environ(), fmt.Sprintf("%s=%d/%d", envWorker, shardIdx, shards))
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
 		return nil, err
@@ -199,20 +178,18 @@ func spawnWorker(shardIdx, shards int) (*workerProc, error) {
 func (w *workerProc) kill() {
 	_ = w.stdin.Close()
 	_ = w.cmd.Process.Kill()
-	_, _ = cmdWait(w.cmd)
+	_ = w.cmd.Wait() // the expected kill error
 }
 
-// cmdWait swallows the expected kill error.
-func cmdWait(cmd *exec.Cmd) (bool, error) {
-	err := cmd.Wait()
-	return err == nil, err
-}
-
-func (pt *procTransport) Epoch(shard int, body []byte) ([]byte, error) {
+func (pt *procTransport) Extract(ctx context.Context, shard int, body []byte) ([]byte, error) {
 	pt.mu.Lock()
 	w := pt.workers[shard]
 	pt.mu.Unlock()
-	resp, err := pt.client.Post(w.addr+"/shard/epoch", "application/x-ndjson", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.addr+"/shard/extract", bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}

@@ -70,17 +70,6 @@ type Tweet struct {
 	// for evaluation harnesses. They are absent from normal streams.
 	Spam       *bool `json:"x_oracle_spam,omitempty"`
 	CampaignID *int  `json:"x_oracle_campaign,omitempty"`
-
-	// XMentionUsers, when present, embeds the mentioned users' profile
-	// snapshots index-aligned with Entities.Mentions (a zero-ID entry marks
-	// a mention whose profile could not be resolved). The sharded
-	// coordinator uses it to ship receiver snapshots to worker processes in
-	// one line instead of per-mention REST lookups; plain API streams never
-	// set it. XAuthorMissing marks a tweet whose author profile could not
-	// be resolved at encode time, distinguishing that from an author with
-	// zero-valued fields.
-	XMentionUsers  []User `json:"x_mention_users,omitempty"`
-	XAuthorMissing bool   `json:"x_author_missing,omitempty"`
 }
 
 // Clone returns a deep copy of the tweet that owns all of its memory.
@@ -105,12 +94,6 @@ func (t Tweet) Clone() Tweet {
 		c.Entities.Mentions = make([]Mention, len(t.Entities.Mentions))
 		for i, m := range t.Entities.Mentions {
 			c.Entities.Mentions[i] = Mention{ID: m.ID, ScreenName: strings.Clone(m.ScreenName)}
-		}
-	}
-	if t.XMentionUsers != nil {
-		c.XMentionUsers = make([]User, len(t.XMentionUsers))
-		for i, u := range t.XMentionUsers {
-			c.XMentionUsers[i] = u.clone()
 		}
 	}
 	if t.Spam != nil {
@@ -222,31 +205,6 @@ func encodeTweet(t *socialnet.Tweet, lookup func(socialnet.AccountID) *socialnet
 		campaign := t.CampaignID
 		wire.Spam = &spam
 		wire.CampaignID = &campaign
-	}
-	return wire
-}
-
-// EncodeTweet converts a tweet to its wire form, optionally embedding the
-// author's and mentioned users' profile snapshots (x_mention_users). The
-// encoding freezes the profiles at call time, so encoding on the engine
-// goroutine at emit time captures exactly the values an in-process match
-// snapshot would — the property the sharded proc-mode wire depends on.
-// Ground truth is never exposed.
-func EncodeTweet(t *socialnet.Tweet, lookup func(socialnet.AccountID) *socialnet.Account, embedMentions bool) Tweet {
-	wire := encodeTweet(t, lookup, false)
-	if wire.User.ID == 0 {
-		// Author lookup failed: keep the true author id on the wire (the
-		// mention filter needs it) but mark the profile as absent.
-		wire.User.ID = int64(t.AuthorID)
-		wire.XAuthorMissing = true
-	}
-	if embedMentions && len(t.Mentions) > 0 {
-		wire.XMentionUsers = make([]User, len(t.Mentions))
-		for i, id := range t.Mentions {
-			if a := lookup(id); a != nil {
-				wire.XMentionUsers[i] = encodeUser(a)
-			}
-		}
 	}
 	return wire
 }

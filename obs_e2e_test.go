@@ -45,10 +45,11 @@ func counterTotal(fams []metrics.FamilySnapshot, name string, want map[string]st
 // TestProcFederationEndToEnd drives real worker subprocesses and checks
 // the whole observability tentpole at once: the coordinator scrapes the
 // workers' loopback /metrics, the merged rollup is internally consistent
-// across the process boundary (worker-side pipeline counters equal the
-// coordinator's wire counters), fleet totals equal an unsharded run's,
-// the rollup re-federates to a fixpoint, the aggregated health view is
-// green, and /debug/traces holds stitched cross-process epoch trees.
+// across the process boundary (each worker's extracted-capture counter
+// equals the coordinator's count of results that worker returned), fleet
+// totals equal an unsharded run's, the rollup re-federates to a fixpoint,
+// the aggregated health view is green, and /debug/traces holds capture
+// traces whose shard_extract span carries the worker's elapsed time.
 func TestProcFederationEndToEnd(t *testing.T) {
 	const shards, hours = 2, 4
 
@@ -67,9 +68,8 @@ func TestProcFederationEndToEnd(t *testing.T) {
 	if err := sniffer.RunHours(hours); err != nil {
 		t.Fatal(err)
 	}
-	// The last hour's epoch is still open (it flushes at the next hour
-	// boundary, drain, or Close); DetectAll drains it, so the workers have
-	// seen every line the coordinator counted.
+	// The last micro-batches may still be in flight; DetectAll drains, so
+	// every result a worker produced has been counted on both sides.
 	if _, err := sniffer.DetectAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestProcFederationEndToEnd(t *testing.T) {
 	}
 
 	// Workers expose per-process health on the same loopback server that
-	// speaks the epoch wire.
+	// answers extract requests.
 	resp, err := http.Get(urls[0] + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -110,22 +110,21 @@ func TestProcFederationEndToEnd(t *testing.T) {
 	}
 	rollup := fed.Rollup()
 
-	// Cross-process consistency: every NDJSON line the coordinator sent a
-	// shard is one item through that worker's match stage, so the scraped
-	// worker-side pipeline counter must equal the coordinator-side wire
-	// counter, per shard.
+	// Cross-process consistency: every capture a worker extracted is one
+	// result line the coordinator read back (no batch was retried in this
+	// run), so the scraped worker-side counter must equal the
+	// coordinator-side one, per shard.
 	coord := reg.Snapshot()
 	for s := 1; s <= shards; s++ {
-		shard := strconv.Itoa(s)
-		lines := counterTotal(coord, "ph_shard_epoch_lines_total", map[string]string{"shard": shard})
-		matched := counterTotal(rollup, "ph_pipeline_items_total",
-			map[string]string{"stage": "match", "shard": shard})
-		if lines == 0 {
-			t.Fatalf("shard %s saw no epoch lines", shard)
+		shard := map[string]string{"shard": strconv.Itoa(s)}
+		shipped := counterTotal(coord, "ph_shard_batch_captures_total", shard)
+		extracted := counterTotal(rollup, "ph_shard_worker_extracted_total", shard)
+		if shipped == 0 {
+			t.Fatalf("shard %d returned no captures", s)
 		}
-		if matched != lines {
-			t.Fatalf("shard %s: worker match items %v != coordinator lines %v",
-				shard, matched, lines)
+		if extracted != shipped {
+			t.Fatalf("shard %d: worker extracted %v captures != coordinator read back %v",
+				s, extracted, shipped)
 		}
 	}
 
@@ -193,35 +192,31 @@ func TestProcFederationEndToEnd(t *testing.T) {
 		}
 	}
 
-	// /debug/traces shows stitched cross-process epoch trees: a
-	// shard_epoch trace whose spans include the workers' re-ingested
-	// worker_match spans parented under shard_extract.
-	stitched := 0
+	// /debug/traces shows each capture's extract step across the process
+	// boundary: a shard_extract span tagged with the shard and the worker's
+	// own elapsed time.
+	remote := 0
 	for _, info := range tracer.Recent() {
-		if info.Name != "shard_epoch" {
+		sp, ok := info.Span("shard_extract")
+		if info.Name != "capture" || !ok {
 			continue
 		}
-		for _, sp := range info.Spans {
-			if sp.Stage != "worker_match" {
-				continue
-			}
-			attrs := map[string]string{}
-			for _, kv := range sp.Attrs {
-				attrs[kv.Key] = kv.Value
-			}
-			if attrs["parent"] == "shard_extract" && attrs["shard"] != "" {
-				stitched++
-			}
+		attrs := map[string]string{}
+		for _, kv := range sp.Attrs {
+			attrs[kv.Key] = kv.Value
+		}
+		if attrs["shard"] != "" && attrs["worker_ns"] != "" {
+			remote++
 		}
 	}
-	if stitched == 0 {
-		t.Fatal("no stitched cross-process epoch tree in /debug/traces")
+	if remote == 0 {
+		t.Fatal("no capture trace with a worker-timed shard_extract span in /debug/traces")
 	}
 
 	// And the HTTP debug view renders them.
 	rr = httptest.NewRecorder()
 	tracer.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/debug/traces", nil))
-	if rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), "shard_epoch") {
-		t.Fatalf("/debug/traces missing epoch trees: %d\n%s", rr.Code, rr.Body.String())
+	if rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), "worker_ns") {
+		t.Fatalf("/debug/traces missing worker-timed extract spans: %d\n%s", rr.Code, rr.Body.String())
 	}
 }

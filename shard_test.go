@@ -9,9 +9,9 @@ import (
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/trace"
 )
 
-// TestMain lets proc-mode shard coordinators spawn workers by re-executing
-// this test binary: a process started with the worker env marker serves
-// the epoch RPC instead of running tests.
+// TestMain lets proc-mode sniffers spawn workers by re-executing this test
+// binary: a process started with the worker env marker serves the extract
+// RPC instead of running tests.
 func TestMain(m *testing.M) {
 	shard.MaybeWorker()
 	os.Exit(m.Run())
@@ -20,8 +20,8 @@ func TestMain(m *testing.M) {
 // shardGoldenConfig is the reference configuration of the pinned streaming
 // fingerprint (goldenStream in source_test.go), extended with a shard
 // topology. Tracing and an isolated metrics registry are on: the
-// observability layer — epoch trace ids on the wire, stitched worker
-// spans, federated counters — must be invisible in every fingerprinted
+// observability layer — per-capture extract spans timed across the process
+// boundary, federated counters — must be invisible in every fingerprinted
 // observable.
 func shardGoldenConfig(shards int, mode string) SnifferConfig {
 	return goldenStream(func(cfg *SnifferConfig) {

@@ -60,34 +60,7 @@ func TestTwitterSourceGolden(t *testing.T) {
 // merge restores it (the "a replay source cannot be sharded" rule is gone).
 func TestReplayReproducesRun(t *testing.T) {
 	t.Setenv(parallel.EnvWorkers, "2")
-	dir := t.TempDir()
-	sim := testSimulation(t)
-	rec, err := NewSniffer(sim, goldenStream(func(cfg *SnifferConfig) {
-		cfg.Durability = DurabilityConfig{
-			Dir: dir,
-			// Default hourly checkpoints on purpose: RecordRotations must
-			// suspend compaction pruning (store RetainAll), or the segments
-			// the replay needs would be gone by the end of the recording.
-			RecordRotations: true,
-		}
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.RunHours(6); err != nil {
-		t.Fatal(err)
-	}
-	res, err := rec.DetectAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fingerprintResult(res)
-	if want != goldenStreamingFingerprint {
-		t.Fatalf("recording run drifted from the golden run:\n got  %s\n want %s",
-			want, goldenStreamingFingerprint)
-	}
-	rec.Close() // stamps the profile epilogue the replay labels against
-
+	dir, want := recordGoldenRun(t)
 	for _, shards := range []int{1, 2, 4} {
 		src, err := NewReplaySource(dir)
 		if err != nil {
@@ -112,6 +85,41 @@ func TestReplayReproducesRun(t *testing.T) {
 		}
 		rep.Close()
 	}
+}
+
+// recordGoldenRun records six hours at the reference configuration, with
+// rotation records, into a fresh directory, and returns it with the
+// recording run's fingerprint — which is the golden one.
+func recordGoldenRun(t *testing.T) (dir, fingerprint string) {
+	t.Helper()
+	dir = t.TempDir()
+	sim := testSimulation(t)
+	rec, err := NewSniffer(sim, goldenStream(func(cfg *SnifferConfig) {
+		cfg.Durability = DurabilityConfig{
+			Dir: dir,
+			// Default hourly checkpoints on purpose: RecordRotations must
+			// suspend compaction pruning (store RetainAll), or the segments
+			// the replay needs would be gone by the end of the recording.
+			RecordRotations: true,
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.RunHours(6); err != nil {
+		t.Fatal(err)
+	}
+	res, err := rec.DetectAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fingerprint = fingerprintResult(res)
+	if fingerprint != goldenStreamingFingerprint {
+		t.Fatalf("recording run drifted from the golden run:\n got  %s\n want %s",
+			fingerprint, goldenStreamingFingerprint)
+	}
+	rec.Close() // stamps the profile epilogue the replay labels against
+	return dir, fingerprint
 }
 
 // goldenMuxFingerprint pins the muxed twitter+reddit run at the reference
@@ -164,8 +172,9 @@ func TestMuxDeterminism(t *testing.T) {
 // TestSnifferConfigValidate covers every cross-field rule Validate
 // enforces, including the ones NewSniffer used to reject piecemeal. The
 // "proc with durability" and "replay cannot shard" rows are valid since the
-// one-tail refactor: TestTopologyMatrix and TestReplayReproducesRun run
-// those combinations end to end.
+// one-tail refactor, and the "sources in proc mode" rule went with the epoch
+// wire: TestTopologyMatrix and TestReplayReproducesRun run those
+// combinations end to end.
 func TestSnifferConfigValidate(t *testing.T) {
 	stream := StreamConfig{Enabled: true}
 	replaySrc := func(t *testing.T) IngestSource {
@@ -236,10 +245,6 @@ func TestSnifferConfigValidate(t *testing.T) {
 		{"sources without stream", func(t *testing.T) SnifferConfig {
 			return SnifferConfig{Sources: []IngestSource{tw(t)}}
 		}, "explicit Sources require the streaming pipeline"},
-		{"sources in proc mode", func(t *testing.T) SnifferConfig {
-			return SnifferConfig{Stream: stream, ShardMode: "proc",
-				Sources: []IngestSource{tw(t)}}
-		}, "proc shard mode does not support explicit Sources: the epoch wire stamps one origin per epoch"},
 		{"sources with durability", func(t *testing.T) SnifferConfig {
 			return SnifferConfig{Stream: stream,
 				Durability: DurabilityConfig{Dir: "x"},

@@ -9,9 +9,9 @@ import (
 )
 
 // tail is the stateful end of every streaming topology (DESIGN.md §12):
-// whatever matched and pre-extracted a capture — fanout shard goroutines,
-// proc workers, or the WAL replay of a restart — its order-dependent
-// effects happen here, once, in three steps: complete, label, observe.
+// whatever matched and pre-extracted a capture — the fanout's shards or
+// the WAL replay of a restart — its order-dependent effects happen here,
+// once, in three steps: complete, label, observe.
 //
 // The order contract: each step sees captures in stream order, from one
 // goroutine at a time (the fanout runs the steps on its merge, label and
@@ -100,8 +100,8 @@ func (t *tail) trackProfile(id socialnet.AccountID) {
 
 // label joins one micro-batch into the incremental label store and sets
 // each item's provisional verdict. Batch boundaries never change results
-// (AddBatchPrepared is batching-invariant), so a 16-capture micro-batch,
-// a whole proc epoch and a whole WAL tail all label alike.
+// (AddBatchPrepared is batching-invariant), so a 16-capture micro-batch
+// and a whole WAL tail label alike.
 func (t *tail) label(items []shard.Item) {
 	tweets := make([]*socialnet.Tweet, len(items))
 	authors := make([]*socialnet.Account, len(items))
@@ -137,8 +137,8 @@ func (t *tail) observe(it *shard.Item) {
 }
 
 // apply runs the three steps back to back on the caller's goroutine, for
-// the executors that deliver whole ordered batches: a proc epoch, the WAL
-// tail of a restart.
+// the one producer that delivers a whole ordered batch: the WAL tail of a
+// restart.
 func (t *tail) apply(items []shard.Item) {
 	for i := range items {
 		t.complete(&items[i])

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/parallel"
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/source"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/store/fstest"
 )
 
@@ -56,38 +57,80 @@ func goroutineBaseline(t *testing.T) (settled func()) {
 	}
 }
 
+// sourceCounts is what the per-source ingest counters of one run add up to.
+type sourceCounts struct{ posts, captures float64 }
+
 // goldenCell is the one end-to-end check every topology × durability cell
 // shares: at the golden configuration, six hours advanced with
 // Simulation.RunHours (what every program in examples/ does) reproduce
 // goldenStreamingFingerprint; Close is idempotent; and every goroutine the
 // sniffer started has stopped once Close returns.
-func goldenCell(t *testing.T, cfg SnifferConfig) {
+func goldenCell(t *testing.T, cfg SnifferConfig) sourceCounts {
+	t.Helper()
+	return sourcesCell(t, cfg, nil, goldenStreamingFingerprint)
+}
+
+// sourcesCell is goldenCell over explicit sources (nil keeps the implicit
+// twitter source) and the fingerprint they pin. It also holds the
+// per-source counters (every cell has a registry of its own) to what
+// matchPost saw, whatever the executor: posts and captures both counted,
+// and the captures exactly the monitor's.
+func sourcesCell(t *testing.T, cfg SnifferConfig, sources func(*Simulation) []IngestSource, want string) sourceCounts {
 	t.Helper()
 	t.Setenv(parallel.EnvWorkers, "2")
 	settled := goroutineBaseline(t)
 	sim := testSimulation(t)
+	if cfg.Metrics == nil {
+		cfg.Metrics = NewMetricsRegistry()
+	}
+	if sources != nil {
+		cfg.Sources = sources(sim)
+	}
 	sn, err := NewSniffer(sim, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(sn.Close)
-	sim.RunHours(6)
+	if sources != nil {
+		// Explicit sources are advanced through the sniffer.
+		if err := sn.RunHours(6); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		sim.RunHours(6)
+	}
 	res, err := sn.DetectAll()
 	if err != nil {
 		t.Fatal(err)
 	}
+	fams := cfg.Metrics.Snapshot()
+	counts := sourceCounts{
+		posts:    counterTotal(fams, "ph_source_posts_total", nil),
+		captures: counterTotal(fams, "ph_source_captures_total", nil),
+	}
+	if counts.posts == 0 || counts.captures != float64(len(sn.Monitor().Captures())) {
+		t.Fatalf("per-source counters: %v posts, %v captures, monitor holds %d",
+			counts.posts, counts.captures, len(sn.Monitor().Captures()))
+	}
 	sn.Close()
 	sn.Close()
-	assertGolden(t, res)
+	if got := fingerprintResult(res); got != want {
+		t.Fatalf("fingerprint drifted from golden:\n got  %s\n want %s", got, want)
+	}
 	settled()
+	return counts
 }
 
-// TestTopologyMatrix runs every executor with durability off and on. The
-// proc × durable cells are the tests of the Validate rule this matrix
-// replaced ("proc shard mode does not support durability"): a straight run,
-// a clean restart that resumes, and a crash at hour k all land on the
-// golden fingerprint.
+// TestTopologyMatrix runs every executor with durability off and on, and
+// proc × 2 over every kind of explicit source. The proc × durable cells and
+// the proc × sources cells are the tests of the two Validate rules this
+// matrix replaced ("proc shard mode does not support durability", "… does
+// not support explicit Sources"): a straight run, a clean restart that
+// resumes, a crash at hour k, a mux of one, a mux of two and a replayed
+// recording all land on their golden fingerprint. Every cell also exports
+// the same per-source counters — they are matchPost's, in every mode.
 func TestTopologyMatrix(t *testing.T) {
+	var first *sourceCounts
 	for _, topo := range topologies {
 		for _, durable := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/durable=%t", topo.name, durable), func(t *testing.T) {
@@ -95,14 +138,20 @@ func TestTopologyMatrix(t *testing.T) {
 				if durable {
 					cfg.Durability = DurabilityConfig{Backend: fstest.New(), SyncEvery: 4}
 				}
-				goldenCell(t, cfg)
+				got := goldenCell(t, cfg)
+				if first == nil {
+					first = &got
+				}
+				if got != *first {
+					t.Fatalf("per-source counters %+v differ from the first cell's %+v", got, *first)
+				}
 			})
 		}
 	}
 
 	t.Run("proc×2/clean-restart", func(t *testing.T) {
-		// Close flushes hour 3's open epoch into the WAL: the tail the
-		// restart replays.
+		// Close lets hour 3's in-flight batches clear the tail into the
+		// WAL: the tail the restart replays.
 		cfg := shardGoldenConfig(2, "proc")
 		cfg.Durability = DurabilityConfig{Backend: fstest.New()}
 		cleanRestartResumes(t, cfg)
@@ -115,13 +164,79 @@ func TestTopologyMatrix(t *testing.T) {
 		cfg.Durability = DurabilityConfig{Backend: b, SyncEvery: 8}
 		crashAndRecover(t, cfg, b, 3, 5, nil)
 	})
+
+	t.Run("proc×2/mux-of-one", func(t *testing.T) {
+		sourcesCell(t, shardGoldenConfig(2, "proc"), func(sim *Simulation) []IngestSource {
+			return []IngestSource{source.NewMux(NewTwitterSource(sim))}
+		}, goldenStreamingFingerprint)
+	})
+
+	t.Run("proc×2/mux-of-two", func(t *testing.T) {
+		sourcesCell(t, shardGoldenConfig(2, "proc"), func(sim *Simulation) []IngestSource {
+			reddit, err := NewRedditSource(RedditSourceConfig{Seed: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []IngestSource{NewTwitterSource(sim), reddit}
+		}, goldenMuxFingerprint)
+	})
+
+	t.Run("proc×2/record→replay", func(t *testing.T) {
+		t.Setenv(parallel.EnvWorkers, "2")
+		dir, want := recordGoldenRun(t)
+		sourcesCell(t, shardGoldenConfig(2, "proc"), func(*Simulation) []IngestSource {
+			src, err := NewReplaySource(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []IngestSource{src}
+		}, want)
+	})
+}
+
+// TestProcLabelsWithinTheHour: in proc mode a capture reaches the label
+// step at the stage graph's micro-batch latency, like everywhere else, not
+// at the next hour boundary. Half an hour into the first hour — the only
+// hook that has fired is hour 0's — a drain finds the label store already
+// populated and every capture so far completed.
+func TestProcLabelsWithinTheHour(t *testing.T) {
+	t.Setenv(parallel.EnvWorkers, "2")
+	sim := testSimulation(t)
+	sn, err := NewSniffer(sim, shardGoldenConfig(2, "proc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Close()
+	hooks := 0
+	sim.engine.OnHourStart(func(int, time.Time) { hooks++ })
+	halfPast := sim.Now().Add(30 * time.Minute)
+	checked := false
+	// Registered after the sniffer's own subscription, so the sniffer has
+	// already matched the tweet this callback sees; the engine is blocked in
+	// the callback, which is the quiescence a drain needs.
+	cancel := sim.Subscribe(func(tw *Tweet) {
+		if checked || tw.CreatedAt.Before(halfPast) {
+			return
+		}
+		checked = true
+		sn.drainPipeline()
+		labeled, _ := sn.tail.labels.Len()
+		if captured := len(sn.Monitor().Captures()); hooks != 1 || labeled == 0 || labeled != captured {
+			t.Errorf("half an hour in, after %d hour hooks: %d tweets labeled, %d captured", hooks, labeled, captured)
+		}
+	})
+	defer cancel()
+	sim.RunHours(1)
+	if !checked {
+		t.Fatal("no tweet in the second half of the hour")
+	}
 }
 
 // TestProcAdvancedBySimulation is the regression test for proc mode
-// capturing nothing unless driven through Sniffer.RunHours: the hour hook's
-// BeginEpoch used to reset epoch buffers only Sniffer.RunHours flushed. A
-// DetectAll in the middle of a run must flush the open epoch without
-// disturbing what follows: the schedule run 3 h, detect, run 3 h, detect
+// capturing nothing unless driven through Sniffer.RunHours (its hour hook
+// used to reset buffers only Sniffer.RunHours flushed). A DetectAll in the
+// middle of a run must drain what is in flight without disturbing what
+// follows: the schedule run 3 h, detect, run 3 h, detect
 // gives the same result in proc mode as on goroutine shards. (It is not
 // the golden: a mid-run DetectAll feeds verdicts back into the extractor's
 // environment scores, in every topology alike.)
