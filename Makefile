@@ -38,9 +38,9 @@ TRACE_COVER_MIN := 90
 # and silent data loss, so untested recovery branches are latent
 # divergence bugs.
 STORE_COVER_MIN := 90
-# obs: the federation merge and the watchdog are what operators see of a
-# sharded fleet — an untested branch there is a blind spot in the one
-# deployment mode that matters at scale.
+# obs: the runtime collector and the stall watchdog are how an operator
+# sees a daemon's heap, GC and stuck stages — an untested branch there is
+# a blind spot exactly when a run goes wrong.
 OBS_COVER_MIN := 90
 # source: the ingestion layer decides what the whole pipeline sees, so an
 # untested delivery or merge branch is a silent stream corruption.

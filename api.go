@@ -407,6 +407,10 @@ func (s *Sniffer) labelConfig() label.Config {
 	return lcfg
 }
 
+// spawnWorkers starts the proc-mode worker fleet; a variable so a test can
+// wrap the transport it returns.
+var spawnWorkers = shard.SpawnWorkers
+
 // attachStream wires the one streaming stage graph (DESIGN.md §12) and
 // subscribes it to the ingest source:
 //
@@ -441,7 +445,7 @@ func (s *Sniffer) attachStream() error {
 	var workers shard.Transport
 	if cfg.ShardMode == "proc" {
 		var err error
-		if workers, err = shard.SpawnWorkers(cfg.Shards); err != nil {
+		if workers, err = spawnWorkers(cfg.Shards); err != nil {
 			return err
 		}
 	}
@@ -540,26 +544,25 @@ func (s *Sniffer) Close() {
 // Monitor exposes the underlying monitor (groups, captures, PGE inputs).
 func (s *Sniffer) Monitor() *Monitor { return s.monitor }
 
-// ShardAdminURLs returns the admin base URLs of the proc-mode shard
-// workers (each serves /metrics and /healthz on its loopback extract
-// listener), indexed by shard. Nil outside proc mode. A respawned worker
-// changes its entry, so callers should re-read rather than cache — the
-// fleet federator's Targets hook does exactly that.
-func (s *Sniffer) ShardAdminURLs() []string {
-	if s.fanout == nil {
-		return nil
-	}
-	return s.fanout.AdminURLs()
-}
-
-// HealthExtra returns the /healthz hook reporting the durable store's WAL
-// status (last checkpoint seq, segment count, last fsync error), or nil
-// when the sniffer runs without -store-dir.
+// HealthExtra returns the /healthz hook for what this sniffer knows
+// beyond liveness: the durable store's WAL section (last checkpoint seq,
+// segment count, last fsync error) with -store-dir, and one row per
+// proc-mode shard worker (ok, restarting or failed, restarts, last error)
+// with -shard-mode proc. Nil when there is neither.
 func (s *Sniffer) HealthExtra() func(*metrics.Health) {
-	if s.store == nil {
-		return nil
+	var wal func(*metrics.Health)
+	if s.store != nil {
+		wal = s.store.HealthExtra()
 	}
-	return s.store.HealthExtra()
+	if s.cfg.ShardMode != "proc" {
+		return wal
+	}
+	return func(h *metrics.Health) {
+		if wal != nil {
+			wal(h)
+		}
+		h.Shards = s.fanout.ShardHealth()
+	}
 }
 
 // DetectionResult is the outcome of DetectAll.

@@ -14,7 +14,6 @@
 //	          [-capture-cap 0]
 //	          [-store-dir DIR] [-sync-every 1] [-checkpoint-every 1]
 //	          [-metrics-addr :9331] [-export run.json]
-//	          [-obs-scrape-interval 2s]
 //	          [-trace-buffer 256] [-slow-span 250ms] [-log-level info]
 //	          [-pprof]
 //
@@ -56,9 +55,14 @@
 // With -metrics-addr, the process serves its live metrics registry at
 // GET /metrics (Prometheus text), GET /healthz, and — when tracing is on —
 // the per-capture pipeline traces at GET /debug/traces while the run
-// executes; -pprof additionally mounts net/http/pprof. With -export, the
-// result tables plus a final metrics snapshot and the stage-latency trace
-// summary are written as JSON.
+// executes; -pprof additionally mounts net/http/pprof. In -shard-mode proc
+// that one registry covers the workers too: their heap and GC cycles
+// arrive with every extract response (ph_shard_worker_heap_bytes,
+// ph_shard_worker_gc_cycles), and /healthz lists each shard as ok,
+// restarting or failed, answering 503 unless all are ok. Workers serve
+// nothing but the extract RPC. With -export, the result tables plus a
+// final metrics snapshot and the stage-latency trace summary are written
+// as JSON.
 //
 // Tracing is sized by -trace-buffer (0 disables it entirely; the pipeline
 // then pays one atomic load per capture). Spans at or above -slow-span log
@@ -78,7 +82,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -135,7 +138,6 @@ func run() error {
 		slowSpan    = flag.Duration("slow-span", 250*time.Millisecond, "log a warn event for spans at least this long (0 disables)")
 		logLevel    = flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof on the metrics address")
-		obsScrape   = flag.Duration("obs-scrape-interval", 2*time.Second, "fleet federation: how often the coordinator scrapes proc-mode shard workers' /metrics (0 disables)")
 	)
 	flag.Parse()
 
@@ -153,25 +155,17 @@ func run() error {
 		Observer: metrics.Default().SpanObserver(),
 	})
 
-	// The federator fronts /metrics and /healthz: standalone it passes the
-	// local registry through untouched; in -shard-mode proc it scrapes the
-	// shard workers' loopback admin servers and serves the fleet rollup
-	// (DESIGN.md §16). The WAL health extra is bound late — the store only
-	// exists once the sniffer is built — through an atomic pointer so the
-	// handler can already be serving.
-	fed := obs.NewFederator(obs.FederatorConfig{
-		Local:    metrics.Default(),
-		Interval: *obsScrape,
-		Logger:   logger,
-	})
-	var walExtra atomic.Pointer[func(*metrics.Health)]
+	// The sniffer's health extra (WAL and proc-mode shard sections) is
+	// bound late — it only exists once the sniffer is built — through an
+	// atomic pointer so the handler can already be serving.
+	var snifferHealth atomic.Pointer[func(*metrics.Health)]
 	healthExtra := func(h *metrics.Health) {
-		if f := walExtra.Load(); f != nil {
+		if f := snifferHealth.Load(); f != nil {
 			(*f)(h)
 		}
 	}
 	if *metricsOn != "" {
-		go serveMetrics(*metricsOn, tracer, *pprofOn, fed, healthExtra)
+		go serveMetrics(*metricsOn, tracer, *pprofOn, healthExtra)
 	}
 
 	if *server != "" {
@@ -238,7 +232,7 @@ func run() error {
 	}
 	defer sniffer.Close()
 	if f := sniffer.HealthExtra(); f != nil {
-		walExtra.Store(&f)
+		snifferHealth.Store(&f)
 	}
 	collector := obs.NewCollector(metrics.Default())
 	stopCollector := collector.Start(0)
@@ -249,20 +243,6 @@ func run() error {
 	})
 	stopWatchdog := watchdog.Start()
 	defer stopWatchdog()
-	federated := false
-	if urls := sniffer.ShardAdminURLs(); len(urls) > 0 && *obsScrape > 0 {
-		federated = true
-		fed.SetTargets(func() []obs.Target {
-			urls := sniffer.ShardAdminURLs()
-			ts := make([]obs.Target, len(urls))
-			for i, u := range urls {
-				ts[i] = obs.Target{Name: strconv.Itoa(i + 1), URL: u}
-			}
-			return ts
-		})
-		stopScrape := fed.Start()
-		defer stopScrape()
-	}
 	if rec := sniffer.Recovery(); rec != nil {
 		logger.Info("durable store recovered",
 			"dir", *storeDir, "checkpoint", rec.Checkpoint != nil,
@@ -306,12 +286,7 @@ func run() error {
 		tbl.AddRow(i+1, row.Selector.String(), row.Spammers, row.NodeHours, row.PGE)
 	}
 	fmt.Print(tbl.Render())
-	var fleet []metrics.FamilySnapshot
-	if federated && *export != "" {
-		fed.ScrapeOnce(context.Background()) // final sweep: workers idle, counters settled
-		fleet = fed.Rollup()
-	}
-	return writeExport(*export, []*report.Table{tbl}, fleet)
+	return writeExport(*export, []*report.Table{tbl})
 }
 
 // splitSources parses the -source flag into its trimmed, non-empty
@@ -358,14 +333,12 @@ func buildSources(names []string, sim *pseudohoneypot.Simulation, seed int64) ([
 	return sources, nil
 }
 
-// serveMetrics exposes the process metrics — fronted by the fleet
-// federator, which passes the local registry through until proc-mode
-// shard targets are installed — plus the trace ring and (opt-in) pprof
-// over HTTP for the duration of the run.
-func serveMetrics(addr string, tracer *trace.Tracer, pprofOn bool, fed *obs.Federator, health func(*metrics.Health)) {
+// serveMetrics exposes the process metrics, health, the trace ring and
+// (opt-in) pprof over HTTP for the duration of the run.
+func serveMetrics(addr string, tracer *trace.Tracer, pprofOn bool, health func(*metrics.Health)) {
 	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", fed.Handler())
-	mux.Handle("GET /healthz", fed.HealthHandler(health))
+	mux.Handle("GET /metrics", metrics.Default().Handler())
+	mux.Handle("GET /healthz", metrics.HealthHandlerFunc(health))
 	mux.Handle("GET /debug/traces", tracer.Handler())
 	mux.Handle("GET /debug/traces/{id}", tracer.Handler())
 	if pprofOn {
@@ -382,10 +355,9 @@ func serveMetrics(addr string, tracer *trace.Tracer, pprofOn bool, fed *obs.Fede
 }
 
 // writeExport archives the result tables with a final snapshot of the
-// process-default registry, the tracer's stage-latency summary, and — for
-// federated proc runs — the fleet-level metrics rollup. An empty path is
-// a no-op.
-func writeExport(path string, tables []*report.Table, fleet []metrics.FamilySnapshot) error {
+// process-default registry and the tracer's stage-latency summary. An
+// empty path is a no-op.
+func writeExport(path string, tables []*report.Table) error {
 	if path == "" {
 		return nil
 	}
@@ -394,7 +366,7 @@ func writeExport(path string, tables []*report.Table, fleet []metrics.FamilySnap
 		return err
 	}
 	export := report.NewExport(tables, metrics.Default()).
-		WithTraces(trace.Default()).WithFleet(fleet)
+		WithTraces(trace.Default())
 	if err := export.WriteJSON(f); err != nil {
 		_ = f.Close()
 		return err
@@ -437,5 +409,5 @@ func runRemote(server string, hours, perValue int, seed int64, export string) er
 		}
 	}
 	fmt.Print(tbl.Render())
-	return writeExport(export, []*report.Table{tbl}, nil)
+	return writeExport(export, []*report.Table{tbl})
 }

@@ -23,16 +23,8 @@ const TextContentType = "text/plain; version=0.0.4; charset=utf-8"
 // a # HELP and # TYPE header per family, then one line per sample, with
 // histograms expanded into cumulative _bucket/_sum/_count series.
 func (r *Registry) WriteText(w io.Writer) error {
-	return WriteTextSnapshots(w, r.Snapshot())
-}
-
-// WriteTextSnapshots renders an already-taken family snapshot in the text
-// exposition format. It is the serializer behind both a live registry's
-// /metrics (WriteText) and the federated fleet rollup, whose merged view
-// exists only as snapshots — never as a registry.
-func WriteTextSnapshots(w io.Writer, fams []FamilySnapshot) error {
 	bw := bufio.NewWriter(w)
-	for _, fam := range fams {
+	for _, fam := range r.Snapshot() {
 		if fam.Help != "" {
 			bw.WriteString("# HELP ")
 			bw.WriteString(fam.Name)
@@ -143,8 +135,7 @@ func MarkStreamRead(t time.Time) { lastStreamRead.Store(t.UnixNano()) }
 
 // Health is the /healthz response body. Status is "ok" with a 200
 // response in the base liveness probe — the extra fields carry context;
-// wrappers (the fleet federator's aggregated handler, the WAL section)
-// may downgrade Status to "degraded".
+// the WAL and shard sections may downgrade Status to "degraded".
 type Health struct {
 	Status        string  `json:"status"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
@@ -159,6 +150,24 @@ type Health struct {
 	// WAL is the durable-store section, present when the process runs
 	// with a WAL + checkpoint store (-store-dir).
 	WAL *WALHealth `json:"wal,omitempty"`
+	// Shards is the proc-mode worker section, one row per shard, present
+	// when the process runs its extract step in worker subprocesses.
+	Shards []ShardHealth `json:"shards,omitempty"`
+}
+
+// ShardHealth is one proc-mode shard worker's row in a /healthz response,
+// as the coordinator's retry loop saw it: no scrape, no staleness window.
+type ShardHealth struct {
+	// Shard is the shard label ("1".."N").
+	Shard string `json:"shard"`
+	// Status is "ok" (the last batch was answered), "restarting" (a retry
+	// cycle is in progress) or "failed" (a batch ran out of retries; it
+	// stays failed for the rest of the run).
+	Status string `json:"status"`
+	// Restarts counts worker respawns.
+	Restarts int `json:"restarts"`
+	// LastError is the most recent failed attempt's error.
+	LastError string `json:"last_error,omitempty"`
 }
 
 // WALHealth is the durable-store section of a /healthz response. The
@@ -179,11 +188,9 @@ type WALHealth struct {
 	LastSyncError string `json:"last_sync_error,omitempty"`
 }
 
-// CurrentHealth builds the base liveness body: status "ok", uptime, build
-// identity, and stream staleness. Exported so wrappers composing richer
-// health views (fleet aggregation in internal/obs) start from the same
-// base the plain handler serves.
-func CurrentHealth() Health {
+// currentHealth builds the base liveness body: status "ok", uptime, build
+// identity, and stream staleness.
+func currentHealth() Health {
 	h := Health{
 		Status:        "ok",
 		UptimeSeconds: time.Since(processStart).Seconds(),
@@ -214,22 +221,30 @@ func HealthHandler() http.Handler {
 
 // HealthHandlerFunc serves the liveness probe with each extra applied to
 // the body before encoding — the hook the daemons use to attach the WAL
-// section without this package importing the store. An extra that sets a
-// non-empty WAL.LastSyncError downgrades Status to "degraded"; the
-// response stays 200 (liveness, not readiness — the fleet federator's
-// aggregated handler is the one that returns 503).
+// and shard sections without this package importing the store or the
+// fanout. A non-empty WAL.LastSyncError downgrades Status to "degraded"
+// and keeps 200: the process is alive and serving. A shard that is not
+// "ok" downgrades Status and answers 503: a worker the coordinator is
+// restarting, or has given up on, is not a healthy fleet.
 func HealthHandlerFunc(extras ...func(*Health)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		h := CurrentHealth()
+		h := currentHealth()
 		for _, extra := range extras {
 			if extra != nil {
 				extra(&h)
 			}
 		}
+		code := http.StatusOK
 		if h.WAL != nil && h.WAL.LastSyncError != "" {
 			h.Status = "degraded"
 		}
+		for _, sh := range h.Shards {
+			if sh.Status != "ok" {
+				h.Status, code = "degraded", http.StatusServiceUnavailable
+			}
+		}
 		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(code)
 		_ = json.NewEncoder(w).Encode(h)
 	})
 }

@@ -119,6 +119,18 @@ func TestParseTextRejectsMalformed(t *testing.T) {
 	}
 }
 
+func TestParseRejectsDuplicateSeries(t *testing.T) {
+	payload := "# TYPE a counter\na{x=\"1\"} 1\na{x=\"1\"} 2\n"
+	if _, err := ParseText(strings.NewReader(payload)); err == nil {
+		t.Fatal("duplicate series accepted")
+	}
+	// Same name with distinct labels is fine.
+	ok := "# TYPE a counter\na{x=\"1\"} 1\na{x=\"2\"} 2\n"
+	if _, err := ParseText(strings.NewReader(ok)); err != nil {
+		t.Fatalf("distinct-label series rejected: %v", err)
+	}
+}
+
 func TestParseTextAcceptsForeignPayload(t *testing.T) {
 	// A hand-written payload with comments, timestamps, and Inf values.
 	in := strings.Join([]string{
@@ -176,6 +188,41 @@ func TestHealthHandler(t *testing.T) {
 	}
 	if h.GoVersion == "" {
 		t.Fatal("health missing go_version")
+	}
+}
+
+// TestHealthExtrasDegrade pins the two downgrades HealthHandlerFunc
+// applies after its extras: a WAL sync error marks the body degraded and
+// keeps 200 (alive, serving), a shard worker that is not ok marks it
+// degraded and answers 503; nil extras are skipped.
+func TestHealthExtrasDegrade(t *testing.T) {
+	for _, tt := range []struct {
+		name   string
+		extra  func(*Health)
+		code   int
+		status string
+	}{
+		{"nil extra", nil, 200, "ok"},
+		{"healthy shards", func(h *Health) {
+			h.Shards = []ShardHealth{{Shard: "1", Status: "ok"}, {Shard: "2", Status: "ok", Restarts: 1}}
+		}, 200, "ok"},
+		{"wal sync error", func(h *Health) { h.WAL = &WALHealth{LastSyncError: "EIO"} }, 200, "degraded"},
+		{"restarting shard", func(h *Health) {
+			h.Shards = []ShardHealth{{Shard: "1", Status: "ok"}, {Shard: "2", Status: "restarting", LastError: "deadline"}}
+		}, 503, "degraded"},
+		{"failed shard", func(h *Health) {
+			h.Shards = []ShardHealth{{Shard: "1", Status: "failed", LastError: "no route to host"}}
+		}, 503, "degraded"},
+	} {
+		rr := httptest.NewRecorder()
+		HealthHandlerFunc(tt.extra).ServeHTTP(rr, httptest.NewRequest("GET", "/healthz", nil))
+		var h Health
+		if err := json.Unmarshal(rr.Body.Bytes(), &h); err != nil {
+			t.Fatal(err)
+		}
+		if rr.Code != tt.code || h.Status != tt.status {
+			t.Fatalf("%s: %d %q, want %d %q", tt.name, rr.Code, h.Status, tt.code, tt.status)
+		}
 	}
 }
 

@@ -100,34 +100,5 @@ func FuzzParseExposition(f *testing.F) {
 					i, sampleKey(first[i]), sampleKey(second[i]))
 			}
 		}
-
-		// Federation merge target: any accepted payload, scraped from two
-		// instances, must merge into a rollup that re-parses cleanly, and
-		// re-merging that rollup must be a fixed point (identical text).
-		exp, err := ParseExposition(strings.NewReader(input))
-		if err != nil {
-			t.Fatalf("ParseText accepted but ParseExposition rejected: %v", err)
-		}
-		merged := MergeInstances([]Instance{
-			{Name: "1", Exposition: exp},
-			{Name: "2", Exposition: exp},
-		})
-		var rollup strings.Builder
-		if err := WriteTextSnapshots(&rollup, merged); err != nil {
-			t.Fatalf("merged rollup failed to render: %v", err)
-		}
-		reparsed, err := ParseExposition(strings.NewReader(rollup.String()))
-		if err != nil {
-			t.Fatalf("merged rollup rejected by parser: %v\nrollup:\n%s", err, rollup.String())
-		}
-		again := MergeInstances([]Instance{{Name: "coord", Exposition: reparsed}})
-		var rollup2 strings.Builder
-		if err := WriteTextSnapshots(&rollup2, again); err != nil {
-			t.Fatalf("re-merged rollup failed to render: %v", err)
-		}
-		if rollup.String() != rollup2.String() {
-			t.Fatalf("merge is not a fixpoint:\n--- first\n%s\n--- second\n%s",
-				rollup.String(), rollup2.String())
-		}
 	})
 }

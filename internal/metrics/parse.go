@@ -19,17 +19,6 @@ type ParsedSample struct {
 	Value  float64
 }
 
-// Exposition is a fully parsed payload: the sample lines plus the # TYPE
-// declarations that govern them. The federation merger (merge.go) needs
-// the types to know whether a series sums across instances (counter,
-// histogram) or stays per-instance (gauge).
-type Exposition struct {
-	Samples []ParsedSample
-	// Types maps family name to its declared exposition type ("counter",
-	// "gauge", "histogram", "summary", or "untyped").
-	Types map[string]string
-}
-
 // ParseText parses and validates a Prometheus text exposition payload as
 // produced by WriteText. It enforces the invariants tests care about: every
 // sample belongs to a # TYPE-declared family that precedes it, names and
@@ -38,17 +27,6 @@ type Exposition struct {
 // tooling) can assert on a /metrics payload without a Prometheus
 // dependency.
 func ParseText(r io.Reader) ([]ParsedSample, error) {
-	exp, err := ParseExposition(r)
-	if err != nil {
-		return nil, err
-	}
-	return exp.Samples, nil
-}
-
-// ParseExposition is ParseText keeping the TYPE declarations alongside the
-// samples, for callers — the fleet federator — that must interpret what
-// they scraped, not just validate it.
-func ParseExposition(r io.Reader) (*Exposition, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	types := make(map[string]string)
@@ -84,7 +62,7 @@ func ParseExposition(r io.Reader) (*Exposition, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	return &Exposition{Samples: samples, Types: types}, nil
+	return samples, nil
 }
 
 // parseComment handles # HELP / # TYPE lines (other comments are ignored).

@@ -1,3 +1,19 @@
+// Package obs watches one process from inside it (DESIGN.md §16), with
+// two pillars that each run against the process's own registry:
+//
+//   - Collector samples runtime/metrics into ph_runtime_* series, so heap,
+//     GC, goroutine and scheduler pressure show up beside the pipeline
+//     metrics on the process's /metrics.
+//   - Watchdog turns pipeline instrumentation into stall detection: a
+//     saturated queue whose stage stopped advancing emits
+//     ph_watchdog_stall_total and a structured warning.
+//
+// phsniffer runs both, twitterd the Collector. Proc-mode shard workers
+// run neither: a worker is a pure function behind one RPC, and the
+// coordinator learns what it needs to know about one — heap, GC cycles,
+// health — from the RPC itself (internal/shard).
+//
+// Both pillars are pull-based and strictly off the capture path.
 package obs
 
 import (
@@ -9,11 +25,7 @@ import (
 )
 
 // Runtime telemetry: a runtime/metrics-backed collector publishing the Go
-// runtime's view of each process as ph_runtime_* series, so fleet heap,
-// GC, goroutine, and scheduler pressure federate alongside the pipeline
-// metrics. Each process — coordinator and every shard worker — runs its
-// own collector against its own registry; the federation merge keeps the
-// gauges per-shard and sums the counters/histograms.
+// runtime's view of the process as ph_runtime_* series.
 
 // Sampled runtime/metrics names. These are stable documented names; a
 // runtime that drops one simply reports its sample as KindBad, which the
@@ -80,7 +92,7 @@ func NewCollector(reg *metrics.Registry) *Collector {
 }
 
 // Collect takes one sample of every runtime series and folds it into the
-// registry. Safe to call from the scrape/ticker goroutine only (the
+// registry. Safe to call from the ticker goroutine only (the
 // cumulative mirrors are not locked); a nil receiver is a no-op.
 func (c *Collector) Collect() {
 	if c == nil {
@@ -141,7 +153,7 @@ func (c *Collector) collectPauses(h *rtm.Float64Histogram) {
 
 // collectSchedLatency reduces the runtime's cumulative scheduling-latency
 // histogram to p50/p95/max gauges — quantiles are the operator-facing
-// shape, and gauges federate per-shard.
+// shape.
 func (c *Collector) collectSchedLatency(h *rtm.Float64Histogram) {
 	var total uint64
 	maxBound := 0.0

@@ -47,10 +47,6 @@ type Export struct {
 	// p50/p95/max over the tracer's retained spans plus the slowest
 	// trace ids. Present only when tracing was enabled (WithTraces).
 	Traces *trace.Summary `json:"traces,omitempty"`
-	// Fleet is the federated fleet-level rollup (coordinator plus every
-	// proc-mode shard worker, merged per internal/metrics.MergeInstances).
-	// Present only for sharded proc runs (WithFleet).
-	Fleet []metrics.FamilySnapshot `json:"fleet,omitempty"`
 }
 
 // NewExport snapshots reg (nil ⇒ no metrics section) alongside tables.
@@ -73,15 +69,6 @@ func (e *Export) WithTraces(t *trace.Tracer) *Export {
 	}
 	if sum := t.Summary(slowTracesInExport); sum.Traces > 0 {
 		e.Traces = sum
-	}
-	return e
-}
-
-// WithFleet embeds a federated fleet rollup (no-op when fams is empty)
-// and returns e for chaining.
-func (e *Export) WithFleet(fams []metrics.FamilySnapshot) *Export {
-	if len(fams) > 0 {
-		e.Fleet = fams
 	}
 	return e
 }

@@ -2,12 +2,14 @@ package shard
 
 import (
 	"errors"
+	"slices"
 	"strconv"
 	"sync"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/core"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/features"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/label"
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/metrics"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/pipeline"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 )
@@ -77,11 +79,13 @@ type Fanout struct {
 	merge  *pipeline.Queue[Item]
 	coord  *pipeline.Runner
 
-	// err is the first worker-fleet failure (a batch whose retries ran
-	// out), latched by a shard goroutine and reported by Err, Drain and
-	// Close.
-	errMu sync.Mutex
-	err   error
+	// mu guards what the shard goroutines report about the worker fleet.
+	// err is its first failure (a batch whose retries ran out), reported
+	// by Err, Drain and Close; health is each proc-mode shard's /healthz
+	// row, reported by ShardHealth (nil in-process).
+	mu     sync.Mutex
+	err    error
+	health []metrics.ShardHealth
 
 	closeOnce sync.Once
 	closeErr  error
@@ -133,6 +137,9 @@ func NewFanout(cfg FanoutConfig) *Fanout {
 	coord.Start()
 	f.coord = coord
 
+	if cfg.Workers != nil {
+		f.health = make([]metrics.ShardHealth, n)
+	}
 	for s := 0; s < n; s++ {
 		scfg := cfg.Pipeline
 		scfg.Shard = strconv.Itoa(s + 1)
@@ -200,19 +207,27 @@ func (f *Fanout) Ingest(c *core.Capture) {
 
 // latch records the run's first worker-fleet failure.
 func (f *Fanout) latch(err error) {
-	f.errMu.Lock()
+	f.mu.Lock()
 	if f.err == nil {
 		f.err = err
 	}
-	f.errMu.Unlock()
+	f.mu.Unlock()
 }
 
 // Err returns the first worker-fleet failure latched so far, without
 // waiting for anything; always nil in-process.
 func (f *Fanout) Err() error {
-	f.errMu.Lock()
-	defer f.errMu.Unlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	return f.err
+}
+
+// ShardHealth returns a copy of each proc-mode shard worker's health row,
+// indexed by shard, as the retry loop last saw it; nil in-process.
+func (f *Fanout) ShardHealth() []metrics.ShardHealth {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return slices.Clone(f.health)
 }
 
 // Drain blocks until every capture ingested so far has fully cleared the

@@ -1,6 +1,9 @@
 package shard
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -9,7 +12,6 @@ import (
 	"time"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/metrics"
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/obs"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/pipeline"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/trace"
@@ -83,43 +85,89 @@ func TestProcCaptureTraceCarriesExtractSpan(t *testing.T) {
 	}
 }
 
-// TestScrapeStallDoesNotBlockRotation: the federated scrape loop, pointed
-// at a stalled worker-admin double that never answers /metrics, must not
-// stall the run — the proc fanout completes normally while /healthz
-// degrades to report the hung worker.
-func TestScrapeStallDoesNotBlockRotation(t *testing.T) {
-	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		<-r.Context().Done() // a hung worker admin endpoint: never responds
-	}))
-	defer stalled.Close()
+// healthProbe records shard probe's health row as each of its extract
+// attempts goes out — what /healthz would have said with that attempt in
+// flight — and fails the shard's first fail attempts outright.
+type healthProbe struct {
+	*memTransport
+	fanout *Fanout
+	probe  int
+	fail   int
+	seen   []metrics.ShardHealth // touched only by the probed shard's goroutine
+}
 
-	fed := obs.NewFederator(obs.FederatorConfig{
-		Local:    metrics.NewRegistry(),
-		Interval: 5 * time.Millisecond,
-		Timeout:  30 * time.Millisecond,
-		Targets:  func() []obs.Target { return []obs.Target{{Name: "1", URL: stalled.URL}} },
-	})
-	stop := fed.Start()
-	defer stop()
+func (p *healthProbe) Extract(ctx context.Context, s int, body []byte) ([]byte, error) {
+	if s != p.probe {
+		return p.memTransport.Extract(ctx, s, body)
+	}
+	p.seen = append(p.seen, p.fanout.ShardHealth()[s])
+	if len(p.seen) <= p.fail {
+		return nil, errors.New("no route to host")
+	}
+	return p.memTransport.Extract(ctx, s, body)
+}
 
+// TestWorkerHealthFromTransport: the /healthz shard rows come first-hand
+// from the fanout's retry loop, with no worker endpoint to scrape. A hung
+// worker reads "restarting" while the retry is in flight and "ok" with one
+// restart once it succeeds, inside one batch deadline; a worker whose
+// retries run out reads "failed" for the rest of the run, even after its
+// replacement answers, and turns /healthz into a 503 naming the error.
+func TestWorkerHealthFromTransport(t *testing.T) {
+	clean := runProcFanout(t, newMemTransport(2), 2, 2, metrics.NewRegistry(), nil)
+
+	hung := &healthProbe{memTransport: newMemTransport(2), probe: 1}
+	hung.faults[1] = faultHang
 	start := time.Now()
-	run := runProcFanout(t, newMemTransport(2), 2, 3, metrics.NewRegistry())
-	if len(run.items) == 0 {
-		t.Fatal("run captured nothing")
+	run := runProcFanout(t, hung, 2, 2, metrics.NewRegistry(), func(f *Fanout) { hung.fanout = f })
+	if elapsed, bound := time.Since(start), batchDeadline+20*time.Second; elapsed > bound {
+		t.Fatalf("hung worker held the run for %v (bound %v)", elapsed, bound)
 	}
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("run blocked by stalled scrape: %v", elapsed)
+	assertSameCaptures(t, clean, run)
+	if len(hung.seen) < 3 {
+		t.Fatalf("probed shard made %d extract attempts, want the hang, its retry and more", len(hung.seen))
+	}
+	first, retry, next := hung.seen[0], hung.seen[1], hung.seen[2]
+	if first.Status != statusOK || first.Restarts != 0 {
+		t.Fatalf("before the hang: %+v", first)
+	}
+	if retry.Status != statusRestarting || retry.Restarts != 1 || !strings.Contains(retry.LastError, "deadline") {
+		t.Fatalf("retry in flight: %+v", retry)
+	}
+	if next.Status != statusOK || next.Restarts != 1 {
+		t.Fatalf("after the retry answered: %+v", next)
+	}
+	if h := run.health; h[1] != next || h[0].Status != statusOK || h[0].Restarts != 0 {
+		t.Fatalf("final health %+v", h)
 	}
 
-	// And the hung worker surfaces as degraded health, not silence.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		rr := httptest.NewRecorder()
-		fed.HealthHandler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-		if rr.Code == http.StatusServiceUnavailable {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	dead := &healthProbe{memTransport: newMemTransport(2), probe: 0, fail: maxRetries + 1}
+	run = runProcFanout(t, dead, 2, 2, metrics.NewRegistry(), func(f *Fanout) { dead.fanout = f })
+	if run.drainErr == nil || len(run.items) != run.ingested {
+		t.Fatalf("exhausted retries: drain error %v, %d of %d captures", run.drainErr, len(run.items), run.ingested)
 	}
-	t.Fatal("stalled worker never degraded /healthz")
+	if len(dead.seen) <= maxRetries+2 {
+		t.Fatalf("probed shard made %d extract attempts, want batches after the failed one", len(dead.seen))
+	}
+	for i, h := range dead.seen[maxRetries+1:] {
+		if h.Status != statusFailed {
+			t.Fatalf("attempt %d after the failed batch: %+v, want sticky %q", maxRetries+1+i, h, statusFailed)
+		}
+	}
+	failed := run.health[0]
+	if failed.Status != statusFailed || failed.Restarts != maxRetries || !strings.Contains(failed.LastError, "no route to host") {
+		t.Fatalf("final health of the dead shard: %+v", failed)
+	}
+
+	rr := httptest.NewRecorder()
+	metrics.HealthHandlerFunc(func(h *metrics.Health) { h.Shards = run.health }).
+		ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	var body metrics.Health
+	if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if rr.Code != http.StatusServiceUnavailable || body.Status != "degraded" || len(body.Shards) != 2 ||
+		body.Shards[0].LastError != failed.LastError {
+		t.Fatalf("/healthz with a failed shard = %d: %s", rr.Code, rr.Body.String())
+	}
 }

@@ -37,30 +37,22 @@ type Transport interface {
 	Close() error
 }
 
-// adminLister is the optional Transport extension exposing each worker's
-// admin base URL (the loopback extract server, which also mounts /metrics
-// and /healthz) for the fleet federator to scrape.
-type adminLister interface {
-	AdminURLs() []string
-}
-
-// AdminURLs returns the per-shard worker admin base URLs, or nil when
-// there are none (in-process shards, in-memory fault doubles). The slice
-// is indexed by shard; a respawned worker changes its entry, which the
-// federator treats as a restart.
-func (f *Fanout) AdminURLs() []string {
-	if al, ok := f.cfg.Workers.(adminLister); ok {
-		return al.AdminURLs()
-	}
-	return nil
-}
+// Proc-mode shard statuses, reported in the /healthz shards section.
+const (
+	statusOK         = "ok"         // the last batch was answered
+	statusRestarting = "restarting" // inside a retry cycle
+	statusFailed     = "failed"     // a batch ran out of retries; sticky
+)
 
 // remoteExtract is shard s's extract step in proc mode: frame the
 // micro-batch, post it to the shard's worker, and push the results to the
 // merge queue, restarting the worker and retrying on any failure. A batch
 // whose retries run out is extracted by local — the in-process step, the
 // same pure functions — so the merge stage never waits on a sequence
-// number that will not come, and the failure is latched for Drain.
+// number that will not come, and the failure is latched for Drain. The
+// retry loop is also the only witness of the worker's health, so it keeps
+// the shard's /healthz row, and an answered batch's trailer feeds the
+// worker's heap and GC gauges.
 func (f *Fanout) remoteExtract(s int, shardLabel string, local func([]Item)) func([]Item) {
 	reg := f.cfg.Pipeline.Metrics
 	if reg == nil {
@@ -72,46 +64,69 @@ func (f *Fanout) remoteExtract(s int, shardLabel string, local func([]Item)) fun
 		"Extract batches re-posted after a transport error, a missed deadline or a truncated response.", "shard").With(shardLabel)
 	captures := reg.CounterVec("ph_shard_batch_captures_total",
 		"Captures whose extract results each shard worker returned.", "shard").With(shardLabel)
+	heap := reg.GaugeVec("ph_shard_worker_heap_bytes",
+		"Live heap of each shard worker process, from its last extract response.", "shard").With(shardLabel)
+	gcCycles := reg.GaugeVec("ph_shard_worker_gc_cycles",
+		"Completed GC cycles of each shard worker process, from its last extract response.", "shard").With(shardLabel)
+	f.health[s] = metrics.ShardHealth{Shard: shardLabel, Status: statusOK}
+	health := func(status string, err error, respawned int) {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		h := &f.health[s]
+		if h.Status != statusFailed {
+			h.Status = status
+		}
+		if err != nil {
+			h.LastError = err.Error()
+		}
+		h.Restarts += respawned
+	}
 	reqCap := 0
 	return func(batch []Item) {
 		req := appendRequest(make([]byte, 0, reqCap), batch)
 		reqCap = len(req)
 		start := time.Now()
 		var (
-			results  []result
-			workerNS int64
-			err      error
+			results []result
+			tel     telemetry
+			err     error
 		)
 		for attempt := 0; attempt <= maxRetries; attempt++ {
 			if attempt > 0 {
+				health(statusRestarting, err, 0)
 				retries.Inc()
 				if err = f.cfg.Workers.Restart(s); err != nil {
 					err = fmt.Errorf("restart: %w", err)
 					continue
 				}
 				restarts.Inc()
+				health(statusRestarting, nil, 1)
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), batchDeadline)
 			var resp []byte
 			resp, err = f.cfg.Workers.Extract(ctx, s, req)
 			cancel()
 			if err == nil {
-				results, workerNS, err = readResults(resp, len(batch))
+				results, tel, err = readResults(resp, len(batch))
 			}
 			if err == nil {
 				break
 			}
 		}
 		if err != nil {
+			health(statusFailed, err, 0)
 			f.latch(fmt.Errorf("shard %s: extract batch failed after %d retries: %w", shardLabel, maxRetries, err))
 			local(batch)
 			return
 		}
+		health(statusOK, nil, 0)
 		captures.Add(float64(len(batch)))
+		heap.Set(float64(tel.HeapBytes))
+		gcCycles.Set(float64(tel.GCCycles))
 		end := time.Now()
 		attrs := [...]trace.KV{
 			{Key: "shard", Value: shardLabel},
-			{Key: "worker_ns", Value: strconv.FormatInt(workerNS, 10)},
+			{Key: "worker_ns", Value: strconv.FormatUint(tel.ElapsedNS, 10)},
 		}
 		for i, it := range batch {
 			it.C.Trace.SetAttr("shard", shardLabel)

@@ -49,8 +49,6 @@ const (
 // first-appearance set, exactly as a respawned worker process would. Every
 // shard goroutine calls it, hence the mutex.
 type memTransport struct {
-	reg *metrics.Registry // the worker side's registry, apart from the coordinator's
-
 	mu       sync.Mutex
 	cores    []*WorkerCore
 	faults   map[int]faultKind // shard → next Extract call's fault
@@ -58,9 +56,9 @@ type memTransport struct {
 }
 
 func newMemTransport(shards int) *memTransport {
-	mt := &memTransport{reg: metrics.NewRegistry(), faults: make(map[int]faultKind)}
+	mt := &memTransport{faults: make(map[int]faultKind)}
 	for s := 0; s < shards; s++ {
-		mt.cores = append(mt.cores, NewWorkerCore(s, label.DefaultConfig(), mt.reg))
+		mt.cores = append(mt.cores, NewWorkerCore(label.DefaultConfig()))
 	}
 	return mt
 }
@@ -93,7 +91,7 @@ func (mt *memTransport) Restart(s int) error {
 	mt.mu.Lock()
 	defer mt.mu.Unlock()
 	mt.restarts++
-	mt.cores[s] = NewWorkerCore(s, label.DefaultConfig(), mt.reg)
+	mt.cores[s] = NewWorkerCore(label.DefaultConfig())
 	return nil
 }
 
@@ -105,12 +103,14 @@ type procRun struct {
 	items    []Item // in completion (= ingest) order
 	drainErr error
 	closeErr error
+	health   []metrics.ShardHealth // after Close
 }
 
 // runProcFanout drives a fresh world's traffic through a proc-mode Fanout
 // on the given transport, draining after every hour, and returns every
-// completed item in order. The coordinator's counters go to reg.
-func runProcFanout(t testing.TB, tr Transport, shards, hours int, reg *metrics.Registry) procRun {
+// completed item in order. The coordinator's counters go to reg; watch,
+// when set, sees the fanout before the first capture is ingested.
+func runProcFanout(t testing.TB, tr Transport, shards, hours int, reg *metrics.Registry, watch func(*Fanout)) procRun {
 	t.Helper()
 	w, e, m := testWorld(t)
 	var run procRun
@@ -124,6 +124,9 @@ func runProcFanout(t testing.TB, tr Transport, shards, hours int, reg *metrics.R
 		Label:    func([]Item) {},
 		Observe:  func(*Item) {},
 	})
+	if watch != nil {
+		watch(f)
+	}
 	e.OnHourStart(func(_ int, now time.Time) { m.Rotate(now, time.Hour) })
 	cancel := e.Subscribe(func(tw *socialnet.Tweet) {
 		if c := m.Match(tw, w.Account); c != nil {
@@ -139,6 +142,7 @@ func runProcFanout(t testing.TB, tr Transport, shards, hours int, reg *metrics.R
 		}
 	}
 	run.closeErr = f.Close()
+	run.health = f.ShardHealth()
 	return run
 }
 
@@ -175,16 +179,18 @@ func assertSameCaptures(t *testing.T, clean, faulty procRun) {
 // recoverable fault shares: the run finishes without error, the captures
 // equal the clean run's, and each faulted shard shows exactly one restart
 // and one retry (1-based shard labels) while the healthy ones show none.
+// Every shard ends healthy; a faulted one carries its restart and the
+// attempt error in its health row.
 func faultedRun(t *testing.T, shards, hours int, faults map[int]faultKind) {
 	t.Helper()
-	clean := runProcFanout(t, newMemTransport(shards), shards, hours, metrics.NewRegistry())
+	clean := runProcFanout(t, newMemTransport(shards), shards, hours, metrics.NewRegistry(), nil)
 
 	mt := newMemTransport(shards)
 	for s, k := range faults {
 		mt.faults[s] = k
 	}
 	reg := metrics.NewRegistry()
-	faulty := runProcFanout(t, mt, shards, hours, reg)
+	faulty := runProcFanout(t, mt, shards, hours, reg, nil)
 	if faulty.drainErr != nil || faulty.closeErr != nil {
 		t.Fatalf("recoverable fault surfaced: drain %v, close %v", faulty.drainErr, faulty.closeErr)
 	}
@@ -200,6 +206,10 @@ func faultedRun(t *testing.T, shards, hours int, faults map[int]faultKind) {
 			if got := counterValue(reg, name, lv); got != want {
 				t.Fatalf("%s{shard=%s} = %v, want %v", name, lv, got, want)
 			}
+		}
+		h := faulty.health[s]
+		if h.Shard != lv || h.Status != statusOK || h.Restarts != int(want) || (h.LastError != "") != (want == 1) {
+			t.Fatalf("shard %s health %+v after %v restarts", lv, h, want)
 		}
 	}
 	assertSameCaptures(t, clean, faulty)
@@ -258,7 +268,7 @@ func (ut *unrecoverableTransport) Extract(ctx context.Context, s int, body []byt
 func TestProcExhaustedRetriesSurface(t *testing.T) {
 	// A merge-stage deadlock would hang right here, in Drain or Close.
 	run := runProcFanout(t, &unrecoverableTransport{memTransport: newMemTransport(2), dead: 1},
-		2, 1, metrics.NewRegistry())
+		2, 1, metrics.NewRegistry(), nil)
 	if run.drainErr == nil || run.closeErr == nil {
 		t.Fatalf("permanently dead shard did not surface: drain %v, close %v", run.drainErr, run.closeErr)
 	}
@@ -269,6 +279,9 @@ func TestProcExhaustedRetriesSurface(t *testing.T) {
 		if it.Seq != uint64(i+1) {
 			t.Fatalf("capture %d completed with seq %d", i, it.Seq)
 		}
+	}
+	if h := run.health; h[0].Status != statusOK || h[1].Status != statusFailed || h[1].LastError == "" {
+		t.Fatalf("health after a dead shard: %+v", h)
 	}
 }
 
@@ -302,7 +315,7 @@ func matchedBatch(t testing.TB, n int) ([]Item, *core.Monitor) {
 // the capture itself.
 func TestWorkerCoreExtractMatchesInProcess(t *testing.T) {
 	batch, m := matchedBatch(t, 64)
-	resp, err := NewWorkerCore(0, label.DefaultConfig(), metrics.NewRegistry()).Extract(appendRequest(nil, batch))
+	resp, err := NewWorkerCore(label.DefaultConfig()).Extract(appendRequest(nil, batch))
 	if err != nil {
 		t.Fatal(err)
 	}

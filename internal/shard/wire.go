@@ -6,12 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
+	rtm "runtime/metrics"
 	"time"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/features"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/label"
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/metrics"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/store"
 )
@@ -21,8 +20,11 @@ import (
 // length followed by a store.EncodeCapture payload — the WAL's capture
 // codec: tweet, frozen sender/receiver snapshots, groups, source id, with
 // Seq carrying the fanout's ingest sequence number. The response is NDJSON:
-// one result line per capture, in request order, closed by a {"done":N}
-// trailer whose count lets the coordinator detect truncated streams.
+// one result line per capture, in request order, closed by a trailer
+// {"done":N,"elapsed_ns":…,"heap_bytes":…,"gc_cycles":…} whose count lets
+// the coordinator detect truncated streams and whose other fields are the
+// worker's telemetry: the coordinator exports them per shard, so nobody
+// scrapes the worker.
 
 // result is one response line: everything the extract step computes for
 // one capture.
@@ -32,18 +34,27 @@ type result struct {
 	UserPrep  *label.UserPrep `json:"user_prep,omitempty"`
 }
 
-// trailer closes a response: the result count, and how long the worker
-// spent on the batch.
+// telemetry is the worker's report in the response trailer: how long it
+// spent on the batch, its live heap, and its completed GC cycles. The
+// fields are unsigned, so a negative, fractional or out-of-range value
+// fails to decode instead of reaching a gauge.
+type telemetry struct {
+	ElapsedNS uint64 `json:"elapsed_ns"`
+	HeapBytes uint64 `json:"heap_bytes"`
+	GCCycles  uint64 `json:"gc_cycles"`
+}
+
+// trailer closes a response: the result count, then the telemetry.
 type trailer struct {
-	Done      int   `json:"done"`
-	ElapsedNS int64 `json:"elapsed_ns"`
+	Done int `json:"done"`
+	telemetry
 }
 
 // resultLine is the response-line union readResults decodes into.
 type resultLine struct {
 	result
-	Done      *int  `json:"done"`
-	ElapsedNS int64 `json:"elapsed_ns"`
+	Done *int `json:"done"`
+	telemetry
 }
 
 // appendRequest frames batch onto buf.
@@ -74,24 +85,24 @@ func appendRequest(buf []byte, batch []Item) []byte {
 // which only makes it ship redundant profile preps (AddBatchPrepared
 // ignores them), never wrong ones.
 type WorkerCore struct {
-	prepper   *label.Prepper
-	seen      map[socialnet.AccountID]struct{}
-	extracted *metrics.Counter // ph_shard_worker_extracted_total{shard}
+	prepper *label.Prepper
+	seen    map[socialnet.AccountID]struct{}
+	// runtime is the trailer's heap and GC sample, read with one
+	// runtime/metrics.Read per batch — no ReadMemStats stop-the-world.
+	runtime [2]rtm.Sample
 }
 
 // NewWorkerCore creates the extract step for one shard. lcfg must be the
 // coordinator's labeling config (the default config — preps depend only on
-// its seed and length bounds); a nil reg binds metrics.Default().
-func NewWorkerCore(shard int, lcfg label.Config, reg *metrics.Registry) *WorkerCore {
-	if reg == nil {
-		reg = metrics.Default()
-	}
+// its seed and length bounds).
+func NewWorkerCore(lcfg label.Config) *WorkerCore {
 	return &WorkerCore{
 		prepper: label.NewPrepper(lcfg),
 		seen:    make(map[socialnet.AccountID]struct{}),
-		extracted: reg.CounterVec("ph_shard_worker_extracted_total",
-			"Captures this shard worker process extracted (worker side of ph_shard_batch_captures_total).",
-			"shard").With(strconv.Itoa(shard + 1)),
+		runtime: [2]rtm.Sample{
+			{Name: "/memory/classes/heap/objects:bytes"},
+			{Name: "/gc/cycles/total:gc-cycles"},
+		},
 	}
 }
 
@@ -130,42 +141,58 @@ func (w *WorkerCore) Extract(req []byte) ([]byte, error) {
 		}
 		n++
 	}
-	w.extracted.Add(float64(n))
-	err := enc.Encode(trailer{Done: n, ElapsedNS: int64(time.Since(start))})
+	rtm.Read(w.runtime[:])
+	err := enc.Encode(trailer{Done: n, telemetry: telemetry{
+		ElapsedNS: uint64(time.Since(start)),
+		HeapBytes: sampleUint(w.runtime[0]),
+		GCCycles:  sampleUint(w.runtime[1]),
+	}})
 	return out.Bytes(), err
 }
 
+// sampleUint is a runtime/metrics sample's value, 0 when this runtime
+// does not support the metric.
+func sampleUint(s rtm.Sample) uint64 {
+	if s.Value.Kind() != rtm.KindUint64 {
+		return 0
+	}
+	return s.Value.Uint64()
+}
+
 // readResults decodes one extract response for a batch of want captures.
-// It returns exactly want well-formed results or an error: a torn line, a
-// missing trailer, or a count that disagrees with the trailer or the
-// request means the worker died mid-write (or is not the worker we think
-// it is) and the batch must be retried.
-func readResults(resp []byte, want int) (results []result, workerNS int64, err error) {
+// It returns exactly want well-formed results and the trailer's telemetry,
+// or an error: a torn line, a missing or malformed trailer, or a count
+// that disagrees with the trailer or the request means the worker died
+// mid-write (or is not the worker we think it is) and the batch must be
+// retried.
+func readResults(resp []byte, want int) (results []result, tel telemetry, err error) {
 	done := -1
 	for len(resp) > 0 {
 		if done >= 0 {
-			return nil, 0, errors.New("data after done trailer")
+			return nil, telemetry{}, errors.New("data after done trailer")
 		}
 		var raw []byte
 		raw, resp, _ = bytes.Cut(resp, []byte("\n"))
 		var line resultLine
 		if err := json.Unmarshal(raw, &line); err != nil {
-			return nil, 0, fmt.Errorf("response line: %w", err)
+			return nil, telemetry{}, fmt.Errorf("response line: %w", err)
 		}
 		if line.Done != nil {
-			done, workerNS = *line.Done, line.ElapsedNS
+			if done, tel = *line.Done, line.telemetry; done < 0 {
+				return nil, telemetry{}, fmt.Errorf("negative done count %d", done)
+			}
 			continue
 		}
 		if len(line.Vec) != features.NumFeatures {
-			return nil, 0, fmt.Errorf("result vector has %d features", len(line.Vec))
+			return nil, telemetry{}, fmt.Errorf("result vector has %d features", len(line.Vec))
 		}
 		results = append(results, line.result)
 	}
 	if done < 0 {
-		return nil, 0, errors.New("response truncated (no done trailer)")
+		return nil, telemetry{}, errors.New("response truncated (no done trailer)")
 	}
 	if done != len(results) || done != want {
-		return nil, 0, fmt.Errorf("response truncated (%d results, trailer says %d, batch has %d)", len(results), done, want)
+		return nil, telemetry{}, fmt.Errorf("response truncated (%d results, trailer says %d, batch has %d)", len(results), done, want)
 	}
-	return results, workerNS, nil
+	return results, tel, nil
 }

@@ -8,21 +8,24 @@ import (
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/features"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/label"
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/metrics"
 )
 
 // FuzzExtractResponse fuzzes the one decoder the extract wire adds, the
 // coordinator's response reader: any bytes either decode to exactly the
-// batch's count of well-formed results or fail — never a panic, never a
-// short slice the shard would index past. (The request side is
+// batch's count of well-formed results plus a trailer of non-negative
+// integers, or fail — never a panic, never a short slice the shard would
+// index past, never a malformed trailer reaching the worker gauges, which
+// are set only from what readResults accepted. (The request side is
 // store.DecodeCapture, already under FuzzWALRecord.)
 func FuzzExtractResponse(f *testing.F) {
 	batch, _ := matchedBatch(f, 2)
-	clean, err := NewWorkerCore(0, label.DefaultConfig(), metrics.NewRegistry()).Extract(appendRequest(nil, batch))
+	clean, err := NewWorkerCore(label.DefaultConfig()).Extract(appendRequest(nil, batch))
 	if err != nil {
 		f.Fatal(err)
 	}
 	lines := bytes.SplitAfter(bytes.TrimSuffix(clean, []byte("\n")), []byte("\n"))
+	results := bytes.Join(lines[:2], nil)
+	withTrailer := func(tr string) []byte { return append(bytes.Clone(results), tr+"\n"...) }
 	short := `{"vec":[1,2,3],"tweet_prep":{"norm":"x"}}` + "\n"
 	f.Add(clean, uint8(2))                                                    // a clean two-capture response
 	f.Add(clean[:len(clean)*2/3], uint8(2))                                   // a torn line
@@ -31,12 +34,17 @@ func FuzzExtractResponse(f *testing.F) {
 	f.Add(append(bytes.Join(lines[:2], nil), `{"done":3}`+"\n"...), uint8(2)) // done ≠ line count
 	f.Add(append(bytes.Clone(clean), lines[0]...), uint8(2))                  // data after the trailer
 	f.Add(clean, uint8(3))                                                    // done ≠ the batch
+	f.Add(withTrailer(`{"done":2}`), uint8(2))                                // telemetry missing
+	f.Add(withTrailer(`{"done":2,"elapsed_ns":5,"heap_bytes":-1}`), uint8(2)) // a negative field
+	f.Add(withTrailer(`{"done":2,"gc_cycles":1e400}`), uint8(2))              // out of range
+	f.Add(withTrailer(`{"done":2,"heap_bytes":"4096"}`), uint8(2))            // a string
+	f.Add(withTrailer(`{"done":-2}`), uint8(2))                               // a negative count
 
 	f.Fuzz(func(t *testing.T, resp []byte, want uint8) {
-		results, workerNS, err := readResults(resp, int(want))
+		results, tel, err := readResults(resp, int(want))
 		if err != nil {
-			if results != nil || workerNS != 0 {
-				t.Fatal("readResults returned results together with an error")
+			if results != nil || tel != (telemetry{}) {
+				t.Fatal("readResults returned results or telemetry together with an error")
 			}
 			return
 		}
@@ -56,7 +64,7 @@ func FuzzExtractResponse(f *testing.F) {
 func TestExtractRequestRejectsGarbage(t *testing.T) {
 	batch, _ := matchedBatch(t, 2)
 	req := appendRequest(nil, batch)
-	core := NewWorkerCore(0, label.DefaultConfig(), metrics.NewRegistry())
+	core := NewWorkerCore(label.DefaultConfig())
 	for name, bad := range map[string][]byte{
 		"torn prefix":  req[:2],
 		"torn capture": req[:len(req)-1],

@@ -11,11 +11,8 @@ import (
 	"os"
 	"os/exec"
 	"strings"
-	"sync"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/label"
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/metrics"
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/obs"
 )
 
 // envWorker marks a process as a proc-mode shard worker; its value is
@@ -49,22 +46,16 @@ func MaybeWorker() {
 	os.Exit(0)
 }
 
-// runWorker serves one shard's extract RPC until stdin closes. The same
-// loopback listener doubles as the worker's admin surface: /metrics and
-// /healthz, scraped by the coordinator's fleet federator (internal/obs)
-// and browsable directly when debugging one shard.
+// runWorker serves one shard's extract RPC until stdin closes. It is the
+// worker's only route: its telemetry rides the response trailer, and its
+// health is what the coordinator's retry loop sees.
 func runWorker(shardIdx int) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
-	stopCollector := obs.NewCollector(metrics.Default()).Start(0)
-	defer stopCollector()
-
-	core := NewWorkerCore(shardIdx, label.DefaultConfig(), nil)
+	core := NewWorkerCore(label.DefaultConfig())
 	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", metrics.Default().Handler())
-	mux.Handle("GET /healthz", metrics.HealthHandler())
 	mux.HandleFunc("POST /shard/extract", func(w http.ResponseWriter, r *http.Request) {
 		// The response is written only after the request body is fully
 		// consumed: HTTP/1.1 is half-duplex, and the Go server reacts to a
@@ -102,29 +93,12 @@ type workerProc struct {
 }
 
 // procTransport is the production Transport: one worker subprocess per
-// shard, batch requests POSTed over loopback HTTP. The mutex guards the
-// worker table: Restart swaps entries on a shard goroutine while the
-// federator's scrape loop reads AdminURLs concurrently.
+// shard, batch requests POSTed over loopback HTTP. The worker table needs
+// no lock: entry s is read and swapped only by shard s's goroutine
+// (Extract, Restart), and Close runs after every shard goroutine is done.
 type procTransport struct {
-	shards int
-
-	mu      sync.Mutex
+	shards  int
 	workers []*workerProc
-}
-
-// AdminURLs returns each live worker's admin base URL, indexed by shard.
-// A respawned worker changes its entry (new loopback port), which the
-// fleet federator reports as a restart until the replacement answers.
-func (pt *procTransport) AdminURLs() []string {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	urls := make([]string, len(pt.workers))
-	for i, w := range pt.workers {
-		if w != nil {
-			urls[i] = w.addr
-		}
-	}
-	return urls
 }
 
 // SpawnWorkers starts the production worker fleet — one subprocess per
@@ -182,10 +156,7 @@ func (w *workerProc) kill() {
 }
 
 func (pt *procTransport) Extract(ctx context.Context, shard int, body []byte) ([]byte, error) {
-	pt.mu.Lock()
-	w := pt.workers[shard]
-	pt.mu.Unlock()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.addr+"/shard/extract", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, pt.workers[shard].addr+"/shard/extract", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -201,25 +172,17 @@ func (pt *procTransport) Extract(ctx context.Context, shard int, body []byte) ([
 }
 
 func (pt *procTransport) Restart(shard int) error {
-	pt.mu.Lock()
-	old := pt.workers[shard]
-	pt.mu.Unlock()
-	old.kill()
+	pt.workers[shard].kill()
 	w, err := spawnWorker(shard, pt.shards)
 	if err != nil {
 		return err
 	}
-	pt.mu.Lock()
 	pt.workers[shard] = w
-	pt.mu.Unlock()
 	return nil
 }
 
 func (pt *procTransport) Close() error {
-	pt.mu.Lock()
-	workers := append([]*workerProc(nil), pt.workers...)
-	pt.mu.Unlock()
-	for _, w := range workers {
+	for _, w := range pt.workers {
 		if w != nil {
 			w.kill()
 		}

@@ -120,8 +120,7 @@ func (s *Store) Status() Status {
 }
 
 // HealthExtra adapts Status to the /healthz WAL section — the hook the
-// daemons hand to metrics.HealthHandlerFunc (and the fleet federator's
-// aggregated handler) when running with -store-dir.
+// daemons hand to metrics.HealthHandlerFunc when running with -store-dir.
 func (s *Store) HealthExtra() func(*metrics.Health) {
 	return func(h *metrics.Health) {
 		st := s.Status()

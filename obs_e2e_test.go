@@ -1,16 +1,18 @@
 package pseudohoneypot
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/metrics"
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/obs"
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/shard"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/trace"
 )
 
@@ -42,16 +44,54 @@ func counterTotal(fams []metrics.FamilySnapshot, name string, want map[string]st
 	return total
 }
 
-// TestProcFederationEndToEnd drives real worker subprocesses and checks
-// the whole observability tentpole at once: the coordinator scrapes the
-// workers' loopback /metrics, the merged rollup is internally consistent
-// across the process boundary (each worker's extracted-capture counter
-// equals the coordinator's count of results that worker returned), fleet
-// totals equal an unsharded run's, the rollup re-federates to a fixpoint,
-// the aggregated health view is green, and /debug/traces holds capture
-// traces whose shard_extract span carries the worker's elapsed time.
-func TestProcFederationEndToEnd(t *testing.T) {
+// trailerCounter wraps the real worker fleet and sums, per shard, the done
+// count of every response trailer: the workers' own tally of what they
+// extracted, read off the wire rather than from any worker endpoint.
+type trailerCounter struct {
+	shard.Transport
+	mu   sync.Mutex
+	done map[int]int
+}
+
+func (tc *trailerCounter) Extract(ctx context.Context, s int, body []byte) ([]byte, error) {
+	resp, err := tc.Transport.Extract(ctx, s, body)
+	if err != nil {
+		return resp, err
+	}
+	trailer := resp[bytes.LastIndexByte(bytes.TrimSuffix(resp, []byte("\n")), '\n')+1:]
+	var tr struct {
+		Done int `json:"done"`
+	}
+	if json.Unmarshal(trailer, &tr) == nil {
+		tc.mu.Lock()
+		tc.done[s] += tr.Done
+		tc.mu.Unlock()
+	}
+	return resp, nil
+}
+
+// TestProcTelemetryEndToEnd drives real worker subprocesses and checks
+// that the coordinator's one registry is the whole fleet's view: each
+// shard's ph_shard_batch_captures_total equals the done counts its
+// worker's trailers reported, the capture total equals an unsharded run's,
+// the trailer-fed heap and GC gauges carry every worker, /healthz lists
+// two healthy shards from the fanout's own state, and /debug/traces holds
+// capture traces whose shard_extract span carries the worker's elapsed
+// time.
+func TestProcTelemetryEndToEnd(t *testing.T) {
 	const shards, hours = 2, 4
+
+	// The workers inherit the environment; a tight GC target makes every
+	// one of them finish GC cycles in a run this short, so the gc gauge
+	// has something to carry.
+	t.Setenv("GOGC", "1")
+	counter := &trailerCounter{done: map[int]int{}}
+	t.Cleanup(func() { spawnWorkers = shard.SpawnWorkers })
+	spawnWorkers = func(n int) (shard.Transport, error) {
+		tr, err := shard.SpawnWorkers(n)
+		counter.Transport = tr
+		return counter, err
+	}
 
 	reg := NewMetricsRegistry()
 	tracer := trace.New(trace.Config{Enabled: true, Buffer: 128})
@@ -74,62 +114,32 @@ func TestProcFederationEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	urls := sniffer.ShardAdminURLs()
-	if len(urls) != shards {
-		t.Fatalf("ShardAdminURLs = %v, want %d workers", urls, shards)
-	}
-	for i, u := range urls {
-		if !strings.HasPrefix(u, "http://") {
-			t.Fatalf("worker %d admin URL malformed: %q", i+1, u)
-		}
-	}
-
-	// Workers expose per-process health on the same loopback server that
-	// answers extract requests.
-	resp, err := http.Get(urls[0] + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("worker /healthz status %d", resp.StatusCode)
-	}
-
-	fed := obs.NewFederator(obs.FederatorConfig{
-		Local: reg,
-		Targets: func() []obs.Target {
-			ts := make([]obs.Target, 0, shards)
-			for i, u := range sniffer.ShardAdminURLs() {
-				ts = append(ts, obs.Target{Name: strconv.Itoa(i + 1), URL: u})
-			}
-			return ts
-		},
-	})
-	if n := fed.ScrapeOnce(context.Background()); n != shards {
-		t.Fatalf("scraped %d workers, want %d", n, shards)
-	}
-	rollup := fed.Rollup()
-
 	// Cross-process consistency: every capture a worker extracted is one
 	// result line the coordinator read back (no batch was retried in this
-	// run), so the scraped worker-side counter must equal the
-	// coordinator-side one, per shard.
+	// run), so the trailers' done counts must equal the coordinator-side
+	// counter, per shard. Both worker gauges hold a sample per shard.
 	coord := reg.Snapshot()
+	counter.mu.Lock()
+	defer counter.mu.Unlock()
 	for s := 1; s <= shards; s++ {
 		shard := map[string]string{"shard": strconv.Itoa(s)}
 		shipped := counterTotal(coord, "ph_shard_batch_captures_total", shard)
-		extracted := counterTotal(rollup, "ph_shard_worker_extracted_total", shard)
 		if shipped == 0 {
 			t.Fatalf("shard %d returned no captures", s)
 		}
-		if extracted != shipped {
-			t.Fatalf("shard %d: worker extracted %v captures != coordinator read back %v",
+		if extracted := float64(counter.done[s-1]); extracted != shipped {
+			t.Fatalf("shard %d: worker trailers report %v captures != coordinator read back %v",
 				s, extracted, shipped)
+		}
+		for _, gauge := range []string{"ph_shard_worker_heap_bytes", "ph_shard_worker_gc_cycles"} {
+			if v := counterTotal(coord, gauge, shard); v <= 0 {
+				t.Fatalf("%s{shard=%d} = %v, want a worker sample", gauge, s, v)
+			}
 		}
 	}
 
-	// Fleet totals equal the unsharded run's: same world, same seed, no
-	// sharding, fresh registry.
+	// The capture total equals the unsharded run's: same world, same seed,
+	// no sharding, fresh registry.
 	reg2 := NewMetricsRegistry()
 	cfg2 := shardGoldenConfig(0, "")
 	cfg2.Metrics = reg2
@@ -141,54 +151,28 @@ func TestProcFederationEndToEnd(t *testing.T) {
 	if err := sniffer2.RunHours(hours); err != nil {
 		t.Fatal(err)
 	}
-	procCaptures := counterTotal(rollup, "ph_monitor_tweets_captured_total", nil)
+	procCaptures := counterTotal(coord, "ph_monitor_tweets_captured_total", nil)
 	flatCaptures := counterTotal(reg2.Snapshot(), "ph_monitor_tweets_captured_total", nil)
 	if procCaptures == 0 || procCaptures != flatCaptures {
-		t.Fatalf("federated capture total %v != unsharded %v", procCaptures, flatCaptures)
+		t.Fatalf("proc capture total %v != unsharded %v", procCaptures, flatCaptures)
 	}
 
-	// The workers' runtime telemetry federates per shard.
-	var rendered strings.Builder
-	if err := metrics.WriteTextSnapshots(&rendered, rollup); err != nil {
-		t.Fatal(err)
-	}
-	for s := 1; s <= shards; s++ {
-		want := `ph_runtime_goroutines{shard="` + strconv.Itoa(s) + `"}`
-		if !strings.Contains(rendered.String(), want) {
-			t.Fatalf("missing %s in federated rollup:\n%s", want, rendered.String())
-		}
-	}
-
-	// Re-federating the rendered rollup is a fixpoint.
-	exp, err := metrics.ParseExposition(strings.NewReader(rendered.String()))
-	if err != nil {
-		t.Fatalf("rollup does not re-parse: %v", err)
-	}
-	var again strings.Builder
-	if err := metrics.WriteTextSnapshots(&again,
-		metrics.MergeInstances([]metrics.Instance{{Name: "coord", Exposition: exp}})); err != nil {
-		t.Fatal(err)
-	}
-	if rendered.String() != again.String() {
-		t.Fatal("scrape → merge → re-expose → parse → merge is not a fixpoint")
-	}
-
-	// Aggregated health: every worker answered, 200 with per-shard detail.
+	// Health: every worker answered its last batch, 200 with a row per shard.
 	rr := httptest.NewRecorder()
-	fed.HealthHandler(sniffer.HealthExtra()).ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	metrics.HealthHandlerFunc(sniffer.HealthExtra()).ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if rr.Code != http.StatusOK {
-		t.Fatalf("aggregated /healthz = %d: %s", rr.Code, rr.Body.String())
+		t.Fatalf("/healthz = %d: %s", rr.Code, rr.Body.String())
 	}
-	var fleet obs.FleetHealth
-	if err := json.Unmarshal(rr.Body.Bytes(), &fleet); err != nil {
+	var health metrics.Health
+	if err := json.Unmarshal(rr.Body.Bytes(), &health); err != nil {
 		t.Fatal(err)
 	}
-	if len(fleet.Workers) != shards {
-		t.Fatalf("health reports %d workers, want %d", len(fleet.Workers), shards)
+	if len(health.Shards) != shards {
+		t.Fatalf("health reports %d shards, want %d: %s", len(health.Shards), shards, rr.Body.String())
 	}
-	for _, w := range fleet.Workers {
-		if w.Status != obs.StatusOK {
-			t.Fatalf("worker %s unhealthy: %+v", w.Shard, w)
+	for _, sh := range health.Shards {
+		if sh.Status != "ok" {
+			t.Fatalf("shard %s unhealthy: %+v", sh.Shard, sh)
 		}
 	}
 

@@ -21,8 +21,8 @@ func TestMain(m *testing.M) {
 // fingerprint (goldenStream in source_test.go), extended with a shard
 // topology. Tracing and an isolated metrics registry are on: the
 // observability layer — per-capture extract spans timed across the process
-// boundary, federated counters — must be invisible in every fingerprinted
-// observable.
+// boundary, trailer-fed worker gauges — must be invisible in every
+// fingerprinted observable.
 func shardGoldenConfig(shards int, mode string) SnifferConfig {
 	return goldenStream(func(cfg *SnifferConfig) {
 		cfg.Shards = shards
