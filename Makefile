@@ -1,4 +1,4 @@
-# Developer entry points. `make check` is the gate CI runs: vet, build,
+# Developer entry points. `make check` is the gate CI runs: gofmt, vet, build,
 # the full test suite, a race-detector pass over every package the
 # parallel execution layer or the metrics hot paths touch, coverage gates
 # on the packages named below, and a vet + test pass over the bench/
@@ -48,9 +48,13 @@ SOURCE_COVER_MIN := 90
 
 upper = $(shell echo $(1) | tr a-z A-Z)
 
-.PHONY: check vet vulncheck build test race bench bench-smoke
+.PHONY: check fmt vet vulncheck build test race bench bench-smoke
 
-check: vet vulncheck build test race cover-metrics cover-trace cover-store cover-obs cover-source bench-smoke
+check: fmt vet vulncheck build test race cover-metrics cover-trace cover-store cover-obs cover-source bench-smoke
+
+# fmt fails when any Go file differs from gofmt's output (and lists it).
+fmt:
+	@test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 vet:
 	$(GO) vet ./...

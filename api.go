@@ -267,11 +267,15 @@ type Sniffer struct {
 	// Durability (WAL + checkpoints), nil/zero when disabled. watermark
 	// is the highest durably-accounted tweet id at startup: the re-run
 	// simulation's tweets at or below it are already in the restored
-	// state and are skipped by the subscribe callback.
+	// state and are skipped by the subscribe callback. ckptSeq is the
+	// sequence the newest checkpoint covers and sinceCkpt the WAL records
+	// caused since — counted on the delivery goroutine as captures match
+	// and rotations are journaled, the inputs of checkpointDue.
 	store     *store.Store
 	recovery  *store.Recovery
 	watermark socialnet.TweetID
-	ckptEvery int
+	ckptSeq   uint64
+	sinceCkpt uint64
 
 	closeOnce sync.Once
 }
@@ -469,6 +473,9 @@ func (s *Sniffer) attachStream() error {
 	src.OnHourStart(s.rotateHour)
 	s.detach = src.Subscribe(func(p source.Post) {
 		if c := s.matchPost(p); c != nil {
+			// Every capture becomes one WAL record once the tail
+			// completes it.
+			s.sinceCkpt++
 			// Blocking push is the backpressure contract: a full extract
 			// queue pauses the firehose right here.
 			s.fanout.Ingest(c)

@@ -12,7 +12,7 @@
 //	          [-stream] [-batch-size 64] [-flush-interval 25ms]
 //	          [-shards N] [-shard-mode inproc|proc]
 //	          [-capture-cap 0]
-//	          [-store-dir DIR] [-sync-every 1] [-checkpoint-every 1]
+//	          [-store-dir DIR] [-sync-every 1]
 //	          [-metrics-addr :9331] [-export run.json]
 //	          [-trace-buffer 256] [-slow-span 250ms] [-log-level info]
 //	          [-pprof]
@@ -41,16 +41,17 @@
 // combination with -store-dir or -source gives the same result.
 //
 // With -store-dir (implies -stream), every capture is written to a WAL in
-// that directory and the pipeline state is checkpointed each simulated
-// hour (DESIGN.md §14). A restarted phsniffer pointed at the same
+// that directory, and at an hour boundary the pipeline state is
+// checkpointed once the WAL tail has grown to the history the newest
+// checkpoint covers (DESIGN.md §14), so a restart replays at most that
+// history plus one hour. A restarted phsniffer pointed at the same
 // directory recovers the durable state, fast-forwards past the hours
 // already accounted for, and continues without double-counting — the
 // final result is identical to a run that never stopped. The directory is
 // locked against concurrent runs; -sync-every groups WAL fsyncs
-// (group commit), -checkpoint-every spaces checkpoints in simulated
-// hours. Adding -record-rotations journals the hourly rotations and a
-// final profile epilogue too, which is what -source replay:DIR needs to
-// re-feed the recording later.
+// (group commit). Adding -record-rotations journals the hourly rotations
+// and a final profile epilogue too, which is what -source replay:DIR
+// needs to re-feed the recording later.
 //
 // With -metrics-addr, the process serves its live metrics registry at
 // GET /metrics (Prometheus text), GET /healthz, and — when tracing is on —
@@ -130,7 +131,6 @@ func run() error {
 		storeDir    = flag.String("store-dir", "", "durable WAL+checkpoint directory; a restart against it resumes without double-counting (implies -stream; works with any -shards/-shard-mode, not with -source)")
 		recordRot   = flag.Bool("record-rotations", false, "journal hourly rotations and a profile epilogue into the WAL so -source replay:DIR can re-feed it (requires -store-dir)")
 		syncEvery   = flag.Int("sync-every", 1, "WAL appends per fsync (group commit; 1 = every capture durable immediately)")
-		ckptEvery   = flag.Int("checkpoint-every", 1, "simulated hours between pipeline checkpoints")
 		server      = flag.String("server", "", "twitterd base URL for remote monitoring (e.g. http://127.0.0.1:8331)")
 		metricsOn   = flag.String("metrics-addr", "", "serve GET /metrics, /healthz and /debug/traces on this address during the run")
 		export      = flag.String("export", "", "write result tables plus metrics snapshot and trace summary as JSON to this file")
@@ -223,7 +223,6 @@ func run() error {
 		Durability: pseudohoneypot.DurabilityConfig{
 			Dir:             *storeDir,
 			SyncEvery:       *syncEvery,
-			CheckpointEvery: *ckptEvery,
 			RecordRotations: *recordRot,
 		},
 	})

@@ -24,11 +24,15 @@ type StoreBackend = store.Backend
 func NewDirBackend(dir string) (StoreBackend, error) { return store.NewDir(dir) }
 
 // DurabilityConfig enables the durable capture store (DESIGN.md §14): a
-// write-ahead log of every capture plus periodic checkpoints of the
-// derived pipeline state (capture ring, label-store cluster indices,
-// extractor behaviour state, group statistics, online-detector window).
-// On restart the sniffer restores the latest checkpoint, replays the WAL
-// tail through the same extraction/labeling code the stream runs, and
+// write-ahead log of every capture plus checkpoints of the derived
+// pipeline state (capture ring, label-store cluster indices, extractor
+// behaviour state, group statistics, online-detector window). A checkpoint
+// compacts the log: one is cut at an hour boundary once the WAL tail past
+// the newest checkpoint holds at least as many records as that checkpoint
+// covers (or after a failed WAL append), so checkpoint sizes grow
+// geometrically and recovery replays at most the covered history plus one
+// hour. On restart the sniffer restores the latest checkpoint, replays the
+// WAL tail through the same extraction/labeling code the stream runs, and
 // skips already-durable tweets as the simulation re-runs — converging on
 // the state an uninterrupted run would have reached.
 //
@@ -44,8 +48,8 @@ type DurabilityConfig struct {
 	// syncs every append — the strongest setting; larger values trade
 	// the unsynced tail on crash for throughput.
 	SyncEvery int
-	// CheckpointEvery is the number of simulated hours between
-	// checkpoints (default 1).
+	// Deprecated: CheckpointEvery is ignored. Checkpoints follow the
+	// WAL tail's length instead of a fixed cadence (see above).
 	CheckpointEvery int
 	// RecordRotations additionally journals every node-set rotation's
 	// per-group counts and, at Close, an epilogue of the final profiles
@@ -102,10 +106,6 @@ func (s *Sniffer) openDurable() error {
 		return fmt.Errorf("pseudohoneypot: open durable store: %w", err)
 	}
 	s.store, s.recovery = st, rec
-	s.ckptEvery = d.CheckpointEvery
-	if s.ckptEvery <= 0 {
-		s.ckptEvery = 1
-	}
 	return nil
 }
 
@@ -156,21 +156,14 @@ func (s *Sniffer) recoverDurable() error {
 			}
 		}
 		t.lastCaptured = socialnet.TweetID(ck.TweetWatermark)
+		s.ckptSeq = ck.Seq
 	}
+	// The store is quiescent until the stream starts, so its sequence is
+	// exactly the history the newest checkpoint does not cover: the
+	// schedule resumes where the crashed run left it.
+	s.sinceCkpt = s.store.Seq() - s.ckptSeq
 	items := make([]shard.Item, 0, len(rec.Records))
-	var lastSeq uint64
 	for _, r := range rec.Records {
-		if r.Seq <= lastSeq && lastSeq > 0 {
-			// walAppend retries a failed append into a fresh segment; when
-			// the "failed" frame nevertheless persisted (write landed, only
-			// the fsync errored) both copies decode — carrying the same
-			// sequence, because a failed append never advances it. Replay
-			// the first copy only. The key must be the sequence, not the
-			// tweet ID: one tweet mentioning nodes in different monitor
-			// groups legitimately yields several capture records.
-			continue
-		}
-		lastSeq = r.Seq
 		tw := &r.Tweet
 		c, err := s.monitor.AdoptCapture(tw, r.Sender, r.Receiver, r.Groups, world.Account)
 		if err != nil {
@@ -186,24 +179,42 @@ func (s *Sniffer) recoverDurable() error {
 	return nil
 }
 
+// checkpointDue is the compaction schedule (DESIGN.md §14), decided at an
+// hour boundary: cut a checkpoint once the WAL records logged since the
+// newest one number at least as many as it covers, or once a WAL append
+// has failed since (the capture it lost is only in memory). Checkpoint
+// sizes then grow geometrically, so all checkpoints together cost about
+// twice the final state rather than one full state per hour, and recovery
+// replays at most the covered history plus one hour. The record count is
+// delivery-goroutine state — never the store's sequence before a drain —
+// so every topology and worker count cuts at the same hours. Only the
+// failure flag comes from the tail, which runs behind the delivery
+// goroutine: a failure it has not reached by this boundary cuts at the
+// next one.
+func (s *Sniffer) checkpointDue() bool {
+	return s.sinceCkpt > 0 && s.sinceCkpt >= s.ckptSeq || s.tail.walFailed.Load()
+}
+
 // checkpointDurable runs at an hour boundary on the engine goroutine: the
 // engine (sole producer) is idle, so draining the stage graph reaches full
 // quiescence and every component can be snapshotted consistently. A failed
 // checkpoint is not fatal — the WAL still covers everything since the last
-// good one, and the store's checkpoint_errors counter records the miss.
+// good one, the store's checkpoint_errors counter records the miss, and the
+// schedule, left as it was, tries again at the next hour.
 func (s *Sniffer) checkpointDurable() error {
 	s.drainPipeline()
 	ck := &store.Checkpoint{
 		TweetWatermark: int64(s.tail.lastCaptured),
 		Components:     make(map[string][]byte, 5),
 	}
-	var buf bytes.Buffer
+	// Each component encodes into a buffer of its own, which the
+	// checkpoint then holds as is.
 	snap := func(key string, write func(*bytes.Buffer) error) error {
-		buf.Reset()
+		var buf bytes.Buffer
 		if err := write(&buf); err != nil {
 			return err
 		}
-		ck.Components[key] = append([]byte(nil), buf.Bytes()...)
+		ck.Components[key] = buf.Bytes()
 		return nil
 	}
 	err := errors.Join(
@@ -220,7 +231,12 @@ func (s *Sniffer) checkpointDurable() error {
 	if err != nil {
 		return fmt.Errorf("pseudohoneypot: checkpoint snapshot: %w", err)
 	}
-	return s.store.WriteCheckpoint(ck)
+	if err := s.store.WriteCheckpoint(ck); err != nil {
+		return err
+	}
+	s.ckptSeq, s.sinceCkpt = ck.Seq, 0
+	s.tail.walFailed.Store(false)
+	return nil
 }
 
 // DurableStore exposes the WAL/checkpoint store (nil when durability is

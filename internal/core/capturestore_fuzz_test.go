@@ -38,7 +38,7 @@ func FuzzCaptureStoreSnapshotRoundTrip(f *testing.F) {
 				Tweet: &socialnet.Tweet{
 					ID:        socialnet.TweetID(rng.Int63()),
 					AuthorID:  socialnet.AccountID(rng.Int63()),
-					CreatedAt: time.Unix(rng.Int63n(1 << 32), 0).UTC(),
+					CreatedAt: time.Unix(rng.Int63n(1<<32), 0).UTC(),
 					Text:      string(rune('a' + rng.Intn(26))),
 				},
 				Groups: []int{rng.Intn(8)},

@@ -147,7 +147,7 @@ func TestMuxHoursAndNow(t *testing.T) {
 func TestMuxSubscribeCancel(t *testing.T) {
 	a := &fakeSource{id: "a", start: t0, hours: [][]*socialnet.Tweet{
 		{tweetAt(1, 1, t0.Add(time.Minute))},
-		{tweetAt(2, 1, t0.Add(61 * time.Minute))},
+		{tweetAt(2, 1, t0.Add(61*time.Minute))},
 	}}
 	m := NewMux(a)
 	n := 0

@@ -2,7 +2,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
+	"io/fs"
+	"runtime"
 	"testing"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
@@ -122,6 +126,64 @@ func FuzzWALRecord(f *testing.F) {
 			if !errors.Is(err, ErrTornTail) {
 				t.Fatalf("cut=%d mid-frame: err=%v, want ErrTornTail", cut, err)
 			}
+		}
+	})
+}
+
+// fileBackend serves one file's bytes under one name; readCheckpointFile
+// only ever calls Open.
+type fileBackend struct {
+	Backend
+	name string
+	data []byte
+}
+
+func (b fileBackend) Open(name string) (io.ReadCloser, error) {
+	if name != b.name {
+		return nil, fs.ErrNotExist
+	}
+	return io.NopCloser(bytes.NewReader(b.data)), nil
+}
+
+// FuzzCheckpointFile pins the checkpoint reader against arbitrary file
+// bytes: it either decodes a checkpoint whose Seq is the one in the file
+// name or returns an error — no panic, and no allocation sized by a
+// header's claim rather than by the bytes actually present.
+func FuzzCheckpointFile(f *testing.F) {
+	valid, err := encodeCheckpointFile(&Checkpoint{
+		Seq:            7,
+		TweetWatermark: 1234,
+		Components:     map[string][]byte{"labels": []byte("cluster state"), "groups": {1, 2, 3}},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	lying := bytes.Clone(valid)
+	binary.LittleEndian.PutUint32(lying[8:12], MaxCheckpointSize)
+	badCRC := bytes.Clone(valid)
+	badCRC[len(badCRC)-1] ^= 0xff
+	f.Add(valid, uint64(7))
+	f.Add(valid[:len(valid)/2], uint64(7))
+	f.Add(lying, uint64(7))
+	f.Add(badCRC, uint64(7))
+	f.Add(valid, uint64(8)) // a file whose name disagrees with its content
+
+	f.Fuzz(func(t *testing.T, data []byte, seq uint64) {
+		b := fileBackend{name: checkpointName(seq), data: data}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ck, err := readCheckpointFile(b, seq)
+		runtime.ReadMemStats(&after)
+		if err == nil && ck.Seq != seq {
+			t.Fatalf("decoded checkpoint seq %d from file %d", ck.Seq, seq)
+		}
+		if err != nil && ck != nil {
+			t.Fatal("readCheckpointFile returned both a checkpoint and an error")
+		}
+		// gob and the payload buffer cost a small multiple of the input;
+		// the header may claim up to MaxCheckpointSize (1 GiB).
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+64*uint64(len(data)) {
+			t.Fatalf("reading a %d-byte file allocated %d bytes", len(data), grew)
 		}
 	})
 }

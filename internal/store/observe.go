@@ -19,6 +19,7 @@ type observer struct {
 	recoveryRecords     *metrics.Counter
 	tornTails           *metrics.Counter
 	prunedFiles         *metrics.Counter
+	tailRecords         *metrics.Gauge
 	checkpointSeconds   *metrics.Histogram
 	recoverySeconds     *metrics.Histogram
 	tracer              *trace.Tracer
@@ -51,6 +52,8 @@ func newObserver(reg *metrics.Registry, tracer *trace.Tracer) *observer {
 			"WAL segments that ended in a torn write."),
 		prunedFiles: reg.Counter("ph_store_pruned_files_total",
 			"Checkpoint and WAL segment files retired by compaction."),
+		tailRecords: reg.Gauge("ph_store_wal_tail_records",
+			"WAL records past the newest checkpoint: what recovery would replay now."),
 		checkpointSeconds: reg.Histogram("ph_store_checkpoint_seconds",
 			"Checkpoint publish latency.", nil),
 		recoverySeconds: reg.Histogram("ph_store_recovery_seconds",

@@ -146,7 +146,16 @@ func ReadLog(b Backend) (*Log, error) {
 		return nil, fmt.Errorf("store: list: %w", err)
 	}
 	log := &Log{}
+	// A frame rewritten after a failed sync can persist under the same
+	// sequence in two segments; every record type keeps the first copy.
 	var lastSeq uint64
+	next := func(seq uint64) bool {
+		if seq <= lastSeq {
+			return false
+		}
+		lastSeq = seq
+		return true
+	}
 	for _, first := range listSeqs(names, segmentPrefix, segmentSuffix) {
 		f, err := b.Open(segmentName(first))
 		if err != nil {
@@ -159,23 +168,24 @@ func ReadLog(b Backend) (*Log, error) {
 				if err != nil {
 					return fmt.Errorf("store: segment %d: %w", first, err)
 				}
-				// A retried append can persist the same sequence twice
-				// (write landed, fsync errored); replay the first copy.
-				if cr.Seq <= lastSeq && lastSeq > 0 {
-					return nil
+				if next(cr.Seq) {
+					log.Captures = append(log.Captures, cr)
 				}
-				lastSeq = cr.Seq
-				log.Captures = append(log.Captures, cr)
 			case RecordRotation:
 				rr, err := DecodeRotation(payload)
 				if err != nil {
 					return fmt.Errorf("store: segment %d: %w", first, err)
 				}
-				log.Rotations = append(log.Rotations, rr)
+				if next(rr.Seq) {
+					log.Rotations = append(log.Rotations, rr)
+				}
 			case RecordProfiles:
-				_, accounts, err := DecodeProfiles(payload)
+				seq, accounts, err := DecodeProfiles(payload)
 				if err != nil {
 					return fmt.Errorf("store: segment %d: %w", first, err)
+				}
+				if !next(seq) {
+					return nil
 				}
 				if log.Profiles == nil {
 					log.Profiles = make(map[socialnet.AccountID]*socialnet.Account, len(accounts))
@@ -186,11 +196,13 @@ func ReadLog(b Backend) (*Log, error) {
 					}
 				}
 			case RecordSimHours:
-				_, hours, err := decodeSimHours(payload)
+				seq, hours, err := decodeSimHours(payload)
 				if err != nil {
 					return fmt.Errorf("store: segment %d: %w", first, err)
 				}
-				log.SimHours += hours
+				if next(seq) {
+					log.SimHours += hours
+				}
 			case RecordMeta:
 				if log.Meta == "" {
 					log.Meta = string(payload)

@@ -227,8 +227,9 @@ func TestReadLogPropagatesBackendErrors(t *testing.T) {
 }
 
 // TestAppendRotationSurfacesWriteFaults: recording appends report
-// backend failures to the caller — a rotation the log refused is a
-// replay that would come up one hour short.
+// backend failures the store's own retry could not get past to the
+// caller — a rotation the log refused is a replay that would come up one
+// hour short.
 func TestAppendRotationSurfacesWriteFaults(t *testing.T) {
 	b := fstest.New()
 	s, _ := openTest(t, b, 1)
@@ -236,27 +237,32 @@ func TestAppendRotationSurfacesWriteFaults(t *testing.T) {
 	if err := s.AppendRotation(testRotation(0)); err != nil {
 		t.Fatal(err)
 	}
-	b.FailAfter(fstest.OpWrite, 1)
+	// Each fault below starts from a healthy segment, so the append's
+	// retry on a fresh one is what the second scheduled fault hits.
+	failTwice(b, fstest.OpWrite)
 	if err := s.AppendRotation(testRotation(1)); err == nil {
 		t.Fatal("AppendRotation with failing write succeeded")
-	}
-	b.FailAfter(fstest.OpSync, 1)
-	if err := s.AppendProfiles([]*socialnet.Account{{ID: 3}}); err == nil {
-		t.Fatal("AppendProfiles with failing sync succeeded")
 	}
 	// The store recovers onto a fresh segment: the next append lands.
 	if err := s.AppendRotation(testRotation(2)); err != nil {
 		t.Fatalf("append after recovered faults: %v", err)
 	}
+	failTwice(b, fstest.OpSync)
+	if err := s.AppendProfiles([]*socialnet.Account{{ID: 3}}); err == nil {
+		t.Fatal("AppendProfiles with failing sync succeeded")
+	}
+	if err := s.AppendRotation(testRotation(3)); err != nil {
+		t.Fatalf("append after recovered faults: %v", err)
+	}
 	// A frame too large for the writer's buffer writes through to the
 	// backend immediately; a write fault there must surface on the
 	// append itself, not wait for the next sync.
-	b.FailAfter(fstest.OpWrite, 1)
+	failTwice(b, fstest.OpWrite)
 	big := &socialnet.Account{ID: 4, Name: strings.Repeat("x", 2<<20)}
 	if err := s.AppendProfiles([]*socialnet.Account{big}); err == nil {
 		t.Fatal("oversized AppendProfiles with failing write succeeded")
 	}
-	if err := s.AppendRotation(testRotation(3)); err != nil {
+	if err := s.AppendRotation(testRotation(4)); err != nil {
 		t.Fatalf("append after write-through fault: %v", err)
 	}
 }

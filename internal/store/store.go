@@ -20,7 +20,10 @@ type Options struct {
 	Backend Backend
 	// SyncEvery groups WAL commits: the log fsyncs after every SyncEvery
 	// appends (and on explicit Sync). <= 0 means 1, i.e. every append is
-	// durable before AppendCapture returns.
+	// durable before AppendCapture returns. The store keeps the frames of
+	// the open group in memory until their fsync succeeds, so a failed
+	// flush or fsync rewrites them into a fresh segment instead of losing
+	// appends that already returned nil.
 	SyncEvery int
 	// Meta is the owner's configuration fingerprint (seed, spec hash).
 	// It is stamped into every WAL segment; reopening a store whose
@@ -45,7 +48,8 @@ type Recovery struct {
 	// Checkpoint is the newest decodable checkpoint, nil when none.
 	Checkpoint *Checkpoint
 	// Records are the WAL capture records past the checkpoint, in append
-	// order.
+	// order, each sequence once (a frame rewritten after a failed sync can
+	// sit in two segments; the second copy is dropped).
 	Records []*CaptureRecord
 	// SimHours is the summed sim-time advance past the checkpoint
 	// (twitterd's journal records).
@@ -77,13 +81,19 @@ type Store struct {
 	lastCkpt    uint64 // sequence the newest checkpoint covers
 	lastSyncErr string // most recent fsync failure ("" = last sync ok)
 	w           *segmentWriter
-	pending     int // appends since last successful sync
-	syncEvery   int
-	retainAll   bool
-	meta        string
-	buf         []byte // payload scratch, reused across appends
-	frame       []byte // framing scratch (header + payload copy), likewise
-	closed      bool
+	// unsynced holds every frame appended since the last successful sync,
+	// back to back; firstUnsynced is the sequence of the oldest and
+	// pending their count. Under group commit an append returns before its
+	// frame is durable, so when the flush or fsync that should harden the
+	// group fails, the next segment starts by rewriting all of them.
+	unsynced      []byte
+	firstUnsynced uint64
+	pending       int
+	syncEvery     int
+	retainAll     bool
+	meta          string
+	buf           []byte // payload scratch, reused across appends
+	closed        bool
 }
 
 // Status is the operator-facing durability snapshot surfaced through
@@ -228,26 +238,38 @@ func (s *Store) recover() (*Recovery, error) {
 	for i, first := range segSeqs {
 		if i+1 < len(segSeqs) && segSeqs[i+1] <= base+1 {
 			// Every record in this segment has seq < the next segment's
-			// first, hence <= base: fully covered by the checkpoint.
+			// first (or is rewritten there), hence <= base: fully covered
+			// by the checkpoint.
 			continue
 		}
-		if err := s.replaySegment(first, base, rec); err != nil {
+		if err := s.replaySegment(first, rec); err != nil {
 			return nil, err
 		}
 	}
+	s.obs.tailRecords.Set(float64(s.seq - base))
 	s.obs.recoverySeconds.ObserveDuration(start)
 	sp.SetAttr("records", fmt.Sprint(len(rec.Records)))
 	sp.SetAttr("torn", fmt.Sprint(rec.Torn))
 	return rec, nil
 }
 
-// replaySegment streams one segment into rec, keeping records past base.
-func (s *Store) replaySegment(first, base uint64, rec *Recovery) error {
+// replaySegment streams one segment into rec, keeping records past s.seq.
+func (s *Store) replaySegment(first uint64, rec *Recovery) error {
 	f, err := s.b.Open(segmentName(first))
 	if err != nil {
 		return fmt.Errorf("store: open segment %d: %w", first, err)
 	}
 	defer func() { _ = f.Close() }()
+	// next admits a sequenced record: one past everything seen so far.
+	// s.seq starts at the checkpoint's, so this skips both the covered
+	// prefix and the second copy of a frame rewritten after a failed sync.
+	next := func(seq uint64) bool {
+		if seq <= s.seq {
+			return false
+		}
+		s.seq = seq
+		return true
+	}
 	err = readSegment(f, func(typ byte, payload []byte) error {
 		switch typ {
 		case RecordCapture:
@@ -257,10 +279,7 @@ func (s *Store) replaySegment(first, base uint64, rec *Recovery) error {
 				// bug or adversarial corruption, not a torn write.
 				return fmt.Errorf("store: segment %d: %w", first, err)
 			}
-			if cr.Seq > s.seq {
-				s.seq = cr.Seq
-			}
-			if cr.Seq > base {
+			if next(cr.Seq) {
 				rec.Records = append(rec.Records, cr)
 				s.obs.recoveryRecords.Inc()
 			}
@@ -269,10 +288,7 @@ func (s *Store) replaySegment(first, base uint64, rec *Recovery) error {
 			if err != nil {
 				return fmt.Errorf("store: segment %d: %w", first, err)
 			}
-			if seq > s.seq {
-				s.seq = seq
-			}
-			if seq > base {
+			if next(seq) {
 				rec.SimHours += hours
 			}
 		case RecordRotation:
@@ -283,17 +299,13 @@ func (s *Store) replaySegment(first, base uint64, rec *Recovery) error {
 			// Recovery re-runs the simulation, which rotates again; only
 			// the sequence matters here. ReadLog is the consumer of the
 			// rotation schedule itself.
-			if rr.Seq > s.seq {
-				s.seq = rr.Seq
-			}
+			next(rr.Seq)
 		case RecordProfiles:
 			seq, _, err := DecodeProfiles(payload)
 			if err != nil {
 				return fmt.Errorf("store: segment %d: %w", first, err)
 			}
-			if seq > s.seq {
-				s.seq = seq
-			}
+			next(seq)
 		case RecordMeta:
 			if rec.Meta == "" {
 				rec.Meta = string(payload)
@@ -337,48 +349,91 @@ func (s *Store) AppendSimHours(hours int) error {
 	return s.appendLocked(RecordSimHours, s.buf)
 }
 
-// appendLocked frames and writes one record carrying sequence s.seq+1.
-// On success the sequence advances; on failure it does not, and the next
-// append rotates to a fresh segment (so a torn frame only ever sits at a
-// segment tail).
+// appendLocked frames one record carrying sequence s.seq+1 and commits it
+// to the active segment, fsyncing when the group is full. A write or
+// fsync failure there gets the one retry: rotate, rewriting every
+// unsynced frame — this one included — into a fresh segment. When that
+// fails too the append reports the error; its sequence is still spent if
+// the frame reached a segment writer, because a copy may have landed and
+// no later record may claim the same sequence. A segment that cannot even
+// be created is not retried: the backend is down, and nothing was written.
 func (s *Store) appendLocked(typ byte, payload []byte) error {
 	if s.closed {
 		return errors.New("store: closed")
 	}
-	if s.w == nil || s.w.broken {
-		if s.w != nil {
-			_ = s.w.close()
-			s.w = nil
-		}
-		w, err := s.openSegmentLocked()
-		if err != nil {
-			s.obs.appendErrors.Inc()
-			return err
-		}
-		s.w = w
+	mark := len(s.unsynced)
+	if s.pending == 0 {
+		s.firstUnsynced = s.seq + 1
 	}
-	s.frame = appendFrame(s.frame[:0], typ, payload)
-	if err := s.w.append(s.frame); err != nil {
+	s.unsynced = appendFrame(s.unsynced, typ, payload)
+	s.pending++
+	frame := s.unsynced[mark:]
+	written, err := s.commitLocked(frame)
+	if err != nil {
+		s.unsynced = s.unsynced[:mark]
+		s.pending--
+		if written {
+			s.seq++
+		}
 		s.obs.appendErrors.Inc()
 		return err
 	}
 	s.seq++
-	s.pending++
 	s.obs.appends.Inc()
-	s.obs.walBytes.Add(float64(len(s.frame)))
-	if s.pending >= s.syncEvery {
-		return s.syncLocked()
-	}
+	s.obs.walBytes.Add(float64(len(frame)))
+	s.obs.tailRecords.Set(float64(s.seq - s.lastCkpt))
 	return nil
 }
 
-// openSegmentLocked creates the next segment, named after the sequence
-// the first record it receives will carry, and stamps the meta record.
-// A name collision can only hit a segment that held no sequenced records
-// (otherwise s.seq would be past its first sequence), so the truncate
-// loses nothing.
-func (s *Store) openSegmentLocked() (*segmentWriter, error) {
-	w, err := newSegmentWriter(s.b, segmentName(s.seq+1))
+// commitLocked writes frame, the newest unsynced frame, and fsyncs when
+// the group is full, rotating once if the active segment is missing or
+// fails. written reports whether the frame reached any segment writer.
+func (s *Store) commitLocked(frame []byte) (written bool, err error) {
+	if s.w != nil && !s.w.broken {
+		written = true
+		if err = s.w.append(frame); err == nil && s.pending >= s.syncEvery {
+			err = s.hardenLocked()
+		}
+		if err == nil {
+			return true, nil
+		}
+	}
+	if err = s.rotateLocked(); err == nil && s.pending >= s.syncEvery {
+		err = s.hardenLocked()
+	}
+	// rotateLocked leaves s.w nil only when the segment was never created.
+	return written || s.w != nil, err
+}
+
+// rotateLocked retires the active segment and opens the next, rewriting
+// every unsynced frame into it under its original sequence. The segment is
+// named after the oldest frame it receives, so the naming invariant holds:
+// a segment's records either precede the next segment's first sequence or
+// are rewritten there, and recovery keeps the first copy of a sequence.
+func (s *Store) rotateLocked() error {
+	if s.w != nil {
+		_ = s.w.close()
+		s.w = nil
+	}
+	first := s.seq + 1
+	if s.pending > 0 {
+		first = s.firstUnsynced
+	}
+	w, err := s.openSegmentLocked(first)
+	if err != nil {
+		return err
+	}
+	s.w = w
+	return w.append(s.unsynced)
+}
+
+// openSegmentLocked creates the segment named after first, the sequence
+// of the first record it receives, and stamps the meta record. A name
+// collision can only hit a segment none of whose records was ever synced
+// (a synced record at or past first would have moved firstUnsynced or
+// s.seq beyond it), so the truncate loses nothing durable.
+func (s *Store) openSegmentLocked(first uint64) (*segmentWriter, error) {
+	w, err := newSegmentWriter(s.b, segmentName(first))
 	if err != nil {
 		return nil, err
 	}
@@ -402,16 +457,31 @@ func (s *Store) Sync() error {
 	return s.syncLocked()
 }
 
+// syncLocked hardens every unsynced frame, with the same one retry as an
+// append: if the active segment is missing or its flush or fsync fails,
+// the frames are rewritten into a fresh segment and that one is synced.
 func (s *Store) syncLocked() error {
-	if s.w == nil || s.pending == 0 {
+	if s.pending == 0 {
 		return nil
 	}
+	if s.w != nil && !s.w.broken && s.hardenLocked() == nil {
+		return nil
+	}
+	if err := s.rotateLocked(); err != nil {
+		return err
+	}
+	return s.hardenLocked()
+}
+
+// hardenLocked flushes and fsyncs the active segment; on success every
+// unsynced frame is durable and the buffer that kept them is recycled.
+func (s *Store) hardenLocked() error {
 	if err := s.w.sync(); err != nil {
 		s.obs.syncErrors.Inc()
 		s.lastSyncErr = err.Error()
 		return err
 	}
-	s.pending = 0
+	s.unsynced, s.pending = s.unsynced[:0], 0
 	s.lastSyncErr = ""
 	s.obs.syncs.Inc()
 	return nil
@@ -454,6 +524,7 @@ func (s *Store) WriteCheckpoint(ck *Checkpoint) error {
 	}
 	s.pruneLocked(ck.Seq)
 	s.lastCkpt = ck.Seq
+	s.obs.tailRecords.Set(0)
 	s.obs.checkpoints.Inc()
 	s.obs.checkpointSeconds.ObserveDuration(start)
 	sp.SetAttr("seq", fmt.Sprint(ck.Seq))

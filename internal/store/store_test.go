@@ -78,6 +78,14 @@ func openTest(t *testing.T, b store.Backend, syncEvery int) (*store.Store, *stor
 	return s, rec
 }
 
+// failTwice makes the next operation of kind op fail, and the one after
+// it: the store's own retry on a fresh segment. A single fault is absorbed
+// by that retry; two surface to the caller.
+func failTwice(b *fstest.Backend, op fstest.Op) {
+	b.FailAfter(op, 1)
+	b.FailAfter(op, 2)
+}
+
 func appendN(t *testing.T, s *store.Store, from, n int) {
 	t.Helper()
 	for i := from; i < from+n; i++ {
@@ -201,9 +209,10 @@ func TestCrashDiscardsUnsyncedKeepsSynced(t *testing.T) {
 			s, _ := openTest(t, b, 1) // sync every append: all 8 durable
 			appendN(t, s, 0, 8)
 			if torn > 0 {
-				// A 9th append whose fsync fails leaves a flushed but
-				// unsynced frame; the crash keeps torn bytes of it.
-				b.FailAfter(fstest.OpSync, 1)
+				// A 9th append whose fsync fails, on the first segment and
+				// on the retry's, leaves a flushed but unsynced frame in
+				// each; the crash keeps torn bytes of both.
+				failTwice(b, fstest.OpSync)
 				if err := s.AppendCapture(testCapture(8)); err == nil {
 					t.Fatal("append with failing fsync succeeded")
 				}
@@ -218,8 +227,8 @@ func TestCrashDiscardsUnsyncedKeepsSynced(t *testing.T) {
 			if len(rec.Records) != 8 {
 				t.Fatalf("recovered %d records, want 8", len(rec.Records))
 			}
-			if torn > 0 && rec.Torn != 1 {
-				t.Errorf("torn = %d, want 1", rec.Torn)
+			if torn > 0 && rec.Torn != 2 {
+				t.Errorf("torn = %d, want 2", rec.Torn)
 			}
 		})
 	}
@@ -235,20 +244,21 @@ func TestUnsyncedTailLostOnCrash(t *testing.T) {
 	appendN(t, s, 5, 4) // buffered, not yet durable
 	// A failing fsync still flushes the buffer first, leaving the four
 	// frames written but unsynced — the page-cache state a real crash
-	// tears.
-	b.FailAfter(fstest.OpSync, 1)
+	// tears. The retry rewrites them into a fresh segment whose fsync
+	// fails too.
+	failTwice(b, fstest.OpSync)
 	if err := s.Sync(); err == nil {
 		t.Fatal("Sync with injected fsync fault succeeded")
 	}
-	b.Crash(2) // keep 2 torn bytes of the unsynced tail
+	b.Crash(2) // keep 2 torn bytes of each unsynced tail
 
 	s2, rec := openTest(t, b, 1)
 	defer func() { _ = s2.Close() }()
 	if len(rec.Records) != 5 {
 		t.Fatalf("recovered %d records, want the 5 synced ones", len(rec.Records))
 	}
-	if rec.Torn != 1 {
-		t.Errorf("torn = %d, want 1", rec.Torn)
+	if rec.Torn != 2 {
+		t.Errorf("torn = %d, want 2 (the first segment and the retry's)", rec.Torn)
 	}
 	// New appends must continue past the highest durable sequence.
 	if err := s2.AppendCapture(testCapture(99)); err != nil {
@@ -263,15 +273,19 @@ func TestWriteErrorRotatesSegment(t *testing.T) {
 	b := fstest.New()
 	s, _ := openTest(t, b, 1)
 	appendN(t, s, 0, 3)
-	b.FailAfter(fstest.OpWrite, 1)
+	failTwice(b, fstest.OpWrite)
 	err := s.AppendCapture(testCapture(3))
 	if !errors.Is(err, fstest.ErrInjected) {
 		t.Fatalf("append during fault: %v, want injected error", err)
 	}
 	// The failed record consumed a sequence but never became durable
-	// (its half-written frame is a torn tail); the next append rotates
-	// to a fresh segment and proceeds.
+	// (its half-written frames are torn tails, in the first segment and
+	// in the retry's); the next append rotates to a fresh segment and
+	// proceeds.
 	appendN(t, s, 4, 3)
+	if s.Seq() != 7 {
+		t.Errorf("Seq() = %d, want 7 (the failed append spends its sequence)", s.Seq())
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -287,8 +301,8 @@ func TestWriteErrorRotatesSegment(t *testing.T) {
 				rec.Records[i].Seq, rec.Records[i-1].Seq)
 		}
 	}
-	if rec.Torn != 1 {
-		t.Errorf("torn = %d, want 1 (half-written frame at rotated segment tail)", rec.Torn)
+	if rec.Torn != 2 {
+		t.Errorf("torn = %d, want 2 (half-written frames at both rotated segment tails)", rec.Torn)
 	}
 }
 
@@ -296,7 +310,7 @@ func TestSyncErrorRotatesSegment(t *testing.T) {
 	b := fstest.New()
 	s, _ := openTest(t, b, 1)
 	appendN(t, s, 0, 2)
-	b.FailAfter(fstest.OpSync, 1)
+	failTwice(b, fstest.OpSync)
 	if err := s.AppendCapture(testCapture(2)); !errors.Is(err, fstest.ErrInjected) {
 		t.Fatalf("append during sync fault: %v, want injected error", err)
 	}
@@ -306,12 +320,86 @@ func TestSyncErrorRotatesSegment(t *testing.T) {
 	}
 	s2, rec := openTest(t, b, 1)
 	defer func() { _ = s2.Close() }()
-	// The record whose sync failed was still written and later segments
-	// were synced; after rotation it sits at the old segment's tail. It
-	// was flushed before the failing fsync, so the in-memory double kept
-	// it in unsynced state until Crash — no crash here, so it survives.
-	if len(rec.Records) < 4 {
-		t.Fatalf("recovered %d records, want >= 4", len(rec.Records))
+	// The record whose sync failed was still written, into the old
+	// segment and into the retry's, and later segments were synced. It
+	// was flushed before the failing fsyncs, so the in-memory double kept
+	// it in unsynced state until Crash — no crash here, so it survives,
+	// and its sequence replays once.
+	if got := recordSeqs(rec); !reflect.DeepEqual(got, []uint64{1, 2, 3, 4, 5}) {
+		t.Fatalf("recovered seqs %v, want [1 2 3 4 5]", got)
+	}
+}
+
+// recordSeqs lists the sequences of the recovered capture records.
+func recordSeqs(rec *store.Recovery) []uint64 {
+	seqs := make([]uint64, len(rec.Records))
+	for i, r := range rec.Records {
+		seqs[i] = r.Seq
+	}
+	return seqs
+}
+
+// groupCommitSurvives is the group-commit loss scenario: under SyncEvery 4
+// three appends return nil with their frames still buffered, then the
+// fourth append's group flush (a write) or fsync fails once. Appends that
+// returned nil must not be lost to a later fault: the store rewrites all
+// four frames into a fresh segment, so a crash right after Sync gives back
+// seqs 1..4, each exactly once.
+func groupCommitSurvives(t *testing.T, op fstest.Op) {
+	b := fstest.New()
+	s, _ := openTest(t, b, 4)
+	appendN(t, s, 0, 3)
+	b.FailAfter(op, 1)
+	if err := s.AppendCapture(testCapture(3)); err != nil {
+		t.Fatalf("append whose group %s failed once: %v, want the store's retry to land it", op, err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	b.Crash(0)
+	s2, rec := openTest(t, b, 4)
+	defer func() { _ = s2.Close() }()
+	if got := recordSeqs(rec); !reflect.DeepEqual(got, []uint64{1, 2, 3, 4}) {
+		t.Fatalf("recovered seqs %v, want [1 2 3 4]", got)
+	}
+}
+
+func TestGroupCommitSurvivesFlushFault(t *testing.T) { groupCommitSurvives(t, fstest.OpWrite) }
+
+func TestGroupCommitSurvivesFsyncFault(t *testing.T) { groupCommitSurvives(t, fstest.OpSync) }
+
+// TestRewrittenFramesReplayOnce: when only the fsync failed, the group's
+// frames landed in the old segment as well as in the retry's. Both copies
+// survive a clean reopen; recovery and ReadLog keep the first of each
+// sequence.
+func TestRewrittenFramesReplayOnce(t *testing.T) {
+	b := fstest.New()
+	s, _ := openTest(t, b, 4)
+	appendN(t, s, 0, 7) // 1..4 synced, 5..7 buffered
+	b.FailAfter(fstest.OpSync, 1)
+	appendN(t, s, 7, 1) // the group flush lands, its fsync fails
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := b.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"wal-0000000000000001.log", "wal-0000000000000005.log"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("segments %v, want %v (the group rewritten into its own)", names, want)
+	}
+	s2, rec := openTest(t, b, 4)
+	defer func() { _ = s2.Close() }()
+	want := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+	if got := recordSeqs(rec); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered seqs %v, want %v", got, want)
+	}
+	log, err := store.ReadLog(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(log.Captures) != len(want) {
+		t.Fatalf("ReadLog kept %d captures, want %d", len(log.Captures), len(want))
 	}
 }
 

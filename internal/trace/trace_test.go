@@ -45,14 +45,14 @@ func TestTraceLifecycle(t *testing.T) {
 		t.Fatalf("ring has %d traces, want 1", len(recent))
 	}
 	got := recent[0]
-	if !got.Finished || got.DurationNS != (6 * time.Millisecond).Nanoseconds() {
+	if !got.Finished || got.DurationNS != (6*time.Millisecond).Nanoseconds() {
 		t.Fatalf("trace snapshot %+v", got)
 	}
 	if len(got.Attrs) != 1 || got.Attrs[0] != (KV{"tweet", "43"}) {
 		t.Fatalf("attrs %+v", got.Attrs)
 	}
 	span, ok := got.Span("feature_extract")
-	if !ok || span.DurationNS != (5 * time.Millisecond).Nanoseconds() {
+	if !ok || span.DurationNS != (5*time.Millisecond).Nanoseconds() {
 		t.Fatalf("span %+v ok=%v", span, ok)
 	}
 	if len(span.Attrs) != 1 || span.Attrs[0] != (KV{"features", "58"}) {
@@ -204,7 +204,7 @@ func TestAddSpanExtendsFinishedTrace(t *testing.T) {
 		t.Fatalf("late span did not extend trace: %+v", got)
 	}
 	span, ok := got.Span("label_manual")
-	if !ok || span.DurationNS != (7 * time.Millisecond).Nanoseconds() {
+	if !ok || span.DurationNS != (7*time.Millisecond).Nanoseconds() {
 		t.Fatalf("adopted span %+v", span)
 	}
 	if len(span.Attrs) != 1 || span.Attrs[0] != (KV{"batch", "t-000002"}) {

@@ -84,26 +84,26 @@ func decoderCorpus() []string {
 		`{"text":"plain"}`, `{"text":""}`,
 		`{"text":"a\"b\\c\/d\be\ff\ng\rh\ti"}`,
 		`{"text":"\u0041\u00e9\u4e2d"}`,
-		`{"text":"\ud83d\ude00"}`,  // valid surrogate pair
-		`{"text":"\ud800"}`,        // lone high surrogate -> U+FFFD
-		`{"text":"\ude00x"}`,       // lone low surrogate -> U+FFFD
-		`{"text":"\ud800\ud800"}`,  // high+high -> two U+FFFD
-		`{"text":"\ud83d\u0041"}`,  // high + non-surrogate escape
-		`{"text":"\u0000"}`,        // escaped NUL is legal
-		"{\"text\":\"\xff\xfe\"}",  // invalid UTF-8 -> replacement runes
+		`{"text":"\ud83d\ude00"}`,   // valid surrogate pair
+		`{"text":"\ud800"}`,         // lone high surrogate -> U+FFFD
+		`{"text":"\ude00x"}`,        // lone low surrogate -> U+FFFD
+		`{"text":"\ud800\ud800"}`,   // high+high -> two U+FFFD
+		`{"text":"\ud83d\u0041"}`,   // high + non-surrogate escape
+		`{"text":"\u0000"}`,         // escaped NUL is legal
+		"{\"text\":\"\xff\xfe\"}",   // invalid UTF-8 -> replacement runes
 		"{\"text\":\"ok\xc3\x28\"}", // truncated multibyte mid-string
-		`{"text":"\uD83D\uDE00"}`,  // uppercase hex
-		`{"text":"\q"}`,            // bad escape: reject
-		`{"text":"\u12"}`,          // short unicode escape: reject
-		`{"text":"\u12zz"}`,        // bad hex: reject
-		"{\"text\":\"ctl\x01\"}",   // raw control char: reject
-		`{"text":"unterminated`,    // unterminated: reject
+		`{"text":"\uD83D\uDE00"}`,   // uppercase hex
+		`{"text":"\q"}`,             // bad escape: reject
+		`{"text":"\u12"}`,           // short unicode escape: reject
+		`{"text":"\u12zz"}`,         // bad hex: reject
+		"{\"text\":\"ctl\x01\"}",    // raw control char: reject
+		`{"text":"unterminated`,     // unterminated: reject
 		// Numbers: grammar, overflow, null, wrong types.
 		`{"id":0}`, `{"id":-0}`, `{"id":9223372036854775807}`,
 		`{"id":-9223372036854775808}`,
-		`{"id":9223372036854775808}`,  // overflow: reject
-		`{"id":-9223372036854775809}`, // underflow: reject
-		`{"id":18446744073709551616}`, // past uint64: reject
+		`{"id":9223372036854775808}`,              // overflow: reject
+		`{"id":-9223372036854775809}`,             // underflow: reject
+		`{"id":18446744073709551616}`,             // past uint64: reject
 		`{"id":1.5}`, `{"id":1e3}`, `{"id":1E+2}`, // float into int64: reject
 		`{"id":01}`, `{"id":+1}`, `{"id":-}`, `{"id":1.}`, `{"id":1e}`, // bad grammar
 		`{"id":null}`, `{"id":"5"}`, `{"id":true}`,
@@ -126,7 +126,7 @@ func decoderCorpus() []string {
 		`{"entities":{"hashtags":["a",null,"b"]}}`,
 		`{"entities":{"hashtags":["a","b"]},"entities":{"hashtags":["c"]}}`,
 		`{"entities":{"hashtags":["a"],"hashtags":null}}`,
-		`{"entities":{"hashtags":[1]}}`,   // number into string: reject
+		`{"entities":{"hashtags":[1]}}`,     // number into string: reject
 		`{"entities":{"hashtags":[["a"]]}}`, // array into string: reject
 		`{"entities":{"urls":["u1","u2"]}}`,
 		`{"entities":{"user_mentions":[]}}`,
@@ -137,7 +137,7 @@ func decoderCorpus() []string {
 		`{"entities":{"user_mentions":[{"id":1},{"id":2}]},"entities":{"user_mentions":[{"id":9}]}}`,
 		// Key matching: case folding, escaped keys, Kelvin sign.
 		`{"ID":4,"TEXT":"t","User":{"Screen_Name":"s"}}`,
-		`{"\u0069\u0064":11}`,       // escaped "id"
+		`{"\u0069\u0064":11}`, // escaped "id"
 		`{"x_oracle_spam":true}`,
 		"{\"\u212a\u0069nd\":\"quote\"}", // Kelvin-K folds to "kind"
 		`{"created_at":"x","CREATED_AT":"y"}`,

@@ -97,9 +97,10 @@ func recordGoldenRun(t *testing.T) (dir, fingerprint string) {
 	rec, err := NewSniffer(sim, goldenStream(func(cfg *SnifferConfig) {
 		cfg.Durability = DurabilityConfig{
 			Dir: dir,
-			// Default hourly checkpoints on purpose: RecordRotations must
-			// suspend compaction pruning (store RetainAll), or the segments
-			// the replay needs would be gone by the end of the recording.
+			// The run cuts several checkpoints on purpose: RecordRotations
+			// must suspend compaction pruning (store RetainAll), or the
+			// segments the replay needs would be gone by the end of the
+			// recording.
 			RecordRotations: true,
 		}
 	}))
@@ -191,7 +192,7 @@ func TestSnifferConfigValidate(t *testing.T) {
 			Specs:  RandomSpec(40),
 			Stream: stream,
 			Durability: DurabilityConfig{
-				Dir: dir, CheckpointEvery: 1000, RecordRotations: true,
+				Dir: dir, RecordRotations: true,
 			},
 		})
 		if err != nil {

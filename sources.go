@@ -83,9 +83,10 @@ func (si *sourceInstruments) capture(origin string) {
 
 // rotateHour is the hour hook every streaming topology shares: rotate the
 // node set (or re-accrue a replayed rotation), journal the rotation when
-// recording, and checkpoint on cadence. It runs on the source's delivery
-// goroutine at an hour boundary, when the producer is idle — the
-// quiescence the durable checkpoint needs.
+// recording, and checkpoint when the schedule says so. It runs on the
+// source's delivery goroutine at an hour boundary, when the producer is
+// idle — the quiescence the durable checkpoint needs. An hour that cuts no
+// checkpoint does not drain the stage graph.
 func (s *Sniffer) rotateHour(hour int, now time.Time) {
 	if counts := s.src.Rotation(hour); counts != nil {
 		// A replayed recording cannot re-screen its world; credit the
@@ -94,14 +95,18 @@ func (s *Sniffer) rotateHour(hour int, now time.Time) {
 	} else {
 		s.monitor.Rotate(now, time.Hour)
 		if s.store != nil && s.cfg.Durability.RecordRotations {
-			_ = s.store.AppendRotation(&store.RotationRecord{
+			err := s.store.AppendRotation(&store.RotationRecord{
 				Hour:   hour,
 				Now:    now,
 				Counts: s.monitor.LastRotationCounts(),
 			})
+			if err != nil {
+				s.tail.walFailed.Store(true)
+			}
+			s.sinceCkpt++
 		}
 	}
-	if s.store != nil && hour > 0 && hour%s.ckptEvery == 0 {
+	if s.store != nil && hour > 0 && s.checkpointDue() {
 		// Failures are non-fatal — the WAL still covers everything since
 		// the last good checkpoint.
 		_ = s.checkpointDurable()

@@ -1,6 +1,8 @@
 package pseudohoneypot
 
 import (
+	"sync/atomic"
+
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/core"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/label"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/shard"
@@ -28,6 +30,11 @@ type tail struct {
 	// replays the log through this same tail (those captures are already
 	// durable) and is set once recovery is done.
 	wal *store.Store
+	// walFailed latches a WAL append the store could not land even on a
+	// fresh segment; the next hour boundary then cuts a checkpoint, which
+	// makes the lost capture durable as state. Set by the complete step,
+	// read and cleared by the delivery goroutine.
+	walFailed atomic.Bool
 	// lastCaptured is the newest completed tweet id — the checkpoint's
 	// tweet watermark, read by the delivery goroutine after a drain.
 	lastCaptured socialnet.TweetID
@@ -59,13 +66,12 @@ func (t *tail) complete(it *shard.Item) {
 // frozen profile snapshots, not the live accounts: replay re-extracts
 // against exactly the values the original extraction read.
 //
-// A failed append is retried once: the failure latches the broken
-// segment, so the retry rotates to a fresh one. Without the retry a
-// mid-run write fault would tear this record while later appends
-// succeed — a hole in the replayable history that the recovery
-// watermark would silently skip. If the retry also fails the backend is
-// truly down; the store's append_errors counter records it, and the
-// capture becomes durable again at the next full-state checkpoint.
+// The store retries a failed write or fsync itself, rewriting every
+// unsynced record into a fresh segment. An error here means that retry
+// failed too — the backend is down. The store's append_errors counter
+// records it, and walFailed moves the next checkpoint up to the next
+// hour boundary; without it the capture would be missing from the
+// replayable history, a hole the recovery watermark would silently skip.
 func (t *tail) walAppend(c *core.Capture) {
 	rec := store.CaptureRecord{
 		Tweet:    *c.Tweet,
@@ -75,7 +81,7 @@ func (t *tail) walAppend(c *core.Capture) {
 		Src:      c.Source,
 	}
 	if err := t.wal.AppendCapture(&rec); err != nil {
-		_ = t.wal.AppendCapture(&rec)
+		t.walFailed.Store(true)
 	}
 	if t.recordProfiles {
 		t.trackProfile(c.Tweet.AuthorID)
