@@ -81,7 +81,8 @@ type (
 	LabelStore = label.Store
 	// IngestSource is one pluggable ingestion stream (DESIGN.md §17):
 	// twitter (the in-process engine), reddit (the synthetic Reddit-like
-	// firehose), replay (a recorded capture WAL), or a mux of several.
+	// firehose), replay (a recorded capture WAL), wire (a twitterd over
+	// HTTP), or a mux of several.
 	IngestSource = source.Source
 )
 

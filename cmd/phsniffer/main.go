@@ -8,7 +8,7 @@
 //
 //	phsniffer [-hours 24] [-nodes-per-value 2] [-accounts 6000]
 //	          [-classifier RF] [-seed 1] [-top 10]
-//	          [-source twitter,reddit,replay:DIR]
+//	          [-source twitter,reddit,replay:DIR,wire:URL]
 //	          [-stream] [-batch-size 64] [-flush-interval 25ms]
 //	          [-shards N] [-shard-mode inproc|proc]
 //	          [-capture-cap 0]
@@ -21,12 +21,16 @@
 // the implicit simulated-Twitter firehose (DESIGN.md §17): "twitter" is
 // the explicit form of the default, "reddit" adds the synthetic
 // Reddit-like firehose (own account population, crossposting spam),
-// and "replay:DIR" re-feeds a capture WAL recorded by an earlier
-// -store-dir run with rotation records. Several comma-separated sources
-// are merged deterministically; a replay source must ride alone (at any
-// -shards N, in either -shard-mode). -source implies -stream and is
-// incompatible with -store-dir (the recovery watermark is a tweet id, not
-// monotone across muxed sources).
+// "replay:DIR" re-feeds a capture WAL recorded by an earlier -store-dir
+// run with rotation records, and "wire:URL" attaches to a running twitterd
+// (without -tick) over HTTP — the paper's deployment shape: nodes are
+// screened through the REST search endpoint and monitored through
+// statuses/filter, one /sim/advance per hour, and the run labels, detects
+// and ranks like any other. Several comma-separated sources are merged
+// deterministically; a replay source must ride alone (at any -shards N, in
+// either -shard-mode). -source implies -stream and is incompatible with
+// -store-dir (the recovery watermark is a tweet id, not monotone across
+// muxed sources).
 //
 // With -stream, the sniffer runs on the staged streaming pipeline
 // (match → extract → merge → label → detect) with micro-batching tuned by
@@ -69,15 +73,9 @@
 // then pays one atomic load per capture). Spans at or above -slow-span log
 // a warn event through the structured logger, whose verbosity is
 // -log-level (debug, info, warn, error).
-//
-// With -server, phsniffer instead attaches to a running twitterd over HTTP:
-// nodes are screened through the REST search endpoint and monitored through
-// statuses/filter, one simulated hour per rotation. Remote mode reports the
-// collection statistics (labeling and training need the in-process oracle).
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"net/http"
@@ -88,14 +86,11 @@ import (
 	"time"
 
 	pseudohoneypot "github.com/pseudo-honeypot/pseudohoneypot"
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/core"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/metrics"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/obs"
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/remote"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/report"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/shard"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/trace"
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/twitterapi"
 )
 
 // logger is the process logger, reconfigured from -log-level in run.
@@ -121,7 +116,7 @@ func run() error {
 		classifier  = flag.String("classifier", "RF", "detector family: DT, kNN, SVM, EGB, RF")
 		seed        = flag.Int64("seed", 1, "world and selection seed")
 		top         = flag.Int("top", 10, "PGE rows to print")
-		srcSpec     = flag.String("source", "", "comma-separated ingest sources: twitter, reddit, replay:DIR (empty = implicit twitter; implies -stream; works with any -shards/-shard-mode, not with -store-dir)")
+		srcSpec     = flag.String("source", "", "comma-separated ingest sources: twitter, reddit, replay:DIR, wire:URL (a twitterd base URL) (empty = implicit twitter; implies -stream; works with any -shards/-shard-mode, not with -store-dir)")
 		stream      = flag.Bool("stream", false, "run on the staged streaming pipeline instead of batch mode")
 		batchSize   = flag.Int("batch-size", pseudohoneypot.DefaultStreamBatchSize, "streaming micro-batch flush size")
 		flushEvery  = flag.Duration("flush-interval", pseudohoneypot.DefaultStreamFlushInterval, "streaming partial-batch age bound")
@@ -131,7 +126,6 @@ func run() error {
 		storeDir    = flag.String("store-dir", "", "durable WAL+checkpoint directory; a restart against it resumes without double-counting (implies -stream; works with any -shards/-shard-mode, not with -source)")
 		recordRot   = flag.Bool("record-rotations", false, "journal hourly rotations and a profile epilogue into the WAL so -source replay:DIR can re-feed it (requires -store-dir)")
 		syncEvery   = flag.Int("sync-every", 1, "WAL appends per fsync (group commit; 1 = every capture durable immediately)")
-		server      = flag.String("server", "", "twitterd base URL for remote monitoring (e.g. http://127.0.0.1:8331)")
 		metricsOn   = flag.String("metrics-addr", "", "serve GET /metrics, /healthz and /debug/traces on this address during the run")
 		export      = flag.String("export", "", "write result tables plus metrics snapshot and trace summary as JSON to this file")
 		traceBuffer = flag.Int("trace-buffer", 256, "per-capture pipeline traces to retain (0 disables tracing)")
@@ -168,13 +162,9 @@ func run() error {
 		go serveMetrics(*metricsOn, tracer, *pprofOn, healthExtra)
 	}
 
-	if *server != "" {
-		return runRemote(*server, *hours, *perValue, *seed, *export)
-	}
-
 	srcNames := splitSources(*srcSpec)
-	// Replay- or reddit-only ingestion owns its account population; the
-	// local simulation exists only for the implicit or explicit twitter
+	// Replay-, reddit- or wire-only ingestion owns its account population;
+	// the local simulation exists only for the implicit or explicit twitter
 	// source.
 	needSim := len(srcNames) == 0
 	for _, n := range srcNames {
@@ -325,8 +315,14 @@ func buildSources(names []string, sim *pseudohoneypot.Simulation, seed int64) ([
 				return nil, err
 			}
 			sources = append(sources, src)
+		case strings.HasPrefix(name, "wire:"):
+			src, err := pseudohoneypot.NewWireSource(strings.TrimPrefix(name, "wire:"))
+			if err != nil {
+				return nil, err
+			}
+			sources = append(sources, src)
 		default:
-			return nil, fmt.Errorf("unknown source %q (want twitter, reddit, or replay:DIR)", name)
+			return nil, fmt.Errorf("unknown source %q (want twitter, reddit, replay:DIR, or wire:URL)", name)
 		}
 	}
 	return sources, nil
@@ -371,42 +367,4 @@ func writeExport(path string, tables []*report.Table) error {
 		return err
 	}
 	return f.Close()
-}
-
-// runRemote monitors a live twitterd over HTTP and reports collection
-// statistics per selector group.
-func runRemote(server string, hours, perValue int, seed int64, export string) error {
-	client := twitterapi.NewClient(server, http.DefaultClient)
-	sniffer, err := remote.NewSniffer(client, core.MonitorConfig{
-		Specs:      core.StandardSpecs(perValue),
-		ActiveOnly: true,
-		Seed:       seed,
-	})
-	if err != nil {
-		return err
-	}
-	logger.Info("remote monitoring", "server", server, "hours", hours)
-	if err := sniffer.MonitorSimHours(context.Background(), hours); err != nil {
-		return err
-	}
-	fmt.Println(sniffer.Summary())
-
-	tbl := &report.Table{
-		Title:   "Collected tweets per selector group (top 15)",
-		Headers: []string{"Selector", "Tweets", "Senders", "Node-hours"},
-	}
-	groups := sniffer.Monitor().Groups()
-	shown := 0
-	for _, g := range groups {
-		if g.Tweets == 0 {
-			continue
-		}
-		tbl.AddRow(g.Spec.Selector.String(), g.Tweets, len(g.Senders), g.NodeHours)
-		shown++
-		if shown >= 15 {
-			break
-		}
-	}
-	fmt.Print(tbl.Render())
-	return writeExport(export, []*report.Table{tbl})
 }

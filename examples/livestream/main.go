@@ -1,20 +1,18 @@
 // Livestream: the distributed path. Starts an in-process twitterd-style
-// API server, screens pseudo-honeypot candidates through the REST search
-// endpoint, attaches to the statuses/filter streaming endpoint with
-// mention tracking, and prints spam-looking tweets as they arrive — the
-// same Tweepy workflow the paper's implementation used (§V-A).
+// API server and runs the sniffer against it as a client, the way the
+// paper's implementation used Tweepy (§V-A): nodes are screened through
+// the REST search endpoint, their mentions tracked through the
+// statuses/filter stream, and each simulated hour advanced over HTTP. The
+// captured stream then goes through the same labeling, detection and PGE
+// ranking as an in-process run.
 //
 //	go run ./examples/livestream
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"net/http/httptest"
-	"strings"
-	"sync"
-	"time"
 
 	pseudohoneypot "github.com/pseudo-honeypot/pseudohoneypot"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/twitterapi"
@@ -27,7 +25,8 @@ func main() {
 }
 
 func run() error {
-	// Spin up the simulated Twitter API server.
+	// Spin up the simulated Twitter API server. The oracle exposes the
+	// simulator's spam flags to the labeler's manual-check stand-in.
 	cfg := pseudohoneypot.DefaultConfig()
 	cfg.NumAccounts = 3000
 	cfg.OrganicTweetsPerHour = 600
@@ -35,77 +34,45 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	api := sim.NewAPIServer()
-	httpSrv := httptest.NewServer(api)
+	httpSrv := httptest.NewServer(sim.NewAPIServer(twitterapi.WithOracle()))
 	defer httpSrv.Close()
 	fmt.Printf("twitterd emulation listening at %s\n", httpSrv.URL)
 
-	client := twitterapi.NewClient(httpSrv.URL, httpSrv.Client())
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	// Screen candidates through the REST search endpoint: accounts added
-	// to roughly one list per day of age — the paper's most effective
-	// attribute — plus trending-up posters.
-	var track []string
-	for _, q := range []twitterapi.SearchQuery{
-		{Attr: "lists_per_day", Value: 1, Count: 10, Tolerance: 0.5},
-		{Attr: "followers_count", Value: 10000, Count: 10, Tolerance: 0.5},
-		{Attr: "trend", Trend: "trending-up", Count: 10},
-	} {
-		users, err := client.UsersSearch(ctx, q)
-		if err != nil {
-			return err
-		}
-		for _, u := range users {
-			track = append(track, "@"+u.ScreenName)
-		}
+	// The server is the sniffer's only source: no in-process simulation
+	// is handed to the sniffer.
+	wire, err := pseudohoneypot.NewWireSource(httpSrv.URL)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("tracking %d pseudo-honeypot nodes via statuses/filter\n\n", len(track))
-
-	// Attach to the stream; a tiny keyword heuristic stands in for the
-	// trained detector so the example stays self-contained.
-	var mu sync.Mutex
-	spamLooking, total := 0, 0
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = client.Stream(ctx, twitterapi.StreamFilter{Track: track}, func(tw twitterapi.Tweet) {
-			mu.Lock()
-			defer mu.Unlock()
-			total++
-			if looksSpammy(tw) {
-				spamLooking++
-				if spamLooking <= 8 {
-					fmt.Printf("[spam?] @%s: %.80s\n", tw.User.ScreenName, tw.Text)
-				}
-			}
-		})
-	}()
-
-	// Drive six simulated hours through the server.
-	for h := 0; h < 6; h++ {
-		if _, err := client.Advance(ctx, 1); err != nil {
-			return err
-		}
-		time.Sleep(150 * time.Millisecond) // let the stream drain
+	sniffer, err := pseudohoneypot.NewSniffer(nil, pseudohoneypot.SnifferConfig{
+		Specs:   pseudohoneypot.StandardSpecs(1),
+		Seed:    1,
+		Stream:  pseudohoneypot.StreamConfig{Enabled: true},
+		Sources: []pseudohoneypot.IngestSource{wire},
+	})
+	if err != nil {
+		return err
 	}
-	cancel()
-	<-done
+	defer sniffer.Close()
 
-	mu.Lock()
-	defer mu.Unlock()
-	fmt.Printf("\nstream delivered %d tweets; %d look spammy\n", total, spamLooking)
+	fmt.Println("monitoring 6 simulated hours over statuses/filter...")
+	if err := sniffer.RunHours(6); err != nil {
+		return err
+	}
+	res, err := sniffer.DetectAll()
+	if err != nil {
+		return err
+	}
+	fmt.Printf("collected tweets:   %d\n", res.Captures)
+	fmt.Printf("classified spams:   %d\n", res.Spams)
+	fmt.Printf("detected spammers:  %d\n", res.Spammers)
+	fmt.Println("\ntop 5 attributes by garner efficiency:")
+	for i, row := range res.PGE {
+		if i >= 5 {
+			break
+		}
+		fmt.Printf("  %d. %-34s PGE=%.4f (%d spammers)\n",
+			i+1, row.Selector.String(), row.PGE, row.Spammers)
+	}
 	return nil
-}
-
-// looksSpammy is a deliberately simple stand-in for the trained detector.
-func looksSpammy(tw twitterapi.Tweet) bool {
-	text := strings.ToLower(tw.Text)
-	for _, kw := range []string{"money", "free", "click", "follow", "win", ".example"} {
-		if strings.Contains(text, kw) {
-			return true
-		}
-	}
-	return len(tw.Entities.URLs) > 0
 }

@@ -116,7 +116,7 @@ type Capture struct {
 	// capture itself finished.
 	Trace *trace.Trace
 	// Source is the id of the ingest source that delivered the tweet
-	// ("twitter", "reddit", "replay"); empty on the legacy single-source
+	// ("twitter", "reddit", "replay", "wire"); empty on the legacy single-source
 	// paths, which predate the ingestion layer.
 	Source string
 

@@ -29,10 +29,9 @@ const nsShift = 40
 // worlds can never collide.
 type MuxSource struct {
 	children []Source
-	hooks    []func(hour int, now time.Time)
-	subs     []func(Post)
-	pending  []childPost
-	hour     int
+	listeners
+	pending []childPost
+	hour    int
 	// single marks the one-child fast path: with nothing to merge, hooks,
 	// subscriptions, and runs delegate straight to the child, so wrapping
 	// a sole source in a mux costs nothing (the ingest bench gates this).
@@ -73,7 +72,7 @@ func (m *MuxSource) OnHourStart(fn func(hour int, now time.Time)) {
 		m.children[0].OnHourStart(fn)
 		return
 	}
-	m.hooks = append(m.hooks, fn)
+	m.listeners.OnHourStart(fn)
 }
 
 // Subscribe implements Source.
@@ -81,9 +80,7 @@ func (m *MuxSource) Subscribe(fn func(p Post)) (cancel func()) {
 	if m.single {
 		return m.children[0].Subscribe(fn)
 	}
-	m.subs = append(m.subs, fn)
-	i := len(m.subs) - 1
-	return func() { m.subs[i] = nil }
+	return m.listeners.Subscribe(fn)
 }
 
 // RunHours implements Source: hooks, then every child's hour, then the
@@ -93,10 +90,7 @@ func (m *MuxSource) RunHours(n int) error {
 		return m.children[0].RunHours(n)
 	}
 	for i := 0; i < n; i++ {
-		now := m.children[0].Now()
-		for _, fn := range m.hooks {
-			fn(m.hour, now)
-		}
+		m.startHour(m.hour, m.children[0].Now())
 		m.pending = m.pending[:0]
 		for _, c := range m.children {
 			if err := c.RunHours(1); err != nil {
@@ -114,12 +108,7 @@ func (m *MuxSource) RunHours(n int) error {
 			return pa.p.Tweet.ID < pb.p.Tweet.ID
 		})
 		for _, cp := range m.pending {
-			p := m.namespace(cp.ci, cp.p)
-			for _, fn := range m.subs {
-				if fn != nil {
-					fn(p)
-				}
-			}
+			m.publish(m.namespace(cp.ci, cp.p))
 		}
 		m.hour++
 	}

@@ -43,8 +43,9 @@ type RedditSource struct {
 	world  *socialnet.World
 	engine *socialnet.Engine
 	rng    *rand.Rand
-	subs   []func(Post)
 	xpost  socialnet.TweetID
+	// listeners holds the subscribers; hour hooks go to the engine.
+	listeners
 }
 
 var _ Source = (*RedditSource)(nil)
@@ -95,13 +96,6 @@ func (r *RedditSource) OnHourStart(fn func(hour int, now time.Time)) {
 	r.engine.OnHourStart(fn)
 }
 
-// Subscribe implements Source.
-func (r *RedditSource) Subscribe(fn func(p Post)) (cancel func()) {
-	r.subs = append(r.subs, fn)
-	i := len(r.subs) - 1
-	return func() { r.subs[i] = nil }
-}
-
 // RunHours implements Source.
 func (r *RedditSource) RunHours(n int) error {
 	r.engine.RunHours(n)
@@ -131,17 +125,9 @@ func (r *RedditSource) NewScreener(seed int64) core.Screener {
 // possibly re-delivers spam as a crosspost.
 func (r *RedditSource) deliver(t *socialnet.Tweet) {
 	mapped := r.mapPost(t)
-	r.fanout(Post{Tweet: mapped, Origin: "reddit"})
+	r.publish(Post{Tweet: mapped, Origin: "reddit"})
 	if t.Spam && r.cfg.CrosspostFraction > 0 && r.rng.Float64() < r.cfg.CrosspostFraction {
-		r.fanout(Post{Tweet: r.crosspost(mapped), Origin: "reddit"})
-	}
-}
-
-func (r *RedditSource) fanout(p Post) {
-	for _, fn := range r.subs {
-		if fn != nil {
-			fn(p)
-		}
+		r.publish(Post{Tweet: r.crosspost(mapped), Origin: "reddit"})
 	}
 }
 

@@ -31,10 +31,9 @@ type ReplaySource struct {
 	// the newest match-time snapshot seen for the id.
 	profiles map[socialnet.AccountID]*socialnet.Account
 
-	hooks []func(hour int, now time.Time)
-	subs  []func(Post)
-	next  int // next recorded hour to replay
-	now   time.Time
+	listeners
+	next int // next recorded hour to replay
+	now  time.Time
 }
 
 var (
@@ -106,18 +105,6 @@ func (r *ReplaySource) ReplayBacked() bool { return true }
 // Hours reports how many recorded hours the log holds.
 func (r *ReplaySource) Hours() int { return len(r.rotations) }
 
-// OnHourStart implements Source.
-func (r *ReplaySource) OnHourStart(fn func(hour int, now time.Time)) {
-	r.hooks = append(r.hooks, fn)
-}
-
-// Subscribe implements Source.
-func (r *ReplaySource) Subscribe(fn func(p Post)) (cancel func()) {
-	r.subs = append(r.subs, fn)
-	i := len(r.subs) - 1
-	return func() { r.subs[i] = nil }
-}
-
 // RunHours implements Source: it replays up to n recorded hours — hooks
 // first, then that hour's captures in WAL order — and stops silently at
 // the end of the recording.
@@ -125,9 +112,7 @@ func (r *ReplaySource) RunHours(n int) error {
 	for i := 0; i < n && r.next < len(r.rotations); i++ {
 		rot := r.rotations[r.next]
 		r.now = rot.Now
-		for _, fn := range r.hooks {
-			fn(rot.Hour, rot.Now)
-		}
+		r.startHour(rot.Hour, rot.Now)
 		for _, cr := range r.byHour[r.next] {
 			p := Post{
 				Tweet:  &cr.Tweet,
@@ -137,11 +122,7 @@ func (r *ReplaySource) RunHours(n int) error {
 			if !cr.Tweet.CreatedAt.IsZero() {
 				r.now = cr.Tweet.CreatedAt
 			}
-			for _, fn := range r.subs {
-				if fn != nil {
-					fn(p)
-				}
-			}
+			r.publish(p)
 		}
 		r.next++
 	}

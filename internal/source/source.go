@@ -11,6 +11,9 @@
 //   - Replay: re-feeds a capture WAL written by internal/store through the
 //     full pipeline, turning the durability layer into a reproducible
 //     ingest backend.
+//   - Wire: a running twitterd over the emulated Streaming and REST APIs
+//     — the paper's deployment shape — one statuses/filter stream per
+//     hour, closed by the server's end-of-hour control line.
 //   - Mux: merges several sources with deterministic k-way ordering and
 //     per-source id namespacing.
 //
@@ -43,7 +46,7 @@ type Post struct {
 	// Tweet is the status update, in the simulator's native shape.
 	Tweet *socialnet.Tweet
 	// Origin is the id of the source that produced the post ("twitter",
-	// "reddit", "replay"). The pipeline stamps it on captures, metrics,
+	// "reddit", "replay", "wire"). The pipeline stamps it on captures, metrics,
 	// and spans.
 	Origin string
 	// Replay carries the recorded match context for WAL-replayed posts;
@@ -109,6 +112,42 @@ type Screening interface {
 	// NewScreener builds the screener the monitor rotates against, seeded
 	// for deterministic sampling.
 	NewScreener(seed int64) core.Screener
+}
+
+// listeners is the hook and subscriber registry a source embeds: it
+// implements OnHourStart and Subscribe, and the source fires what was
+// registered, in registration order, through startHour and publish.
+type listeners struct {
+	hooks []func(hour int, now time.Time)
+	subs  []func(Post)
+}
+
+// OnHourStart implements Source.
+func (l *listeners) OnHourStart(fn func(hour int, now time.Time)) {
+	l.hooks = append(l.hooks, fn)
+}
+
+// Subscribe implements Source.
+func (l *listeners) Subscribe(fn func(p Post)) (cancel func()) {
+	l.subs = append(l.subs, fn)
+	i := len(l.subs) - 1
+	return func() { l.subs[i] = nil }
+}
+
+// startHour fires the hour hooks.
+func (l *listeners) startHour(hour int, now time.Time) {
+	for _, fn := range l.hooks {
+		fn(hour, now)
+	}
+}
+
+// publish hands p to every subscriber not cancelled.
+func (l *listeners) publish(p Post) {
+	for _, fn := range l.subs {
+		if fn != nil {
+			fn(p)
+		}
+	}
 }
 
 // NullScreener is a Screener that never returns candidates; it backs

@@ -5,31 +5,27 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/metrics"
 )
 
-// Client consumes the emulated Twitter API: REST helpers plus a streaming
-// consumer with automatic reconnection and exponential backoff, mirroring
-// how the paper's Tweepy-based implementation stays attached to the
-// Streaming API for hundreds of hours.
+// Client consumes the emulated Twitter API: REST helpers plus the
+// statuses/filter stream, as the paper's Tweepy-based implementation
+// consumed the real ones.
 type Client struct {
 	base string
 	http *http.Client
 	ins  *clientInstruments
 
-	// InitialBackoff and MaxBackoff bound the reconnect delays of Stream.
-	InitialBackoff time.Duration
-	MaxBackoff     time.Duration
+	// MaxBackoff caps how long a REST call honours a 429's Retry-After.
+	MaxBackoff time.Duration
 }
 
 // NewClient creates a client for the server at baseURL (e.g.
@@ -40,11 +36,10 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 		httpClient = http.DefaultClient
 	}
 	return &Client{
-		base:           strings.TrimRight(baseURL, "/"),
-		http:           httpClient,
-		ins:            newClientInstruments(metrics.Default()),
-		InitialBackoff: 250 * time.Millisecond,
-		MaxBackoff:     8 * time.Second,
+		base:       strings.TrimRight(baseURL, "/"),
+		http:       httpClient,
+		ins:        newClientInstruments(metrics.Default()),
+		MaxBackoff: 8 * time.Second,
 	}
 }
 
@@ -53,91 +48,25 @@ func (c *Client) SetMetrics(r *metrics.Registry) {
 	c.ins = newClientInstruments(r)
 }
 
-// UserShow fetches one user by screen name.
-func (c *Client) UserShow(ctx context.Context, screenName string) (*User, error) {
-	var u User
-	err := c.getJSON(ctx, "/1.1/users/show.json", url.Values{
-		"screen_name": {screenName},
-	}, &u)
-	if err != nil {
-		return nil, err
-	}
-	return &u, nil
-}
-
-// UserByID fetches one user by id.
-func (c *Client) UserByID(ctx context.Context, id int64) (*User, error) {
-	var u User
-	err := c.getJSON(ctx, "/1.1/users/show.json", url.Values{
-		"user_id": {strconv.FormatInt(id, 10)},
-	}, &u)
-	if err != nil {
-		return nil, err
-	}
-	return &u, nil
-}
-
 // UsersLookup fetches a batch of users by id; unknown ids are skipped.
 func (c *Client) UsersLookup(ctx context.Context, ids []int64) ([]User, error) {
-	parts := make([]string, len(ids))
-	for i, id := range ids {
-		parts[i] = strconv.FormatInt(id, 10)
-	}
 	var users []User
 	err := c.getJSON(ctx, "/1.1/users/lookup.json", url.Values{
-		"user_id": {strings.Join(parts, ",")},
+		"user_id": {joinIDs(ids)},
 	}, &users)
 	return users, err
 }
 
-// SearchQuery parameterizes UsersSearch; see the server's
-// /1.1/users/search.json documentation.
-type SearchQuery struct {
-	Attr       string
-	Value      float64
-	Category   string
-	Trend      string
-	Count      int
-	Tolerance  float64
-	ActiveOnly bool
-}
-
-// UsersSearch screens accounts by attribute.
-func (c *Client) UsersSearch(ctx context.Context, q SearchQuery) ([]User, error) {
-	vals := url.Values{
-		"attr":  {q.Attr},
-		"count": {strconv.Itoa(q.Count)},
+// joinIDs renders ids as a comma-separated list.
+func joinIDs(ids []int64) string {
+	b := make([]byte, 0, 8*len(ids))
+	for i, id := range ids {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, id, 10)
 	}
-	if q.Value != 0 {
-		vals.Set("value", strconv.FormatFloat(q.Value, 'f', -1, 64))
-	}
-	if q.Category != "" {
-		vals.Set("category", q.Category)
-	}
-	if q.Trend != "" {
-		vals.Set("trend", q.Trend)
-	}
-	if q.Tolerance > 0 {
-		vals.Set("tolerance", strconv.FormatFloat(q.Tolerance, 'f', -1, 64))
-	}
-	if q.ActiveOnly {
-		vals.Set("active", "1")
-	}
-	var users []User
-	err := c.getJSON(ctx, "/1.1/users/search.json", vals, &users)
-	return users, err
-}
-
-// Trends fetches trending topics, optionally filtered by state
-// ("trending-up", "trending-down", "popular", "no-trending").
-func (c *Client) Trends(ctx context.Context, state string) ([]Trend, error) {
-	vals := url.Values{}
-	if state != "" {
-		vals.Set("state", state)
-	}
-	var trends []Trend
-	err := c.getJSON(ctx, "/1.1/trends.json", vals, &trends)
-	return trends, err
+	return string(b)
 }
 
 // Advance asks the simulation server to run n hours.
@@ -163,130 +92,93 @@ func (c *Client) Stats(ctx context.Context) (*SimStats, error) {
 	return &stats, nil
 }
 
-// StreamFilter holds the statuses/filter parameters.
-type StreamFilter struct {
-	// Track lists @screen_name mention filters.
-	Track []string
-	// Follow lists user ids whose own posts are delivered.
-	Follow []int64
+// StreamConn is one open statuses/filter connection.
+type StreamConn struct {
+	c       *Client
+	body    io.ReadCloser
+	scanner *bufio.Scanner
+	dec     *StreamDecoder
 }
 
-// Stream attaches to statuses/filter and invokes handler for every tweet
-// until ctx is cancelled. Dropped connections are re-established with
-// exponential backoff; the error is returned only when ctx ends or the
-// server rejects the request outright. A connection that delivered at
-// least one tweet was healthy, so the backoff ladder restarts from
-// InitialBackoff rather than resuming where the previous outage left it.
-//
-// Tweets are decoded with a zero-allocation scratch decoder: the Tweet
-// passed to handler — including every string and slice it references — is
-// valid only for the duration of the callback. Handlers that retain any of
-// it must take a deep copy with Tweet.Clone first. DecodeTweet and
-// DecodeUser already copy what they keep, so handlers built on them need
-// no extra care.
-func (c *Client) Stream(ctx context.Context, filter StreamFilter, handler func(Tweet)) error {
-	backoff := c.InitialBackoff
-	for {
-		delivered := false
-		err := c.streamOnce(ctx, filter, func(t Tweet) {
-			delivered = true
-			c.ins.streamTweets.Inc()
-			metrics.MarkStreamRead(time.Now())
-			handler(t)
-		})
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if delivered || err == nil {
-			backoff = c.InitialBackoff
-		}
-		if err == nil {
-			// Server closed the stream cleanly; reconnect immediately.
-			c.ins.reconnects.Inc()
-			continue
-		}
-		var apiErr *APIError
-		if errors.As(err, &apiErr) && apiErr.Code >= 400 && apiErr.Code < 500 {
-			return err // client error: retrying cannot help
-		}
-		c.ins.reconnects.Inc()
-		c.ins.backoff.Set(backoff.Seconds())
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(backoff):
-		}
-		backoff *= 2
-		if backoff > c.MaxBackoff {
-			backoff = c.MaxBackoff
-		}
-	}
-}
-
-// streamOnce makes a single streaming connection.
-func (c *Client) streamOnce(ctx context.Context, filter StreamFilter, handler func(Tweet)) error {
+// Stream opens one statuses/filter connection tracking the given
+// @screen_name mentions (nil for the full firehose). It returns once the
+// server has registered the stream and answered with its headers, so
+// traffic generated after Stream returns is delivered to it. A rejected
+// request comes back as the server's error; nothing is retried, because a
+// stream that reconnected would have silently lost whatever was posted
+// while it was away. Cancelling ctx ends the stream.
+func (c *Client) Stream(ctx context.Context, track []string) (*StreamConn, error) {
 	form := url.Values{}
-	if len(filter.Track) > 0 {
-		form.Set("track", strings.Join(filter.Track, ","))
+	if len(track) > 0 {
+		form.Set("track", strings.Join(track, ","))
 	}
-	if len(filter.Follow) > 0 {
-		ids := make([]string, len(filter.Follow))
-		for i, id := range filter.Follow {
-			ids[i] = strconv.FormatInt(id, 10)
-		}
-		form.Set("follow", strings.Join(ids, ","))
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.base+"/1.1/statuses/filter.json", strings.NewReader(form.Encode()))
+	req, err := c.newFormRequest(ctx, "/1.1/statuses/filter.json", form)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer func() {
-		_ = resp.Body.Close()
-	}()
 	if resp.StatusCode != http.StatusOK {
-		return decodeAPIError(resp)
+		defer func() {
+			_ = resp.Body.Close()
+		}()
+		return nil, decodeAPIError(resp)
 	}
 	c.ins.connects.Inc()
-	dec := streamDecoderPool.Get().(*StreamDecoder)
-	defer streamDecoderPool.Put(dec)
-	bufp := lineBufPool.Get().(*[]byte)
-	defer lineBufPool.Put(bufp)
 	scanner := bufio.NewScanner(resp.Body)
-	scanner.Buffer(*bufp, maxStreamLine)
-	for scanner.Scan() {
-		line := scanner.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		t, err := dec.Decode(line)
-		if err != nil {
-			return fmt.Errorf("decode stream: %w", err)
-		}
-		handler(*t)
-	}
-	return scanner.Err()
+	scanner.Buffer(make([]byte, 0, 64*1024), maxStreamLine)
+	return &StreamConn{c: c, body: resp.Body, scanner: scanner, dec: NewStreamDecoder()}, nil
 }
 
-// maxStreamLine bounds one NDJSON stream line (matches the pre-scratch
-// scanner limit).
+// Next returns the stream's next line: a tweet, or a control line (HourEnd
+// set). It returns io.EOF when the server ended the stream.
+//
+// Lines are decoded with a zero-allocation scratch decoder: the Tweet —
+// including every string and slice it references — is valid only until
+// the next call. Callers that retain any of it must take a deep copy with
+// Tweet.Clone first. DecodeTweet and DecodeUser already copy what they
+// keep, so callers built on them need no extra care.
+func (s *StreamConn) Next() (*Tweet, error) {
+	for s.scanner.Scan() {
+		line := s.scanner.Bytes()
+		if len(line) == 0 {
+			continue // keep-alive
+		}
+		t, err := s.dec.Decode(line)
+		if err != nil {
+			return nil, fmt.Errorf("decode stream: %w", err)
+		}
+		if t.HourEnd == nil {
+			s.c.ins.streamTweets.Inc()
+			metrics.MarkStreamRead(time.Now())
+		}
+		return t, nil
+	}
+	if err := s.scanner.Err(); err != nil {
+		return nil, err
+	}
+	return nil, io.EOF
+}
+
+// Close ends the stream. The Tweet from the last Next is invalid
+// afterwards.
+func (s *StreamConn) Close() error { return s.body.Close() }
+
+// maxStreamLine bounds one NDJSON stream line.
 const maxStreamLine = 1024 * 1024
 
-// streamDecoderPool shares scratch decoders across reconnects and
-// concurrent streams; each connection checks one out for its lifetime, so
-// steady-state streaming allocates nothing per line.
-var streamDecoderPool = sync.Pool{New: func() any { return NewStreamDecoder() }}
-
-// lineBufPool recycles the scanner's initial line buffer the same way.
-var lineBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 64*1024)
-	return &b
-}}
+// newFormRequest builds a POST of vals as a form body.
+func (c *Client) newFormRequest(ctx context.Context, path string, vals url.Values) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path,
+		strings.NewReader(vals.Encode()))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	return req, nil
+}
 
 func (c *Client) getJSON(ctx context.Context, path string, vals url.Values, out any) error {
 	u := c.base + path
@@ -315,6 +207,12 @@ func (c *Client) do(req *http.Request, out any) error {
 		case <-req.Context().Done():
 			return req.Context().Err()
 		case <-time.After(wait):
+		}
+		if req.GetBody != nil {
+			// The first attempt consumed the form body.
+			if req.Body, err = req.GetBody(); err != nil {
+				return err
+			}
 		}
 		resp, err = c.http.Do(req)
 		if err != nil {

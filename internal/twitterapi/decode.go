@@ -35,6 +35,7 @@ type StreamDecoder struct {
 	arena    []byte
 	spamVal  bool
 	campVal  int
+	hourEnd  HourEnd
 
 	// Parser state for the current line.
 	data  []byte
@@ -49,7 +50,7 @@ func NewStreamDecoder() *StreamDecoder {
 }
 
 // Decode errors carry no positional detail on purpose: they are static so
-// the reconnect-handling error path stays allocation-free too.
+// the error path stays allocation-free too.
 var (
 	errDecodeSyntax = errors.New("twitterapi: malformed NDJSON line")
 	errDecodeType   = errors.New("twitterapi: NDJSON field has wrong type")
@@ -234,8 +235,44 @@ func (d *StreamDecoder) tweetField(key []byte) error {
 		return d.parseBoolPtr(&d.t.Spam)
 	case keyIs(key, "x_oracle_campaign"):
 		return d.parseIntPtr(&d.t.CampaignID)
+	case keyIs(key, "x_hour_end"):
+		return d.parseHourEnd()
 	}
 	return d.skipValue()
+}
+
+// parseHourEnd consumes the control-line object into the decoder's scratch
+// HourEnd. Like encoding/json decoding into a pointer field, null sets the
+// pointer to nil, and a repeated key decodes into the value already
+// pointed at (so its fields merge).
+func (d *StreamDecoder) parseHourEnd() error {
+	if d.pos < len(d.data) && d.data[d.pos] == 'n' {
+		if err := d.parseLiteral("null"); err != nil {
+			return err
+		}
+		d.t.HourEnd = nil
+		return nil
+	}
+	if d.pos >= len(d.data) {
+		return errDecodeSyntax
+	}
+	if d.data[d.pos] != '{' {
+		return errDecodeType
+	}
+	if d.t.HourEnd == nil {
+		d.hourEnd = HourEnd{}
+		d.t.HourEnd = &d.hourEnd
+	}
+	h := d.t.HourEnd
+	return d.parseObject(func(d *StreamDecoder, key []byte) error {
+		switch {
+		case keyIs(key, "hour"):
+			return d.parseInt(&h.Hour)
+		case keyIs(key, "dropped"):
+			return d.parseInt64(&h.Dropped)
+		}
+		return d.skipValue()
+	})
 }
 
 // userField dispatches one field of the nested user object.

@@ -148,6 +148,16 @@ func decoderCorpus() []string {
 		`{"a":}`, `{"a":,}`, `{:1}`, `{"a":1,,"b":2}`,
 		strings.Repeat(`{"a":`, 32) + "1" + strings.Repeat("}", 32),
 		`{"deep":` + strings.Repeat("[", 64) + strings.Repeat("]", 64) + `}`,
+		// End-of-hour control lines: valid, truncated, a negative drop
+		// count (decodes; the consumer rejects it), a string-typed one,
+		// null, merged duplicates, and a non-object.
+		`{"x_hour_end":{"hour":3,"dropped":0}}`,
+		`{"x_hour_end":{"hour":3,"dro`,
+		`{"x_hour_end":{"hour":3,"dropped":-1}}`,
+		`{"x_hour_end":{"hour":3,"dropped":"12"}}`,
+		`{"x_hour_end":null}`,
+		`{"x_hour_end":{"hour":1},"X_Hour_End":{"dropped":2}}`,
+		`{"x_hour_end":[0]}`,
 	}
 }
 

@@ -8,9 +8,10 @@ import (
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 )
 
-// TestSlowConsumerDropsInsteadOfBlocking fills a stream's buffer without a
-// reader attached: dispatch must not block the engine and must count the
-// overflow, mirroring the real Streaming API's limit notices.
+// TestSlowConsumerDropsInsteadOfBlocking fills a stream's queue without a
+// reader attached: dispatch must not block the engine, must count the
+// overflow, and every hour's control line must still be queued, carrying
+// the count so the consumer learns what it lost.
 func TestSlowConsumerDropsInsteadOfBlocking(t *testing.T) {
 	cfg := socialnet.DefaultConfig()
 	cfg.NumAccounts = 1000
@@ -21,39 +22,50 @@ func TestSlowConsumerDropsInsteadOfBlocking(t *testing.T) {
 	}
 	srv := NewServer(socialnet.NewEngine(w))
 
-	// Register a stream directly with a tiny buffer and no reader.
-	st := &stream{
-		all: true,
-		ch:  make(chan *socialnet.Tweet, 4),
-	}
+	// Register a firehose stream directly, with no reader, and fill its
+	// queue to the bound.
+	st := &stream{all: true, wake: make(chan struct{}, 1)}
 	srv.streamsMu.Lock()
 	srv.streams[0] = st
 	srv.streamsMu.Unlock()
+	for i := 0; i < streamBuffer; i++ {
+		st.push([]byte("{}\n"))
+	}
 
-	// Advancing must complete despite the full buffer (would deadlock if
-	// dispatch blocked on the channel).
+	// Advancing must complete despite the full queue.
 	srv.Advance(2)
 
 	if st.dropped == 0 {
 		t.Fatal("no drops recorded for a slow consumer")
 	}
-	if len(st.ch) != cap(st.ch) {
-		t.Fatalf("buffer holds %d, want full %d", len(st.ch), cap(st.ch))
+	lines := st.take()
+	if len(lines) != streamBuffer+2 {
+		t.Fatalf("queue holds %d lines, want %d tweets + 2 control lines", len(lines), streamBuffer)
+	}
+	d := NewStreamDecoder()
+	for i, hour := range []int{0, 1} {
+		tw, err := d.Decode(lines[streamBuffer+i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if he := tw.HourEnd; he == nil || he.Hour != hour || he.Dropped == 0 {
+			t.Fatalf("control line %d = %+v, want hour %d with drops", i, he, hour)
+		}
+		if i == 1 && tw.HourEnd.Dropped != st.dropped {
+			t.Fatalf("last control line reports %d drops, stream counted %d", tw.HourEnd.Dropped, st.dropped)
+		}
 	}
 }
 
 func TestStreamWantsFiltering(t *testing.T) {
-	st := &stream{
-		mentionsOf: map[socialnet.AccountID]struct{}{7: {}},
-		follow:     map[socialnet.AccountID]struct{}{9: {}},
-	}
+	st := &stream{tracked: map[socialnet.AccountID]struct{}{7: {}}}
 	tests := []struct {
 		name string
 		t    *socialnet.Tweet
 		want bool
 	}{
 		{name: "mention of tracked", t: &socialnet.Tweet{AuthorID: 1, Mentions: []socialnet.AccountID{7}}, want: true},
-		{name: "authored by followed", t: &socialnet.Tweet{AuthorID: 9}, want: true},
+		{name: "authored by tracked", t: &socialnet.Tweet{AuthorID: 7}, want: true},
 		{name: "unrelated", t: &socialnet.Tweet{AuthorID: 1, Mentions: []socialnet.AccountID{2}}, want: false},
 		{name: "no mentions", t: &socialnet.Tweet{AuthorID: 1}, want: false},
 	}

@@ -8,13 +8,11 @@ import (
 )
 
 // clientInstruments is the client's view of the metrics registry
-// (DESIGN.md §9). Stream counters mirror how long-lived statuses/filter
-// attachments behave: connects, reconnect attempts, and the backoff ladder.
+// (DESIGN.md §9). Stream counters count statuses/filter connections and
+// the tweets (not control lines) they delivered.
 type clientInstruments struct {
 	connects     *metrics.Counter
-	reconnects   *metrics.Counter
 	streamTweets *metrics.Counter
-	backoff      *metrics.Gauge
 	rateLimited  *metrics.Counter
 	reqSecs      *metrics.HistogramVec
 }
@@ -23,12 +21,8 @@ func newClientInstruments(r *metrics.Registry) *clientInstruments {
 	return &clientInstruments{
 		connects: r.Counter("ph_stream_connects_total",
 			"Successful statuses/filter stream attachments."),
-		reconnects: r.Counter("ph_stream_reconnects_total",
-			"Stream re-establishment attempts after a drop or clean close."),
 		streamTweets: r.Counter("ph_stream_tweets_total",
 			"Tweets delivered by the streaming consumer."),
-		backoff: r.Gauge("ph_stream_backoff_seconds",
-			"Reconnect delay most recently applied (resets after a healthy read)."),
 		rateLimited: r.Counter("ph_client_rate_limited_total",
 			"HTTP 429 responses observed by the REST client."),
 		reqSecs: r.HistogramVec("ph_client_request_seconds",

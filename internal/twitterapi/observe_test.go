@@ -7,120 +7,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/metrics"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 )
-
-// TestStreamReconnectMetrics injects repeated stream drops and reconciles
-// the client's connect/reconnect/tweet counters with what the server saw.
-func TestStreamReconnectMetrics(t *testing.T) {
-	flaky := &flakyStream{}
-	srv := httptest.NewServer(flaky)
-	defer srv.Close()
-
-	reg := metrics.NewRegistry()
-	client := NewClient(srv.URL, srv.Client())
-	client.SetMetrics(reg)
-	client.InitialBackoff = time.Millisecond
-	client.MaxBackoff = 5 * time.Millisecond
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var delivered atomic.Int64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = client.Stream(ctx, StreamFilter{}, func(Tweet) {
-			if delivered.Add(1) >= 5 {
-				cancel()
-			}
-		})
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		cancel()
-		<-done
-	}
-
-	if got := reg.Counter("ph_stream_tweets_total", "").Value(); got != float64(delivered.Load()) {
-		t.Fatalf("stream tweets counter = %v, want %d", got, delivered.Load())
-	}
-	if got := reg.Counter("ph_stream_connects_total", "").Value(); got != float64(flaky.connects.Load()) {
-		t.Fatalf("connects counter = %v, server saw %d", got, flaky.connects.Load())
-	}
-	// Every cycle but the final cancelled one re-attaches.
-	if got := reg.Counter("ph_stream_reconnects_total", "").Value(); got < 4 {
-		t.Fatalf("reconnects counter = %v, want >= 4", got)
-	}
-}
-
-// abruptStream delivers one tweet per connection then kills the connection
-// mid-stream (no terminal chunk), so the client sees a read error — the
-// "delivered then dropped" shape that previously kept the backoff ladder
-// climbing forever.
-type abruptStream struct {
-	connects atomic.Int64
-}
-
-func (f *abruptStream) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	f.connects.Add(1)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	_ = json.NewEncoder(w).Encode(Tweet{ID: f.connects.Load()})
-	if flusher, ok := w.(http.Flusher); ok {
-		flusher.Flush()
-	}
-	panic(http.ErrAbortHandler)
-}
-
-// TestStreamBackoffResetsAfterHealthyRead pins the backoff-reset fix: a
-// connection that delivered at least one tweet restarts the ladder at
-// InitialBackoff, so across many delivered-then-dropped cycles the applied
-// backoff never climbs toward MaxBackoff.
-func TestStreamBackoffResetsAfterHealthyRead(t *testing.T) {
-	abrupt := &abruptStream{}
-	srv := httptest.NewServer(abrupt)
-	defer srv.Close()
-
-	reg := metrics.NewRegistry()
-	client := NewClient(srv.URL, srv.Client())
-	client.SetMetrics(reg)
-	client.InitialBackoff = time.Millisecond
-	client.MaxBackoff = 64 * time.Millisecond
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var delivered atomic.Int64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = client.Stream(ctx, StreamFilter{}, func(Tweet) {
-			if delivered.Add(1) >= 8 {
-				cancel()
-			}
-		})
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		cancel()
-		<-done
-	}
-	if delivered.Load() < 8 {
-		t.Fatalf("delivered %d tweets, want >= 8", delivered.Load())
-	}
-	// The gauge records the most recently applied delay. Un-reset, eight
-	// doublings from 1ms would have pinned it at the 64ms cap.
-	got := reg.Gauge("ph_stream_backoff_seconds", "").Value()
-	if want := client.InitialBackoff.Seconds(); got != want {
-		t.Fatalf("backoff gauge = %vs after healthy reads, want %vs", got, want)
-	}
-}
 
 // TestClientRateLimitMetrics covers the 429-then-retry path: the rate-limit
 // counter ticks and the request latency histogram records the call.

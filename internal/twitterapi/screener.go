@@ -2,6 +2,7 @@ package twitterapi
 
 import (
 	"context"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -10,60 +11,54 @@ import (
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 )
 
-// RemoteScreener adapts the REST client to the pseudo-honeypot monitor's
-// Screener interface, so node selection can run against a remote twitterd
-// exactly as it runs against an in-process world. Lookup failures surface
-// as empty results; the monitor's fallback logic tolerates short batches.
-type RemoteScreener struct {
-	Client *Client
-	// Timeout bounds each search call (default 10s).
-	Timeout time.Duration
-}
-
-// Screen implements the monitor's screening through /1.1/users/search.
-func (s *RemoteScreener) Screen(q socialnet.ScreenQuery, _ time.Time) []*socialnet.Account {
-	timeout := s.Timeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-
-	sq := SearchQuery{
-		Attr:       q.Selector.Attr.Key(),
-		Count:      q.Count,
-		Tolerance:  q.Tolerance,
-		ActiveOnly: q.ActiveOnly,
+// Screen runs one of the pseudo-honeypot monitor's screening queries
+// through POST /1.1/users/search and decodes the selected profiles. The
+// server applies the ratio bound and the exclusions before it samples,
+// exactly as World.Screen does in-process; the exclusions travel in the
+// form body, since the used set of a long run outgrows a URL.
+func (c *Client) Screen(ctx context.Context, q socialnet.ScreenQuery) ([]*socialnet.Account, error) {
+	vals := url.Values{
+		"attr":  {q.Selector.Attr.Key()},
+		"count": {strconv.Itoa(q.Count)},
 	}
 	switch q.Selector.Attr {
 	case socialnet.AttrHashtag:
-		sq.Category = q.Selector.Category.String()
+		vals.Set("category", q.Selector.Category.String())
 	case socialnet.AttrTrend:
-		sq.Trend = trendName(q.Selector.Trend)
+		vals.Set("trend", trendName(q.Selector.Trend))
 	case socialnet.AttrRandom:
 	default:
-		sq.Value = q.Selector.Value
+		vals.Set("value", strconv.FormatFloat(q.Selector.Value, 'f', -1, 64))
 	}
-	users, err := s.Client.UsersSearch(ctx, sq)
+	if q.Tolerance > 0 {
+		vals.Set("tolerance", strconv.FormatFloat(q.Tolerance, 'f', -1, 64))
+	}
+	if q.ActiveOnly {
+		vals.Set("active", "1")
+	}
+	if q.MaxFriendFollowerRatio > 0 {
+		vals.Set("max_ratio", strconv.FormatFloat(q.MaxFriendFollowerRatio, 'f', -1, 64))
+	}
+	if len(q.Exclude) > 0 {
+		ids := make([]int64, 0, len(q.Exclude))
+		for id := range q.Exclude {
+			ids = append(ids, int64(id))
+		}
+		vals.Set("exclude", joinIDs(ids))
+	}
+	req, err := c.newFormRequest(ctx, "/1.1/users/search.json", vals)
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	out := make([]*socialnet.Account, 0, len(users))
+	var users []User
+	if err := c.do(req, &users); err != nil {
+		return nil, err
+	}
+	out := make([]*socialnet.Account, len(users))
 	for i := range users {
-		a := DecodeUser(&users[i])
-		if a == nil {
-			continue
-		}
-		if _, excluded := q.Exclude[a.ID]; excluded {
-			continue
-		}
-		if q.MaxFriendFollowerRatio > 0 &&
-			a.FriendFollowerRatio() > q.MaxFriendFollowerRatio {
-			continue
-		}
-		out = append(out, a)
+		out[i] = DecodeUser(&users[i])
 	}
-	return out
+	return out, nil
 }
 
 // DecodeTweet reconstructs a tweet (and its author profile) from the wire
@@ -71,22 +66,13 @@ func (s *RemoteScreener) Screen(q socialnet.ScreenQuery, _ time.Time) []*socialn
 // honoured only when present (evaluation streams). The result owns all of
 // its memory — strings are copied out of the wire form — so it is safe to
 // retain from a Stream handler even though the stream decoder reuses its
-// buffers (see Client.Stream).
+// buffers (see StreamConn.Next).
 func DecodeTweet(t *Tweet) (*socialnet.Tweet, *socialnet.Account) {
 	if t == nil {
 		return nil, nil
 	}
-	out := &socialnet.Tweet{CampaignID: socialnet.NoCampaign}
-	convertTweet(t, out)
-	out.Text = strings.Clone(out.Text)
-	out.Topic = strings.Clone(out.Topic)
-	for i, s := range out.Hashtags {
-		out.Hashtags[i] = strings.Clone(s)
-	}
-	for i, s := range out.URLs {
-		out.URLs[i] = strings.Clone(s)
-	}
-	return out, DecodeUser(&t.User)
+	var s TweetScratch
+	return s.Convert(t).Clone(), DecodeUser(&t.User)
 }
 
 // convertTweet fills dst from the wire tweet without copying string data:
@@ -171,7 +157,7 @@ func DecodeUser(u *User) *socialnet.Account {
 		createdAt = time.Time{}
 	}
 	// Copy the strings: profiles outlive the stream decoder's scratch
-	// buffers (see Client.Stream).
+	// buffers (see StreamConn.Next).
 	a := &socialnet.Account{
 		ID:                  socialnet.AccountID(u.ID),
 		ScreenName:          strings.Clone(u.ScreenName),

@@ -1,6 +1,8 @@
 package twitterapi
 
 import (
+	"context"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -8,13 +10,20 @@ import (
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 )
 
-// The remote screener must satisfy the monitor's Screener interface.
-var _ core.Screener = (*RemoteScreener)(nil)
+// remoteScreen is Client.Screen as the monitor's Screener, failures
+// screening nothing.
+type remoteScreen struct{ *Client }
+
+var _ core.Screener = remoteScreen{}
+
+func (s remoteScreen) Screen(q socialnet.ScreenQuery, _ time.Time) []*socialnet.Account {
+	got, _ := s.Client.Screen(context.Background(), q)
+	return got
+}
 
 func TestRemoteScreenerFindsAccounts(t *testing.T) {
-	srv, client := newTestServer(t)
-	_ = srv
-	s := &RemoteScreener{Client: client}
+	_, client := newTestServer(t)
+	s := remoteScreen{client}
 	got := s.Screen(socialnet.ScreenQuery{
 		Selector: socialnet.Selector{Attr: socialnet.AttrFollowers, Value: 1000},
 		Count:    5,
@@ -32,22 +41,51 @@ func TestRemoteScreenerFindsAccounts(t *testing.T) {
 	}
 }
 
+// TestRemoteScreenerExcludes: the server applies the exclusions and the
+// ratio bound before it samples, as World.Screen does in-process, so a
+// server seeded like an in-process screener returns exactly the accounts
+// that screener selects — never an excluded one, and never a short batch
+// that only filtering after sampling would leave.
 func TestRemoteScreenerExcludes(t *testing.T) {
-	_, client := newTestServer(t)
-	s := &RemoteScreener{Client: client}
-	q := socialnet.ScreenQuery{
-		Selector: socialnet.Selector{Attr: socialnet.AttrRandom},
-		Count:    10,
+	_, client := newTestServer(t, WithSeed(7))
+	s := remoteScreen{client}
+
+	cfg := socialnet.DefaultConfig()
+	cfg.NumAccounts = 1500
+	cfg.OrganicTweetsPerHour = 300
+	local, err := socialnet.NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	first := s.Screen(q, time.Now())
-	if len(first) == 0 {
-		t.Fatal("no accounts")
+	rng := rand.New(rand.NewSource(7))
+	now := socialnet.NewEngine(local).Now()
+
+	exclude := make(map[socialnet.AccountID]struct{})
+	for i, a := range local.Accounts() {
+		if i%2 == 0 {
+			exclude[a.ID] = struct{}{}
+		}
 	}
-	q.Exclude = map[socialnet.AccountID]struct{}{first[0].ID: {}}
-	second := s.Screen(q, time.Now())
-	for _, a := range second {
-		if a.ID == first[0].ID {
-			t.Fatal("excluded account returned")
+	for _, q := range []socialnet.ScreenQuery{
+		{Selector: socialnet.Selector{Attr: socialnet.AttrRandom}, Count: 40, Exclude: exclude},
+		{Selector: socialnet.Selector{Attr: socialnet.AttrFollowers, Value: 1000}, Count: 20,
+			Exclude: exclude, MaxFriendFollowerRatio: 2},
+	} {
+		want := local.Screen(q, now, rng)
+		got := s.Screen(q, now)
+		if len(got) != q.Count || len(got) != len(want) {
+			t.Fatalf("%v: remote screened %d, in-process %d, want %d", q.Selector, len(got), len(want), q.Count)
+		}
+		for i, a := range got {
+			if _, excluded := exclude[a.ID]; excluded {
+				t.Fatalf("%v: excluded account %d returned", q.Selector, a.ID)
+			}
+			if q.MaxFriendFollowerRatio > 0 && a.FriendFollowerRatio() > q.MaxFriendFollowerRatio {
+				t.Fatalf("%v: account %d over the ratio bound", q.Selector, a.ID)
+			}
+			if a.ID != want[i].ID {
+				t.Fatalf("%v: account %d is %d remotely, %d in-process", q.Selector, i, a.ID, want[i].ID)
+			}
 		}
 	}
 }
@@ -59,7 +97,7 @@ func TestMonitorOverRemoteAPI(t *testing.T) {
 	m := core.NewMonitor(core.MonitorConfig{
 		Specs: core.RandomSpec(60),
 		Seed:  1,
-	}, &RemoteScreener{Client: client})
+	}, remoteScreen{client})
 
 	m.Rotate(time.Now(), time.Hour)
 	if m.NodeCount() == 0 {

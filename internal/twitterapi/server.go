@@ -93,13 +93,63 @@ type Server struct {
 	healthExtras []func(*metrics.Health)
 }
 
-// stream is one connected streaming client.
+// stream is one connected streaming client. Lines are encoded when the
+// engine produces them and queued for the handler, which writes them
+// without taking the engine lock, so a consumer that keeps up drains the
+// queue while the hour is still running.
 type stream struct {
-	mentionsOf map[socialnet.AccountID]struct{}
-	follow     map[socialnet.AccountID]struct{}
-	all        bool
-	ch         chan *socialnet.Tweet
-	dropped    int64
+	// tracked holds the accounts whose posts, and posts mentioning them,
+	// the stream delivers; all delivers the full firehose instead.
+	tracked map[socialnet.AccountID]struct{}
+	all     bool
+
+	mu      sync.Mutex
+	lines   [][]byte // encoded NDJSON lines not yet written
+	tweets  int      // tweet lines among them, at most streamBuffer
+	dropped int64
+	wake    chan struct{} // capacity 1: lines are waiting
+}
+
+// push queues a tweet line, or drops and counts it when the consumer is
+// streamBuffer tweets behind.
+func (st *stream) push(line []byte) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.tweets >= streamBuffer {
+		st.dropped++
+		return false
+	}
+	st.tweets++
+	st.queue(line)
+	return true
+}
+
+// endHour queues the control line closing simulated hour h, with the drop
+// count so far. Control lines are never dropped.
+func (st *stream) endHour(h int) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.queue(encodeLine(struct {
+		HourEnd HourEnd `json:"x_hour_end"`
+	}{HourEnd{Hour: h, Dropped: st.dropped}}))
+}
+
+// queue appends a line and wakes the handler; st.mu is held.
+func (st *stream) queue(line []byte) {
+	st.lines = append(st.lines, line)
+	select {
+	case st.wake <- struct{}{}:
+	default:
+	}
+}
+
+// take removes every queued line.
+func (st *stream) take() [][]byte {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	lines := st.lines
+	st.lines, st.tweets = nil, 0
+	return lines
 }
 
 var _ http.Handler = (*Server)(nil)
@@ -125,7 +175,9 @@ func NewServer(engine *socialnet.Engine, opts ...ServerOption) *Server {
 	s.mux.HandleFunc("POST /1.1/statuses/filter.json", s.handleFilter)
 	s.mux.HandleFunc("GET /1.1/users/show.json", s.observed("users/show", s.rateLimited("users/show", s.handleUserShow)))
 	s.mux.HandleFunc("GET /1.1/users/lookup.json", s.observed("users/lookup", s.rateLimited("users/lookup", s.handleUserLookup)))
-	s.mux.HandleFunc("GET /1.1/users/search.json", s.observed("users/search", s.rateLimited("users/search", s.handleUserSearch)))
+	search := s.observed("users/search", s.rateLimited("users/search", s.handleUserSearch))
+	s.mux.HandleFunc("GET /1.1/users/search.json", search)
+	s.mux.HandleFunc("POST /1.1/users/search.json", search)
 	s.mux.HandleFunc("GET /1.1/trends.json", s.observed("trends", s.rateLimited("trends", s.handleTrends)))
 	s.mux.HandleFunc("POST /sim/advance.json", s.observed("sim/advance", s.handleAdvance))
 	s.mux.HandleFunc("GET /sim/stats.json", s.observed("sim/stats", s.handleStats))
@@ -156,88 +208,96 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Advance runs n simulated hours. Safe for concurrent use.
+// Advance runs n simulated hours. After each hour, every open stream gets
+// a control line (HourEnd) behind that hour's tweets. Safe for concurrent
+// use.
 func (s *Server) Advance(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.engine.RunHours(n)
+	for i := 0; i < n; i++ {
+		s.engine.RunHours(1)
+		s.streamsMu.Lock()
+		for _, st := range s.streams {
+			st.endHour(s.engine.Hour() - 1)
+		}
+		s.streamsMu.Unlock()
+	}
 	if s.advanceHook != nil {
 		s.advanceHook(n)
 	}
 }
 
-// dispatch fans a generated tweet out to connected streams. It runs inside
-// the engine's RunHours (under s.mu).
+// dispatch fans a generated tweet out to connected streams, encoding it
+// once for all of them. It runs inside the engine's RunHours (under s.mu),
+// so the wire form captures the profiles as they are at tweet time.
 func (s *Server) dispatch(t *socialnet.Tweet) {
 	s.streamsMu.Lock()
 	defer s.streamsMu.Unlock()
+	var line []byte
 	for _, st := range s.streams {
 		if !st.wants(t) {
 			continue
 		}
-		select {
-		case st.ch <- t:
+		if line == nil {
+			line = encodeLine(encodeTweet(t, s.engine.World().Account, s.oracle))
+		}
+		if st.push(line) {
 			s.ins.streamTweets.Inc()
-		default:
-			st.dropped++
+		} else {
 			s.ins.streamDropped.Inc()
 		}
 	}
+}
+
+// encodeLine renders a wire value as one NDJSON line. The wire types hold
+// nothing encoding/json rejects.
+func encodeLine(v any) []byte {
+	b, _ := json.Marshal(v)
+	return append(b, '\n')
 }
 
 func (st *stream) wants(t *socialnet.Tweet) bool {
 	if st.all {
 		return true
 	}
-	if _, ok := st.follow[t.AuthorID]; ok {
+	if _, ok := st.tracked[t.AuthorID]; ok {
 		return true
 	}
 	for _, m := range t.Mentions {
-		if _, ok := st.mentionsOf[m]; ok {
+		if _, ok := st.tracked[m]; ok {
 			return true
 		}
 	}
 	return false
 }
 
-// handleFilter implements POST /1.1/statuses/filter.json. Parameters:
-//
-//	track:  comma-separated @screen_name filters (mention tracking, as the
-//	        paper configures Tweepy: "@user_account_name")
-//	follow: comma-separated user ids whose own posts are delivered
-//
-// With neither parameter the full firehose is delivered. The response is
-// an unbounded NDJSON stream.
+// handleFilter implements POST /1.1/statuses/filter.json. Its parameter
+// track lists comma-separated @screen_name filters (mention tracking, as
+// the paper configures Tweepy: "@user_account_name"): a tracked account's
+// posts and every post mentioning it are delivered. Like Twitter's keyword
+// track, a name tracks every account holding it, since screen names are
+// not unique. Without track the full firehose is delivered. The response
+// is an unbounded NDJSON stream.
 func (s *Server) handleFilter(w http.ResponseWriter, r *http.Request) {
 	if err := r.ParseForm(); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad form: "+err.Error())
 		return
 	}
-	st := &stream{
-		mentionsOf: make(map[socialnet.AccountID]struct{}),
-		follow:     make(map[socialnet.AccountID]struct{}),
-		ch:         make(chan *socialnet.Tweet, streamBuffer),
-	}
 	track := r.Form.Get("track")
-	follow := r.Form.Get("follow")
-	if track == "" && follow == "" {
-		st.all = true
+	st := &stream{
+		tracked: make(map[socialnet.AccountID]struct{}),
+		all:     track == "",
+		wake:    make(chan struct{}, 1),
+	}
+	names := make(map[string]struct{})
+	for _, name := range splitNonEmpty(track) {
+		names[strings.TrimPrefix(strings.TrimSpace(name), "@")] = struct{}{}
 	}
 	s.mu.Lock()
-	world := s.engine.World()
-	for _, name := range splitNonEmpty(track) {
-		name = strings.TrimPrefix(strings.TrimSpace(name), "@")
-		if a := world.ByScreenName(name); a != nil {
-			st.mentionsOf[a.ID] = struct{}{}
-			st.follow[a.ID] = struct{}{}
+	for _, a := range s.engine.World().Accounts() {
+		if _, ok := names[a.ScreenName]; ok {
+			st.tracked[a.ID] = struct{}{}
 		}
-	}
-	for _, idStr := range splitNonEmpty(follow) {
-		id, err := strconv.ParseInt(strings.TrimSpace(idStr), 10, 64)
-		if err != nil {
-			continue
-		}
-		st.follow[socialnet.AccountID(id)] = struct{}{}
 	}
 	s.mu.Unlock()
 
@@ -254,25 +314,28 @@ func (s *Server) handleFilter(w http.ResponseWriter, r *http.Request) {
 		s.streamsMu.Unlock()
 	}()
 
+	// The stream is registered: flush the headers now, so the client's
+	// request returns before any tweet matches and it may safely advance.
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	if flusher != nil {
+		flusher.Flush()
+	}
 	ctx := r.Context()
 	for {
 		select {
 		case <-ctx.Done():
 			return
-		case t := <-st.ch:
-			s.mu.Lock()
-			wire := encodeTweet(t, s.engine.World().Account, s.oracle)
-			s.mu.Unlock()
-			if err := enc.Encode(wire); err != nil {
+		case <-st.wake:
+		}
+		for _, line := range st.take() {
+			if _, err := w.Write(line); err != nil {
 				return
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
+		}
+		if flusher != nil {
+			flusher.Flush()
 		}
 	}
 }
@@ -320,8 +383,9 @@ func (s *Server) handleUserLookup(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, users)
 }
 
-// handleUserSearch implements GET /1.1/users/search.json — the idealized
-// account-screening endpoint (DESIGN.md §2). Parameters:
+// handleUserSearch implements GET or POST /1.1/users/search.json — the
+// idealized account-screening endpoint (DESIGN.md §2). Parameters, in the
+// query string or a form body:
 //
 //	attr:      attribute key (socialnet.Attribute.Key)
 //	value:     numeric sample value (profile attributes)
@@ -330,8 +394,18 @@ func (s *Server) handleUserLookup(w http.ResponseWriter, r *http.Request) {
 //	count:     number of accounts
 //	tolerance: relative band (optional)
 //	active:    1 to require Active status
+//	max_ratio: friend/follower ratio bound (optional)
+//	exclude:   comma-separated account ids never to return (optional)
+//
+// The ratio bound and the exclusions apply before sampling, exactly as
+// World.Screen applies them in-process, so a server seeded like an
+// in-process screener selects the same accounts.
 func (s *Server) handleUserSearch(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
+	if err := r.ParseForm(); err != nil {
+		writeErr(w, http.StatusBadRequest, "bad form: "+err.Error())
+		return
+	}
+	q := r.Form
 	attr, err := socialnet.ParseAttribute(q.Get("attr"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err.Error())
@@ -366,6 +440,24 @@ func (s *Server) handleUserSearch(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, "bad tolerance")
 			return
+		}
+	}
+	if ratio := q.Get("max_ratio"); ratio != "" {
+		query.MaxFriendFollowerRatio, err = strconv.ParseFloat(ratio, 64)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, "bad max_ratio")
+			return
+		}
+	}
+	if ex := splitNonEmpty(q.Get("exclude")); len(ex) > 0 {
+		query.Exclude = make(map[socialnet.AccountID]struct{}, len(ex))
+		for _, idStr := range ex {
+			id, err := strconv.ParseInt(strings.TrimSpace(idStr), 10, 64)
+			if err != nil {
+				writeErr(w, http.StatusBadRequest, "bad exclude id")
+				return
+			}
+			query.Exclude[socialnet.AccountID(id)] = struct{}{}
 		}
 	}
 

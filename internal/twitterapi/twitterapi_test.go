@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -27,33 +28,42 @@ func newTestServer(t *testing.T, opts ...ServerOption) (*Server, *Client) {
 	return srv, NewClient(ts.URL, ts.Client())
 }
 
+// userShow fetches GET /1.1/users/show.json with the given parameters.
+func userShow(client *Client, vals url.Values) (*User, error) {
+	var u User
+	if err := client.getJSON(context.Background(), "/1.1/users/show.json", vals, &u); err != nil {
+		return nil, err
+	}
+	return &u, nil
+}
+
 func TestUserShowBScreenName(t *testing.T) {
 	srv, client := newTestServer(t)
 	want := srv.engine.World().Accounts()[3]
-	got, err := client.UserShow(context.Background(), want.ScreenName)
+	got, err := userShow(client, url.Values{"screen_name": {want.ScreenName}})
 	if err != nil {
-		t.Fatalf("UserShow: %v", err)
+		t.Fatalf("users/show: %v", err)
 	}
 	if got.ID != int64(want.ID) || got.FollowersCount != want.FollowersCount {
-		t.Fatalf("UserShow mismatch: got %+v", got)
+		t.Fatalf("users/show mismatch: got %+v", got)
 	}
 }
 
 func TestUserShowByID(t *testing.T) {
 	srv, client := newTestServer(t)
 	want := srv.engine.World().Accounts()[7]
-	got, err := client.UserByID(context.Background(), int64(want.ID))
+	got, err := userShow(client, url.Values{"user_id": {strconv.FormatInt(int64(want.ID), 10)}})
 	if err != nil {
-		t.Fatalf("UserByID: %v", err)
+		t.Fatalf("users/show: %v", err)
 	}
 	if got.ScreenName != want.ScreenName {
-		t.Fatalf("UserByID returned %q, want %q", got.ScreenName, want.ScreenName)
+		t.Fatalf("users/show returned %q, want %q", got.ScreenName, want.ScreenName)
 	}
 }
 
 func TestUserShowNotFound(t *testing.T) {
 	_, client := newTestServer(t)
-	_, err := client.UserShow(context.Background(), "definitely_not_a_user_xyz")
+	_, err := userShow(client, url.Values{"screen_name": {"definitely_not_a_user_xyz"}})
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Code != 404 {
 		t.Fatalf("want 404 APIError, got %v", err)
@@ -75,68 +85,76 @@ func TestUsersLookupSkipsUnknown(t *testing.T) {
 
 func TestUsersSearchNumericAttribute(t *testing.T) {
 	_, client := newTestServer(t)
-	users, err := client.UsersSearch(context.Background(), SearchQuery{
-		Attr:  "followers_count",
-		Value: 1000,
-		Count: 5,
+	accounts, err := client.Screen(context.Background(), socialnet.ScreenQuery{
+		Selector: socialnet.Selector{Attr: socialnet.AttrFollowers, Value: 1000},
+		Count:    5,
 	})
 	if err != nil {
-		t.Fatalf("UsersSearch: %v", err)
+		t.Fatalf("users/search: %v", err)
 	}
-	if len(users) == 0 {
+	if len(accounts) == 0 {
 		t.Fatal("no users found near followers=1000")
 	}
-	for _, u := range users {
-		if u.FollowersCount < 650 || u.FollowersCount > 1350 {
-			t.Fatalf("user %q followers %d outside band", u.ScreenName, u.FollowersCount)
+	for _, a := range accounts {
+		if a.FollowersCount < 650 || a.FollowersCount > 1350 {
+			t.Fatalf("user %q followers %d outside band", a.ScreenName, a.FollowersCount)
 		}
 	}
 }
 
 func TestUsersSearchHashtagAndTrend(t *testing.T) {
 	_, client := newTestServer(t)
-	users, err := client.UsersSearch(context.Background(), SearchQuery{
-		Attr:     "hashtag",
-		Category: "social",
-		Count:    5,
-	})
-	if err != nil || len(users) == 0 {
-		t.Fatalf("hashtag search: %v (%d users)", err, len(users))
+	social, err := parseCategory("social")
+	if err != nil {
+		t.Fatal(err)
 	}
-	users, err = client.UsersSearch(context.Background(), SearchQuery{
-		Attr:  "trend",
-		Trend: "trending-up",
-		Count: 5,
-	})
-	if err != nil || len(users) == 0 {
-		t.Fatalf("trend search: %v (%d users)", err, len(users))
+	for _, sel := range []socialnet.Selector{
+		{Attr: socialnet.AttrHashtag, Category: social},
+		{Attr: socialnet.AttrTrend, Trend: socialnet.TrendUp},
+	} {
+		accounts, err := client.Screen(context.Background(), socialnet.ScreenQuery{Selector: sel, Count: 5})
+		if err != nil || len(accounts) == 0 {
+			t.Fatalf("%v search: %v (%d users)", sel, err, len(accounts))
+		}
 	}
 }
 
 func TestUsersSearchRejectsBadRequests(t *testing.T) {
 	_, client := newTestServer(t)
+	search := func(vals url.Values) error {
+		req, err := client.newFormRequest(context.Background(), "/1.1/users/search.json", vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return client.do(req, nil)
+	}
 	var apiErr *APIError
-	_, err := client.UsersSearch(context.Background(), SearchQuery{Attr: "nope", Count: 5})
-	if !errors.As(err, &apiErr) || apiErr.Code != 400 {
+	if err := search(url.Values{"attr": {"nope"}, "count": {"5"}}); !errors.As(err, &apiErr) || apiErr.Code != 400 {
 		t.Fatalf("bad attr: want 400, got %v", err)
 	}
-	_, err = client.UsersSearch(context.Background(), SearchQuery{Attr: "random", Count: 0})
-	if !errors.As(err, &apiErr) || apiErr.Code != 400 {
+	if err := search(url.Values{"attr": {"random"}, "count": {"0"}}); !errors.As(err, &apiErr) || apiErr.Code != 400 {
 		t.Fatalf("bad count: want 400, got %v", err)
 	}
 }
 
 func TestTrendsEndpoint(t *testing.T) {
 	_, client := newTestServer(t)
-	all, err := client.Trends(context.Background(), "")
-	if err != nil || len(all) == 0 {
-		t.Fatalf("Trends: %v (%d)", err, len(all))
+	trends := func(state string) []Trend {
+		t.Helper()
+		var out []Trend
+		vals := url.Values{}
+		if state != "" {
+			vals.Set("state", state)
+		}
+		if err := client.getJSON(context.Background(), "/1.1/trends.json", vals, &out); err != nil {
+			t.Fatalf("trends(%q): %v", state, err)
+		}
+		return out
 	}
-	up, err := client.Trends(context.Background(), "trending-up")
-	if err != nil {
-		t.Fatalf("Trends(up): %v", err)
+	if all := trends(""); len(all) == 0 {
+		t.Fatal("no trends")
 	}
-	for _, tr := range up {
+	for _, tr := range trends("trending-up") {
 		if tr.State != "trending-up" {
 			t.Fatalf("trend %q state %q, want trending-up", tr.Name, tr.State)
 		}
@@ -161,18 +179,57 @@ func TestAdvanceAndStats(t *testing.T) {
 	}
 }
 
+// streamHours opens one stream tracking track, advances the server hours
+// simulated hours, and returns every tweet delivered up to the last hour's
+// control line, cloned. Each control line must close the next hour and
+// report no drops.
+func streamHours(t *testing.T, srv *Server, client *Client, track []string, hours int) []Tweet {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	st, err := client.Stream(ctx, track)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	first := srv.engine.Hour()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.Advance(hours)
+	}()
+	defer func() { <-done }()
+	var got []Tweet
+	for h := first; h < first+hours; {
+		tw, err := st.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if he := tw.HourEnd; he != nil {
+			if he.Hour != h || he.Dropped != 0 {
+				t.Fatalf("control line %+v, want hour %d without drops", *he, h)
+			}
+			h++
+			continue
+		}
+		got = append(got, tw.Clone()) // retained past the next call
+	}
+	return got
+}
+
 func TestStreamDeliversMentionFilteredTweets(t *testing.T) {
 	srv, client := newTestServer(t)
 
-	// Track the most attractive accounts so spam mentions hit them.
+	// Track the most attractive accounts so spam mentions hit them. A
+	// name tracks every account holding it.
 	var tracked []string
-	trackedIDs := make(map[int64]struct{})
+	trackedNames := make(map[string]struct{})
 	world := srv.engine.World()
 	now := srv.engine.Now()
 	for _, a := range world.Accounts() {
 		if world.Attraction(a, now) > 4 {
 			tracked = append(tracked, "@"+a.ScreenName)
-			trackedIDs[int64(a.ID)] = struct{}{}
+			trackedNames[a.ScreenName] = struct{}{}
 		}
 		if len(tracked) >= 20 {
 			break
@@ -182,49 +239,17 @@ func TestStreamDeliversMentionFilteredTweets(t *testing.T) {
 		t.Fatal("no attractive accounts to track")
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	var mu sync.Mutex
-	var got []Tweet
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = client.Stream(ctx, StreamFilter{Track: tracked}, func(tw Tweet) {
-			mu.Lock()
-			got = append(got, tw.Clone()) // retained past the callback
-			mu.Unlock()
-		})
-	}()
-
-	// Let the stream attach, then generate traffic.
-	time.Sleep(50 * time.Millisecond)
-	srv.Advance(3)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := len(got)
-		mu.Unlock()
-		if n > 0 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	cancel()
-	<-done
-
-	mu.Lock()
-	defer mu.Unlock()
+	got := streamHours(t, srv, client, tracked, 3)
 	if len(got) == 0 {
 		t.Fatal("stream delivered no tweets")
 	}
 	for _, tw := range got {
-		if _, ok := trackedIDs[tw.User.ID]; ok {
+		if _, ok := trackedNames[tw.User.ScreenName]; ok {
 			continue // tracked account's own post
 		}
 		found := false
 		for _, m := range tw.Entities.Mentions {
-			if _, ok := trackedIDs[m.ID]; ok {
+			if _, ok := trackedNames[m.ScreenName]; ok {
 				found = true
 				break
 			}
@@ -235,105 +260,48 @@ func TestStreamDeliversMentionFilteredTweets(t *testing.T) {
 	}
 }
 
+// TestStreamFirehoseWithoutFilters: with no filter the stream carries every
+// tweet of the hour, in engine order.
 func TestStreamFirehoseWithoutFilters(t *testing.T) {
 	srv, client := newTestServer(t)
-	ctx, cancel := context.WithCancel(context.Background())
+	var want []int64
+	cancel := srv.engine.Subscribe(func(tw *socialnet.Tweet) { want = append(want, int64(tw.ID)) })
 	defer cancel()
-
-	var mu sync.Mutex
-	count := 0
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = client.Stream(ctx, StreamFilter{}, func(Tweet) {
-			mu.Lock()
-			count++
-			mu.Unlock()
-		})
-	}()
-	time.Sleep(50 * time.Millisecond)
-	srv.Advance(1)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := count
-		mu.Unlock()
-		if n > 100 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
+	got := streamHours(t, srv, client, nil, 1)
+	if len(got) == 0 || len(got) != len(want) {
+		t.Fatalf("firehose delivered %d tweets, the engine generated %d", len(got), len(want))
 	}
-	cancel()
-	<-done
-	mu.Lock()
-	defer mu.Unlock()
-	if count == 0 {
-		t.Fatal("firehose delivered nothing")
+	for i := range got {
+		if got[i].ID != want[i] {
+			t.Fatalf("tweet %d: id %d, engine order has %d", i, got[i].ID, want[i])
+		}
 	}
 }
 
 func TestOracleFieldsHiddenByDefault(t *testing.T) {
 	srv, client := newTestServer(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var mu sync.Mutex
-	sawOracle := false
-	n := 0
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = client.Stream(ctx, StreamFilter{}, func(tw Tweet) {
-			mu.Lock()
-			if tw.Spam != nil || tw.CampaignID != nil {
-				sawOracle = true
-			}
-			n++
-			mu.Unlock()
-		})
-	}()
-	time.Sleep(50 * time.Millisecond)
-	srv.Advance(1)
-	time.Sleep(300 * time.Millisecond)
-	cancel()
-	<-done
-	mu.Lock()
-	defer mu.Unlock()
-	if n == 0 {
+	got := streamHours(t, srv, client, nil, 1)
+	if len(got) == 0 {
 		t.Fatal("no tweets observed")
 	}
-	if sawOracle {
-		t.Fatal("ground-truth fields leaked on a non-oracle stream")
+	for _, tw := range got {
+		if tw.Spam != nil || tw.CampaignID != nil {
+			t.Fatal("ground-truth fields leaked on a non-oracle stream")
+		}
 	}
 }
 
 func TestOracleFieldsPresentWhenEnabled(t *testing.T) {
 	srv, client := newTestServer(t, WithOracle())
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var mu sync.Mutex
+	got := streamHours(t, srv, client, nil, 1)
 	withOracle := 0
-	n := 0
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = client.Stream(ctx, StreamFilter{}, func(tw Tweet) {
-			mu.Lock()
-			if tw.Spam != nil {
-				withOracle++
-			}
-			n++
-			mu.Unlock()
-		})
-	}()
-	time.Sleep(50 * time.Millisecond)
-	srv.Advance(1)
-	time.Sleep(300 * time.Millisecond)
-	cancel()
-	<-done
-	mu.Lock()
-	defer mu.Unlock()
-	if n == 0 || withOracle != n {
-		t.Fatalf("oracle fields on %d/%d tweets, want all", withOracle, n)
+	for _, tw := range got {
+		if tw.Spam != nil {
+			withOracle++
+		}
+	}
+	if len(got) == 0 || withOracle != len(got) {
+		t.Fatalf("oracle fields on %d/%d tweets, want all", withOracle, len(got))
 	}
 }
 

@@ -2,8 +2,9 @@
 // developer APIs the paper's implementation relies on (§V-A): the Streaming
 // API (statuses/filter with mention tracking, delivered as chunked NDJSON)
 // and the REST API (user lookup, account search, trends). The Server wraps
-// a socialnet Engine; the Client mirrors the Tweepy-style consumer with
-// automatic reconnection.
+// a socialnet Engine; the Client mirrors the Tweepy-style consumer. Each
+// stream connection is read to the end of a simulated hour, which the
+// server marks with a control line (HourEnd).
 //
 // Ground-truth fields (spam flags, campaign ids, account kinds) are never
 // exposed on the wire unless the server is explicitly constructed with the
@@ -70,12 +71,26 @@ type Tweet struct {
 	// for evaluation harnesses. They are absent from normal streams.
 	Spam       *bool `json:"x_oracle_spam,omitempty"`
 	CampaignID *int  `json:"x_oracle_campaign,omitempty"`
+
+	// HourEnd marks a control line, not a tweet: the server writes one to
+	// every open stream after each simulated hour, behind all of that
+	// hour's tweets (Twitter's stream interleaved control messages too).
+	HourEnd *HourEnd `json:"x_hour_end,omitempty"`
+}
+
+// HourEnd is the payload of an end-of-hour control line.
+type HourEnd struct {
+	// Hour is the simulated hour that just ended (0-based).
+	Hour int `json:"hour"`
+	// Dropped counts the tweets this stream has lost so far because the
+	// consumer fell behind; a complete stream reports 0.
+	Dropped int64 `json:"dropped"`
 }
 
 // Clone returns a deep copy of the tweet that owns all of its memory.
 // Stream handlers need it before retaining a tweet (or any string or slice
 // reachable from it) beyond the callback: the stream decoder reuses its
-// buffers between lines (see Client.Stream).
+// buffers between lines (see StreamConn.Next).
 func (t Tweet) Clone() Tweet {
 	c := t
 	c.CreatedAt = strings.Clone(t.CreatedAt)
@@ -103,6 +118,10 @@ func (t Tweet) Clone() Tweet {
 	if t.CampaignID != nil {
 		v := *t.CampaignID
 		c.CampaignID = &v
+	}
+	if t.HourEnd != nil {
+		v := *t.HourEnd
+		c.HourEnd = &v
 	}
 	return c
 }

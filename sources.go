@@ -39,6 +39,16 @@ func NewReplaySource(dir string) (IngestSource, error) {
 	return source.NewReplay(b)
 }
 
+// NewWireSource attaches to a twitterd-style server at baseURL as an ingest
+// source: the paper's deployment shape, where nodes are screened through
+// users/search, mentions tracked through statuses/filter, and each hour
+// advanced through /sim/advance (DESIGN.md §17). The server must be
+// advanced by this source alone (twitterd without -tick); its own seed
+// drives node sampling.
+func NewWireSource(baseURL string) (IngestSource, error) {
+	return source.NewWire(baseURL)
+}
+
 // sourceInstruments exposes per-source ingest counters. Child counters
 // are cached per origin; the maps are touched only on the delivery
 // goroutine, so no locking.

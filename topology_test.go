@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/parallel"
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/source"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/store/fstest"
 )
@@ -67,18 +68,21 @@ type sourceCounts struct{ posts, captures float64 }
 // sniffer started has stopped once Close returns.
 func goldenCell(t *testing.T, cfg SnifferConfig) sourceCounts {
 	t.Helper()
-	return sourcesCell(t, cfg, nil, goldenStreamingFingerprint)
+	counts, _ := sourcesCell(t, cfg, nil, goldenStreamingFingerprint)
+	return counts
 }
 
 // sourcesCell is goldenCell over explicit sources (nil keeps the implicit
 // twitter source) and the fingerprint they pin. It also holds the
 // per-source counters (every cell has a registry of its own) to what
 // matchPost saw, whatever the executor: posts and captures both counted,
-// and the captures exactly the monitor's.
-func sourcesCell(t *testing.T, cfg SnifferConfig, sources func(*Simulation) []IngestSource, want string) sourceCounts {
+// and the captures exactly the monitor's. It returns the counters and the
+// captured tweet ids in capture order. The goroutine check runs last of
+// the test's cleanups, after any server the sources func registered.
+func sourcesCell(t *testing.T, cfg SnifferConfig, sources func(*Simulation) []IngestSource, want string) (sourceCounts, []socialnet.TweetID) {
 	t.Helper()
 	t.Setenv(parallel.EnvWorkers, "2")
-	settled := goroutineBaseline(t)
+	t.Cleanup(goroutineBaseline(t))
 	sim := testSimulation(t)
 	if cfg.Metrics == nil {
 		cfg.Metrics = NewMetricsRegistry()
@@ -108,17 +112,21 @@ func sourcesCell(t *testing.T, cfg SnifferConfig, sources func(*Simulation) []In
 		posts:    counterTotal(fams, "ph_source_posts_total", nil),
 		captures: counterTotal(fams, "ph_source_captures_total", nil),
 	}
-	if counts.posts == 0 || counts.captures != float64(len(sn.Monitor().Captures())) {
+	captures := sn.Monitor().Captures()
+	if counts.posts == 0 || counts.captures != float64(len(captures)) {
 		t.Fatalf("per-source counters: %v posts, %v captures, monitor holds %d",
-			counts.posts, counts.captures, len(sn.Monitor().Captures()))
+			counts.posts, counts.captures, len(captures))
+	}
+	ids := make([]socialnet.TweetID, len(captures))
+	for i, c := range captures {
+		ids[i] = c.Tweet.ID
 	}
 	sn.Close()
 	sn.Close()
 	if got := fingerprintResult(res); got != want {
 		t.Fatalf("fingerprint drifted from golden:\n got  %s\n want %s", got, want)
 	}
-	settled()
-	return counts
+	return counts, ids
 }
 
 // TestTopologyMatrix runs every executor with durability off and on, and
@@ -129,8 +137,15 @@ func sourcesCell(t *testing.T, cfg SnifferConfig, sources func(*Simulation) []In
 // resumes, a crash at hour k, a mux of one, a mux of two and a replayed
 // recording all land on their golden fingerprint. Every cell also exports
 // the same per-source counters — they are matchPost's, in every mode.
+//
+// The wire rows run the emulated Streaming API as the source, served over
+// the cell's simulation by a server seeded like the in-process screener:
+// twice per executor they land on goldenWireFingerprint, and they capture
+// exactly the in-process golden run's tweets, in order. (Their profiles
+// come off the wire, so their feature vectors are not the golden's.)
 func TestTopologyMatrix(t *testing.T) {
 	var first *sourceCounts
+	var goldenIDs []socialnet.TweetID
 	for _, topo := range topologies {
 		for _, durable := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/durable=%t", topo.name, durable), func(t *testing.T) {
@@ -138,12 +153,26 @@ func TestTopologyMatrix(t *testing.T) {
 				if durable {
 					cfg.Durability = DurabilityConfig{Backend: fstest.New(), SyncEvery: 4}
 				}
-				got := goldenCell(t, cfg)
+				got, ids := sourcesCell(t, cfg, nil, goldenStreamingFingerprint)
 				if first == nil {
-					first = &got
+					first, goldenIDs = &got, ids
 				}
 				if got != *first {
 					t.Fatalf("per-source counters %+v differ from the first cell's %+v", got, *first)
+				}
+			})
+		}
+	}
+
+	for _, topo := range topologies {
+		if topo.shards > 2 || topo.shards == 1 {
+			continue // wire × {stream, inproc×2, proc×2}
+		}
+		for run := 1; run <= 2; run++ {
+			t.Run(fmt.Sprintf("wire/%s/run=%d", topo.name, run), func(t *testing.T) {
+				_, ids := sourcesCell(t, shardGoldenConfig(topo.shards, topo.mode), wireSources(t), goldenWireFingerprint)
+				if len(goldenIDs) == 0 || fmt.Sprint(ids) != fmt.Sprint(goldenIDs) {
+					t.Fatalf("wire captured %d tweets, the in-process golden run %d, and they differ", len(ids), len(goldenIDs))
 				}
 			})
 		}
