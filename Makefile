@@ -98,8 +98,10 @@ bench-smoke:
 # bench prints the in-package micro-benchmarks. TreeFit and BoostFit
 # report speedup-vs-reference: the presorted-column split engine against
 # the per-node-sort scan kept as their test oracle (algorithmic win,
-# visible on any core count); ForestFit reports speedup-vs-1worker (expect
-# ~1.0 on a single-core machine). Rotate is one hourly node rotation over
+# visible on any core count). ForestFit times the paper-config forest on a
+# small noisy task and on a capture-shaped fixture (7,056 × 58, the
+# dense-stream detector's training set), exact and at 64 bins, and reports
+# speedup-vs-1worker (expect ~1.0 on a single-core machine). Rotate is one hourly node rotation over
 # the columnar screening index (cold and warm). SignText, IndexAddProbe
 # and StoreAddBatch are the near-duplicate kernel: signing one text,
 # probe-then-add over 10k campaign-skewed signatures, and the label stage

@@ -66,16 +66,24 @@ func (b *Boost) Fit(x [][]float64, y []bool) error {
 		return errors.New("boost: empty or mismatched training data")
 	}
 	// Sort the feature space once; each round's tree view (full or
-	// subsampled) is derived from the pristine order in O(d·n) and the
-	// engine's buffers are recycled round to round.
+	// subsampled, as 0/1 row counts) is derived from the pristine order
+	// and the engine's buffers are recycled round to round.
 	presort := split.NewPresort(x)
 	var eng *split.Engine
+	var sampled []int32
 	b.fitRounds(x, y, func(t *regTree, idx []int, grad, hess []float64) {
-		if len(idx) == len(x) {
-			eng = presort.NewEngine(x, eng)
-		} else {
-			eng = presort.NewSubsetEngine(x, idx, eng)
+		var counts []int32 // nil: every row once
+		if len(idx) < len(x) {
+			if sampled == nil {
+				sampled = make([]int32, len(x))
+			}
+			clear(sampled)
+			for _, r := range idx {
+				sampled[r] = 1
+			}
+			counts = sampled
 		}
+		eng = presort.View(counts, eng)
 		if b.cfg.Bins > 1 {
 			eng.SetBins(b.cfg.Bins)
 		}

@@ -9,7 +9,9 @@ import "github.com/pseudo-honeypot/pseudohoneypot/internal/ml/split"
 // and every round's tree grows by stable partitioning, scanning each
 // node in a single cumulative-gradient pass per feature. Cumulative sums
 // follow the engine's (value, id) order, so they are deterministic and
-// bit-identical to the reference scan in regtree_ref_test.go.
+// bit-identical to the reference scan in regtree_ref_test.go. The
+// booster's views hold every sampled row once (0/1 counts), so a node's
+// sample count is its window length.
 type regTree struct {
 	maxDepth int
 	minLeaf  int
@@ -59,12 +61,7 @@ func (t *regTree) grow(e *split.Engine, grad, hess []float64, lo, hi, depth int)
 	if !ok {
 		return t.leafNode(e, grad, hess, lo, hi)
 	}
-	var mid int
-	if split.Small(n) {
-		mid = e.PartitionRows(feature, threshold, lo, hi)
-	} else {
-		mid = e.Partition(feature, threshold, lo, hi)
-	}
+	mid := e.Partition(feature, threshold, lo, hi)
 	nd := &regNode{feature: feature, threshold: threshold}
 	nd.left = t.grow(e, grad, hess, lo, mid, depth+1)
 	nd.right = t.grow(e, grad, hess, mid, hi, depth+1)
@@ -100,17 +97,19 @@ func (t *regTree) bestSplit(e *split.Engine, grad []float64, lo, hi int) (int, f
 	bestFeature, bestThreshold := -1, 0.0
 	small := split.Small(total)
 	for f := 0; f < e.Features(); f++ {
+		var ids []int32
+		var col []float64
+		if small {
+			ids, col = e.SortedCol(f, lo, hi)
+		} else {
+			ids, col = e.Col(f, lo, hi)
+		}
 		var thr, gain float64
 		var ok bool
-		if small {
-			vals, ids := e.SortedCol(f, lo, hi)
-			thr, gain, ok = t.scanCol(vals, ids, grad, totalG, baseScore)
-		} else if edges := e.Edges(f); edges != nil {
-			vals, ids := e.Col(f, lo, hi)
-			thr, gain, ok = t.scanBinned(vals, ids, edges, grad, totalG, baseScore)
+		if edges := e.Edges(f); edges != nil && !small {
+			thr, gain, ok = t.scanBinned(ids, col, edges, grad, totalG, baseScore)
 		} else {
-			vals, ids := e.Col(f, lo, hi)
-			thr, gain, ok = t.scanCol(vals, ids, grad, totalG, baseScore)
+			thr, gain, ok = t.scanCol(ids, col, grad, totalG, baseScore)
 		}
 		if ok && gain > bestGain {
 			bestGain = gain
@@ -125,15 +124,18 @@ func (t *regTree) bestSplit(e *split.Engine, grad []float64, lo, hi int) (int, f
 }
 
 // scanCol finds one sorted column's best admissible threshold in a
-// single cumulative-gradient pass.
-func (t *regTree) scanCol(vals []float64, ids []int32, grad []float64, totalG, baseScore float64) (float64, float64, bool) {
-	total := len(vals)
+// single cumulative-gradient pass over ids (values col[id]).
+func (t *regTree) scanCol(ids []int32, col []float64, grad []float64, totalG, baseScore float64) (float64, float64, bool) {
+	total := len(ids)
 	n := float64(total)
 	best, thr, found := 1e-12, 0.0, false
 	leftG := 0.0
+	next := col[ids[0]]
 	for k := 0; k < total-1; k++ {
 		leftG += grad[ids[k]]
-		if vals[k] == vals[k+1] {
+		v := next
+		next = col[ids[k+1]]
+		if v == next {
 			continue
 		}
 		leftN := k + 1
@@ -147,22 +149,22 @@ func (t *regTree) scanCol(vals []float64, ids []int32, grad []float64, totalG, b
 		rightG := totalG - leftG
 		gain := leftG*leftG/fLeftN + rightG*rightG/(n-fLeftN) - baseScore
 		if gain > best {
-			best, thr, found = gain, (vals[k]+vals[k+1])/2, true
+			best, thr, found = gain, (v+next)/2, true
 		}
 	}
 	return thr, best, found
 }
 
 // scanBinned evaluates only the precomputed quantile edges.
-func (t *regTree) scanBinned(vals []float64, ids []int32, edges []float64, grad []float64, totalG, baseScore float64) (float64, float64, bool) {
-	total := len(vals)
+func (t *regTree) scanBinned(ids []int32, col []float64, edges []float64, grad []float64, totalG, baseScore float64) (float64, float64, bool) {
+	total := len(ids)
 	n := float64(total)
 	best, thr, found := 1e-12, 0.0, false
 	leftG := 0.0
 	leftN := 0
 	k := 0
 	for _, edge := range edges {
-		for k < total && vals[k] <= edge {
+		for k < total && col[ids[k]] <= edge {
 			leftG += grad[ids[k]]
 			leftN++
 			k++

@@ -8,10 +8,28 @@ import (
 // BenchmarkForestFit times ensemble training under the paper deployment
 // configuration (70 trees, depth 700) at the default worker count, and
 // reports the speedup over a single-worker fit of the same workload (the
-// pool fan-out win, ~1 on a single-core runner).
+// pool fan-out win, ~1 on a single-core runner). The capture cases are
+// shaped like the detector's training set on the dense-stream workload
+// (captureData), fit exact and at Bins: 64 (core.DefaultRetrainBins);
+// the noisy case is a small 4-feature task.
 func BenchmarkForestFit(b *testing.B) {
-	x, y := noisyData(2000, 11)
+	b.Run("noisy-2000x4", func(b *testing.B) {
+		x, y := noisyData(2000, 11)
+		benchFit(b, x, y, 0)
+	})
+	b.Run("capture-7056x58", func(b *testing.B) {
+		x, y := captureData(1)
+		benchFit(b, x, y, 0)
+	})
+	b.Run("capture-7056x58-bins64", func(b *testing.B) {
+		x, y := captureData(1)
+		benchFit(b, x, y, 64)
+	})
+}
+
+func benchFit(b *testing.B, x [][]float64, y []bool, bins int) {
 	cfg := PaperConfig()
+	cfg.Bins = bins
 
 	fitOnce := func(workers int) time.Duration {
 		c := cfg

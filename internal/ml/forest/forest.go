@@ -76,37 +76,33 @@ func (f *Forest) Fit(x [][]float64, y []bool) error {
 	n := len(x)
 	boots, seeds := f.drawBootstraps(n)
 
-	// The feature space is sorted once; every tree's bootstrap view is
-	// expanded from the shared pristine order in O(d·n) instead of
-	// re-sorting per tree (Presort is immutable and safe to share).
+	// The feature space is sorted once and shared (Presort is immutable);
+	// each tree's bootstrap is a view of it weighted by per-row draw
+	// counts, so duplicates are never materialized as rows.
 	presort := split.NewPresort(x)
 
 	workers := parallel.Resolve(f.cfg.Workers, f.cfg.Trees)
-	// Per-worker bootstrap views: a tree's training view is consumed by
-	// FitEngine before its worker moves on, so the buffers (including the
-	// split engine) can be reused.
+	// Per-worker buffers: a tree's view is consumed by FitEngine before
+	// its worker moves on, so the counts and the engine can be reused.
 	type scratch struct {
-		bx  [][]float64
-		by  []bool
-		eng *split.Engine
+		counts []int32
+		eng    *split.Engine
 	}
 	scratches := make([]scratch, workers)
 	errs := make([]error, f.cfg.Trees)
 	parallel.ForEachWorker(f.cfg.Trees, workers, func(w, ti int) {
 		s := &scratches[w]
-		if s.bx == nil {
-			s.bx = make([][]float64, n)
-			s.by = make([]bool, n)
+		if s.counts == nil {
+			s.counts = make([]int32, n)
 		}
-		for i, j := range boots[ti] {
-			s.bx[i] = x[j]
-			s.by[i] = y[j]
+		clear(s.counts)
+		for _, j := range boots[ti] {
+			s.counts[j]++
 		}
-		t := tree.New(f.treeConfig(len(x[0]), seeds[ti]))
-		s.eng = presort.NewBootstrapEngine(s.bx, boots[ti], s.eng)
-		err := t.FitEngine(s.eng, s.by)
 		boots[ti] = nil // release while later trees still train
-		if err != nil {
+		t := tree.New(f.treeConfig(len(x[0]), seeds[ti]))
+		s.eng = presort.View(s.counts, s.eng)
+		if err := t.FitEngine(s.eng, y); err != nil {
 			errs[ti] = err
 			return
 		}
@@ -165,18 +161,14 @@ func (f *Forest) Predict(x []float64) bool {
 	return f.flat.votes(x)*2 > len(f.trees)
 }
 
-// PredictBatch majority-votes every sample, fanning the batch out over
-// the configured worker pool in contiguous chunks. The result is
-// index-aligned with x and identical to calling Predict per sample.
-func (f *Forest) PredictBatch(x [][]float64) []bool {
-	return f.PredictBatchInto(x, nil)
-}
-
-// PredictBatchInto is PredictBatch writing into out (reused when its
-// capacity suffices, so steady-state callers allocate nothing). On the
-// flat predictor the batch walks tree-major over micro-blocks of samples
-// — one tree's contiguous nodes against a cache-resident block of rows —
-// with the vote tally on the worker's stack.
+// PredictBatchInto majority-votes every sample into out (reused when its
+// capacity suffices, so steady-state callers allocate nothing), fanning
+// the batch out over the configured worker pool in contiguous chunks. The
+// result is index-aligned with x and identical to calling Predict per
+// sample. On the flat predictor the batch walks tree-major over
+// micro-blocks of samples — one tree's contiguous nodes against a
+// cache-resident block of rows — with the vote tally on the worker's
+// stack.
 func (f *Forest) PredictBatchInto(x [][]float64, out []bool) []bool {
 	if cap(out) < len(x) {
 		out = make([]bool, len(x))
@@ -205,14 +197,8 @@ func (f *Forest) batchWorkers(n int) int {
 	return parallel.Resolve(f.cfg.Workers, (n+batchMinChunk-1)/batchMinChunk)
 }
 
-// PredictProbaBatch returns the spam-vote fraction of every sample,
-// computed like PredictBatch.
-func (f *Forest) PredictProbaBatch(x [][]float64) []float64 {
-	return f.PredictProbaBatchInto(x, nil)
-}
-
-// PredictProbaBatchInto is PredictProbaBatch writing into out (reused when
-// its capacity suffices), batched like PredictBatchInto.
+// PredictProbaBatchInto writes every sample's spam-vote fraction into out
+// (reused when its capacity suffices), batched like PredictBatchInto.
 func (f *Forest) PredictProbaBatchInto(x [][]float64, out []float64) []float64 {
 	if cap(out) < len(x) {
 		out = make([]float64, len(x))

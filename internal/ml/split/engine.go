@@ -1,39 +1,53 @@
 // Package split implements the presorted-column split-finding engine
-// shared by the CART classifier tree (internal/ml/tree) and the
-// gradient-boosting regression tree (internal/ml/boost).
+// shared by the CART classifier tree (internal/ml/tree), the random
+// forest's member trees (internal/ml/forest) and the gradient-boosting
+// regression tree (internal/ml/boost).
 //
 // A Presort sorts each feature of the training matrix exactly once —
-// O(d·n·log n) total, on concrete typed slices. Trees then grow from an
-// Engine view of that presort: every node's split scan is a single O(n)
-// cumulative pass per candidate feature over an already-sorted column,
-// and choosing a split stably partitions the column windows in place, so
-// no sorting happens below the root and no per-node allocations are made
-// (scratch buffers are reused down the recursion).
+// O(d·n·log n) total, on concrete typed slices — and keeps the matrix
+// column-major beside it, so every value lookup is cols[f][id]. Trees
+// then grow from an Engine view of that presort. A view is a vector of
+// per-row multiplicities: nil is every row once, 0/1 is a boosting
+// subsample, and counts are a forest bootstrap, so a resample is never
+// materialized as duplicated rows. Split criteria accumulate counts,
+// which is exact: Gini, MinLeaf and majority votes see only integer
+// counts, and candidate thresholds sit between distinct values.
 //
-// Maintaining d partitioned columns stops paying once nodes shrink: below
-// LeafSortCutoff samples an Engine switches to gathering and sorting just
-// the scanned feature from the raw matrix (SortedCol/PartitionRows),
-// which is cache-hot and cheaper than touching every column. Both
-// regimes select identical splits, so the crossover is invisible to the
-// fitted model.
+// Choosing a split partitions only the view's row arena (O(node), ids
+// kept ascending) and records each id's arena position. Sorted feature
+// columns carry int32 ids only and are derived lazily: when a node scans
+// feature f, the engine takes f's innermost sorted range that still holds
+// the node — a per-feature stack of [start, end) windows, the pristine
+// presort at the bottom — and stably splits it by arena position: rows
+// left of the node are finished and dropped, the node's rows become its
+// window, and rows right of it fill the windows of the right siblings
+// still pending on the path, each kept sorted for the nodes to come. Each
+// window is read at most once as a source. A node's scan is then one O(n)
+// cumulative pass per candidate feature, nothing is sorted below the
+// root, and a random-forest tree touches only the ~√d columns its nodes
+// sample instead of re-partitioning all d at every split. Trees that scan
+// every feature (plain CART, boosting) derive every column at every node
+// and pay what eager partitioning would.
 //
-// One presort also serves every resample of its matrix: bootstrap and
-// subset views are derived from the pristine order by a stable O(d·n)
-// filter/expansion pass (NewBootstrapEngine, NewSubsetEngine), never by
-// re-sorting — this is what lets a 70-tree forest or a 100-round booster
-// sort its feature space once instead of once per tree.
+// Small nodes skip the columns entirely: at and below LeafSortCutoff
+// (weighted) samples, a scan gathers and sorts just the scanned feature
+// over the node's rows (SortedCol), which is cache-hot and cheaper than
+// deriving a window. Both regimes select identical splits, so the
+// crossover is invisible to the fitted model.
 package split
 
 import "slices"
 
-// LeafSortCutoff is the node size at and below which trees stop
-// maintaining partitioned feature columns and instead gather + sort each
-// scanned feature directly (see package comment). Exported so the tree
-// growers and the property tests can exercise both regimes explicitly.
+// LeafSortCutoff is the node size at and below which trees stop reading
+// derived feature columns and instead gather + sort each scanned feature
+// directly (see package comment). Exported so the tree growers and the
+// property tests can exercise both regimes explicitly.
 const LeafSortCutoff = 96
 
-// Small reports whether a node of n samples is in the gather-and-sort
-// regime rather than the partitioned-column regime.
+// Small reports whether a node of n samples — counted with their
+// multiplicities — is in the gather-and-sort regime rather than the
+// derived-column regime. In binned mode this also decides exact versus
+// binned scanning, so it must see the weighted size.
 func Small(n int) bool { return n <= LeafSortCutoff }
 
 // KV is a (feature value, row id) pair. All engine orderings sort
@@ -60,12 +74,13 @@ func cmpKV(a, b KV) int {
 }
 
 // Presort holds each feature's sample order over a fixed matrix, sorted
-// once. It is immutable after construction and safe for concurrent use
-// by many Engines (one per worker/tree).
+// once, and the matrix itself column-major. It is immutable after
+// construction and safe for concurrent use by many Engines (one per
+// worker/tree).
 type Presort struct {
 	n, d  int
-	order []int32   // flat d×n: feature f occupies [f*n, (f+1)*n)
-	vals  []float64 // aligned feature values
+	order []int32   // flat d×n: feature f's ids sorted by (value, id)
+	cols  []float64 // flat d×n: cols[f*n+id] = x[id][f]
 }
 
 // NewPresort sorts every feature column of x. This is the only
@@ -80,17 +95,19 @@ func NewPresort(x [][]float64) *Presort {
 		n:     n,
 		d:     d,
 		order: make([]int32, n*d),
-		vals:  make([]float64, n*d),
+		cols:  make([]float64, n*d),
 	}
 	buf := make([]KV, n)
 	for f := 0; f < d; f++ {
+		col := p.col(f)
 		for i, row := range x {
+			col[i] = row[f]
 			buf[i] = KV{V: row[f], ID: int32(i)}
 		}
 		slices.SortFunc(buf, cmpKV)
-		ord, vl := p.order[f*n:(f+1)*n], p.vals[f*n:(f+1)*n]
+		ord := p.order[f*n : (f+1)*n]
 		for i, kv := range buf {
-			ord[i], vl[i] = kv.ID, kv.V
+			ord[i] = kv.ID
 		}
 	}
 	return p
@@ -99,52 +116,87 @@ func NewPresort(x [][]float64) *Presort {
 // Len returns the number of rows the presort covers.
 func (p *Presort) Len() int { return p.n }
 
-// Engine is one tree's mutable view of a presort: node-partitioned
-// feature columns plus a row arena. Obtain one from a Presort
-// constructor and reuse it across trees by passing it back as `reuse` —
-// all internal buffers are recycled.
+// col returns feature f's values indexed by row id.
+func (p *Presort) col(f int) []float64 { return p.cols[f*p.n : (f+1)*p.n] }
+
+// span is a [lo, hi) range of a derived column: it holds, sorted by
+// (value, id), exactly the ids whose arena position lies in [lo, hi).
+type span struct{ lo, hi int32 }
+
+// Engine is one tree's mutable view of a presort: a row arena the tree
+// partitions node by node, and lazily derived sorted feature columns.
+// Obtain one from Presort.View and reuse it across trees by passing it
+// back as `reuse` — all internal buffers are recycled. Row ids are row
+// indices of the presorted matrix.
 type Engine struct {
-	x        [][]float64 // row universe of this view, indexed by id
-	n, d     int
-	order    []int32   // flat d×n, node-partitioned
-	vals     []float64 // aligned values
-	rows     []int32   // node-partitioned row arena; ascending id per node
-	mark     []bool    // left/right marks and subset membership, by id
-	scratchI []int32
-	scratchV []float64
-	smallV   []float64 // SortedCol output buffers
-	smallI   []int32
-	kvBuf    []KV
-	edges    [][]float64 // binned candidate thresholds; nil = exact
-	head     []int32     // bootstrap expansion scratch
-	next     []int32
+	p      *Presort
+	n, d   int     // rows in the view (count > 0), features
+	counts []int32 // per-row multiplicity, indexed by id
+	ones   []int32 // counts of the nil (every row once) view
+	rows   []int32 // node-partitioned row arena; ascending id per node
+	pos    []int32 // arena position by id; -1 outside the view
+	ord    []int32 // flat d×n derived columns, arena-aligned
+	stacks [][]span
+	// frontier holds the starts of the right siblings still to visit
+	// (top = nearest), and owner maps an arena position inside one to
+	// that start; cur is a derivation's write cursor per sibling.
+	frontier   []int32
+	owner, cur []int32
+	// nodeBuf and scratch receive a derivation's node and right-side ids;
+	// scratch also holds a partition's right side.
+	nodeBuf, scratch []int32
+	kvBuf            []KV
+	smallI           []int32     // SortedCol output buffer
+	edges            [][]float64 // binned candidate thresholds; nil = exact
 }
 
-// engine resizes (or allocates) an Engine for an n-row view with ids
-// drawn from [0, idSpace).
-func (p *Presort) engine(x [][]float64, n, idSpace int, reuse *Engine) *Engine {
+// View returns an engine over the rows of the presort weighted by
+// counts, one entry per presorted row: counts[id] is row id's
+// multiplicity (0 leaves it out), and nil means every row once. A forest bootstrap is its per-row draw counts, a
+// boosting subsample its 0/1 membership. counts must stay unchanged
+// while the view is in use.
+func (p *Presort) View(counts []int32, reuse *Engine) *Engine {
 	e := reuse
 	if e == nil {
 		e = &Engine{}
 	}
-	e.x = x
-	e.n, e.d = n, p.d
-	e.order = growI32(e.order, n*p.d)
-	e.vals = growF64(e.vals, n*p.d)
-	e.rows = growI32(e.rows, n)
-	e.scratchI = growI32(e.scratchI, n)
-	e.scratchV = growF64(e.scratchV, n)
-	small := n
-	if small > LeafSortCutoff {
-		small = LeafSortCutoff
+	e.p, e.d = p, p.d
+	if counts == nil {
+		if len(e.ones) != p.n {
+			e.ones = make([]int32, p.n)
+			for i := range e.ones {
+				e.ones[i] = 1
+			}
+		}
+		counts = e.ones
 	}
-	e.smallV = growF64(e.smallV, small)
-	e.smallI = growI32(e.smallI, small)
-	if cap(e.kvBuf) < small {
-		e.kvBuf = make([]KV, small)
+	e.counts = counts
+	e.pos = growI32(e.pos, p.n)
+	e.rows = growI32(e.rows, p.n)
+	m := 0
+	for id, c := range counts {
+		if c > 0 {
+			e.pos[id] = int32(m)
+			e.rows[m] = int32(id)
+			m++
+		} else {
+			e.pos[id] = -1
+		}
 	}
-	e.kvBuf = e.kvBuf[:small]
-	e.mark = growBool(e.mark, idSpace)
+	e.n = m
+	e.rows = e.rows[:m]
+	e.ord = growI32(e.ord, m*p.d)
+	e.owner = growI32(e.owner, m)
+	e.cur = growI32(e.cur, m)
+	e.frontier = e.frontier[:0]
+	e.scratch = growI32(e.scratch, p.n+1)
+	e.nodeBuf = growI32(e.nodeBuf, p.n+1)
+	if len(e.stacks) < p.d {
+		e.stacks = make([][]span, p.d)
+	}
+	for f := range e.stacks {
+		e.stacks[f] = e.stacks[f][:0] // empty stack: derive from the presort
+	}
 	e.edges = nil
 	return e
 }
@@ -156,159 +208,120 @@ func growI32(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-func growF64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-// NewEngine returns a view over the full presorted matrix (the
-// standalone-tree and full-sample boosting path). Reported ids are row
-// indices into x.
-func (p *Presort) NewEngine(x [][]float64, reuse *Engine) *Engine {
-	e := p.engine(x, p.n, p.n, reuse)
-	copy(e.order, p.order)
-	copy(e.vals, p.vals)
-	for i := range e.rows {
-		e.rows[i] = int32(i)
-	}
-	return e
-}
-
-// NewSubsetEngine returns a view restricted to the given distinct rows
-// (the boosting row-subsample path). Reported ids are row indices into
-// x. Columns are derived from the pristine sort by a stable filter pass
-// — O(d·n), no re-sort.
-func (p *Presort) NewSubsetEngine(x [][]float64, rows []int, reuse *Engine) *Engine {
-	e := p.engine(x, len(rows), p.n, reuse)
-	for i := range e.mark {
-		e.mark[i] = false
-	}
-	for _, r := range rows {
-		e.mark[r] = true
-	}
-	for f := 0; f < p.d; f++ {
-		src, sv := p.order[f*p.n:(f+1)*p.n], p.vals[f*p.n:(f+1)*p.n]
-		dst, dv := e.order[f*e.n:(f+1)*e.n], e.vals[f*e.n:(f+1)*e.n]
-		w := 0
-		for k, id := range src {
-			if e.mark[id] {
-				dst[w], dv[w] = id, sv[k]
-				w++
-			}
-		}
-	}
-	w := 0
-	for i := 0; i < p.n; i++ {
-		if e.mark[i] {
-			e.rows[w] = int32(i)
-			w++
-		}
-	}
-	return e
-}
-
-// NewBootstrapEngine returns a view over a bootstrap resample: boot[pos]
-// names the original row standing at position pos, and reported ids are
-// positions into boot (and into x, the resampled row view). Each
-// pristine column expands to the resample in one pass, duplicates
-// emitted in ascending position order — O(d·n), no re-sort.
-func (p *Presort) NewBootstrapEngine(x [][]float64, boot []int32, reuse *Engine) *Engine {
-	nb := len(boot)
-	idSpace := nb
-	if p.n > idSpace {
-		idSpace = p.n
-	}
-	e := p.engine(x, nb, idSpace, reuse)
-	// Per-original-row position lists, built ascending by prepending in
-	// reverse position order.
-	e.head = growI32(e.head, p.n)
-	e.next = growI32(e.next, nb)
-	for i := range e.head {
-		e.head[i] = -1
-	}
-	for pos := nb - 1; pos >= 0; pos-- {
-		r := boot[pos]
-		e.next[pos] = e.head[r]
-		e.head[r] = int32(pos)
-	}
-	for f := 0; f < p.d; f++ {
-		src, sv := p.order[f*p.n:(f+1)*p.n], p.vals[f*p.n:(f+1)*p.n]
-		dst, dv := e.order[f*nb:(f+1)*nb], e.vals[f*nb:(f+1)*nb]
-		w := 0
-		for k, id := range src {
-			v := sv[k]
-			for pos := e.head[id]; pos >= 0; pos = e.next[pos] {
-				dst[w], dv[w] = pos, v
-				w++
-			}
-		}
-	}
-	for i := range e.rows {
-		e.rows[i] = int32(i)
-	}
-	return e
-}
-
-// Len returns the number of rows in the view.
+// Len returns the number of distinct rows in the view.
 func (e *Engine) Len() int { return e.n }
 
 // Features returns the feature dimensionality.
 func (e *Engine) Features() int { return e.d }
 
-// Col returns feature f's sorted (values, ids) over the node window
-// [lo, hi). Valid only while every ancestor partition since the root
-// used Partition (the large-node regime).
-func (e *Engine) Col(f, lo, hi int) ([]float64, []int32) {
-	base := f * e.n
-	return e.vals[base+lo : base+hi], e.order[base+lo : base+hi]
-}
+// Counts returns every row's multiplicity, indexed by id.
+func (e *Engine) Counts() []int32 { return e.counts }
 
 // Rows returns the node window's row ids in ascending order.
 func (e *Engine) Rows(lo, hi int) []int32 { return e.rows[lo:hi] }
 
-// Partition stably splits every feature column's [lo, hi) window (and
-// the row arena) into ids with x[id][feature] <= threshold followed by
-// the rest, preserving sorted order on both sides, and returns the
-// boundary index. Cost O(d·(hi-lo)), zero allocations.
+// Col returns feature f's sorted ids over the node window [lo, hi) and
+// the feature's values indexed by id. Nodes must be visited in preorder
+// (a node before its children, left subtree before right), which is how
+// the tree growers recurse: the window is derived from the innermost
+// sorted range that still holds the node, in O(range) with no sorting.
+func (e *Engine) Col(f, lo, hi int) ([]int32, []float64) {
+	ord := e.ord[f*e.n : (f+1)*e.n]
+	st := e.stacks[f]
+	for len(st) > 0 && int(st[len(st)-1].hi) <= lo {
+		st = st[:len(st)-1] // finished subtrees
+	}
+	var src []int32
+	end := e.n
+	if len(st) == 0 {
+		src = e.p.order[f*e.p.n : (f+1)*e.p.n]
+	} else {
+		top := st[len(st)-1]
+		st = st[:len(st)-1]
+		end = int(top.hi)
+		if int(top.lo) == lo && end == hi {
+			e.stacks[f] = append(st, top)
+			return ord[lo:hi], e.p.col(f)
+		}
+		src = ord[top.lo:end]
+	}
+	pos, l, h := e.pos, int32(lo), int32(hi)
+	node, right := e.nodeBuf[:hi-lo+1], e.scratch[:end-hi+1]
+	w, r := splitByPos(src, pos, node, right, l, h)
+	copy(ord[lo:hi], node[:w])
+	// The right rows fill the pending sibling windows inside [hi, end),
+	// each kept sorted: frontier holds their starts, top = hi.
+	e.visit(lo)
+	fr := e.frontier
+	k := len(fr)
+	for k > 0 && int(fr[k-1]) < end {
+		k--
+	}
+	buckets := fr[k:]
+	if len(buckets) <= 1 {
+		copy(ord[hi:end], right[:r])
+	} else {
+		for _, b := range buckets {
+			e.cur[b] = b
+		}
+		for _, id := range right[:r] {
+			b := e.owner[pos[id]]
+			ord[e.cur[b]] = id
+			e.cur[b]++
+		}
+	}
+	bEnd := int32(end)
+	for _, b := range buckets {
+		st = append(st, span{b, bEnd})
+		bEnd = b
+	}
+	e.stacks[f] = append(st, span{l, h})
+	return ord[lo:hi], e.p.col(f)
+}
+
+// splitByPos stably splits src by arena position: ids at [lo, hi) go to
+// node, ids at hi and beyond to right, and the rest — finished nodes and
+// rows outside the view, at -1 — are dropped. Both buffers have a spare
+// slot, so every id is written to both unconditionally and only the
+// cursors advance: the loop is branch-free.
+func splitByPos(src, pos, node, right []int32, lo, hi int32) (w, r int) {
+	width := uint32(hi - lo)
+	for _, id := range src {
+		p := pos[id]
+		node[w] = id
+		right[r] = id
+		if uint32(p-lo) < width {
+			w++
+		}
+		if p >= hi {
+			r++
+		}
+	}
+	return w, r
+}
+
+// visit pops the frontier entries a preorder visit of a node starting at
+// lo has reached.
+func (e *Engine) visit(lo int) {
+	fr := e.frontier
+	for len(fr) > 0 && int(fr[len(fr)-1]) <= lo {
+		fr = fr[:len(fr)-1]
+	}
+	e.frontier = fr
+}
+
+// Partition stably splits the node window [lo, hi) of the row arena into
+// ids with x[id][feature] <= threshold followed by the rest, records the
+// new arena positions and the right child as a pending sibling, and
+// returns the boundary index. Derived columns are untouched: children
+// derive theirs when they scan. Cost O(hi-lo), zero allocations.
 func (e *Engine) Partition(feature int, threshold float64, lo, hi int) int {
-	vals, ids := e.Col(feature, lo, hi)
-	nl := 0
-	for k, id := range ids {
-		goLeft := vals[k] <= threshold
-		e.mark[id] = goLeft
-		if goLeft {
-			nl++
-		}
-	}
-	for f := 0; f < e.d; f++ {
-		if f == feature {
-			continue // sorted column: the left side is already a prefix
-		}
-		base := f * e.n
-		stablePartition(e.vals[base+lo:base+hi], e.order[base+lo:base+hi], e.mark, e.scratchV, e.scratchI)
-	}
-	stableRows(e.rows[lo:hi], e.mark, e.scratchI)
-	return lo + nl
-}
-
-// PartitionRows is the small-node variant: only the row arena is
-// partitioned (columns go stale below the cutoff and are never read
-// again). Cost O(hi-lo).
-func (e *Engine) PartitionRows(feature int, threshold float64, lo, hi int) int {
+	col := e.p.col(feature)
 	rows := e.rows[lo:hi]
-	si := e.scratchI
+	si := e.scratch
 	w, r := 0, 0
 	for _, id := range rows {
-		if e.x[id][feature] <= threshold {
+		if col[id] <= threshold {
 			rows[w] = id
 			w++
 		} else {
@@ -317,76 +330,78 @@ func (e *Engine) PartitionRows(feature int, threshold float64, lo, hi int) int {
 		}
 	}
 	copy(rows[w:], si[:r])
-	return lo + w
-}
-
-func stablePartition(vals []float64, ids []int32, mark []bool, sv []float64, si []int32) {
-	w, r := 0, 0
-	for k, id := range ids {
-		if mark[id] {
-			vals[w], ids[w] = vals[k], id
-			w++
-		} else {
-			sv[r], si[r] = vals[k], id
-			r++
-		}
+	for k, id := range rows {
+		e.pos[id] = int32(lo + k)
 	}
-	copy(vals[w:], sv[:r])
-	copy(ids[w:], si[:r])
-}
-
-func stableRows(rows []int32, mark []bool, si []int32) {
-	w, r := 0, 0
-	for _, id := range rows {
-		if mark[id] {
-			rows[w] = id
-			w++
-		} else {
-			si[r] = id
-			r++
-		}
+	mid := lo + w
+	e.visit(lo)
+	e.frontier = append(e.frontier, int32(mid))
+	for p := mid; p < hi; p++ {
+		e.owner[p] = int32(mid)
 	}
-	copy(rows[w:], si[:r])
+	return mid
 }
 
-// SortedCol gathers feature f over the node's rows from the raw matrix
-// and sorts it by (value, id) into reusable buffers — the small-node
-// scan path. The returned slices are overwritten by the next call.
-func (e *Engine) SortedCol(f, lo, hi int) ([]float64, []int32) {
+// SortedCol gathers feature f over the node's rows and sorts it by
+// (value, id) — the small-node scan path. It returns the sorted ids and
+// the feature's values indexed by id, like Col; the ids are overwritten
+// by the next call.
+func (e *Engine) SortedCol(f, lo, hi int) ([]int32, []float64) {
 	rows := e.rows[lo:hi]
+	col := e.p.col(f)
+	if cap(e.kvBuf) < len(rows) {
+		size := max(len(rows), LeafSortCutoff)
+		e.kvBuf, e.smallI = make([]KV, size), make([]int32, size)
+	}
 	buf := e.kvBuf[:len(rows)]
 	for k, id := range rows {
-		buf[k] = KV{V: e.x[id][f], ID: id}
+		buf[k] = KV{V: col[id], ID: id}
 	}
-	slices.SortFunc(buf, cmpKV)
-	vals, ids := e.smallV[:len(buf)], e.smallI[:len(buf)]
+	// Insertion sort by value is stable and the rows ascend by id, so ties
+	// come out by id. At LeafSortCutoff rows it beats a general sort.
+	for i := 1; i < len(buf); i++ {
+		kv, j := buf[i], i
+		for ; j > 0 && buf[j-1].V > kv.V; j-- {
+			buf[j] = buf[j-1]
+		}
+		buf[j] = kv
+	}
+	ids := e.smallI[:len(buf)]
 	for k, kv := range buf {
-		vals[k], ids[k] = kv.V, kv.ID
+		ids[k] = kv.ID
 	}
-	return vals, ids
+	return ids, col
 }
 
 // SetBins switches the engine to histogram-binned split finding:
-// candidate thresholds are capped at bins-1 per-feature quantile edges
-// computed from the root columns, instead of every distinct value.
-// Splits are no longer guaranteed identical to the exact scan; nodes in
-// the small regime always scan exactly (candidate pruning no longer pays
-// there). bins <= 1 keeps the exact scan.
+// candidate thresholds are capped at bins-1 per-feature quantile edges of
+// the view — positions taken over the rows expanded by their counts —
+// instead of every distinct value. Splits are no longer guaranteed
+// identical to the exact scan; nodes in the small regime always scan
+// exactly (candidate pruning no longer pays there). bins <= 1 keeps the
+// exact scan.
 func (e *Engine) SetBins(bins int) {
 	if bins <= 1 || e.n == 0 {
 		e.edges = nil
 		return
 	}
+	total := 0
+	for _, id := range e.rows {
+		total += int(e.counts[id])
+	}
 	e.edges = make([][]float64, e.d)
 	for f := 0; f < e.d; f++ {
-		vals, _ := e.Col(f, 0, e.n)
+		ord := e.p.order[f*e.p.n : (f+1)*e.p.n]
+		lo := expanded{ord: ord, counts: e.counts}
+		hi := lo
+		col := e.p.col(f)
 		var edges []float64
 		for b := 1; b < bins; b++ {
-			k := b * e.n / bins
-			if k <= 0 || k >= e.n {
+			k := b * total / bins
+			if k <= 0 || k >= total {
 				continue
 			}
-			lov, hiv := vals[k-1], vals[k]
+			lov, hiv := col[lo.at(k-1)], col[hi.at(k)]
 			if lov == hiv {
 				continue
 			}
@@ -397,6 +412,21 @@ func (e *Engine) SetBins(bins int) {
 		}
 		e.edges[f] = edges
 	}
+}
+
+// expanded walks a presorted order with every row repeated by its count:
+// at(k) is the id at expanded position k. Queries must not decrease.
+type expanded struct {
+	ord, counts []int32
+	i, below    int // ord[:i] spans expanded positions [0, below)
+}
+
+func (c *expanded) at(k int) int32 {
+	for c.below+int(c.counts[c.ord[c.i]]) <= k {
+		c.below += int(c.counts[c.ord[c.i]])
+		c.i++
+	}
+	return c.ord[c.i]
 }
 
 // Edges returns feature f's binned candidate thresholds, or nil in exact

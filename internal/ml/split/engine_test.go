@@ -2,6 +2,7 @@ package split
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -22,14 +23,26 @@ func randMatrix(rng *rand.Rand, n, d, distinct int) [][]float64 {
 	return x
 }
 
-// checkSorted verifies a column window is sorted by (value, id).
-func checkSorted(t *testing.T, vals []float64, ids []int32) {
+// checkWindow verifies a derived column window: sorted by (value, id),
+// values read from col agree with x, and it holds exactly the ids of the
+// arena window rows (in some order).
+func checkWindow(t *testing.T, x [][]float64, f int, ids []int32, col []float64, rows []int32) {
 	t.Helper()
-	for k := 1; k < len(vals); k++ {
-		if vals[k] < vals[k-1] || (vals[k] == vals[k-1] && ids[k] < ids[k-1]) {
-			t.Fatalf("column not (value, id)-sorted at %d: (%v,%d) after (%v,%d)",
-				k, vals[k], ids[k], vals[k-1], ids[k-1])
+	for k, id := range ids {
+		if col[id] != x[id][f] {
+			t.Fatalf("f=%d: col[%d]=%v, x says %v", f, id, col[id], x[id][f])
 		}
+		if k > 0 {
+			a, b := ids[k-1], id
+			if col[b] < col[a] || (col[b] == col[a] && b < a) {
+				t.Fatalf("f=%d: window not (value, id)-sorted at %d", f, k)
+			}
+		}
+	}
+	got := slices.Clone(ids)
+	slices.Sort(got)
+	if !slices.Equal(got, rows) {
+		t.Fatalf("f=%d: window ids %v, arena rows %v", f, got, rows)
 	}
 }
 
@@ -37,104 +50,101 @@ func TestPresortColumnsSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, distinct := range []int{0, 1, 3} {
 		x := randMatrix(rng, 50, 4, distinct)
-		e := NewPresort(x).NewEngine(x, nil)
+		e := NewPresort(x).View(nil, nil)
 		for f := 0; f < 4; f++ {
-			vals, ids := e.Col(f, 0, e.Len())
-			checkSorted(t, vals, ids)
-			for k, id := range ids {
-				if x[id][f] != vals[k] {
-					t.Fatalf("distinct=%d f=%d: vals misaligned with ids", distinct, f)
-				}
-			}
+			ids, col := e.Col(f, 0, e.Len())
+			checkWindow(t, x, f, ids, col, e.Rows(0, e.Len()))
 		}
 	}
 }
 
+// TestPartitionInvariants grows a few levels by hand, in preorder, and
+// checks every derived window against the arena after each split —
+// including features first derived deep in the tree (from the presort)
+// and features derived from a grandparent's window.
 func TestPartitionInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x := randMatrix(rng, 200, 5, 6) // heavy ties
-	e := NewPresort(x).NewEngine(x, nil)
+	e := NewPresort(x).View(nil, nil)
 
-	vals, _ := e.Col(2, 0, e.Len())
-	thr := (vals[60] + vals[140]) / 2 // some interior threshold
-	mid := e.Partition(2, thr, 0, e.Len())
-
-	wantLeft := 0
-	for _, row := range x {
-		if row[2] <= thr {
-			wantLeft++
+	var grow func(lo, hi, depth int)
+	grow = func(lo, hi, depth int) {
+		// Scan a depth-dependent subset of features, as a forest would.
+		for f := depth % 2; f < 5; f += 2 {
+			ids, col := e.Col(f, lo, hi)
+			checkWindow(t, x, f, ids, col, e.Rows(lo, hi))
 		}
-	}
-	if mid != wantLeft {
-		t.Fatalf("mid = %d, want %d", mid, wantLeft)
-	}
-	for f := 0; f < 5; f++ {
-		lv, li := e.Col(f, 0, mid)
-		rv, ri := e.Col(f, mid, e.Len())
-		checkSorted(t, lv, li)
-		checkSorted(t, rv, ri)
-		for _, id := range li {
-			if x[id][2] > thr {
-				t.Fatalf("f=%d: right-side row %d in left window", f, id)
+		if hi-lo < 8 || depth == 5 {
+			return
+		}
+		f := (depth * 3) % 5
+		ids, col := e.Col(f, lo, hi)
+		thr := col[ids[(hi-lo)/2]]
+		if thr == col[ids[hi-lo-1]] {
+			return // no split: everything would go left
+		}
+		mid := e.Partition(f, thr, lo, hi)
+		for k, id := range e.Rows(lo, hi) {
+			if left := x[id][f] <= thr; left != (lo+k < mid) {
+				t.Fatalf("row %d on the wrong side of %v", id, thr)
+			}
+			if k > 0 && lo+k != mid && id <= e.Rows(lo, hi)[k-1] {
+				t.Fatal("row arena not ascending within a child")
 			}
 		}
-		for _, id := range ri {
-			if x[id][2] <= thr {
-				t.Fatalf("f=%d: left-side row %d in right window", f, id)
-			}
-		}
+		grow(lo, mid, depth+1)
+		grow(mid, hi, depth+1)
 	}
-	rows := e.Rows(0, mid)
-	for k := 1; k < len(rows); k++ {
-		if rows[k] <= rows[k-1] {
-			t.Fatal("row arena not ascending within left node")
-		}
-	}
-	// Recursive partition of the left child keeps the invariants.
-	lv, _ := e.Col(0, 0, mid)
-	if len(lv) > 2 && lv[0] != lv[len(lv)-1] {
-		thr2 := (lv[0] + lv[len(lv)-1]) / 2
-		mid2 := e.Partition(0, thr2, 0, mid)
-		for f := 0; f < 5; f++ {
-			v1, i1 := e.Col(f, 0, mid2)
-			v2, i2 := e.Col(f, mid2, mid)
-			checkSorted(t, v1, i1)
-			checkSorted(t, v2, i2)
-		}
-	}
+	grow(0, e.Len(), 0)
 }
 
-func TestPartitionRowsMatchesPartition(t *testing.T) {
+// TestPartitionRowArena checks Partition against a naive stable filter of
+// the node's rows and the recorded arena positions against the arena.
+func TestPartitionRowArena(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x := randMatrix(rng, 80, 3, 4)
-	p := NewPresort(x)
-	a := p.NewEngine(x, nil)
-	b := p.NewEngine(x, nil)
+	e := NewPresort(x).View(nil, nil)
 	thr := 1.5
-	ma := a.Partition(1, thr, 0, 80)
-	mb := b.PartitionRows(1, thr, 0, 80)
-	if ma != mb {
-		t.Fatalf("Partition mid %d != PartitionRows mid %d", ma, mb)
-	}
-	ra, rb := a.Rows(0, 80), b.Rows(0, 80)
-	for k := range ra {
-		if ra[k] != rb[k] {
-			t.Fatalf("row arenas diverge at %d: %d vs %d", k, ra[k], rb[k])
+	mid := e.Partition(1, thr, 0, 80)
+	var want []int32
+	for pass := 0; pass < 2; pass++ {
+		for id, row := range x {
+			if (row[1] <= thr) == (pass == 0) {
+				want = append(want, int32(id))
+			}
 		}
+	}
+	if got := e.Rows(0, 80); !slices.Equal(got, want) {
+		t.Fatalf("arena %v, want %v", got, want)
+	}
+	for k, id := range want {
+		if int(e.pos[id]) != k {
+			t.Fatalf("pos[%d] = %d, want %d", id, e.pos[id], k)
+		}
+	}
+	left := 0
+	for _, row := range x {
+		if row[1] <= thr {
+			left++
+		}
+	}
+	if mid != left {
+		t.Fatalf("mid = %d, want %d", mid, left)
 	}
 }
 
 func TestSortedColMatchesCol(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	x := randMatrix(rng, LeafSortCutoff, 3, 5)
-	p := NewPresort(x)
-	e := p.NewEngine(x, nil)
-	for f := 0; f < 3; f++ {
-		cv, ci := e.Col(f, 0, e.Len())
-		sv, si := e.SortedCol(f, 0, e.Len())
-		for k := range cv {
-			if cv[k] != sv[k] || ci[k] != si[k] {
-				t.Fatalf("f=%d k=%d: SortedCol (%v,%d) != Col (%v,%d)", f, k, sv[k], si[k], cv[k], ci[k])
+	x := randMatrix(rng, 2*LeafSortCutoff, 3, 5)
+	e := NewPresort(x).View(nil, nil)
+	mid := e.Partition(0, 2, 0, e.Len())
+	for _, w := range [][2]int{{0, mid}, {mid, e.Len()}} {
+		for f := 0; f < 3; f++ {
+			cids, _ := e.Col(f, w[0], w[1])
+			cids = slices.Clone(cids)
+			sids, _ := e.SortedCol(f, w[0], w[1])
+			if !slices.Equal(cids, sids) {
+				t.Fatalf("window %v f=%d: SortedCol %v != Col %v", w, f, sids, cids)
 			}
 		}
 	}
@@ -143,57 +153,61 @@ func TestSortedColMatchesCol(t *testing.T) {
 func TestSubsetEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := randMatrix(rng, 100, 4, 7)
-	p := NewPresort(x)
-	// Membership is given unordered on purpose; the engine must emit rows
-	// in ascending id order regardless.
-	e := p.NewSubsetEngine(x, []int{3, 17, 42, 99, 0, 51}, nil)
+	counts := make([]int32, 100)
+	for _, r := range []int{3, 17, 42, 99, 0, 51} {
+		counts[r] = 1
+	}
+	e := NewPresort(x).View(counts, nil)
 	if e.Len() != 6 {
 		t.Fatalf("subset len %d", e.Len())
 	}
 	want := []int32{0, 3, 17, 42, 51, 99}
-	got := e.Rows(0, 6)
-	for k := range want {
-		if got[k] != want[k] {
-			t.Fatalf("subset rows %v, want %v", got, want)
-		}
+	if got := e.Rows(0, 6); !slices.Equal(got, want) {
+		t.Fatalf("subset rows %v, want %v", got, want)
 	}
 	for f := 0; f < 4; f++ {
-		vals, ids := e.Col(f, 0, 6)
-		checkSorted(t, vals, ids)
-		for k, id := range ids {
-			if x[id][f] != vals[k] {
-				t.Fatalf("subset f=%d: misaligned", f)
-			}
-		}
+		ids, col := e.Col(f, 0, 6)
+		checkWindow(t, x, f, ids, col, want)
 	}
 }
 
+// TestBootstrapEngine checks a counts view against the resample it
+// stands for: each root column expanded by the counts is an independent
+// sort of the resampled column.
 func TestBootstrapEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	x := randMatrix(rng, 60, 3, 4)
-	p := NewPresort(x)
+	counts := make([]int32, 60)
 	boot := make([]int32, 60)
-	bx := make([][]float64, 60)
 	for i := range boot {
 		boot[i] = int32(rng.Intn(60))
-		bx[i] = x[boot[i]]
+		counts[boot[i]]++
 	}
-	e := p.NewBootstrapEngine(bx, boot, nil)
+	e := NewPresort(x).View(counts, nil)
+	distinct := 0
+	for _, c := range counts {
+		if c > 0 {
+			distinct++
+		}
+	}
+	if e.Len() != distinct {
+		t.Fatalf("view holds %d rows, bootstrap has %d distinct", e.Len(), distinct)
+	}
 	for f := 0; f < 3; f++ {
-		vals, ids := e.Col(f, 0, e.Len())
-		// Values must equal an independent sort of the resampled column.
+		ids, col := e.Col(f, 0, e.Len())
+		var got []float64
+		for _, id := range ids {
+			for c := int32(0); c < e.Counts()[id]; c++ {
+				got = append(got, col[id])
+			}
+		}
 		want := make([]float64, 60)
 		for i, r := range boot {
 			want[i] = x[r][f]
 		}
 		sort.Float64s(want)
-		for k := range vals {
-			if vals[k] != want[k] {
-				t.Fatalf("f=%d k=%d: bootstrap column %v, want %v", f, k, vals[k], want[k])
-			}
-			if bx[ids[k]][f] != vals[k] {
-				t.Fatalf("f=%d: position id misaligned", f)
-			}
+		if !slices.Equal(got, want) {
+			t.Fatalf("f=%d: expanded column %v, want %v", f, got, want)
 		}
 	}
 }
@@ -202,23 +216,31 @@ func TestEngineReuseResets(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x := randMatrix(rng, 120, 3, 0)
 	p := NewPresort(x)
-	e := p.NewEngine(x, nil)
+	counts := make([]int32, 120)
+	for i := range counts {
+		counts[i] = int32(i % 3)
+	}
+	e := p.View(counts, nil)
 	e.SetBins(4)
-	e.Partition(0, 0, 0, 120)
-	e = p.NewEngine(x, e) // reuse must restore pristine order and drop bins
+	e.Col(0, 0, e.Len())
+	e.Partition(0, 0, 0, e.Len())
+	e = p.View(nil, e) // reuse must restore the full view and drop bins
 	if e.Edges(0) != nil {
 		t.Fatal("reused engine kept stale bin edges")
 	}
+	if e.Len() != 120 || len(e.frontier) != 0 {
+		t.Fatalf("reused engine: len %d, frontier %v", e.Len(), e.frontier)
+	}
 	for f := 0; f < 3; f++ {
-		vals, ids := e.Col(f, 0, 120)
-		checkSorted(t, vals, ids)
+		ids, col := e.Col(f, 0, 120)
+		checkWindow(t, x, f, ids, col, e.Rows(0, 120))
 	}
 }
 
 func TestSetBinsEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	x := randMatrix(rng, 500, 2, 0)
-	e := NewPresort(x).NewEngine(x, nil)
+	e := NewPresort(x).View(nil, nil)
 	e.SetBins(8)
 	for f := 0; f < 2; f++ {
 		edges := e.Edges(f)
@@ -233,9 +255,39 @@ func TestSetBinsEdges(t *testing.T) {
 	}
 	// All-equal column: no admissible edges.
 	xe := randMatrix(rng, 50, 1, 1)
-	ee := NewPresort(xe).NewEngine(xe, nil)
+	ee := NewPresort(xe).View(nil, nil)
 	ee.SetBins(8)
 	if len(ee.Edges(0)) != 0 {
 		t.Fatal("constant column produced bin edges")
+	}
+}
+
+// TestSetBinsCountsMatchExpanded pins quantile edges of a counts view to
+// those of the materialized resample: positions are taken over the rows
+// repeated by their counts, not over the distinct rows.
+func TestSetBinsCountsMatchExpanded(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, distinct := range []int{0, 5} {
+		x := randMatrix(rng, 300, 3, distinct)
+		counts := make([]int32, len(x))
+		var xm [][]float64
+		for id := range x {
+			counts[id] = int32(rng.Intn(4))
+			for c := int32(0); c < counts[id]; c++ {
+				xm = append(xm, x[id])
+			}
+		}
+		e := NewPresort(x).View(counts, nil)
+		em := NewPresort(xm).View(nil, nil)
+		for _, bins := range []int{2, 16, 64, 1000} {
+			e.SetBins(bins)
+			em.SetBins(bins)
+			for f := 0; f < 3; f++ {
+				if !slices.Equal(e.Edges(f), em.Edges(f)) {
+					t.Fatalf("distinct=%d bins=%d f=%d: edges %v, materialized %v",
+						distinct, bins, f, e.Edges(f), em.Edges(f))
+				}
+			}
+		}
 	}
 }

@@ -3,9 +3,12 @@
 // of the random forest.
 //
 // Split finding runs on the presorted-column engine (internal/ml/split):
-// each feature is sorted once per fit and nodes grow by stable in-place
-// partitioning, so a node's scan is one O(n) cumulative-class-count pass
-// per candidate feature and nothing is sorted below the root. The legacy
+// each feature is sorted once per fit and a node's sorted columns are
+// derived from its ancestors' by stable partitioning, so a node's scan is
+// one O(n) cumulative-class-count pass per candidate feature and nothing
+// is sorted below the root. Rows carry multiplicities (a forest
+// bootstrap is a count per row), and every count the criterion, MinLeaf
+// and the majority vote see is the sum of them. The legacy
 // per-node sort.Slice scan survives in refsplit_test.go as the oracle the
 // property tests cross-check against; in exact mode both select
 // bit-identical (feature, threshold) splits.
@@ -74,12 +77,13 @@ func (t *Tree) Fit(x [][]float64, y []bool) error {
 	if len(x) == 0 || len(x) != len(y) {
 		return errors.New("tree: empty or mismatched training data")
 	}
-	return t.FitEngine(split.NewPresort(x).NewEngine(x, nil), y)
+	return t.FitEngine(split.NewPresort(x).View(nil, nil), y)
 }
 
 // FitEngine grows the tree over a prepared engine view — the forest
 // path, which shares one presort across every tree's bootstrap view. y
-// must be indexed by the engine's row ids.
+// is indexed by the presorted matrix's rows; each row counts as many
+// times as the view's multiplicity for it.
 func (t *Tree) FitEngine(e *split.Engine, y []bool) error {
 	if e.Len() == 0 {
 		return errors.New("tree: empty training data")
@@ -124,11 +128,13 @@ func (t *Tree) Depth() int {
 }
 
 func (t *Tree) grow(e *split.Engine, y []bool, lo, hi, depth int) *node {
-	n := hi - lo
-	pos := 0
+	cnt := e.Counts()
+	n, pos := 0, 0
 	for _, id := range e.Rows(lo, hi) {
+		c := int(cnt[id])
+		n += c
 		if y[id] {
-			pos++
+			pos += c
 		}
 	}
 	majority := pos*2 >= n
@@ -138,16 +144,11 @@ func (t *Tree) grow(e *split.Engine, y []bool, lo, hi, depth int) *node {
 		return &node{leaf: true, label: majority}
 	}
 
-	feature, threshold, childGini, ok := t.bestSplit(e, y, lo, hi, pos)
+	feature, threshold, childGini, ok := t.bestSplit(e, y, lo, hi, n, pos)
 	if !ok {
 		return &node{leaf: true, label: majority}
 	}
-	var mid int
-	if split.Small(n) {
-		mid = e.PartitionRows(feature, threshold, lo, hi)
-	} else {
-		mid = e.Partition(feature, threshold, lo, hi)
-	}
+	mid := e.Partition(feature, threshold, lo, hi)
 	parentGini := giniOf(n, pos)
 	nd := &node{
 		feature:   feature,
@@ -160,18 +161,19 @@ func (t *Tree) grow(e *split.Engine, y []bool, lo, hi, depth int) *node {
 }
 
 // bestSplit finds the (feature, threshold) minimizing weighted Gini
-// impurity over the candidate features. Following standard random-forest
-// practice, if the sampled feature subset yields no valid split the search
-// widens to all features before giving up.
-func (t *Tree) bestSplit(e *split.Engine, y []bool, lo, hi, totalPos int) (int, float64, float64, bool) {
+// impurity over the candidate features of a node holding total samples
+// (totalPos positive). Following standard random-forest practice, if the
+// sampled feature subset yields no valid split the search widens to all
+// features before giving up.
+func (t *Tree) bestSplit(e *split.Engine, y []bool, lo, hi, total, totalPos int) (int, float64, float64, bool) {
 	d := e.Features()
-	if f, thr, g, ok := t.bestSplitOver(e, y, lo, hi, totalPos, t.candidateFeatures(d)); ok {
+	if f, thr, g, ok := t.bestSplitOver(e, y, lo, hi, total, totalPos, t.candidateFeatures(d)); ok {
 		return f, thr, g, true
 	}
 	if t.cfg.MaxFeatures <= 0 || t.cfg.MaxFeatures >= d {
 		return 0, 0, 0, false // already searched everything
 	}
-	return t.bestSplitOver(e, y, lo, hi, totalPos, t.allFeatures(d))
+	return t.bestSplitOver(e, y, lo, hi, total, totalPos, t.allFeatures(d))
 }
 
 // bestSplitOver searches the given features for the best Gini split,
@@ -179,22 +181,25 @@ func (t *Tree) bestSplit(e *split.Engine, y []bool, lo, hi, totalPos int) (int, 
 // Features are scanned in order with strict improvement, so ties keep the
 // earliest feature and, within a feature, the lowest threshold — the same
 // selection the legacy scan made.
-func (t *Tree) bestSplitOver(e *split.Engine, y []bool, lo, hi, totalPos int, features []int) (int, float64, float64, bool) {
+func (t *Tree) bestSplitOver(e *split.Engine, y []bool, lo, hi, total, totalPos int, features []int) (int, float64, float64, bool) {
 	bestGini := 2.0
 	bestFeature, bestThreshold := -1, 0.0
-	small := split.Small(hi - lo)
+	small := split.Small(total)
+	cnt := e.Counts()
 	for _, f := range features {
+		var ids []int32
+		var col []float64
+		if small {
+			ids, col = e.SortedCol(f, lo, hi)
+		} else {
+			ids, col = e.Col(f, lo, hi)
+		}
 		var thr, g float64
 		var ok bool
-		if small {
-			vals, ids := e.SortedCol(f, lo, hi)
-			thr, g, ok = t.scanCol(vals, ids, y, totalPos)
-		} else if edges := e.Edges(f); edges != nil {
-			vals, ids := e.Col(f, lo, hi)
-			thr, g, ok = t.scanBinned(vals, ids, edges, y, totalPos)
+		if edges := e.Edges(f); edges != nil && !small {
+			thr, g, ok = t.scanBinned(ids, col, cnt, edges, y, total, totalPos)
 		} else {
-			vals, ids := e.Col(f, lo, hi)
-			thr, g, ok = t.scanCol(vals, ids, y, totalPos)
+			thr, g, ok = t.scanCol(ids, col, cnt, y, total, totalPos)
 		}
 		if ok && g < bestGini {
 			bestGini = g
@@ -209,19 +214,24 @@ func (t *Tree) bestSplitOver(e *split.Engine, y []bool, lo, hi, totalPos int, fe
 }
 
 // scanCol finds one sorted column's best admissible threshold: a single
-// cumulative-class-count pass, evaluating Gini only between distinct
+// cumulative-class-count pass over ids (values col[id], multiplicities
+// cnt[id]; total samples in all), evaluating Gini only between distinct
 // values and skipping candidates that would leave a child under MinLeaf.
-func (t *Tree) scanCol(vals []float64, ids []int32, y []bool, totalPos int) (float64, float64, bool) {
-	total := len(vals)
+func (t *Tree) scanCol(ids []int32, col []float64, cnt []int32, y []bool, total, totalPos int) (float64, float64, bool) {
 	minLeaf := t.cfg.MinLeaf
 	best, thr, found := 2.0, 0.0, false
 	leftN, leftPos := 0, 0
-	for k := 0; k < total-1; k++ {
-		leftN++
-		if y[ids[k]] {
-			leftPos++
+	next := col[ids[0]]
+	for k := 0; k < len(ids)-1; k++ {
+		id := ids[k]
+		c := int(cnt[id])
+		leftN += c
+		if y[id] {
+			leftPos += c
 		}
-		if vals[k] == vals[k+1] {
+		v := next
+		next = col[ids[k+1]]
+		if v == next {
 			continue // threshold must separate distinct values
 		}
 		if leftN < minLeaf {
@@ -233,7 +243,7 @@ func (t *Tree) scanCol(vals []float64, ids []int32, y []bool, totalPos int) (flo
 		}
 		g := weightedGini(leftN, leftPos, rightN, totalPos-leftPos)
 		if g < best {
-			best, thr, found = g, (vals[k]+vals[k+1])/2, true
+			best, thr, found = g, (v+next)/2, true
 		}
 	}
 	return thr, best, found
@@ -241,17 +251,17 @@ func (t *Tree) scanCol(vals []float64, ids []int32, y []bool, totalPos int) (flo
 
 // scanBinned evaluates only the precomputed quantile edges: the same
 // cumulative pass, with Gini computed at most once per bin boundary.
-func (t *Tree) scanBinned(vals []float64, ids []int32, edges []float64, y []bool, totalPos int) (float64, float64, bool) {
-	total := len(vals)
+func (t *Tree) scanBinned(ids []int32, col []float64, cnt []int32, edges []float64, y []bool, total, totalPos int) (float64, float64, bool) {
 	minLeaf := t.cfg.MinLeaf
 	best, thr, found := 2.0, 0.0, false
 	leftN, leftPos := 0, 0
 	k := 0
 	for _, edge := range edges {
-		for k < total && vals[k] <= edge {
-			leftN++
+		for k < len(ids) && col[ids[k]] <= edge {
+			c := int(cnt[ids[k]])
+			leftN += c
 			if y[ids[k]] {
-				leftPos++
+				leftPos += c
 			}
 			k++
 		}
