@@ -106,15 +106,16 @@ bench-smoke:
 # and StoreAddBatch are the near-duplicate kernel: signing one text,
 # probe-then-add over 10k campaign-skewed signatures, and the label stage
 # over a small world's captures. The last four lines are what no bench/
-# workload covers: the WAL fsync-cadence sweep and log recovery, in-process
-# NDJSON decoding, Source/MuxSource ingest overhead, and what proc shard
-# mode's extract RPC adds to a 64-capture batch (socket excluded).
+# workload covers: the WAL fsync-cadence sweep and log recovery, reading
+# one server hour's stream lines (Next + DecodeTweet), Source/MuxSource
+# ingest overhead, and what proc shard mode's extract RPC adds to a
+# 64-capture batch (socket excluded).
 bench:
 	$(GO) test -run NONE -bench 'TreeFit|ForestFit|BoostFit|CrossValidate|DetectorClassify|Rotate|SignText|IndexAddProbe|StoreAddBatch' \
 		./internal/ml/tree/ ./internal/ml/forest/ ./internal/ml/boost/ \
 		./internal/ml/ ./internal/core/ ./internal/minhash/ ./internal/label/
 	$(GO) test -run NONE -bench 'ObsDisabled' ./internal/obs/
 	$(GO) test -run NONE -bench 'WALAppend|Recover' ./internal/store/
-	$(GO) test -run NONE -bench 'StreamDecode' ./internal/twitterapi/
+	$(GO) test -run NONE -bench 'StreamNext' ./internal/twitterapi/
 	$(GO) test -run NONE -bench 'Ingest' ./internal/source/
 	$(GO) test -run NONE -bench 'ProcExtract' ./internal/shard/

@@ -53,7 +53,6 @@ type Wire struct {
 	listeners
 	hour int
 	now  time.Time
-	conv twitterapi.TweetScratch
 
 	// screened maps every account a search returned since the last hour
 	// was delivered to its screen name; screenErr is the first failed
@@ -197,8 +196,9 @@ func (w *Wire) readHour(st *twitterapi.StreamConn, silent *time.Timer) error {
 			}
 			return nil
 		}
-		w.remember(twitterapi.DecodeUser(&wt.User))
-		w.publish(Post{Tweet: w.conv.Convert(wt).Clone(), Origin: "wire"})
+		tw, author := twitterapi.DecodeTweet(wt)
+		w.remember(author)
+		w.publish(Post{Tweet: tw, Origin: "wire"})
 	}
 }
 

@@ -378,6 +378,15 @@ func TestWireFailsLoudly(t *testing.T) {
 			w.WriteHeader(http.StatusOK)
 			fmt.Fprint(w, `{"id":1,"user":{"id":2}}`+"\n"+`{"x_hour_end":{"hour":0,"dropped":3}}`+"\n")
 		}), "server dropped 3 tweets"},
+		{"line json rejects", fault("/statuses/filter.json", func(w http.ResponseWriter, _ *http.Request) {
+			w.WriteHeader(http.StatusOK)
+			fmt.Fprint(w, `{"id":1,"user":{"id":2}}`+"\n"+`{"id":1,`+"\n")
+		}), "decode stream"},
+		{"line too long", fault("/statuses/filter.json", func(w http.ResponseWriter, _ *http.Request) {
+			w.WriteHeader(http.StatusOK)
+			// The client reads lines of at most 1 MiB.
+			fmt.Fprint(w, `{"text":"`+strings.Repeat("x", 2<<20)+`"}`+"\n")
+		}), "token too long"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -97,7 +97,14 @@ type StreamConn struct {
 	c       *Client
 	body    io.ReadCloser
 	scanner *bufio.Scanner
-	dec     *StreamDecoder
+}
+
+// newStreamConn reads NDJSON lines of at most maxStreamLine bytes from
+// body.
+func newStreamConn(c *Client, body io.ReadCloser) *StreamConn {
+	scanner := bufio.NewScanner(body)
+	scanner.Buffer(make([]byte, 0, 64*1024), maxStreamLine)
+	return &StreamConn{c: c, body: body, scanner: scanner}
 }
 
 // Stream opens one statuses/filter connection tracking the given
@@ -127,27 +134,20 @@ func (c *Client) Stream(ctx context.Context, track []string) (*StreamConn, error
 		return nil, decodeAPIError(resp)
 	}
 	c.ins.connects.Inc()
-	scanner := bufio.NewScanner(resp.Body)
-	scanner.Buffer(make([]byte, 0, 64*1024), maxStreamLine)
-	return &StreamConn{c: c, body: resp.Body, scanner: scanner, dec: NewStreamDecoder()}, nil
+	return newStreamConn(c, resp.Body), nil
 }
 
-// Next returns the stream's next line: a tweet, or a control line (HourEnd
-// set). It returns io.EOF when the server ended the stream.
-//
-// Lines are decoded with a zero-allocation scratch decoder: the Tweet —
-// including every string and slice it references — is valid only until
-// the next call. Callers that retain any of it must take a deep copy with
-// Tweet.Clone first. DecodeTweet and DecodeUser already copy what they
-// keep, so callers built on them need no extra care.
+// Next returns the stream's next line, decoded into a new Tweet that the
+// caller owns: a tweet, or a control line (HourEnd set). It returns io.EOF
+// when the server ended the stream.
 func (s *StreamConn) Next() (*Tweet, error) {
 	for s.scanner.Scan() {
 		line := s.scanner.Bytes()
 		if len(line) == 0 {
 			continue // keep-alive
 		}
-		t, err := s.dec.Decode(line)
-		if err != nil {
+		t := new(Tweet)
+		if err := json.Unmarshal(line, t); err != nil {
 			return nil, fmt.Errorf("decode stream: %w", err)
 		}
 		if t.HourEnd == nil {
@@ -157,13 +157,12 @@ func (s *StreamConn) Next() (*Tweet, error) {
 		return t, nil
 	}
 	if err := s.scanner.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("read stream: %w", err)
 	}
 	return nil, io.EOF
 }
 
-// Close ends the stream. The Tweet from the last Next is invalid
-// afterwards.
+// Close ends the stream.
 func (s *StreamConn) Close() error { return s.body.Close() }
 
 // maxStreamLine bounds one NDJSON stream line.

@@ -1,53 +1,118 @@
 package twitterapi
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
+
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/metrics"
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 )
 
-// mustJSON round-trips a tweet through encoding/json to build test lines.
-func mustJSON(t *testing.T, v any) []byte {
+// bodyConn is a StreamConn reading body, as Client.Stream reads a
+// response.
+func bodyConn(body []byte) *StreamConn {
+	c := NewClient("http://unused.invalid", nil)
+	c.SetMetrics(metrics.NewRegistry())
+	return newStreamConn(c, io.NopCloser(bytes.NewReader(body)))
+}
+
+// checkNext reads body through Next to its end. Every returned tweet must
+// stay unchanged by the Next calls after it: the caller owns it. And Next
+// must yield what json.Unmarshal makes of the body's non-blank lines, in
+// order, failing at the first line json rejects or that is longer than
+// maxStreamLine.
+func checkNext(t *testing.T, body []byte) {
 	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
+	st := bodyConn(body)
+	var got []*Tweet
+	var snaps [][]byte
+	var err error
+	for {
+		var tw *Tweet
+		tw, err = st.Next()
+		for i, held := range got {
+			if b, _ := json.Marshal(held); !bytes.Equal(b, snaps[i]) {
+				t.Fatalf("tweet %d changed after a later Next:\n was %s\n now %s", i, snaps[i], b)
+			}
+		}
+		if err != nil {
+			break
+		}
+		snap, mErr := json.Marshal(tw)
+		if mErr != nil {
+			t.Fatal(mErr)
+		}
+		got, snaps = append(got, tw), append(snaps, snap)
 	}
-	return b
+
+	n := 0 // tweet lines so far
+	failsHere := func(line []byte, why error) {
+		if n != len(got) || err == nil || errors.Is(err, io.EOF) {
+			t.Fatalf("line %.80q: %v, but Next gave %d tweets of %d, then %v", line, why, len(got), n, err)
+		}
+	}
+	for _, raw := range bytes.Split(body, []byte("\n")) {
+		switch {
+		case len(raw) > maxStreamLine:
+			failsHere(raw, errors.New("the line is too long"))
+			return
+		case len(raw) >= maxStreamLine-1:
+			return // at the bound, whether the newline fits decides
+		}
+		line := bytes.TrimSuffix(raw, []byte("\r"))
+		if len(line) == 0 {
+			continue // keep-alive
+		}
+		var want Tweet
+		if jErr := json.Unmarshal(line, &want); jErr != nil {
+			failsHere(line, jErr)
+			return
+		}
+		if n >= len(got) || !reflect.DeepEqual(*got[n], want) {
+			t.Fatalf("line %q: Next's tweet %d differs from json.Unmarshal's %+v", line, n, want)
+		}
+		n++
+	}
+	if n != len(got) || !errors.Is(err, io.EOF) {
+		t.Fatalf("body of %d tweet lines: Next gave %d tweets, then %v", n, len(got), err)
+	}
 }
 
-// checkDecodeMatchesJSON asserts the scratch decoder and encoding/json
-// agree on line: same accept/reject decision, and deeply equal tweets on
-// accept. Returns the decoded tweet for further checks.
-func checkDecodeMatchesJSON(t *testing.T, d *StreamDecoder, line []byte) *Tweet {
-	t.Helper()
-	var want Tweet
-	wantErr := json.Unmarshal(line, &want)
-	got, gotErr := d.Decode(line)
-	if (gotErr != nil) != (wantErr != nil) {
-		t.Fatalf("decode %q:\n scratch err = %v\n json err    = %v", line, gotErr, wantErr)
+// FuzzNDJSONDecode feeds arbitrary response bodies through StreamConn.Next,
+// the whole socket-reading path: keep-alive blank lines, control lines,
+// over-long lines and lines encoding/json rejects. Nothing may panic, and
+// checkNext's properties hold.
+func FuzzNDJSONDecode(f *testing.F) {
+	corpus := streamCorpus()
+	for _, line := range corpus {
+		f.Add([]byte(line))
 	}
-	if gotErr != nil {
-		return nil
+	hourEnd := `{"x_hour_end":{"hour":0,"dropped":0}}`
+	// Every line json accepts in one body, with keep-alives, CRLF endings
+	// and control lines between them: the first tweet, then `{}`, shows
+	// that no state carries over from one line to the next.
+	var all []byte
+	for _, line := range corpus {
+		if json.Unmarshal([]byte(line), new(Tweet)) == nil {
+			all = append(all, line+"\n\r\n"+hourEnd+"\n"...)
+		}
 	}
-	if !reflect.DeepEqual(*got, want) {
-		t.Fatalf("decode %q:\n scratch = %+v\n json    = %+v", line, *got, want)
-	}
-	return got
+	f.Add(all)
+	f.Add([]byte("\n\n" + corpus[0] + "\r\n\n" + hourEnd + "\n" + corpus[0] + "\n"))
+	f.Add([]byte(corpus[0] + "\n" + `{"id":1,` + "\n" + corpus[0] + "\n"))
+	f.Add([]byte(corpus[0] + "\n" + `{"text":"` + strings.Repeat("x", maxStreamLine) + `"}` + "\n" + hourEnd))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkNext(t, body)
+	})
 }
 
-func TestStreamDecoderMatchesEncodingJSON(t *testing.T) {
-	d := NewStreamDecoder()
-	for _, line := range decoderCorpus() {
-		checkDecodeMatchesJSON(t, d, []byte(line))
-	}
-}
-
-// decoderCorpus enumerates the tricky lines shared by the table test and
-// the fuzz seed corpus.
-func decoderCorpus() []string {
+// streamCorpus enumerates tricky stream lines for the fuzz seed corpus.
+func streamCorpus() []string {
 	spam := true
 	camp := 7
 	full := Tweet{
@@ -161,181 +226,45 @@ func decoderCorpus() []string {
 	}
 }
 
-// TestStreamDecoderDepthLimit pins the nesting bound to encoding/json's:
-// depth 10000 decodes, 10001 is rejected by both.
-func TestStreamDecoderDepthLimit(t *testing.T) {
-	d := NewStreamDecoder()
-	// The outer tweet object consumes one level.
-	inner := maxNDJSONDepth - 1
-	ok := `{"a":` + strings.Repeat("[", inner) + strings.Repeat("]", inner) + `}`
-	deep := `{"a":` + strings.Repeat("[", inner+1) + strings.Repeat("]", inner+1) + `}`
-	if tw := checkDecodeMatchesJSON(t, d, []byte(ok)); tw == nil {
-		t.Fatal("depth-10000 line rejected")
-	}
-	if _, err := d.Decode([]byte(deep)); err == nil {
-		t.Fatal("depth-10001 line accepted")
-	}
-	var w Tweet
-	if err := json.Unmarshal([]byte(deep), &w); err == nil {
-		t.Fatal("oracle accepted depth-10001 line (limit drifted)")
-	}
-}
-
-// TestStreamDecoderReuse checks that no state bleeds between lines: a full
-// tweet followed by an empty object yields a zero tweet.
-func TestStreamDecoderReuse(t *testing.T) {
-	d := NewStreamDecoder()
-	corpus := decoderCorpus()
-	full := []byte(corpus[0])
-	if tw := checkDecodeMatchesJSON(t, d, full); tw == nil {
-		t.Fatal("full tweet line rejected")
-	}
-	got, err := d.Decode([]byte(`{}`))
+// BenchmarkStreamNext times what the wire source does per stream line:
+// Next, then DecodeTweet for each tweet, over one server hour's lines —
+// every tweet of a 1,000-account world plus the control line.
+func BenchmarkStreamNext(b *testing.B) {
+	cfg := socialnet.DefaultConfig()
+	cfg.NumAccounts = 1000
+	cfg.OrganicTweetsPerHour = 300
+	w, err := socialnet.NewWorld(cfg)
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	if !reflect.DeepEqual(*got, Tweet{}) {
-		t.Fatalf("state bled across Decode calls: %+v", *got)
+	srv := NewServer(socialnet.NewEngine(w), WithOracle())
+	st := &stream{all: true, wake: make(chan struct{}, 1)}
+	srv.streamsMu.Lock()
+	srv.streams[0] = st
+	srv.streamsMu.Unlock()
+	srv.Advance(1)
+	if st.dropped != 0 {
+		b.Fatalf("the hour dropped %d tweets", st.dropped)
 	}
-	// And interleave every corpus line against a dirty decoder.
-	for _, line := range corpus {
-		d2 := NewStreamDecoder()
-		if _, err := d2.Decode(full); err != nil {
-			t.Fatal(err)
-		}
-		checkDecodeMatchesJSON(t, d2, []byte(line))
-	}
-}
-
-// TestStreamDecoderAliasing documents the ownership contract: decoded
-// strings alias the input line, and Clone detaches them.
-func TestStreamDecoderAliasing(t *testing.T) {
-	d := NewStreamDecoder()
-	line := []byte(`{"text":"original","entities":{"hashtags":["tag"]}}`)
-	got, err := d.Decode(line)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone := got.Clone()
-	for i := range line {
-		line[i] = 'x'
-	}
-	if got.Text == "original" {
-		t.Fatal("decoded Text did not alias the line; zero-copy path broken")
-	}
-	if clone.Text != "original" || clone.Entities.Hashtags[0] != "tag" {
-		t.Fatalf("Clone did not detach: %+v", clone)
-	}
-}
-
-// TestTweetClone checks the deep copy covers every reference field.
-func TestTweetClone(t *testing.T) {
-	var orig Tweet
-	if err := json.Unmarshal([]byte(decoderCorpus()[0]), &orig); err != nil {
-		t.Fatal(err)
-	}
-	clone := orig.Clone()
-	if !reflect.DeepEqual(orig, clone) {
-		t.Fatalf("clone differs:\n orig  = %+v\n clone = %+v", orig, clone)
-	}
-	// Mutating the clone's reference fields must not touch the original.
-	clone.Entities.Hashtags[0] = "mut"
-	clone.Entities.URLs[0] = "mut"
-	clone.Entities.Mentions[0].ScreenName = "mut"
-	*clone.Spam = !*clone.Spam
-	*clone.CampaignID++
-	if orig.Entities.Hashtags[0] == "mut" || orig.Entities.URLs[0] == "mut" ||
-		orig.Entities.Mentions[0].ScreenName == "mut" {
-		t.Fatal("clone shares entity slices with the original")
-	}
-	if *orig.Spam == *clone.Spam || *orig.CampaignID == *clone.CampaignID {
-		t.Fatal("clone shares oracle pointers with the original")
-	}
-}
-
-// FuzzNDJSONDecode cross-checks the scratch decoder against encoding/json
-// on arbitrary lines: identical accept/reject decisions and deeply equal
-// tweets, from both a fresh and a deliberately dirtied decoder.
-func FuzzNDJSONDecode(f *testing.F) {
-	for _, line := range decoderCorpus() {
-		f.Add([]byte(line))
-	}
-	dirty := []byte(decoderCorpus()[0])
-	f.Fuzz(func(t *testing.T, line []byte) {
-		var want Tweet
-		wantErr := json.Unmarshal(line, &want)
-
-		d := NewStreamDecoder()
-		if _, err := d.Decode(dirty); err != nil {
-			t.Fatal("dirty seed line rejected")
-		}
-		for round := 0; round < 2; round++ { // twice: catches stale state
-			got, gotErr := d.Decode(line)
-			if (gotErr != nil) != (wantErr != nil) {
-				t.Fatalf("round %d: scratch err = %v, json err = %v (line %q)",
-					round, gotErr, wantErr, line)
-			}
-			if gotErr == nil && !reflect.DeepEqual(*got, want) {
-				t.Fatalf("round %d: scratch = %+v\njson = %+v\n(line %q)",
-					round, *got, want, line)
-			}
-		}
-	})
-}
-
-// TestTweetScratchMatchesDecodeTweet holds the allocation-free conversion
-// to the owning one: over every corpus line encoding/json accepts, a
-// capture retained from the scratch path (StreamDecoder → TweetScratch →
-// Clone, one decoder and one scratch reused across lines) must equal
-// what json.Unmarshal → DecodeTweet builds. Empty and nil slices compare
-// equal: the scratch keeps its backing arrays, the owning form starts nil.
-func TestTweetScratchMatchesDecodeTweet(t *testing.T) {
-	d := NewStreamDecoder()
-	var conv TweetScratch
-	checked := 0
-	for _, line := range decoderCorpus() {
-		var wire Tweet
-		if json.Unmarshal([]byte(line), &wire) != nil {
-			continue
-		}
-		want, _ := DecodeTweet(&wire)
-		wt, err := d.Decode([]byte(line))
-		if err != nil {
-			t.Fatalf("scratch decoder rejects %q: %v", line, err)
-		}
-		got := conv.Convert(wt).Clone()
-		if got.ID != want.ID || got.AuthorID != want.AuthorID || !got.CreatedAt.Equal(want.CreatedAt) ||
-			got.Kind != want.Kind || got.Source != want.Source || got.Text != want.Text ||
-			got.Topic != want.Topic || got.Spam != want.Spam || got.CampaignID != want.CampaignID ||
-			!slices.Equal(got.Hashtags, want.Hashtags) || !slices.Equal(got.URLs, want.URLs) ||
-			!slices.Equal(got.Mentions, want.Mentions) {
-			t.Fatalf("line %q:\nscratch %+v\nowning  %+v", line, got, want)
-		}
-		checked++
-	}
-	if checked < 10 {
-		t.Fatalf("only %d corpus lines were comparable", checked)
-	}
-}
-
-// BenchmarkStreamDecode times the in-process NDJSON ingest step no
-// whole-run bench/ workload exercises: StreamDecoder.Decode plus
-// TweetScratch.Convert over a fully populated spam line and a bare
-// organic one, in steady state (0 allocs/op, as the alloc tests pin).
-func BenchmarkStreamDecode(b *testing.B) {
-	lines := [][]byte{
-		[]byte(decoderCorpus()[0]),
-		[]byte(`{"id":102,"text":"plain organic tweet","user":{"id":43,"screen_name":"human"},"entities":{"hashtags":[],"user_mentions":[],"urls":[]}}`),
-	}
-	d := NewStreamDecoder()
-	var conv TweetScratch
-	b.SetBytes(int64(len(lines[0])+len(lines[1])) / 2)
+	lines := st.take()
+	body := bytes.Join(lines, nil)
+	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tw, err := d.Decode(lines[i%2])
-		if err != nil {
-			b.Fatal(err)
+		conn := bodyConn(body)
+		for {
+			wt, err := conn.Next()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			if wt.HourEnd == nil {
+				DecodeTweet(wt)
+			}
 		}
-		conv.Convert(tw)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(lines)), "ns/line")
 }

@@ -2,6 +2,7 @@ package twitterapi
 
 import (
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"testing"
 
@@ -42,10 +43,9 @@ func TestSlowConsumerDropsInsteadOfBlocking(t *testing.T) {
 	if len(lines) != streamBuffer+2 {
 		t.Fatalf("queue holds %d lines, want %d tweets + 2 control lines", len(lines), streamBuffer)
 	}
-	d := NewStreamDecoder()
 	for i, hour := range []int{0, 1} {
-		tw, err := d.Decode(lines[streamBuffer+i])
-		if err != nil {
+		tw := new(Tweet)
+		if err := json.Unmarshal(lines[streamBuffer+i], tw); err != nil {
 			t.Fatal(err)
 		}
 		if he := tw.HourEnd; he == nil || he.Hour != hour || he.Dropped == 0 {

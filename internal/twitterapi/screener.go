@@ -3,8 +3,8 @@ package twitterapi
 import (
 	"context"
 	"net/url"
+	"slices"
 	"strconv"
-	"strings"
 	"time"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/imagehash"
@@ -63,62 +63,38 @@ func (c *Client) Screen(ctx context.Context, q socialnet.ScreenQuery) ([]*social
 
 // DecodeTweet reconstructs a tweet (and its author profile) from the wire
 // form, for monitors running against a remote stream. Oracle fields are
-// honoured only when present (evaluation streams). The result owns all of
-// its memory — strings are copied out of the wire form — so it is safe to
-// retain from a Stream handler even though the stream decoder reuses its
-// buffers (see StreamConn.Next).
+// honoured only when present (evaluation streams). The result shares no
+// slice with t.
 func DecodeTweet(t *Tweet) (*socialnet.Tweet, *socialnet.Account) {
 	if t == nil {
 		return nil, nil
 	}
-	var s TweetScratch
-	return s.Convert(t).Clone(), DecodeUser(&t.User)
-}
-
-// convertTweet fills dst from the wire tweet without copying string data:
-// dst's strings alias t's. The caller decides ownership.
-func convertTweet(t *Tweet, dst *socialnet.Tweet) {
 	createdAt, err := time.Parse(time.RFC3339Nano, t.CreatedAt)
 	if err != nil {
 		createdAt = time.Time{}
 	}
-	dst.ID = socialnet.TweetID(t.ID)
-	dst.AuthorID = socialnet.AccountID(t.User.ID)
-	dst.CreatedAt = createdAt
-	dst.Kind = parseKind(t.Kind)
-	dst.Source = parseSource(t.Source)
-	dst.Text = t.Text
-	dst.Hashtags = append(dst.Hashtags[:0], t.Entities.Hashtags...)
-	dst.URLs = append(dst.URLs[:0], t.Entities.URLs...)
-	dst.Topic = t.Topic
-	dst.Mentions = dst.Mentions[:0]
-	for _, m := range t.Entities.Mentions {
-		dst.Mentions = append(dst.Mentions, socialnet.AccountID(m.ID))
+	out := &socialnet.Tweet{
+		ID:         socialnet.TweetID(t.ID),
+		AuthorID:   socialnet.AccountID(t.User.ID),
+		CreatedAt:  createdAt,
+		Kind:       parseKind(t.Kind),
+		Source:     parseSource(t.Source),
+		Text:       t.Text,
+		Hashtags:   slices.Clone(t.Entities.Hashtags),
+		URLs:       slices.Clone(t.Entities.URLs),
+		Topic:      t.Topic,
+		CampaignID: socialnet.NoCampaign,
 	}
-	dst.Spam = false
-	dst.CampaignID = socialnet.NoCampaign
+	for _, m := range t.Entities.Mentions {
+		out.Mentions = append(out.Mentions, socialnet.AccountID(m.ID))
+	}
 	if t.Spam != nil {
-		dst.Spam = *t.Spam
+		out.Spam = *t.Spam
 	}
 	if t.CampaignID != nil {
-		dst.CampaignID = *t.CampaignID
+		out.CampaignID = *t.CampaignID
 	}
-}
-
-// TweetScratch converts wire tweets into a reusable socialnet.Tweet with
-// no per-tweet allocations: Convert's result and its strings alias both
-// the scratch and the wire tweet, valid only until the next Convert.
-// Retainers must call socialnet's Tweet.Clone. This is the conversion
-// counterpart of StreamDecoder for allocation-free stream processing;
-// DecodeTweet remains the owning (copying) form.
-type TweetScratch struct {
-	t socialnet.Tweet
-}
-
-// Convert fills the scratch tweet from wt and returns it.
-func (s *TweetScratch) Convert(wt *Tweet) *socialnet.Tweet {
-	convertTweet(wt, &s.t)
-	return &s.t
+	return out, DecodeUser(&t.User)
 }
 
 func parseKind(s string) socialnet.TweetKind {
@@ -156,13 +132,11 @@ func DecodeUser(u *User) *socialnet.Account {
 	if err != nil {
 		createdAt = time.Time{}
 	}
-	// Copy the strings: profiles outlive the stream decoder's scratch
-	// buffers (see StreamConn.Next).
 	a := &socialnet.Account{
 		ID:                  socialnet.AccountID(u.ID),
-		ScreenName:          strings.Clone(u.ScreenName),
-		Name:                strings.Clone(u.Name),
-		Description:         strings.Clone(u.Description),
+		ScreenName:          u.ScreenName,
+		Name:                u.Name,
+		Description:         u.Description,
 		CreatedAt:           createdAt,
 		FriendsCount:        u.FriendsCount,
 		FollowersCount:      u.FollowersCount,

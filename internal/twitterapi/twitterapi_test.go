@@ -212,7 +212,7 @@ func streamHours(t *testing.T, srv *Server, client *Client, track []string, hour
 			h++
 			continue
 		}
-		got = append(got, tw.Clone()) // retained past the next call
+		got = append(got, *tw)
 	}
 	return got
 }

@@ -13,7 +13,6 @@
 package twitterapi
 
 import (
-	"strings"
 	"time"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
@@ -85,64 +84,6 @@ type HourEnd struct {
 	// Dropped counts the tweets this stream has lost so far because the
 	// consumer fell behind; a complete stream reports 0.
 	Dropped int64 `json:"dropped"`
-}
-
-// Clone returns a deep copy of the tweet that owns all of its memory.
-// Stream handlers need it before retaining a tweet (or any string or slice
-// reachable from it) beyond the callback: the stream decoder reuses its
-// buffers between lines (see StreamConn.Next).
-func (t Tweet) Clone() Tweet {
-	c := t
-	c.CreatedAt = strings.Clone(t.CreatedAt)
-	c.Text = strings.Clone(t.Text)
-	c.Kind = strings.Clone(t.Kind)
-	c.Source = strings.Clone(t.Source)
-	c.Topic = strings.Clone(t.Topic)
-	c.User = t.User.clone()
-	if t.Entities.Hashtags != nil {
-		c.Entities.Hashtags = cloneStrings(t.Entities.Hashtags)
-	}
-	if t.Entities.URLs != nil {
-		c.Entities.URLs = cloneStrings(t.Entities.URLs)
-	}
-	if t.Entities.Mentions != nil {
-		c.Entities.Mentions = make([]Mention, len(t.Entities.Mentions))
-		for i, m := range t.Entities.Mentions {
-			c.Entities.Mentions[i] = Mention{ID: m.ID, ScreenName: strings.Clone(m.ScreenName)}
-		}
-	}
-	if t.Spam != nil {
-		v := *t.Spam
-		c.Spam = &v
-	}
-	if t.CampaignID != nil {
-		v := *t.CampaignID
-		c.CampaignID = &v
-	}
-	if t.HourEnd != nil {
-		v := *t.HourEnd
-		c.HourEnd = &v
-	}
-	return c
-}
-
-func (u User) clone() User {
-	c := u
-	c.ScreenName = strings.Clone(u.ScreenName)
-	c.Name = strings.Clone(u.Name)
-	c.Description = strings.Clone(u.Description)
-	c.CreatedAt = strings.Clone(u.CreatedAt)
-	c.ProfileImageHash = strings.Clone(u.ProfileImageHash)
-	c.LastPostAt = strings.Clone(u.LastPostAt)
-	return c
-}
-
-func cloneStrings(in []string) []string {
-	out := make([]string, len(in))
-	for i, s := range in {
-		out[i] = strings.Clone(s)
-	}
-	return out
 }
 
 // Trend is one entry of the trends endpoint.
