@@ -105,13 +105,16 @@ bench-smoke:
 # the columnar screening index (cold and warm). SignText, IndexAddProbe
 # and StoreAddBatch are the near-duplicate kernel: signing one text,
 # probe-then-add over 10k campaign-skewed signatures, and the label stage
-# over a small world's captures. The last four lines are what no bench/
+# over a small world's captures. LabelCorpus labels one collected corpus
+# through the Store (AddBatch + Snapshot) and reports speedup-vs-reference
+# against the from-scratch batch clusterer kept as its test oracle, with
+# allocs/tweet for both. The last four lines are what no bench/
 # workload covers: the WAL fsync-cadence sweep and log recovery, reading
 # one server hour's stream lines (Next + DecodeTweet), Source/MuxSource
 # ingest overhead, and what proc shard mode's extract RPC adds to a
 # 64-capture batch (socket excluded).
 bench:
-	$(GO) test -run NONE -bench 'TreeFit|ForestFit|BoostFit|CrossValidate|DetectorClassify|Rotate|SignText|IndexAddProbe|StoreAddBatch' \
+	$(GO) test -run NONE -bench 'TreeFit|ForestFit|BoostFit|CrossValidate|DetectorClassify|Rotate|SignText|IndexAddProbe|StoreAddBatch|LabelCorpus' \
 		./internal/ml/tree/ ./internal/ml/forest/ ./internal/ml/boost/ \
 		./internal/ml/ ./internal/core/ ./internal/minhash/ ./internal/label/
 	$(GO) test -run NONE -bench 'ObsDisabled' ./internal/obs/

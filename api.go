@@ -404,10 +404,11 @@ func NewSniffer(sim *Simulation, cfg SnifferConfig) (*Sniffer, error) {
 	return s, nil
 }
 
-// labelConfig is the labeling configuration shared by the batch oracle and
-// the streaming store — identical by construction so the two paths agree.
+// labelConfig is the labeling configuration of every label store and
+// prepper the sniffer builds, so batch and streaming runs label alike.
 func (s *Sniffer) labelConfig() label.Config {
 	lcfg := label.DefaultConfig()
+	lcfg.Metrics = s.cfg.Metrics
 	lcfg.Tracer = s.cfg.Tracer
 	return lcfg
 }
@@ -590,10 +591,11 @@ type DetectionResult struct {
 // DetectAll runs the paper's detection pipeline on everything collected so
 // far: label the corpus (suspended accounts, clustering, rules, simulated
 // manual checking), train the configured classifier, classify all
-// captures, and attribute spam to selector groups. In streaming mode it
-// first drains the stage graph — every streamed tweet is featurized,
-// stored, and indexed before reporting — then snapshots the incremental
-// label store instead of re-clustering from scratch.
+// captures, and attribute spam to selector groups. Labels always come from
+// a label.Store's Snapshot. In streaming mode DetectAll first drains the
+// stage graph — every streamed tweet is featurized, stored, and indexed
+// before reporting — and snapshots the store the graph fed; in batch mode
+// it builds a fresh store from the retained captures on every call.
 func (s *Sniffer) DetectAll() (*DetectionResult, error) {
 	s.drainPipeline()
 	if s.runErr != nil {
@@ -613,20 +615,24 @@ func (s *Sniffer) DetectAll() (*DetectionResult, error) {
 	} else {
 		oracle = label.NewNoisyOracle(s.sim.world, s.cfg.ManualLabelErrorRate, s.cfg.Seed+2)
 	}
-	var labels *label.Result
+	var ls *label.Store
 	if s.tail != nil {
-		labels = s.tail.labels.Snapshot(oracle)
-		adoptLabelSpans(s.tail.labels.LastTrace(), captures)
+		ls = s.tail.labels
 	} else {
+		// Batch: the retained captures enter a fresh store as one batch,
+		// each bound to its author's live account, so the labels read the
+		// profiles as they stand now.
+		ls = label.NewStore(s.labelConfig())
 		tweets := make([]*socialnet.Tweet, len(captures))
+		authors := make([]*socialnet.Account, len(captures))
 		for i, c := range captures {
 			tweets[i] = c.Tweet
+			authors[i] = s.sim.world.Account(c.Tweet.AuthorID)
 		}
-		corpus := label.NewCorpus(tweets, s.sim.world.Account)
-		lp := label.NewPipeline(s.labelConfig())
-		labels = lp.Run(corpus, oracle)
-		adoptLabelSpans(lp.LastTrace(), captures)
+		ls.AddBatch(tweets, authors, authors)
 	}
+	labels := ls.Snapshot(oracle)
+	adoptLabelSpans(ls.LastTrace(), captures)
 
 	clf, err := core.NewClassifier(s.cfg.Classifier, s.cfg.Seed)
 	if err != nil {

@@ -44,11 +44,15 @@ func run() error {
 	cancel()
 	fmt.Printf("collected %d mention tweets\n", len(tweets))
 
-	// Run only the suspended + clustering stages (no rules, no manual
-	// checking): label propagation through shared campaign artefacts.
-	corpus := label.NewCorpus(tweets, sim.World().Account)
-	pipeline := label.NewPipeline(label.DefaultConfig())
-	result := pipeline.Run(corpus, nil /* no manual-checking oracle */)
+	// Label without the manual stage (no oracle): suspensions seed the
+	// propagation through shared campaign artefacts.
+	authors := make([]*socialnet.Account, len(tweets))
+	for i, t := range tweets {
+		authors[i] = sim.World().Account(t.AuthorID)
+	}
+	store := label.NewStore(label.DefaultConfig())
+	store.AddBatch(tweets, authors, authors)
+	result := store.Snapshot(nil /* no manual-checking oracle */)
 
 	suspendedSeeds, viaClustering := 0, 0
 	for _, m := range result.Spammers {
@@ -62,12 +66,18 @@ func run() error {
 	fmt.Printf("suspension seeds:            %d accounts\n", suspendedSeeds)
 	fmt.Printf("uncovered via clustering:    %d accounts\n", viaClustering)
 
-	// Show one uncovered campaign: members share a screen-name shape.
-	shapes := make(map[string][]string)
+	// Show one uncovered campaign: members share a screen-name shape. Ids
+	// go in ascending order and ties break on the shape, so the output is
+	// the same on every run.
+	var uncovered []socialnet.AccountID
 	for id, m := range result.Spammers {
-		if m != label.MethodClustering {
-			continue
+		if m == label.MethodClustering {
+			uncovered = append(uncovered, id)
 		}
+	}
+	sort.Slice(uncovered, func(i, j int) bool { return uncovered[i] < uncovered[j] })
+	shapes := make(map[string][]string)
+	for _, id := range uncovered {
 		if a := sim.World().Account(id); a != nil {
 			seq := textutil.ClassSeqWithRunLengths(a.ScreenName)
 			shapes[seq] = append(shapes[seq], a.ScreenName)
@@ -81,7 +91,12 @@ func run() error {
 	for seq, names := range shapes {
 		groups = append(groups, group{seq: seq, names: names})
 	}
-	sort.Slice(groups, func(i, j int) bool { return len(groups[i].names) > len(groups[j].names) })
+	sort.Slice(groups, func(i, j int) bool {
+		if len(groups[i].names) != len(groups[j].names) {
+			return len(groups[i].names) > len(groups[j].names)
+		}
+		return groups[i].seq < groups[j].seq
+	})
 	fmt.Println("\nlargest uncovered naming-template groups:")
 	for i, g := range groups {
 		if i >= 3 || len(g.names) < 2 {

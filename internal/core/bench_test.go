@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/label"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/parallel"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/trace"
@@ -34,12 +33,7 @@ func BenchmarkDetectorClassify(b *testing.B) {
 	e.RunHours(8)
 
 	captures := m.Captures()
-	tweets := make([]*socialnet.Tweet, len(captures))
-	for i, c := range captures {
-		tweets[i] = c.Tweet
-	}
-	labels := label.NewPipeline(label.DefaultConfig()).
-		Run(label.NewCorpus(tweets, w.Account), label.NewNoisyOracle(w, 0.02, 3))
+	labels := labelCaptures(captures, w)
 	clf, err := NewClassifier(ClassifierRF, 1)
 	if err != nil {
 		b.Fatal(err)

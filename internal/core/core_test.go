@@ -21,6 +21,21 @@ func testWorld(t *testing.T) *socialnet.World {
 	return w
 }
 
+// labelCaptures labels the captures the way the sniffer does: one batch
+// into a label store, each tweet bound to its author's live account, then a
+// Snapshot against a 2%-noise oracle.
+func labelCaptures(captures []*Capture, w *socialnet.World) *label.Result {
+	tweets := make([]*socialnet.Tweet, len(captures))
+	authors := make([]*socialnet.Account, len(captures))
+	for i, c := range captures {
+		tweets[i] = c.Tweet
+		authors[i] = w.Account(c.Tweet.AuthorID)
+	}
+	ls := label.NewStore(label.DefaultConfig())
+	ls.AddBatch(tweets, authors, authors)
+	return ls.Snapshot(label.NewNoisyOracle(w, 0.02, 3))
+}
+
 func TestStandardSpecsMatchPaperBudget(t *testing.T) {
 	specs := StandardSpecs(10)
 	if got := TotalNodes(specs); got != 2400 {
@@ -225,14 +240,7 @@ func TestEndToEndDetectorPipeline(t *testing.T) {
 		t.Fatalf("only %d captures", len(captures))
 	}
 
-	// Label the corpus.
-	tweets := make([]*socialnet.Tweet, len(captures))
-	for i, c := range captures {
-		tweets[i] = c.Tweet
-	}
-	corpus := label.NewCorpus(tweets, w.Account)
-	pipeline := label.NewPipeline(label.DefaultConfig())
-	labels := pipeline.Run(corpus, label.NewNoisyOracle(w, 0.02, 3))
+	labels := labelCaptures(captures, w)
 
 	// Train RF and classify.
 	clf, err := NewClassifier(ClassifierRF, 1)

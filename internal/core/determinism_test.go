@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/label"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/parallel"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 )
@@ -29,12 +28,7 @@ func TestClassifyDeterministicAcrossWorkerCounts(t *testing.T) {
 	if len(captures) < 50 {
 		t.Fatalf("only %d captures", len(captures))
 	}
-	tweets := make([]*socialnet.Tweet, len(captures))
-	for i, c := range captures {
-		tweets[i] = c.Tweet
-	}
-	labels := label.NewPipeline(label.DefaultConfig()).
-		Run(label.NewCorpus(tweets, w.Account), label.NewNoisyOracle(w, 0.02, 3))
+	labels := labelCaptures(captures, w)
 
 	clf, err := NewClassifier(ClassifierRF, 1)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/label"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/metrics"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 )
@@ -33,12 +32,7 @@ func TestMetricsReconcileWithGroupStats(t *testing.T) {
 		t.Fatal("no captures after 5 hours")
 	}
 
-	tweets := make([]*socialnet.Tweet, len(captures))
-	for i, c := range captures {
-		tweets[i] = c.Tweet
-	}
-	labels := label.NewPipeline(label.DefaultConfig()).
-		Run(label.NewCorpus(tweets, w.Account), label.NewNoisyOracle(w, 0.02, 3))
+	labels := labelCaptures(captures, w)
 	clf, err := NewClassifier(ClassifierDT, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -118,8 +118,13 @@ func (r *Runner) RunGroundTruth() (*GroundTruth, error) {
 	w.AdvanceSuspensions(r.scale.SuspensionLagHours,
 		rand.New(rand.NewSource(worldCfg.Seed+4)))
 	corpus := label.NewCorpus(tweets, w.Account)
-	pipeline := label.NewPipeline(label.DefaultConfig())
-	labels := pipeline.Run(corpus, label.NewNoisyOracle(w, 0.01, worldCfg.Seed+3))
+	authors := make([]*socialnet.Account, len(tweets))
+	for i, t := range tweets {
+		authors[i] = corpus.Users[t.AuthorID]
+	}
+	ls := label.NewStore(label.DefaultConfig())
+	ls.AddBatch(tweets, authors, authors)
+	labels := ls.Snapshot(label.NewNoisyOracle(w, 0.01, worldCfg.Seed+3))
 
 	ds, err := core.BuildDataset(captures, labels)
 	if err != nil {

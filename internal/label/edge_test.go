@@ -7,7 +7,7 @@ import (
 )
 
 func TestPipelineEmptyCorpus(t *testing.T) {
-	p := NewPipeline(DefaultConfig())
+	p := newPipeline(DefaultConfig())
 	c := &Corpus{Users: map[socialnet.AccountID]*socialnet.Account{}}
 	r := p.Run(c, nil)
 	if r.TotalSpams() != 0 || r.TotalSpammers() != 0 {
@@ -60,7 +60,7 @@ func TestClassCount(t *testing.T) {
 func TestPipelineDeterministicAcrossRuns(t *testing.T) {
 	corpus, w := collectCorpus(t, 6)
 	run := func() (int, int) {
-		p := NewPipeline(DefaultConfig())
+		p := newPipeline(DefaultConfig())
 		r := p.Run(corpus, NewNoisyOracle(w, 0.02, 7))
 		return r.TotalSpams(), r.TotalSpammers()
 	}

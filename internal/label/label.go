@@ -8,11 +8,13 @@
 // human annotators — is replaced by a simulated Oracle that reveals
 // generative ground truth with a configurable error rate and budget
 // (DESIGN.md §2). The algorithms in between are the paper's, unchanged.
+//
+// Store is the one labeler: every caller feeds it the stream (AddBatch, or
+// AddBatchPrepared behind shard workers) and reads labels with Snapshot.
 package label
 
 import (
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -20,9 +22,7 @@ import (
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/imagehash"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/metrics"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/minhash"
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/parallel"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/textutil"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/trace"
 )
 
@@ -175,17 +175,17 @@ type Config struct {
 	// Zero means a tenth of the corpus.
 	ManualBudget int
 
-	// Workers bounds the clustering stage's worker pool; 0 resolves the
-	// process default (PH_WORKERS or GOMAXPROCS). Labels are
-	// bit-identical at any worker count.
+	// Workers bounds the store's worker pool (prep fan-out, concurrent
+	// user and tweet joins); 0 resolves the process default (PH_WORKERS
+	// or GOMAXPROCS). Labels are bit-identical at any worker count.
 	Workers int
 
-	// Metrics receives the pipeline's pass timings; nil means
+	// Metrics receives the clustering pass timings; nil means
 	// metrics.Default().
 	Metrics *metrics.Registry
 
-	// Tracer records one trace per Run with a span per labeling pass;
-	// nil means trace.Default().
+	// Tracer records one trace per Snapshot with a span per labeling
+	// pass; nil means trace.Default().
 	Tracer *trace.Tracer
 }
 
@@ -203,19 +203,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Pipeline runs the four-stage labeling process.
-type Pipeline struct {
-	cfg    Config
-	rng    *rand.Rand
-	ins    *pipelineInstruments
-	tracer *trace.Tracer
-	// tr is the trace of the Run in progress (and, afterwards, of the
-	// most recent Run); the cluster passes attach their spans to it.
-	tr *trace.Trace
-}
-
-// withDefaults fills zero-value fields from DefaultConfig. NewPipeline and
-// NewStore share it so the batch oracle and the incremental store always
+// withDefaults fills zero-value fields from DefaultConfig. NewStore and
+// NewPrepper share it so the store and the shard workers' preps always
 // agree on thresholds.
 func (cfg Config) withDefaults() Config {
 	def := DefaultConfig()
@@ -243,56 +232,41 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// NewPipeline creates a pipeline with cfg (zero-value fields fall back to
+// pipeline runs the labeling passes that read a finished corpus and its
+// cluster groups: suspended, propagation, rules, manual. Store.Snapshot
+// builds a fresh one per call, so the manual stage's rng always starts
+// from cfg.Seed.
+type pipeline struct {
+	cfg    Config
+	rng    *rand.Rand
+	tracer *trace.Tracer
+	// tr is the trace of the run in progress (and, afterwards, of the
+	// most recent run); the cluster passes attach their spans to it.
+	tr *trace.Trace
+}
+
+// newPipeline creates a pipeline with cfg (zero-value fields fall back to
 // DefaultConfig values).
-func NewPipeline(cfg Config) *Pipeline {
+func newPipeline(cfg Config) *pipeline {
 	cfg = cfg.withDefaults()
 	tracer := cfg.Tracer
 	if tracer == nil {
 		tracer = trace.Default()
 	}
-	return &Pipeline{
+	return &pipeline{
 		cfg:    cfg,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		ins:    newPipelineInstruments(cfg.Metrics),
 		tracer: tracer,
 	}
 }
 
-// LastTrace returns the trace of the most recent Run (nil when tracing is
-// off). Callers adopt its pass spans into the capture traces that fed the
-// corpus.
-func (p *Pipeline) LastTrace() *trace.Trace { return p.tr }
-
-// Run labels the corpus: suspended accounts, clustering, rules, then
-// manual checking against the oracle.
-func (p *Pipeline) Run(c *Corpus, oracle Oracle) *Result {
-	return p.run(c, oracle, func(c *Corpus, norms []string) ([][]socialnet.AccountID, [][]*socialnet.Tweet) {
-		// The user and tweet clusterings are independent of each other,
-		// so they run concurrently; their deterministically ordered
-		// output feeds the sequential propagation.
-		var userGroups [][]socialnet.AccountID
-		var tweetGroups [][]*socialnet.Tweet
-		parallel.ForEach(2, p.cfg.Workers, func(i int) {
-			if i == 0 {
-				userGroups = p.clusterUsers(c)
-			} else {
-				tweetGroups = p.clusterTweets(c, norms)
-			}
-		})
-		return userGroups, tweetGroups
-	})
-}
-
-// run is the stage skeleton shared by the batch path (Run, which clusters
-// the corpus from scratch) and the incremental store (Store.Snapshot,
-// which materializes groups from its persistent indices): suspended →
-// cluster propagation → rules → manual, one trace span per pass. Both
-// paths produce identical Results on the same stream because the cluster
-// callbacks produce identical group lists (see DESIGN.md §12). Each tweet's
-// normalizedKey is computed here, once per pass, for the tweet clustering
-// and the rules to share.
-func (p *Pipeline) run(c *Corpus, oracle Oracle, cluster func(c *Corpus, norms []string) ([][]socialnet.AccountID, [][]*socialnet.Tweet)) *Result {
+// run is the stage skeleton: suspended → cluster propagation → rules →
+// manual, one trace span per pass. cluster supplies the user and tweet
+// groups — Store.Snapshot materializes them from its live indices, the
+// test oracle reclusters the corpus from scratch, and both produce
+// identical group lists (DESIGN.md §12). norms[i] is
+// normalizedKey(c.Tweets[i]), which the rules pass reads.
+func (p *pipeline) run(c *Corpus, norms []string, oracle Oracle, cluster func() ([][]socialnet.AccountID, [][]*socialnet.Tweet)) *Result {
 	r := &Result{
 		SpamTweets: make(map[socialnet.TweetID]Method),
 		HamTweets:  make(map[socialnet.TweetID]Method),
@@ -311,8 +285,7 @@ func (p *Pipeline) run(c *Corpus, oracle Oracle, cluster func(c *Corpus, norms [
 		sp.End()
 	}
 	pass("label_suspended", func() { p.labelSuspended(c, r) })
-	norms := p.tweetNorms(c)
-	userGroups, tweetGroups := cluster(c, norms)
+	userGroups, tweetGroups := cluster()
 	p.propagate(r, userGroups, tweetGroups)
 	pass("label_rules", func() { p.labelRules(c, r, norms) })
 	pass("label_manual", func() { p.manualCheck(c, r, oracle) })
@@ -320,17 +293,10 @@ func (p *Pipeline) run(c *Corpus, oracle Oracle, cluster func(c *Corpus, norms [
 	return r
 }
 
-// tweetNorms returns normalizedKey of every corpus tweet, in corpus order.
-func (p *Pipeline) tweetNorms(c *Corpus) []string {
-	return parallel.Map(len(c.Tweets), p.cfg.Workers, func(i int) string {
-		return normalizedKey(c.Tweets[i])
-	})
-}
-
 // labelSuspended marks platform-suspended users as spammers and their
 // tweets as spam. Suspensions are a noisy oracle (false suspensions exist);
 // the manual stage cleans them later.
-func (p *Pipeline) labelSuspended(c *Corpus, r *Result) {
+func (p *pipeline) labelSuspended(c *Corpus, r *Result) {
 	for id, u := range c.Users {
 		if u.Suspended {
 			r.Spammers[id] = MethodSuspended
@@ -347,7 +313,7 @@ func (p *Pipeline) labelSuspended(c *Corpus, r *Result) {
 // (paper §IV-B, clustering method) to a fixpoint, so the result is
 // independent of group order: tweet groups feed user groups and back until
 // nothing changes.
-func (p *Pipeline) propagate(r *Result, userGroups [][]socialnet.AccountID, tweetGroups [][]*socialnet.Tweet) {
+func (p *pipeline) propagate(r *Result, userGroups [][]socialnet.AccountID, tweetGroups [][]*socialnet.Tweet) {
 	for {
 		changed := false
 		for _, group := range userGroups {
@@ -400,187 +366,6 @@ func (p *Pipeline) propagate(r *Result, userGroups [][]socialnet.AccountID, twee
 	}
 }
 
-// corpusUserIDs returns the corpus users in first-appearance (stream)
-// order: the order in which each author's first tweet occurs in
-// c.Tweets. This ordering is deterministic regardless of map iteration
-// order, and — critically — it is the insertion order the incremental
-// label store sees when it is fed the same stream one tweet at a time, so
-// the order-sensitive image Grouper partitions identically on both paths.
-// Users present in c.Users but absent from c.Tweets (hand-built corpora)
-// follow in ascending id order.
-func corpusUserIDs(c *Corpus) []socialnet.AccountID {
-	ids := make([]socialnet.AccountID, 0, len(c.Users))
-	seen := make(map[socialnet.AccountID]struct{}, len(c.Users))
-	for _, t := range c.Tweets {
-		if _, dup := seen[t.AuthorID]; dup {
-			continue
-		}
-		seen[t.AuthorID] = struct{}{}
-		if _, ok := c.Users[t.AuthorID]; ok {
-			ids = append(ids, t.AuthorID)
-		}
-	}
-	if len(ids) < len(c.Users) {
-		rest := make([]socialnet.AccountID, 0, len(c.Users)-len(ids))
-		for id := range c.Users {
-			if _, ok := seen[id]; !ok {
-				rest = append(rest, id)
-			}
-		}
-		sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
-		ids = append(ids, rest...)
-	}
-	return ids
-}
-
-// clusterUsers returns user groups from the three profile clusterings.
-// The image, screen-name, and description passes are mutually independent
-// and run concurrently; their groups concatenate in a fixed pass order so
-// the result is identical at any worker count.
-func (p *Pipeline) clusterUsers(c *Corpus) [][]socialnet.AccountID {
-	ids := corpusUserIDs(c)
-	passes := make([][][]socialnet.AccountID, 3)
-	parallel.ForEach(len(passes), p.cfg.Workers, func(pass int) {
-		switch pass {
-		case 0:
-			passes[pass] = p.clusterByImage(c, ids)
-		case 1:
-			passes[pass] = p.clusterByName(c, ids)
-		case 2:
-			passes[pass] = p.clusterByDescription(c, ids)
-		}
-	})
-	var groups [][]socialnet.AccountID
-	for _, pass := range passes {
-		groups = append(groups, pass...)
-	}
-	return groups
-}
-
-// clusterByImage groups profile images via dHash + Hamming threshold.
-func (p *Pipeline) clusterByImage(c *Corpus, ids []socialnet.AccountID) [][]socialnet.AccountID {
-	defer p.ins.clusterSecs.With("image").ObserveDuration(time.Now())
-	defer p.tr.StartSpan("label_cluster_image").End()
-	imgGrouper := imagehash.NewGrouper(p.cfg.ImageHammingThreshold)
-	imgGrouper.SetWorkers(p.cfg.Workers)
-	imgGroups := make(map[int][]socialnet.AccountID)
-	var imgOrder []int
-	for _, id := range ids {
-		u := c.Users[id]
-		if u.DefaultProfileImage {
-			continue // default eggs carry no campaign signal
-		}
-		g := imgGrouper.Add(u.ProfileImageHash)
-		if len(imgGroups[g]) == 0 {
-			imgOrder = append(imgOrder, g)
-		}
-		imgGroups[g] = append(imgGroups[g], id)
-	}
-	var groups [][]socialnet.AccountID
-	for _, gi := range imgOrder {
-		if g := imgGroups[gi]; len(g) >= 2 {
-			groups = append(groups, g)
-		}
-	}
-	return groups
-}
-
-// clusterByName groups screen-name Σ-Seq shapes with at least NameGroupMin
-// members. Two hygiene rules keep the false-positive rate low (the paper's
-// regex-learned patterns are similarly specific): a usable shape must mix
-// at least two character classes, and a shape shared by a large fraction
-// of the corpus carries no campaign signal.
-func (p *Pipeline) clusterByName(c *Corpus, ids []socialnet.AccountID) [][]socialnet.AccountID {
-	defer p.ins.clusterSecs.With("name").ObserveDuration(time.Now())
-	defer p.tr.StartSpan("label_cluster_name").End()
-	seqs := parallel.Map(len(ids), p.cfg.Workers, func(i int) string {
-		return textutil.ClassSeqWithRunLengths(c.Users[ids[i]].ScreenName)
-	})
-	nameGroups := make(map[string][]socialnet.AccountID)
-	var nameOrder []string
-	for i, id := range ids {
-		seq := seqs[i]
-		if len(nameGroups[seq]) == 0 {
-			nameOrder = append(nameOrder, seq)
-		}
-		nameGroups[seq] = append(nameGroups[seq], id)
-	}
-	maxNameGroup := len(c.Users) / 50
-	if maxNameGroup < 2*p.cfg.NameGroupMin {
-		maxNameGroup = 2 * p.cfg.NameGroupMin
-	}
-	var groups [][]socialnet.AccountID
-	for _, seq := range nameOrder {
-		g := nameGroups[seq]
-		if len(g) < p.cfg.NameGroupMin || len(g) > maxNameGroup {
-			continue
-		}
-		if classCount(seq) < 2 {
-			continue
-		}
-		groups = append(groups, g)
-	}
-	return groups
-}
-
-// clusterByDescription groups near-duplicate descriptions via MinHash.
-func (p *Pipeline) clusterByDescription(c *Corpus, ids []socialnet.AccountID) [][]socialnet.AccountID {
-	defer p.ins.clusterSecs.With("description").ObserveDuration(time.Now())
-	defer p.tr.StartSpan("label_cluster_description").End()
-	norms := parallel.Map(len(ids), p.cfg.Workers, func(i int) string {
-		return textutil.NormalizeDescription(c.Users[ids[i]].Description)
-	})
-	var descIDs []socialnet.AccountID
-	var texts []string
-	for i, id := range ids {
-		if norms[i] == "" {
-			continue
-		}
-		descIDs = append(descIDs, id)
-		texts = append(texts, norms[i])
-	}
-	var groups [][]socialnet.AccountID
-	for _, g := range clusterTexts(texts, p.cfg.DescSimilarity, p.cfg.Seed, p.cfg.Workers) {
-		if len(g) < 2 {
-			continue
-		}
-		group := make([]socialnet.AccountID, len(g))
-		for i, idx := range g {
-			group[i] = descIDs[idx]
-		}
-		groups = append(groups, group)
-	}
-	return groups
-}
-
-// clusterTweets returns near-duplicate tweet groups within the time window.
-// norms[i] is normalizedKey(c.Tweets[i]).
-func (p *Pipeline) clusterTweets(c *Corpus, norms []string) [][]*socialnet.Tweet {
-	defer p.ins.clusterSecs.With("tweets").ObserveDuration(time.Now())
-	defer p.tr.StartSpan("label_cluster_tweets").End()
-	var pool []*socialnet.Tweet
-	var texts []string
-	for i, t := range c.Tweets {
-		if len(norms[i]) < p.cfg.MinTweetLen {
-			continue
-		}
-		pool = append(pool, t)
-		texts = append(texts, norms[i])
-	}
-	var groups [][]*socialnet.Tweet
-	for _, g := range clusterTexts(texts, p.cfg.TweetSimilarity, p.cfg.Seed+1, p.cfg.Workers) {
-		if len(g) < 2 {
-			continue
-		}
-		members := make([]*socialnet.Tweet, len(g))
-		for i, idx := range g {
-			members[i] = pool[idx]
-		}
-		groups = append(groups, splitByWindow(members, p.cfg.TweetWindow)...)
-	}
-	return groups
-}
-
 // splitByWindow enforces the near-duplicate time window: it splits a
 // candidate group into time buckets — merged in bucket first-appearance
 // order so the group list is deterministic — and keeps buckets with at
@@ -605,7 +390,7 @@ func splitByWindow(members []*socialnet.Tweet, window time.Duration) [][]*social
 }
 
 // lshBands/lshRows shape the MinHash banding index: 16 bands × 4 rows over
-// a 64-permutation signature. clusterTexts (batch) and Store (incremental)
+// a 64-permutation signature. The Store and its from-scratch test oracle
 // must share them — the banding candidate sets define which pairs are even
 // considered for similarity confirmation. shingleWidth is the paper's
 // tri-gram shingling, shared for the same reason.
@@ -615,86 +400,10 @@ const (
 	shingleWidth = 3
 )
 
-// newLSHScheme builds the seeded 64-permutation MinHash scheme both paths
-// sign texts with.
+// newLSHScheme builds the seeded 64-permutation MinHash scheme texts are
+// signed with.
 func newLSHScheme(seed int64) *minhash.Scheme {
 	return minhash.NewScheme(lshBands*lshRows, rand.New(rand.NewSource(seed)))
-}
-
-// clusterTexts groups near-duplicate texts via MinHash banding + union-find
-// confirmation, returning groups of indices into texts.
-//
-// The expensive passes — signing, and the pairwise similarity confirmation
-// of banding candidates — fan out over the worker pool. The banding index
-// is built once up front; restricting each text's candidates to lower
-// indices reproduces exactly the pair set of an incremental
-// probe-then-insert loop (Store's join, which skips some of those pairs as
-// redundant), and the union-find merge itself runs sequentially in index
-// order, so the grouping is bit-identical at any worker count.
-func clusterTexts(texts []string, simThreshold float64, seed int64, workers int) [][]int {
-	if len(texts) == 0 {
-		return nil
-	}
-	scheme := newLSHScheme(seed)
-	sigs := parallel.Map(len(texts), workers, func(i int) minhash.Signature {
-		return scheme.SignText(texts[i], shingleWidth)
-	})
-
-	index := minhash.NewIndex(lshBands, lshRows)
-	for _, sig := range sigs {
-		index.Add(sig)
-	}
-
-	// Pairwise confirmation: for each text, the banding candidates below
-	// it that clear the similarity threshold. Candidates returns ids in
-	// ascending order, which here is the order of texts, so the candidates
-	// below i are a prefix. The probes only read the finished index.
-	matches := parallel.Map(len(texts), workers, func(i int) []int {
-		var ms []int
-		for _, cand := range index.Candidates(sigs[i]) {
-			if cand >= i {
-				break
-			}
-			if minhash.Similarity(sigs[i], sigs[cand]) >= simThreshold {
-				ms = append(ms, cand)
-			}
-		}
-		return ms
-	})
-
-	parent := make([]int, len(texts))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-	for i, ms := range matches {
-		for _, cand := range ms {
-			union(i, cand)
-		}
-	}
-
-	groupsByRoot := make(map[int][]int)
-	var rootOrder []int
-	for i := range texts {
-		root := find(i)
-		if len(groupsByRoot[root]) == 0 {
-			rootOrder = append(rootOrder, root)
-		}
-		groupsByRoot[root] = append(groupsByRoot[root], i)
-	}
-	// Deterministic group order: first-appearance order of each root.
-	groups := make([][]int, 0, len(groupsByRoot))
-	for _, root := range rootOrder {
-		groups = append(groups, groupsByRoot[root])
-	}
-	return groups
 }
 
 // classCount counts the distinct character classes in a Σ-Seq key

@@ -34,73 +34,95 @@ func collectCorpus(t testing.TB, hours int) (*Corpus, *socialnet.World) {
 	return NewCorpus(tweets, w.Account), w
 }
 
+// labelers are the two ways to label a finished corpus: the Store fed the
+// corpus stream in one batch, as every production caller does, and the
+// from-scratch batch oracle it is held to. Label-quality tests run both.
+var labelers = []struct {
+	name  string
+	label func(cfg Config, c *Corpus, oracle Oracle) *Result
+}{
+	{"store", func(cfg Config, c *Corpus, oracle Oracle) *Result {
+		st := NewStore(cfg)
+		feedStore(st, c, max(len(c.Tweets), 1), nil)
+		return st.Snapshot(oracle)
+	}},
+	{"oracle", func(cfg Config, c *Corpus, oracle Oracle) *Result {
+		return newPipeline(cfg).Run(c, oracle)
+	}},
+}
+
 func TestPipelineEndToEnd(t *testing.T) {
 	corpus, w := collectCorpus(t, 10)
 	if len(corpus.Tweets) == 0 {
 		t.Fatal("empty corpus")
 	}
-	p := NewPipeline(DefaultConfig())
-	oracle := NewNoisyOracle(w, 0.02, 7)
-	r := p.Run(corpus, oracle)
+	for _, lab := range labelers {
+		t.Run(lab.name, func(t *testing.T) {
+			r := lab.label(DefaultConfig(), corpus, NewNoisyOracle(w, 0.02, 7))
+			if r.TotalSpams() == 0 || r.TotalSpammers() == 0 {
+				t.Fatalf("no labels: spams=%d spammers=%d", r.TotalSpams(), r.TotalSpammers())
+			}
 
-	if r.TotalSpams() == 0 || r.TotalSpammers() == 0 {
-		t.Fatalf("no labels: spams=%d spammers=%d", r.TotalSpams(), r.TotalSpammers())
-	}
+			// Quality: labeled spams should be overwhelmingly true spam.
+			correct, wrong := 0, 0
+			byID := make(map[socialnet.TweetID]*socialnet.Tweet)
+			for _, tw := range corpus.Tweets {
+				byID[tw.ID] = tw
+			}
+			for id := range r.SpamTweets {
+				if byID[id].Spam {
+					correct++
+				} else {
+					wrong++
+				}
+			}
+			if precision := float64(correct) / float64(correct+wrong); precision < 0.85 {
+				t.Fatalf("labeled-spam precision %v too low (%d/%d)", precision, correct, correct+wrong)
+			}
 
-	// Quality: labeled spams should be overwhelmingly true spam.
-	correct, wrong := 0, 0
-	byID := make(map[socialnet.TweetID]*socialnet.Tweet)
-	for _, tw := range corpus.Tweets {
-		byID[tw.ID] = tw
-	}
-	for id := range r.SpamTweets {
-		if byID[id].Spam {
-			correct++
-		} else {
-			wrong++
-		}
-	}
-	if precision := float64(correct) / float64(correct+wrong); precision < 0.85 {
-		t.Fatalf("labeled-spam precision %v too low (%d/%d)", precision, correct, correct+wrong)
-	}
-
-	// Coverage: the pipeline should find a majority of the true spam.
-	trueSpam := 0
-	for _, tw := range corpus.Tweets {
-		if tw.Spam {
-			trueSpam++
-		}
-	}
-	if recall := float64(correct) / float64(trueSpam); recall < 0.5 {
-		t.Fatalf("labeled-spam recall %v too low", recall)
+			// Coverage: the pipeline should find a majority of the true spam.
+			trueSpam := 0
+			for _, tw := range corpus.Tweets {
+				if tw.Spam {
+					trueSpam++
+				}
+			}
+			if recall := float64(correct) / float64(trueSpam); recall < 0.5 {
+				t.Fatalf("labeled-spam recall %v too low", recall)
+			}
+		})
 	}
 }
 
 func TestPipelineMethodOrderingMatchesTableIII(t *testing.T) {
 	corpus, w := collectCorpus(t, 10)
-	p := NewPipeline(DefaultConfig())
-	r := p.Run(corpus, NewNoisyOracle(w, 0.02, 7))
+	for _, lab := range labelers {
+		t.Run(lab.name, func(t *testing.T) {
+			r := lab.label(DefaultConfig(), corpus, NewNoisyOracle(w, 0.02, 7))
 
-	counts := r.Counts()
-	if len(counts) != 4 {
-		t.Fatalf("Counts rows = %d, want 4", len(counts))
-	}
-	byMethod := make(map[Method]MethodCount)
-	for _, c := range counts {
-		byMethod[c.Method] = c
-	}
-	// The paper's Table III ordering: suspended > clustering > rules >
-	// manual for spam labels. Require the dominant ordering: suspended
-	// contributes the most, manual the least among non-zero stages.
-	if byMethod[MethodSuspended].Spams == 0 {
-		t.Fatal("suspended stage labeled nothing")
-	}
-	if byMethod[MethodSuspended].Spams < byMethod[MethodManual].Spams {
-		t.Fatalf("manual (%d) out-labeled suspended (%d)",
-			byMethod[MethodManual].Spams, byMethod[MethodSuspended].Spams)
-	}
-	if byMethod[MethodClustering].Spams == 0 {
-		t.Fatal("clustering stage labeled nothing")
+			counts := r.Counts()
+			if len(counts) != 4 {
+				t.Fatalf("Counts rows = %d, want 4", len(counts))
+			}
+			byMethod := make(map[Method]MethodCount)
+			for _, c := range counts {
+				byMethod[c.Method] = c
+			}
+			// The paper's Table III ordering: suspended > clustering >
+			// rules > manual for spam labels. Require the dominant
+			// ordering: suspended contributes the most, manual the least
+			// among non-zero stages.
+			if byMethod[MethodSuspended].Spams == 0 {
+				t.Fatal("suspended stage labeled nothing")
+			}
+			if byMethod[MethodSuspended].Spams < byMethod[MethodManual].Spams {
+				t.Fatalf("manual (%d) out-labeled suspended (%d)",
+					byMethod[MethodManual].Spams, byMethod[MethodSuspended].Spams)
+			}
+			if byMethod[MethodClustering].Spams == 0 {
+				t.Fatal("clustering stage labeled nothing")
+			}
+		})
 	}
 }
 
@@ -122,7 +144,7 @@ func TestSuspendedStage(t *testing.T) {
 		Spammers:   make(map[socialnet.AccountID]Method),
 		Benign:     make(map[socialnet.AccountID]Method),
 	}
-	NewPipeline(DefaultConfig()).labelSuspended(c, r)
+	newPipeline(DefaultConfig()).labelSuspended(c, r)
 	if r.Spammers[1] != MethodSuspended {
 		t.Fatal("suspended user not labeled spammer")
 	}
@@ -195,7 +217,7 @@ func TestSeedWhitelist(t *testing.T) {
 		Spammers:   make(map[socialnet.AccountID]Method),
 		Benign:     make(map[socialnet.AccountID]Method),
 	}
-	p := NewPipeline(DefaultConfig())
+	p := newPipeline(DefaultConfig())
 	p.labelRules(c, r, p.tweetNorms(c))
 	if _, ok := r.SpamTweets[1]; ok {
 		t.Fatal("seed tweet labeled spam")
@@ -232,7 +254,7 @@ func TestClusteringPropagatesThroughCampaign(t *testing.T) {
 	first.Suspended = true
 
 	c := &Corpus{Tweets: tweets, Users: users}
-	p := NewPipeline(DefaultConfig())
+	p := newPipeline(DefaultConfig())
 	r := &Result{
 		SpamTweets: make(map[socialnet.TweetID]Method),
 		HamTweets:  make(map[socialnet.TweetID]Method),
@@ -284,7 +306,7 @@ func TestManualCheckCleansFalseSuspensions(t *testing.T) {
 		{ID: 1, AuthorID: victim.ID, Text: "an ordinary benign tweet", CreatedAt: now},
 	}
 	c := &Corpus{Tweets: tweets, Users: map[socialnet.AccountID]*socialnet.Account{victim.ID: victim}}
-	p := NewPipeline(DefaultConfig())
+	p := newPipeline(DefaultConfig())
 	r := p.Run(c, NewPerfectOracle(w))
 	if _, ok := r.Spammers[victim.ID]; ok {
 		t.Fatal("manual check failed to clear falsely suspended user")
@@ -298,38 +320,44 @@ func TestManualBudgetBoundsQueries(t *testing.T) {
 	corpus, w := collectCorpus(t, 4)
 	cfg := DefaultConfig()
 	cfg.ManualBudget = 10
-	p := NewPipeline(cfg)
-	r := p.Run(corpus, NewPerfectOracle(w))
-	labeled := 0
-	for _, m := range r.SpamTweets {
-		if m == MethodManual {
-			labeled++
-		}
-	}
-	for _, m := range r.HamTweets {
-		if m == MethodManual {
-			labeled++
-		}
-	}
-	// Manual labels on previously-unlabeled tweets are capped by budget;
-	// verification flips can add more ham labels, so only check the cap
-	// loosely via ManualChecks accounting: at most every tweet verified
-	// once + every user verified once + the unlabeled budget.
-	if labeled == 0 {
-		t.Fatal("manual stage labeled nothing")
-	}
-	bound := len(corpus.Tweets) + len(corpus.Users) + 10
-	if r.ManualChecks > bound {
-		t.Fatalf("manual check count %d exceeds bound %d", r.ManualChecks, bound)
+	for _, lab := range labelers {
+		t.Run(lab.name, func(t *testing.T) {
+			r := lab.label(cfg, corpus, NewPerfectOracle(w))
+			labeled := 0
+			for _, m := range r.SpamTweets {
+				if m == MethodManual {
+					labeled++
+				}
+			}
+			for _, m := range r.HamTweets {
+				if m == MethodManual {
+					labeled++
+				}
+			}
+			// Manual labels on previously-unlabeled tweets are capped by
+			// budget; verification flips can add more ham labels, so only
+			// check the cap loosely via ManualChecks accounting: at most
+			// every tweet verified once + every user verified once + the
+			// unlabeled budget.
+			if labeled == 0 {
+				t.Fatal("manual stage labeled nothing")
+			}
+			bound := len(corpus.Tweets) + len(corpus.Users) + 10
+			if r.ManualChecks > bound {
+				t.Fatalf("manual check count %d exceeds bound %d", r.ManualChecks, bound)
+			}
+		})
 	}
 }
 
 func TestNilOracleSkipsManualStage(t *testing.T) {
 	corpus, _ := collectCorpus(t, 3)
-	p := NewPipeline(DefaultConfig())
-	r := p.Run(corpus, nil)
-	if r.ManualChecks != 0 {
-		t.Fatal("manual checks ran without an oracle")
+	for _, lab := range labelers {
+		t.Run(lab.name, func(t *testing.T) {
+			if r := lab.label(DefaultConfig(), corpus, nil); r.ManualChecks != 0 {
+				t.Fatal("manual checks ran without an oracle")
+			}
+		})
 	}
 }
 
@@ -442,7 +470,7 @@ func TestTweetWindowSplitsGroups(t *testing.T) {
 		},
 		Users: map[socialnet.AccountID]*socialnet.Account{},
 	}
-	p := NewPipeline(DefaultConfig())
+	p := newPipeline(DefaultConfig())
 	groups := p.clusterTweets(c, p.tweetNorms(c))
 	for _, g := range groups {
 		for _, tw := range g {
@@ -460,12 +488,16 @@ func TestResultIsSpam(t *testing.T) {
 	}
 }
 
+// TestClusterPassTimings: each Snapshot observes every clustering pass
+// once, on the store's own registry.
 func TestClusterPassTimings(t *testing.T) {
 	corpus, w := collectCorpus(t, 3)
 	reg := metrics.NewRegistry()
 	cfg := DefaultConfig()
 	cfg.Metrics = reg
-	NewPipeline(cfg).Run(corpus, NewNoisyOracle(w, 0.02, 7))
+	st := NewStore(cfg)
+	feedStore(st, corpus, 16, nil)
+	st.Snapshot(NewNoisyOracle(w, 0.02, 7))
 
 	passes := reg.HistogramVec("ph_label_cluster_seconds", "", nil, "pass")
 	for _, pass := range []string{"image", "name", "description", "tweets"} {

@@ -2,17 +2,17 @@ package label
 
 import "github.com/pseudo-honeypot/pseudohoneypot/internal/metrics"
 
-// pipelineInstruments times the labeling pipeline's clustering passes
-// (DESIGN.md §9) — the dominant cost of the ground-truth stage.
-type pipelineInstruments struct {
+// storeInstruments times the store's clustering passes (DESIGN.md §9): the
+// materialization of each group list at Snapshot.
+type storeInstruments struct {
 	clusterSecs *metrics.HistogramVec
 }
 
-func newPipelineInstruments(r *metrics.Registry) *pipelineInstruments {
+func newStoreInstruments(r *metrics.Registry) *storeInstruments {
 	if r == nil {
 		r = metrics.Default()
 	}
-	return &pipelineInstruments{
+	return &storeInstruments{
 		clusterSecs: r.HistogramVec("ph_label_cluster_seconds",
 			"Clustering pass wall time, by pass (image, name, description, tweets).",
 			nil, "pass"),

@@ -2,6 +2,7 @@ package label
 
 import (
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/minhash"
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/parallel"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/textutil"
 )
@@ -79,8 +80,8 @@ func (p *Prepper) PrepUser(profile *socialnet.Account) UserPrep {
 }
 
 // AddBatchPrepared ingests one micro-batch whose pure precompute already
-// happened elsewhere, applying the stateful index joins sequentially in
-// stream order — the one ingest path; AddBatch is a prep in front of it.
+// happened elsewhere, applying the stateful index joins in stream order —
+// the one ingest path; AddBatch is a prep in front of it.
 // tweetPreps[i] must be PrepTweet(tweets[i]); userPreps[i], when non-nil,
 // must be PrepUser of authors[i]'s capture-time profile. A nil userPrep for
 // a first-appearance author is recomputed inline (shard workers dedupe
@@ -96,24 +97,31 @@ func (s *Store) AddBatchPrepared(tweets []*socialnet.Tweet, authors, profiles []
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	// User joins and tweet joins hit disjoint indices, so applying all of
-	// the batch's first-appearance users first preserves the global
-	// author-first-appearance sequence.
-	for _, i := range s.firstAppearancesLocked(authors) {
-		up := userPreps[i]
-		if up == nil || !sigShapeOK(up.DescSig) {
-			p := s.prep.PrepUser(profileOr(profiles[i], authors[i]))
-			up = &p
-		}
-		s.addUserLocked(authors[i], *up)
-	}
+	// User joins and tweet joins touch disjoint state (the profile indices;
+	// the stream mirror, near-duplicate index and rule state), so the two
+	// halves run concurrently, each in stream order — the users half keeps
+	// the global author-first-appearance sequence.
+	first := s.firstAppearancesLocked(authors)
 	spam := make([]bool, len(tweets))
-	for i, t := range tweets {
-		tp := tweetPreps[i]
-		if !sigShapeOK(tp.Sig) {
-			tp = s.prep.PrepTweet(t)
+	parallel.ForEach(2, s.cfg.Workers, func(half int) {
+		if half == 0 {
+			for _, i := range first {
+				up := userPreps[i]
+				if up == nil || !sigShapeOK(up.DescSig) {
+					p := s.prep.PrepUser(profileOr(profiles[i], authors[i]))
+					up = &p
+				}
+				s.addUserLocked(authors[i], *up)
+			}
+			return
 		}
-		spam[i] = s.addTweetLocked(t, profileOr(profiles[i], authors[i]), tp)
-	}
+		for i, t := range tweets {
+			tp := tweetPreps[i]
+			if !sigShapeOK(tp.Sig) {
+				tp = s.prep.PrepTweet(t)
+			}
+			spam[i] = s.addTweetLocked(t, profileOr(profiles[i], authors[i]), tp)
+		}
+	})
 	return spam
 }

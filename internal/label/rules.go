@@ -30,7 +30,7 @@ var (
 // labelRules applies the paper's rule-based labeling to the not-yet-labeled
 // remainder: malicious URLs, repetitive content, keyword rules, and the
 // seed-account whitelist. norms[i] is normalizedKey(c.Tweets[i]).
-func (p *Pipeline) labelRules(c *Corpus, r *Result, norms []string) {
+func (p *pipeline) labelRules(c *Corpus, r *Result, norms []string) {
 	// Repetition counting over normalized, mention-stripped text.
 	repeats := make(map[string]int, len(c.Tweets))
 	for _, key := range norms {
@@ -119,7 +119,7 @@ func normalizedKey(t *socialnet.Tweet) string {
 // label against the oracle (flipping mistakes, e.g. falsely suspended
 // benign users), then spend the remaining budget labeling a sample of the
 // unlabeled tweets.
-func (p *Pipeline) manualCheck(c *Corpus, r *Result, oracle Oracle) {
+func (p *pipeline) manualCheck(c *Corpus, r *Result, oracle Oracle) {
 	if oracle == nil {
 		return
 	}

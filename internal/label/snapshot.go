@@ -7,6 +7,7 @@ import (
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/imagehash"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/minhash"
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/parallel"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 )
 
@@ -142,6 +143,12 @@ func (s *Store) ReadSnapshot(r io.Reader, resolve func(socialnet.AccountID) *soc
 		}
 	}
 
+	// The rules pass reads each tweet's normalized text; the checkpoint
+	// does not carry it, so it is recomputed here.
+	norms := parallel.Map(len(snap.Tweets), s.cfg.Workers, func(i int) string {
+		return normalizedKey(&snap.Tweets[i])
+	})
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -149,6 +156,7 @@ func (s *Store) ReadSnapshot(r io.Reader, resolve func(socialnet.AccountID) *soc
 	for i := range snap.Tweets {
 		s.tweets[i] = &snap.Tweets[i]
 	}
+	s.norms = norms
 	s.userOrder = snap.UserOrder
 	s.users = make(map[socialnet.AccountID]*socialnet.Account, len(snap.UserOrder))
 	for i, id := range snap.UserOrder {

@@ -12,7 +12,8 @@ import (
 // TestStoreSnapshotRestoreResumesStream is the checkpoint-equivalence
 // property: feed half the stream, serialize, restore into a FRESH store,
 // feed the rest, and the final groups and Snapshot must equal the full-batch
-// oracle's — i.e. a crash between the halves is invisible. The adversarial
+// oracle's and the uninterrupted store's — i.e. a crash between the halves
+// is invisible. The adversarial
 // corpus puts half of its 300-tweet campaign on each side of the cut, so the
 // restored union-find and banding index have to carry it across.
 func TestStoreSnapshotRestoreResumesStream(t *testing.T) {
@@ -46,11 +47,18 @@ func TestStoreSnapshotRestoreResumesStream(t *testing.T) {
 	feedStore(restored, rest, 13, nil)
 	requireStoreMatchesBatch(t, restored, DefaultConfig(), corpus, w)
 
-	// … and equals the store that never stopped.
+	// … and equals the store that never stopped, groups and labels: the
+	// restored store's normalized texts were recomputed, not restored.
 	feedStore(st, rest, 13, nil)
 	if !reflect.DeepEqual(st.tweetGroupsLocked(), restored.tweetGroupsLocked()) ||
 		!reflect.DeepEqual(st.descGroupsLocked(), restored.descGroupsLocked()) {
 		t.Fatal("restored store's groups diverged from the uninterrupted store's")
+	}
+	if !reflect.DeepEqual(st.norms, restored.norms) {
+		t.Fatal("restored store's normalized texts diverged from the uninterrupted store's")
+	}
+	if want, got := st.Snapshot(NewNoisyOracle(w, 0.02, 7)), restored.Snapshot(NewNoisyOracle(w, 0.02, 7)); !reflect.DeepEqual(want, got) {
+		t.Fatal("restored store's Snapshot diverged from the uninterrupted store's")
 	}
 }
 

@@ -2,6 +2,7 @@ package label
 
 import (
 	"sync"
+	"time"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/imagehash"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/minhash"
@@ -10,29 +11,29 @@ import (
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/trace"
 )
 
-// Store is the incremental labeling state behind the streaming pipeline's
-// label stage (DESIGN.md §12). Where the batch Pipeline reclusters the
-// whole corpus on every Run, the Store keeps the cluster indices alive —
-// the image-dHash grouper, the Σ-Seq name classes, and the MinHash banding
-// indices (plus union-find) for descriptions and near-duplicate tweets —
-// so ingesting a capture costs ~O(cluster lookup): one grouper probe, one
-// map insert, and two LSH band probes, instead of a full recluster. A probe's
-// candidates are confirmed with minhash.Similarity only where the union-find
-// has not already put them in the new item's set (see join): a union inside
-// one set changes nothing, so the partition is the one all-pairs
-// confirmation builds, and Snapshot reads nothing of the union-find but its
-// partition.
+// Store is the labeler (DESIGN.md §12): every topology, the experiments
+// runner and the examples label through it, streaming callers one
+// micro-batch at a time and batch callers with one AddBatch of the finished
+// corpus. It keeps the cluster indices alive — the image-dHash grouper, the
+// Σ-Seq name classes, and the MinHash banding indices (plus union-find) for
+// descriptions and near-duplicate tweets — so ingesting a capture costs
+// ~O(cluster lookup): one grouper probe, one map insert, and two LSH band
+// probes, instead of a full recluster. A probe's candidates are confirmed
+// with minhash.Similarity only where the union-find has not already put
+// them in the new item's set (see join): a union inside one set changes
+// nothing, so the partition is the one all-pairs confirmation builds, and
+// Snapshot reads nothing of the union-find but its partition.
 //
-// Snapshot then materializes groups from the live indices and runs the
-// batch pipeline's own propagation/rules/manual passes over them, so on
-// any stream Snapshot's Result is identical to Pipeline.Run over the
-// equivalent corpus — the full-batch path stays the correctness oracle,
-// and the equivalence is pinned by TestStoreMatchesBatchOracle.
+// Snapshot materializes groups from the live indices and runs the
+// propagation/rules/manual passes over them. Its Result on any stream is
+// the one a from-scratch recluster of the equivalent corpus gives; that
+// recluster survives only in the tests, as the oracle
+// TestStoreMatchesBatchOracle holds the Store to.
 //
 // The determinism hinges on insertion order: the image Grouper assigns a
 // hash to the lowest-numbered group within threshold, so its partition
-// depends on the order hashes arrive. Both paths therefore use the same
-// order — author first-appearance in stream order (see corpusUserIDs).
+// depends on the order hashes arrive. Users join in author first-appearance
+// order in the stream, whatever the batching.
 //
 // A Store is safe for one writer (the label stage goroutine) plus
 // Snapshot/Len from any goroutine; all methods take the store mutex.
@@ -40,8 +41,10 @@ type Store struct {
 	mu  sync.Mutex
 	cfg Config
 
-	// Stream mirror: the corpus Snapshot rebuilds.
+	// Stream mirror: the corpus Snapshot rebuilds. norms[i] is
+	// normalizedKey(tweets[i]), kept from the prep for the rules pass.
 	tweets    []*socialnet.Tweet
+	norms     []string
 	users     map[socialnet.AccountID]*socialnet.Account
 	userOrder []socialnet.AccountID
 
@@ -74,11 +77,12 @@ type Store struct {
 	// time (see SetResolver).
 	resolve func(socialnet.AccountID) *socialnet.Account
 
+	ins       *storeInstruments
 	lastTrace *trace.Trace
 }
 
-// NewStore creates an incremental label store (zero-value cfg fields fall
-// back to DefaultConfig values, exactly as NewPipeline's do).
+// NewStore creates a label store (zero-value cfg fields fall back to
+// DefaultConfig values).
 func NewStore(cfg Config) *Store {
 	cfg = cfg.withDefaults()
 	s := &Store{
@@ -93,6 +97,7 @@ func NewStore(cfg Config) *Store {
 		twIndex:     minhash.NewIndex(lshBands, lshRows),
 		twUF:        &unionFind{},
 		repeats:     make(map[string]int),
+		ins:         newStoreInstruments(cfg.Metrics),
 	}
 	s.img.SetWorkers(cfg.Workers)
 	return s
@@ -116,11 +121,11 @@ func (s *Store) SetResolver(resolve func(socialnet.AccountID) *socialnet.Account
 
 // Add ingests one capture: t joins the live cluster indices, and — on the
 // author's first appearance — so does the author's profile. author is the
-// live account retained for the snapshot corpus (exactly what the batch
-// path's lookup resolves); profile is the capture-time profile snapshot
-// the index insertions and the provisional check read, so Add never races
-// with the engine mutating the live account. profile may equal author
-// when the caller is single-threaded with the stream (batch tests).
+// live account retained for the snapshot corpus; profile is the
+// capture-time profile snapshot the index insertions and the provisional
+// check read, so Add never races with the engine mutating the live
+// account. profile may equal author when the caller is single-threaded
+// with the stream, as a batch caller labeling a finished corpus is.
 //
 // The returned provisional flag is the stream-time spam estimate feeding
 // the online detector: platform-suspended author or a rule hit against
@@ -189,8 +194,8 @@ func (s *Store) addUserLocked(u *socialnet.Account, up UserPrep) {
 	s.users[u.ID] = u
 	s.userOrder = append(s.userOrder, u.ID)
 
-	// Image: the grouper assigns the lowest matching group id — the same
-	// call, in the same global order, as the batch pass.
+	// Image: the grouper assigns the lowest matching group id, so users
+	// must arrive in the global author first-appearance order.
 	if !u.DefaultProfileImage {
 		g := s.img.Add(u.ProfileImageHash)
 		if len(s.imgMembers[g]) == 0 {
@@ -236,6 +241,7 @@ func join(ix *minhash.Index, uf *unionFind, sig minhash.Signature, threshold flo
 // index, and the rule state, returning the provisional spam flag.
 func (s *Store) addTweetLocked(t *socialnet.Tweet, profile *socialnet.Account, p TweetPrep) bool {
 	s.tweets = append(s.tweets, t)
+	s.norms = append(s.norms, p.Norm)
 	s.repeats[p.Norm]++
 	if p.Sig != nil {
 		join(s.twIndex, s.twUF, p.Sig, s.cfg.TweetSimilarity)
@@ -256,15 +262,15 @@ func (s *Store) Len() (tweets, users int) {
 
 // Snapshot labels everything ingested so far: it rebuilds the corpus from
 // the stream mirror, materializes cluster groups from the live indices,
-// and runs the batch pipeline's propagation, rule, and manual passes over
-// them with a fresh Pipeline (fresh manual-stage rng seeded cfg.Seed, same
-// as a batch Run). The store stays usable afterwards — streaming resumes
-// and later Snapshots see the longer stream.
+// and runs the propagation, rule, and manual passes over them with a fresh
+// pipeline (fresh manual-stage rng seeded cfg.Seed). The store stays usable
+// afterwards — streaming resumes and later Snapshots see the longer stream.
 func (s *Store) Snapshot(oracle Oracle) *Result {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// The lock is held throughout, so the corpus may alias the mirror.
 	c := &Corpus{
-		Tweets: append([]*socialnet.Tweet(nil), s.tweets...),
+		Tweets: s.tweets,
 		Users:  make(map[socialnet.AccountID]*socialnet.Account, len(s.users)),
 	}
 	for id, u := range s.users {
@@ -275,34 +281,43 @@ func (s *Store) Snapshot(oracle Oracle) *Result {
 		}
 		c.Users[id] = u
 	}
-	p := NewPipeline(s.cfg)
-	r := p.run(c, oracle, func(*Corpus, []string) ([][]socialnet.AccountID, [][]*socialnet.Tweet) {
+	p := newPipeline(s.cfg)
+	r := p.run(c, s.norms, oracle, func() ([][]socialnet.AccountID, [][]*socialnet.Tweet) {
 		var userGroups [][]socialnet.AccountID
-		for _, fn := range []func() [][]socialnet.AccountID{
-			func() [][]socialnet.AccountID {
-				defer p.tr.StartSpan("label_cluster_image").End()
-				return s.imageGroupsLocked()
-			},
-			func() [][]socialnet.AccountID {
-				defer p.tr.StartSpan("label_cluster_name").End()
-				return s.nameGroupsLocked()
-			},
-			func() [][]socialnet.AccountID {
-				defer p.tr.StartSpan("label_cluster_description").End()
-				return s.descGroupsLocked()
-			},
+		for _, pass := range []struct {
+			name   string
+			groups func() [][]socialnet.AccountID
+		}{
+			{"image", s.imageGroupsLocked},
+			{"name", s.nameGroupsLocked},
+			{"description", s.descGroupsLocked},
 		} {
-			userGroups = append(userGroups, fn()...)
+			end := s.clusterPass(p.tr, pass.name)
+			userGroups = append(userGroups, pass.groups()...)
+			end()
 		}
-		defer p.tr.StartSpan("label_cluster_tweets").End()
+		defer s.clusterPass(p.tr, "tweets")()
 		return userGroups, s.tweetGroupsLocked()
 	})
-	s.lastTrace = p.LastTrace()
+	s.lastTrace = p.tr
 	return r
 }
 
+// clusterPass opens one clustering pass of Snapshot: a
+// label_cluster_<pass> span on tr and a ph_label_cluster_seconds{pass}
+// observation, both closed by the returned func.
+func (s *Store) clusterPass(tr *trace.Trace, pass string) (end func()) {
+	sp := tr.StartSpan("label_cluster_" + pass)
+	start := time.Now()
+	return func() {
+		sp.End()
+		s.ins.clusterSecs.With(pass).ObserveDuration(start)
+	}
+}
+
 // LastTrace returns the trace of the most recent Snapshot (nil when
-// tracing is off), mirroring Pipeline.LastTrace.
+// tracing is off). Callers adopt its pass spans into the capture traces
+// that fed the stream.
 func (s *Store) LastTrace() *trace.Trace {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -310,7 +325,7 @@ func (s *Store) LastTrace() *trace.Trace {
 }
 
 // imageGroupsLocked materializes image groups (≥2 members) in group
-// first-appearance order — the order clusterByImage emits.
+// first-appearance order.
 func (s *Store) imageGroupsLocked() [][]socialnet.AccountID {
 	var groups [][]socialnet.AccountID
 	for _, gi := range s.imgOrder {
@@ -321,9 +336,11 @@ func (s *Store) imageGroupsLocked() [][]socialnet.AccountID {
 	return groups
 }
 
-// nameGroupsLocked materializes Σ-Seq groups with clusterByName's
-// snapshot-time hygiene filters: size within [NameGroupMin, maxNameGroup]
-// and at least two character classes.
+// nameGroupsLocked materializes Σ-Seq groups with at least NameGroupMin
+// members. Two hygiene rules keep the false-positive rate low (the paper's
+// regex-learned patterns are similarly specific): a usable shape must mix
+// at least two character classes, and a shape shared by a large fraction
+// of the users (over maxNameGroup) carries no campaign signal.
 func (s *Store) nameGroupsLocked() [][]socialnet.AccountID {
 	maxNameGroup := len(s.users) / 50
 	if maxNameGroup < 2*s.cfg.NameGroupMin {
@@ -345,7 +362,7 @@ func (s *Store) nameGroupsLocked() [][]socialnet.AccountID {
 
 // descGroupsLocked materializes description partitions (≥2 members) from
 // the union-find, in root first-appearance order with members in
-// insertion order — exactly clusterTexts' group shape.
+// insertion order.
 func (s *Store) descGroupsLocked() [][]socialnet.AccountID {
 	var groups [][]socialnet.AccountID
 	for _, part := range s.descUF.partitions() {
@@ -362,7 +379,7 @@ func (s *Store) descGroupsLocked() [][]socialnet.AccountID {
 }
 
 // tweetGroupsLocked materializes near-duplicate tweet groups from the
-// union-find, split into time-window buckets like clusterTweets.
+// union-find, split into time-window buckets.
 func (s *Store) tweetGroupsLocked() [][]*socialnet.Tweet {
 	var groups [][]*socialnet.Tweet
 	for _, part := range s.twUF.partitions() {
@@ -402,8 +419,7 @@ func (u *unionFind) union(a, b int) {
 }
 
 // partitions returns every component's member indices in ascending order,
-// components ordered by first-appearing member — the same shape
-// clusterTexts' root-first-appearance grouping produces.
+// components ordered by first-appearing member.
 func (u *unionFind) partitions() [][]int {
 	byRoot := make(map[int][]int)
 	var rootOrder []int

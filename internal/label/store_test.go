@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -152,10 +153,10 @@ func adversarialCorpus(t testing.TB) (*Corpus, *socialnet.World, planted) {
 
 // requireStoreMatchesBatch fails unless st, fed corpus, holds the batch
 // oracle's near-duplicate groups — same members, same order — and labels
-// the stream exactly as Pipeline.Run does.
+// the stream exactly as the oracle's Run does.
 func requireStoreMatchesBatch(t *testing.T, st *Store, cfg Config, corpus *Corpus, w *socialnet.World) {
 	t.Helper()
-	p := NewPipeline(cfg)
+	p := newPipeline(cfg)
 	if want, got := p.clusterTweets(corpus, p.tweetNorms(corpus)), st.tweetGroupsLocked(); !reflect.DeepEqual(want, got) {
 		t.Fatalf("tweet groups diverged from the batch oracle: %d groups, want %d", len(got), len(want))
 	}
@@ -180,7 +181,7 @@ func requireStoreMatchesBatch(t *testing.T, st *Store, cfg Config, corpus *Corpu
 // at a time or micro-batched, through AddBatch or through a Prepper plus
 // AddBatchPrepared, at several worker counts — must hold the near-duplicate
 // groups of the full-batch oracle and produce a Snapshot deeply equal to
-// its Pipeline.Run over the same data, so the three ingest routes are
+// its Run over the same data, so the three ingest routes are
 // bit-identical to each other.
 func TestStoreMatchesBatchOracle(t *testing.T) {
 	corpus, w, pl := adversarialCorpus(t)
@@ -302,7 +303,7 @@ func TestStoreSnapshotIsRepeatable(t *testing.T) {
 	st := NewStore(DefaultConfig())
 	feedStore(st, prefix, 13, nil)
 	gotHalf := st.Snapshot(NewNoisyOracle(w, 0.02, 7))
-	wantHalf := NewPipeline(DefaultConfig()).Run(prefix, NewNoisyOracle(w, 0.02, 7))
+	wantHalf := newPipeline(DefaultConfig()).Run(prefix, NewNoisyOracle(w, 0.02, 7))
 	if !reflect.DeepEqual(wantHalf, gotHalf) {
 		t.Fatal("mid-stream snapshot diverged from the prefix batch oracle")
 	}
@@ -312,7 +313,7 @@ func TestStoreSnapshotIsRepeatable(t *testing.T) {
 	})
 	feedStore(st, rest, 13, nil)
 	got := st.Snapshot(NewNoisyOracle(w, 0.02, 7))
-	want := NewPipeline(DefaultConfig()).Run(corpus, NewNoisyOracle(w, 0.02, 7))
+	want := newPipeline(DefaultConfig()).Run(corpus, NewNoisyOracle(w, 0.02, 7))
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("post-resume snapshot diverged from the full batch oracle")
 	}
@@ -436,4 +437,49 @@ func BenchmarkStoreAddBatch(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(corpus.Tweets)), "ns/tweet")
+}
+
+// BenchmarkLabelCorpus labels one collected corpus the way every
+// production caller does — one AddBatch into a fresh Store, then Snapshot —
+// and reports the from-scratch oracle's time over the Store's as
+// speedup-vs-reference, with both labelers' allocations per tweet.
+func BenchmarkLabelCorpus(b *testing.B) {
+	corpus, w := collectCorpus(b, 8)
+	cfg := DefaultConfig()
+	oracle := NewNoisyOracle(w, 0.02, 7)
+	perTweet := func(before, after *runtime.MemStats, runs int) float64 {
+		return float64(after.Mallocs-before.Mallocs) / float64(runs*len(corpus.Tweets))
+	}
+	var before, after runtime.MemStats
+	refOnce := func() time.Duration {
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		newPipeline(cfg).Run(corpus, oracle)
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		return elapsed
+	}
+	refOnce() // warm caches
+	const refRuns = 3
+	var ref time.Duration
+	var refAllocs float64
+	for i := 0; i < refRuns; i++ {
+		ref += refOnce() / refRuns
+		refAllocs += perTweet(&before, &after, refRuns)
+	}
+
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := NewStore(cfg)
+		feedStore(st, corpus, len(corpus.Tweets), nil)
+		st.Snapshot(oracle)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	if per := b.Elapsed() / time.Duration(b.N); per > 0 {
+		b.ReportMetric(ref.Seconds()/per.Seconds(), "speedup-vs-reference")
+	}
+	b.ReportMetric(perTweet(&before, &after, b.N), "allocs/tweet")
+	b.ReportMetric(refAllocs, "ref-allocs/tweet")
 }

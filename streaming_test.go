@@ -23,6 +23,9 @@ import (
 // mode see the identical tweet stream.
 func runDetection(t *testing.T, cfg SnifferConfig, hours int) *DetectionResult {
 	t.Helper()
+	if cfg.Metrics == nil {
+		cfg.Metrics = NewMetricsRegistry()
+	}
 	sim := testSimulation(t)
 	sniffer, err := NewSniffer(sim, cfg)
 	if err != nil {
@@ -34,13 +37,22 @@ func runDetection(t *testing.T, cfg SnifferConfig, hours int) *DetectionResult {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The labeler reports to the sniffer's registry, whatever the topology:
+	// one observation per clustering pass for the one DetectAll.
+	passes := cfg.Metrics.HistogramVec("ph_label_cluster_seconds", "", nil, "pass")
+	for _, pass := range []string{"image", "name", "description", "tweets"} {
+		if got := passes.With(pass).Count(); got != 1 {
+			t.Fatalf("ph_label_cluster_seconds{pass=%q} has %d observations in the sniffer's registry, want 1", pass, got)
+		}
+	}
 	return res
 }
 
-// TestStreamingMatchesBatch is the tentpole's acceptance property: with the
-// same seed, the micro-batched streaming run must be identical to the
-// synchronous batch run — result counts, every label, and the PGE ranking —
-// at several worker counts and micro-batch shapes.
+// TestStreamingMatchesBatch checks topologies, not labelers: both label
+// through a label.Store. With the same seed, the micro-batched streaming
+// run must be identical to the synchronous batch run — result counts,
+// every label, and the PGE ranking — at several worker counts and
+// micro-batch shapes.
 func TestStreamingMatchesBatch(t *testing.T) {
 	base := SnifferConfig{Specs: RandomSpec(120), Seed: 1}
 	for _, workers := range []string{"1", "2", "8"} {
