@@ -108,15 +108,18 @@ bench-smoke:
 # over a small world's captures. LabelCorpus labels one collected corpus
 # through the Store (AddBatch + Snapshot) and reports speedup-vs-reference
 # against the from-scratch batch clusterer kept as its test oracle, with
-# allocs/tweet for both. The last four lines are what no bench/
+# allocs/tweet for both. NewWorld generates the bench-scale world (20,000
+# accounts, seed 1) that every bench/ row builds as setup_s, with allocs;
+# its avatar-hashing pass runs on the pool. The last four lines are what no bench/
 # workload covers: the WAL fsync-cadence sweep and log recovery, reading
 # one server hour's stream lines (Next + DecodeTweet), Source/MuxSource
 # ingest overhead, and what proc shard mode's extract RPC adds to a
 # 64-capture batch (socket excluded).
 bench:
-	$(GO) test -run NONE -bench 'TreeFit|ForestFit|BoostFit|CrossValidate|DetectorClassify|Rotate|SignText|IndexAddProbe|StoreAddBatch|LabelCorpus' \
+	$(GO) test -run NONE -bench 'TreeFit|ForestFit|BoostFit|CrossValidate|DetectorClassify|Rotate|SignText|IndexAddProbe|StoreAddBatch|LabelCorpus|NewWorld' \
 		./internal/ml/tree/ ./internal/ml/forest/ ./internal/ml/boost/ \
-		./internal/ml/ ./internal/core/ ./internal/minhash/ ./internal/label/
+		./internal/ml/ ./internal/core/ ./internal/minhash/ ./internal/label/ \
+		./internal/socialnet/
 	$(GO) test -run NONE -bench 'ObsDisabled' ./internal/obs/
 	$(GO) test -run NONE -bench 'WALAppend|Recover' ./internal/store/
 	$(GO) test -run NONE -bench 'StreamNext' ./internal/twitterapi/

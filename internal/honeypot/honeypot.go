@@ -19,7 +19,6 @@ import (
 	"math/rand"
 	"time"
 
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/imagehash"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 )
 
@@ -81,7 +80,7 @@ func Deploy(world *socialnet.World, cfg Config, now time.Time) *Deployment {
 			FriendsCount:     cfg.Friends,
 			FollowersCount:   rng.Intn(5), // nobody follows a day-old account
 			ProfileImageSeed: imgSeed,
-			ProfileImageHash: imagehash.DHash(imagehash.Synthesize(imgSeed)),
+			ProfileImageHash: world.AvatarHash(imgSeed),
 			Kind:             socialnet.KindNormal,
 			CampaignID:       socialnet.NoCampaign,
 			HashtagCategory:  socialnet.HashtagGeneral,

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/core"
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/imagehash"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 )
 
@@ -38,6 +39,33 @@ func TestDeployInjectsAccounts(t *testing.T) {
 		}
 		if a.Kind != socialnet.KindNormal || a.CampaignID != socialnet.NoCampaign {
 			t.Fatal("honeypot account mislabeled")
+		}
+	}
+}
+
+// TestDeployHashesUnderWorldMode checks that honeypot avatars carry the
+// world's configured hash, so the labeler's image grouper compares them
+// with every other account under one algorithm.
+func TestDeployHashesUnderWorldMode(t *testing.T) {
+	for _, mode := range []string{socialnet.ImageHashDHash, socialnet.ImageHashPHash} {
+		cfg := socialnet.DefaultConfig()
+		cfg.NumAccounts = 200
+		cfg.ImageHashMode = mode
+		w, err := socialnet.NewWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := Deploy(w, Config{Nodes: 5, Friends: 500, Seed: 1}, time.Now())
+		for _, id := range d.NodeIDs() {
+			a := w.Account(id)
+			m := imagehash.Synthesize(a.ProfileImageSeed)
+			want := imagehash.DHash(m)
+			if mode == socialnet.ImageHashPHash {
+				want = imagehash.PHash(m)
+			}
+			if a.ProfileImageHash != want {
+				t.Fatalf("%s world: honeypot %d hash %v, want %v", mode, id, a.ProfileImageHash, want)
+			}
 		}
 	}
 }

@@ -84,12 +84,13 @@ func (m *Image) Set(x, y int, v uint8) {
 // pixel is compared with its right neighbour (1 if greater); vertically,
 // with the pixel below. Each direction contributes 8×8 = 64 bits.
 func DHash(m *Image) Hash {
-	t := reduce(m, thumbSize, thumbSize)
+	var t [thumbSize * thumbSize]uint8
+	reduceInto(m, t[:], thumbSize, thumbSize)
 	var hi, lo uint64
 	bit := 0
 	for y := 0; y < thumbSize; y++ {
 		for x := 0; x+1 < thumbSize; x++ {
-			if t.At(x, y) > t.At(x+1, y) {
+			if t[y*thumbSize+x] > t[y*thumbSize+x+1] {
 				hi |= 1 << uint(63-bit)
 			}
 			bit++
@@ -98,7 +99,7 @@ func DHash(m *Image) Hash {
 	bit = 0
 	for y := 0; y+1 < thumbSize; y++ {
 		for x := 0; x < thumbSize; x++ {
-			if t.At(x, y) > t.At(x, y+1) {
+			if t[y*thumbSize+x] > t[(y+1)*thumbSize+x] {
 				lo |= 1 << uint(63-bit)
 			}
 			bit++
@@ -107,12 +108,21 @@ func DHash(m *Image) Hash {
 	return Hash{Hi: hi, Lo: lo}
 }
 
-// reduce box-averages m down to a w×h thumbnail.
+// reduce box-averages m down to a new w×h thumbnail.
 func reduce(m *Image, w, h int) *Image {
 	out := NewImage(w, h)
+	reduceInto(m, out.Pix, w, h)
+	return out
+}
+
+// reduceInto box-averages m down to a w×h thumbnail written row-major
+// into dst (len w*h). Every element of dst is written.
+func reduceInto(m *Image, dst []uint8, w, h int) {
 	if m.W == 0 || m.H == 0 {
-		return out
+		clear(dst)
+		return
 	}
+	// Every box is non-empty: y0 < m.H, so y0+1 <= m.H (likewise x).
 	for ty := 0; ty < h; ty++ {
 		y0, y1 := ty*m.H/h, (ty+1)*m.H/h
 		if y1 <= y0 {
@@ -123,20 +133,23 @@ func reduce(m *Image, w, h int) *Image {
 			if x1 <= x0 {
 				x1 = x0 + 1
 			}
-			sum, n := 0, 0
-			for y := y0; y < y1 && y < m.H; y++ {
-				for x := x0; x < x1 && x < m.W; x++ {
-					sum += int(m.Pix[y*m.W+x])
-					n++
+			sum := 0
+			for y := y0; y < y1; y++ {
+				for _, p := range m.Pix[y*m.W+x0 : y*m.W+x1] {
+					sum += int(p)
 				}
 			}
-			if n > 0 {
-				out.Set(tx, ty, uint8(sum/n))
-			}
+			dst[ty*w+tx] = uint8(sum / ((y1 - y0) * (x1 - x0)))
 		}
 	}
-	return out
 }
+
+// avatarSize is the edge length of a synthetic avatar: 9×9 blocks of
+// 4×4 pixels.
+const avatarSize = 36
+
+// avatarLevels are the quantized gray levels avatar blocks draw from.
+var avatarLevels = [...]uint8{0, 60, 120, 180, 240}
 
 // Synthesize generates a deterministic 36×36 grayscale profile image from
 // seed: a 9×9 grid of high-contrast quantized blocks (an identicon-like
@@ -145,25 +158,90 @@ func reduce(m *Image, w, h int) *Image {
 // quantized levels are spaced wider than Perturb's edit amplitude, so a
 // localized edit never flips comparisons between unequal blocks.
 func Synthesize(seed int64) *Image {
-	const (
-		size  = 36
-		cells = thumbSize
-		cell  = size / cells
-	)
-	levels := []uint8{0, 60, 120, 180, 240}
-	rng := rand.New(rand.NewSource(seed))
-	m := NewImage(size, size)
-	for cy := 0; cy < cells; cy++ {
-		for cx := 0; cx < cells; cx++ {
-			v := levels[rng.Intn(len(levels))]
+	m := NewImage(avatarSize, avatarSize)
+	synthesizeInto(m, rand.New(rand.NewSource(seed)))
+	return m
+}
+
+// synthesizeInto paints every pixel of the avatarSize×avatarSize image m
+// from rng's next 81 draws.
+func synthesizeInto(m *Image, rng *rand.Rand) {
+	const cell = avatarSize / thumbSize
+	for cy := 0; cy < thumbSize; cy++ {
+		for cx := 0; cx < thumbSize; cx++ {
+			v := avatarLevels[rng.Intn(len(avatarLevels))]
 			for y := cy * cell; y < (cy+1)*cell; y++ {
+				row := m.Pix[y*avatarSize : (y+1)*avatarSize]
 				for x := cx * cell; x < (cx+1)*cell; x++ {
-					m.Set(x, y, v)
+					row[x] = v
 				}
 			}
 		}
 	}
-	return m
+}
+
+// Synthesizer renders Synthesize's avatars into reused storage: one
+// generator re-seeded per avatar and one image, so a long run of avatars
+// allocates nothing. It is not safe for concurrent use; a worker pool
+// keeps one per worker.
+type Synthesizer struct {
+	rng *rand.Rand
+	img *Image
+}
+
+// NewSynthesizer returns a Synthesizer with its generator and image
+// allocated.
+func NewSynthesizer() *Synthesizer {
+	return &Synthesizer{
+		rng: rand.New(rand.NewSource(0)),
+		img: NewImage(avatarSize, avatarSize),
+	}
+}
+
+// Synthesize returns the image Synthesize(seed) would, pixel for pixel.
+// The image is s's own and is overwritten by the next call; callers may
+// edit it in place until then.
+func (s *Synthesizer) Synthesize(seed int64) *Image {
+	s.rng.Seed(seed)
+	synthesizeInto(s.img, s.rng)
+	return s.img
+}
+
+// Edit is one campaign-style avatar edit: every pixel that reduce()
+// averages into thumbnail cell (TX, TY) is shifted by Delta and clamped.
+// The zero Edit changes nothing.
+type Edit struct {
+	TX, TY, Delta int
+}
+
+// DrawEdit draws the edit Perturb applies at the given amplitude: a cell
+// and a shift of 1..amplitude in either direction, four rng draws in all.
+// Amplitude ≤ 0 draws nothing and returns the zero Edit.
+func DrawEdit(amplitude int, rng *rand.Rand) Edit {
+	if amplitude <= 0 {
+		return Edit{}
+	}
+	tx := rng.Intn(thumbSize)
+	ty := rng.Intn(thumbSize)
+	delta := rng.Intn(amplitude) + 1
+	if rng.Intn(2) == 0 {
+		delta = -delta
+	}
+	return Edit{TX: tx, TY: ty, Delta: delta}
+}
+
+// Apply performs e on m in place.
+func (e Edit) Apply(m *Image) {
+	if e.Delta == 0 || m.W == 0 || m.H == 0 {
+		return
+	}
+	x0, x1 := e.TX*m.W/thumbSize, (e.TX+1)*m.W/thumbSize
+	y0, y1 := e.TY*m.H/thumbSize, (e.TY+1)*m.H/thumbSize
+	for y := y0; y < y1 && y < m.H; y++ {
+		for x := x0; x < x1 && x < m.W; x++ {
+			m.Pix[y*m.W+x] = clampByte(float64(int(m.Pix[y*m.W+x]) + e.Delta))
+		}
+	}
 }
 
 // Perturb returns a campaign-style variant of m: one thumbnail-cell-aligned
@@ -173,28 +251,15 @@ func Synthesize(seed int64) *Image {
 // edit touches exactly one of the 9×9 thumbnail cells, the variant's dHash
 // differs from the base in at most 4 bits — always within
 // DefaultThreshold — while unrelated images remain far apart.
-// Amplitude ≤ 0 returns an exact copy.
+// Amplitude ≤ 0 returns an exact copy. Perturb is DrawEdit then Apply on
+// a copy; an empty m draws nothing.
 func Perturb(m *Image, amplitude int, rng *rand.Rand) *Image {
 	out := NewImage(m.W, m.H)
 	copy(out.Pix, m.Pix)
-	if amplitude <= 0 || m.W == 0 || m.H == 0 {
+	if m.W == 0 || m.H == 0 {
 		return out
 	}
-	// Pick one thumbnail cell and edit exactly the pixels that reduce()
-	// averages into it.
-	tx := rng.Intn(thumbSize)
-	ty := rng.Intn(thumbSize)
-	x0, x1 := tx*m.W/thumbSize, (tx+1)*m.W/thumbSize
-	y0, y1 := ty*m.H/thumbSize, (ty+1)*m.H/thumbSize
-	delta := rng.Intn(amplitude) + 1
-	if rng.Intn(2) == 0 {
-		delta = -delta
-	}
-	for y := y0; y < y1 && y < m.H; y++ {
-		for x := x0; x < x1 && x < m.W; x++ {
-			out.Set(x, y, clampByte(float64(int(out.At(x, y))+delta)))
-		}
-	}
+	DrawEdit(amplitude, rng).Apply(out)
 	return out
 }
 

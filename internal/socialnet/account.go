@@ -87,7 +87,8 @@ type Account struct {
 	// ProfileImageSeed seeds the synthetic avatar; campaign members share
 	// a base seed and differ by a perturbation (see imagehash.Perturb).
 	ProfileImageSeed int64
-	// ProfileImageHash is the precomputed dHash of the avatar.
+	// ProfileImageHash is the precomputed perceptual hash of the avatar:
+	// dHash, or pHash under ImageHashPHash.
 	ProfileImageHash imagehash.Hash
 
 	// Kind and CampaignID are generative ground truth, hidden from the

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/imagehash"
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/parallel"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/simclock"
 )
 
@@ -29,6 +30,10 @@ type World struct {
 	campaigns []*Campaign
 	trends    *TrendSet
 	start     time.Time
+
+	// synth is the avatar scratch for accounts added after generation
+	// (SpawnSpammer, AvatarHash).
+	synth *imagehash.Synthesizer
 
 	// generation counts in-package writes to the account fields Screen
 	// reads (see profilesChanged); screen is the index keyed on it.
@@ -117,7 +122,11 @@ func (w *World) AddAccount(a *Account) AccountID {
 	return id
 }
 
-// generate builds the account population and campaigns.
+// generate builds the account population and campaigns in two passes:
+// every world-RNG draw happens first, in account order, and records each
+// avatar's recipe; the avatars are then synthesized and hashed on the
+// worker pool. A hash depends only on its recipe and the config, so the
+// world is the same at any worker count.
 func (w *World) generate() {
 	n := w.cfg.NumAccounts
 	numSpammers := int(float64(n) * w.cfg.SpammerFraction)
@@ -144,24 +153,30 @@ func (w *World) generate() {
 	}
 
 	w.accounts = make([]*Account, 0, n)
+	recipes := make([]avatarRecipe, 0, n)
 	for i := 0; i < n; i++ {
 		id := AccountID(i + 1)
-		var a *Account
+		var (
+			a   *Account
+			rec avatarRecipe
+		)
 		switch {
 		case i < numCampaignMembers && numCampaigns > 0:
-			a = w.genSpammer(id, w.campaigns[i%numCampaigns], w.start)
+			a, rec = w.genSpammer(id, w.campaigns[i%numCampaigns], w.start)
 		case i < numCampaignMembers+numLoneWolves:
 			c := newLoneWolfCampaign(len(w.campaigns), w.rng)
 			w.campaigns = append(w.campaigns, c)
-			a = w.genSpammer(id, c, w.start)
+			a, rec = w.genSpammer(id, c, w.start)
 		case i < numSpammers+numSeeds:
-			a = w.genSeed(id)
+			a, rec = w.genSeed(id)
 		default:
-			a = w.genNormal(id)
+			a, rec = w.genNormal(id)
 		}
 		w.accounts = append(w.accounts, a)
+		recipes = append(recipes, rec)
 		w.byID[id] = a
 	}
+	w.hashAvatars(recipes)
 	// Shuffle so account ids do not leak kind.
 	w.rng.Shuffle(len(w.accounts), func(i, j int) {
 		w.accounts[i], w.accounts[j] = w.accounts[j], w.accounts[i]
@@ -173,19 +188,69 @@ func (w *World) generate() {
 	}
 }
 
-// hashAvatar computes the configured perceptual hash of an avatar image.
-// The default (dHash) is what every pinned golden was recorded under.
-func (w *World) hashAvatar(m *imagehash.Image) imagehash.Hash {
-	if w.cfg.ImageHashMode == ImageHashPHash {
+// avatarRecipe is everything an avatar's hash depends on besides the
+// config: the image seed and, for campaign members, the edit drawn on the
+// world RNG.
+type avatarRecipe struct {
+	seed int64
+	// member marks a campaign member: edit is applied to the base image
+	// and MutateCampaignImages applies.
+	member bool
+	edit   imagehash.Edit
+}
+
+// avatarHash synthesizes r's avatar on s and returns its configured
+// perceptual hash. It is the one place an avatar is synthesized and
+// hashed. The default (dHash) is what every pinned golden was recorded
+// under.
+func avatarHash(cfg Config, r avatarRecipe, s *imagehash.Synthesizer) imagehash.Hash {
+	m := s.Synthesize(r.seed)
+	if r.member {
+		r.edit.Apply(m)
+		if cfg.MutateCampaignImages {
+			// Re-upload mutations: the platform thumbnail pipeline
+			// resamples the image and a lossy round trip follows.
+			m = imagehash.Recompress(imagehash.Rescale(m, 48, 48), 60)
+		}
+	}
+	if cfg.ImageHashMode == ImageHashPHash {
 		return imagehash.PHash(m)
 	}
 	return imagehash.DHash(m)
 }
 
+// hashAvatars sets w.accounts[i].ProfileImageHash from recipes[i] on the
+// worker pool, one Synthesizer per worker.
+func (w *World) hashAvatars(recipes []avatarRecipe) {
+	workers := parallel.Resolve(0, len(recipes))
+	synths := make([]*imagehash.Synthesizer, workers)
+	parallel.ForEachWorker(len(recipes), workers, func(wk, i int) {
+		if synths[wk] == nil {
+			synths[wk] = imagehash.NewSynthesizer()
+		}
+		w.accounts[i].ProfileImageHash = avatarHash(w.cfg, recipes[i], synths[wk])
+	})
+}
+
+// avatarHashOne hashes one recipe on the world's own scratch.
+func (w *World) avatarHashOne(r avatarRecipe) imagehash.Hash {
+	if w.synth == nil {
+		w.synth = imagehash.NewSynthesizer()
+	}
+	return avatarHash(w.cfg, r, w.synth)
+}
+
+// AvatarHash returns the world's configured perceptual hash of the plain
+// avatar synthesized from seed, for accounts created outside the world
+// (e.g. traditional honeypots) so every account's hash is comparable.
+func (w *World) AvatarHash(seed int64) imagehash.Hash {
+	return w.avatarHashOne(avatarRecipe{seed: seed})
+}
+
 // genNormal creates a benign account. A DiverseFraction share of the
 // population draws attributes log-uniformly over the full Table II ranges;
 // the rest follow typical lognormal profiles.
-func (w *World) genNormal(id AccountID) *Account {
+func (w *World) genNormal(id AccountID) (*Account, avatarRecipe) {
 	rng := w.rng
 	diverse := rng.Float64() < w.cfg.DiverseFraction
 
@@ -214,7 +279,8 @@ func (w *World) genNormal(id AccountID) *Account {
 	}
 	affinity := TrendNone
 	if rng.Float64() < 0.4 {
-		affinity = TrendStates[rng.Intn(len(TrendStates)-1)] // excludes TrendNone at end? see below
+		// TrendNone is last in TrendStates; the draw excludes it.
+		affinity = TrendStates[rng.Intn(len(TrendStates)-1)]
 	}
 
 	imgSeed := rng.Int63()
@@ -230,7 +296,6 @@ func (w *World) genNormal(id AccountID) *Account {
 		FavouritesCount:  favs,
 		StatusesCount:    statuses,
 		ProfileImageSeed: imgSeed,
-		ProfileImageHash: w.hashAvatar(imagehash.Synthesize(imgSeed)),
 		Kind:             KindNormal,
 		CampaignID:       NoCampaign,
 		HashtagCategory:  cat,
@@ -239,14 +304,14 @@ func (w *World) genNormal(id AccountID) *Account {
 	}
 	a.TweetsPerHour = clampF(a.StatusesPerDay(w.start)/24*1.5, 0.02, 2.5)
 	a.Suspended = rng.Float64() < 0.0005 // rare pre-existing false suspensions
-	return a
+	return a, avatarRecipe{seed: imgSeed}
 }
 
 // genSpammer creates a spam account: young, aggressive friending (high
 // friends, low followers), third-party clients, a finite spam-message
 // budget, and either shared campaign artefacts or — for lone wolves —
-// organic-looking ones.
-func (w *World) genSpammer(id AccountID, c *Campaign, now time.Time) *Account {
+// organic-looking ones. The avatar hash is left to the returned recipe.
+func (w *World) genSpammer(id AccountID, c *Campaign, now time.Time) (*Account, avatarRecipe) {
 	rng := w.rng
 	ageDays := logUniform(rng, 5, 500)
 	friends := int(logUniform(rng, 50, 5000))
@@ -267,26 +332,21 @@ func (w *World) genSpammer(id AccountID, c *Campaign, now time.Time) *Account {
 		TrendAffinity:   w.spammerTrendAffinity(),
 		PreferredSource: w.sampleSource(0.05, 0.15, 0.75),
 	}
+	var rec avatarRecipe
 	if c.LoneWolf() {
 		imgSeed := rng.Int63()
 		a.ScreenName = w.gen.normalScreenName(id)
 		a.Description = w.gen.benignDescription()
 		a.ProfileImageSeed = imgSeed
-		a.ProfileImageHash = w.hashAvatar(imagehash.Synthesize(imgSeed))
+		rec = avatarRecipe{seed: imgSeed}
 	} else {
-		base := imagehash.Synthesize(c.BaseImageSeed)
 		a.ScreenName = campaignName(c.NameShape, w.gen)
 		a.Description = w.gen.campaignDescription(c.DescTemplate, c.URL(rng))
 		a.DefaultProfileImage = rng.Float64() < 0.4
 		a.ProfileImageSeed = c.BaseImageSeed
-		avatar := imagehash.Perturb(base, 40, rng)
-		if w.cfg.MutateCampaignImages {
-			// Re-upload mutations: the platform thumbnail pipeline
-			// resamples the image and a lossy round trip follows.
-			// Deterministic, so no rng draws change.
-			avatar = imagehash.Recompress(imagehash.Rescale(avatar, 48, 48), 60)
-		}
-		a.ProfileImageHash = w.hashAvatar(avatar)
+		// The member's edit of the shared base image (imagehash.Perturb's
+		// draws).
+		rec = avatarRecipe{seed: c.BaseImageSeed, member: true, edit: imagehash.DrawEdit(40, rng)}
 	}
 	a.spamBudget = w.drawSpamBudget()
 	// Spam accounts post little organic content (camouflage only); they
@@ -294,7 +354,7 @@ func (w *World) genSpammer(id AccountID, c *Campaign, now time.Time) *Account {
 	// the screener's ActiveOnly selection passes them over.
 	a.TweetsPerHour = clampF(a.StatusesPerDay(now)/24*0.3, 0.05, 1.5)
 	c.MemberIDs = append(c.MemberIDs, id)
-	return a
+	return a, rec
 }
 
 // drawSpamBudget draws the account's total spam-message budget:
@@ -369,7 +429,8 @@ func (w *World) SpawnSpammer(now time.Time) *Account {
 	} else {
 		c = w.campaigns[w.rng.Intn(len(w.campaigns))]
 	}
-	a := w.genSpammer(0, c, now)
+	a, rec := w.genSpammer(0, c, now)
+	a.ProfileImageHash = w.avatarHashOne(rec)
 	// Replacement accounts mix fresh registrations with purchased aged
 	// accounts (Thomas et al., USENIX Sec'13).
 	ageDays := logUniform(w.rng, 2, 400)
@@ -409,7 +470,7 @@ func (w *World) AdvanceSuspensions(hours float64, rng *rand.Rand) int {
 }
 
 // genSeed creates a trusted account: verified, old, huge audience.
-func (w *World) genSeed(id AccountID) *Account {
+func (w *World) genSeed(id AccountID) (*Account, avatarRecipe) {
 	rng := w.rng
 	ageDays := logUniform(rng, 1500, 4000)
 	imgSeed := rng.Int63()
@@ -426,7 +487,6 @@ func (w *World) genSeed(id AccountID) *Account {
 		StatusesCount:    int(logUniform(rng, 5000, 100000)),
 		Verified:         true,
 		ProfileImageSeed: imgSeed,
-		ProfileImageHash: w.hashAvatar(imagehash.Synthesize(imgSeed)),
 		Kind:             KindSeed,
 		CampaignID:       NoCampaign,
 		HashtagCategory:  HashtagGeneral,
@@ -434,7 +494,7 @@ func (w *World) genSeed(id AccountID) *Account {
 		PreferredSource:  SourceWeb,
 	}
 	a.TweetsPerHour = clampF(a.StatusesPerDay(w.start)/24, 0.1, 4)
-	return a
+	return a, avatarRecipe{seed: imgSeed}
 }
 
 // sampleSource draws a tweet source with the given web/mobile/third-party

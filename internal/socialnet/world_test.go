@@ -400,3 +400,17 @@ func TestSortByAttr(t *testing.T) {
 		t.Fatal("SortByAttr dropped accounts")
 	}
 }
+
+// BenchmarkNewWorld generates a bench-scale world: 20,000 accounts under
+// DefaultConfig at seed 1, the world every bench/ workload row builds.
+func BenchmarkNewWorld(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Seed = 1
+	cfg.NumAccounts = 20000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewWorld(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
