@@ -1,5 +1,7 @@
 # Developer entry points. `make check` is the gate CI runs: gofmt, vet, build,
-# the full test suite, a race-detector pass over every package the
+# the full test suite (which includes TestNoTestOnlyProductionCode, the
+# go/types gate that fails when an internal/ function or method is reached
+# only from _test.go files), a race-detector pass over every package the
 # parallel execution layer or the metrics hot paths touch, coverage gates
 # on the packages named below, and a vet + test pass over the bench/
 # module. `make bench` prints the in-package micro-benchmarks; nothing

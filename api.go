@@ -639,6 +639,7 @@ func (s *Sniffer) DetectAll() (*DetectionResult, error) {
 		return nil, err
 	}
 	det := core.NewDetector(clf)
+	det.SetMetrics(s.cfg.Metrics)
 	det.SetTracer(s.cfg.Tracer)
 	if err := det.Train(captures, labels); err != nil {
 		return nil, fmt.Errorf("train: %w", err)

@@ -73,9 +73,6 @@ func (s *CaptureStore) Append(c *Capture) (evicted *Capture) {
 // Len reports the number of retained captures.
 func (s *CaptureStore) Len() int { return s.size }
 
-// Cap reports the configured bound (0 = unbounded).
-func (s *CaptureStore) Cap() int { return s.capLimit }
-
 // Evicted reports how many captures have been dropped oldest-first.
 func (s *CaptureStore) Evicted() uint64 { return s.evicted }
 

@@ -108,11 +108,11 @@ func TestMonitorRotateSelectsBudget(t *testing.T) {
 		Seed:  1,
 	}, &LocalScreener{World: w, Rng: rand.New(rand.NewSource(2))})
 	m.Rotate(time.Now(), time.Hour)
-	if m.NodeCount() != 50 {
-		t.Fatalf("selected %d nodes, want 50", m.NodeCount())
+	if len(m.nodes) != 50 {
+		t.Fatalf("selected %d nodes, want 50", len(m.nodes))
 	}
-	if m.Rotations() != 1 {
-		t.Fatalf("rotations = %d", m.Rotations())
+	if m.rotations != 1 {
+		t.Fatalf("rotations = %d", m.rotations)
 	}
 	if got := m.Groups()[0].NodeHours; got != 50 {
 		t.Fatalf("node-hours = %v, want 50", got)
@@ -151,8 +151,8 @@ func TestMonitorRotationFallsBackWhenExhausted(t *testing.T) {
 	}, &LocalScreener{World: w, Rng: rand.New(rand.NewSource(2))})
 	for i := 0; i < 5; i++ {
 		m.Rotate(time.Now(), time.Hour)
-		if m.NodeCount() < 90 {
-			t.Fatalf("rotation %d selected only %d nodes", i, m.NodeCount())
+		if len(m.nodes) < 90 {
+			t.Fatalf("rotation %d selected only %d nodes", i, len(m.nodes))
 		}
 	}
 }
@@ -437,7 +437,7 @@ func TestAccrueHoursExtendsNodeHours(t *testing.T) {
 	if after != before*3 {
 		t.Fatalf("node-hours %v -> %v, want tripled", before, after)
 	}
-	if m.Rotations() != 1 {
+	if m.rotations != 1 {
 		t.Fatal("AccrueHours must not count as a rotation")
 	}
 }

@@ -105,9 +105,12 @@ func NewDetector(clf ml.Classifier) *Detector {
 	}
 }
 
-// SetMetrics rebinds the detector's instrumentation to r (call before
-// Train/Classify; tests use it to reconcile against a private registry).
+// SetMetrics rebinds the detector's instrumentation to r (nil restores
+// metrics.Default()); call it before Train/Classify.
 func (d *Detector) SetMetrics(r *metrics.Registry) {
+	if r == nil {
+		r = metrics.Default()
+	}
 	d.ins = newDetectorInstruments(r)
 }
 

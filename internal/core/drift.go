@@ -18,12 +18,6 @@ type OnlineDetector struct {
 	seed         int64
 	window       int
 	retrainEvery int
-	// bins is the histogram split-finding bin count used for every
-	// refit; <= 1 is the exact scan. Retraining loops default to
-	// DefaultRetrainBins — the model is refit continuously, so the
-	// exact-scan guarantee the paper-config single fit needs buys
-	// nothing here and the binned candidate set trains much faster.
-	bins int
 
 	x [][]float64
 	y []bool
@@ -37,8 +31,9 @@ type OnlineDetector struct {
 // NewOnlineDetector creates a drift-aware detector of the named family.
 // window bounds the retained labeled captures (older ones are evicted);
 // retrainEvery is the number of new observations between refits. Refits
-// use histogram-binned split finding (DefaultRetrainBins) by default;
-// SetBins(1) restores the exact scan.
+// use histogram-binned split finding (DefaultRetrainBins): the model is
+// refit continuously, so the exact-scan guarantee the paper-config single
+// fit needs buys nothing here and the binned candidate set trains faster.
 func NewOnlineDetector(name ClassifierName, window, retrainEvery int, seed int64) (*OnlineDetector, error) {
 	if window <= 0 {
 		return nil, errors.New("core: window must be positive")
@@ -57,15 +52,8 @@ func NewOnlineDetector(name ClassifierName, window, retrainEvery int, seed int64
 		seed:         seed,
 		window:       window,
 		retrainEvery: retrainEvery,
-		bins:         DefaultRetrainBins,
 	}, nil
 }
-
-// SetBins overrides the histogram bin count used for refits; bins <= 1
-// selects the exact split scan. Call before the first Observe — and use
-// the same value across a crash-recovery pair, since the recovery refit
-// must rebuild the same model family configuration.
-func (o *OnlineDetector) SetBins(bins int) { o.bins = bins }
 
 // Observe adds one labeled capture to the sliding window, retraining when
 // due. Labels come from whatever ground-truth stream is available —
@@ -101,7 +89,7 @@ func (o *OnlineDetector) retrain() error {
 	if pos == 0 || pos == len(o.y) {
 		return nil // single-class window: keep the previous model
 	}
-	clf, err := newClassifierBins(o.name, o.seed+int64(o.retrains), o.bins)
+	clf, err := newClassifierBins(o.name, o.seed+int64(o.retrains), DefaultRetrainBins)
 	if err != nil {
 		return err
 	}

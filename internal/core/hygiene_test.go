@@ -39,7 +39,7 @@ func TestSelectionHygieneDisabled(t *testing.T) {
 			Seed:     1,
 		}, &LocalScreener{World: w, Rng: rand.New(rand.NewSource(2))})
 		m.Rotate(time.Now(), time.Hour)
-		return m.NodeCount()
+		return len(m.nodes)
 	}
 	withHygiene := mk(0)     // default bound
 	withoutHygiene := mk(-1) // disabled
@@ -61,7 +61,7 @@ func TestHygieneNotAppliedToRatioSelectors(t *testing.T) {
 		Seed: 1,
 	}, &LocalScreener{World: w, Rng: rand.New(rand.NewSource(2))})
 	m.Rotate(time.Now(), time.Hour)
-	if m.NodeCount() == 0 {
+	if len(m.nodes) == 0 {
 		t.Fatal("hygiene emptied the ratio-attribute selector")
 	}
 	found := false
@@ -85,7 +85,7 @@ func TestActiveOnlyColdStartFallback(t *testing.T) {
 		Seed:       1,
 	}, &LocalScreener{World: w, Rng: rand.New(rand.NewSource(2))})
 	m.Rotate(time.Now(), time.Hour)
-	if m.NodeCount() < 40 {
-		t.Fatalf("cold-start selection found only %d nodes", m.NodeCount())
+	if len(m.nodes) < 40 {
+		t.Fatalf("cold-start selection found only %d nodes", len(m.nodes))
 	}
 }

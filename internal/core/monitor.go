@@ -222,12 +222,6 @@ func (m *Monitor) Captures() []*Capture { return m.store.Snapshot() }
 // snapshot/restore).
 func (m *Monitor) Store() *CaptureStore { return m.store }
 
-// Rotations returns how many times the node set was (re)selected.
-func (m *Monitor) Rotations() int { return m.rotations }
-
-// NodeCount returns the current number of distinct harnessed accounts.
-func (m *Monitor) NodeCount() int { return len(m.nodes) }
-
 // CurrentNodes returns a copy of the current node assignment: each
 // harnessed account mapped to the indices of the selector groups it serves.
 func (m *Monitor) CurrentNodes() map[socialnet.AccountID][]int {
@@ -490,12 +484,6 @@ func (m *Monitor) CompleteCapture(c *Capture, vec features.Vector) {
 	m.scratchMergeAttrs = attrKeys[:0]
 	sp.End()
 	c.Trace.Finish()
-}
-
-// GroupAttrKey exposes group gi's selector attribute key (used by shard
-// workers to report per-group work without holding the monitor).
-func (m *Monitor) GroupAttrKey(gi int) string {
-	return m.groups[gi].Spec.Selector.Attr.Key()
 }
 
 // appendUnique appends the group indices from gis not already in dst.

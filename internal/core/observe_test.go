@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/metrics"
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/metrics/metricstest"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 )
 
@@ -49,14 +50,14 @@ func TestMetricsReconcileWithGroupStats(t *testing.T) {
 	if got := reg.Counter("ph_monitor_tweets_captured_total", "").Value(); got != float64(len(captures)) {
 		t.Fatalf("tweets_captured = %v, want %d", got, len(captures))
 	}
-	if got := reg.Counter("ph_monitor_rotations_total", "").Value(); got != float64(m.Rotations()) {
-		t.Fatalf("rotations = %v, want %d", got, m.Rotations())
+	if got := reg.Counter("ph_monitor_rotations_total", "").Value(); got != float64(m.rotations) {
+		t.Fatalf("rotations = %v, want %d", got, m.rotations)
 	}
-	if got := reg.Gauge("ph_monitor_nodes", "").Value(); got != float64(m.NodeCount()) {
-		t.Fatalf("nodes gauge = %v, want %d", got, m.NodeCount())
+	if got := reg.Gauge("ph_monitor_nodes", "").Value(); got != float64(len(m.nodes)) {
+		t.Fatalf("nodes gauge = %v, want %d", got, len(m.nodes))
 	}
-	if got := reg.Histogram("ph_monitor_rotation_seconds", "", nil).Count(); got != uint64(m.Rotations()) {
-		t.Fatalf("rotation histogram count = %d, want %d", got, m.Rotations())
+	if got := reg.Histogram("ph_monitor_rotation_seconds", "", nil).Count(); got != uint64(m.rotations) {
+		t.Fatalf("rotation histogram count = %d, want %d", got, m.rotations)
 	}
 
 	// Per-group series reconcile with GroupStats, and the PGE gauges with
@@ -115,7 +116,7 @@ func TestMetricsReconcileWithGroupStats(t *testing.T) {
 	if err := reg.WriteText(&b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := metrics.ParseText(strings.NewReader(b.String())); err != nil {
+	if _, err := metricstest.ParseText(strings.NewReader(b.String())); err != nil {
 		t.Fatalf("core instrumentation exposition invalid: %v", err)
 	}
 }

@@ -30,9 +30,6 @@ func NewRunner(scale Scale) *Runner {
 	return &Runner{scale: scale}
 }
 
-// Scale returns the runner's scale.
-func (r *Runner) Scale() Scale { return r.scale }
-
 // GroundTruth is the labeling phase's output (paper §V-C): the corpus a
 // small random-attribute pseudo-honeypot network collected, its pipeline
 // labels, and the training dataset built from both.

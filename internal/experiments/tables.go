@@ -8,7 +8,6 @@ import (
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/core"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/features"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/honeypot"
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/label"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/report"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 )
@@ -224,42 +223,6 @@ func (r *Runner) SpeedupOverLiterature() (vsLiterature, vsSimulated float64, err
 		vsSimulated = adv.AdvancedPGE / adv.HoneypotPGE
 	}
 	return vsLiterature, vsSimulated, nil
-}
-
-// LabelQuality scores the ground-truth labels against the generative truth
-// (not part of the paper's tables; used by tests and EXPERIMENTS.md).
-func (r *Runner) LabelQuality() (precision, recall float64, err error) {
-	gt, err := r.RunGroundTruth()
-	if err != nil {
-		return 0, 0, err
-	}
-	var tp, fp, fn int
-	for _, tw := range gt.Corpus.Tweets {
-		labeled := gt.Labels.IsSpam(tw.ID)
-		switch {
-		case labeled && tw.Spam:
-			tp++
-		case labeled && !tw.Spam:
-			fp++
-		case !labeled && tw.Spam:
-			fn++
-		}
-	}
-	if tp+fp > 0 {
-		precision = float64(tp) / float64(tp+fp)
-	}
-	if tp+fn > 0 {
-		recall = float64(tp) / float64(tp+fn)
-	}
-	return precision, recall, nil
-}
-
-// sortedMethods returns Table III categories in pipeline order (helper for
-// tests).
-func sortedMethods(counts []label.MethodCount) []label.MethodCount {
-	out := append([]label.MethodCount(nil), counts...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Method < out[j].Method })
-	return out
 }
 
 func pct(part, total int) string {

@@ -233,9 +233,6 @@ func NewExtractor() *Extractor {
 	}
 }
 
-// SetTau overrides the environment-score default constant.
-func (e *Extractor) SetTau(tau float64) { e.tau = tau }
-
 // UpdateEnvScore records the group likelihood score p for an attribute key
 // (the paper updates P_attr whenever new spam is attributed to a group).
 func (e *Extractor) UpdateEnvScore(attrKey string, p float64) {

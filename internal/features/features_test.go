@@ -283,14 +283,6 @@ func TestEnvironmentScore(t *testing.T) {
 	}
 }
 
-func TestSetTau(t *testing.T) {
-	e := NewExtractor()
-	e.SetTau(0.5)
-	if got := e.EnvScore(nil); got != 0.5 {
-		t.Fatalf("env score with custom τ = %v", got)
-	}
-}
-
 // The core discriminative signal: spam reactions have much shorter mention
 // times than organic replies when extracted from a live stream.
 func TestExtractorOnSimulatedStream(t *testing.T) {

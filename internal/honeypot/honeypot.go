@@ -94,15 +94,6 @@ func Deploy(world *socialnet.World, cfg Config, now time.Time) *Deployment {
 	return d
 }
 
-// NodeIDs returns the honeypot account ids.
-func (d *Deployment) NodeIDs() []socialnet.AccountID {
-	ids := make([]socialnet.AccountID, 0, len(d.nodes))
-	for id := range d.nodes {
-		ids = append(ids, id)
-	}
-	return ids
-}
-
 // OnTweet feeds the honeypot's capture filter: anything mentioning a
 // honeypot account is trapped. Ground truth is read directly — a honeypot
 // knows that unsolicited mentions of a fake account are spam; that is its

@@ -58,7 +58,7 @@ func TestDeployHashesUnderWorldMode(t *testing.T) {
 		d := Deploy(w, Config{Nodes: 5, Friends: 500, Seed: 1}, time.Now())
 		for _, id := range d.NodeIDs() {
 			a := w.Account(id)
-			m := imagehash.Synthesize(a.ProfileImageSeed)
+			m := imagehash.NewSynthesizer().Synthesize(a.ProfileImageSeed)
 			want := imagehash.DHash(m)
 			if mode == socialnet.ImageHashPHash {
 				want = imagehash.PHash(m)

@@ -151,18 +151,6 @@ const avatarSize = 36
 // avatarLevels are the quantized gray levels avatar blocks draw from.
 var avatarLevels = [...]uint8{0, 60, 120, 180, 240}
 
-// Synthesize generates a deterministic 36×36 grayscale profile image from
-// seed: a 9×9 grid of high-contrast quantized blocks (an identicon-like
-// avatar). Two images from the same seed are identical; different seeds
-// yield images whose dHashes are far apart with high probability. The
-// quantized levels are spaced wider than Perturb's edit amplitude, so a
-// localized edit never flips comparisons between unequal blocks.
-func Synthesize(seed int64) *Image {
-	m := NewImage(avatarSize, avatarSize)
-	synthesizeInto(m, rand.New(rand.NewSource(seed)))
-	return m
-}
-
 // synthesizeInto paints every pixel of the avatarSize×avatarSize image m
 // from rng's next 81 draws.
 func synthesizeInto(m *Image, rng *rand.Rand) {
@@ -180,10 +168,10 @@ func synthesizeInto(m *Image, rng *rand.Rand) {
 	}
 }
 
-// Synthesizer renders Synthesize's avatars into reused storage: one
-// generator re-seeded per avatar and one image, so a long run of avatars
-// allocates nothing. It is not safe for concurrent use; a worker pool
-// keeps one per worker.
+// Synthesizer renders deterministic 36×36 grayscale profile images into
+// reused storage: one generator re-seeded per avatar and one image, so a
+// long run of avatars allocates nothing. It is not safe for concurrent
+// use; a worker pool keeps one per worker.
 type Synthesizer struct {
 	rng *rand.Rand
 	img *Image
@@ -198,9 +186,13 @@ func NewSynthesizer() *Synthesizer {
 	}
 }
 
-// Synthesize returns the image Synthesize(seed) would, pixel for pixel.
-// The image is s's own and is overwritten by the next call; callers may
-// edit it in place until then.
+// Synthesize paints the avatar for seed: a 9×9 grid of high-contrast
+// quantized blocks (an identicon-like avatar). The same seed always paints
+// the same image; different seeds yield images whose dHashes are far apart
+// with high probability. The quantized levels are spaced wider than a
+// campaign Edit's amplitude, so a localized edit never flips comparisons
+// between unequal blocks. The image is s's own and is overwritten by the
+// next call; callers may edit it in place until then.
 func (s *Synthesizer) Synthesize(seed int64) *Image {
 	s.rng.Seed(seed)
 	synthesizeInto(s.img, s.rng)
@@ -209,13 +201,18 @@ func (s *Synthesizer) Synthesize(seed int64) *Image {
 
 // Edit is one campaign-style avatar edit: every pixel that reduce()
 // averages into thumbnail cell (TX, TY) is shifted by Delta and clamped.
-// The zero Edit changes nothing.
+// It models the badge/recolor edits spam campaigns apply to a shared base
+// image (real campaign variants are byte-identical outside the edit).
+// Because the edit touches exactly one of the 9×9 thumbnail cells, the
+// variant's dHash differs from the base in at most 4 bits — always within
+// DefaultThreshold — while unrelated images remain far apart. The zero
+// Edit changes nothing.
 type Edit struct {
 	TX, TY, Delta int
 }
 
-// DrawEdit draws the edit Perturb applies at the given amplitude: a cell
-// and a shift of 1..amplitude in either direction, four rng draws in all.
+// DrawEdit draws an edit at the given amplitude: a cell and a shift of
+// 1..amplitude in either direction, four rng draws in all.
 // Amplitude ≤ 0 draws nothing and returns the zero Edit.
 func DrawEdit(amplitude int, rng *rand.Rand) Edit {
 	if amplitude <= 0 {
@@ -242,25 +239,6 @@ func (e Edit) Apply(m *Image) {
 			m.Pix[y*m.W+x] = clampByte(float64(int(m.Pix[y*m.W+x]) + e.Delta))
 		}
 	}
-}
-
-// Perturb returns a campaign-style variant of m: one thumbnail-cell-aligned
-// patch is brightened or darkened by up to the given amplitude, modelling
-// the badge/recolor edits spam campaigns apply to a shared base image
-// (real campaign variants are byte-identical outside the edit). Because the
-// edit touches exactly one of the 9×9 thumbnail cells, the variant's dHash
-// differs from the base in at most 4 bits — always within
-// DefaultThreshold — while unrelated images remain far apart.
-// Amplitude ≤ 0 returns an exact copy. Perturb is DrawEdit then Apply on
-// a copy; an empty m draws nothing.
-func Perturb(m *Image, amplitude int, rng *rand.Rand) *Image {
-	out := NewImage(m.W, m.H)
-	copy(out.Pix, m.Pix)
-	if m.W == 0 || m.H == 0 {
-		return out
-	}
-	DrawEdit(amplitude, rng).Apply(out)
-	return out
 }
 
 func clampByte(v float64) uint8 {

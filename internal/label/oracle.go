@@ -76,25 +76,3 @@ func (o *NoisyOracle) flip(itemKey uint64) bool {
 	u := float64(h.Sum64()>>11) / float64(1<<53)
 	return u < o.errRate
 }
-
-// PerfectOracle reveals ground truth without noise; evaluation harnesses
-// use it to score classifiers against the true labels.
-type PerfectOracle struct {
-	world *socialnet.World
-}
-
-var _ Oracle = (*PerfectOracle)(nil)
-
-// NewPerfectOracle creates a noise-free oracle over the world.
-func NewPerfectOracle(world *socialnet.World) *PerfectOracle {
-	return &PerfectOracle{world: world}
-}
-
-// TweetIsSpam reveals a tweet's true label.
-func (o *PerfectOracle) TweetIsSpam(t *socialnet.Tweet) bool { return t.Spam }
-
-// UserIsSpammer reveals an account's true kind.
-func (o *PerfectOracle) UserIsSpammer(id socialnet.AccountID) bool {
-	a := o.world.Account(id)
-	return a != nil && a.Kind == socialnet.KindSpammer
-}

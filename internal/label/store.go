@@ -119,27 +119,24 @@ func (s *Store) SetResolver(resolve func(socialnet.AccountID) *socialnet.Account
 	s.resolve = resolve
 }
 
-// Add ingests one capture: t joins the live cluster indices, and — on the
-// author's first appearance — so does the author's profile. author is the
-// live account retained for the snapshot corpus; profile is the
-// capture-time profile snapshot the index insertions and the provisional
-// check read, so Add never races with the engine mutating the live
-// account. profile may equal author when the caller is single-threaded
-// with the stream, as a batch caller labeling a finished corpus is.
+// AddBatch ingests one micro-batch in stream order: each tweets[i] joins
+// the live cluster indices, and — on the author's first appearance — so
+// does the author's profile. authors[i] is the live account retained for
+// the snapshot corpus; profiles[i] is the capture-time profile snapshot
+// the index insertions and the provisional check read, so AddBatch never
+// races with the engine mutating the live account. profiles may equal
+// authors when the caller is single-threaded with the stream, as a batch
+// caller labeling a finished corpus is.
 //
-// The returned provisional flag is the stream-time spam estimate feeding
-// the online detector: platform-suspended author or a rule hit against
-// the rule state so far. It is advisory — Snapshot recomputes real labels.
-func (s *Store) Add(t *socialnet.Tweet, author, profile *socialnet.Account) bool {
-	return s.AddBatch([]*socialnet.Tweet{t},
-		[]*socialnet.Account{author}, []*socialnet.Account{profile})[0]
-}
-
-// AddBatch ingests one micro-batch in stream order: it fans the pure
-// per-item work (the Prepper's normalization, shingling, MinHash signing,
-// Σ-Seq computation) over the shared worker pool, then hands the preps to
-// AddBatchPrepared for the sequential index joins. Results are
-// bit-identical to item-by-item Add at any worker count.
+// The returned provisional flags are the stream-time spam estimates
+// feeding the online detector: platform-suspended author or a rule hit
+// against the rule state so far. They are advisory — Snapshot recomputes
+// real labels.
+//
+// The pure per-item work (the Prepper's normalization, shingling, MinHash
+// signing, Σ-Seq computation) fans over the shared worker pool, then
+// AddBatchPrepared does the sequential index joins. Results are
+// bit-identical to one-item batches at any worker count.
 func (s *Store) AddBatch(tweets []*socialnet.Tweet, authors, profiles []*socialnet.Account) []bool {
 	s.mu.Lock()
 	first := s.firstAppearancesLocked(authors)

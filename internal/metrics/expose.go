@@ -213,16 +213,11 @@ var buildString = sync.OnceValue(func() string {
 	return bi.Main.Path + "@" + bi.Main.Version
 })
 
-// HealthHandler serves a liveness probe: always 200 with
-// {"status":"ok",...} plus uptime, build identity, and stream staleness.
-func HealthHandler() http.Handler {
-	return HealthHandlerFunc()
-}
-
-// HealthHandlerFunc serves the liveness probe with each extra applied to
-// the body before encoding — the hook the daemons use to attach the WAL
-// and shard sections without this package importing the store or the
-// fanout. A non-empty WAL.LastSyncError downgrades Status to "degraded"
+// HealthHandlerFunc serves a liveness probe: 200 with {"status":"ok",...}
+// plus uptime, build identity, and stream staleness, with each extra
+// applied to the body before encoding — the hook the daemons use to attach
+// the WAL and shard sections without this package importing the store or
+// the fanout. A non-empty WAL.LastSyncError downgrades Status to "degraded"
 // and keeps 200: the process is alive and serving. A shard that is not
 // "ok" downgrades Status and answers 503: a worker the coordinator is
 // restarting, or has given up on, is not a healthy fleet.

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/metrics/metricstest"
 )
 
 func testRegistry() *Registry {
@@ -58,11 +60,11 @@ func TestExpositionRoundTrips(t *testing.T) {
 	if err := r.WriteText(&b); err != nil {
 		t.Fatal(err)
 	}
-	samples, err := ParseText(strings.NewReader(b.String()))
+	samples, err := metricstest.ParseText(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatalf("own exposition rejected: %v", err)
 	}
-	byName := func(name string, labels map[string]string) *ParsedSample {
+	byName := func(name string, labels map[string]string) *metricstest.Sample {
 		for i, s := range samples {
 			if s.Name != name {
 				continue
@@ -112,7 +114,7 @@ func TestParseTextRejectsMalformed(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ParseText(strings.NewReader(tt.in)); err == nil {
+			if _, err := metricstest.ParseText(strings.NewReader(tt.in)); err == nil {
 				t.Fatalf("accepted %q", tt.in)
 			}
 		})
@@ -121,12 +123,12 @@ func TestParseTextRejectsMalformed(t *testing.T) {
 
 func TestParseRejectsDuplicateSeries(t *testing.T) {
 	payload := "# TYPE a counter\na{x=\"1\"} 1\na{x=\"1\"} 2\n"
-	if _, err := ParseText(strings.NewReader(payload)); err == nil {
+	if _, err := metricstest.ParseText(strings.NewReader(payload)); err == nil {
 		t.Fatal("duplicate series accepted")
 	}
 	// Same name with distinct labels is fine.
 	ok := "# TYPE a counter\na{x=\"1\"} 1\na{x=\"2\"} 2\n"
-	if _, err := ParseText(strings.NewReader(ok)); err != nil {
+	if _, err := metricstest.ParseText(strings.NewReader(ok)); err != nil {
 		t.Fatalf("distinct-label series rejected: %v", err)
 	}
 }
@@ -143,7 +145,7 @@ func TestParseTextAcceptsForeignPayload(t *testing.T) {
 		`temp{site="y"} +Inf`,
 		"",
 	}, "\n")
-	samples, err := ParseText(strings.NewReader(in))
+	samples, err := metricstest.ParseText(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,13 +168,13 @@ func TestMetricsHandler(t *testing.T) {
 	if got := resp.Header.Get("Content-Type"); got != TextContentType {
 		t.Fatalf("Content-Type = %q", got)
 	}
-	if _, err := ParseText(resp.Body); err != nil {
+	if _, err := metricstest.ParseText(resp.Body); err != nil {
 		t.Fatalf("handler output invalid: %v", err)
 	}
 }
 
 func TestHealthHandler(t *testing.T) {
-	srv := httptest.NewServer(HealthHandler())
+	srv := httptest.NewServer(HealthHandlerFunc())
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)
 	if err != nil {
@@ -233,7 +235,7 @@ func TestHealthStreamReadAge(t *testing.T) {
 	defer lastStreamRead.Store(0)
 
 	get := func() Health {
-		srv := httptest.NewServer(HealthHandler())
+		srv := httptest.NewServer(HealthHandlerFunc())
 		defer srv.Close()
 		resp, err := srv.Client().Get(srv.URL)
 		if err != nil {

@@ -5,13 +5,15 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/metrics/metricstest"
 )
 
 // reExpose renders parsed samples back into exposition text: one lazy
 // "# TYPE <name> untyped" declaration per distinct sample name, then each
 // sample with sorted labels, using the same value/label formatting as
 // WriteText.
-func reExpose(samples []ParsedSample) string {
+func reExpose(samples []metricstest.Sample) string {
 	var b strings.Builder
 	declared := make(map[string]bool)
 	for _, s := range samples {
@@ -49,12 +51,12 @@ func reExpose(samples []ParsedSample) string {
 
 // sampleKey folds a sample into a comparable string; NaN values collapse
 // to a marker so NaN == NaN for the round-trip comparison.
-func sampleKey(s ParsedSample) string {
+func sampleKey(s metricstest.Sample) string {
 	v := formatValue(s.Value)
 	if math.IsNaN(s.Value) {
 		v = "NaN"
 	}
-	return s.Name + "\xff" + labelKey(s.Labels) + "\xff" + v
+	return s.Name + "\xff" + metricstest.LabelKey(s.Labels) + "\xff" + v
 }
 
 // FuzzParseExposition checks the parse → expose → parse fixed point: any
@@ -81,12 +83,12 @@ func FuzzParseExposition(f *testing.F) {
 	f.Add("")
 
 	f.Fuzz(func(t *testing.T, input string) {
-		first, err := ParseText(strings.NewReader(input))
+		first, err := metricstest.ParseText(strings.NewReader(input))
 		if err != nil {
 			return // invalid payloads are out of scope
 		}
 		rendered := reExpose(first)
-		second, err := ParseText(strings.NewReader(rendered))
+		second, err := metricstest.ParseText(strings.NewReader(rendered))
 		if err != nil {
 			t.Fatalf("re-exposed payload rejected: %v\npayload:\n%s", err, rendered)
 		}

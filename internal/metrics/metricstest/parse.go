@@ -1,4 +1,7 @@
-package metrics
+// Package metricstest parses Prometheus text exposition for tests: a
+// payload from Registry.WriteText or a /metrics handler can be validated
+// and asserted on without a Prometheus dependency.
+package metricstest
 
 import (
 	"bufio"
@@ -10,8 +13,8 @@ import (
 	"strings"
 )
 
-// ParsedSample is one series line of a parsed exposition payload.
-type ParsedSample struct {
+// Sample is one series line of a parsed exposition payload.
+type Sample struct {
 	// Name is the full sample name, including histogram suffixes such as
 	// _bucket and _count.
 	Name   string
@@ -20,18 +23,16 @@ type ParsedSample struct {
 }
 
 // ParseText parses and validates a Prometheus text exposition payload as
-// produced by WriteText. It enforces the invariants tests care about: every
-// sample belongs to a # TYPE-declared family that precedes it, names and
-// label syntax follow the grammar, values parse as floats, and no two
-// samples repeat the same name and label set. It exists so tests (and
-// tooling) can assert on a /metrics payload without a Prometheus
-// dependency.
-func ParseText(r io.Reader) ([]ParsedSample, error) {
+// produced by metrics.Registry.WriteText. It enforces the invariants tests
+// care about: every sample belongs to a # TYPE-declared family that
+// precedes it, names and label syntax follow the grammar, values parse as
+// floats, and no two samples repeat the same name and label set.
+func ParseText(r io.Reader) ([]Sample, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	types := make(map[string]string)
 	seen := make(map[string]struct{})
-	var samples []ParsedSample
+	var samples []Sample
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -52,7 +53,7 @@ func ParseText(r io.Reader) ([]ParsedSample, error) {
 		if err := checkFamily(s, types); err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
-		key := s.Name + "\xff" + labelKey(s.Labels)
+		key := s.Name + "\xff" + LabelKey(s.Labels)
 		if _, dup := seen[key]; dup {
 			return nil, fmt.Errorf("line %d: duplicate sample %s", lineNo, s.Name)
 		}
@@ -99,7 +100,7 @@ func parseComment(line string, types map[string]string) error {
 
 // checkFamily verifies the sample's family was TYPE-declared before it,
 // resolving histogram suffixes to their base family.
-func checkFamily(s ParsedSample, types map[string]string) error {
+func checkFamily(s Sample, types map[string]string) error {
 	if _, ok := types[s.Name]; ok {
 		return nil
 	}
@@ -118,8 +119,8 @@ func checkFamily(s ParsedSample, types map[string]string) error {
 }
 
 // parseSample parses `name{label="value",...} value [timestamp]`.
-func parseSample(line string) (ParsedSample, error) {
-	s := ParsedSample{Labels: make(map[string]string)}
+func parseSample(line string) (Sample, error) {
+	s := Sample{Labels: make(map[string]string)}
 	i := strings.IndexAny(line, "{ ")
 	if i < 0 {
 		return s, fmt.Errorf("malformed sample %q", line)
@@ -226,7 +227,9 @@ func parseValue(s string) (float64, error) {
 	return v, nil
 }
 
-func labelKey(labels map[string]string) string {
+// LabelKey folds a label set into a string that is equal for equal sets,
+// whatever the map order.
+func LabelKey(labels map[string]string) string {
 	keys := make([]string, 0, len(labels))
 	for k := range labels {
 		keys = append(keys, k)
@@ -240,4 +243,24 @@ func labelKey(labels map[string]string) string {
 		b.WriteByte(';')
 	}
 	return b.String()
+}
+
+// validName reports whether s matches [a-zA-Z_:][a-zA-Z0-9_:]*, the
+// Prometheus metric-name grammar.
+func validName(s string) bool {
+	if s == "" {
+		return false
+	}
+	for i, r := range s {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r == '_', r == ':':
+		case r >= '0' && r <= '9':
+			if i == 0 {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
 }

@@ -13,6 +13,7 @@ import (
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/textutil"
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/textutil/texttest"
 )
 
 // This file holds the near-duplicate kernel's differential tests: each fast
@@ -103,7 +104,7 @@ func FuzzSignText(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) {
 		for _, text := range []string{s, textutil.NormalizeDescription(s)} {
 			for _, n := range []int{0, 1, 3, 5} {
-				got, want := scheme.SignText(text, n), scheme.Sign(textutil.Shingles(text, n))
+				got, want := scheme.SignText(text, n), scheme.Sign(texttest.Shingles(text, n))
 				if !slices.Equal(got, want) {
 					t.Fatalf("SignText(%q, %d) differs from Sign(Shingles)", text, n)
 				}
@@ -115,7 +116,7 @@ func FuzzSignText(f *testing.F) {
 // goldenTexts and the two constants below pin signatures across commits:
 // checkpoints persist signatures verbatim, so a store written by an older
 // build must meet identical signatures from a newer one. The constants were
-// recorded by running Sign(textutil.Shingles(·, 3)) at commit 3a065b4, the
+// recorded by running Sign(texttest.Shingles(·, 3)) at commit 3a065b4, the
 // last one before SignText existed.
 var goldenTexts = []string{
 	"", "a", "ab", "abc", "abcd",
@@ -134,7 +135,7 @@ func TestSignatureGolden(t *testing.T) {
 		s := NewScheme(64, rand.New(rand.NewSource(seed)))
 		for name, sign := range map[string]func(string) Signature{
 			"SignText": func(text string) Signature { return s.SignText(text, 3) },
-			"Sign":     func(text string) Signature { return s.Sign(textutil.Shingles(text, 3)) },
+			"Sign":     func(text string) Signature { return s.Sign(texttest.Shingles(text, 3)) },
 		} {
 			h := fnv.New64a()
 			var w [8]byte

@@ -7,7 +7,6 @@
 package minhash
 
 import (
-	"hash/fnv"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -48,26 +47,14 @@ func NewScheme(n int, rng *rand.Rand) *Scheme {
 // Size returns the signature length produced by the scheme.
 func (s *Scheme) Size() int { return len(s.a) }
 
-// Sign computes the MinHash signature of the shingle set. An empty set
-// yields a signature of all math.MaxUint64, which matches only other empty
-// sets.
-//
-// Sign over textutil.Shingles is the definition of a text's signature;
-// production signs with SignText, which the differential tests hold equal
-// to it word for word.
-func (s *Scheme) Sign(shingles []string) Signature {
-	sig := s.emptySignature()
-	for _, sh := range shingles {
-		s.fold(sig, baseHash(sh))
-	}
-	return sig
-}
-
-// SignText computes Sign(textutil.Shingles(text, n)) without building the
-// shingles: it slides a window of n runes over text and hashes each
-// window's UTF-8 re-encoding in place. As in Shingles, n ≤ 0 means 3, a
-// text of at most n runes is one shingle, and every invalid byte counts as
-// one U+FFFD. The returned signature is the call's only allocation.
+// SignText computes the MinHash signature of text's set of n-rune
+// character shingles without building the shingles: it slides a window of
+// n runes over text and hashes each window's UTF-8 re-encoding (FNV-1a) in
+// place. n ≤ 0 means 3, a text of at most n runes is one shingle, and
+// every invalid byte counts as one U+FFFD. An empty text has no shingles
+// and signs as all math.MaxUint64, which matches only other empty texts.
+// The returned signature is the call's only allocation. The tests hold it
+// equal to signing texttest.Shingles(text, n) shingle by shingle.
 func (s *Scheme) SignText(text string, n int) Signature {
 	if n <= 0 {
 		n = 3
@@ -111,19 +98,12 @@ func (s *Scheme) fold(sig Signature, h uint64) {
 	}
 }
 
-// baseHash maps a shingle to a 64-bit integer via FNV-1a.
-func baseHash(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	return h.Sum64()
-}
-
 const (
 	_fnvOffset64 = 14695981039346656037
 	_fnvPrime64  = 1099511628211
 )
 
-// hashRunes is baseHash(string([]rune(s))) computed in place: FNV-1a over
+// hashRunes is FNV-1a of string([]rune(s)) computed in place: FNV-1a over
 // the bytes of s with each invalid byte replaced by the three bytes of
 // U+FFFD, which is what the []rune round trip writes for it. Valid
 // sequences hash as they stand, since UTF-8 decoding accepts only the

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/textutil"
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/textutil/texttest"
 )
 
 func newScheme(t *testing.T, n int) *Scheme {
@@ -16,7 +17,7 @@ func newScheme(t *testing.T, n int) *Scheme {
 
 func TestSignDeterministic(t *testing.T) {
 	s := newScheme(t, 64)
-	sh := textutil.Shingles("the quick brown fox", 3)
+	sh := texttest.Shingles("the quick brown fox", 3)
 	a, b := s.Sign(sh), s.Sign(sh)
 	for i := range a {
 		if a[i] != b[i] {
@@ -27,7 +28,7 @@ func TestSignDeterministic(t *testing.T) {
 
 func TestIdenticalSetsHaveSimilarityOne(t *testing.T) {
 	s := newScheme(t, 64)
-	sh := textutil.Shingles("follow me for free bitcoin", 3)
+	sh := texttest.Shingles("follow me for free bitcoin", 3)
 	if got := Similarity(s.Sign(sh), s.Sign(sh)); got != 1 {
 		t.Fatalf("Similarity of identical sets = %v, want 1", got)
 	}
@@ -35,8 +36,8 @@ func TestIdenticalSetsHaveSimilarityOne(t *testing.T) {
 
 func TestDisjointSetsHaveLowSimilarity(t *testing.T) {
 	s := newScheme(t, 128)
-	a := s.Sign(textutil.Shingles("abcdefghijklmnop", 3))
-	b := s.Sign(textutil.Shingles("0123456789012345", 3))
+	a := s.Sign(texttest.Shingles("abcdefghijklmnop", 3))
+	b := s.Sign(texttest.Shingles("0123456789012345", 3))
 	if got := Similarity(a, b); got > 0.2 {
 		t.Fatalf("Similarity of disjoint sets = %v, want near 0", got)
 	}
@@ -48,9 +49,9 @@ func TestSimilarityEstimatesJaccard(t *testing.T) {
 	s := newScheme(t, 256)
 	x := "spam campaign text template number one"
 	y := "spam campaign text template number two"
-	shX := textutil.Shingles(x, 3)
-	shY := textutil.Shingles(y, 3)
-	trueJ := textutil.Jaccard(shX, shY)
+	shX := texttest.Shingles(x, 3)
+	shY := texttest.Shingles(y, 3)
+	trueJ := texttest.Jaccard(shX, shY)
 	est := Similarity(s.Sign(shX), s.Sign(shY))
 	if math.Abs(est-trueJ) > 0.12 {
 		t.Fatalf("estimate %v too far from true Jaccard %v", est, trueJ)
@@ -60,7 +61,7 @@ func TestSimilarityEstimatesJaccard(t *testing.T) {
 func TestEmptySetsMatchOnlyEmptySets(t *testing.T) {
 	s := newScheme(t, 32)
 	empty := s.Sign(nil)
-	other := s.Sign(textutil.Shingles("hello world", 3))
+	other := s.Sign(texttest.Shingles("hello world", 3))
 	if got := Similarity(empty, s.Sign(nil)); got != 1 {
 		t.Fatalf("empty vs empty similarity = %v, want 1", got)
 	}
@@ -101,9 +102,9 @@ func TestIndexFindsNearDuplicates(t *testing.T) {
 	}
 	ids := make([]int, len(variants))
 	for i, v := range variants {
-		ids[i] = ix.Add(s.Sign(textutil.Shingles(textutil.NormalizeDescription(v), 3)))
+		ids[i] = ix.Add(s.Sign(texttest.Shingles(textutil.NormalizeDescription(v), 3)))
 	}
-	unrelated := ix.Add(s.Sign(textutil.Shingles("completely different biography text", 3)))
+	unrelated := ix.Add(s.Sign(texttest.Shingles("completely different biography text", 3)))
 
 	cands := ix.Candidates(ix.Signature(ids[0]))
 	found := make(map[int]bool)
@@ -134,7 +135,7 @@ func TestIndexLen(t *testing.T) {
 	if ix.Len() != 0 {
 		t.Fatal("new index should be empty")
 	}
-	ix.Add(s.Sign(textutil.Shingles("abc", 3)))
+	ix.Add(s.Sign(texttest.Shingles("abc", 3)))
 	if ix.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", ix.Len())
 	}
@@ -151,8 +152,8 @@ func TestIndexClampsBandsRows(t *testing.T) {
 func TestSimilarityBoundsProperty(t *testing.T) {
 	s := NewScheme(32, rand.New(rand.NewSource(2)))
 	prop := func(x, y string) bool {
-		a := s.Sign(textutil.Shingles(x, 3))
-		b := s.Sign(textutil.Shingles(y, 3))
+		a := s.Sign(texttest.Shingles(x, 3))
+		b := s.Sign(texttest.Shingles(y, 3))
 		sim := Similarity(a, b)
 		return sim == Similarity(b, a) && sim >= 0 && sim <= 1
 	}
@@ -166,8 +167,8 @@ func TestSimilarityBoundsProperty(t *testing.T) {
 func TestSignMonotoneProperty(t *testing.T) {
 	s := NewScheme(32, rand.New(rand.NewSource(3)))
 	prop := func(x, extra string) bool {
-		base := textutil.Shingles(x, 3)
-		super := append(append([]string{}, base...), textutil.Shingles(extra, 3)...)
+		base := texttest.Shingles(x, 3)
+		super := append(append([]string{}, base...), texttest.Shingles(extra, 3)...)
 		a, b := s.Sign(base), s.Sign(super)
 		for i := range a {
 			if b[i] > a[i] {
@@ -183,7 +184,7 @@ func TestSignMonotoneProperty(t *testing.T) {
 
 func BenchmarkSign(b *testing.B) {
 	s := NewScheme(64, rand.New(rand.NewSource(1)))
-	sh := textutil.Shingles("a moderately long user description used for benchmarking minhash", 3)
+	sh := texttest.Shingles("a moderately long user description used for benchmarking minhash", 3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = s.Sign(sh)

@@ -24,10 +24,8 @@ func TestFlatPredictAllocFree(t *testing.T) {
 	}
 
 	outV := make([]bool, len(tx))
-	outP := make([]float64, len(tx))
 	if a := testing.AllocsPerRun(50, func() {
 		outV = f.PredictBatchInto(tx, outV)
-		outP = f.PredictProbaBatchInto(tx, outP)
 	}); a != 0 {
 		t.Fatalf("1-worker batch predict allocates %v/op, want 0", a)
 	}

@@ -71,21 +71,3 @@ func (ff *flatForest) predictRange(x [][]float64, lo, hi, trees int, out []bool)
 		}
 	}
 }
-
-// probaRange is predictRange for vote fractions. The tally divides rather
-// than multiplying by a reciprocal: bit-identity with PredictProba is part
-// of the contract.
-func (ff *flatForest) probaRange(x [][]float64, lo, hi, trees int, out []float64) {
-	var votes [flatBlock]int32
-	for blo := lo; blo < hi; blo += flatBlock {
-		bhi := blo + flatBlock
-		if bhi > hi {
-			bhi = hi
-		}
-		clear(votes[:bhi-blo])
-		ff.voteBlock(x, blo, bhi, votes[:])
-		for i := blo; i < bhi; i++ {
-			out[i] = float64(votes[i-blo]) / float64(trees)
-		}
-	}
-}

@@ -18,8 +18,9 @@ func pointerVotes(f *Forest, x []float64) int {
 }
 
 // TestFlatForestBitIdentical is the property suite for the flat predictor:
-// across seeds, shapes, and worker counts, single-sample and batch
-// verdicts and probabilities must equal the pointer oracle's bit for bit.
+// across seeds, shapes, and worker counts, single-sample verdicts and
+// probabilities and batch verdicts must equal the pointer oracle's bit for
+// bit.
 func TestFlatForestBitIdentical(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		for _, cfg := range []Config{
@@ -51,13 +52,10 @@ func TestFlatForestBitIdentical(t *testing.T) {
 			}
 			for _, workers := range []int{1, 2, 8} {
 				f.cfg.Workers = workers
-				gotV, gotP := f.PredictBatch(tx), f.PredictProbaBatch(tx)
+				gotV := f.PredictBatch(tx)
 				for i := range tx {
 					if gotV[i] != wantV[i] {
 						t.Fatalf("seed %d workers %d: batch verdict mismatch at %d", seed, workers, i)
-					}
-					if gotP[i] != wantP[i] {
-						t.Fatalf("seed %d workers %d: batch probability mismatch at %d", seed, workers, i)
 					}
 				}
 			}
@@ -65,8 +63,8 @@ func TestFlatForestBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPredictBatchIntoReuse checks the Into variants reuse caller buffers
-// and still match the allocating forms.
+// TestPredictBatchIntoReuse checks PredictBatchInto reuses the caller's
+// buffer and still matches the allocating form.
 func TestPredictBatchIntoReuse(t *testing.T) {
 	x, y := noisyData(300, 3)
 	f := New(Config{Trees: 12, Seed: 3})
@@ -75,16 +73,13 @@ func TestPredictBatchIntoReuse(t *testing.T) {
 	}
 	tx, _ := noisyData(500, 4)
 	outV := make([]bool, 0, len(tx))
-	outP := make([]float64, 0, len(tx))
 	gotV := f.PredictBatchInto(tx, outV)
-	gotP := f.PredictProbaBatchInto(tx, outP)
-	if &gotV[0] != &outV[:1][0] || &gotP[0] != &outP[:1][0] {
-		t.Fatal("Into variants did not reuse the provided buffers")
+	if &gotV[0] != &outV[:1][0] {
+		t.Fatal("PredictBatchInto did not reuse the provided buffer")
 	}
 	wantV := f.PredictBatch(tx)
-	wantP := f.PredictProbaBatch(tx)
 	for i := range tx {
-		if gotV[i] != wantV[i] || gotP[i] != wantP[i] {
+		if gotV[i] != wantV[i] {
 			t.Fatalf("Into mismatch at %d", i)
 		}
 	}

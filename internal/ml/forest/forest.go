@@ -197,29 +197,6 @@ func (f *Forest) batchWorkers(n int) int {
 	return parallel.Resolve(f.cfg.Workers, (n+batchMinChunk-1)/batchMinChunk)
 }
 
-// PredictProbaBatchInto writes every sample's spam-vote fraction into out
-// (reused when its capacity suffices), batched like PredictBatchInto.
-func (f *Forest) PredictProbaBatchInto(x [][]float64, out []float64) []float64 {
-	if cap(out) < len(x) {
-		out = make([]float64, len(x))
-	}
-	out = out[:len(x)]
-	if f.flat == nil {
-		clear(out)
-		return out
-	}
-	ff := f.flat
-	trees := len(f.trees)
-	if f.batchWorkers(len(x)) == 1 {
-		ff.probaRange(x, 0, len(x), trees, out)
-		return out
-	}
-	parallel.ForEachChunk(len(x), f.cfg.Workers, batchMinChunk, func(lo, hi int) {
-		ff.probaRange(x, lo, hi, trees, out)
-	})
-	return out
-}
-
 // batchMinChunk keeps batch-prediction chunks large enough that pool
 // dispatch overhead stays negligible next to the 70-tree vote per sample.
 const batchMinChunk = 16
@@ -242,12 +219,4 @@ func (f *Forest) FeatureImportance(d int) []float64 {
 		}
 	}
 	return imp
-}
-
-// PredictProba returns the fraction of trees voting spam.
-func (f *Forest) PredictProba(x []float64) float64 {
-	if f.flat == nil {
-		return 0
-	}
-	return float64(f.flat.votes(x)) / float64(len(f.trees))
 }

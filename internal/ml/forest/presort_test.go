@@ -7,8 +7,8 @@ import (
 )
 
 // TestSharedPresortMatchesPerTreeFit cross-checks Fit's shared-presort
-// path — one split.NewPresort over the training rows, a
-// NewBootstrapEngine view and FitEngine per tree — against the plain
+// path — one split.NewPresort over the training rows, a Presort.View of
+// each tree's bootstrap draw counts and FitEngine per tree — against the plain
 // construction it replaces: every tree fit by tree.Fit on its own
 // materialized bootstrap rows, same draws and seeds. At the paper config
 // (exact scan, 70 trees, depth 700) each member tree's verdict and the

@@ -41,17 +41,6 @@ func NewDataset(x [][]float64, y []bool) (*Dataset, error) {
 // Len returns the number of samples.
 func (d *Dataset) Len() int { return len(d.X) }
 
-// Positives returns the number of positive (spam) samples.
-func (d *Dataset) Positives() int {
-	n := 0
-	for _, v := range d.Y {
-		if v {
-			n++
-		}
-	}
-	return n
-}
-
 // Subset returns the dataset restricted to the given indices (views, not
 // copies, of the sample vectors).
 func (d *Dataset) Subset(idx []int) *Dataset {

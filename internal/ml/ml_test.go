@@ -48,7 +48,7 @@ func TestNewDatasetValidates(t *testing.T) {
 		t.Fatal("mismatched dataset accepted")
 	}
 	d, err := NewDataset([][]float64{{1}, {2}}, []bool{true, false})
-	if err != nil || d.Len() != 2 || d.Positives() != 1 {
+	if err != nil || d.Len() != 2 || !d.Y[0] || d.Y[1] {
 		t.Fatalf("dataset: %v %+v", err, d)
 	}
 }

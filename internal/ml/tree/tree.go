@@ -111,22 +111,6 @@ func (t *Tree) Predict(x []float64) bool {
 	return n.label
 }
 
-// Depth returns the depth of the trained tree (0 for a single leaf).
-func (t *Tree) Depth() int {
-	var depth func(*node) int
-	depth = func(n *node) int {
-		if n == nil || n.leaf {
-			return 0
-		}
-		l, r := depth(n.left), depth(n.right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return depth(t.root)
-}
-
 func (t *Tree) grow(e *split.Engine, y []bool, lo, hi, depth int) *node {
 	cnt := e.Counts()
 	n, pos := 0, 0

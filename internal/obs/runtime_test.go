@@ -152,15 +152,12 @@ func TestHistQuantileAndBucketMid(t *testing.T) {
 	}
 }
 
-// BenchmarkObsDisabled measures the disabled observability path the
-// pipeline pays unconditionally: a nil watchdog heartbeat and a nil
-// collector sample. Both must stay branch-cheap.
+// BenchmarkObsDisabled measures the disabled observability path: a nil
+// collector sample must stay branch-cheap.
 func BenchmarkObsDisabled(b *testing.B) {
-	var w *Watchdog
 	var c *Collector
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w.Heartbeat("match")
 		c.Collect()
 	}
 }

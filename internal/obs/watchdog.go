@@ -3,7 +3,6 @@ package obs
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/metrics"
@@ -13,28 +12,18 @@ import (
 // Watchdog turns the pipeline's existing instrumentation into stall
 // detection. Each scan reads the registry's ph_pipeline_queue_depth and
 // ph_pipeline_items_total series per (stage, shard) and compares against
-// the previous scan: a stage whose input queue holds items while neither
-// its item counter nor its progress heartbeat advanced across a full scan
-// window has stopped consuming — the watchdog increments
-// ph_watchdog_stall_total{stage,shard} and emits a structured warning
-// (reason "saturated" when backpressure also advanced in the window,
-// i.e. producers are actively blocked on the dead stage).
+// the previous scan: a stage whose input queue holds items while its item
+// counter did not advance across a full scan window has stopped consuming
+// — the watchdog increments ph_watchdog_stall_total{stage,shard} and emits
+// a structured warning (reason "saturated" when backpressure also advanced
+// in the window, i.e. producers are actively blocked on the dead stage).
 //
-// Heartbeats distinguish "stuck" from "slow": Runner.flush beats once per
-// micro-batch via the pipeline's Heartbeat hook, so a stage grinding
-// through an enormous batch still registers progress even though its item
-// counter only moves at flush end.
-//
-// A nil *Watchdog is a valid disabled receiver: Heartbeat on nil is a
-// single predictable branch (benchmarked by BenchmarkObsDisabled), so the
-// pipeline never guards the hook.
+// A nil *Watchdog is a valid disabled receiver.
 type Watchdog struct {
 	reg      *metrics.Registry
 	logger   *trace.Logger
 	stalls   *metrics.CounterVec
 	interval time.Duration
-
-	beats sync.Map // stage → *atomic.Uint64
 
 	mu   sync.Mutex
 	prev map[string]stageProgress // (stage;shard) → last scan's view
@@ -45,7 +34,6 @@ type stageProgress struct {
 	depth        float64
 	items        float64
 	backpressure float64
-	beat         uint64
 }
 
 // WatchdogConfig parameterizes a Watchdog.
@@ -76,31 +64,6 @@ func NewWatchdog(cfg WatchdogConfig) *Watchdog {
 		interval: cfg.Interval,
 		prev:     make(map[string]stageProgress),
 	}
-}
-
-// Heartbeat records progress for a stage. Nil-safe and lock-free on the
-// hot path (one sync.Map load + one atomic add).
-func (w *Watchdog) Heartbeat(stage string) {
-	if w == nil {
-		return
-	}
-	v, ok := w.beats.Load(stage)
-	if !ok {
-		v, _ = w.beats.LoadOrStore(stage, new(atomic.Uint64))
-	}
-	v.(*atomic.Uint64).Add(1)
-}
-
-// HeartbeatFunc adapts the watchdog to the pipeline's Heartbeat hook.
-// Valid on a nil receiver (returns the nil-safe method value).
-func (w *Watchdog) HeartbeatFunc() func(stage string) { return w.Heartbeat }
-
-// beat reads a stage's heartbeat count.
-func (w *Watchdog) beat(stage string) uint64 {
-	if v, ok := w.beats.Load(stage); ok {
-		return v.(*atomic.Uint64).Load()
-	}
-	return 0
 }
 
 // Scan runs one stall-detection pass and returns the stages flagged this
@@ -138,7 +101,6 @@ func (w *Watchdog) Scan() []string {
 			key := stage + ";" + shard
 			p := cur[key]
 			set(&p, s.Value)
-			p.beat = w.beat(stage)
 			cur[key] = p
 			series[key] = labeled{stage, shard}
 		}
@@ -157,7 +119,7 @@ func (w *Watchdog) Scan() []string {
 		if p.depth <= 0 || last.depth <= 0 {
 			continue // empty queue at either edge: idle, not stalled
 		}
-		if p.items != last.items || p.beat != last.beat {
+		if p.items != last.items {
 			continue // the stage advanced
 		}
 		stalled = append(stalled, key)

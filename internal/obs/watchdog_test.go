@@ -87,12 +87,6 @@ func TestWatchdogProgressSuppressesStall(t *testing.T) {
 		t.Fatalf("progressing stage flagged: %v", got)
 	}
 
-	// No item progress but the heartbeat moved (mid-batch): still alive.
-	w.Heartbeat("label")
-	if got := w.Scan(); len(got) != 0 {
-		t.Fatalf("heartbeating stage flagged: %v", got)
-	}
-
 	// Queue drained: idle, not stalled.
 	fx.depth.Set(0)
 	w.Scan()
@@ -122,17 +116,11 @@ func TestWatchdogSaturatedReason(t *testing.T) {
 
 func TestWatchdogNilSafe(t *testing.T) {
 	var w *Watchdog
-	w.Heartbeat("match") // must not panic
 	if got := w.Scan(); got != nil {
 		t.Fatalf("nil Scan = %v", got)
 	}
 	stop := w.Start()
 	stop()
-	if fn := w.HeartbeatFunc(); fn == nil {
-		t.Fatal("nil HeartbeatFunc")
-	} else {
-		fn("match")
-	}
 }
 
 func TestWatchdogStartScansOnInterval(t *testing.T) {

@@ -60,11 +60,6 @@ type Config struct {
 	// Sources configuration). Multi-source runs label each runner with
 	// the source feeding it, or "mux" downstream of the merge.
 	Source string
-	// Heartbeat, when set, is called with the stage name once per
-	// micro-batch flush — the progress signal the stall watchdog
-	// (internal/obs) uses to tell a stage that is slowly grinding from one
-	// that stopped consuming. Nil means no reporting.
-	Heartbeat func(stage string)
 }
 
 // DefaultFlushSize is the default micro-batch size bound.
@@ -291,9 +286,6 @@ func (r *Runner) flush(name string, n int, fn func(tr *trace.Trace)) {
 	r.ins.batches.With(name, r.cfg.Shard, r.cfg.Source).Inc()
 	r.ins.items.With(name, r.cfg.Shard, r.cfg.Source).Add(float64(n))
 	r.ins.flushSecs.With(name, r.cfg.Shard, r.cfg.Source).ObserveDuration(start)
-	if r.cfg.Heartbeat != nil {
-		r.cfg.Heartbeat(name)
-	}
 }
 
 // Through registers a stage that consumes in, applies fn per micro-batch,

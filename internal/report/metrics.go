@@ -3,39 +3,10 @@ package report
 import (
 	"encoding/json"
 	"io"
-	"strconv"
-	"strings"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/metrics"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/trace"
 )
-
-// MetricsTable flattens a registry snapshot into a table — one row per
-// sample, histograms summarized as count/sum — so a run's final counters
-// render alongside the paper tables.
-func MetricsTable(families []metrics.FamilySnapshot) *Table {
-	t := &Table{
-		Title:   "Run Metrics",
-		Headers: []string{"Metric", "Labels", "Type", "Value", "Count", "Sum"},
-	}
-	for _, fam := range families {
-		for _, s := range fam.Samples {
-			labels := make([]string, 0, len(s.Labels))
-			for _, l := range s.Labels {
-				labels = append(labels, l.Name+"="+l.Value)
-			}
-			value, count, sum := FormatFloat(s.Value), "", ""
-			if fam.Type == metrics.TypeHistogram {
-				value = ""
-				count = strconv.FormatUint(s.Count, 10)
-				sum = FormatFloat(s.Sum)
-			}
-			t.AddRow(fam.Name, strings.Join(labels, ","), fam.Type.String(),
-				value, count, sum)
-		}
-	}
-	return t
-}
 
 // Export bundles a run's output tables with the final state of its metrics
 // registry, so an archived result carries the operational counters

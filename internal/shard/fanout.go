@@ -188,9 +188,6 @@ func NewFanout(cfg FanoutConfig) *Fanout {
 	return f
 }
 
-// Shards returns the effective shard count.
-func (f *Fanout) Shards() int { return f.ring.Shards() }
-
 // Ingest routes one freshly matched capture to its owning shard. It must
 // be called from a single goroutine (the engine's); the assigned sequence
 // numbers define the canonical merge order. Routing keys on the receiver

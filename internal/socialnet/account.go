@@ -85,7 +85,7 @@ type Account struct {
 	DefaultProfileImage bool
 
 	// ProfileImageSeed seeds the synthetic avatar; campaign members share
-	// a base seed and differ by a perturbation (see imagehash.Perturb).
+	// a base seed and differ by one campaign edit (see imagehash.Edit).
 	ProfileImageSeed int64
 	// ProfileImageHash is the precomputed perceptual hash of the avatar:
 	// dHash, or pHash under ImageHashPHash.
@@ -126,10 +126,6 @@ type Account struct {
 	// send before it is burned (spammers only). Maintained by the Engine.
 	spamBudget int
 }
-
-// SpamBudget returns the account's remaining spam-message budget
-// (generative state; zero for benign accounts and burned spammers).
-func (a *Account) SpamBudget() int { return a.spamBudget }
 
 // AgeDays returns the account age in days at instant now.
 func (a *Account) AgeDays(now time.Time) float64 {
@@ -261,16 +257,6 @@ type Tweet struct {
 	// evaluation code, never by the detector.
 	Spam       bool
 	CampaignID int
-}
-
-// HasMention reports whether the tweet mentions the given account.
-func (t *Tweet) HasMention(id AccountID) bool {
-	for _, m := range t.Mentions {
-		if m == id {
-			return true
-		}
-	}
-	return false
 }
 
 // Clone returns a deep copy of the tweet that owns all of its memory:

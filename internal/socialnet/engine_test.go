@@ -346,30 +346,6 @@ func TestSpamTweetsCarryCampaignArtifacts(t *testing.T) {
 	}
 }
 
-func TestTrendSetStatesAndTop(t *testing.T) {
-	w := newTestWorld(t)
-	ts := w.Trends()
-	for i := 0; i < 10; i++ {
-		ts.Step()
-	}
-	seen := 0
-	for _, s := range TrendStates {
-		names := ts.Top(s, 10)
-		seen += len(names)
-		for _, n := range names {
-			if ts.StateOf(n) != s {
-				t.Fatalf("topic %q state mismatch", n)
-			}
-		}
-	}
-	if seen == 0 {
-		t.Fatal("no topics in any state")
-	}
-	if ts.StateOf("nonexistent-topic") != TrendNone {
-		t.Fatal("unknown topic should be TrendNone")
-	}
-}
-
 func TestTrendSampleRespectsState(t *testing.T) {
 	w := newTestWorld(t)
 	ts := w.Trends()

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/textutil"
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/textutil/texttest"
 )
 
 func TestSpawnSpammerJoinsWorld(t *testing.T) {
@@ -20,7 +21,7 @@ func TestSpawnSpammerJoinsWorld(t *testing.T) {
 	if a.Kind != KindSpammer {
 		t.Fatal("spawned account not a spammer")
 	}
-	if a.SpamBudget() <= 0 {
+	if a.spamBudget <= 0 {
 		t.Fatal("spawned spammer has no budget")
 	}
 	if w.Account(a.ID) != a {
@@ -137,7 +138,7 @@ func TestLoneWolvesLookOrganic(t *testing.T) {
 	lw := w.Account(loneWolfID)
 	// Organic-looking artefacts: no campaign naming template (no leading
 	// uppercase shape), benign-style description without campaign URLs.
-	seq := textutil.ClassSeq(lw.ScreenName)
+	seq := textutil.ClassSeqWithRunLengths(lw.ScreenName)
 	if seq[0] == 'U' {
 		t.Fatalf("lone wolf name %q uses campaign template shape", lw.ScreenName)
 	}
@@ -160,7 +161,7 @@ func TestCampaignMembersShareDescTemplate(t *testing.T) {
 		// forms must be near-duplicates.
 		na := textutil.NormalizeDescription(a.Description)
 		nb := textutil.NormalizeDescription(b.Description)
-		sim := textutil.Jaccard(textutil.Shingles(na, 3), textutil.Shingles(nb, 3))
+		sim := texttest.Jaccard(texttest.Shingles(na, 3), texttest.Shingles(nb, 3))
 		if sim < 0.5 {
 			t.Fatalf("campaign descriptions too dissimilar (%v):\n%q\n%q", sim, na, nb)
 		}
@@ -186,7 +187,7 @@ func TestBenignDescriptionsRarelyNearDuplicate(t *testing.T) {
 		for j := i + 1; j < i+6 && j < len(normals); j++ {
 			na := textutil.NormalizeDescription(normals[i].Description)
 			nb := textutil.NormalizeDescription(normals[j].Description)
-			if textutil.Jaccard(textutil.Shingles(na, 3), textutil.Shingles(nb, 3)) >= 0.85 {
+			if texttest.Jaccard(texttest.Shingles(na, 3), texttest.Shingles(nb, 3)) >= 0.85 {
 				dup++
 			}
 			pairs++
@@ -207,7 +208,7 @@ func TestBurnedSpammerGoesDark(t *testing.T) {
 	e.RunHours(6)
 	burned := 0
 	for _, a := range w.Accounts() {
-		if a.Kind != KindSpammer || a.SpamBudget() > 0 {
+		if a.Kind != KindSpammer || a.spamBudget > 0 {
 			continue
 		}
 		burned++

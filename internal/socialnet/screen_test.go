@@ -429,3 +429,21 @@ func TestByScreenNameFirstRegisteredWins(t *testing.T) {
 	}
 	t.Logf("%d duplicated names in the generated population", dups)
 }
+
+// Matches reports whether acct satisfies the selector at instant now within
+// the relative tolerance band tol (e.g. 0.35 accepts values within ±35% of
+// the sample value).
+func (s Selector) Matches(acct *Account, now time.Time, tol float64) bool {
+	switch s.Attr {
+	case AttrHashtag:
+		return acct.HashtagCategory == s.Category
+	case AttrTrend:
+		return acct.TrendAffinity == s.Trend
+	case AttrRandom:
+		return true
+	default:
+		v := s.Attr.Value(acct, now)
+		lo, hi := s.Value*(1-tol), s.Value*(1+tol)
+		return v >= lo && v <= hi
+	}
+}

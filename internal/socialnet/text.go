@@ -92,11 +92,6 @@ var topHashtags = map[HashtagCategory][]string{
 	},
 }
 
-// TopHashtags returns a copy of the top-10 hashtags for a category.
-func TopHashtags(c HashtagCategory) []string {
-	return append([]string(nil), topHashtags[c]...)
-}
-
 var (
 	_firstNames = []string{
 		"alex", "sam", "jordan", "taylor", "casey", "morgan", "riley",

@@ -112,38 +112,6 @@ func (ts *TrendSet) reclassify() {
 	}
 }
 
-// Top returns up to n topic names in the given state, highest volume first.
-func (ts *TrendSet) Top(state TrendState, n int) []string {
-	var matched []*Topic
-	for _, t := range ts.topics {
-		if t.State == state {
-			matched = append(matched, t)
-		}
-	}
-	sort.Slice(matched, func(i, j int) bool {
-		return matched[i].Volume > matched[j].Volume
-	})
-	if len(matched) > n {
-		matched = matched[:n]
-	}
-	names := make([]string, len(matched))
-	for i, t := range matched {
-		names[i] = t.Name
-	}
-	return names
-}
-
-// StateOf returns the current state of topic name, or TrendNone if the
-// topic is unknown.
-func (ts *TrendSet) StateOf(name string) TrendState {
-	for _, t := range ts.topics {
-		if t.Name == name {
-			return t.State
-		}
-	}
-	return TrendNone
-}
-
 // Sample returns a random topic weighted by volume, preferring topics in
 // the given state when any exist.
 func (ts *TrendSet) Sample(state TrendState) *Topic {

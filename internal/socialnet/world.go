@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/imagehash"
@@ -67,9 +66,6 @@ func NewWorld(cfg Config) (*World, error) {
 	w.generate()
 	return w, nil
 }
-
-// Config returns the world's configuration.
-func (w *World) Config() Config { return w.cfg }
 
 // Trends returns the world's trend feed.
 func (w *World) Trends() *TrendSet { return w.trends }
@@ -344,8 +340,7 @@ func (w *World) genSpammer(id AccountID, c *Campaign, now time.Time) (*Account, 
 		a.Description = w.gen.campaignDescription(c.DescTemplate, c.URL(rng))
 		a.DefaultProfileImage = rng.Float64() < 0.4
 		a.ProfileImageSeed = c.BaseImageSeed
-		// The member's edit of the shared base image (imagehash.Perturb's
-		// draws).
+		// The member's edit of the shared base image.
 		rec = avatarRecipe{seed: c.BaseImageSeed, member: true, edit: imagehash.DrawEdit(40, rng)}
 	}
 	a.spamBudget = w.drawSpamBudget()
@@ -636,15 +631,4 @@ func clampF(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// SortByAttr returns account indices sorted by the given numeric attribute
-// evaluated at instant now. The screener uses this to binary-search sample
-// values.
-func (w *World) SortByAttr(attr func(*Account, time.Time) float64, now time.Time) []*Account {
-	sorted := append([]*Account(nil), w.accounts...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return attr(sorted[i], now) < attr(sorted[j], now)
-	})
-	return sorted
 }

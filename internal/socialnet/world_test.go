@@ -150,7 +150,7 @@ func TestCampaignArtefactsCluster(t *testing.T) {
 		t.Skip("campaign too small")
 	}
 	first := w.Account(c.MemberIDs[0])
-	base := imagehash.DHash(imagehash.Synthesize(c.BaseImageSeed))
+	base := imagehash.DHash(imagehash.NewSynthesizer().Synthesize(c.BaseImageSeed))
 	seqs := make(map[string]int)
 	within := 0
 	for _, id := range c.MemberIDs {
@@ -358,11 +358,8 @@ func TestByScreenName(t *testing.T) {
 	}
 }
 
-func TestTweetHasMentionAndClone(t *testing.T) {
+func TestTweetClone(t *testing.T) {
 	tw := &Tweet{Mentions: []AccountID{1, 2}, Hashtags: []string{"x"}, URLs: []string{"u"}}
-	if !tw.HasMention(2) || tw.HasMention(3) {
-		t.Fatal("HasMention wrong")
-	}
 	cp := tw.Clone()
 	cp.Mentions[0] = 99
 	cp.Hashtags[0] = "changed"
@@ -383,21 +380,6 @@ func TestKindStrings(t *testing.T) {
 	if SourceWeb.String() != "web" || SourceMobile.String() != "mobile" ||
 		SourceThirdParty.String() != "third-party" || SourceOther.String() != "other" {
 		t.Fatal("Source.String wrong")
-	}
-}
-
-func TestSortByAttr(t *testing.T) {
-	w := newTestWorld(t)
-	now := simclock.Epoch
-	followers := func(a *Account, _ time.Time) float64 { return float64(a.FollowersCount) }
-	sorted := w.SortByAttr(followers, now)
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i-1].FollowersCount > sorted[i].FollowersCount {
-			t.Fatal("SortByAttr result not sorted")
-		}
-	}
-	if len(sorted) != w.NumAccounts() {
-		t.Fatal("SortByAttr dropped accounts")
 	}
 }
 

@@ -84,10 +84,6 @@ func NewReddit(cfg RedditConfig) (*RedditSource, error) {
 	return r, nil
 }
 
-// World exposes the source's own social world (campaign-seed wiring and
-// evaluation oracles).
-func (r *RedditSource) World() *socialnet.World { return r.world }
-
 // ID implements Source.
 func (r *RedditSource) ID() string { return "reddit" }
 

@@ -102,9 +102,6 @@ func (r *ReplaySource) ID() string { return "replay" }
 // ReplayBacked marks the source as a recording for config validation.
 func (r *ReplaySource) ReplayBacked() bool { return true }
 
-// Hours reports how many recorded hours the log holds.
-func (r *ReplaySource) Hours() int { return len(r.rotations) }
-
 // RunHours implements Source: it replays up to n recorded hours — hooks
 // first, then that hour's captures in WAL order — and stops silently at
 // the end of the recording.

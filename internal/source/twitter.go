@@ -70,7 +70,3 @@ func (s *TwitterSource) Close() error { return nil }
 func (s *TwitterSource) NewScreener(seed int64) core.Screener {
 	return &core.LocalScreener{World: s.world, Rng: rand.New(rand.NewSource(seed))}
 }
-
-// World exposes the wrapped world (the reddit source reuses it to derive
-// cross-source campaigns).
-func (s *TwitterSource) World() *socialnet.World { return s.world }

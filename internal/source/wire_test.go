@@ -122,7 +122,7 @@ func TestWireEndToEnd(t *testing.T) {
 	if err := w.RunHours(3); err != nil {
 		t.Fatal(err)
 	}
-	if got := run.m.Rotations(); got != 3 {
+	if got := len(run.nodes); got != 3 {
 		t.Fatalf("rotations = %d, want 3", got)
 	}
 	if !w.Now().Equal(start.Add(3 * time.Hour)) {

@@ -81,9 +81,6 @@ func NewDir(path string) (*Dir, error) {
 	return &Dir{path: path}, nil
 }
 
-// Path returns the directory the backend is bound to.
-func (d *Dir) Path() string { return d.path }
-
 type diskFile struct{ f *os.File }
 
 func (w *diskFile) Write(p []byte) (int, error) { return w.f.Write(p) }

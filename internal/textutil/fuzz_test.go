@@ -1,6 +1,10 @@
 package textutil
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/textutil/texttest"
+)
 
 func FuzzTokenize(f *testing.F) {
 	f.Add("hello world")
@@ -48,7 +52,7 @@ func FuzzShingles(f *testing.F) {
 		if n > 1000 || n < -1000 {
 			return
 		}
-		sh := Shingles(s, n)
+		sh := texttest.Shingles(s, n)
 		if len(s) > 0 && len(sh) == 0 {
 			t.Fatalf("non-empty string %q produced no shingles", s)
 		}

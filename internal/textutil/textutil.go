@@ -1,8 +1,7 @@
 // Package textutil implements the text-processing primitives the
 // pseudo-honeypot labeling pipeline relies on: tokenization, stop-word
-// removal, URL/emoji stripping, tri-gram shingling for MinHash, and the
-// Σ-Seq character-class sequences used to cluster campaign screen names
-// (paper §IV-B).
+// removal, URL/emoji stripping, and the Σ-Seq character-class sequences
+// used to cluster campaign screen names (paper §IV-B).
 package textutil
 
 import (
@@ -137,57 +136,14 @@ func NormalizeDescription(s string) string {
 	return strings.Join(tokens, " ")
 }
 
-// Shingles returns the n-gram character shingles of s. The paper's MinHash
-// step uses tri-gram shingling (n = 3). Strings shorter than n yield a
-// single shingle containing the whole string, so short descriptions still
-// compare equal only to identical short descriptions.
-//
-// This is the definition of the shingle set. The labeler signs texts with
-// minhash.Scheme.SignText, which hashes the same windows without building
-// them and is tested equal to signing this function's result.
-func Shingles(s string, n int) []string {
-	if n <= 0 {
-		n = 3
-	}
-	runes := []rune(s)
-	if len(runes) == 0 {
-		return nil
-	}
-	if len(runes) <= n {
-		return []string{string(runes)}
-	}
-	out := make([]string, 0, len(runes)-n+1)
-	for i := 0; i+n <= len(runes); i++ {
-		out = append(out, string(runes[i:i+n]))
-	}
-	return out
-}
-
-// ClassSeq maps a screen name onto the paper's Σ-Seq representation using
-// the character classes Σ = {p{Lu}, p{Ll}, p{N}, p{P}}: runs of uppercase,
-// lowercase, numeric, and punctuation characters. Each maximal run is
-// emitted as one class symbol, so "John_Doe99" → "Ulp.Ul.N" style sequences
-// collapse naming-template variants into identical keys.
-//
-// The output alphabet is: 'U' uppercase run, 'l' lowercase run, 'N' numeric
-// run, 'P' punctuation/symbol run, '?' anything else.
-func ClassSeq(name string) string {
-	var b strings.Builder
-	var prev byte
-	for _, r := range name {
-		c := classOf(r)
-		if c == prev {
-			continue
-		}
-		b.WriteByte(c)
-		prev = c
-	}
-	return b.String()
-}
-
-// ClassSeqWithRunLengths is like ClassSeq but keeps bucketed run lengths
-// (1, 2–3, 4+ encoded as the digits 1, 2, 3), which tightens groups enough
-// to keep the false-positive rate low without splitting template variants.
+// ClassSeqWithRunLengths maps a screen name onto the paper's Σ-Seq
+// representation using the character classes Σ = {p{Lu}, p{Ll}, p{N},
+// p{P}}: each maximal run of uppercase, lowercase, numeric, or
+// punctuation/symbol characters is emitted as one class symbol ('U', 'l',
+// 'N', 'P', or '?' for anything else) followed by its bucketed run length
+// (1, 2–3, 4+ encoded as the digits 1, 2, 3). Naming-template variants
+// collapse into identical keys, and the run lengths tighten groups enough
+// to keep the false-positive rate low without splitting them.
 func ClassSeqWithRunLengths(name string) string {
 	var b strings.Builder
 	var prev byte
@@ -233,33 +189,4 @@ func classOf(r rune) byte {
 	default:
 		return '?'
 	}
-}
-
-// Jaccard computes the Jaccard similarity of two shingle sets.
-func Jaccard(a, b []string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	setA := make(map[string]struct{}, len(a))
-	for _, s := range a {
-		setA[s] = struct{}{}
-	}
-	setB := make(map[string]struct{}, len(b))
-	for _, s := range b {
-		setB[s] = struct{}{}
-	}
-	inter := 0
-	for s := range setA {
-		if _, ok := setB[s]; ok {
-			inter++
-		}
-	}
-	union := len(setA) + len(setB) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
 }

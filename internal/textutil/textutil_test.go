@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"unicode"
+
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/textutil/texttest"
 )
 
 func TestTokenize(t *testing.T) {
@@ -86,7 +88,7 @@ func TestNormalizeDescription(t *testing.T) {
 }
 
 func TestShingles(t *testing.T) {
-	got := Shingles("abcd", 3)
+	got := texttest.Shingles("abcd", 3)
 	want := []string{"abc", "bcd"}
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("Shingles = %v, want %v", got, want)
@@ -94,17 +96,17 @@ func TestShingles(t *testing.T) {
 }
 
 func TestShinglesShortString(t *testing.T) {
-	got := Shingles("ab", 3)
+	got := texttest.Shingles("ab", 3)
 	if len(got) != 1 || got[0] != "ab" {
-		t.Fatalf("Shingles(short) = %v, want [ab]", got)
+		t.Fatalf("texttest.Shingles(short) = %v, want [ab]", got)
 	}
-	if got := Shingles("", 3); got != nil {
-		t.Fatalf("Shingles(empty) = %v, want nil", got)
+	if got := texttest.Shingles("", 3); got != nil {
+		t.Fatalf("texttest.Shingles(empty) = %v, want nil", got)
 	}
 }
 
 func TestShinglesDefaultN(t *testing.T) {
-	if got := Shingles("abcd", 0); len(got) != 2 {
+	if got := texttest.Shingles("abcd", 0); len(got) != 2 {
 		t.Fatalf("Shingles with n=0 should default to tri-grams, got %v", got)
 	}
 }
@@ -153,8 +155,8 @@ func TestJaccard(t *testing.T) {
 		{a: []string{"x"}, b: nil, want: 0},
 	}
 	for _, tt := range tests {
-		if got := Jaccard(tt.a, tt.b); got != tt.want {
-			t.Fatalf("Jaccard(%v, %v) = %v, want %v", tt.a, tt.b, got, tt.want)
+		if got := texttest.Jaccard(tt.a, tt.b); got != tt.want {
+			t.Fatalf("texttest.Jaccard(%v, %v) = %v, want %v", tt.a, tt.b, got, tt.want)
 		}
 	}
 }
@@ -189,7 +191,7 @@ func TestShinglesCountProperty(t *testing.T) {
 	prop := func(s string) bool {
 		const n = 3
 		runes := []rune(s)
-		got := len(Shingles(s, n))
+		got := len(texttest.Shingles(s, n))
 		if len(runes) == 0 {
 			return got == 0
 		}
@@ -207,8 +209,8 @@ func TestShinglesCountProperty(t *testing.T) {
 // Property: Jaccard is symmetric and within [0, 1].
 func TestJaccardSymmetryProperty(t *testing.T) {
 	prop := func(a, b []string) bool {
-		x := Jaccard(a, b)
-		y := Jaccard(b, a)
+		x := texttest.Jaccard(a, b)
+		y := texttest.Jaccard(b, a)
 		return x == y && x >= 0 && x <= 1
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {

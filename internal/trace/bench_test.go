@@ -46,6 +46,6 @@ func BenchmarkLoggerFiltered(b *testing.B) {
 	l := NewLogger(io.Discard, LevelWarn)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l.Debug("noise", "i", i)
+		l.Log(LevelDebug, "noise", "i", i)
 	}
 }

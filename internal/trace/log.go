@@ -54,15 +54,14 @@ func ParseLevel(s string) (Level, error) {
 }
 
 // Logger is a leveled structured logger emitting one event per line in
-// logfmt-style key=value pairs or JSON. It is safe for concurrent use;
-// a nil *Logger drops everything.
+// logfmt-style key=value pairs. It is safe for concurrent use; a nil
+// *Logger drops everything.
 type Logger struct {
 	level atomic.Int32
-	json  atomic.Bool
 
 	mu    sync.Mutex
 	w     io.Writer
-	clock func() time.Time
+	clock func() time.Time // time.Now; tests pin it to a simulated clock
 }
 
 // NewLogger creates a logger writing key=value lines at or above level.
@@ -79,44 +78,12 @@ func (l *Logger) SetLevel(level Level) {
 	}
 }
 
-// Level returns the minimum emitted severity.
-func (l *Logger) Level() Level {
-	if l == nil {
-		return LevelError
-	}
-	return Level(l.level.Load())
-}
-
-// SetJSON switches between JSON (true) and key=value (false) lines.
-func (l *Logger) SetJSON(on bool) {
-	if l != nil {
-		l.json.Store(on)
-	}
-}
-
-// SetClock injects a timestamp source (nil restores time.Now). Tests use
-// a simclock-driven function so emitted lines are deterministic.
-func (l *Logger) SetClock(clock func() time.Time) {
-	if l == nil {
-		return
-	}
-	if clock == nil {
-		clock = time.Now
-	}
-	l.mu.Lock()
-	l.clock = clock
-	l.mu.Unlock()
-}
-
 // Enabled reports whether events at level would be emitted.
 func (l *Logger) Enabled(level Level) bool {
 	return l != nil && level >= Level(l.level.Load())
 }
 
-// Debug emits a debug event with alternating key/value pairs.
-func (l *Logger) Debug(msg string, kvs ...any) { l.Log(LevelDebug, msg, kvs...) }
-
-// Info emits an info event.
+// Info emits an info event with alternating key/value pairs.
 func (l *Logger) Info(msg string, kvs ...any) { l.Log(LevelInfo, msg, kvs...) }
 
 // Warn emits a warning event.
@@ -135,35 +102,19 @@ func (l *Logger) Log(level Level, msg string, kvs ...any) {
 	defer l.mu.Unlock()
 	ts := l.clock().UTC().Format(time.RFC3339Nano)
 	var b strings.Builder
-	if l.json.Load() {
-		b.WriteString(`{"ts":`)
-		b.WriteString(strconv.Quote(ts))
-		b.WriteString(`,"level":`)
-		b.WriteString(strconv.Quote(level.String()))
-		b.WriteString(`,"msg":`)
-		b.WriteString(strconv.Quote(msg))
-		for i := 0; i < len(kvs); i += 2 {
-			b.WriteByte(',')
-			b.WriteString(strconv.Quote(keyAt(kvs, i)))
-			b.WriteByte(':')
-			b.WriteString(jsonValue(valueAt(kvs, i)))
-		}
-		b.WriteString("}\n")
-	} else {
-		b.WriteString("ts=")
-		b.WriteString(ts)
-		b.WriteString(" level=")
-		b.WriteString(level.String())
-		b.WriteString(" msg=")
-		b.WriteString(logfmtValue(msg))
-		for i := 0; i < len(kvs); i += 2 {
-			b.WriteByte(' ')
-			b.WriteString(keyAt(kvs, i))
-			b.WriteByte('=')
-			b.WriteString(logfmtValue(fmt.Sprint(valueAt(kvs, i))))
-		}
-		b.WriteByte('\n')
+	b.WriteString("ts=")
+	b.WriteString(ts)
+	b.WriteString(" level=")
+	b.WriteString(level.String())
+	b.WriteString(" msg=")
+	b.WriteString(logfmtValue(msg))
+	for i := 0; i < len(kvs); i += 2 {
+		b.WriteByte(' ')
+		b.WriteString(keyAt(kvs, i))
+		b.WriteByte('=')
+		b.WriteString(logfmtValue(fmt.Sprint(valueAt(kvs, i))))
 	}
+	b.WriteByte('\n')
 	_, _ = io.WriteString(l.w, b.String())
 }
 
@@ -193,27 +144,4 @@ func logfmtValue(s string) string {
 		return strconv.Quote(s)
 	}
 	return s
-}
-
-// jsonValue renders a structured value: numbers and booleans stay typed,
-// everything else is a quoted string.
-func jsonValue(v any) string {
-	switch x := v.(type) {
-	case bool:
-		return strconv.FormatBool(x)
-	case int:
-		return strconv.Itoa(x)
-	case int64:
-		return strconv.FormatInt(x, 10)
-	case uint64:
-		return strconv.FormatUint(x, 10)
-	case float64:
-		f := strconv.FormatFloat(x, 'g', -1, 64)
-		if f == "+Inf" || f == "-Inf" || f == "NaN" {
-			return strconv.Quote(f) // not valid JSON numbers
-		}
-		return f
-	default:
-		return strconv.Quote(fmt.Sprint(v))
-	}
 }

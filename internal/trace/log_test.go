@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -14,13 +13,13 @@ func simLogger(level Level) (*Logger, *strings.Builder) {
 	var buf strings.Builder
 	l := NewLogger(&buf, level)
 	clk := simclock.NewSimulated(time.Unix(0, 0).UTC())
-	l.SetClock(clk.Now)
+	l.clock = clk.Now
 	return l, &buf
 }
 
 func TestLoggerLevelFiltering(t *testing.T) {
 	l, buf := simLogger(LevelWarn)
-	l.Debug("d")
+	l.Log(LevelDebug, "d")
 	l.Info("i")
 	l.Warn("w")
 	l.Error("e")
@@ -35,7 +34,7 @@ func TestLoggerLevelFiltering(t *testing.T) {
 		t.Fatal("Enabled disagrees with filtering")
 	}
 	l.SetLevel(LevelDebug)
-	if l.Level() != LevelDebug || !l.Enabled(LevelDebug) {
+	if !l.Enabled(LevelDebug) {
 		t.Fatal("SetLevel did not take")
 	}
 }
@@ -50,24 +49,6 @@ func TestLoggerLogfmtFormat(t *testing.T) {
 	}
 }
 
-func TestLoggerJSONFormat(t *testing.T) {
-	l, buf := simLogger(LevelInfo)
-	l.SetJSON(true)
-	l.Info("span", "dur", 0.25, "n", int64(7), "u", uint64(8), "ok", true, "s", "x y")
-	line := strings.TrimSpace(buf.String())
-	var got map[string]any
-	if err := json.Unmarshal([]byte(line), &got); err != nil {
-		t.Fatalf("invalid JSON %q: %v", line, err)
-	}
-	if got["level"] != "info" || got["msg"] != "span" || got["dur"] != 0.25 ||
-		got["n"] != float64(7) || got["u"] != float64(8) || got["ok"] != true || got["s"] != "x y" {
-		t.Fatalf("fields %+v", got)
-	}
-	if got["ts"] != "1970-01-01T00:00:00Z" {
-		t.Fatalf("ts %v", got["ts"])
-	}
-}
-
 func TestLoggerOddKVPairs(t *testing.T) {
 	l, buf := simLogger(LevelInfo)
 	l.Info("m", "dangling")
@@ -78,18 +59,13 @@ func TestLoggerOddKVPairs(t *testing.T) {
 
 func TestLoggerNilSafe(t *testing.T) {
 	var l *Logger
-	l.Debug("d")
+	l.Log(LevelDebug, "d")
 	l.Info("i", "k", "v")
 	l.Warn("w")
 	l.Error("e")
 	l.SetLevel(LevelDebug)
-	l.SetJSON(true)
-	l.SetClock(nil)
 	if l.Enabled(LevelError) {
 		t.Fatal("nil logger claims enabled")
-	}
-	if l.Level() != LevelError {
-		t.Fatal("nil logger level")
 	}
 }
 

@@ -167,7 +167,7 @@ func TestSlowSpanEmitsEvent(t *testing.T) {
 	var buf bytes.Buffer
 	logger := NewLogger(&buf, LevelWarn)
 	tr, clk := simTracer(Config{SlowSpan: 50 * time.Millisecond, Logger: logger})
-	logger.SetClock(clk.Now)
+	logger.clock = clk.Now
 
 	a := tr.Start("capture")
 	fast := a.StartSpan("fast_stage")

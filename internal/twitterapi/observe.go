@@ -34,7 +34,6 @@ func newClientInstruments(r *metrics.Registry) *clientInstruments {
 type serverInstruments struct {
 	requests      *metrics.CounterVec
 	reqSecs       *metrics.HistogramVec
-	rateLimited   *metrics.CounterVec
 	streams       *metrics.Gauge
 	streamTweets  *metrics.Counter
 	streamDropped *metrics.Counter
@@ -46,8 +45,6 @@ func newServerInstruments(r *metrics.Registry) *serverInstruments {
 			"REST requests served, by endpoint class.", "endpoint"),
 		reqSecs: r.HistogramVec("ph_api_request_seconds",
 			"REST request latency by endpoint class.", nil, "endpoint"),
-		rateLimited: r.CounterVec("ph_api_rate_limited_total",
-			"Requests rejected with 429, by endpoint class.", "endpoint"),
 		streams: r.Gauge("ph_api_streams",
 			"Currently connected statuses/filter streams."),
 		streamTweets: r.Counter("ph_api_stream_tweets_total",

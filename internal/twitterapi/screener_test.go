@@ -100,7 +100,7 @@ func TestMonitorOverRemoteAPI(t *testing.T) {
 	}, remoteScreen{client})
 
 	m.Rotate(time.Now(), time.Hour)
-	if m.NodeCount() == 0 {
+	if len(m.CurrentNodes()) == 0 {
 		t.Fatal("remote rotation selected nothing")
 	}
 

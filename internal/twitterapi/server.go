@@ -82,7 +82,6 @@ type Server struct {
 	streams   map[int]*stream
 	nextID    int
 
-	limiter     *rateLimiter
 	mux         *http.ServeMux
 	reg         *metrics.Registry
 	ins         *serverInstruments
@@ -173,12 +172,12 @@ func NewServer(engine *socialnet.Engine, opts ...ServerOption) *Server {
 	engine.Subscribe(s.dispatch)
 
 	s.mux.HandleFunc("POST /1.1/statuses/filter.json", s.handleFilter)
-	s.mux.HandleFunc("GET /1.1/users/show.json", s.observed("users/show", s.rateLimited("users/show", s.handleUserShow)))
-	s.mux.HandleFunc("GET /1.1/users/lookup.json", s.observed("users/lookup", s.rateLimited("users/lookup", s.handleUserLookup)))
-	search := s.observed("users/search", s.rateLimited("users/search", s.handleUserSearch))
+	s.mux.HandleFunc("GET /1.1/users/show.json", s.observed("users/show", s.handleUserShow))
+	s.mux.HandleFunc("GET /1.1/users/lookup.json", s.observed("users/lookup", s.handleUserLookup))
+	search := s.observed("users/search", s.handleUserSearch)
 	s.mux.HandleFunc("GET /1.1/users/search.json", search)
 	s.mux.HandleFunc("POST /1.1/users/search.json", search)
-	s.mux.HandleFunc("GET /1.1/trends.json", s.observed("trends", s.rateLimited("trends", s.handleTrends)))
+	s.mux.HandleFunc("GET /1.1/trends.json", s.observed("trends", s.handleTrends))
 	s.mux.HandleFunc("POST /sim/advance.json", s.observed("sim/advance", s.handleAdvance))
 	s.mux.HandleFunc("GET /sim/stats.json", s.observed("sim/stats", s.handleStats))
 	s.mux.Handle("GET /metrics", s.reg.Handler())

@@ -45,6 +45,13 @@ func runDetection(t *testing.T, cfg SnifferConfig, hours int) *DetectionResult {
 			t.Fatalf("ph_label_cluster_seconds{pass=%q} has %d observations in the sniffer's registry, want 1", pass, got)
 		}
 	}
+	// So does the detector: one training pass, every capture classified.
+	if got := cfg.Metrics.Histogram("ph_detector_train_seconds", "", nil).Count(); got != 1 {
+		t.Fatalf("ph_detector_train_seconds has %d observations in the sniffer's registry, want 1", got)
+	}
+	if got := cfg.Metrics.Counter("ph_detector_classifications_total", "").Value(); got != float64(res.Captures) {
+		t.Fatalf("ph_detector_classifications_total = %v in the sniffer's registry, want %d", got, res.Captures)
+	}
 	return res
 }
 
