@@ -112,8 +112,12 @@ bench-smoke:
 # against the from-scratch batch clusterer kept as its test oracle, with
 # allocs/tweet for both. NewWorld generates the bench-scale world (20,000
 # accounts, seed 1) that every bench/ row builds as setup_s, with allocs;
-# its avatar-hashing pass runs on the pool. The last four lines are what no bench/
-# workload covers: the WAL fsync-cadence sweep and log recovery, reading
+# its avatar-hashing pass runs on the pool. Seed is what one avatar costs
+# its generator (a re-seed and 81 draws) on the lazily seeded source, and
+# reports speedup-vs-reference against math/rand's own source, its test
+# oracle; AvatarHash is one avatar end to end on the dHash grid path, the
+# painted dHash it replaced, and the painted pHash path. The last four
+# lines are what no bench/ workload covers: the WAL fsync-cadence sweep and log recovery, reading
 # one server hour's stream lines (Next + DecodeTweet), Source/MuxSource
 # ingest overhead, and what proc shard mode's extract RPC adds to a
 # 64-capture batch (socket excluded).
@@ -122,6 +126,7 @@ bench:
 		./internal/ml/tree/ ./internal/ml/forest/ ./internal/ml/boost/ \
 		./internal/ml/ ./internal/core/ ./internal/minhash/ ./internal/label/ \
 		./internal/socialnet/
+	$(GO) test -run NONE -bench 'Seed|AvatarHash' ./internal/imagehash/
 	$(GO) test -run NONE -bench 'ObsDisabled' ./internal/obs/
 	$(GO) test -run NONE -bench 'WALAppend|Recover' ./internal/store/
 	$(GO) test -run NONE -bench 'StreamNext' ./internal/twitterapi/

@@ -98,3 +98,40 @@ func TestSlugOf(t *testing.T) {
 		}
 	}
 }
+
+// TestRunMatchesSmallRecord holds the committed record of the paper's
+// tables and figures current: `-scale small` must print
+// docs/results-small.txt byte for byte. A change that moves the record on
+// purpose regenerates it in the same commit with
+//
+//	go run ./cmd/benchreport -scale small > docs/results-small.txt
+//
+// and explains the diff.
+func TestRunMatchesSmallRecord(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerates every table and figure")
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "docs", "results-small.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-scale", "small"}, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	if got := stdout.Bytes(); !bytes.Equal(got, want) {
+		gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := range max(len(gotLines), len(wantLines)) {
+			var g, w string
+			if i < len(gotLines) {
+				g = gotLines[i]
+			}
+			if i < len(wantLines) {
+				w = wantLines[i]
+			}
+			if g != w {
+				t.Fatalf("stdout differs from docs/results-small.txt at line %d:\n got: %q\nwant: %q", i+1, g, w)
+			}
+		}
+	}
+}

@@ -80,32 +80,41 @@ func (m *Image) Set(x, y int, v uint8) {
 // DHash computes the 128-bit difference hash of m.
 //
 // The image is first reduced to a 9×9 grayscale thumbnail by box-averaging
-// (removing high frequencies, as the paper describes). Horizontally, each
-// pixel is compared with its right neighbour (1 if greater); vertically,
-// with the pixel below. Each direction contributes 8×8 = 64 bits.
+// (removing high frequencies, as the paper describes), then hashed by
+// dhashThumb.
 func DHash(m *Image) Hash {
-	var t [thumbSize * thumbSize]uint8
+	var t thumbnail
 	reduceInto(m, t[:], thumbSize, thumbSize)
+	return dhashThumb(&t)
+}
+
+// thumbnail is a row-major 9×9 grayscale grid: what DHash reduces an image
+// to, and the block levels an avatar is painted from.
+type thumbnail [thumbSize * thumbSize]uint8
+
+// dhashThumb hashes a thumbnail. Horizontally, each pixel is compared
+// with its right neighbour (1 if greater); vertically, with the pixel
+// below. Each direction keeps its first 64 comparisons in row-major
+// order, the first in the top bit: the horizontal ones of rows 0–7, and
+// the vertical ones of rows 0–6 plus the first of row 7. The other 8 of
+// each direction's 72 never fit the word.
+func dhashThumb(t *thumbnail) Hash {
 	var hi, lo uint64
-	bit := 0
-	for y := 0; y < thumbSize; y++ {
+	for y := 0; y < 8; y++ {
 		for x := 0; x+1 < thumbSize; x++ {
-			if t[y*thumbSize+x] > t[y*thumbSize+x+1] {
-				hi |= 1 << uint(63-bit)
-			}
-			bit++
+			hi = hi<<1 | greater(t[y*thumbSize+x], t[y*thumbSize+x+1])
 		}
 	}
-	bit = 0
-	for y := 0; y+1 < thumbSize; y++ {
-		for x := 0; x < thumbSize; x++ {
-			if t[y*thumbSize+x] > t[(y+1)*thumbSize+x] {
-				lo |= 1 << uint(63-bit)
-			}
-			bit++
-		}
+	for i := 0; i < 64; i++ {
+		lo = lo<<1 | greater(t[i], t[i+thumbSize])
 	}
 	return Hash{Hi: hi, Lo: lo}
+}
+
+// greater is 1 if a > b and 0 otherwise, without a branch: a random
+// avatar's comparisons are coin flips a branch predictor cannot learn.
+func greater(a, b uint8) uint64 {
+	return (uint64(b) - uint64(a)) >> 63
 }
 
 // reduce box-averages m down to a new w×h thumbnail.
@@ -151,39 +160,54 @@ const avatarSize = 36
 // avatarLevels are the quantized gray levels avatar blocks draw from.
 var avatarLevels = [...]uint8{0, 60, 120, 180, 240}
 
-// synthesizeInto paints every pixel of the avatarSize×avatarSize image m
-// from rng's next 81 draws.
-func synthesizeInto(m *Image, rng *rand.Rand) {
+// drawLevels fills g from rng's next 81 draws, one level per block.
+func drawLevels(g *thumbnail, rng *rand.Rand) {
+	for i := range g {
+		g[i] = avatarLevels[rng.Intn(len(avatarLevels))]
+	}
+}
+
+// paintLevels paints every pixel of the avatarSize×avatarSize image m,
+// block (cx, cy) in level g[cy*9+cx].
+func paintLevels(m *Image, g *thumbnail) {
 	const cell = avatarSize / thumbSize
-	for cy := 0; cy < thumbSize; cy++ {
-		for cx := 0; cx < thumbSize; cx++ {
-			v := avatarLevels[rng.Intn(len(avatarLevels))]
-			for y := cy * cell; y < (cy+1)*cell; y++ {
-				row := m.Pix[y*avatarSize : (y+1)*avatarSize]
-				for x := cx * cell; x < (cx+1)*cell; x++ {
-					row[x] = v
-				}
-			}
+	for y := 0; y < avatarSize; y++ {
+		row := m.Pix[y*avatarSize : (y+1)*avatarSize]
+		levels := g[y/cell*thumbSize : (y/cell+1)*thumbSize]
+		for x := range row {
+			row[x] = levels[x/cell]
 		}
 	}
 }
 
 // Synthesizer renders deterministic 36×36 grayscale profile images into
-// reused storage: one generator re-seeded per avatar and one image, so a
-// long run of avatars allocates nothing. It is not safe for concurrent
-// use; a worker pool keeps one per worker.
+// reused storage, so a long run of avatars allocates nothing. Its
+// generator is lazySource, which draws math/rand's sequence for a seed
+// without filling the whole 607-word state, so re-seeding per avatar
+// costs about what the avatar's 81 draws do. DHash hashes an avatar
+// from its 9×9 block levels without painting it; Synthesize paints the
+// pixels for callers that transform them (pHash, re-upload mutations).
+// It is not safe for concurrent use; a worker pool keeps one per worker.
 type Synthesizer struct {
-	rng *rand.Rand
-	img *Image
+	src  lazySource
+	rng  *rand.Rand
+	grid thumbnail
+	img  *Image
 }
 
 // NewSynthesizer returns a Synthesizer with its generator and image
 // allocated.
 func NewSynthesizer() *Synthesizer {
-	return &Synthesizer{
-		rng: rand.New(rand.NewSource(0)),
-		img: NewImage(avatarSize, avatarSize),
-	}
+	s := &Synthesizer{img: NewImage(avatarSize, avatarSize)}
+	s.src.Seed(0)
+	s.rng = rand.New(&s.src)
+	return s
+}
+
+// draw fills s.grid with the block levels of the avatar for seed.
+func (s *Synthesizer) draw(seed int64) {
+	s.rng.Seed(seed)
+	drawLevels(&s.grid, s.rng)
 }
 
 // Synthesize paints the avatar for seed: a 9×9 grid of high-contrast
@@ -194,9 +218,22 @@ func NewSynthesizer() *Synthesizer {
 // between unequal blocks. The image is s's own and is overwritten by the
 // next call; callers may edit it in place until then.
 func (s *Synthesizer) Synthesize(seed int64) *Image {
-	s.rng.Seed(seed)
-	synthesizeInto(s.img, s.rng)
+	s.draw(seed)
+	paintLevels(s.img, &s.grid)
 	return s.img
+}
+
+// DHash returns DHash of the avatar for seed with e applied, without
+// painting it. The avatar is constant on exactly the 4×4 boxes DHash
+// averages into its 9×9 thumbnail, and e shifts and clamps exactly one of
+// them, so the thumbnail is the drawn levels with e's cell shifted.
+func (s *Synthesizer) DHash(seed int64, e Edit) Hash {
+	s.draw(seed)
+	if e.inGrid() {
+		c := &s.grid[e.TY*thumbSize+e.TX]
+		*c = clampByte(float64(int(*c) + e.Delta))
+	}
+	return dhashThumb(&s.grid)
 }
 
 // Edit is one campaign-style avatar edit: every pixel that reduce()
@@ -206,7 +243,7 @@ func (s *Synthesizer) Synthesize(seed int64) *Image {
 // Because the edit touches exactly one of the 9×9 thumbnail cells, the
 // variant's dHash differs from the base in at most 4 bits — always within
 // DefaultThreshold — while unrelated images remain far apart. The zero
-// Edit changes nothing.
+// Edit, and an Edit whose cell lies outside the 9×9 grid, change nothing.
 type Edit struct {
 	TX, TY, Delta int
 }
@@ -229,7 +266,7 @@ func DrawEdit(amplitude int, rng *rand.Rand) Edit {
 
 // Apply performs e on m in place.
 func (e Edit) Apply(m *Image) {
-	if e.Delta == 0 || m.W == 0 || m.H == 0 {
+	if !e.inGrid() || e.Delta == 0 || m.W == 0 || m.H == 0 {
 		return
 	}
 	x0, x1 := e.TX*m.W/thumbSize, (e.TX+1)*m.W/thumbSize
@@ -239,6 +276,11 @@ func (e Edit) Apply(m *Image) {
 			m.Pix[y*m.W+x] = clampByte(float64(int(m.Pix[y*m.W+x]) + e.Delta))
 		}
 	}
+}
+
+// inGrid reports whether e's cell is one of the 9×9 thumbnail cells.
+func (e Edit) inGrid() bool {
+	return e.TX >= 0 && e.TY >= 0 && e.TX < thumbSize && e.TY < thumbSize
 }
 
 func clampByte(v float64) uint8 {

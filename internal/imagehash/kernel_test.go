@@ -104,6 +104,97 @@ func TestSynthesizerAllocatesNothing(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("scratch synthesis + DHash allocates %v times per avatar, want 0", n)
 	}
+	e := Edit{TX: 3, TY: 4, Delta: -40}
+	n = testing.AllocsPerRun(100, func() {
+		seed++
+		_ = s.DHash(seed, e)
+	})
+	if n != 0 {
+		t.Fatalf("grid DHash allocates %v times per avatar, want 0", n)
+	}
+}
+
+// TestSynthesizerDHashMatchesPixels holds the grid path to the pixels it
+// skips: for every cell and every level drawn there, and every edit of
+// that cell with Delta in ±1..±255 (so both clamps are reached from every
+// level), the grid dHash equals DHash of the painted avatar after
+// Edit.Apply. The painted avatar comes from math/rand through Synthesize,
+// so the lazily seeded source is checked along the way.
+func TestSynthesizerDHashMatchesPixels(t *testing.T) {
+	s := NewSynthesizer()
+	// first[cell][level] is the first seed that draws level at cell.
+	var first [thumbSize * thumbSize][len(avatarLevels)]int64
+	var have [thumbSize * thumbSize][len(avatarLevels)]bool
+	for seed, missing := int64(0), len(first)*len(avatarLevels); missing > 0; seed++ {
+		s.draw(seed)
+		for cell, v := range s.grid {
+			l := bytes.IndexByte(avatarLevels[:], v)
+			if !have[cell][l] {
+				have[cell][l], first[cell][l] = true, seed
+				missing--
+			}
+		}
+	}
+	m := NewImage(avatarSize, avatarSize)
+	for cell := range first {
+		for l, seed := range first[cell] {
+			base := Synthesize(seed)
+			if got, want := s.DHash(seed, Edit{}), DHash(base); got != want {
+				t.Fatalf("seed %d unedited: grid %v, pixels %v", seed, got, want)
+			}
+			for delta := -255; delta <= 255; delta++ {
+				e := Edit{TX: cell % thumbSize, TY: cell / thumbSize, Delta: delta}
+				copy(m.Pix, base.Pix)
+				e.Apply(m)
+				if got, want := s.DHash(seed, e), DHash(m); got != want {
+					t.Fatalf("seed %d (level %d at cell %d), %+v: grid %v, pixels %v",
+						seed, avatarLevels[l], cell, e, got, want)
+				}
+			}
+		}
+	}
+	// Cells outside the grid edit nothing on either path.
+	base := Synthesize(11)
+	for _, e := range []Edit{{TX: -1, Delta: 9}, {TY: -1, Delta: 9}, {TX: thumbSize, Delta: 9}, {TY: thumbSize, Delta: -9}} {
+		copy(m.Pix, base.Pix)
+		e.Apply(m)
+		if !bytes.Equal(m.Pix, base.Pix) {
+			t.Fatalf("%+v changed pixels", e)
+		}
+		if got, want := s.DHash(11, e), DHash(base); got != want {
+			t.Fatalf("%+v: grid %v, unedited %v", e, got, want)
+		}
+	}
+}
+
+// BenchmarkAvatarHash times one avatar end to end: the dHash grid path
+// every dHash world takes, the painted dHash it replaces, and the painted
+// pHash path that pHash worlds take.
+func BenchmarkAvatarHash(b *testing.B) {
+	s := NewSynthesizer()
+	e := Edit{TX: 3, TY: 4, Delta: -40}
+	b.Run("dhash-grid", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = s.DHash(int64(i), e)
+		}
+	})
+	b.Run("dhash-painted", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m := s.Synthesize(int64(i))
+			e.Apply(m)
+			_ = DHash(m)
+		}
+	})
+	b.Run("phash-painted", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m := s.Synthesize(int64(i))
+			e.Apply(m)
+			_ = PHash(m)
+		}
+	})
 }
 
 func TestPerturbIsDrawEditThenApply(t *testing.T) {

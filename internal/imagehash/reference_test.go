@@ -2,11 +2,24 @@ package imagehash
 
 import "math/rand"
 
-// Synthesize is the one-shot avatar: a fresh generator and image per call.
-// The pooled Synthesizer must paint the same image pixel for pixel.
+// Synthesize is the one-shot avatar: a fresh math/rand generator and
+// image per call, drawing and painting block by block. The pooled
+// Synthesizer, with its lazily seeded source, must paint the same image
+// pixel for pixel.
 func Synthesize(seed int64) *Image {
+	rng := rand.New(rand.NewSource(seed))
 	m := NewImage(avatarSize, avatarSize)
-	synthesizeInto(m, rand.New(rand.NewSource(seed)))
+	const cell = avatarSize / thumbSize
+	for cy := 0; cy < thumbSize; cy++ {
+		for cx := 0; cx < thumbSize; cx++ {
+			v := avatarLevels[rng.Intn(len(avatarLevels))]
+			for y := cy * cell; y < (cy+1)*cell; y++ {
+				for x := cx * cell; x < (cx+1)*cell; x++ {
+					m.Set(x, y, v)
+				}
+			}
+		}
+	}
 	return m
 }
 

@@ -198,8 +198,13 @@ type avatarRecipe struct {
 // avatarHash synthesizes r's avatar on s and returns its configured
 // perceptual hash. It is the one place an avatar is synthesized and
 // hashed. The default (dHash) is what every pinned golden was recorded
-// under.
+// under; it needs only the avatar's 9×9 block levels, so pixels are
+// painted only for pHash and for re-upload mutations.
 func avatarHash(cfg Config, r avatarRecipe, s *imagehash.Synthesizer) imagehash.Hash {
+	mutate := r.member && cfg.MutateCampaignImages
+	if cfg.ImageHashMode != ImageHashPHash && !mutate {
+		return s.DHash(r.seed, r.edit)
+	}
 	m := s.Synthesize(r.seed)
 	if r.member {
 		r.edit.Apply(m)
