@@ -112,7 +112,12 @@ bench-smoke:
 # against the from-scratch batch clusterer kept as its test oracle, with
 # allocs/tweet for both. NewWorld generates the bench-scale world (20,000
 # accounts, seed 1) that every bench/ row builds as setup_s, with allocs;
-# its avatar-hashing pass runs on the pool. Seed is what one avatar costs
+# its avatar-hashing pass runs on the pool. EngineHour simulates one hour
+# of that world's firehose (4,000 organic tweets/h) and reports ns/tweet
+# and allocs/tweet. Normalize is the labeler's one-pass text normalizer,
+# both flavours over a simulated stream's tweets and descriptions, and
+# reports speedup-vs-reference against the pass-per-step composition kept
+# as its test oracle, with allocs/text for both. Seed is what one avatar costs
 # its generator (a re-seed and 81 draws) on the lazily seeded source, and
 # reports speedup-vs-reference against math/rand's own source, its test
 # oracle; AvatarHash is one avatar end to end on the dHash grid path, the
@@ -122,10 +127,10 @@ bench-smoke:
 # ingest overhead, and what proc shard mode's extract RPC adds to a
 # 64-capture batch (socket excluded).
 bench:
-	$(GO) test -run NONE -bench 'TreeFit|ForestFit|BoostFit|CrossValidate|DetectorClassify|Rotate|SignText|IndexAddProbe|StoreAddBatch|LabelCorpus|NewWorld' \
+	$(GO) test -run NONE -bench 'TreeFit|ForestFit|BoostFit|CrossValidate|DetectorClassify|Rotate|SignText|IndexAddProbe|StoreAddBatch|LabelCorpus|NewWorld|EngineHour|Normalize' \
 		./internal/ml/tree/ ./internal/ml/forest/ ./internal/ml/boost/ \
 		./internal/ml/ ./internal/core/ ./internal/minhash/ ./internal/label/ \
-		./internal/socialnet/
+		./internal/socialnet/ ./internal/textutil/
 	$(GO) test -run NONE -bench 'Seed|AvatarHash' ./internal/imagehash/
 	$(GO) test -run NONE -bench 'ObsDisabled' ./internal/obs/
 	$(GO) test -run NONE -bench 'WALAppend|Recover' ./internal/store/

@@ -8,6 +8,7 @@ import (
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/parallel"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/textutil"
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/textutil/texttest"
 )
 
 // This file is the Store's reference: the from-scratch batch clusterer
@@ -255,7 +256,7 @@ func clusterTexts(texts []string, simThreshold float64, seed int64, workers int)
 			if cand >= i {
 				break
 			}
-			if minhash.Similarity(sigs[i], sigs[cand]) >= simThreshold {
+			if texttest.Similarity(sigs[i], sigs[cand]) >= simThreshold {
 				ms = append(ms, cand)
 			}
 		}

@@ -4,11 +4,14 @@ import (
 	"strings"
 	"testing"
 	"unicode/utf8"
+
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/textutil/texttest"
 )
 
-// FuzzStripMentions checks stripMentions' invariants on arbitrary input:
-// no panic, no @-prefixed field survives, non-mention fields survive in
-// order, and the function is idempotent.
+// FuzzStripMentions checks the invariants of texttest.StripMentions, the
+// reference textutil.NormalizeTweet's mention handling is held to, on
+// arbitrary input: no panic, no @-prefixed field survives, non-mention
+// fields survive in order, and the function is idempotent.
 func FuzzStripMentions(f *testing.F) {
 	f.Add("@alice hello @bob world")
 	f.Add("no mentions here")
@@ -17,10 +20,10 @@ func FuzzStripMentions(f *testing.F) {
 	f.Add("@only @mentions @here")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, s string) {
-		out := stripMentions(s)
+		out := texttest.StripMentions(s)
 		for _, field := range strings.Fields(out) {
 			if strings.HasPrefix(field, "@") {
-				t.Fatalf("stripMentions(%q) = %q keeps mention %q", s, out, field)
+				t.Fatalf("texttest.StripMentions(%q) = %q keeps mention %q", s, out, field)
 			}
 		}
 		// Exactly the non-mention fields survive, in order.
@@ -31,9 +34,9 @@ func FuzzStripMentions(f *testing.F) {
 			}
 		}
 		if got := strings.Join(want, " "); got != out {
-			t.Fatalf("stripMentions(%q) = %q, want %q", s, out, got)
+			t.Fatalf("texttest.StripMentions(%q) = %q, want %q", s, out, got)
 		}
-		if again := stripMentions(out); again != out {
+		if again := texttest.StripMentions(out); again != out {
 			t.Fatalf("not idempotent: %q → %q → %q", s, out, again)
 		}
 	})

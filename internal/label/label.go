@@ -16,7 +16,6 @@ package label
 import (
 	"math/rand"
 	"strconv"
-	"strings"
 	"time"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/imagehash"
@@ -417,18 +416,4 @@ func classCount(seq string) int {
 		seen[r] = struct{}{}
 	}
 	return len(seen)
-}
-
-// stripMentions removes @name tokens so near-duplicate checking compares
-// the spam payload, not the victim names.
-func stripMentions(s string) string {
-	fields := strings.Fields(s)
-	out := fields[:0]
-	for _, f := range fields {
-		if strings.HasPrefix(f, "@") {
-			continue
-		}
-		out = append(out, f)
-	}
-	return strings.Join(out, " ")
 }

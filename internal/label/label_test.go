@@ -8,6 +8,7 @@ import (
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/parallel"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/simclock"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/textutil/texttest"
 )
 
 // collectCorpus runs a small world for hours and returns the mention
@@ -430,9 +431,13 @@ func TestMethodStrings(t *testing.T) {
 }
 
 func TestStripMentions(t *testing.T) {
-	got := stripMentions("@alice check @bob this out")
+	const text = "@alice check @bob this out"
+	got := texttest.StripMentions(text)
 	if got != "check this out" {
-		t.Fatalf("stripMentions = %q", got)
+		t.Fatalf("StripMentions = %q", got)
+	}
+	if key := normalizedKey(&socialnet.Tweet{Text: text}); key != "check out" {
+		t.Fatalf("normalizedKey = %q, want the mentions and the stop word dropped", key)
 	}
 }
 

@@ -111,8 +111,11 @@ func isSeedAccount(a *socialnet.Account) bool {
 	return a.Verified && a.FollowersCount >= 10000
 }
 
+// normalizedKey is the tweet's text as the near-duplicate and repeat rules
+// compare it: normalized like a description, with the mentioned names
+// dropped so that the spam payload, not the victim, decides.
 func normalizedKey(t *socialnet.Tweet) string {
-	return textutil.NormalizeDescription(stripMentions(t.Text))
+	return textutil.NormalizeTweet(t.Text)
 }
 
 // manualCheck simulates the paper's final human pass: verify every rough

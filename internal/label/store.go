@@ -19,7 +19,7 @@ import (
 // descriptions and near-duplicate tweets — so ingesting a capture costs
 // ~O(cluster lookup): one grouper probe, one map insert, and two LSH band
 // probes, instead of a full recluster. A probe's candidates are confirmed
-// with minhash.Similarity only where the union-find has not already put
+// with minhash.AgreeAtLeast only where the union-find has not already put
 // them in the new item's set (see join): a union inside one set changes
 // nothing, so the partition is the one all-pairs confirmation builds, and
 // Snapshot reads nothing of the union-find but its partition.
@@ -223,11 +223,12 @@ func (s *Store) addUserLocked(u *socialnet.Account, up UserPrep) {
 // similarity says.
 func join(ix *minhash.Index, uf *unionFind, sig minhash.Signature, threshold float64) {
 	idx := uf.add()
+	need := minhash.MinAgree(len(sig), threshold)
 	for _, cand := range ix.Candidates(sig) {
 		if uf.find(cand) == uf.find(idx) {
 			continue
 		}
-		if minhash.Similarity(sig, ix.Signature(cand)) >= threshold {
+		if minhash.AgreeAtLeast(sig, ix.Signature(cand), need) {
 			uf.union(idx, cand)
 		}
 	}

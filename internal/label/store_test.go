@@ -12,6 +12,7 @@ import (
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/minhash"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/simclock"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/textutil/texttest"
 )
 
 // feedStore pushes the corpus stream into a store in arrival order, in
@@ -86,7 +87,7 @@ func adversarialCorpus(t testing.TB) (*Corpus, *socialnet.World, planted) {
 		sign := func(s string) minhash.Signature {
 			return scheme.SignText(normalizedKey(&socialnet.Tweet{Text: s}), shingleWidth)
 		}
-		return minhash.Similarity(sign(a), sign(b))
+		return texttest.Similarity(sign(a), sign(b))
 	}
 
 	var pl planted
@@ -418,6 +419,20 @@ func TestStoreAddBatchPreparedAllocs(t *testing.T) {
 		t.Fatalf("AddBatchPrepared allocates %.1f times per tweet, want at most %d", perTweet, maxAddAllocsPerTweet)
 	} else {
 		t.Logf("AddBatchPrepared: %.2f allocs per tweet over %d tweets", perTweet, len(corpus.Tweets))
+	}
+}
+
+// TestPrepTweetAllocs pins a tweet's prep at two allocations: the
+// normalized text and its signature.
+func TestPrepTweetAllocs(t *testing.T) {
+	p := NewPrepper(DefaultConfig())
+	tw := &socialnet.Tweet{Text: "@alice make easy money from home, earn $500 a day fast http://spam-click.example/00ff00 !!!"}
+	var prep TweetPrep
+	if got := testing.AllocsPerRun(100, func() { prep = p.PrepTweet(tw) }); got > 2 {
+		t.Fatalf("PrepTweet: %v allocations, want at most 2", got)
+	}
+	if prep.Sig == nil {
+		t.Fatal("the fixture is too short to sign; the gate would not count the signature")
 	}
 }
 

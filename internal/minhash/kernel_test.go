@@ -160,6 +160,55 @@ func TestSignTextAllocs(t *testing.T) {
 	}
 }
 
+// TestAgreeAtLeastMatchesSimilarity holds the early-exit confirmation
+// equal to comparing the full agreement fraction: every length 1–70, every
+// agreement count with the disagreements at random positions, thresholds
+// 0, 0.75, 0.85, 1, random ones, ones past both ends, NaN, and each exact
+// boundary k/n with its float neighbours; plus unequal and empty lengths.
+func TestAgreeAtLeastMatchesSimilarity(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	fixed := []float64{0, 0.75, 0.85, 1, 1.5, math.Inf(1), -0.25, math.Inf(-1), math.NaN(),
+		math.Nextafter(0, 1), math.Nextafter(1, 2), math.Nextafter(0, -1)}
+	check := func(a, b Signature, th float64) {
+		t.Helper()
+		want := texttest.Similarity(a, b) >= th
+		if got := AgreeAtLeast(a, b, MinAgree(len(a), th)); got != want {
+			t.Fatalf("AgreeAtLeast(len %d vs %d, agree %v, t=%v) = %v, want %v",
+				len(a), len(b), texttest.Similarity(a, b), th, got, want)
+		}
+	}
+	for n := 1; n <= 70; n++ {
+		for k := 0; k <= n; k++ {
+			a := make(Signature, n)
+			b := make(Signature, n)
+			for i := range a {
+				a[i] = rng.Uint64()
+				b[i] = a[i]
+			}
+			for _, i := range rng.Perm(n)[:n-k] {
+				b[i] = ^a[i]
+			}
+			ths := append([]float64(nil), fixed...)
+			for j := 0; j <= n; j++ {
+				q := float64(j) / float64(n)
+				ths = append(ths, q, math.Nextafter(q, 2), math.Nextafter(q, -1))
+			}
+			for j := 0; j < 8; j++ {
+				ths = append(ths, rng.Float64(), rng.Float64()*3-1)
+			}
+			for _, th := range ths {
+				check(a, b, th)
+			}
+		}
+	}
+	for _, th := range fixed {
+		check(Signature{1, 2}, Signature{1}, th)
+		check(Signature{1}, Signature{1, 2, 3}, th)
+		check(nil, nil, th)
+		check(Signature{}, Signature{}, th)
+	}
+}
+
 // referenceIndex is the string-keyed banding index the flat one replaced:
 // a map per band from the band's bytes to ids, and a per-probe seen set.
 type referenceIndex struct {

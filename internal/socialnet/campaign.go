@@ -104,13 +104,8 @@ func campaignName(shape int, g *textGen) string {
 	case 0:
 		return g.campaignScreenName() // First_last##
 	case 1:
-		first := g.pick(_firstNames)
-		last := g.pick(_lastNames)
-		return first + "." + last + string(rune('0'+g.rng.Intn(10))) +
-			string(rune('0'+g.rng.Intn(10))) + string(rune('0'+g.rng.Intn(10)))
+		return g.dottedScreenName() // first.last###
 	default:
-		first := g.pick(_firstNames)
-		last := g.pick(_lastNames)
-		return "x" + first + "_" + last + "_x"
+		return g.wrappedScreenName() // xfirst_last_x
 	}
 }

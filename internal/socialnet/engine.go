@@ -352,7 +352,7 @@ func (e *Engine) composeOrganic(author *Account, now time.Time) *Tweet {
 	case r < 0.20:
 		if src := e.sampleRecent(); src != nil {
 			kind = KindQuote
-			text = e.gen.benignReply() + " // " + src.Text
+			text = e.gen.benignQuote(src.Text)
 			mentions = append(mentions, src.AuthorID)
 		}
 	}
@@ -398,9 +398,10 @@ func (e *Engine) fireReply(target *Account, now time.Time) {
 		CreatedAt: now,
 		Kind:      KindTweet,
 		Source:    e.source(replier),
-		Text:      "@" + target.ScreenName + " " + e.gen.benignReply(),
 		Mentions:  []AccountID{target.ID},
 	}
+	e.gen.mention(target.ScreenName)
+	t.Text = e.gen.benignReply()
 	e.emit(t)
 }
 
@@ -474,13 +475,15 @@ func (e *Engine) fireSpamMention(wch *spamWatch, victim *Account, now time.Time)
 		return
 	}
 	c := e.world.campaigns[spammer.CampaignID]
-	body := e.spamText(c)
+	e.gen.mention(victim.ScreenName)
+	text := e.spamText(c)
+	body := text[len("@")+len(victim.ScreenName)+len(" "):]
 	t := &Tweet{
 		AuthorID:   spammer.ID,
 		CreatedAt:  now,
 		Kind:       KindTweet,
 		Source:     e.source(spammer),
-		Text:       "@" + victim.ScreenName + " " + body,
+		Text:       text,
 		Mentions:   []AccountID{victim.ID},
 		Spam:       true,
 		CampaignID: c.ID,
@@ -508,7 +511,7 @@ func (e *Engine) fireSpamMention(wch *spamWatch, victim *Account, now time.Time)
 
 // spamText instantiates the campaign's spam body: shared templates for
 // campaign members, private filler-word templates (URL only sometimes) for
-// lone wolves.
+// lone wolves. It follows any mention the text generator was given.
 func (e *Engine) spamText(c *Campaign) string {
 	if c.LoneWolf() {
 		return e.gen.loneWolfTweet(c.Template(e.rng), c.URL(e.rng),

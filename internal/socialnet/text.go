@@ -3,6 +3,7 @@ package socialnet
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 )
 
@@ -218,8 +219,14 @@ var _spamDescTemplates = []string{
 
 // textGen produces account names, descriptions, and tweet text. All methods
 // draw from the provided rng so generation is deterministic per world seed.
+// A text is written into one reused buffer — the templates hold only %s
+// verbs, so fill needs no fmt — and the returned string is its only
+// allocation.
 type textGen struct {
 	rng *rand.Rand
+	// buf holds the text being built: empty between texts, except after
+	// mention, whose prefix the next text starts with.
+	buf []byte
 }
 
 func newTextGen(rng *rand.Rand) *textGen {
@@ -230,20 +237,70 @@ func (g *textGen) pick(list []string) string {
 	return list[g.rng.Intn(len(list))]
 }
 
+// put appends strs to the text being built.
+func (g *textGen) put(strs ...string) {
+	for _, s := range strs {
+		g.buf = append(g.buf, s...)
+	}
+}
+
+// putInt appends v in decimal.
+func (g *textGen) putInt(v int64) {
+	g.buf = strconv.AppendInt(g.buf, v, 10)
+}
+
+// putTitle appends word with its first byte upper-cased; the name lists
+// are lower-case ASCII.
+func (g *textGen) putTitle(word string) {
+	c := word[0]
+	if 'a' <= c && c <= 'z' {
+		c -= 'a' - 'A'
+	}
+	g.buf = append(append(g.buf, c), word[1:]...)
+}
+
+// fill appends tpl with its %s verbs replaced by args in order: what
+// fmt.Sprintf writes when a template's only verbs are as many %s as there
+// are string args, which holds for every template in this file.
+func (g *textGen) fill(tpl string, args ...string) {
+	for _, arg := range args {
+		i := strings.Index(tpl, "%s")
+		g.put(tpl[:i], arg)
+		tpl = tpl[i+2:]
+	}
+	g.put(tpl)
+}
+
+// text returns the text built and empties the buffer for the next one.
+func (g *textGen) text() string {
+	s := string(g.buf)
+	g.buf = g.buf[:0]
+	return s
+}
+
+// mention starts the next text with "@name ".
+func (g *textGen) mention(name string) {
+	g.put("@", name, " ")
+}
+
 // normalScreenName makes an organic, varied screen name.
 func (g *textGen) normalScreenName(id AccountID) string {
 	first := g.pick(_firstNames)
 	last := g.pick(_lastNames)
+	g.put(first)
 	switch g.rng.Intn(4) {
 	case 0:
-		return first + last
+		g.put(last)
 	case 1:
-		return first + "_" + last
+		g.put("_", last)
 	case 2:
-		return fmt.Sprintf("%s%s%d", first, last, g.rng.Intn(100))
+		g.put(last)
+		g.putInt(int64(g.rng.Intn(100)))
 	default:
-		return fmt.Sprintf("%s_%d", first, int64(id)%10000)
+		g.put("_")
+		g.putInt(int64(id) % 10000)
 	}
+	return g.text()
 }
 
 // campaignScreenName instantiates a campaign naming template: shared
@@ -252,59 +309,115 @@ func (g *textGen) normalScreenName(id AccountID) string {
 func (g *textGen) campaignScreenName() string {
 	first := g.pick(_firstNames)
 	last := g.pick(_lastNames)
-	return fmt.Sprintf("%s_%s%02d",
-		strings.ToUpper(first[:1])+first[1:], last, g.rng.Intn(100))
+	g.putTitle(first)
+	g.put("_", last)
+	n := g.rng.Intn(100)
+	if n < 10 {
+		g.put("0") // %02d
+	}
+	g.putInt(int64(n))
+	return g.text()
+}
+
+// dottedScreenName is campaign naming shape 1: first.last and three digits.
+func (g *textGen) dottedScreenName() string {
+	first := g.pick(_firstNames)
+	last := g.pick(_lastNames)
+	g.put(first, ".", last)
+	for i := 0; i < 3; i++ {
+		g.putInt(int64(g.rng.Intn(10)))
+	}
+	return g.text()
+}
+
+// wrappedScreenName is campaign naming shape 2: xfirst_last_x.
+func (g *textGen) wrappedScreenName() string {
+	first := g.pick(_firstNames)
+	last := g.pick(_lastNames)
+	g.put("x", first, "_", last, "_x")
+	return g.text()
+}
+
+// seedScreenName is a trusted account's name: official_, a surname and a
+// number.
+func (g *textGen) seedScreenName() string {
+	g.put("official_", g.pick(_lastNames))
+	g.putInt(int64(g.rng.Intn(100)))
+	return g.text()
 }
 
 func (g *textGen) displayName() string {
 	first := g.pick(_firstNames)
 	last := g.pick(_lastNames)
-	return strings.ToUpper(first[:1]) + first[1:] + " " +
-		strings.ToUpper(last[:1]) + last[1:]
+	g.putTitle(first)
+	g.put(" ")
+	g.putTitle(last)
+	return g.text()
 }
 
 func (g *textGen) benignDescription() string {
 	tpl := g.pick(_benignDescTemplates)
-	desc := fmt.Sprintf(tpl, g.pick(_benignWords), g.pick(_benignWords))
+	g.fill(tpl, g.pick(_benignWords), g.pick(_benignWords))
 	// Personal entropy keeps organic descriptions from near-duplicating
 	// each other — only campaign descriptions should MinHash-cluster.
-	return desc + fmt.Sprintf(" | %s %s %d", g.pick(_benignWords),
-		g.pick(_lastNames), g.rng.Intn(100))
+	g.put(" | ", g.pick(_benignWords), " ", g.pick(_lastNames), " ")
+	g.putInt(int64(g.rng.Intn(100)))
+	return g.text()
 }
 
 // campaignDescription instantiates the campaign's description template with
 // minor variation, producing MinHash near-duplicates.
 func (g *textGen) campaignDescription(tpl, url string) string {
-	desc := fmt.Sprintf(tpl, url)
+	g.fill(tpl, url)
 	// Small variation: occasionally append a short suffix.
 	if g.rng.Intn(3) == 0 {
-		desc += " " + g.pick([]string{"!!", "<3", "~", "dm us"})
+		g.put(" ", g.pick([]string{"!!", "<3", "~", "dm us"}))
 	}
-	return desc
+	return g.text()
 }
 
 func (g *textGen) benignTweet() string {
 	tpl := g.pick(_benignTemplates)
-	return fmt.Sprintf(tpl, g.pick(_benignWords), g.pick(_benignWords)) +
-		g.benignTail()
+	g.fill(tpl, g.pick(_benignWords), g.pick(_benignWords))
+	g.putTail()
+	return g.text()
 }
 
 func (g *textGen) benignReply() string {
-	tpl := g.pick(_benignReplyTemplates)
-	return fmt.Sprintf(tpl, g.pick(_benignWords)) + g.benignTail()
+	g.putReply()
+	return g.text()
 }
 
-// benignTail appends enough personal entropy that two organic tweets from
-// the same template land below the near-duplicate thresholds — real benign
+// benignQuote is a benign reply commenting on the quoted text.
+func (g *textGen) benignQuote(quoted string) string {
+	g.putReply()
+	g.put(" // ", quoted)
+	return g.text()
+}
+
+// putReply appends a benign reply and its tail.
+func (g *textGen) putReply() {
+	tpl := g.pick(_benignReplyTemplates)
+	g.fill(tpl, g.pick(_benignWords))
+	g.putTail()
+}
+
+// putTail appends enough personal entropy that two organic tweets from the
+// same template land below the near-duplicate thresholds — real benign
 // tweets are almost never near-duplicates of each other, and the labeling
 // pipeline's tweet clustering relies on that.
-func (g *textGen) benignTail() string {
-	words := make([]string, 4+g.rng.Intn(4))
-	for i := range words {
-		words[i] = g.pick(_benignWords)
+func (g *textGen) putTail() {
+	g.put(" (")
+	n := 4 + g.rng.Intn(4)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			g.put(" ")
+		}
+		g.put(g.pick(_benignWords))
 	}
-	return fmt.Sprintf(" (%s %s %d)", strings.Join(words, " "),
-		g.pick(_firstNames), g.rng.Intn(1000))
+	g.put(" ", g.pick(_firstNames), " ")
+	g.putInt(int64(g.rng.Intn(1000)))
+	g.put(")")
 }
 
 // loneWolfTweet instantiates a solo spammer's template: two filler words
@@ -312,21 +425,21 @@ func (g *textGen) benignTail() string {
 // sometimes, so a share of lone-wolf spam evades both the URL rule and the
 // keyword rules.
 func (g *textGen) loneWolfTweet(tpl, url string, withURL bool) string {
-	text := fmt.Sprintf(tpl, g.pick(_benignWords), g.pick(_benignWords))
+	g.fill(tpl, g.pick(_benignWords), g.pick(_benignWords))
 	if withURL {
-		text += " " + url
+		g.put(" ", url)
 	}
-	return text
+	return g.text()
 }
 
 // campaignTweet instantiates one of the campaign's text templates with its
 // URL; near-duplicate across the campaign by construction.
 func (g *textGen) campaignTweet(tpl, url string) string {
-	text := fmt.Sprintf(tpl, url)
+	g.fill(tpl, url)
 	if g.rng.Intn(4) == 0 {
-		text += " " + g.pick([]string{"!!!", "act now", "today only", "hurry"})
+		g.put(" ", g.pick([]string{"!!!", "act now", "today only", "hurry"}))
 	}
-	return text
+	return g.text()
 }
 
 // maliciousURL fabricates a campaign URL on a known-bad domain pattern.

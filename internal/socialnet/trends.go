@@ -113,29 +113,35 @@ func (ts *TrendSet) reclassify() {
 }
 
 // Sample returns a random topic weighted by volume, preferring topics in
-// the given state when any exist.
+// the given state when any exist. It walks the topics in place, so it
+// allocates nothing.
 func (ts *TrendSet) Sample(state TrendState) *Topic {
-	var pool []*Topic
+	filter := false
 	for _, t := range ts.topics {
 		if t.State == state {
-			pool = append(pool, t)
+			filter = true
+			break
 		}
 	}
-	if len(pool) == 0 {
-		pool = ts.topics
-	}
 	total := 0.0
-	for _, t := range pool {
-		total += t.Volume
+	for _, t := range ts.topics {
+		if !filter || t.State == state {
+			total += t.Volume
+		}
 	}
 	r := ts.rng.Float64() * total
-	for _, t := range pool {
+	var last *Topic
+	for _, t := range ts.topics {
+		if filter && t.State != state {
+			continue
+		}
 		r -= t.Volume
 		if r <= 0 {
 			return t
 		}
+		last = t
 	}
-	return pool[len(pool)-1]
+	return last
 }
 
 // Topics returns all topics (shared pointers; callers must not mutate).

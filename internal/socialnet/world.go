@@ -1,7 +1,6 @@
 package socialnet
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -476,7 +475,7 @@ func (w *World) genSeed(id AccountID) (*Account, avatarRecipe) {
 	imgSeed := rng.Int63()
 	a := &Account{
 		ID:               id,
-		ScreenName:       "official_" + w.gen.pick(_lastNames) + fmt.Sprintf("%d", rng.Intn(100)),
+		ScreenName:       w.gen.seedScreenName(),
 		Name:             w.gen.displayName(),
 		Description:      "official account | " + w.gen.pick(_benignWords) + " news and updates",
 		CreatedAt:        w.start.Add(-time.Duration(ageDays*24) * time.Hour),
@@ -519,7 +518,9 @@ func (w *World) sampleSource(web, mobile, third float64) Source {
 // activity-related attributes (lists/day, audience size, list membership)
 // dominate, account age peaks near 1,000 days, low friend/follower ratios
 // attract more spam, and social/general hashtag users plus trending-up
-// posters are preferred.
+// posters are preferred. The count-derived factors come from the
+// account's cache (attractionFactors); the sum is formed in the same order
+// either way.
 func (w *World) Attraction(a *Account, now time.Time) float64 {
 	if a.Suspended {
 		return 0
@@ -535,23 +536,22 @@ func (w *World) Attraction(a *Account, now time.Time) float64 {
 		score += 5.5 * math.Pow(ld, 1.1)
 	}
 
+	f := a.attractionFactors()
 	// Audience attributes (Table VI ranks 2, 3, 5). Cubic in the log
 	// ratio: spammers concentrate sharply on the largest audiences.
-	total := float64(a.FriendsCount + a.FollowersCount)
-	score += 1.6 * cube(log10(total+1)/4.48)
-	score += 1.3 * cube(log10(float64(a.FollowersCount)+1)/4.0)
-	score += 1.2 * cube(log10(float64(a.FriendsCount)+1)/4.0)
+	score += 1.6 * f.audience
+	score += 1.3 * f.followers
+	score += 1.2 * f.friends
 
 	// List membership (rank 4).
-	score += 1.25 * cube(log10(float64(a.ListedCount)+1)/2.7)
+	score += 1.25 * f.listed
 
 	// Favourites and statuses volume (ranks 6, 8).
-	score += 0.9 * cube(log10(float64(a.FavouritesCount)+1)/5.3)
-	score += 0.55 * cube(log10(float64(a.StatusesCount)+1)/5.3)
+	score += 0.9 * f.favourites
+	score += 0.55 * f.statuses
 
 	// Friend/follower ratio: low ratios (big audiences) preferred (rank 10).
-	ratio := a.FriendFollowerRatio()
-	score += 0.35 * clampF(1-log10(ratio*10)/2, 0, 1)
+	score += 0.35 * f.ratio
 
 	// Account age: mild peak near 1,000 days (paper Fig. 3(e)).
 	age := a.AgeDays(now)
@@ -571,6 +571,50 @@ func (w *World) Attraction(a *Account, now time.Time) float64 {
 		score *= 1.3
 	}
 	return score
+}
+
+// attractionCache holds the unweighted factors of Attraction that depend
+// only on profile counts, with the counts they were computed from. The
+// hourly victim sampler scores every account; within a run only
+// StatusesCount moves, so the cache saves six of its seven logarithms. A
+// factor is recomputed whenever one of its counts differs from the one it
+// was computed from, whoever wrote the count. The weights stay in
+// Attraction, so each term is the expression it always was, whether or
+// not the compiler fuses its multiply into the add.
+type attractionCache struct {
+	valid                                      bool
+	friendsN, followersN, listedN, favouritesN int
+	statusesN                                  int
+	audience, followers, friends, ratio        float64 // from friendsN, followersN
+	listed, favourites, statuses               float64
+}
+
+// attractionFactors returns a's count-derived Attraction factors,
+// recomputing those whose counts changed.
+func (a *Account) attractionFactors() *attractionCache {
+	f := &a.attraction
+	if !f.valid || f.friendsN != a.FriendsCount || f.followersN != a.FollowersCount {
+		f.friendsN, f.followersN = a.FriendsCount, a.FollowersCount
+		total := float64(a.FriendsCount + a.FollowersCount)
+		f.audience = cube(log10(total+1) / 4.48)
+		f.followers = cube(log10(float64(a.FollowersCount)+1) / 4.0)
+		f.friends = cube(log10(float64(a.FriendsCount)+1) / 4.0)
+		f.ratio = clampF(1-log10(a.FriendFollowerRatio()*10)/2, 0, 1)
+	}
+	if !f.valid || f.listedN != a.ListedCount {
+		f.listedN = a.ListedCount
+		f.listed = cube(log10(float64(a.ListedCount)+1) / 2.7)
+	}
+	if !f.valid || f.favouritesN != a.FavouritesCount {
+		f.favouritesN = a.FavouritesCount
+		f.favourites = cube(log10(float64(a.FavouritesCount)+1) / 5.3)
+	}
+	if !f.valid || f.statusesN != a.StatusesCount {
+		f.statusesN = a.StatusesCount
+		f.statuses = cube(log10(float64(a.StatusesCount)+1) / 5.3)
+	}
+	f.valid = true
+	return f
 }
 
 func hashtagBoost(c HashtagCategory) float64 {

@@ -1,29 +1,43 @@
 package textutil
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/textutil/texttest"
 )
 
-func FuzzTokenize(f *testing.F) {
+// FuzzNormalize holds both one-pass normalizers equal to the pass-per-step
+// composition they replaced, in both flavours, and checks that no token is
+// empty and no emoji survives.
+func FuzzNormalize(f *testing.F) {
 	f.Add("hello world")
 	f.Add("@user check https://x.example/y #tag 123 \U0001F600")
 	f.Add("ünïcödé 漢字 \x00\xff")
+	f.Add("bad \xe2\x82 utf8 \xc3( mid\xffword \xed\xa0\x80")
+	f.Add("nel\u0085separated nbsp\u00a0separated")
+	f.Add("emoji in\U0001F600side a to\u2764ken")
+	f.Add("the stop words at both ends are the")
+	f.Add("with this, that and them: they were here")
+	f.Add("a bare @ and @@double and mid@field")
+	f.Add("HTTP://upper.example stays tokens but https://lower.example does not")
+	f.Add("İstanbul straße ΣΊΣΥΦΟΣ")
+	f.Add("")
 	f.Fuzz(func(t *testing.T, s string) {
-		tokens := Tokenize(s)
-		for _, tok := range tokens {
-			if tok == "" {
-				t.Fatal("empty token")
+		for _, mentions := range []bool{false, true} {
+			got := normalize(s, mentions)
+			if want := referenceNormalize(s, mentions); got != want {
+				t.Fatalf("normalize(%q, %v) = %q, reference %q", s, mentions, got, want)
+			}
+			if CountEmoji(got) != 0 {
+				t.Fatalf("emoji survive normalize(%q, %v) = %q", s, mentions, got)
+			}
+			if strings.Contains(got, "  ") || strings.HasPrefix(got, " ") || strings.HasSuffix(got, " ") {
+				t.Fatalf("normalize(%q, %v) = %q has an empty token", s, mentions, got)
 			}
 		}
-		// Derived operations must not panic and must stay consistent.
-		_ = RemoveStopWords(tokens)
-		_ = NormalizeDescription(s)
-		_ = StripURLs(s)
-		_ = StripEmoji(s)
-		if CountEmoji(StripEmoji(s)) != 0 {
-			t.Fatal("emoji survive StripEmoji")
+		if NormalizeDescription(s) != normalize(s, false) || NormalizeTweet(s) != normalize(s, true) {
+			t.Fatal("flavours disagree with normalize")
 		}
 	})
 }

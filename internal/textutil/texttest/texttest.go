@@ -1,9 +1,13 @@
-// Package texttest holds the set-based definitions behind the labeler's
-// near-duplicate kernel: a text's character-shingle set and the Jaccard
-// similarity of two sets. The labeler never builds either — it signs texts
-// with minhash.Scheme.SignText, which hashes the same windows in place —
-// so they live here, as the reference the kernel's tests compare against.
+// Package texttest holds the plain definitions behind the labeler's text
+// kernels: a text's character-shingle set, the Jaccard similarity of two
+// sets, the fraction of agreeing signature components, and mention
+// stripping. The labeler never builds any of them — it signs texts with
+// minhash.Scheme.SignText, confirms candidates with minhash.AgreeAtLeast and
+// normalizes tweets with textutil.NormalizeTweet, each in one pass — so
+// they live here, as the references the kernels' tests compare against.
 package texttest
+
+import "strings"
 
 // Shingles returns the n-gram character shingles of s. The paper's MinHash
 // step uses tri-gram shingling (n = 3). Strings shorter than n yield a
@@ -55,4 +59,37 @@ func Jaccard(a, b []string) float64 {
 		return 1
 	}
 	return float64(inter) / float64(union)
+}
+
+// StripMentions removes the @name fields of s and joins the rest with
+// single spaces: the step the tweet labeler once ran before normalizing,
+// kept as the reference for textutil.NormalizeTweet's mention handling.
+func StripMentions(s string) string {
+	fields := strings.Fields(s)
+	out := fields[:0]
+	for _, f := range fields {
+		if strings.HasPrefix(f, "@") {
+			continue
+		}
+		out = append(out, f)
+	}
+	return strings.Join(out, " ")
+}
+
+// Similarity is the fraction of agreeing components of two MinHash
+// signatures: the estimate of the Jaccard similarity of the sets behind
+// them. Signatures of unequal length, or empty ones, have similarity 0.
+// minhash.AgreeAtLeast(a, b, minhash.MinAgree(len(a), t)) decides
+// Similarity(a, b) >= t without finishing the count.
+func Similarity(a, b []uint64) float64 {
+	if len(a) != len(b) || len(a) == 0 {
+		return 0
+	}
+	agree := 0
+	for i := range a {
+		if a[i] == b[i] {
+			agree++
+		}
+	}
+	return float64(agree) / float64(len(a))
 }

@@ -1,12 +1,14 @@
 // Package textutil implements the text-processing primitives the
-// pseudo-honeypot labeling pipeline relies on: tokenization, stop-word
-// removal, URL/emoji stripping, and the Σ-Seq character-class sequences
-// used to cluster campaign screen names (paper §IV-B).
+// pseudo-honeypot labeling pipeline relies on: normalization (URL, emoji
+// and stop-word stripping and tokenization, in one pass), emoji and digit
+// counts, and the Σ-Seq character-class sequences used to cluster campaign
+// screen names (paper §IV-B).
 package textutil
 
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // stop words removed before shingling user descriptions. The list mirrors a
@@ -21,58 +23,6 @@ var _stopWords = map[string]struct{}{
 	"this": {}, "they": {}, "them": {}, "but": {}, "not": {}, "so": {},
 }
 
-// Tokenize lower-cases s and splits it into alphanumeric word tokens.
-// Everything that is not a letter or digit separates tokens.
-func Tokenize(s string) []string {
-	var tokens []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() > 0 {
-			tokens = append(tokens, b.String())
-			b.Reset()
-		}
-	}
-	for _, r := range strings.ToLower(s) {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			b.WriteRune(r)
-			continue
-		}
-		flush()
-	}
-	flush()
-	return tokens
-}
-
-// RemoveStopWords filters common English stop words from tokens.
-func RemoveStopWords(tokens []string) []string {
-	var out []string
-	for _, tok := range tokens {
-		if _, stop := _stopWords[tok]; stop {
-			continue
-		}
-		out = append(out, tok)
-	}
-	return out
-}
-
-// StripURLs removes http(s) URLs from s. Used when normalizing user
-// descriptions and tweet contents before clustering.
-func StripURLs(s string) string {
-	var b strings.Builder
-	fields := strings.Fields(s)
-	for _, f := range fields {
-		if strings.HasPrefix(f, "http://") || strings.HasPrefix(f, "https://") ||
-			strings.HasPrefix(f, "www.") {
-			continue
-		}
-		if b.Len() > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(f)
-	}
-	return b.String()
-}
-
 // CountEmoji returns the number of emoji-range runes in s. The check covers
 // the main emoji blocks (emoticons, pictographs, transport, supplemental
 // symbols) — enough to make the description/content emoji-count features
@@ -85,18 +35,6 @@ func CountEmoji(s string) int {
 		}
 	}
 	return n
-}
-
-// StripEmoji removes emoji-range runes from s.
-func StripEmoji(s string) string {
-	var b strings.Builder
-	for _, r := range s {
-		if isEmoji(r) {
-			continue
-		}
-		b.WriteRune(r)
-	}
-	return b.String()
 }
 
 func isEmoji(r rune) bool {
@@ -129,11 +67,165 @@ func CountDigits(s string) int {
 // NormalizeDescription applies the paper's description preprocessing:
 // remove URLs, emoji, stop words, and special characters, returning the
 // cleaned token sequence joined by single spaces.
-func NormalizeDescription(s string) string {
-	s = StripURLs(s)
-	s = StripEmoji(s)
-	tokens := RemoveStopWords(Tokenize(s))
-	return strings.Join(tokens, " ")
+//
+// The text is split into fields as strings.Fields splits it. A field that
+// starts with "http://", "https://" or "www." is dropped whole; in the
+// others, emoji runes are dropped, the rest is lower-cased rune by rune,
+// and every maximal run of letters and digits is a token. Stop-word tokens
+// are dropped. All of it happens in one pass: the result is the call's
+// only allocation, and an empty result makes none. The tests hold it equal
+// to the pass-per-step composition it replaced (reference_test.go).
+func NormalizeDescription(s string) string { return normalize(s, false) }
+
+// NormalizeTweet is NormalizeDescription that also drops every field
+// starting with "@", so near-duplicate checking compares a tweet's payload,
+// not the names it mentions.
+func NormalizeTweet(s string) string { return normalize(s, true) }
+
+// normScratch is the stack buffer a normalized text is built in; only a
+// longer result spills to the heap.
+const normScratch = 256
+
+// asciiClass maps an ASCII byte to its lower-case form when it is a letter
+// or digit, to asciiSpace when unicode.IsSpace holds for it, and to 0 for
+// every other separator: the ASCII case of the per-rune tests below.
+var asciiClass = func() (t [utf8.RuneSelf]byte) {
+	for c := byte(0); c < utf8.RuneSelf; c++ {
+		switch r := unicode.ToLower(rune(c)); {
+		case unicode.IsSpace(r):
+			t[c] = asciiSpace
+		case unicode.IsLetter(r) || unicode.IsDigit(r):
+			t[c] = byte(r)
+		}
+	}
+	return t
+}()
+
+const asciiSpace = 1
+
+// maxStopLen is the length of the longest stop word; no longer token needs
+// the lookup.
+var maxStopLen = func() (n int) {
+	for w := range _stopWords {
+		n = max(n, len(w))
+	}
+	return n
+}()
+
+func normalize(s string, dropMentions bool) string {
+	var scratch [normScratch]byte
+	out := scratch[:0]
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf && asciiClass[c] == asciiSpace {
+			i++
+			continue
+		}
+		if r, size := utf8.DecodeRuneInString(s[i:]); r >= utf8.RuneSelf && unicode.IsSpace(r) {
+			i += size
+			continue
+		}
+		// s[i:] starts a field. The prefixes dropped looks for hold no
+		// space, so each is a prefix of the field when it is one of s[i:].
+		if dropped(s[i:], dropMentions) {
+			i = fieldEnd(s, i)
+			continue
+		}
+		// tok is where the current token starts in out (before its
+		// separating space), or -1 between tokens.
+		tok := -1
+		for i < len(s) {
+			var l rune
+			if c := s[i]; c < utf8.RuneSelf {
+				k := asciiClass[c]
+				if k == asciiSpace {
+					break
+				}
+				i++
+				if k == 0 {
+					out = endToken(out, tok)
+					tok = -1
+					continue
+				}
+				l = rune(k)
+			} else {
+				r, size := utf8.DecodeRuneInString(s[i:])
+				if unicode.IsSpace(r) {
+					break
+				}
+				i += size
+				if isEmoji(r) {
+					continue
+				}
+				if l = unicode.ToLower(r); !unicode.IsLetter(l) && !unicode.IsDigit(l) {
+					out = endToken(out, tok)
+					tok = -1
+					continue
+				}
+			}
+			if tok < 0 {
+				tok = len(out)
+				if tok > 0 {
+					out = append(out, ' ')
+				}
+			}
+			out = utf8.AppendRune(out, l)
+		}
+		out = endToken(out, tok)
+	}
+	return string(out)
+}
+
+// dropped reports whether the field s starts with is dropped whole: a URL,
+// or a mention when dropMentions is set.
+func dropped(s string, dropMentions bool) bool {
+	switch s[0] {
+	case 'h':
+		return strings.HasPrefix(s, "http://") || strings.HasPrefix(s, "https://")
+	case 'w':
+		return strings.HasPrefix(s, "www.")
+	case '@':
+		return dropMentions
+	}
+	return false
+}
+
+// endToken closes the token that starts at out[tok] (its separating space
+// included), dropping it again when it is a stop word.
+func endToken(out []byte, tok int) []byte {
+	if tok < 0 {
+		return out
+	}
+	word := out[tok:]
+	if tok > 0 {
+		word = word[1:]
+	}
+	if len(word) > maxStopLen {
+		return out
+	}
+	if _, stop := _stopWords[string(word)]; stop {
+		return out[:tok]
+	}
+	return out
+}
+
+// fieldEnd returns the index of the first space rune at or after s[i:], or
+// len(s).
+func fieldEnd(s string, i int) int {
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if asciiClass[c] == asciiSpace {
+				return i
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if unicode.IsSpace(r) {
+			return i
+		}
+		i += size
+	}
+	return i
 }
 
 // ClassSeqWithRunLengths maps a screen name onto the paper's Σ-Seq

@@ -1,11 +1,15 @@
 package textutil
 
 import (
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 	"unicode"
 
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/textutil/texttest"
 )
 
@@ -84,6 +88,72 @@ func TestNormalizeDescription(t *testing.T) {
 	want := "best deals"
 	if got := NormalizeDescription(give); got != want {
 		t.Fatalf("NormalizeDescription = %q, want %q", got, want)
+	}
+}
+
+func TestNormalizeTweetDropsMentions(t *testing.T) {
+	give := "@Alice the BEST deals @bob!!! https://t.co/abc \U0001F911 mid@field"
+	if got, want := NormalizeTweet(give), "best deals mid field"; got != want {
+		t.Fatalf("NormalizeTweet = %q, want %q", got, want)
+	}
+	if got, want := NormalizeDescription(give), "alice best deals bob mid field"; got != want {
+		t.Fatalf("NormalizeDescription = %q, want %q", got, want)
+	}
+}
+
+// TestNormalizeMatchesReference draws random texts from runes that sit on
+// every branch of the normalizer — field separators inside and outside
+// Latin-1, emoji, runes whose lower case changes length, invalid bytes,
+// URL and mention prefixes, stop words — and holds both flavours equal to
+// the pass-per-step composition, including texts whose result outgrows
+// the stack scratch.
+func TestNormalizeMatchesReference(t *testing.T) {
+	pieces := []string{
+		"a", "Z", "7", "the", "and", "is", "I", "with", "This", " ", "  ", "\t", "\n", "\u0085", "\u00a0",
+		"\u2028", "\u3000", "@", "@bob", "http://", "https://x", "www.", "HTTP://", "Www.",
+		"\U0001F600", "\u2764", "\U0001F9FF", "İ", "ß", "Σ", "ς", "Ⱥ", "ǅ", "漢", "١",
+		"\xff", "\xe2\x82", "\xed\xa0\x80", "\xc3", "-", "_", "'", ".", "#", "//",
+	}
+	rng := rand.New(rand.NewSource(1))
+	var b strings.Builder
+	for i := 0; i < 20000; i++ {
+		b.Reset()
+		n := 1 + rng.Intn(12)
+		if i%100 == 0 {
+			n = 400 // past normScratch
+		}
+		for j := 0; j < n; j++ {
+			b.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		s := b.String()
+		for _, mentions := range []bool{false, true} {
+			if got, want := normalize(s, mentions), referenceNormalize(s, mentions); got != want {
+				t.Fatalf("normalize(%q, %v) = %q, reference %q", s, mentions, got, want)
+			}
+		}
+	}
+}
+
+// TestNormalizeAllocs pins the normalizer's cost: one allocation for a
+// non-empty result (the string itself), none for an empty one.
+func TestNormalizeAllocs(t *testing.T) {
+	const tweet = "@alice just had the best coffee with my team today \U0001F600 http://x.example/1 (dog cat 42)"
+	for _, tt := range []struct {
+		name string
+		fn   func(string) string
+		give string
+		want float64
+	}{
+		{"description", NormalizeDescription, tweet, 1},
+		{"tweet", NormalizeTweet, tweet, 1},
+		{"description-empty", NormalizeDescription, "the http://x.example \U0001F600 a", 0},
+		{"tweet-empty", NormalizeTweet, "@alice @bob https://x.example is", 0},
+	} {
+		var out string
+		got := testing.AllocsPerRun(100, func() { out = tt.fn(tt.give) })
+		if got != tt.want {
+			t.Errorf("%s: %v allocations for %q, want %v", tt.name, got, out, tt.want)
+		}
 	}
 }
 
@@ -231,4 +301,73 @@ func TestClassSeqLengthProperty(t *testing.T) {
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// simTexts collects the texts the labeler normalizes from a small
+// simulated world: every tweet of two hours and its author's description.
+func simTexts(tb testing.TB) (tweets, descs []string) {
+	tb.Helper()
+	cfg := socialnet.DefaultConfig()
+	cfg.NumAccounts = 2000
+	cfg.OrganicTweetsPerHour = 400
+	w, err := socialnet.NewWorld(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e := socialnet.NewEngine(w)
+	e.Subscribe(func(tw *socialnet.Tweet) {
+		tweets = append(tweets, tw.Text)
+		descs = append(descs, w.Account(tw.AuthorID).Description)
+	})
+	e.RunHours(2)
+	return tweets, descs
+}
+
+// BenchmarkNormalize normalizes a simulated stream's tweets (tweet
+// flavour) and their authors' descriptions (description flavour) in one
+// pass per text, and reports the pass-per-step reference's time over it as
+// speedup-vs-reference, with allocations per text for both.
+func BenchmarkNormalize(b *testing.B) {
+	tweets, descs := simTexts(b)
+	texts := len(tweets) + len(descs)
+	perText := func(before, after *runtime.MemStats, runs int) float64 {
+		return float64(after.Mallocs-before.Mallocs) / float64(runs*texts)
+	}
+	var before, after runtime.MemStats
+	refOnce := func() time.Duration {
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		for i := range tweets {
+			referenceNormalize(tweets[i], true)
+			referenceNormalize(descs[i], false)
+		}
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		return elapsed
+	}
+	refOnce() // warm caches
+	const refRuns = 3
+	var ref time.Duration
+	var refAllocs float64
+	for i := 0; i < refRuns; i++ {
+		ref += refOnce() / refRuns
+		refAllocs += perText(&before, &after, refRuns)
+	}
+
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range tweets {
+			NormalizeTweet(tweets[j])
+			NormalizeDescription(descs[j])
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	if per := b.Elapsed() / time.Duration(b.N); per > 0 {
+		b.ReportMetric(ref.Seconds()/per.Seconds(), "speedup-vs-reference")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*texts), "ns/text")
+	b.ReportMetric(perText(&before, &after, b.N), "allocs/text")
+	b.ReportMetric(refAllocs, "ref-allocs/text")
 }
