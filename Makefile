@@ -100,10 +100,16 @@ bench-smoke:
 # bench prints the in-package micro-benchmarks. TreeFit and BoostFit
 # report speedup-vs-reference: the presorted-column split engine against
 # the per-node-sort scan kept as their test oracle (algorithmic win,
-# visible on any core count). ForestFit times the paper-config forest on a
+# visible on any core count). The engine scans a node's feature in one of
+# three exact regimes: per-value class counts when the feature has at most
+# as many distinct values as the node has rows, else a sorted window
+# derived from the parent's, else (at and below 96 samples) the node's rows
+# gathered and sorted. ForestFit times the paper-config forest on a
 # small noisy task and on a capture-shaped fixture (7,056 × 58, the
 # dense-stream detector's training set), exact and at 64 bins, and reports
-# speedup-vs-1worker (expect ~1.0 on a single-core machine). Rotate is one hourly node rotation over
+# speedup-vs-1worker (expect ~1.0 on a single-core machine). Presort is
+# the fixture's shared presort (radix-sorted columns, value codes and
+# levels) at 1 worker and at the default, with allocs. Rotate is one hourly node rotation over
 # the columnar screening index (cold and warm). SignText, IndexAddProbe
 # and StoreAddBatch are the near-duplicate kernel: signing one text,
 # probe-then-add over 10k campaign-skewed signatures, and the label stage
@@ -127,7 +133,7 @@ bench-smoke:
 # ingest overhead, and what proc shard mode's extract RPC adds to a
 # 64-capture batch (socket excluded).
 bench:
-	$(GO) test -run NONE -bench 'TreeFit|ForestFit|BoostFit|CrossValidate|DetectorClassify|Rotate|SignText|IndexAddProbe|StoreAddBatch|LabelCorpus|NewWorld|EngineHour|Normalize' \
+	$(GO) test -run NONE -bench 'TreeFit|ForestFit|Presort|BoostFit|CrossValidate|DetectorClassify|Rotate|SignText|IndexAddProbe|StoreAddBatch|LabelCorpus|NewWorld|EngineHour|Normalize' \
 		./internal/ml/tree/ ./internal/ml/forest/ ./internal/ml/boost/ \
 		./internal/ml/ ./internal/core/ ./internal/minhash/ ./internal/label/ \
 		./internal/socialnet/ ./internal/textutil/

@@ -123,18 +123,20 @@ func (d *Detector) SetTracer(t *trace.Tracer) {
 }
 
 // BuildDataset joins captured feature vectors with pipeline labels into a
-// training dataset.
+// training dataset. The rows share one contiguous backing array, each
+// capped at its own length.
 func BuildDataset(captures []*Capture, labels *label.Result) (*ml.Dataset, error) {
 	if labels == nil {
 		return nil, errors.New("core: nil labels")
 	}
-	x := make([][]float64, 0, len(captures))
-	y := make([]bool, 0, len(captures))
-	for _, c := range captures {
-		vec := make([]float64, len(c.Vector))
-		copy(vec, c.Vector[:])
-		x = append(x, vec)
-		y = append(y, labels.IsSpam(c.Tweet.ID))
+	const d = features.NumFeatures
+	flat := make([]float64, len(captures)*d)
+	x := make([][]float64, len(captures))
+	y := make([]bool, len(captures))
+	for i, c := range captures {
+		x[i] = flat[i*d : (i+1)*d : (i+1)*d]
+		copy(x[i], c.Vector[:])
+		y[i] = labels.IsSpam(c.Tweet.ID)
 	}
 	return ml.NewDataset(x, y)
 }

@@ -20,7 +20,7 @@ const goldenBinnedBoostFingerprint = "628a18f4bbfe4ce8065951b5bbcc3ea0d62cbe57ab
 // builds for cross-validation, binned, and hashes its probabilities.
 func TestBoostBinnedGoldenPredictions(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	x, y := propDataset(rng, 800)
+	x, y := propDataset(rng, 800, false)
 	b := New(Config{
 		Rounds: 160, MaxDepth: 5, LearningRate: 0.15, MinLeaf: 5,
 		Subsample: 0.8, Seed: 7, Bins: 64,
@@ -28,7 +28,7 @@ func TestBoostBinnedGoldenPredictions(t *testing.T) {
 	if err := b.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	probes, _ := propDataset(rng, 300)
+	probes, _ := propDataset(rng, 300, false)
 	h := sha256.New()
 	var buf [8]byte
 	for _, p := range probes {

@@ -67,8 +67,9 @@ func (b *Boost) Fit(x [][]float64, y []bool) error {
 	}
 	// Sort the feature space once; each round's tree view (full or
 	// subsampled, as 0/1 row counts) is derived from the pristine order
-	// and the engine's buffers are recycled round to round.
-	presort := split.NewPresort(x)
+	// and the engine's buffers are recycled round to round. One presort
+	// worker: boosters are fit inside cross-validation's fold fan-out.
+	presort := split.NewPresort(x, 1)
 	var eng *split.Engine
 	var sampled []int32
 	b.fitRounds(x, y, func(t *regTree, idx []int, grad, hess []float64) {

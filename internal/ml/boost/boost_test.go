@@ -172,7 +172,7 @@ func TestRegTreeMinLeafGuardInScan(t *testing.T) {
 	hess := []float64{1, 1, 1, 1, 1}
 
 	rt := &regTree{maxDepth: 3, minLeaf: 2}
-	e := split.NewPresort(x).View(nil, nil)
+	e := split.NewPresort(x, 1).View(nil, nil)
 	rt.fitEngine(e, grad, hess)
 	if rt.root == nil || rt.root.leaf {
 		t.Fatal("guarded scan collapsed to a leaf despite an admissible split")

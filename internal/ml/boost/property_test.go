@@ -11,8 +11,9 @@ import (
 // propDataset fabricates an adversarial training set for the split
 // cross-check: normal columns, quantized (heavily tied) columns, an
 // all-equal column, and a two-valued column, with labels carrying signal
-// plus noise.
-func propDataset(rng *rand.Rand, n int) ([][]float64, []bool) {
+// plus noise. With nan set, one normal column holds a NaN in one row in
+// 20.
+func propDataset(rng *rand.Rand, n int, nan bool) ([][]float64, []bool) {
 	x := make([][]float64, n)
 	y := make([]bool, n)
 	for i := range x {
@@ -22,6 +23,9 @@ func propDataset(rng *rand.Rand, n int) ([][]float64, []bool) {
 		row[2] = 7                                 // single distinct value
 		row[3] = float64(rng.Intn(2))              // two distinct values
 		row[4] = rng.NormFloat64()
+		if nan && rng.Intn(20) == 0 {
+			row[4] = math.NaN()
+		}
 		row[5] = math.Round(rng.NormFloat64()*4) / 4
 		x[i] = row
 		y[i] = row[0]+row[1]/2+row[3] > 0.5
@@ -36,7 +40,7 @@ func propDataset(rng *rand.Rand, n int) ([][]float64, []bool) {
 // booster against the legacy oracle: probabilities must match bit for
 // bit, which also pins the cumulative-gradient accumulation order. Sizes
 // straddle split.LeafSortCutoff so both the partitioned-column and the
-// gather-and-sort regimes are exercised.
+// gather-and-sort regimes are exercised, with and without a NaN column.
 func TestBoostPresortedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, n := range []int{
@@ -48,20 +52,19 @@ func TestBoostPresortedMatchesReference(t *testing.T) {
 			{Rounds: 20, MaxDepth: 4, MinLeaf: 5, Seed: 3},
 			{Rounds: 15, MaxDepth: 3, MinLeaf: 2, Subsample: 0.7, Seed: 5},
 		} {
-			x, y := propDataset(rng, n)
-			a, b := New(cfg), New(cfg)
-			if err := a.Fit(x, y); err != nil {
-				t.Fatal(err)
-			}
-			b.fitRef(x, y)
-			for i := 0; i < 100; i++ {
-				probe := []float64{
-					rng.NormFloat64(), math.Round(rng.NormFloat64() * 2), 7,
-					float64(rng.Intn(2)), rng.NormFloat64(), math.Round(rng.NormFloat64()*4) / 4,
+			for _, nan := range []bool{false, true} {
+				x, y := propDataset(rng, n, nan)
+				a, b := New(cfg), New(cfg)
+				if err := a.Fit(x, y); err != nil {
+					t.Fatal(err)
 				}
-				pa, pb := a.PredictProba(probe), b.PredictProba(probe)
-				if pa != pb {
-					t.Fatalf("n=%d cfg=%+v: proba %v vs reference %v on %v", n, cfg, pa, pb, probe)
+				b.fitRef(x, y)
+				probes, _ := propDataset(rng, 100, true)
+				for _, probe := range probes {
+					pa, pb := a.PredictProba(probe), b.PredictProba(probe)
+					if pa != pb {
+						t.Fatalf("n=%d nan=%v cfg=%+v: proba %v vs reference %v on %v", n, nan, cfg, pa, pb, probe)
+					}
 				}
 			}
 		}

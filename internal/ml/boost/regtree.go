@@ -138,6 +138,9 @@ func (t *regTree) scanCol(ids []int32, col []float64, grad []float64, totalG, ba
 		if v == next {
 			continue
 		}
+		if next != next {
+			break // NaNs sort last: no threshold separates them
+		}
 		leftN := k + 1
 		if leftN < t.minLeaf {
 			continue

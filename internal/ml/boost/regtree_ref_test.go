@@ -79,8 +79,8 @@ func (t *regTree) bestSplitRef(x [][]float64, grad []float64, idx []int) (int, f
 			pairs[k] = pair{v: x[i][f], g: grad[i], id: i}
 		}
 		sort.Slice(pairs, func(a, b int) bool {
-			if pairs[a].v != pairs[b].v {
-				return pairs[a].v < pairs[b].v
+			if va, vb := pairs[a].v, pairs[b].v; va != vb && (va == va || vb == vb) {
+				return va < vb || vb != vb // NaN last
 			}
 			return pairs[a].id < pairs[b].id
 		})
@@ -89,6 +89,9 @@ func (t *regTree) bestSplitRef(x [][]float64, grad []float64, idx []int) (int, f
 			leftG += pairs[k].g
 			if pairs[k].v == pairs[k+1].v {
 				continue
+			}
+			if pairs[k+1].v != pairs[k+1].v {
+				break // no threshold separates the NaNs
 			}
 			if k+1 < t.minLeaf {
 				continue

@@ -3,6 +3,8 @@ package forest
 import (
 	"testing"
 	"time"
+
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/ml/split"
 )
 
 // BenchmarkForestFit times ensemble training under the paper deployment
@@ -53,5 +55,24 @@ func benchFit(b *testing.B, x [][]float64, y []bool, bins int) {
 	}
 	if par := b.Elapsed() / time.Duration(b.N); par > 0 {
 		b.ReportMetric(seq.Seconds()/par.Seconds(), "speedup-vs-1worker")
+	}
+}
+
+// BenchmarkPresort times the presort a capture-shaped forest fit shares
+// across its trees — sorting the 58 columns of 7,056 rows and recording
+// their value codes and levels — at one worker and at the default worker
+// count, with allocations.
+func BenchmarkPresort(b *testing.B) {
+	x, _ := captureData(1)
+	for _, c := range []struct {
+		name    string
+		workers int
+	}{{"capture-7056x58/workers=1", 1}, {"capture-7056x58/default", 0}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				split.NewPresort(x, c.workers)
+			}
+		})
 	}
 }

@@ -117,3 +117,66 @@ func TestCaptureFitDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestCaptureFitTakesBothRegimes replays a capture-shaped fit's splits
+// through the scan-regime rule of tree.bestSplitOver — per-value class
+// counts for a feature with at most as many distinct values as the node
+// has rows, a sorted column otherwise — and requires winning splits from
+// both, so the fixture's fit decides its model in each regime.
+func TestCaptureFitTakesBothRegimes(t *testing.T) {
+	x, y := captureData(1)
+	f := New(Config{Trees: 4, MaxDepth: 700, Seed: 1, Workers: 1})
+	if err := f.Fit(x, y); err != nil {
+		t.Fatal(err)
+	}
+	levels := make([]int, captureFeatures)
+	for j := range levels {
+		seen := map[float64]bool{}
+		for _, row := range x {
+			seen[row[j]] = true
+		}
+		levels[j] = len(seen)
+	}
+	pool := &f.flat.pool
+	counted, sorted := 0, 0
+	var walk func(node int32, rows []int32)
+	walk = func(node int32, rows []int32) {
+		j := pool.Feature[node]
+		if j < 0 {
+			return
+		}
+		if levels[j] <= len(rows) {
+			counted++
+		} else {
+			sorted++
+		}
+		var left, right []int32
+		for _, id := range rows {
+			if x[id][j] <= pool.Threshold[node] {
+				left = append(left, id)
+			} else {
+				right = append(right, id)
+			}
+		}
+		walk(pool.Left[node], left)
+		walk(pool.Right[node], right)
+	}
+	boots, _ := f.drawBootstraps(len(x))
+	for ti, boot := range boots {
+		drawn := make([]bool, len(x))
+		for _, id := range boot {
+			drawn[id] = true
+		}
+		var rows []int32 // the view's distinct rows
+		for id, ok := range drawn {
+			if ok {
+				rows = append(rows, int32(id))
+			}
+		}
+		walk(f.flat.roots[ti], rows)
+	}
+	if counted == 0 || sorted == 0 {
+		t.Fatalf("splits chosen by per-value counts: %d, by a sorted column: %d; want both", counted, sorted)
+	}
+	t.Logf("splits chosen by per-value counts: %d, by a sorted column: %d", counted, sorted)
+}

@@ -76,10 +76,11 @@ func (f *Forest) Fit(x [][]float64, y []bool) error {
 	n := len(x)
 	boots, seeds := f.drawBootstraps(n)
 
-	// The feature space is sorted once and shared (Presort is immutable);
-	// each tree's bootstrap is a view of it weighted by per-row draw
-	// counts, so duplicates are never materialized as rows.
-	presort := split.NewPresort(x)
+	// The feature space is sorted once, its columns spread over the same
+	// worker pool, and shared (Presort is immutable); each tree's
+	// bootstrap is a view of it weighted by per-row draw counts, so
+	// duplicates are never materialized as rows.
+	presort := split.NewPresort(x, f.cfg.Workers)
 
 	workers := parallel.Resolve(f.cfg.Workers, f.cfg.Trees)
 	// Per-worker buffers: a tree's view is consumed by FitEngine before

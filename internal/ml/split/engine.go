@@ -3,9 +3,11 @@
 // forest's member trees (internal/ml/forest) and the gradient-boosting
 // regression tree (internal/ml/boost).
 //
-// A Presort sorts each feature of the training matrix exactly once —
-// O(d·n·log n) total, on concrete typed slices — and keeps the matrix
-// column-major beside it, so every value lookup is cols[f][id]. Trees
+// A Presort sorts each feature of the training matrix exactly once — a
+// stable radix sort on an order-preserving key of the value, at most
+// eight O(n) passes per column, the columns spread over the worker pool —
+// and keeps the matrix column-major beside it, so every value lookup is
+// cols[f][id]. Trees
 // then grow from an Engine view of that presort. A view is a vector of
 // per-row multiplicities: nil is every row once, 0/1 is a boosting
 // subsample, and counts are a forest bootstrap, so a resample is never
@@ -32,16 +34,32 @@
 // Small nodes skip the columns entirely: at and below LeafSortCutoff
 // (weighted) samples, a scan gathers and sorts just the scanned feature
 // over the node's rows (SortedCol), which is cache-hot and cheaper than
-// deriving a window. Both regimes select identical splits, so the
-// crossover is invisible to the fitted model.
+// deriving a window.
+//
+// Low-cardinality features skip sorting altogether. While the presort
+// walks a column's order it records each row's rank among the column's
+// distinct values (its code) and the distinct values themselves, so a
+// node whose row count is at least the feature's level count K tallies
+// per-level class counts in one pass over its rows (ClassCounts) and a
+// scan walks the K levels in ascending order: O(node + K) = O(2·node),
+// with no window derived. A column holding a NaN gets no codes and always
+// takes a sorted regime, whose scan stops at the NaNs.
+//
+// All three regimes see the same cumulative counts at the same distinct
+// value boundaries and so select identical splits; the crossovers are
+// invisible to the fitted model.
 package split
 
-import "slices"
+import (
+	"math"
+
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/parallel"
+)
 
 // LeafSortCutoff is the node size at and below which trees stop reading
 // derived feature columns and instead gather + sort each scanned feature
 // directly (see package comment). Exported so the tree growers and the
-// property tests can exercise both regimes explicitly.
+// property tests can exercise both sorted regimes explicitly.
 const LeafSortCutoff = 96
 
 // Small reports whether a node of n samples — counted with their
@@ -53,39 +71,101 @@ func Small(n int) bool { return n <= LeafSortCutoff }
 // KV is a (feature value, row id) pair. All engine orderings sort
 // ascending by value with ties broken by ascending id, making every
 // ordering — and therefore every cumulative float sum a criterion
-// accumulates along it — deterministic.
+// accumulates along it — deterministic. -0 and +0 are one value. A NaN
+// sorts above every number, which is the side a split sends it to
+// (NaN <= threshold is false), so scans stop at the first NaN: no
+// threshold separates it.
 type KV struct {
 	V  float64
 	ID int32
 }
 
-func cmpKV(a, b KV) int {
+// after reports whether a sorts strictly above b by value, NaN above
+// every number.
+func after(a, b float64) bool { return a > b || (a != a && b == b) }
+
+// nanKey is every NaN's sort key, above +Inf's.
+const nanKey = ^uint64(0)
+
+// sortKey maps a value to a uint64 that orders as the value does: -0 and
+// +0 share a key and every NaN takes nanKey.
+func sortKey(v float64) uint64 {
 	switch {
-	case a.V < b.V:
-		return -1
-	case a.V > b.V:
-		return 1
-	case a.ID < b.ID:
-		return -1
-	case a.ID > b.ID:
-		return 1
+	case v != v:
+		return nanKey
+	case v == 0:
+		return 1 << 63
 	}
-	return 0
+	b := math.Float64bits(v)
+	if b>>63 != 0 {
+		return ^b // negative: larger magnitude sorts lower
+	}
+	return b | 1<<63
+}
+
+// radixSort sorts keys ascending, carrying ids along, with a stable
+// least-significant-byte radix sort: ids that start ascending end sorted
+// by (key, id). A byte every key shares costs no pass. bufK and bufI are
+// scratch of the same length.
+func radixSort(keys []uint64, ids []int32, bufK []uint64, bufI []int32) {
+	var count [8][256]int
+	for _, k := range keys {
+		count[0][byte(k)]++
+		count[1][byte(k>>8)]++
+		count[2][byte(k>>16)]++
+		count[3][byte(k>>24)]++
+		count[4][byte(k>>32)]++
+		count[5][byte(k>>40)]++
+		count[6][byte(k>>48)]++
+		count[7][byte(k>>56)]++
+	}
+	srcK, srcI := keys, ids
+	for b := range count {
+		c := &count[b]
+		if c[byte(srcK[0]>>(8*b))] == len(srcK) {
+			continue
+		}
+		sum := 0
+		for v, m := range c {
+			c[v] = sum
+			sum += m
+		}
+		for i, k := range srcK {
+			at := &c[byte(k>>(8*b))]
+			bufK[*at], bufI[*at] = k, srcI[i]
+			*at++
+		}
+		srcK, bufK = bufK, srcK
+		srcI, bufI = bufI, srcI
+	}
+	if &srcK[0] != &keys[0] {
+		copy(keys, srcK)
+		copy(ids, srcI)
+	}
 }
 
 // Presort holds each feature's sample order over a fixed matrix, sorted
-// once, and the matrix itself column-major. It is immutable after
-// construction and safe for concurrent use by many Engines (one per
-// worker/tree).
+// once, the matrix itself column-major, and each column's value codes. It
+// is immutable after construction and safe for concurrent use by many
+// Engines (one per worker/tree).
 type Presort struct {
 	n, d  int
 	order []int32   // flat d×n: feature f's ids sorted by (value, id)
 	cols  []float64 // flat d×n: cols[f*n+id] = x[id][f]
+	codes []int32   // flat d×n: rank of cols[f*n+id] among f's distinct values
+	// levels holds every column's distinct values in ascending order,
+	// feature f's at levels[lvOff[f]:lvOff[f+1]]; nlev[f] is their count
+	// K_f, or -1 for a column holding a NaN, which has no codes.
+	levels []float64
+	lvOff  []int
+	nlev   []int
 }
 
-// NewPresort sorts every feature column of x. This is the only
-// O(d·n·log n) step of tree induction; everything after it is linear.
-func NewPresort(x [][]float64) *Presort {
+// NewPresort sorts every feature column of x, spreading the d columns
+// over a pool of workers (0 resolves the process default). Each column
+// writes only its own slices, so the presort is the same at any worker
+// count. This is the only step of tree induction that sorts.
+func NewPresort(x [][]float64, workers int) *Presort {
 	n := len(x)
 	d := 0
 	if n > 0 {
@@ -96,21 +176,59 @@ func NewPresort(x [][]float64) *Presort {
 		d:     d,
 		order: make([]int32, n*d),
 		cols:  make([]float64, n*d),
+		codes: make([]int32, n*d),
+		lvOff: make([]int, d+1),
+		nlev:  make([]int, d),
 	}
-	buf := make([]KV, n)
-	for f := 0; f < d; f++ {
-		col := p.col(f)
-		for i, row := range x {
-			col[i] = row[f]
-			buf[i] = KV{V: row[f], ID: int32(i)}
+	bufs := make([][]uint64, parallel.Resolve(workers, d))
+	ibufs := make([][]int32, len(bufs))
+	parallel.ForEachWorker(d, workers, func(w, f int) {
+		if bufs[w] == nil {
+			bufs[w], ibufs[w] = make([]uint64, 2*n), make([]int32, n)
 		}
-		slices.SortFunc(buf, cmpKV)
-		ord := p.order[f*n : (f+1)*n]
-		for i, kv := range buf {
-			ord[i] = kv.ID
+		p.sortCol(x, f, bufs[w], ibufs[w])
+	})
+	for f, k := range p.nlev {
+		p.lvOff[f+1] = p.lvOff[f] + max(k, 0)
+	}
+	p.levels = make([]float64, p.lvOff[d])
+	for f, k := range p.nlev {
+		if k <= 0 {
+			continue
+		}
+		lv, col := p.levels[p.lvOff[f]:p.lvOff[f+1]], p.col(f)
+		for id, c := range p.codes[f*n : (f+1)*n] {
+			lv[c] = col[id]
 		}
 	}
 	return p
+}
+
+// sortCol fills feature f's column, its (value, id) order and its value
+// codes, and sets nlev[f]. keys (2n entries) and ids (n) are scratch.
+func (p *Presort) sortCol(x [][]float64, f int, keys []uint64, ids []int32) {
+	n := p.n
+	col, ord := p.col(f), p.order[f*n:(f+1)*n]
+	keys, bufK := keys[:n], keys[n:]
+	for i, row := range x {
+		col[i] = row[f]
+		keys[i] = sortKey(row[f])
+		ord[i] = int32(i)
+	}
+	radixSort(keys, ord, bufK, ids)
+	if keys[n-1] == nanKey {
+		p.nlev[f] = -1 // NaN: no codes
+		return
+	}
+	codes := p.codes[f*n : (f+1)*n]
+	k := int32(0)
+	for i, id := range ord {
+		if i > 0 && keys[i] != keys[i-1] {
+			k++
+		}
+		codes[id] = k
+	}
+	p.nlev[f] = int(k) + 1
 }
 
 // Len returns the number of rows the presort covers.
@@ -146,8 +264,9 @@ type Engine struct {
 	// scratch also holds a partition's right side.
 	nodeBuf, scratch []int32
 	kvBuf            []KV
-	smallI           []int32     // SortedCol output buffer
-	edges            [][]float64 // binned candidate thresholds; nil = exact
+	smallI           []int32      // SortedCol output buffer
+	classBuf         []ClassCount // ClassCounts output buffer
+	edges            [][]float64  // binned candidate thresholds; nil = exact
 }
 
 // View returns an engine over the rows of the presort weighted by
@@ -191,6 +310,9 @@ func (p *Presort) View(counts []int32, reuse *Engine) *Engine {
 	e.frontier = e.frontier[:0]
 	e.scratch = growI32(e.scratch, p.n+1)
 	e.nodeBuf = growI32(e.nodeBuf, p.n+1)
+	if cap(e.classBuf) < p.n { // no feature has more than n levels
+		e.classBuf = make([]ClassCount, p.n)
+	}
 	if len(e.stacks) < p.d {
 		e.stacks = make([][]span, p.d)
 	}
@@ -361,7 +483,7 @@ func (e *Engine) SortedCol(f, lo, hi int) ([]int32, []float64) {
 	// come out by id. At LeafSortCutoff rows it beats a general sort.
 	for i := 1; i < len(buf); i++ {
 		kv, j := buf[i], i
-		for ; j > 0 && buf[j-1].V > kv.V; j-- {
+		for ; j > 0 && after(buf[j-1].V, kv.V); j-- {
 			buf[j] = buf[j-1]
 		}
 		buf[j] = kv
@@ -371,6 +493,36 @@ func (e *Engine) SortedCol(f, lo, hi int) ([]int32, []float64) {
 		ids[k] = kv.ID
 	}
 	return ids, col
+}
+
+// Levels returns feature f's number of distinct values K_f, or -1 when
+// its column holds a NaN and so has no value codes.
+func (e *Engine) Levels(f int) int { return e.p.nlev[f] }
+
+// ClassCount is one distinct value's tally over a node: N samples,
+// counted with their multiplicities, Pos of them positive.
+type ClassCount struct{ N, Pos int32 }
+
+// ClassCounts tallies the node window [lo, hi) by feature f's value
+// codes in one pass over its rows. It returns, index for index, the
+// tally of the node's rows holding each of f's distinct values (zero for
+// a value absent from the node) and those values in ascending order. Only
+// for a feature with codes (Levels(f) >= 0); the tallies are overwritten
+// by the next call.
+func (e *Engine) ClassCounts(f, lo, hi int, y []bool) ([]ClassCount, []float64) {
+	p := e.p
+	buf := e.classBuf[:p.nlev[f]]
+	clear(buf)
+	codes := p.codes[f*p.n : (f+1)*p.n]
+	for _, id := range e.rows[lo:hi] {
+		b := &buf[codes[id]]
+		c := e.counts[id]
+		b.N += c
+		if y[id] {
+			b.Pos += c
+		}
+	}
+	return buf, p.levels[p.lvOff[f]:p.lvOff[f+1]]
 }
 
 // SetBins switches the engine to histogram-binned split finding:

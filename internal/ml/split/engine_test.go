@@ -1,6 +1,7 @@
 package split
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -50,7 +51,7 @@ func TestPresortColumnsSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, distinct := range []int{0, 1, 3} {
 		x := randMatrix(rng, 50, 4, distinct)
-		e := NewPresort(x).View(nil, nil)
+		e := NewPresort(x, 1).View(nil, nil)
 		for f := 0; f < 4; f++ {
 			ids, col := e.Col(f, 0, e.Len())
 			checkWindow(t, x, f, ids, col, e.Rows(0, e.Len()))
@@ -65,7 +66,7 @@ func TestPresortColumnsSorted(t *testing.T) {
 func TestPartitionInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x := randMatrix(rng, 200, 5, 6) // heavy ties
-	e := NewPresort(x).View(nil, nil)
+	e := NewPresort(x, 1).View(nil, nil)
 
 	var grow func(lo, hi, depth int)
 	grow = func(lo, hi, depth int) {
@@ -103,7 +104,7 @@ func TestPartitionInvariants(t *testing.T) {
 func TestPartitionRowArena(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x := randMatrix(rng, 80, 3, 4)
-	e := NewPresort(x).View(nil, nil)
+	e := NewPresort(x, 1).View(nil, nil)
 	thr := 1.5
 	mid := e.Partition(1, thr, 0, 80)
 	var want []int32
@@ -136,7 +137,7 @@ func TestPartitionRowArena(t *testing.T) {
 func TestSortedColMatchesCol(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	x := randMatrix(rng, 2*LeafSortCutoff, 3, 5)
-	e := NewPresort(x).View(nil, nil)
+	e := NewPresort(x, 1).View(nil, nil)
 	mid := e.Partition(0, 2, 0, e.Len())
 	for _, w := range [][2]int{{0, mid}, {mid, e.Len()}} {
 		for f := 0; f < 3; f++ {
@@ -157,7 +158,7 @@ func TestSubsetEngine(t *testing.T) {
 	for _, r := range []int{3, 17, 42, 99, 0, 51} {
 		counts[r] = 1
 	}
-	e := NewPresort(x).View(counts, nil)
+	e := NewPresort(x, 1).View(counts, nil)
 	if e.Len() != 6 {
 		t.Fatalf("subset len %d", e.Len())
 	}
@@ -183,7 +184,7 @@ func TestBootstrapEngine(t *testing.T) {
 		boot[i] = int32(rng.Intn(60))
 		counts[boot[i]]++
 	}
-	e := NewPresort(x).View(counts, nil)
+	e := NewPresort(x, 1).View(counts, nil)
 	distinct := 0
 	for _, c := range counts {
 		if c > 0 {
@@ -215,7 +216,7 @@ func TestBootstrapEngine(t *testing.T) {
 func TestEngineReuseResets(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x := randMatrix(rng, 120, 3, 0)
-	p := NewPresort(x)
+	p := NewPresort(x, 1)
 	counts := make([]int32, 120)
 	for i := range counts {
 		counts[i] = int32(i % 3)
@@ -240,7 +241,7 @@ func TestEngineReuseResets(t *testing.T) {
 func TestSetBinsEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	x := randMatrix(rng, 500, 2, 0)
-	e := NewPresort(x).View(nil, nil)
+	e := NewPresort(x, 1).View(nil, nil)
 	e.SetBins(8)
 	for f := 0; f < 2; f++ {
 		edges := e.Edges(f)
@@ -255,7 +256,7 @@ func TestSetBinsEdges(t *testing.T) {
 	}
 	// All-equal column: no admissible edges.
 	xe := randMatrix(rng, 50, 1, 1)
-	ee := NewPresort(xe).View(nil, nil)
+	ee := NewPresort(xe, 1).View(nil, nil)
 	ee.SetBins(8)
 	if len(ee.Edges(0)) != 0 {
 		t.Fatal("constant column produced bin edges")
@@ -277,8 +278,8 @@ func TestSetBinsCountsMatchExpanded(t *testing.T) {
 				xm = append(xm, x[id])
 			}
 		}
-		e := NewPresort(x).View(counts, nil)
-		em := NewPresort(xm).View(nil, nil)
+		e := NewPresort(x, 1).View(counts, nil)
+		em := NewPresort(xm, 1).View(nil, nil)
 		for _, bins := range []int{2, 16, 64, 1000} {
 			e.SetBins(bins)
 			em.SetBins(bins)
@@ -287,6 +288,148 @@ func TestSetBinsCountsMatchExpanded(t *testing.T) {
 					t.Fatalf("distinct=%d bins=%d f=%d: edges %v, materialized %v",
 						distinct, bins, f, e.Edges(f), em.Edges(f))
 				}
+			}
+		}
+	}
+}
+
+// codesMatrix mixes the column shapes the value codes must handle:
+// continuous, 5 levels, constant, -0 beside +0, NaNs, 200 levels, and
+// infinities.
+func codesMatrix(rng *rand.Rand, n int) [][]float64 {
+	x := make([][]float64, n)
+	for i := range x {
+		bit := float64(rng.Intn(2))
+		if bit == 0 && rng.Intn(2) == 0 {
+			bit = math.Copysign(0, -1)
+		}
+		nan := rng.NormFloat64()
+		if rng.Intn(10) == 0 {
+			nan = math.NaN()
+		}
+		x[i] = []float64{
+			rng.NormFloat64(), float64(rng.Intn(5)), 3, bit,
+			nan, float64(rng.Intn(200)), math.Inf(rng.Intn(3) - 1),
+		}
+	}
+	return x
+}
+
+// TestPresortCodes pins the value codes: a coded column's levels are its
+// distinct values in ascending order (-0 and +0 are one level), every row's
+// code indexes its own value, ClassCounts tallies a counts view's node by
+// them, and a column holding a NaN has no codes and sorts its NaNs last.
+func TestPresortCodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	const n = 700
+	x := codesMatrix(rng, n)
+	counts := make([]int32, n)
+	y := make([]bool, n)
+	for i := range counts {
+		counts[i] = int32(rng.Intn(3))
+		y[i] = rng.Intn(2) == 0
+	}
+	p := NewPresort(x, 1)
+	e := p.View(counts, nil)
+	for f := range x[0] {
+		ord := p.order[f*n : (f+1)*n]
+		if f == 4 {
+			if e.Levels(f) != -1 {
+				t.Fatalf("NaN column: %d levels, want -1 (no codes)", e.Levels(f))
+			}
+			for k := 1; k < n; k++ {
+				if a, b := x[ord[k-1]][f], x[ord[k]][f]; a != a && b == b {
+					t.Fatalf("NaN column: number %v sorted after a NaN", b)
+				}
+			}
+			continue
+		}
+		distinct := map[float64]bool{}
+		for _, row := range x {
+			distinct[row[f]] = true
+		}
+		lv := p.levels[p.lvOff[f]:p.lvOff[f+1]]
+		if e.Levels(f) != len(distinct) || len(lv) != len(distinct) {
+			t.Fatalf("f=%d: %d levels (%d values), want %d", f, e.Levels(f), len(lv), len(distinct))
+		}
+		for k := 1; k < len(lv); k++ {
+			if lv[k] <= lv[k-1] {
+				t.Fatalf("f=%d: levels not strictly ascending at %d: %v", f, k, lv)
+			}
+		}
+		for id, row := range x {
+			if lv[p.codes[f*n+id]] != row[f] {
+				t.Fatalf("f=%d id=%d: level %v, value %v", f, id, lv[p.codes[f*n+id]], row[f])
+			}
+		}
+		want := make([]ClassCount, len(lv))
+		for _, id := range e.Rows(0, e.Len()) {
+			c := &want[p.codes[f*n+int(id)]]
+			c.N += counts[id]
+			if y[id] {
+				c.Pos += counts[id]
+			}
+		}
+		got, vals := e.ClassCounts(f, 0, e.Len(), y)
+		if !slices.Equal(got, want) || len(vals) != len(lv) {
+			t.Fatalf("f=%d: class counts %v, want %v", f, got, want)
+		}
+	}
+}
+
+// TestPresortSameAtAnyWorkerCount pins the parallel presort: the column
+// order, the value codes and the levels are the same, bit for bit, at
+// 1, 2 and 8 workers.
+func TestPresortSameAtAnyWorkerCount(t *testing.T) {
+	x := codesMatrix(rand.New(rand.NewSource(11)), 500)
+	want := NewPresort(x, 1)
+	bits := func(v []float64) []uint64 {
+		out := make([]uint64, len(v))
+		for i, f := range v {
+			out[i] = math.Float64bits(f)
+		}
+		return out
+	}
+	for _, workers := range []int{2, 8} {
+		got := NewPresort(x, workers)
+		if !slices.Equal(got.order, want.order) || !slices.Equal(got.codes, want.codes) ||
+			!slices.Equal(got.nlev, want.nlev) || !slices.Equal(got.lvOff, want.lvOff) ||
+			!slices.Equal(bits(got.levels), bits(want.levels)) || !slices.Equal(bits(got.cols), bits(want.cols)) {
+			t.Fatalf("workers=%d: presort differs from the 1-worker presort", workers)
+		}
+	}
+}
+
+// TestPresortOrderMatchesComparisonSort checks the presort's radix order
+// against a comparison sort by (value, id) — -0 equal to +0, NaNs above
+// every number — on the mixed columns and on raw random bit patterns,
+// which bring subnormals, infinities and NaNs of either sign.
+func TestPresortOrderMatchesComparisonSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	raw := make([][]float64, 300)
+	for i := range raw {
+		raw[i] = []float64{math.Float64frombits(rng.Uint64()), math.Float64frombits(rng.Uint64() >> uint(rng.Intn(64)))}
+	}
+	for _, x := range [][][]float64{codesMatrix(rng, 400), raw} {
+		p := NewPresort(x, 2)
+		n := len(x)
+		for f := range x[0] {
+			want := make([]int32, n)
+			for i := range want {
+				want[i] = int32(i)
+			}
+			slices.SortStableFunc(want, func(a, b int32) int {
+				va, vb := x[a][f], x[b][f]
+				switch {
+				case after(va, vb):
+					return 1
+				case after(vb, va):
+					return -1
+				}
+				return 0
+			})
+			if got := p.order[f*n : (f+1)*n]; !slices.Equal(got, want) {
+				t.Fatalf("f=%d: presort order differs from the comparison sort", f)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,24 +9,38 @@ import (
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/ml/split"
 )
 
+// propFeatures is propDataset's column count.
+const propFeatures = 9
+
 // propDataset fabricates an adversarial training set for the split
 // cross-check: normal columns, quantized (heavily tied) columns, an
-// all-equal column, and a two-valued column, with labels carrying signal
-// plus noise. Sizes straddle split.LeafSortCutoff so both the
-// partitioned-column and the gather-and-sort regimes are exercised.
-func propDataset(rng *rand.Rand, n int) ([][]float64, []bool) {
+// all-equal column, a two-valued column and columns of 40 and 200 levels,
+// with labels carrying signal plus noise. Sizes straddle
+// split.LeafSortCutoff so both the partitioned-column and the
+// gather-and-sort regimes are exercised, and the 40- and 200-level
+// columns straddle node sizes, so a tree moves them from per-value counts
+// to a sorted regime as its nodes shrink. With nan set, one column holds
+// a NaN in one row in 20: it has no value codes and always takes a sorted
+// regime, where NaNs sort last and no threshold sits next to one.
+func propDataset(rng *rand.Rand, n int, nan bool) ([][]float64, []bool) {
 	x := make([][]float64, n)
 	y := make([]bool, n)
 	for i := range x {
-		row := make([]float64, 6)
+		row := make([]float64, propFeatures)
 		row[0] = rng.NormFloat64()
 		row[1] = math.Round(rng.NormFloat64() * 2) // quantized: heavy ties
 		row[2] = 7                                 // single distinct value
 		row[3] = float64(rng.Intn(2))              // two distinct values
 		row[4] = rng.NormFloat64()
 		row[5] = math.Round(rng.NormFloat64()*4) / 4
+		row[6] = float64(rng.Intn(40))
+		row[7] = float64(rng.Intn(200)) / 8
+		row[8] = rng.NormFloat64()
+		if nan && rng.Intn(20) == 0 {
+			row[8] = math.NaN()
+		}
 		x[i] = row
-		y[i] = row[0]+row[1]/2+row[3] > 0.5
+		y[i] = row[0]+row[1]/2+row[3]+row[6]/40 > 1
 		if rng.Float64() < 0.1 {
 			y[i] = !y[i]
 		}
@@ -54,7 +69,8 @@ func fitWith(t *testing.T, cfg Config, reference bool, x [][]float64, y []bool) 
 // TestTreePresortedMatchesReference cross-checks the presorted-column
 // tree against the legacy per-node-sort oracle: same data, same config ⇒
 // identical predictions and identical Gini-gain importances (bit for
-// bit), across node sizes, MinLeaf settings, and feature subsampling.
+// bit), across node sizes, MinLeaf settings, and feature subsampling,
+// with and without a NaN column.
 func TestTreePresortedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range propSizes {
@@ -62,29 +78,12 @@ func TestTreePresortedMatchesReference(t *testing.T) {
 			{MaxDepth: 0, MinLeaf: 1},
 			{MaxDepth: 8, MinLeaf: 1},
 			{MaxDepth: 0, MinLeaf: 4},
-			{MaxDepth: 6, MinLeaf: 2, MaxFeatures: 2, Seed: 9},
+			{MaxDepth: 6, MinLeaf: 2, MaxFeatures: 3, Seed: 9},
 		} {
-			x, y := propDataset(rng, n)
-			a, b := fitWith(t, cfg, false, x, y), fitWith(t, cfg, true, x, y)
-			if a.Depth() != b.Depth() {
-				t.Fatalf("n=%d cfg=%+v: depth %d vs reference %d", n, cfg, a.Depth(), b.Depth())
-			}
-			impA, impB := make([]float64, 6), make([]float64, 6)
-			a.FeatureImportance(impA)
-			b.FeatureImportance(impB)
-			for f := range impA {
-				if impA[f] != impB[f] {
-					t.Fatalf("n=%d cfg=%+v: importance[%d] %v vs reference %v", n, cfg, f, impA[f], impB[f])
-				}
-			}
-			for i := 0; i < 200; i++ {
-				probe := []float64{
-					rng.NormFloat64(), math.Round(rng.NormFloat64() * 2), 7,
-					float64(rng.Intn(2)), rng.NormFloat64(), math.Round(rng.NormFloat64()*4) / 4,
-				}
-				if a.Predict(probe) != b.Predict(probe) {
-					t.Fatalf("n=%d cfg=%+v: prediction diverges on %v", n, cfg, probe)
-				}
+			for _, nan := range []bool{false, true} {
+				x, y := propDataset(rng, n, nan)
+				name := fmt.Sprintf("n=%d nan=%v cfg=%+v", n, nan, cfg)
+				sameTree(t, name, fitWith(t, cfg, false, x, y), fitWith(t, cfg, true, x, y), x, rng)
 			}
 		}
 	}

@@ -8,7 +8,8 @@ import "sort"
 // engine against and the baseline BenchmarkTreeFit measures its speedup
 // over. The only change from the original is the MinLeaf guard moving
 // into the scan, mirroring the engine's semantics so the two stay
-// comparable at any MinLeaf.
+// comparable at any MinLeaf, and NaNs sorting last with no threshold next
+// to them, as in the engine.
 
 // fitRef is Fit on the reference scan, for non-empty x.
 func (t *Tree) fitRef(x [][]float64, y []bool) {
@@ -91,7 +92,10 @@ func (t *Tree) bestSplitOverRef(x [][]float64, y []bool, idx []int, features []i
 		for k, i := range idx {
 			pairs[k] = pair{v: x[i][f], pos: y[i]}
 		}
-		sort.Slice(pairs, func(a, b int) bool { return pairs[a].v < pairs[b].v })
+		sort.Slice(pairs, func(a, b int) bool {
+			va, vb := pairs[a].v, pairs[b].v
+			return va < vb || (va == va && vb != vb) // NaN last
+		})
 
 		leftN, leftPos := 0, 0
 		for k := 0; k < total-1; k++ {
@@ -101,6 +105,9 @@ func (t *Tree) bestSplitOverRef(x [][]float64, y []bool, idx []int, features []i
 			}
 			if pairs[k].v == pairs[k+1].v {
 				continue // threshold must separate distinct values
+			}
+			if pairs[k+1].v != pairs[k+1].v {
+				break // no threshold separates the NaNs
 			}
 			if leftN < minLeaf {
 				continue

@@ -3,15 +3,19 @@
 // of the random forest.
 //
 // Split finding runs on the presorted-column engine (internal/ml/split):
-// each feature is sorted once per fit and a node's sorted columns are
-// derived from its ancestors' by stable partitioning, so a node's scan is
-// one O(n) cumulative-class-count pass per candidate feature and nothing
-// is sorted below the root. Rows carry multiplicities (a forest
-// bootstrap is a count per row), and every count the criterion, MinLeaf
-// and the majority vote see is the sum of them. The legacy
+// each feature is sorted once per fit, and a node scans each candidate
+// feature in one O(n) cumulative-class-count pass in one of three
+// regimes. A feature with at most as many distinct values as the node has
+// rows is tallied into per-value class counts and walked level by level
+// (scanCounts); otherwise the node reads a sorted column derived from
+// its ancestors' by stable partitioning, or, at and below
+// split.LeafSortCutoff samples, its own rows gathered and sorted
+// (scanCol). Nothing is sorted below the root. Rows carry multiplicities
+// (a forest bootstrap is a count per row), and every count the criterion,
+// MinLeaf and the majority vote see is the sum of them. The legacy
 // per-node sort.Slice scan survives in refsplit_test.go as the oracle the
-// property tests cross-check against; in exact mode both select
-// bit-identical (feature, threshold) splits.
+// property tests cross-check against; in exact mode every regime selects
+// the bit-identical (feature, threshold) split.
 package tree
 
 import (
@@ -77,7 +81,9 @@ func (t *Tree) Fit(x [][]float64, y []bool) error {
 	if len(x) == 0 || len(x) != len(y) {
 		return errors.New("tree: empty or mismatched training data")
 	}
-	return t.FitEngine(split.NewPresort(x).View(nil, nil), y)
+	// One presort worker: plain trees are fit inside cross-validation's
+	// fold fan-out, which already fills the pool.
+	return t.FitEngine(split.NewPresort(x, 1).View(nil, nil), y)
 }
 
 // FitEngine grows the tree over a prepared engine view — the forest
@@ -171,18 +177,22 @@ func (t *Tree) bestSplitOver(e *split.Engine, y []bool, lo, hi, total, totalPos 
 	small := split.Small(total)
 	cnt := e.Counts()
 	for _, f := range features {
-		var ids []int32
-		var col []float64
-		if small {
-			ids, col = e.SortedCol(f, lo, hi)
-		} else {
-			ids, col = e.Col(f, lo, hi)
-		}
 		var thr, g float64
 		var ok bool
-		if edges := e.Edges(f); edges != nil && !small {
-			thr, g, ok = t.scanBinned(ids, col, cnt, edges, y, total, totalPos)
-		} else {
+		switch k := e.Levels(f); {
+		case !small && e.Edges(f) != nil:
+			ids, col := e.Col(f, lo, hi)
+			thr, g, ok = t.scanBinned(ids, col, cnt, e.Edges(f), y, total, totalPos)
+		case k >= 0 && k <= hi-lo:
+			if k >= 2 { // a constant column has no threshold
+				lv, vals := e.ClassCounts(f, lo, hi, y)
+				thr, g, ok = t.scanCounts(lv, vals, total, totalPos)
+			}
+		case small:
+			ids, col := e.SortedCol(f, lo, hi)
+			thr, g, ok = t.scanCol(ids, col, cnt, y, total, totalPos)
+		default:
+			ids, col := e.Col(f, lo, hi)
 			thr, g, ok = t.scanCol(ids, col, cnt, y, total, totalPos)
 		}
 		if ok && g < bestGini {
@@ -218,6 +228,9 @@ func (t *Tree) scanCol(ids []int32, col []float64, cnt []int32, y []bool, total,
 		if v == next {
 			continue // threshold must separate distinct values
 		}
+		if next != next {
+			break // NaNs sort last: no threshold separates them
+		}
 		if leftN < minLeaf {
 			continue
 		}
@@ -229,6 +242,37 @@ func (t *Tree) scanCol(ids []int32, col []float64, cnt []int32, y []bool, total,
 		if g < best {
 			best, thr, found = g, (v+next)/2, true
 		}
+	}
+	return thr, best, found
+}
+
+// scanCounts is scanCol over per-value class counts (lv[k] tallies the
+// node's rows holding vals[k], vals ascending): it walks the levels
+// present in the node in order, so every boundary between consecutive
+// distinct values sees the cumulative (leftN, leftPos) and the two values
+// scanCol sees there, and it applies the same rules.
+func (t *Tree) scanCounts(lv []split.ClassCount, vals []float64, total, totalPos int) (float64, float64, bool) {
+	minLeaf := t.cfg.MinLeaf
+	best, thr, found := 2.0, 0.0, false
+	leftN, leftPos := 0, 0
+	prev := -1 // last level present so far
+	for k, c := range lv {
+		if c.N == 0 {
+			continue
+		}
+		if prev >= 0 && leftN >= minLeaf {
+			rightN := total - leftN
+			if rightN < minLeaf {
+				break // leftN only grows from here
+			}
+			g := weightedGini(leftN, leftPos, rightN, totalPos-leftPos)
+			if g < best {
+				best, thr, found = g, (vals[prev]+vals[k])/2, true
+			}
+		}
+		leftN += int(c.N)
+		leftPos += int(c.Pos)
+		prev = k
 	}
 	return thr, best, found
 }
