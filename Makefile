@@ -112,8 +112,10 @@ bench-smoke:
 # levels) at 1 worker and at the default, with allocs. Rotate is one hourly node rotation over
 # the columnar screening index (cold and warm). SignText, IndexAddProbe
 # and StoreAddBatch are the near-duplicate kernel: signing one text,
-# probe-then-add over 10k campaign-skewed signatures, and the label stage
-# over a small world's captures. LabelCorpus labels one collected corpus
+# probe-confirm-add over 10k campaign-skewed signatures (reporting the
+# candidates each probe walks, cands/probe, beside the AgreeAtLeast calls
+# the 4-bit sketch bound leaves, confirms/probe), and the label stage over
+# a small world's captures. LabelCorpus labels one collected corpus
 # through the Store (AddBatch + Snapshot) and reports speedup-vs-reference
 # against the from-scratch batch clusterer kept as its test oracle, with
 # allocs/tweet for both. NewWorld generates the bench-scale world (20,000

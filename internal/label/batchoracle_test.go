@@ -226,12 +226,12 @@ func (p *pipeline) clusterTweets(c *Corpus, norms []string) [][]*socialnet.Tweet
 // confirmation, returning groups of indices into texts.
 //
 // The expensive passes — signing, and the pairwise similarity confirmation
-// of banding candidates — fan out over the worker pool. The banding index
-// is built once up front; restricting each text's candidates to lower
-// indices reproduces exactly the pair set of an incremental
-// probe-then-insert loop (Store's join, which skips some of those pairs as
-// redundant), and the union-find merge itself runs sequentially in index
-// order, so the grouping is bit-identical at any worker count.
+// of banding candidates — fan out over the worker pool. The shared-band
+// pairs (j, i) with j < i are enumerated once up front, which is exactly
+// the pair set of an incremental probe-then-insert loop (Store's join,
+// which skips some of those pairs as redundant), and the union-find merge
+// itself runs sequentially in index order, so the grouping is
+// bit-identical at any worker count.
 func clusterTexts(texts []string, simThreshold float64, seed int64, workers int) [][]int {
 	if len(texts) == 0 {
 		return nil
@@ -241,21 +241,13 @@ func clusterTexts(texts []string, simThreshold float64, seed int64, workers int)
 		return scheme.SignText(texts[i], shingleWidth)
 	})
 
-	index := minhash.NewIndex(lshBands, lshRows)
-	for _, sig := range sigs {
-		index.Add(sig)
-	}
-
-	// Pairwise confirmation: for each text, the banding candidates below
-	// it that clear the similarity threshold. Candidates returns ids in
-	// ascending order, which here is the order of texts, so the candidates
-	// below i are a prefix. The probes only read the finished index.
+	// Pairwise confirmation: for each text, the texts below it that share
+	// a band with it and clear the similarity threshold, enumerated apart
+	// from the index the Store probes.
+	neighbours := texttest.BandNeighbours(sigs, lshBands, lshRows)
 	matches := parallel.Map(len(texts), workers, func(i int) []int {
 		var ms []int
-		for _, cand := range index.Candidates(sigs[i]) {
-			if cand >= i {
-				break
-			}
+		for _, cand := range neighbours[i] {
 			if texttest.Similarity(sigs[i], sigs[cand]) >= simThreshold {
 				ms = append(ms, cand)
 			}

@@ -18,11 +18,13 @@ import (
 // Σ-Seq name classes, and the MinHash banding indices (plus union-find) for
 // descriptions and near-duplicate tweets — so ingesting a capture costs
 // ~O(cluster lookup): one grouper probe, one map insert, and two LSH band
-// probes, instead of a full recluster. A probe's candidates are confirmed
-// with minhash.AgreeAtLeast only where the union-find has not already put
-// them in the new item's set (see join): a union inside one set changes
-// nothing, so the partition is the one all-pairs confirmation builds, and
-// Snapshot reads nothing of the union-find but its partition.
+// probes, instead of a full recluster. A probe marks each candidate with
+// the index's sketch bound, join compares every candidate's root with the
+// new item's, and only a candidate outside the new item's set that the
+// bound leaves viable is confirmed with minhash.AgreeAtLeast (see join): a
+// union inside one set changes nothing and the bound refuses only what
+// AgreeAtLeast would, so the partition is the one all-pairs confirmation
+// builds, and Snapshot reads nothing of the union-find but its partition.
 //
 // Snapshot materializes groups from the live indices and runs the
 // propagation/rules/manual passes over them. Its Result on any stream is
@@ -64,11 +66,13 @@ type Store struct {
 	descIndex *minhash.Index
 	descIDs   []socialnet.AccountID
 	descUF    *unionFind
+	descProbe []minhash.Candidate // join's scratch for descIndex probes
 
 	// Tweet near-duplicates: persistent MinHash banding + union-find.
 	twIndex *minhash.Index
 	twPool  []*socialnet.Tweet
 	twUF    *unionFind
+	twProbe []minhash.Candidate // join's scratch for twIndex probes
 
 	// Rule state for provisional labels.
 	repeats map[string]int
@@ -208,7 +212,7 @@ func (s *Store) addUserLocked(u *socialnet.Account, up UserPrep) {
 	s.nameMembers[up.NameSeq] = append(s.nameMembers[up.NameSeq], u.ID)
 
 	if up.DescSig != nil {
-		join(s.descIndex, s.descUF, up.DescSig, s.cfg.DescSimilarity)
+		s.descProbe = join(s.descIndex, s.descUF, up.DescSig, s.cfg.DescSimilarity, s.descProbe)
 		s.descIDs = append(s.descIDs, u.ID)
 	}
 }
@@ -217,22 +221,29 @@ func (s *Store) addUserLocked(u *socialnet.Account, up UserPrep) {
 // sets of the earlier signatures that share a band with it and clear the
 // similarity threshold. Probing before Add excludes self-candidates and
 // reproduces the partition of the batch pair set {(i,j): j<i, shared band,
-// sim ≥ τ}. Not every pair of that set is confirmed: a candidate already in
-// sig's set — joined through an earlier candidate of this same probe — is
-// skipped, because uniting a set with itself is a no-op whatever the
-// similarity says.
-func join(ix *minhash.Index, uf *unionFind, sig minhash.Signature, threshold float64) {
+// sim ≥ τ}. Each candidate, in ascending order, is first compared by root
+// with the new item: one already in sig's set — joined through an earlier
+// candidate of this same probe — is skipped, because uniting a set with
+// itself is a no-op whatever the similarity says. The rest are confirmed
+// with AgreeAtLeast only when the index's sketch bound leaves them viable;
+// the bound refuses only what AgreeAtLeast would. The root comparison still
+// runs for a refused candidate: find compresses paths, and checkpoints
+// persist the parent arrays verbatim. buf is the probe's scratch; join
+// returns it, grown as needed, for the next call on the same index.
+func join(ix *minhash.Index, uf *unionFind, sig minhash.Signature, threshold float64, buf []minhash.Candidate) []minhash.Candidate {
 	idx := uf.add()
 	need := minhash.MinAgree(len(sig), threshold)
-	for _, cand := range ix.Candidates(sig) {
-		if uf.find(cand) == uf.find(idx) {
+	buf = ix.AppendCandidates(buf[:0], sig, need)
+	for _, c := range buf {
+		if uf.find(c.ID) == uf.find(idx) || !c.Viable {
 			continue
 		}
-		if minhash.AgreeAtLeast(sig, ix.Signature(cand), need) {
-			uf.union(idx, cand)
+		if minhash.AgreeAtLeast(sig, ix.Signature(c.ID), need) {
+			uf.union(idx, c.ID)
 		}
 	}
 	ix.Add(sig)
+	return buf
 }
 
 // addTweetLocked joins one tweet into the stream mirror, the near-duplicate
@@ -242,7 +253,7 @@ func (s *Store) addTweetLocked(t *socialnet.Tweet, profile *socialnet.Account, p
 	s.norms = append(s.norms, p.Norm)
 	s.repeats[p.Norm]++
 	if p.Sig != nil {
-		join(s.twIndex, s.twUF, p.Sig, s.cfg.TweetSimilarity)
+		s.twProbe = join(s.twIndex, s.twUF, p.Sig, s.cfg.TweetSimilarity, s.twProbe)
 		s.twPool = append(s.twPool, t)
 	}
 	if profile != nil && profile.Suspended {

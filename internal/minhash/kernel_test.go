@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unicode/utf8"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/textutil"
@@ -33,7 +34,7 @@ func referencePermute(x, a, b uint64) uint64 {
 func TestPermuteMatchesReference(t *testing.T) {
 	check := func(x, a, b uint64) {
 		t.Helper()
-		if got, want := permute(reduce61(x), a, b), referencePermute(x, a, b); got != want {
+		if got, want := permute(reduce61(x), a<<3, b), referencePermute(x, a, b); got != want {
 			t.Fatalf("permute(x=%d, a=%d, b=%d) = %d, reference %d", x, a, b, got, want)
 		}
 	}
@@ -94,6 +95,7 @@ func FuzzSignText(f *testing.F) {
 		"emoji 😀😃😄 party 🎉",
 		"\xff", "a\xffb", "\xc3(", "\xed\xa0\x80", "\xf0\x9f\x98", "ok \ufffd literal",
 		strings.Repeat("the quick brown fox ", 205), // 4 KiB
+		longText(130), longText(1001),
 	} {
 		f.Add(s)
 	}
@@ -111,6 +113,48 @@ func FuzzSignText(f *testing.F) {
 			}
 		}
 	})
+}
+
+// longText returns a text of the given number of runes that cycles
+// through ASCII, 2-, 3- and 4-byte runes, an invalid byte (one rune of its
+// own) and a space.
+func longText(runes int) string {
+	pieces := []string{"a", "é", "日", "😀", "\xff", " ", "z", "\xf0\x9f\x98"}
+	var b strings.Builder
+	for i, n := 0, 0; n < runes; i++ {
+		p := pieces[i%len(pieces)]
+		if p == "\xf0\x9f\x98" {
+			n += 3 // a cut 4-byte rune is three invalid bytes
+			if n > runes {
+				break
+			}
+		} else {
+			n++
+		}
+		b.WriteString(p)
+	}
+	return b.String()
+}
+
+// TestSignTextLong signs texts of hundreds to thousands of runes mixing
+// every UTF-8 length with invalid bytes, at several widths.
+func TestSignTextLong(t *testing.T) {
+	s := NewScheme(64, rand.New(rand.NewSource(1)))
+	for _, runes := range []int{127, 128, 129, 257, 1000, 4099} {
+		text := longText(runes)
+		if got := utf8.RuneCountInString(text); got < runes-2 || got > runes {
+			t.Fatalf("longText(%d) has %d runes", runes, got)
+		}
+		for _, n := range []int{1, 3, 5} {
+			if got, want := s.SignText(text, n), s.Sign(texttest.Shingles(text, n)); !slices.Equal(got, want) {
+				t.Fatalf("SignText of %d runes, n=%d, differs from Sign(Shingles)", runes, n)
+			}
+		}
+	}
+	text := longText(1000)
+	if got := testing.AllocsPerRun(100, func() { _ = s.SignText(text, 3) }); got != 1 {
+		t.Fatalf("SignText of a long text allocates %v times per call, want 1", got)
+	}
 }
 
 // goldenTexts and the two constants below pin signatures across commits:
@@ -298,22 +342,83 @@ func skewedSignatures(rng *rand.Rand, n, bands, rows int) []Signature {
 	return sigs
 }
 
+// candidateIDs returns the ids of cs, in order.
+func candidateIDs(cs []Candidate) []int {
+	ids := make([]int, len(cs))
+	for i, c := range cs {
+		ids[i] = c.ID
+	}
+	return ids
+}
+
+// confirmed returns the ids of the viable candidates in cs that agree with
+// sig in at least need words: what label.join unites.
+func (ix *Index) confirmed(cs []Candidate, sig Signature, need int) []int {
+	var out []int
+	for _, c := range cs {
+		if c.Viable && AgreeAtLeast(sig, ix.Signature(c.ID), need) {
+			out = append(out, c.ID)
+		}
+	}
+	return out
+}
+
+// nibbleAgreements counts the words of a and b, of equal length, whose low
+// four bits agree: the sketch bound, counted word by word.
+func nibbleAgreements(a, b Signature) int {
+	n := 0
+	for i := range a {
+		if a[i]&0xf == b[i]&0xf {
+			n++
+		}
+	}
+	return n
+}
+
+// checkProbe holds one AppendCandidates probe to the oracles: the ids are
+// the reference index's candidates, each is viable exactly when its low
+// nibbles agree in need words or more, and the viable ones that AgreeAtLeast
+// confirms are the candidates it confirms. It returns how many candidates
+// the probe made and how many of them were viable.
+func checkProbe(t testing.TB, ix *Index, want []int, sig Signature, need int) (cands, viable int) {
+	t.Helper()
+	got := ix.AppendCandidates(nil, sig, need)
+	if ids := candidateIDs(got); !slices.Equal(ids, want) {
+		t.Fatalf("candidates %v, reference %v", ids, want)
+	}
+	for _, c := range got {
+		if bound := nibbleAgreements(sig, ix.Signature(c.ID)) >= need; c.Viable != bound {
+			t.Fatalf("candidate %d (need %d): viable %v, nibble bound %v", c.ID, need, c.Viable, bound)
+		}
+		if c.Viable {
+			viable++
+		}
+	}
+	if conf, match := ix.confirmed(got, sig, need), ix.matches(sig, need); !slices.Equal(conf, match) {
+		t.Fatalf("need %d: confirmed %v, oracle matches %v", need, conf, match)
+	}
+	return len(got), viable
+}
+
 // TestIndexMatchesReference probes before every add, as the label store
 // does, and once more against the full index, as batch clustering does.
 func TestIndexMatchesReference(t *testing.T) {
 	for _, shape := range []struct{ bands, rows, n int }{
-		{16, 4, 3000}, {8, 2, 1000}, {5, 1, 300}, {1, 3, 300}, {40, 1, 300},
+		{16, 4, 3000}, {8, 2, 1000}, {5, 1, 300}, {1, 3, 300}, {40, 1, 300}, {6, 3, 300},
 	} {
 		rng := rand.New(rand.NewSource(int64(shape.bands*10 + shape.rows)))
 		sigs := skewedSignatures(rng, shape.n, shape.bands, shape.rows)
 		ix, ref := NewIndex(shape.bands, shape.rows), newReferenceIndex(shape.bands, shape.rows)
+		words := shape.bands * shape.rows
+		need := MinAgree(words, 0.75)
 		check := func(when string, i int) {
 			t.Helper()
-			got, want := ix.Candidates(sigs[i]), ref.candidates(sigs[i])
-			if !slices.Equal(got, want) {
-				t.Fatalf("%dx%d %s signature %d: candidates %v, reference %v",
+			want := ref.candidates(sigs[i])
+			if got := ix.Candidates(sigs[i]); !slices.Equal(got, want) {
+				t.Fatalf("%dx%d %s signature %d: Candidates %v, reference %v",
 					shape.bands, shape.rows, when, i, got, want)
 			}
+			checkProbe(t, ix, want, sigs[i], need)
 		}
 		for i, sig := range sigs {
 			check("before adding", i)
@@ -328,6 +433,130 @@ func TestIndexMatchesReference(t *testing.T) {
 	}
 }
 
+// boundThresholds are the thresholds the sketch-bound tests sweep: both
+// label thresholds, the ends, one past the top and NaN.
+var boundThresholds = []float64{0, 0.5, 0.75, 0.85, 1, 1.01, math.NaN()}
+
+// smallAlphabetSignatures draws n signatures whose words take nine values,
+// 0–2 in the low nibble and 0–2 above it, so bands collide by chance and
+// words that differ often share their low nibble.
+func smallAlphabetSignatures(rng *rand.Rand, n, words int) []Signature {
+	sigs := make([]Signature, n)
+	for i := range sigs {
+		sigs[i] = make(Signature, words)
+		for j := range sigs[i] {
+			sigs[i][j] = uint64(rng.Intn(3) | rng.Intn(3)<<4)
+		}
+	}
+	return sigs
+}
+
+// TestSketchBoundNeverRefusesMatch probes streams before every add at each
+// threshold: the candidates AgreeAtLeast confirms among the viable ones
+// must be exactly those it confirms among all of them.
+func TestSketchBoundNeverRefusesMatch(t *testing.T) {
+	streams := []struct {
+		name        string
+		bands, rows int
+		sigs        []Signature
+	}{
+		{"skewed 16x4", 16, 4, skewedSignatures(rand.New(rand.NewSource(11)), 1500, 16, 4)},
+		{"skewed 6x3", 6, 3, skewedSignatures(rand.New(rand.NewSource(12)), 600, 6, 3)},
+		{"small alphabet 16x4", 16, 4, smallAlphabetSignatures(rand.New(rand.NewSource(13)), 1500, 64)},
+		{"small alphabet 9x2", 9, 2, smallAlphabetSignatures(rand.New(rand.NewSource(14)), 600, 18)},
+	}
+	for _, st := range streams {
+		words := st.bands * st.rows
+		for _, th := range boundThresholds {
+			need := MinAgree(words, th)
+			ix, ref := NewIndex(st.bands, st.rows), newReferenceIndex(st.bands, st.rows)
+			cands, viable := 0, 0
+			for _, sig := range st.sigs {
+				c, v := checkProbe(t, ix, ref.candidates(sig), sig, need)
+				cands += c
+				viable += v
+				ix.Add(sig)
+				ref.add(sig)
+			}
+			if cands == 0 {
+				t.Fatalf("%s: the stream makes no candidates", st.name)
+			}
+			t.Logf("%s τ=%v (need %d): %d candidates, %d viable", st.name, th, need, cands, viable)
+		}
+	}
+}
+
+// TestSketchBoundAtTheThreshold pairs a signature with copies that agree in
+// k−1, k and k+1 of 64 words, k the least agreement the threshold needs,
+// the disagreements inside the low nibble, outside it (which the bound
+// cannot see) or half and half. Every copy shares the first band.
+func TestSketchBoundAtTheThreshold(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	const bands, rows = 16, 4
+	const words = bands * rows
+	flips := map[string]func(v uint64, j int) uint64{
+		"inside":  func(v uint64, j int) uint64 { return v ^ 0x5 },
+		"outside": func(v uint64, j int) uint64 { return v ^ 0x50 },
+		"mixed": func(v uint64, j int) uint64 {
+			if j%2 == 0 {
+				return v ^ 0x1
+			}
+			return v ^ 1<<63
+		},
+	}
+	for _, th := range boundThresholds {
+		need := MinAgree(words, th)
+		for _, k := range []int{need - 1, need, need + 1} {
+			if k < rows || k > words {
+				continue // the copy would share no band, or agree in more than all
+			}
+			for name, flip := range flips {
+				base := make(Signature, words)
+				for i := range base {
+					base[i] = rng.Uint64()
+				}
+				sig := slices.Clone(base)
+				for j, i := range rng.Perm(words - rows)[:words-k] {
+					sig[rows+i] = flip(sig[rows+i], j)
+				}
+				ix := NewIndex(bands, rows)
+				ix.Add(base)
+				_, viable := checkProbe(t, ix, []int{0}, sig, need)
+				// Mixed copies are viable as their nibble count says,
+				// which checkProbe holds.
+				if name != "mixed" && (viable == 1) != (name == "outside" && need <= words || k >= need) {
+					t.Fatalf("τ=%v k=%d %s: viable %d", th, k, name, viable)
+				}
+			}
+		}
+	}
+}
+
+// FuzzAppendCandidates holds the probe to the oracles on signatures of
+// eight words drawn from the fuzzer's bytes, so words share bands, low
+// nibbles and high nibbles in every combination, at every need from none
+// to one past all.
+func FuzzAppendCandidates(f *testing.F) {
+	f.Add([]byte("\x00\x01\x02\x03\x04\x05\x06\x07\x00\x01\x12\x03\x04\x15\x06\x17"), uint8(6))
+	f.Add([]byte("aaaaaaaaaaaaaaaabbbbbbbbaaqaaaaa"), uint8(8))
+	f.Add([]byte("\xf0\xf1\x00\x01\x02\x03\x04\x05\x00\x01\x00\x01\x02\x03\x04\x05"), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, needByte uint8) {
+		const bands, rows = 4, 2
+		const words = bands * rows
+		need := int(needByte) % (words + 2)
+		ix, ref := NewIndex(bands, rows), newReferenceIndex(bands, rows)
+		for ; len(data) >= words; data = data[words:] {
+			sig := make(Signature, words)
+			for i := range sig {
+				sig[i] = uint64(data[i])
+			}
+			checkProbe(t, ix, ref.candidates(sig), sig, need)
+			ix.Add(sig)
+			ref.add(sig)
+		}
+	})
+}
+
 // TestIndexWrongLengthSignature: a signature of the wrong length (a corrupt
 // checkpoint or a foreign shard worker can deliver one) takes an id but
 // never matches and is never matched, whatever its words.
@@ -335,25 +564,39 @@ func TestIndexWrongLengthSignature(t *testing.T) {
 	ix := NewIndex(4, 2)
 	full := Signature{1, 2, 3, 4, 5, 6, 7, 8}
 	wrong := []Signature{nil, {}, {1}, {1, 2}, full[:7], append(slices.Clone(full), 9)}
+	probe := func(sig Signature) []Candidate {
+		t.Helper()
+		got := ix.AppendCandidates(nil, sig, 0)
+		if want := ix.Candidates(sig); !slices.Equal(candidateIDs(got), want) {
+			t.Fatalf("probe %v: candidates %v, oracle %v", sig, got, want)
+		}
+		return got
+	}
 	if id := ix.Add(full); id != 0 {
 		t.Fatalf("first id = %d", id)
 	}
 	for i, sig := range wrong {
-		if got := ix.Candidates(sig); got != nil {
+		if got := probe(sig); got != nil {
 			t.Fatalf("wrong-length probe %v has candidates %v", sig, got)
 		}
 		if id := ix.Add(sig); id != i+1 {
 			t.Fatalf("Add(%v) = %d, want %d", sig, id, i+1)
 		}
 	}
-	if got := ix.Candidates(full); !slices.Equal(got, []int{0}) {
-		t.Fatalf("Candidates = %v, want only the well-formed signature", got)
+	if got := probe(full); !slices.Equal(got, []Candidate{{0, true}}) {
+		t.Fatalf("candidates = %v, want only the well-formed signature", got)
 	}
 	if id := ix.Add(full); id != len(wrong)+1 {
 		t.Fatalf("id after wrong-length adds = %d, want %d", id, len(wrong)+1)
 	}
-	if got := ix.Candidates(full); !slices.Equal(got, []int{0, len(wrong) + 1}) {
-		t.Fatalf("Candidates = %v", got)
+	if got := probe(full); !slices.Equal(got, []Candidate{{0, true}, {len(wrong) + 1, true}}) {
+		t.Fatalf("candidates = %v", got)
+	}
+	// A probe appends to what dst already holds and leaves it alone.
+	dst := []Candidate{{99, false}}
+	if got := ix.AppendCandidates(dst, full, len(full)+1); !slices.Equal(got,
+		[]Candidate{{99, false}, {0, false}, {len(wrong) + 1, false}}) {
+		t.Fatalf("appended probe = %v", got)
 	}
 }
 
@@ -367,25 +610,32 @@ func TestNewIndexRejectsTallBands(t *testing.T) {
 }
 
 // TestIndexConcurrentProbes is the race pass's view of batch clustering:
-// every probe of a finished index at once, each equal to the serial answer.
+// every probe of a finished index at once, each into its own buffer and
+// each equal to the serial answer.
 func TestIndexConcurrentProbes(t *testing.T) {
 	sigs := skewedSignatures(rand.New(rand.NewSource(3)), 400, 16, 4)
 	ix := NewIndex(16, 4)
 	for _, sig := range sigs {
 		ix.Add(sig)
 	}
-	want := make([][]int, len(sigs))
+	need := MinAgree(64, 0.75)
+	want := make([][]Candidate, len(sigs))
 	for i, sig := range sigs {
-		want[i] = ix.Candidates(sig)
+		want[i] = ix.AppendCandidates(nil, sig, need)
+		if ids := candidateIDs(want[i]); !slices.Equal(ids, ix.Candidates(sig)) {
+			t.Fatalf("probe %d: candidates %v, oracle %v", i, ids, ix.Candidates(sig))
+		}
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var buf []Candidate
 			for i, sig := range sigs {
-				if got := ix.Candidates(sig); !slices.Equal(got, want[i]) {
-					t.Errorf("concurrent probe %d: %v, serial %v", i, got, want[i])
+				buf = ix.AppendCandidates(buf[:0], sig, need)
+				if !slices.Equal(buf, want[i]) {
+					t.Errorf("concurrent probe %d: %v, serial %v", i, buf, want[i])
 					return
 				}
 			}
@@ -401,9 +651,13 @@ func TestIndexAllocs(t *testing.T) {
 	for _, sig := range sigs[:n] {
 		ix.Add(sig)
 	}
+	var buf []Candidate
+	for _, sig := range sigs[:n] {
+		buf = ix.AppendCandidates(buf[:0], sig, 48)
+	}
 	i := 0
-	if got := testing.AllocsPerRun(n, func() { _ = ix.Candidates(sigs[i%n]); i++ }); got > 1 {
-		t.Errorf("a probe of a warm index allocates %v times, want at most 1 (its result)", got)
+	if got := testing.AllocsPerRun(n, func() { buf = ix.AppendCandidates(buf[:0], sigs[i%n], 48); i++ }); got != 0 {
+		t.Errorf("a probe of a warm index into a warm buffer allocates %v times, want 0", got)
 	}
 	// AllocsPerRun reports the whole-number average, so growth of the
 	// tables, which doubles them a few times over these adds, rounds away.
@@ -423,19 +677,31 @@ func BenchmarkSignText(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexAddProbe is the label store's use of the index: probe, then
-// add, over 10k campaign-skewed signatures.
+// BenchmarkIndexAddProbe is the label store's use of the index: probe,
+// confirm the viable candidates at the tweet threshold, then add, over 10k
+// campaign-skewed signatures. cands/probe counts the candidates the probe
+// walks, confirms/probe the AgreeAtLeast calls the sketch bound leaves.
 func BenchmarkIndexAddProbe(b *testing.B) {
 	sigs := skewedSignatures(rand.New(rand.NewSource(5)), 10_000, 16, 4)
+	need := MinAgree(64, 0.75)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix := NewIndex(16, 4)
-		cands := 0
+		var buf []Candidate
+		cands, confirms := 0, 0
 		for _, sig := range sigs {
-			cands += len(ix.Candidates(sig))
+			buf = ix.AppendCandidates(buf[:0], sig, need)
+			cands += len(buf)
+			for _, c := range buf {
+				if c.Viable {
+					confirms++
+					_ = AgreeAtLeast(sig, ix.Signature(c.ID), need)
+				}
+			}
 			ix.Add(sig)
 		}
 		b.ReportMetric(float64(cands)/float64(len(sigs)), "cands/probe")
+		b.ReportMetric(float64(confirms)/float64(len(sigs)), "confirms/probe")
 	}
 }

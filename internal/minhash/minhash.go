@@ -21,7 +21,9 @@ type Signature []uint64
 // signatures. All signatures compared against each other must come from the
 // same Scheme.
 type Scheme struct {
-	a, b []uint64
+	// a8[i] is permutation i's multiplier a shifted left by 3 (see
+	// permute), b[i] its offset.
+	a8, b []uint64
 }
 
 const _mersenne61 = (1 << 61) - 1
@@ -33,19 +35,19 @@ func NewScheme(n int, rng *rand.Rand) *Scheme {
 		n = 1
 	}
 	s := &Scheme{
-		a: make([]uint64, n),
-		b: make([]uint64, n),
+		a8: make([]uint64, n),
+		b:  make([]uint64, n),
 	}
 	for i := 0; i < n; i++ {
 		// a must be non-zero for the permutation family to be valid.
-		s.a[i] = rng.Uint64()%(_mersenne61-1) + 1
+		s.a8[i] = (rng.Uint64()%(_mersenne61-1) + 1) << 3
 		s.b[i] = rng.Uint64() % _mersenne61
 	}
 	return s
 }
 
 // Size returns the signature length produced by the scheme.
-func (s *Scheme) Size() int { return len(s.a) }
+func (s *Scheme) Size() int { return len(s.b) }
 
 // SignText computes the MinHash signature of text's set of n-rune
 // character shingles without building the shingles: it slides a window of
@@ -79,7 +81,7 @@ func (s *Scheme) SignText(text string, n int) Signature {
 }
 
 func (s *Scheme) emptySignature() Signature {
-	sig := make(Signature, len(s.a))
+	sig := make(Signature, len(s.b))
 	for i := range sig {
 		sig[i] = math.MaxUint64
 	}
@@ -90,9 +92,9 @@ func (s *Scheme) emptySignature() Signature {
 // whose base hash is h, where that is smaller.
 func (s *Scheme) fold(sig Signature, h uint64) {
 	x := reduce61(h)
-	a, b := s.a[:len(sig)], s.b[:len(sig)]
+	a8, b := s.a8[:len(sig)], s.b[:len(sig)]
 	for i := range sig {
-		if v := permute(x, a[i], b[i]); v < sig[i] {
+		if v := permute(x, a8[i], b[i]); v < sig[i] {
 			sig[i] = v
 		}
 	}
@@ -151,13 +153,15 @@ func reduce61(x uint64) uint64 {
 }
 
 // permute applies the universal hash (a*x + b) mod p with p = 2^61 - 1 to
-// operands already below p. Since 2^61 ≡ 1 (mod p), the 122-bit product
-// a*x is congruent to the sum of its low 61 bits and the rest; that sum
-// plus b stays below 3·2^61, so one more fold and one subtraction reach the
-// residue in [0, p).
-func permute(x, a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, x)
-	r := lo&_mersenne61 + (hi<<3 | lo>>61) + b
+// operands already below p, taking a8 = a<<3 in place of a. Since
+// 2^61 ≡ 1 (mod p), the 122-bit product a*x is congruent to the sum of its
+// low 61 bits and the rest. Multiplying by a8 instead shifts the product
+// left by 3, so its high word is that rest and its low word is the low 61
+// bits shifted left by 3. That sum plus b stays below 3·2^61, so one more
+// fold and one subtraction reach the residue in [0, p).
+func permute(x, a8, b uint64) uint64 {
+	hi, lo := bits.Mul64(a8, x)
+	r := lo>>3 + hi + b
 	r = r&_mersenne61 + r>>61
 	if r >= _mersenne61 {
 		r -= _mersenne61
@@ -229,11 +233,12 @@ const MaxRows = 4
 type bandKey [MaxRows]uint64
 
 // Index is an LSH banding index over signatures. Signatures whose bands
-// collide become candidate near-duplicates; the caller confirms candidates
-// with AgreeAtLeast or exact comparison.
+// collide become candidate near-duplicates; AppendCandidates returns them,
+// each marked with whether its sketch leaves it able to agree in enough
+// words, and the caller confirms those with AgreeAtLeast.
 //
 // Add may not run concurrently with any other method; any number of
-// Candidates calls may run at once.
+// AppendCandidates calls may run at once.
 type Index struct {
 	bands int
 	rows  int
@@ -242,7 +247,11 @@ type Index struct {
 	// first: each bucket is a chain of descending ids.
 	heads []map[bandKey]int32
 	next  []int32
-	sigs  []Signature
+	// sketch[id*sketchWords:][:sketchWords] is the b-bit sketch of id's
+	// signature (see sketchOf).
+	sketch      []uint64
+	sketchWords int
+	sigs        []Signature
 }
 
 // NewIndex creates an index for signatures of length bands*rows. Values
@@ -262,7 +271,12 @@ func NewIndex(bands, rows int) *Index {
 	for i := range heads {
 		heads[i] = make(map[bandKey]int32)
 	}
-	return &Index{bands: bands, rows: rows, heads: heads}
+	return &Index{
+		bands:       bands,
+		rows:        rows,
+		heads:       heads,
+		sketchWords: (bands*rows + nibblesPerWord - 1) / nibblesPerWord,
+	}
 }
 
 // Add inserts sig and returns its id within the index. A signature whose
@@ -273,8 +287,11 @@ func NewIndex(bands, rows int) *Index {
 func (ix *Index) Add(sig Signature) int {
 	id := len(ix.sigs)
 	ix.sigs = append(ix.sigs, sig)
+	n := len(ix.sketch)
+	ix.sketch = slices.Grow(ix.sketch, ix.sketchWords)[:n+ix.sketchWords]
 	if len(sig) != ix.bands*ix.rows {
-		ix.next = append(ix.next, make([]int32, ix.bands)...) // never read
+		// Its rows of next and of the sketch are never read.
+		ix.next = append(ix.next, make([]int32, ix.bands)...)
 		return id
 	}
 	for b, heads := range ix.heads {
@@ -282,63 +299,78 @@ func (ix *Index) Add(sig Signature) int {
 		ix.next = append(ix.next, ix.head(b, key))
 		heads[key] = int32(id)
 	}
+	sketchOf(ix.sketch[n:], sig)
 	return id
 }
 
-// Candidates returns the ids of the added signatures that share at least
-// one band with sig, each once, in ascending order (the order of
-// insertion). A signature whose length is not bands*rows has no candidates.
-// The result is the call's only allocation, up to 32 bands.
-func (ix *Index) Candidates(sig Signature) []int {
-	if len(sig) != ix.bands*ix.rows {
-		return nil
+// nibblesPerWord is how many signature words one sketch word holds.
+const nibblesPerWord = 16
+
+// sketchOf writes the b-bit minwise sketch of sig (Li & König, WWW 2010)
+// with b = 4 to sk: the low nibble of word i at bits 4(i%16) of sk[i/16].
+// Nibbles past the end of sig stay zero in every sketch, so they never
+// differ.
+func sketchOf(sk []uint64, sig Signature) {
+	for w := range sk {
+		var x uint64
+		for j, v := range sig[w*nibblesPerWord : min(len(sig), (w+1)*nibblesPerWord)] {
+			x |= (v & 0xf) << (4 * (j % nibblesPerWord))
+		}
+		sk[w] = x
 	}
-	var buf [32]int32
-	cur := buf[:]
-	if ix.bands > len(buf) {
+}
+
+// A Candidate is an id that shares at least one band with a probe. Viable
+// reports whether the id's sketch agrees with the probe's in at least the
+// number of words the probe needs; when it is false, the id's signature
+// agrees in fewer words, and AgreeAtLeast would refuse it.
+type Candidate struct {
+	ID     int
+	Viable bool
+}
+
+// AppendCandidates appends to dst each id that shares at least one band
+// with sig, once, in ascending order (the order of insertion), and returns
+// the extended slice. An id is Viable when its sketch agrees with sig's in
+// at least need nibbles. Two words that are equal are equal in their low
+// nibble, so the nibble count bounds the word count from above: an id that
+// is not Viable agrees with sig in fewer than need words. The probe reads
+// each candidate's sketch, never its signature. A signature whose length
+// is not bands*rows has no candidates. Beyond the growth of dst the probe
+// allocates nothing, up to 32 bands and 128 signature words.
+func (ix *Index) AppendCandidates(dst []Candidate, sig Signature, need int) []Candidate {
+	if len(sig) != ix.bands*ix.rows {
+		return dst
+	}
+	var headBuf [32]int32
+	cur := headBuf[:]
+	if ix.bands > len(headBuf) {
 		cur = make([]int32, ix.bands)
 	}
 	cur = cur[:ix.bands]
-	// Most probes find fewer ids than fit on the stack; the rest merge
-	// again into a result of the size the first pass counted.
-	var first [128]int
-	n := ix.merge(ix.chains(cur, sig), first[:])
-	if n == 0 {
-		return nil
+	var skBuf [8]uint64
+	sk := skBuf[:]
+	if ix.sketchWords > len(skBuf) {
+		sk = make([]uint64, ix.sketchWords)
 	}
-	out := make([]int, n)
-	if n > len(first) {
-		ix.merge(ix.chains(cur, sig), out)
-	} else {
-		copy(out, first[:n])
-	}
-	slices.Reverse(out)
-	return out
-}
-
-// chains fills cur, one entry per band, with the head of the chain that
-// sig's band selects, and returns it.
-func (ix *Index) chains(cur []int32, sig Signature) []int32 {
+	sk = sk[:ix.sketchWords]
+	sketchOf(sk, sig)
+	// A candidate is viable while its differing nibbles stay within misses.
+	misses := len(sig) - need
+	top := int32(-1)
 	for b := range cur {
 		cur[b] = ix.head(b, ix.key(sig, b))
+		top = max(top, cur[b])
 	}
-	return cur
-}
-
-// merge walks the chains that start at cur, one per band, in step from the
-// highest id down. It returns how many distinct ids they hold and writes
-// them to out, descending, as far as out has room. cur is consumed.
-func (ix *Index) merge(cur []int32, out []int) int {
-	top := int32(-1)
-	for _, id := range cur {
-		top = max(top, id)
-	}
-	n := 0
+	start := len(dst)
+	// Walk the chains in step from the highest id down: each id comes
+	// out once, however many of its bands sig shares.
 	for top >= 0 {
-		if n < len(out) {
-			out[n] = int(top)
+		diff := 0
+		for w, x := range ix.sketch[int(top)*len(sk):][:len(sk)] {
+			diff += nonZeroNibbles(x ^ sk[w])
 		}
-		n++
+		dst = append(dst, Candidate{ID: int(top), Viable: diff <= misses})
 		// Step the chains that are at top past it; the highest id any
 		// chain is at then is the next one down.
 		below := int32(-1)
@@ -351,7 +383,15 @@ func (ix *Index) merge(cur []int32, out []int) int {
 		}
 		top = below
 	}
-	return n
+	slices.Reverse(dst[start:])
+	return dst
+}
+
+// nonZeroNibbles counts the non-zero nibbles of x.
+func nonZeroNibbles(x uint64) int {
+	x |= x >> 1
+	x |= x >> 2
+	return bits.OnesCount64(x & 0x1111111111111111)
 }
 
 // head returns the id added last to the band-b bucket of key, -1 when the

@@ -106,10 +106,10 @@ func TestIndexFindsNearDuplicates(t *testing.T) {
 	}
 	unrelated := ix.Add(s.Sign(texttest.Shingles("completely different biography text", 3)))
 
-	cands := ix.Candidates(ix.Signature(ids[0]))
+	cands := ix.AppendCandidates(nil, ix.Signature(ids[0]), 0)
 	found := make(map[int]bool)
 	for _, c := range cands {
-		found[c] = true
+		found[c.ID] = true
 	}
 	if !found[ids[1]] || !found[ids[2]] {
 		t.Fatalf("near-duplicates not in candidates: %v", cands)

@@ -5,9 +5,15 @@
 // minhash.Scheme.SignText, confirms candidates with minhash.AgreeAtLeast and
 // normalizes tweets with textutil.NormalizeTweet, each in one pass — so
 // they live here, as the references the kernels' tests compare against.
+// So does the candidate-pair set of an LSH banding index, which the label
+// store's oracle enumerates here instead of probing minhash.Index.
 package texttest
 
-import "strings"
+import (
+	"encoding/binary"
+	"slices"
+	"strings"
+)
 
 // Shingles returns the n-gram character shingles of s. The paper's MinHash
 // step uses tri-gram shingling (n = 3). Strings shorter than n yield a
@@ -92,4 +98,34 @@ func Similarity(a, b []uint64) float64 {
 		}
 	}
 	return float64(agree) / float64(len(a))
+}
+
+// BandNeighbours returns, for each signature i, the indices j < i of the
+// signatures that agree with it on every word of at least one band, bands
+// being the consecutive runs of rows words, in ascending order: the
+// candidates an LSH banding index probed before adding i would yield. Only
+// signatures of length bands*rows take part. It groups the signatures by
+// each band's bytes, one map per band.
+func BandNeighbours[S ~[]uint64](sigs []S, bands, rows int) [][]int {
+	out := make([][]int, len(sigs))
+	var key []byte
+	for b := 0; b < bands; b++ {
+		seen := make(map[string][]int)
+		for i, sig := range sigs {
+			if len(sig) != bands*rows {
+				continue
+			}
+			key = key[:0]
+			for _, v := range sig[b*rows : (b+1)*rows] {
+				key = binary.LittleEndian.AppendUint64(key, v)
+			}
+			out[i] = append(out[i], seen[string(key)]...)
+			seen[string(key)] = append(seen[string(key)], i)
+		}
+	}
+	for i := range out {
+		slices.Sort(out[i])
+		out[i] = slices.Compact(out[i])
+	}
+	return out
 }
