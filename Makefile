@@ -50,7 +50,7 @@ SOURCE_COVER_MIN := 90
 
 upper = $(shell echo $(1) | tr a-z A-Z)
 
-.PHONY: check fmt vet vulncheck build test race bench bench-smoke
+.PHONY: check fmt vet vulncheck build test race bench bench-smoke records
 
 check: fmt vet vulncheck build test race cover-metrics cover-trace cover-store cover-obs cover-source bench-smoke
 
@@ -91,6 +91,14 @@ cover-%:
 		else printf "internal/$* coverage %s%% (gate %d%%)\n", $$3, min }'
 	@rm -f .$*.cover
 
+# records regenerates the committed paper records: TestRunMatchesSmallRecord
+# holds docs/results-small.txt byte for byte, and docs/results-medium.txt is
+# the scale EXPERIMENTS.md reports. Run it when a change moves the record on
+# purpose, and explain the diff.
+records:
+	$(GO) run ./cmd/benchreport -scale small > docs/results-small.txt
+	$(GO) run ./cmd/benchreport -scale medium > docs/results-medium.txt
+
 # bench-smoke vets and tests the benchmark driver. bench/ is its own
 # module, so `go build ./...` and `go test ./...` at the root never compile
 # it, and an internal rename could break it unnoticed.
@@ -106,8 +114,8 @@ bench-smoke:
 # derived from the parent's, else (at and below 96 samples) the node's rows
 # gathered and sorted. ForestFit times the paper-config forest on a
 # small noisy task and on a capture-shaped fixture (7,056 × 58, the
-# dense-stream detector's training set), exact and at 64 bins, and reports
-# speedup-vs-1worker (expect ~1.0 on a single-core machine). Presort is
+# dense-stream detector's training set), and reports speedup-vs-1worker
+# (expect ~1.0 on a single-core machine). Presort is
 # the fixture's shared presort (radix-sorted columns, value codes and
 # levels) at 1 worker and at the default, with allocs. Rotate is one hourly node rotation over
 # the columnar screening index (cold and warm). SignText, IndexAddProbe

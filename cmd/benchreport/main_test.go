@@ -102,9 +102,11 @@ func TestSlugOf(t *testing.T) {
 // TestRunMatchesSmallRecord holds the committed record of the paper's
 // tables and figures current: `-scale small` must print
 // docs/results-small.txt byte for byte. A change that moves the record on
-// purpose regenerates it in the same commit with
+// purpose regenerates it, and the medium record beside it, in the same
+// commit with `make records`:
 //
 //	go run ./cmd/benchreport -scale small > docs/results-small.txt
+//	go run ./cmd/benchreport -scale medium > docs/results-medium.txt
 //
 // and explains the diff.
 func TestRunMatchesSmallRecord(t *testing.T) {

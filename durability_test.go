@@ -300,7 +300,7 @@ func cleanRestartResumes(t *testing.T, cfg SnifferConfig) {
 
 // TestCrashRecoveryOnlineDetector: the online detector's sliding window and
 // retrain schedule survive a crash — after recovery and re-run they match
-// an uninterrupted run's exactly.
+// an uninterrupted run's exactly, and so does every verdict of the model.
 func TestCrashRecoveryOnlineDetector(t *testing.T) {
 	t.Setenv(parallel.EnvWorkers, "2")
 
@@ -310,7 +310,18 @@ func TestCrashRecoveryOnlineDetector(t *testing.T) {
 	}
 	cfgA := durableConfig(fstest.New(), 1)
 	cfgA.Online = uninterrupted
-	runDetection(t, cfgA, 6)
+	simA := testSimulation(t)
+	snA, err := NewSniffer(simA, cfgA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snA.Close()
+	simA.RunHours(6)
+	if _, err := snA.DetectAll(); err != nil {
+		t.Fatal(err)
+	}
+	// The run's captures, spam and ham, are the probe set.
+	probes := snA.Monitor().Store().Snapshot()
 
 	crashed, err := NewOnlineDetector(ClassifierDT, 400, 50, 1)
 	if err != nil {
@@ -341,6 +352,20 @@ func TestCrashRecoveryOnlineDetector(t *testing.T) {
 	if recovered.Retrains() != uninterrupted.Retrains() {
 		t.Fatalf("recovered retrains = %d, uninterrupted = %d",
 			recovered.Retrains(), uninterrupted.Retrains())
+	}
+	// Retrains since the restart refit the same window with the same seed,
+	// so the recovered model has reconverged with the uninterrupted one.
+	spam := 0
+	for i, c := range probes {
+		if c.Tweet.Spam {
+			spam++
+		}
+		if got, want := recovered.Classify(c), uninterrupted.Classify(c); got != want {
+			t.Fatalf("probe %d (tweet %d): recovered verdict %v, uninterrupted %v", i, c.Tweet.ID, got, want)
+		}
+	}
+	if spam == 0 || spam == len(probes) {
+		t.Fatalf("probe set holds %d spam of %d captures, want both classes", spam, len(probes))
 	}
 }
 

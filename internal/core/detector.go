@@ -40,34 +40,12 @@ var ClassifierNames = []ClassifierName{
 
 // NewClassifier constructs a fresh classifier of the named family with the
 // configurations used for the paper's comparison (RF: 70 trees, depth 700).
-// Split finding is exact — every distinct feature value is a candidate
-// threshold — which is the mode all paper-config results and golden
-// fingerprints are pinned under.
+// Split finding is exact: every distinct feature value is a candidate
+// threshold.
 func NewClassifier(name ClassifierName, seed int64) (ml.Classifier, error) {
-	return newClassifierBins(name, seed, 0)
-}
-
-// DefaultRetrainBins is the histogram bin count retraining and
-// cross-validation loops default to. 64 quantile bins keep split quality
-// within noise of the exact scan on the 58-feature space while cutting
-// the candidate set per node by orders of magnitude — the right trade
-// where a model is fit over and over (sliding-window retrains, k-fold
-// CV), as opposed to the single paper-config fit that must stay exact.
-const DefaultRetrainBins = 64
-
-// NewBinnedClassifier is NewClassifier with histogram-binned split
-// finding (DefaultRetrainBins quantile edges) for the tree-based
-// families; kNN and SVM have no split search and are unchanged. Use it
-// in loops that refit many times; keep NewClassifier where exactness
-// against the paper configuration matters.
-func NewBinnedClassifier(name ClassifierName, seed int64) (ml.Classifier, error) {
-	return newClassifierBins(name, seed, DefaultRetrainBins)
-}
-
-func newClassifierBins(name ClassifierName, seed int64, bins int) (ml.Classifier, error) {
 	switch name {
 	case ClassifierDT:
-		return tree.New(tree.Config{MaxDepth: 6, MinLeaf: 8, Seed: seed, Bins: bins}), nil
+		return tree.New(tree.Config{MaxDepth: 6, MinLeaf: 8, Seed: seed}), nil
 	case ClassifierKNN:
 		return knn.New(knn.Config{K: 7, MaxTrain: 4000, Seed: seed}), nil
 	case ClassifierSVM:
@@ -75,12 +53,11 @@ func newClassifierBins(name ClassifierName, seed int64, bins int) (ml.Classifier
 	case ClassifierEGB:
 		return boost.New(boost.Config{
 			Rounds: 160, MaxDepth: 5, LearningRate: 0.15, MinLeaf: 5,
-			Subsample: 0.8, Seed: seed, Bins: bins,
+			Subsample: 0.8, Seed: seed,
 		}), nil
 	case ClassifierRF:
 		cfg := forest.PaperConfig()
 		cfg.Seed = seed
-		cfg.Bins = bins
 		return forest.New(cfg), nil
 	default:
 		return nil, fmt.Errorf("core: unknown classifier %q", name)

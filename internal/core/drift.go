@@ -30,10 +30,7 @@ type OnlineDetector struct {
 
 // NewOnlineDetector creates a drift-aware detector of the named family.
 // window bounds the retained labeled captures (older ones are evicted);
-// retrainEvery is the number of new observations between refits. Refits
-// use histogram-binned split finding (DefaultRetrainBins): the model is
-// refit continuously, so the exact-scan guarantee the paper-config single
-// fit needs buys nothing here and the binned candidate set trains faster.
+// retrainEvery is the number of new observations between refits.
 func NewOnlineDetector(name ClassifierName, window, retrainEvery int, seed int64) (*OnlineDetector, error) {
 	if window <= 0 {
 		return nil, errors.New("core: window must be positive")
@@ -89,7 +86,7 @@ func (o *OnlineDetector) retrain() error {
 	if pos == 0 || pos == len(o.y) {
 		return nil // single-class window: keep the previous model
 	}
-	clf, err := newClassifierBins(o.name, o.seed+int64(o.retrains), DefaultRetrainBins)
+	clf, err := NewClassifier(o.name, o.seed+int64(o.retrains))
 	if err != nil {
 		return err
 	}

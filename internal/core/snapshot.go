@@ -182,7 +182,7 @@ func (o *OnlineDetector) ReadSnapshot(r io.Reader) error {
 	if pos == 0 || pos == len(o.y) {
 		return nil // single-class window: stay conservative until retrain
 	}
-	clf, err := newClassifierBins(o.name, o.seed+int64(o.retrains-1), DefaultRetrainBins)
+	clf, err := NewClassifier(o.name, o.seed+int64(o.retrains-1))
 	if err != nil {
 		return err
 	}

@@ -60,11 +60,18 @@ func TestCaptureSnapshotRejectsCorruption(t *testing.T) {
 }
 
 // TestOnlineDetectorSnapshotRoundTrip: window, counters, and the refit
-// model survive serialization; subsequent observations behave like the
-// uninterrupted detector's schedule.
+// model survive serialization; subsequent observations follow the
+// uninterrupted detector's schedule, and once it has retrained the
+// restored detector gives the uninterrupted one's verdicts.
 func TestOnlineDetectorSnapshotRoundTrip(t *testing.T) {
+	for _, name := range []ClassifierName{ClassifierDT, ClassifierRF, ClassifierEGB} {
+		t.Run(string(name), func(t *testing.T) { testOnlineSnapshotRoundTrip(t, name) })
+	}
+}
+
+func testOnlineSnapshotRoundTrip(t *testing.T, name ClassifierName) {
 	rng := rand.New(rand.NewSource(3))
-	online, err := NewOnlineDetector(ClassifierDT, 100, 10, 1)
+	online, err := NewOnlineDetector(name, 100, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +86,7 @@ func TestOnlineDetectorSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored, err := NewOnlineDetector(ClassifierDT, 100, 10, 1)
+	restored, err := NewOnlineDetector(name, 100, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,6 +117,23 @@ func TestOnlineDetectorSnapshotRoundTrip(t *testing.T) {
 	if restored.Retrains() != online.Retrains() {
 		t.Fatalf("post-restore retrain schedule diverged: %d vs %d",
 			restored.Retrains(), online.Retrains())
+	}
+	// Both have retrained on the same window with the same seed since the
+	// restore, so they have reconverged: every verdict agrees. Each probe
+	// lies at a random point between a ham and a spam capture of one
+	// regime, so the verdicts depend on where the models put the boundary.
+	probes := rand.New(rand.NewSource(17))
+	for i := 0; i < 200; i++ {
+		regime := i % 2
+		p, _ := driftCapture(probes, false, regime)
+		s, _ := driftCapture(probes, true, regime)
+		frac := probes.Float64()
+		for f := range p.Vector {
+			p.Vector[f] += frac * (s.Vector[f] - p.Vector[f])
+		}
+		if got, want := restored.Classify(p), online.Classify(p); got != want {
+			t.Fatalf("probe %d (regime %d): restored verdict %v, uninterrupted %v", i, regime, got, want)
+		}
 	}
 
 	if err := restored.ReadSnapshot(bytes.NewReader([]byte("junk"))); err == nil {

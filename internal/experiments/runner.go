@@ -161,12 +161,10 @@ func (r *Runner) RunTableIV() (map[core.ClassifierName]ml.Metrics, error) {
 	results := make([]ml.Metrics, len(core.ClassifierNames))
 	err = parallel.ForEachErr(len(core.ClassifierNames), 0, func(i int) error {
 		name := core.ClassifierNames[i]
-		// CV refits each family ten times over; histogram-binned split
-		// finding (core.DefaultRetrainBins) keeps the table's shape while
-		// cutting the candidate scan — the single deployed detector in
-		// RunMain stays on the exact scan.
+		// CV refits each family ten times over, each fold with the
+		// paper-config classifier the deployed detector uses.
 		factory := func() ml.Classifier {
-			clf, ferr := core.NewBinnedClassifier(name, 7)
+			clf, ferr := core.NewClassifier(name, 7)
 			if ferr != nil {
 				panic(ferr) // unreachable: name is from ClassifierNames
 			}

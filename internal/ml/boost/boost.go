@@ -25,10 +25,6 @@ type Config struct {
 	Subsample float64
 	// Seed drives row subsampling.
 	Seed int64
-	// Bins enables histogram-binned split finding in every round's
-	// regression tree (see tree.Config.Bins); non-positive keeps the
-	// exact scan.
-	Bins int
 }
 
 // Boost is a trained gradient-boosting classifier.
@@ -85,9 +81,6 @@ func (b *Boost) Fit(x [][]float64, y []bool) error {
 			counts = sampled
 		}
 		eng = presort.View(counts, eng)
-		if b.cfg.Bins > 1 {
-			eng.SetBins(b.cfg.Bins)
-		}
 		t.fitEngine(eng, grad, hess)
 	})
 	return nil

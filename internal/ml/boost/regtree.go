@@ -104,13 +104,7 @@ func (t *regTree) bestSplit(e *split.Engine, grad []float64, lo, hi int) (int, f
 		} else {
 			ids, col = e.Col(f, lo, hi)
 		}
-		var thr, gain float64
-		var ok bool
-		if edges := e.Edges(f); edges != nil && !small {
-			thr, gain, ok = t.scanBinned(ids, col, edges, grad, totalG, baseScore)
-		} else {
-			thr, gain, ok = t.scanCol(ids, col, grad, totalG, baseScore)
-		}
+		thr, gain, ok := t.scanCol(ids, col, grad, totalG, baseScore)
 		if ok && gain > bestGain {
 			bestGain = gain
 			bestFeature = f
@@ -153,42 +147,6 @@ func (t *regTree) scanCol(ids []int32, col []float64, grad []float64, totalG, ba
 		gain := leftG*leftG/fLeftN + rightG*rightG/(n-fLeftN) - baseScore
 		if gain > best {
 			best, thr, found = gain, (v+next)/2, true
-		}
-	}
-	return thr, best, found
-}
-
-// scanBinned evaluates only the precomputed quantile edges.
-func (t *regTree) scanBinned(ids []int32, col []float64, edges []float64, grad []float64, totalG, baseScore float64) (float64, float64, bool) {
-	total := len(ids)
-	n := float64(total)
-	best, thr, found := 1e-12, 0.0, false
-	leftG := 0.0
-	leftN := 0
-	k := 0
-	for _, edge := range edges {
-		for k < total && col[ids[k]] <= edge {
-			leftG += grad[ids[k]]
-			leftN++
-			k++
-		}
-		if leftN == 0 {
-			continue
-		}
-		if leftN >= total {
-			break
-		}
-		if leftN < t.minLeaf {
-			continue
-		}
-		if total-leftN < t.minLeaf {
-			break
-		}
-		fLeftN := float64(leftN)
-		rightG := totalG - leftG
-		gain := leftG*leftG/fLeftN + rightG*rightG/(n-fLeftN) - baseScore
-		if gain > best {
-			best, thr, found = gain, edge, true
 		}
 	}
 	return thr, best, found

@@ -26,7 +26,7 @@ func TestFlatForestBitIdentical(t *testing.T) {
 		for _, cfg := range []Config{
 			{Trees: 15, Seed: seed},
 			{Trees: 8, MaxDepth: 3, Seed: seed},
-			{Trees: 10, MinLeaf: 4, Bins: 16, Seed: seed},
+			{Trees: 10, MinLeaf: 4, Seed: seed},
 		} {
 			x, y := noisyData(400, seed)
 			f := New(cfg)

@@ -32,9 +32,6 @@ type Config struct {
 	// bit-identical at any worker count: each tree derives its own
 	// random stream from Seed and its tree index.
 	Workers int
-	// Bins enables histogram-binned split finding in every tree (see
-	// tree.Config.Bins); non-positive keeps the exact scan.
-	Bins int
 }
 
 // PaperConfig returns the configuration the paper deploys: 70 trees with a
@@ -150,7 +147,6 @@ func (f *Forest) treeConfig(d int, seed int64) tree.Config {
 		MinLeaf:     f.cfg.MinLeaf,
 		MaxFeatures: maxFeatures,
 		Seed:        seed,
-		Bins:        f.cfg.Bins,
 	}
 }
 

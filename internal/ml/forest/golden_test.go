@@ -52,10 +52,17 @@ func TestForestGoldenPredictions(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx, _ := goldenData(200, 43)
+	if got := forestFingerprint(f, tx, 17); got != goldenForestFingerprint {
+		t.Fatalf("forest fingerprint drifted:\n got  %s\n want %s", got, goldenForestFingerprint)
+	}
+}
 
+// forestFingerprint hashes a fitted forest's vote fractions, verdicts and
+// Gini-gain importances over probes.
+func forestFingerprint(f *Forest, probes [][]float64, d int) string {
 	h := sha256.New()
 	var buf [8]byte
-	for _, row := range tx {
+	for _, row := range probes {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f.PredictProba(row)))
 		h.Write(buf[:])
 		if f.Predict(row) {
@@ -64,12 +71,9 @@ func TestForestGoldenPredictions(t *testing.T) {
 			h.Write([]byte{0})
 		}
 	}
-	for _, v := range f.FeatureImportance(17) {
+	for _, v := range f.FeatureImportance(d) {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 		h.Write(buf[:])
 	}
-	got := hex.EncodeToString(h.Sum(nil))
-	if got != goldenForestFingerprint {
-		t.Fatalf("forest fingerprint drifted:\n got  %s\n want %s", got, goldenForestFingerprint)
-	}
+	return hex.EncodeToString(h.Sum(nil))
 }

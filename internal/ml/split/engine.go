@@ -64,8 +64,7 @@ const LeafSortCutoff = 96
 
 // Small reports whether a node of n samples — counted with their
 // multiplicities — is in the gather-and-sort regime rather than the
-// derived-column regime. In binned mode this also decides exact versus
-// binned scanning, so it must see the weighted size.
+// derived-column regime.
 func Small(n int) bool { return n <= LeafSortCutoff }
 
 // KV is a (feature value, row id) pair. All engine orderings sort
@@ -266,7 +265,6 @@ type Engine struct {
 	kvBuf            []KV
 	smallI           []int32      // SortedCol output buffer
 	classBuf         []ClassCount // ClassCounts output buffer
-	edges            [][]float64  // binned candidate thresholds; nil = exact
 }
 
 // View returns an engine over the rows of the presort weighted by
@@ -319,7 +317,6 @@ func (p *Presort) View(counts []int32, reuse *Engine) *Engine {
 	for f := range e.stacks {
 		e.stacks[f] = e.stacks[f][:0] // empty stack: derive from the presort
 	}
-	e.edges = nil
 	return e
 }
 
@@ -523,69 +520,4 @@ func (e *Engine) ClassCounts(f, lo, hi int, y []bool) ([]ClassCount, []float64) 
 		}
 	}
 	return buf, p.levels[p.lvOff[f]:p.lvOff[f+1]]
-}
-
-// SetBins switches the engine to histogram-binned split finding:
-// candidate thresholds are capped at bins-1 per-feature quantile edges of
-// the view — positions taken over the rows expanded by their counts —
-// instead of every distinct value. Splits are no longer guaranteed
-// identical to the exact scan; nodes in the small regime always scan
-// exactly (candidate pruning no longer pays there). bins <= 1 keeps the
-// exact scan.
-func (e *Engine) SetBins(bins int) {
-	if bins <= 1 || e.n == 0 {
-		e.edges = nil
-		return
-	}
-	total := 0
-	for _, id := range e.rows {
-		total += int(e.counts[id])
-	}
-	e.edges = make([][]float64, e.d)
-	for f := 0; f < e.d; f++ {
-		ord := e.p.order[f*e.p.n : (f+1)*e.p.n]
-		lo := expanded{ord: ord, counts: e.counts}
-		hi := lo
-		col := e.p.col(f)
-		var edges []float64
-		for b := 1; b < bins; b++ {
-			k := b * total / bins
-			if k <= 0 || k >= total {
-				continue
-			}
-			lov, hiv := col[lo.at(k-1)], col[hi.at(k)]
-			if lov == hiv {
-				continue
-			}
-			thr := (lov + hiv) / 2
-			if len(edges) == 0 || edges[len(edges)-1] != thr {
-				edges = append(edges, thr)
-			}
-		}
-		e.edges[f] = edges
-	}
-}
-
-// expanded walks a presorted order with every row repeated by its count:
-// at(k) is the id at expanded position k. Queries must not decrease.
-type expanded struct {
-	ord, counts []int32
-	i, below    int // ord[:i] spans expanded positions [0, below)
-}
-
-func (c *expanded) at(k int) int32 {
-	for c.below+int(c.counts[c.ord[c.i]]) <= k {
-		c.below += int(c.counts[c.ord[c.i]])
-		c.i++
-	}
-	return c.ord[c.i]
-}
-
-// Edges returns feature f's binned candidate thresholds, or nil in exact
-// mode.
-func (e *Engine) Edges(f int) []float64 {
-	if e.edges == nil {
-		return nil
-	}
-	return e.edges[f]
 }

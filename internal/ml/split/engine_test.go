@@ -222,74 +222,15 @@ func TestEngineReuseResets(t *testing.T) {
 		counts[i] = int32(i % 3)
 	}
 	e := p.View(counts, nil)
-	e.SetBins(4)
 	e.Col(0, 0, e.Len())
 	e.Partition(0, 0, 0, e.Len())
-	e = p.View(nil, e) // reuse must restore the full view and drop bins
-	if e.Edges(0) != nil {
-		t.Fatal("reused engine kept stale bin edges")
-	}
+	e = p.View(nil, e) // reuse must restore the full view
 	if e.Len() != 120 || len(e.frontier) != 0 {
 		t.Fatalf("reused engine: len %d, frontier %v", e.Len(), e.frontier)
 	}
 	for f := 0; f < 3; f++ {
 		ids, col := e.Col(f, 0, 120)
 		checkWindow(t, x, f, ids, col, e.Rows(0, 120))
-	}
-}
-
-func TestSetBinsEdges(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	x := randMatrix(rng, 500, 2, 0)
-	e := NewPresort(x, 1).View(nil, nil)
-	e.SetBins(8)
-	for f := 0; f < 2; f++ {
-		edges := e.Edges(f)
-		if len(edges) == 0 || len(edges) > 7 {
-			t.Fatalf("f=%d: %d edges for 8 bins", f, len(edges))
-		}
-		for k := 1; k < len(edges); k++ {
-			if edges[k] <= edges[k-1] {
-				t.Fatalf("f=%d: edges not strictly increasing", f)
-			}
-		}
-	}
-	// All-equal column: no admissible edges.
-	xe := randMatrix(rng, 50, 1, 1)
-	ee := NewPresort(xe, 1).View(nil, nil)
-	ee.SetBins(8)
-	if len(ee.Edges(0)) != 0 {
-		t.Fatal("constant column produced bin edges")
-	}
-}
-
-// TestSetBinsCountsMatchExpanded pins quantile edges of a counts view to
-// those of the materialized resample: positions are taken over the rows
-// repeated by their counts, not over the distinct rows.
-func TestSetBinsCountsMatchExpanded(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, distinct := range []int{0, 5} {
-		x := randMatrix(rng, 300, 3, distinct)
-		counts := make([]int32, len(x))
-		var xm [][]float64
-		for id := range x {
-			counts[id] = int32(rng.Intn(4))
-			for c := int32(0); c < counts[id]; c++ {
-				xm = append(xm, x[id])
-			}
-		}
-		e := NewPresort(x, 1).View(counts, nil)
-		em := NewPresort(xm, 1).View(nil, nil)
-		for _, bins := range []int{2, 16, 64, 1000} {
-			e.SetBins(bins)
-			em.SetBins(bins)
-			for f := 0; f < 3; f++ {
-				if !slices.Equal(e.Edges(f), em.Edges(f)) {
-					t.Fatalf("distinct=%d bins=%d f=%d: edges %v, materialized %v",
-						distinct, bins, f, e.Edges(f), em.Edges(f))
-				}
-			}
-		}
 	}
 }
 

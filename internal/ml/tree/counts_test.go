@@ -16,8 +16,7 @@ import (
 // its count, in shuffled order. propDataset brings heavy ties, a constant
 // column and columns whose level counts straddle node sizes; the sweep
 // covers MinLeaf, depth, the per-split feature count (1 often samples the
-// constant column and widens to all features), exact and binned scans,
-// and sizes whose nodes sit on both sides of split.LeafSortCutoff, with
+// constant column and widens to all features), and sizes whose nodes sit on both sides of split.LeafSortCutoff, with
 // and without a NaN column.
 func TestCountsViewMatchesMaterialized(t *testing.T) {
 	const d = propFeatures
@@ -47,22 +46,20 @@ func TestCountsViewMatchesMaterialized(t *testing.T) {
 				for _, minLeaf := range []int{1, 3, 8} {
 					for _, maxDepth := range []int{2, 0} {
 						for _, maxFeatures := range []int{1, 3, d} { // 3 = ⌊√d⌋
-							for _, bins := range []int{0, 16} {
-								cfg := Config{
-									MaxDepth: maxDepth, MinLeaf: minLeaf,
-									MaxFeatures: maxFeatures, Seed: seed * 7, Bins: bins,
-								}
-								name := fmt.Sprintf("seed=%d n=%d nan=%v cfg=%+v", seed, n, nan, cfg)
-								a := New(cfg)
-								if err := a.FitEngine(presort.View(counts, nil), y); err != nil {
-									t.Fatal(err)
-								}
-								b := New(cfg)
-								if err := b.Fit(xm, ym); err != nil {
-									t.Fatal(err)
-								}
-								sameTree(t, name, a, b, x, rng)
+							cfg := Config{
+								MaxDepth: maxDepth, MinLeaf: minLeaf,
+								MaxFeatures: maxFeatures, Seed: seed * 7,
 							}
+							name := fmt.Sprintf("seed=%d n=%d nan=%v cfg=%+v", seed, n, nan, cfg)
+							a := New(cfg)
+							if err := a.FitEngine(presort.View(counts, nil), y); err != nil {
+								t.Fatal(err)
+							}
+							b := New(cfg)
+							if err := b.Fit(xm, ym); err != nil {
+								t.Fatal(err)
+							}
+							sameTree(t, name, a, b, x, rng)
 						}
 					}
 				}

@@ -21,7 +21,6 @@ func TestFlatMatchesPointerPredict(t *testing.T) {
 			{MaxDepth: 2},
 			{MaxDepth: 8, MinLeaf: 3},
 			{MaxFeatures: 2, Seed: seed},
-			{Bins: 16},
 		} {
 			rng := rand.New(rand.NewSource(seed))
 			n := 300

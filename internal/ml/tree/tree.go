@@ -14,8 +14,8 @@
 // (a forest bootstrap is a count per row), and every count the criterion,
 // MinLeaf and the majority vote see is the sum of them. The legacy
 // per-node sort.Slice scan survives in refsplit_test.go as the oracle the
-// property tests cross-check against; in exact mode every regime selects
-// the bit-identical (feature, threshold) split.
+// property tests cross-check against; every regime selects the
+// bit-identical (feature, threshold) split.
 package tree
 
 import (
@@ -40,12 +40,6 @@ type Config struct {
 	MaxFeatures int
 	// Seed drives the per-split feature sampling when MaxFeatures is set.
 	Seed int64
-	// Bins enables histogram-binned split finding: candidate thresholds
-	// are capped at Bins-1 per-feature quantile edges computed once per
-	// fit — for large synthetic-world datasets. Non-positive (or 1)
-	// keeps the exact scan, whose splits are bit-identical to the
-	// legacy implementation.
-	Bins int
 }
 
 // Tree is a trained decision tree.
@@ -93,9 +87,6 @@ func (t *Tree) Fit(x [][]float64, y []bool) error {
 func (t *Tree) FitEngine(e *split.Engine, y []bool) error {
 	if e.Len() == 0 {
 		return errors.New("tree: empty training data")
-	}
-	if t.cfg.Bins > 1 {
-		e.SetBins(t.cfg.Bins)
 	}
 	t.root = t.grow(e, y, 0, e.Len(), 0)
 	return nil
@@ -180,9 +171,6 @@ func (t *Tree) bestSplitOver(e *split.Engine, y []bool, lo, hi, total, totalPos 
 		var thr, g float64
 		var ok bool
 		switch k := e.Levels(f); {
-		case !small && e.Edges(f) != nil:
-			ids, col := e.Col(f, lo, hi)
-			thr, g, ok = t.scanBinned(ids, col, cnt, e.Edges(f), y, total, totalPos)
 		case k >= 0 && k <= hi-lo:
 			if k >= 2 { // a constant column has no threshold
 				lv, vals := e.ClassCounts(f, lo, hi, y)
@@ -273,43 +261,6 @@ func (t *Tree) scanCounts(lv []split.ClassCount, vals []float64, total, totalPos
 		leftN += int(c.N)
 		leftPos += int(c.Pos)
 		prev = k
-	}
-	return thr, best, found
-}
-
-// scanBinned evaluates only the precomputed quantile edges: the same
-// cumulative pass, with Gini computed at most once per bin boundary.
-func (t *Tree) scanBinned(ids []int32, col []float64, cnt []int32, edges []float64, y []bool, total, totalPos int) (float64, float64, bool) {
-	minLeaf := t.cfg.MinLeaf
-	best, thr, found := 2.0, 0.0, false
-	leftN, leftPos := 0, 0
-	k := 0
-	for _, edge := range edges {
-		for k < len(ids) && col[ids[k]] <= edge {
-			c := int(cnt[ids[k]])
-			leftN += c
-			if y[ids[k]] {
-				leftPos += c
-			}
-			k++
-		}
-		if leftN == 0 {
-			continue
-		}
-		if leftN >= total {
-			break
-		}
-		if leftN < minLeaf {
-			continue
-		}
-		rightN := total - leftN
-		if rightN < minLeaf {
-			break
-		}
-		g := weightedGini(leftN, leftPos, rightN, totalPos-leftPos)
-		if g < best {
-			best, thr, found = g, edge, true
-		}
 	}
 	return thr, best, found
 }
