@@ -155,3 +155,58 @@ func TestNewOnlineDetectorValidation(t *testing.T) {
 		t.Fatal("retrainEvery not defaulted")
 	}
 }
+
+// TestOnlineRefitMatchesNewClassifier: a sliding-window refit is the
+// classifier NewClassifier builds, fit on the window with the retrain's
+// seed, so the online detector splits exactly as the deployed one does.
+// The probes lie between a ham and a spam capture of one regime, where
+// a coarser split search would move the boundary.
+func TestOnlineRefitMatchesNewClassifier(t *testing.T) {
+	for _, name := range []ClassifierName{ClassifierDT, ClassifierRF, ClassifierEGB} {
+		t.Run(string(name), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			online, err := NewOnlineDetector(name, 400, 100, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Stop on a retrain, so the window is what the model was fit on.
+			for i := 0; i < 600 || online.sinceFit != 0; i++ {
+				c, label := driftCapture(rng, rng.Float64() < 0.4, i/300)
+				if err := online.Observe(c, label); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if online.Retrains() < 2 {
+				t.Fatalf("online detector retrained only %d times", online.Retrains())
+			}
+			ref, err := NewClassifier(name, online.seed+int64(online.Retrains()-1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Fit(online.x, online.y); err != nil {
+				t.Fatal(err)
+			}
+			probes := rand.New(rand.NewSource(17))
+			spam := 0
+			for i := 0; i < 200; i++ {
+				regime := i % 2
+				p, _ := driftCapture(probes, false, regime)
+				s, _ := driftCapture(probes, true, regime)
+				frac := probes.Float64()
+				for f := range p.Vector {
+					p.Vector[f] += frac * (s.Vector[f] - p.Vector[f])
+				}
+				got, want := online.Classify(p), ref.Predict(p.Vector[:])
+				if got != want {
+					t.Fatalf("probe %d (regime %d): online verdict %v, NewClassifier %v", i, regime, got, want)
+				}
+				if got {
+					spam++
+				}
+			}
+			if spam == 0 || spam == 200 {
+				t.Fatalf("%d of 200 probes judged spam, want both verdicts", spam)
+			}
+		})
+	}
+}

@@ -77,3 +77,22 @@ func forestFingerprint(f *Forest, probes [][]float64, d int) string {
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
+
+// captureForestFingerprint pins a forest on the capture-shaped fixture,
+// whose constant and low-cardinality columns put many bootstrap
+// duplicates on each tied value: the per-value class-count scan decides
+// most of its splits.
+const captureForestFingerprint = "3b490066a92dd4872c5867c703b6e14e0c7cf39d43bb359bdc62b5d90ecef26b"
+
+// TestForestCaptureGolden pins the exact split finder end to end on the
+// capture fixture.
+func TestForestCaptureGolden(t *testing.T) {
+	x, y := captureData(1)
+	f := New(Config{Trees: 8, MaxDepth: 700, Seed: 3})
+	if err := f.Fit(x, y); err != nil {
+		t.Fatal(err)
+	}
+	if got := forestFingerprint(f, x[:500], captureFeatures); got != captureForestFingerprint {
+		t.Fatalf("capture forest fingerprint drifted:\n got  %s\n want %s", got, captureForestFingerprint)
+	}
+}

@@ -169,3 +169,42 @@ func TestTreeMinLeaf(t *testing.T) {
 		t.Fatalf("depth %d with MinLeaf=100 on 200 samples", tr.Depth())
 	}
 }
+
+// TestTreeLearnsTiedColumns: the exact split finder learns a noisy task
+// whose signal sits in heavily tied, two-valued and many-level columns
+// beside a constant one, and refits to the same tree.
+func TestTreeLearnsTiedColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	x, y := propDataset(rng, 600, false)
+	tx, ty := propDataset(rng, 600, false)
+	accuracy := func(tr *Tree, x [][]float64, y []bool) float64 {
+		correct := 0
+		for i := range x {
+			if tr.Predict(x[i]) == y[i] {
+				correct++
+			}
+		}
+		return float64(correct) / float64(len(x))
+	}
+	fit := func() *Tree {
+		tr := New(Config{MaxDepth: 6, MinLeaf: 8})
+		if err := tr.Fit(x, y); err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	a, b := fit(), fit()
+	for i := range tx {
+		if a.Predict(tx[i]) != b.Predict(tx[i]) {
+			t.Fatalf("probe %d: refit tree disagrees", i)
+		}
+	}
+	// A tenth of the labels are flipped and held-out classes split about
+	// evenly, so 0.75 is well clear of a majority vote.
+	if acc := accuracy(a, x, y); acc < 0.85 {
+		t.Fatalf("training accuracy %.4f, want >= 0.85", acc)
+	}
+	if acc := accuracy(a, tx, ty); acc < 0.75 {
+		t.Fatalf("held-out accuracy %.4f, want >= 0.75", acc)
+	}
+}
