@@ -310,6 +310,7 @@ func TestCrashRecoveryOnlineDetector(t *testing.T) {
 	}
 	cfgA := durableConfig(fstest.New(), 1)
 	cfgA.Online = uninterrupted
+	cfgA.Metrics = NewMetricsRegistry()
 	simA := testSimulation(t)
 	snA, err := NewSniffer(simA, cfgA)
 	if err != nil {
@@ -317,9 +318,11 @@ func TestCrashRecoveryOnlineDetector(t *testing.T) {
 	}
 	defer snA.Close()
 	simA.RunHours(6)
-	if _, err := snA.DetectAll(); err != nil {
+	resA, err := snA.DetectAll()
+	if err != nil {
 		t.Fatal(err)
 	}
+	assertDetectionMetrics(t, cfgA.Metrics, resA)
 	// The run's captures, spam and ham, are the probe set.
 	probes := snA.Monitor().Store().Snapshot()
 

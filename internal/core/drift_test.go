@@ -33,6 +33,19 @@ func driftCapture(rng *rand.Rand, spam bool, regime int) (*Capture, bool) {
 	return &Capture{Tweet: &socialnet.Tweet{}, Vector: v}, spam
 }
 
+// driftProbe fabricates an unlabeled capture at a random point between a
+// ham and a spam capture of one regime, where the verdict depends on where
+// a model puts the class boundary.
+func driftProbe(rng *rand.Rand, regime int) *Capture {
+	p, _ := driftCapture(rng, false, regime)
+	s, _ := driftCapture(rng, true, regime)
+	frac := rng.Float64()
+	for f := range p.Vector {
+		p.Vector[f] += frac * (s.Vector[f] - p.Vector[f])
+	}
+	return p
+}
+
 func TestOnlineDetectorTracksDrift(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	online, err := NewOnlineDetector(ClassifierRF, 400, 50, 1)
@@ -159,8 +172,8 @@ func TestNewOnlineDetectorValidation(t *testing.T) {
 // TestOnlineRefitMatchesNewClassifier: a sliding-window refit is the
 // classifier NewClassifier builds, fit on the window with the retrain's
 // seed, so the online detector splits exactly as the deployed one does.
-// The probes lie between a ham and a spam capture of one regime, where
-// a coarser split search would move the boundary.
+// The probes are driftProbes, where a coarser split search would move
+// the boundary.
 func TestOnlineRefitMatchesNewClassifier(t *testing.T) {
 	for _, name := range []ClassifierName{ClassifierDT, ClassifierRF, ClassifierEGB} {
 		t.Run(string(name), func(t *testing.T) {
@@ -190,12 +203,7 @@ func TestOnlineRefitMatchesNewClassifier(t *testing.T) {
 			spam := 0
 			for i := 0; i < 200; i++ {
 				regime := i % 2
-				p, _ := driftCapture(probes, false, regime)
-				s, _ := driftCapture(probes, true, regime)
-				frac := probes.Float64()
-				for f := range p.Vector {
-					p.Vector[f] += frac * (s.Vector[f] - p.Vector[f])
-				}
+				p := driftProbe(probes, regime)
 				got, want := online.Classify(p), ref.Predict(p.Vector[:])
 				if got != want {
 					t.Fatalf("probe %d (regime %d): online verdict %v, NewClassifier %v", i, regime, got, want)

@@ -16,8 +16,8 @@ import (
 // its count, in shuffled order. propDataset brings heavy ties, a constant
 // column and columns whose level counts straddle node sizes; the sweep
 // covers MinLeaf, depth, the per-split feature count (1 often samples the
-// constant column and widens to all features), and sizes whose nodes sit on both sides of split.LeafSortCutoff, with
-// and without a NaN column.
+// constant column and widens to all features), and sizes whose nodes sit
+// on both sides of split.LeafSortCutoff, with and without a NaN column.
 func TestCountsViewMatchesMaterialized(t *testing.T) {
 	const d = propFeatures
 	for seed := int64(1); seed <= 4; seed++ {

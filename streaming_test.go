@@ -37,22 +37,29 @@ func runDetection(t *testing.T, cfg SnifferConfig, hours int) *DetectionResult {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertDetectionMetrics(t, cfg.Metrics, res)
+	return res
+}
+
+// assertDetectionMetrics checks the registry of a sniffer after its one
+// DetectAll, which returned res.
+func assertDetectionMetrics(t *testing.T, reg *MetricsRegistry, res *DetectionResult) {
+	t.Helper()
 	// The labeler reports to the sniffer's registry, whatever the topology:
 	// one observation per clustering pass for the one DetectAll.
-	passes := cfg.Metrics.HistogramVec("ph_label_cluster_seconds", "", nil, "pass")
+	passes := reg.HistogramVec("ph_label_cluster_seconds", "", nil, "pass")
 	for _, pass := range []string{"image", "name", "description", "tweets"} {
 		if got := passes.With(pass).Count(); got != 1 {
 			t.Fatalf("ph_label_cluster_seconds{pass=%q} has %d observations in the sniffer's registry, want 1", pass, got)
 		}
 	}
 	// So does the detector: one training pass, every capture classified.
-	if got := cfg.Metrics.Histogram("ph_detector_train_seconds", "", nil).Count(); got != 1 {
+	if got := reg.Histogram("ph_detector_train_seconds", "", nil).Count(); got != 1 {
 		t.Fatalf("ph_detector_train_seconds has %d observations in the sniffer's registry, want 1", got)
 	}
-	if got := cfg.Metrics.Counter("ph_detector_classifications_total", "").Value(); got != float64(res.Captures) {
+	if got := reg.Counter("ph_detector_classifications_total", "").Value(); got != float64(res.Captures) {
 		t.Fatalf("ph_detector_classifications_total = %v in the sniffer's registry, want %d", got, res.Captures)
 	}
-	return res
 }
 
 // TestStreamingMatchesBatch checks topologies, not labelers: both label
