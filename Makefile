@@ -2,9 +2,9 @@
 # the full test suite (which includes TestNoTestOnlyProductionCode, the
 # go/types gate that fails when an internal/ function or method is reached
 # only from _test.go files), a race-detector pass over every package the
-# parallel execution layer or the metrics hot paths touch, coverage gates
-# on the packages named below, and a vet + test pass over the bench/
-# module. `make bench` prints the in-package micro-benchmarks; nothing
+# parallel execution layer or the metrics hot paths touch, a race-detector
+# run of every program under examples/, coverage gates on the packages
+# named below, and a vet + test pass over the bench/ module. `make bench` prints the in-package micro-benchmarks; nothing
 # gates on them — timing is gated by BENCHMARK.json (bench/) alone.
 
 GO ?= go
@@ -50,9 +50,9 @@ SOURCE_COVER_MIN := 90
 
 upper = $(shell echo $(1) | tr a-z A-Z)
 
-.PHONY: check fmt vet vulncheck build test race bench bench-smoke records
+.PHONY: check fmt vet vulncheck build test race examples bench bench-smoke records
 
-check: fmt vet vulncheck build test race cover-metrics cover-trace cover-store cover-obs cover-source bench-smoke
+check: fmt vet vulncheck build test race examples cover-metrics cover-trace cover-store cover-obs cover-source bench-smoke
 
 # fmt fails when any Go file differs from gofmt's output (and lists it).
 fmt:
@@ -79,6 +79,18 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# examples runs every program under examples/ with the race detector and
+# fails on the first non-zero exit (a detected race exits 66). Their
+# stdout is discarded: this gates that they run, race-free, through the
+# public API as a caller drives it — between RunHours calls, say.
+EXAMPLES := $(sort $(dir $(wildcard examples/*/main.go)))
+
+examples:
+	@set -e; for d in $(EXAMPLES); do \
+		echo "$(GO) run -race ./$$d"; \
+		$(GO) run -race ./$$d > /dev/null; \
+	done
 
 # cover-<pkg> gates internal/<pkg> at >= $(<PKG>_COVER_MIN)% statement
 # coverage; a package without a gate variable is an error, not a pass.

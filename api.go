@@ -168,12 +168,12 @@ func (s *Simulation) NewAPIServer(opts ...twitterapi.ServerOption) *APIServer {
 	return twitterapi.NewServer(s.engine, opts...)
 }
 
-// StreamConfig parameterizes the sniffer's staged streaming runtime
-// (DESIGN.md §12). Zero values take the pipeline package defaults.
+// StreamConfig tunes the sniffer's stage graph (DESIGN.md §12): match →
+// extract → merge → label → detect, with micro-batching and backpressure.
+// Zero values take the pipeline package defaults.
 type StreamConfig struct {
-	// Enabled runs the sniffer on the stage graph: match → extract →
-	// merge → label → detect, with micro-batching and backpressure.
-	// Disabled (the default) keeps the synchronous batch path.
+	// Deprecated: Enabled is ignored. Every sniffer runs on the stage
+	// graph; there is no other topology to select.
 	Enabled bool
 	// BatchSize is the micro-batch flush size bound (default 64).
 	BatchSize int
@@ -203,23 +203,25 @@ type SnifferConfig struct {
 	// "non pseudo-honeypot" baseline selects accounts naively.
 	NaiveSelection bool
 	// CaptureCap bounds how many captures the monitor retains; past the
-	// cap the oldest is evicted (FIFO). Zero keeps everything.
+	// cap the oldest is evicted (FIFO). Zero keeps everything. Labeling
+	// covers the whole stream — the label store outlives eviction — while
+	// DetectAll trains and classifies on the retained window.
 	CaptureCap int
-	// Stream selects and tunes the staged streaming runtime.
+	// Stream tunes the stage graph's micro-batching and queues.
 	Stream StreamConfig
 	// Sources overrides the sniffer's ingestion: instead of subscribing
 	// to the simulation's engine (the implicit twitter source), the
 	// sniffer consumes the given sources — several are merged with
-	// deterministic k-way ordering. Requires Stream.Enabled and works with
-	// every Shards/ShardMode (not yet with Durability); a replay source
-	// must be the sole entry. When Sources is set the sim argument to
-	// NewSniffer may be nil (replayed runs have no live simulation).
+	// deterministic k-way ordering. Works with every Shards/ShardMode
+	// (not yet with Durability); a replay source must be the sole entry.
+	// When Sources is set the sim argument to NewSniffer may be nil
+	// (replayed runs have no live simulation).
 	Sources []IngestSource
 	// Shards partitions the honeypot node set across N shard workers by
 	// consistent hashing on node id, each running its own extract stage,
 	// with a coordinator merging the capture streams back into the
-	// deterministic single-monitor order (DESIGN.md §15). Values above 1
-	// require Stream.Enabled. Zero or 1 is the same graph with one shard.
+	// deterministic single-monitor order (DESIGN.md §15). Zero or 1 is
+	// the same graph with one shard.
 	Shards int
 	// ShardMode selects where a shard's extract step runs: "inproc" (the
 	// default) on the shard's goroutine; "proc" in one worker subprocess
@@ -228,11 +230,11 @@ type SnifferConfig struct {
 	// hour hook — is the same code in both.
 	ShardMode string
 	// Durability enables the WAL + checkpoint store so a crashed run can
-	// be resumed without losing captures (requires Stream.Enabled).
+	// be resumed without losing captures.
 	Durability DurabilityConfig
-	// Online, when set with streaming enabled, receives every capture
-	// and its stream-time provisional label from the detect stage,
-	// retraining on its sliding window as the stream drifts.
+	// Online, when set, receives every capture and its stream-time
+	// provisional label from the detect stage, retraining on its sliding
+	// window as the stream drifts.
 	Online *OnlineDetector
 	// Tracer records per-capture pipeline traces through every stage;
 	// nil uses the process-wide trace.Default() (disabled by default).
@@ -251,11 +253,11 @@ type Sniffer struct {
 	cfg     SnifferConfig
 	detach  func()
 
-	// Streaming only (nil on the batch path). src delivers the post stream:
-	// the implicit twitter adapter unless cfg.Sources was set, in which case
-	// explicit is true and lookups/oracles resolve through the source rather
-	// than the simulation. fanout is the stage graph and tail the stateful
-	// end it feeds. runErr latches the first failure of the run (a replay
+	// src delivers the post stream: the implicit twitter adapter unless
+	// cfg.Sources was set, in which case explicit is true and
+	// lookups/oracles resolve through the source rather than the
+	// simulation. fanout is the stage graph and tail the stateful end it
+	// feeds. runErr latches the first failure of the run (a replay
 	// adoption, a proc batch out of retries); it is delivery-goroutine
 	// state, reported by RunHours and DetectAll.
 	src      source.Source
@@ -283,28 +285,18 @@ type Sniffer struct {
 
 // Validate checks the configuration's cross-field constraints — every
 // rule NewSniffer enforces, collected in one place: shard-mode naming,
-// the streaming prerequisites of sharding, durability, and explicit
-// sources, and the source-composition rules (a replay source rides
-// alone). A zero SnifferConfig is valid.
+// RecordRotations' store, and the explicit-source rules (no durability, no
+// nil entry, a replay source rides alone). A zero SnifferConfig is valid.
 func (cfg SnifferConfig) Validate() error {
 	switch cfg.ShardMode {
 	case "", "inproc", "proc":
 	default:
 		return fmt.Errorf("pseudohoneypot: unknown shard mode %q", cfg.ShardMode)
 	}
-	if (cfg.Shards > 1 || cfg.ShardMode == "proc") && !cfg.Stream.Enabled {
-		return errors.New("pseudohoneypot: sharding requires the streaming pipeline (set Stream.Enabled)")
-	}
-	if cfg.Durability.enabled() && !cfg.Stream.Enabled {
-		return errors.New("pseudohoneypot: durability requires the streaming pipeline (set Stream.Enabled)")
-	}
 	if cfg.Durability.RecordRotations && !cfg.Durability.enabled() {
 		return errors.New("pseudohoneypot: RecordRotations requires a durable store (set Durability.Dir or Backend)")
 	}
 	if len(cfg.Sources) > 0 {
-		if !cfg.Stream.Enabled {
-			return errors.New("pseudohoneypot: explicit Sources require the streaming pipeline (set Stream.Enabled)")
-		}
 		if cfg.Durability.enabled() {
 			return errors.New("pseudohoneypot: explicit Sources do not support durability: " +
 				"the recovery watermark is a tweet id, which is not monotone under a mux's per-source id offsets " +
@@ -355,16 +347,15 @@ func NewSniffer(sim *Simulation, cfg SnifferConfig) (*Sniffer, error) {
 		mcfg.MaxRatio = -1
 	}
 	// Resolve the ingest source: caller-provided (muxed when several) or
-	// the implicit twitter adapter over the simulation's engine. The
-	// synchronous batch path needs no source at all.
+	// the implicit twitter adapter over the simulation's engine.
 	var src source.Source
-	switch {
-	case len(cfg.Sources) == 1:
-		src = cfg.Sources[0]
-	case len(cfg.Sources) > 1:
-		src = source.NewMux(cfg.Sources...)
-	case cfg.Stream.Enabled:
+	switch len(cfg.Sources) {
+	case 0:
 		src = source.NewTwitter(sim.world, sim.engine)
+	case 1:
+		src = cfg.Sources[0]
+	default:
+		src = source.NewMux(cfg.Sources...)
 	}
 	// The monitor's node-selection screener comes from the source when
 	// the source owns the account population; replayed recordings never
@@ -386,12 +377,7 @@ func NewSniffer(sim *Simulation, cfg SnifferConfig) (*Sniffer, error) {
 			return nil, err
 		}
 	}
-	var err error
-	if cfg.Stream.Enabled {
-		err = s.attachStream()
-	} else {
-		s.detach = core.Attach(m, sim.engine)
-	}
+	err := s.attachStream()
 	if err == nil && s.store != nil {
 		err = s.recoverDurable()
 	}
@@ -404,8 +390,8 @@ func NewSniffer(sim *Simulation, cfg SnifferConfig) (*Sniffer, error) {
 	return s, nil
 }
 
-// labelConfig is the labeling configuration of every label store and
-// prepper the sniffer builds, so batch and streaming runs label alike.
+// labelConfig is the labeling configuration of the label store and
+// prepper the sniffer builds.
 func (s *Sniffer) labelConfig() label.Config {
 	lcfg := label.DefaultConfig()
 	lcfg.Metrics = s.cfg.Metrics
@@ -497,10 +483,6 @@ func (s *Sniffer) latch(err error) {
 // equivalent to Simulation.RunHours (or the explicit source's RunHours)
 // plus the run's latched error, if any.
 func (s *Sniffer) RunHours(n int) error {
-	if s.src == nil {
-		s.sim.RunHours(n)
-		return nil
-	}
 	if err := s.src.RunHours(n); err != nil {
 		return err
 	}
@@ -512,15 +494,13 @@ func (s *Sniffer) RunHours(n int) error {
 // tail. The source must be quiescent: between RunHours calls, or inside an
 // hour hook.
 func (s *Sniffer) drainPipeline() {
-	if s.fanout != nil {
-		s.latch(s.fanout.Drain())
-	}
+	s.latch(s.fanout.Drain())
 }
 
 // stopStages detaches from the post stream and stops the stage graph; work
 // already ingested still lands in the tail (and the store's buffers), but
 // nothing is flushed to the backend — what a crash leaves behind, and the
-// first half of Close.
+// first half of Close. The stage graph is nil when attachStream failed.
 func (s *Sniffer) stopStages() {
 	if s.detach != nil {
 		s.detach()
@@ -550,8 +530,13 @@ func (s *Sniffer) Close() {
 	})
 }
 
-// Monitor exposes the underlying monitor (groups, captures, PGE inputs).
-func (s *Sniffer) Monitor() *Monitor { return s.monitor }
+// Monitor exposes the underlying monitor (groups, captures, PGE inputs)
+// after draining the stage graph, so every post delivered so far has been
+// extracted and retained. Call it between RunHours calls, as DetectAll.
+func (s *Sniffer) Monitor() *Monitor {
+	s.drainPipeline()
+	return s.monitor
+}
 
 // HealthExtra returns the /healthz hook for what this sniffer knows
 // beyond liveness: the durable store's WAL section (last checkpoint seq,
@@ -592,10 +577,9 @@ type DetectionResult struct {
 // far: label the corpus (suspended accounts, clustering, rules, simulated
 // manual checking), train the configured classifier, classify all
 // captures, and attribute spam to selector groups. Labels always come from
-// a label.Store's Snapshot. In streaming mode DetectAll first drains the
-// stage graph — every streamed tweet is featurized, stored, and indexed
-// before reporting — and snapshots the store the graph fed; in batch mode
-// it builds a fresh store from the retained captures on every call.
+// the label store the stage graph fed: DetectAll first drains the graph —
+// every streamed tweet is featurized, stored, and indexed before
+// reporting — then snapshots that store.
 func (s *Sniffer) DetectAll() (*DetectionResult, error) {
 	s.drainPipeline()
 	if s.runErr != nil {
@@ -615,22 +599,7 @@ func (s *Sniffer) DetectAll() (*DetectionResult, error) {
 	} else {
 		oracle = label.NewNoisyOracle(s.sim.world, s.cfg.ManualLabelErrorRate, s.cfg.Seed+2)
 	}
-	var ls *label.Store
-	if s.tail != nil {
-		ls = s.tail.labels
-	} else {
-		// Batch: the retained captures enter a fresh store as one batch,
-		// each bound to its author's live account, so the labels read the
-		// profiles as they stand now.
-		ls = label.NewStore(s.labelConfig())
-		tweets := make([]*socialnet.Tweet, len(captures))
-		authors := make([]*socialnet.Account, len(captures))
-		for i, c := range captures {
-			tweets[i] = c.Tweet
-			authors[i] = s.sim.world.Account(c.Tweet.AuthorID)
-		}
-		ls.AddBatch(tweets, authors, authors)
-	}
+	ls := s.tail.labels
 	labels := ls.Snapshot(oracle)
 	adoptLabelSpans(ls.LastTrace(), captures)
 

@@ -9,7 +9,7 @@
 //	phsniffer [-hours 24] [-nodes-per-value 2] [-accounts 6000]
 //	          [-classifier RF] [-seed 1] [-top 10]
 //	          [-source twitter,reddit,replay:DIR,wire:URL]
-//	          [-stream] [-batch-size 64] [-flush-interval 25ms]
+//	          [-batch-size 64] [-flush-interval 25ms]
 //	          [-shards N] [-shard-mode inproc|proc]
 //	          [-capture-cap 0]
 //	          [-store-dir DIR] [-sync-every 1]
@@ -28,23 +28,22 @@
 // statuses/filter, one /sim/advance per hour, and the run labels, detects
 // and ranks like any other. Several comma-separated sources are merged
 // deterministically; a replay source must ride alone (at any -shards N, in
-// either -shard-mode). -source implies -stream and is incompatible with
-// -store-dir (the recovery watermark is a tweet id, not monotone across
-// muxed sources).
+// either -shard-mode). -source is incompatible with -store-dir (the
+// recovery watermark is a tweet id, not monotone across muxed sources).
 //
-// With -stream, the sniffer runs on the staged streaming pipeline
+// The sniffer runs on one staged streaming pipeline
 // (match → extract → merge → label → detect) with micro-batching tuned by
 // -batch-size and -flush-interval; queue depth and backpressure appear
 // under ph_pipeline_* on /metrics (stage extract on shard "1".."N",
-// stages merge/label/detect on shard "coord"). Results are identical to
-// the default batch mode at the same seed. -capture-cap bounds retained
-// captures (FIFO eviction past the cap; 0 keeps everything) in either
-// mode. -shards N runs N extract workers on the same graph (-stream alone
-// is N = 1), as goroutines or, with -shard-mode proc, as goroutines that
-// hand each micro-batch to a worker subprocess of their own; every
+// stages merge/label/detect on shard "coord"). -capture-cap bounds
+// retained captures (FIFO eviction past the cap; 0 keeps everything); the
+// labeler still covers the whole stream, and the detector trains on the
+// retained window. -shards N runs N extract workers on the same graph (0
+// or 1 is one), as goroutines or, with -shard-mode proc, as goroutines
+// that hand each micro-batch to a worker subprocess of their own; every
 // combination with -store-dir or -source gives the same result.
 //
-// With -store-dir (implies -stream), every capture is written to a WAL in
+// With -store-dir, every capture is written to a WAL in
 // that directory, and at an hour boundary the pipeline state is
 // checkpointed once the WAL tail has grown to the history the newest
 // checkpoint covers (DESIGN.md §14), so a restart replays at most that
@@ -116,14 +115,13 @@ func run() error {
 		classifier  = flag.String("classifier", "RF", "detector family: DT, kNN, SVM, EGB, RF")
 		seed        = flag.Int64("seed", 1, "world and selection seed")
 		top         = flag.Int("top", 10, "PGE rows to print")
-		srcSpec     = flag.String("source", "", "comma-separated ingest sources: twitter, reddit, replay:DIR, wire:URL (a twitterd base URL) (empty = implicit twitter; implies -stream; works with any -shards/-shard-mode, not with -store-dir)")
-		stream      = flag.Bool("stream", false, "run on the staged streaming pipeline instead of batch mode")
+		srcSpec     = flag.String("source", "", "comma-separated ingest sources: twitter, reddit, replay:DIR, wire:URL (a twitterd base URL) (empty = implicit twitter; works with any -shards/-shard-mode, not with -store-dir)")
 		batchSize   = flag.Int("batch-size", pseudohoneypot.DefaultStreamBatchSize, "streaming micro-batch flush size")
 		flushEvery  = flag.Duration("flush-interval", pseudohoneypot.DefaultStreamFlushInterval, "streaming partial-batch age bound")
-		shards      = flag.Int("shards", 0, "run N extract workers, partitioning the honeypot nodes among them (implies -stream; 0/1 = one worker, what -stream alone runs)")
+		shards      = flag.Int("shards", 0, "run N extract workers, partitioning the honeypot nodes among them (0/1 = one worker)")
 		shardMode   = flag.String("shard-mode", "", "where a shard's extract step runs: inproc (its goroutine, default) or proc (a worker subprocess the shard calls per micro-batch over loopback HTTP)")
 		captureCap  = flag.Int("capture-cap", 0, "max captures retained (FIFO eviction past the cap; 0 = unbounded)")
-		storeDir    = flag.String("store-dir", "", "durable WAL+checkpoint directory; a restart against it resumes without double-counting (implies -stream; works with any -shards/-shard-mode, not with -source)")
+		storeDir    = flag.String("store-dir", "", "durable WAL+checkpoint directory; a restart against it resumes without double-counting (works with any -shards/-shard-mode, not with -source)")
 		recordRot   = flag.Bool("record-rotations", false, "journal hourly rotations and a profile epilogue into the WAL so -source replay:DIR can re-feed it (requires -store-dir)")
 		syncEvery   = flag.Int("sync-every", 1, "WAL appends per fsync (group commit; 1 = every capture durable immediately)")
 		metricsOn   = flag.String("metrics-addr", "", "serve GET /metrics, /healthz and /debug/traces on this address during the run")
@@ -188,22 +186,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if len(sources) > 0 {
-		*stream = true // explicit sources feed the stage graph
-	}
-	if *storeDir != "" {
-		*stream = true // durability rides on the stage graph's ordering
-	}
-	if *shards > 1 || *shardMode == "proc" {
-		*stream = true // sharding partitions the stream filter
-	}
 	sniffer, err := pseudohoneypot.NewSniffer(sim, pseudohoneypot.SnifferConfig{
 		Specs:      pseudohoneypot.StandardSpecs(*perValue),
 		Classifier: pseudohoneypot.ClassifierName(*classifier),
 		Seed:       *seed,
 		CaptureCap: *captureCap,
 		Stream: pseudohoneypot.StreamConfig{
-			Enabled:       *stream,
 			BatchSize:     *batchSize,
 			FlushInterval: *flushEvery,
 		},
@@ -247,7 +235,7 @@ func run() error {
 	logger.Info("pseudo-honeypot network deployed",
 		"nodes", nodes, "accounts", *accounts, "hours", *hours,
 		"classifier", *classifier, "tracing", tracer.Enabled(),
-		"streaming", *stream, "shards", *shards, "shard_mode", *shardMode,
+		"shards", *shards, "shard_mode", *shardMode,
 		"capture_cap", *captureCap)
 
 	if err := sniffer.RunHours(*hours); err != nil {

@@ -65,7 +65,7 @@ func TestStoreDirResumesWithoutDoubleCounting(t *testing.T) {
 	// which recovery must replay without collapsing them into one.
 	common := []string{
 		"-accounts", "2000", "-organic", "400", "-nodes-per-value", "2",
-		"-seed", "1", "-trace-buffer", "0", "-stream",
+		"-seed", "1", "-trace-buffer", "0",
 	}
 	arg := func(extra ...string) []string { return append(append([]string(nil), common...), extra...) }
 

@@ -35,8 +35,6 @@ func NewDirBackend(dir string) (StoreBackend, error) { return store.NewDir(dir) 
 // WAL tail through the same extraction/labeling code the stream runs, and
 // skips already-durable tweets as the simulation re-runs — converging on
 // the state an uninterrupted run would have reached.
-//
-// Durability requires the streaming pipeline (Stream.Enabled).
 type DurabilityConfig struct {
 	// Dir roots a local-disk store; empty (with a nil Backend) disables
 	// durability.

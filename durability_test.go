@@ -409,19 +409,6 @@ func TestDurableMetaMismatch(t *testing.T) {
 	}
 }
 
-// TestDurabilityRequiresStreaming: durability depends on the stage graph's
-// ordering guarantees; enabling it on the batch path is a config error.
-func TestDurabilityRequiresStreaming(t *testing.T) {
-	_, err := NewSniffer(testSimulation(t), SnifferConfig{
-		Specs:      RandomSpec(8),
-		Seed:       1,
-		Durability: DurabilityConfig{Backend: fstest.New()},
-	})
-	if err == nil {
-		t.Fatal("durability without streaming accepted")
-	}
-}
-
 // checkpointSchedule runs cfg (durable) hour by hour and returns the
 // sequence the newest checkpoint covers after each hour.
 func checkpointSchedule(t *testing.T, cfg SnifferConfig, hours int) []uint64 {

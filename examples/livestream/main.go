@@ -47,7 +47,6 @@ func run() error {
 	sniffer, err := pseudohoneypot.NewSniffer(nil, pseudohoneypot.SnifferConfig{
 		Specs:   pseudohoneypot.StandardSpecs(1),
 		Seed:    1,
-		Stream:  pseudohoneypot.StreamConfig{Enabled: true},
 		Sources: []pseudohoneypot.IngestSource{wire},
 	})
 	if err != nil {

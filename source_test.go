@@ -17,7 +17,6 @@ func goldenStream(extra func(*SnifferConfig)) SnifferConfig {
 		Specs: RandomSpec(120),
 		Seed:  1,
 		Stream: StreamConfig{
-			Enabled:       true,
 			BatchSize:     16,
 			FlushInterval: time.Millisecond,
 		},
@@ -175,9 +174,10 @@ func TestMuxDeterminism(t *testing.T) {
 // "proc with durability" and "replay cannot shard" rows are valid since the
 // one-tail refactor, and the "sources in proc mode" rule went with the epoch
 // wire: TestTopologyMatrix and TestReplayReproducesRun run those
-// combinations end to end.
+// combinations end to end. The "without stream" rows are valid since every
+// sniffer runs on the stage graph: there is no batch path to exclude
+// sharding, durability or explicit sources from.
 func TestSnifferConfigValidate(t *testing.T) {
-	stream := StreamConfig{Enabled: true}
 	replaySrc := func(t *testing.T) IngestSource {
 		t.Helper()
 		dir := t.TempDir()
@@ -189,8 +189,7 @@ func TestSnifferConfigValidate(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec, err := NewSniffer(sim, SnifferConfig{
-			Specs:  RandomSpec(40),
-			Stream: stream,
+			Specs: RandomSpec(40),
 			Durability: DurabilityConfig{
 				Dir: dir, RecordRotations: true,
 			},
@@ -228,46 +227,41 @@ func TestSnifferConfigValidate(t *testing.T) {
 		}, "unknown shard mode"},
 		{"shards without stream", func(*testing.T) SnifferConfig {
 			return SnifferConfig{Shards: 2}
-		}, "sharding requires the streaming pipeline"},
+		}, ""},
 		{"proc without stream", func(*testing.T) SnifferConfig {
 			return SnifferConfig{ShardMode: "proc"}
-		}, "sharding requires the streaming pipeline"},
+		}, ""},
 		{"proc with durability", func(*testing.T) SnifferConfig {
-			return SnifferConfig{ShardMode: "proc", Stream: stream,
-				Durability: DurabilityConfig{Dir: "x"}}
+			return SnifferConfig{ShardMode: "proc", Durability: DurabilityConfig{Dir: "x"}}
 		}, ""},
 		{"durability without stream", func(*testing.T) SnifferConfig {
 			return SnifferConfig{Durability: DurabilityConfig{Dir: "x"}}
-		}, "durability requires the streaming pipeline"},
+		}, ""},
 		{"record rotations without store", func(*testing.T) SnifferConfig {
-			return SnifferConfig{Stream: stream,
-				Durability: DurabilityConfig{RecordRotations: true}}
+			return SnifferConfig{Durability: DurabilityConfig{RecordRotations: true}}
 		}, "RecordRotations requires a durable store"},
 		{"sources without stream", func(t *testing.T) SnifferConfig {
 			return SnifferConfig{Sources: []IngestSource{tw(t)}}
-		}, "explicit Sources require the streaming pipeline"},
+		}, ""},
 		{"sources with durability", func(t *testing.T) SnifferConfig {
-			return SnifferConfig{Stream: stream,
-				Durability: DurabilityConfig{Dir: "x"},
-				Sources:    []IngestSource{tw(t)}}
+			return SnifferConfig{Durability: DurabilityConfig{Dir: "x"},
+				Sources: []IngestSource{tw(t)}}
 		}, "explicit Sources do not support durability: the recovery watermark is a tweet id"},
 		{"nil source entry", func(*testing.T) SnifferConfig {
-			return SnifferConfig{Stream: stream, Sources: []IngestSource{nil}}
+			return SnifferConfig{Sources: []IngestSource{nil}}
 		}, "nil entry in Sources"},
 		{"replay must ride alone", func(t *testing.T) SnifferConfig {
-			return SnifferConfig{Stream: stream,
-				Sources: []IngestSource{replaySrc(t), tw(t)}}
+			return SnifferConfig{Sources: []IngestSource{replaySrc(t), tw(t)}}
 		}, "replay source must be the sole source"},
 		{"replay cannot shard", func(t *testing.T) SnifferConfig {
-			return SnifferConfig{Stream: stream, Shards: 2,
+			return SnifferConfig{Shards: 2,
 				Sources: []IngestSource{replaySrc(t)}}
 		}, ""},
 		{"valid multi-source", func(t *testing.T) SnifferConfig {
-			return SnifferConfig{Stream: stream,
-				Sources: []IngestSource{tw(t), tw(t)}}
+			return SnifferConfig{Sources: []IngestSource{tw(t), tw(t)}}
 		}, ""},
 		{"valid sharded sources", func(t *testing.T) SnifferConfig {
-			return SnifferConfig{Stream: stream, Shards: 4,
+			return SnifferConfig{Shards: 4,
 				Sources: []IngestSource{tw(t)}}
 		}, ""},
 	}

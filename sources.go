@@ -91,8 +91,8 @@ func (si *sourceInstruments) capture(origin string) {
 	c.Inc()
 }
 
-// rotateHour is the hour hook every streaming topology shares: rotate the
-// node set (or re-accrue a replayed rotation), journal the rotation when
+// rotateHour is the hour hook of every sniffer, at any shard count and on
+// any source: rotate the node set (or re-accrue a replayed rotation), journal the rotation when
 // recording, and checkpoint when the schedule says so. It runs on the
 // source's delivery goroutine at an hour boundary, when the producer is
 // idle — the quiescence the durable checkpoint needs. An hour that cuts no

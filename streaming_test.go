@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -62,35 +61,26 @@ func assertDetectionMetrics(t *testing.T, reg *MetricsRegistry, res *DetectionRe
 	}
 }
 
-// TestStreamingMatchesBatch checks topologies, not labelers: both label
-// through a label.Store. With the same seed, the micro-batched streaming
-// run must be identical to the synchronous batch run — result counts,
-// every label, and the PGE ranking — at several worker counts and
-// micro-batch shapes.
-func TestStreamingMatchesBatch(t *testing.T) {
-	base := SnifferConfig{Specs: RandomSpec(120), Seed: 1}
+// TestStreamingShapeInvariance checks that the stage graph's shape never
+// moves a result: at 1, 2 and 8 workers, with 1-tweet, 16-tweet and
+// default micro-batches, every run lands on goldenStreamingFingerprint —
+// result counts, every label, and the PGE ranking.
+func TestStreamingShapeInvariance(t *testing.T) {
+	shapes := []StreamConfig{
+		{BatchSize: 1, FlushInterval: time.Millisecond},
+		{BatchSize: 16, FlushInterval: time.Millisecond},
+		{}, // the pipeline defaults
+	}
 	for _, workers := range []string{"1", "2", "8"} {
 		t.Run("workers="+workers, func(t *testing.T) {
 			t.Setenv(parallel.EnvWorkers, workers)
-			want := runDetection(t, base, 6)
-			if want.Captures == 0 {
-				t.Fatal("batch run captured nothing")
-			}
-			for _, batch := range []int{1, 16} {
-				scfg := base
-				scfg.Stream = StreamConfig{
-					Enabled:       true,
-					BatchSize:     batch,
-					FlushInterval: time.Millisecond,
-				}
-				got := runDetection(t, scfg, 6)
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("streaming run (batch=%d) diverged from batch run:\n"+
-						"batch:  captures=%d spams=%d spammers=%d checks=%d\n"+
-						"stream: captures=%d spams=%d spammers=%d checks=%d",
-						batch,
-						want.Captures, want.Spams, want.Spammers, want.Labels.ManualChecks,
-						got.Captures, got.Spams, got.Spammers, got.Labels.ManualChecks)
+			for _, shape := range shapes {
+				res := runDetection(t, goldenStream(func(cfg *SnifferConfig) { cfg.Stream = shape }), 6)
+				if got := fingerprintResult(res); got != goldenStreamingFingerprint {
+					t.Fatalf("batch size %d (captures=%d spams=%d spammers=%d checks=%d):\n"+
+						"fingerprint drifted from golden:\n got  %s\n want %s",
+						shape.BatchSize, res.Captures, res.Spams, res.Spammers, res.Labels.ManualChecks,
+						got, goldenStreamingFingerprint)
 				}
 			}
 		})
@@ -152,10 +142,11 @@ func fingerprintResult(res *DetectionResult) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// goldenStreamingFingerprint pins the streaming run at the reference
+// goldenStreamingFingerprint pins the sniffer's run at the reference
 // configuration (seed 1, 120 random nodes, 6 hours, 16-tweet micro-batches,
-// PH_WORKERS=2). TestStreamingMatchesBatch proves streaming == batch within
-// a build; this constant pins both across builds — any engine, pipeline,
+// PH_WORKERS=2). TestStreamingShapeInvariance holds every worker count and
+// micro-batch shape to it; the deleted synchronous batch path reproduced it
+// too, so it also carries that path's reference. Any engine, pipeline,
 // labeling, or detector change that shifts results must retake it.
 const goldenStreamingFingerprint = "70abfdaa81854edaeb5f286f7df5cbf68e1f7a40dc13234bd56bd56e18c990b6"
 
@@ -177,7 +168,6 @@ func TestStreamingBoundedCaptureStore(t *testing.T) {
 		CaptureCap: 64,
 		Metrics:    reg,
 		Stream: StreamConfig{
-			Enabled:    true,
 			BatchSize:  4,
 			QueueDepth: 8, // tiny queues so the stream hits backpressure
 		},
@@ -239,7 +229,6 @@ func TestStreamingFeedsOnlineDetector(t *testing.T) {
 		Specs:  RandomSpec(120),
 		Seed:   1,
 		Online: online,
-		Stream: StreamConfig{Enabled: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -263,9 +252,8 @@ func TestStreamingFeedsOnlineDetector(t *testing.T) {
 func TestStreamingCloseIsIdempotent(t *testing.T) {
 	sim := testSimulation(t)
 	sniffer, err := NewSniffer(sim, SnifferConfig{
-		Specs:  RandomSpec(20),
-		Seed:   1,
-		Stream: StreamConfig{Enabled: true},
+		Specs: RandomSpec(20),
+		Seed:  1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -273,4 +261,25 @@ func TestStreamingCloseIsIdempotent(t *testing.T) {
 	sim.RunHours(1)
 	sniffer.Close()
 	sniffer.Close()
+}
+
+// TestMonitorDrainsStageGraph reads the monitor between RunHours calls
+// with no DetectAll, as examples/drift does. Monitor must drain the stage
+// graph first: every capture the source counted is then extracted and
+// retained, and under -race the read of the capture store is ordered
+// after the tail's appends.
+func TestMonitorDrainsStageGraph(t *testing.T) {
+	reg := NewMetricsRegistry()
+	sim := testSimulation(t)
+	sn, err := NewSniffer(sim, SnifferConfig{Specs: RandomSpec(120), Seed: 1, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Close()
+	sim.RunHours(2)
+	got := len(sn.Monitor().Captures())
+	want := counterTotal(reg.Snapshot(), "ph_source_captures_total", nil)
+	if want == 0 || float64(got) != want {
+		t.Fatalf("Monitor().Captures() holds %d captures, ph_source_captures_total is %v", got, want)
+	}
 }

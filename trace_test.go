@@ -1,8 +1,14 @@
 package pseudohoneypot
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -41,12 +47,19 @@ func tracedRun(t *testing.T, tracer *Tracer) (*Sniffer, *DetectionResult) {
 }
 
 // TestTracedRunDeterministic replays the same simulated run twice with
-// simclock-driven tracers and requires byte-identical /debug/traces
-// payloads: ids, spans, attrs, and JSON order must all be reproducible.
+// simclock-driven tracers and compares their /debug/traces payloads. Every
+// trace but the stage graph's per-flush ones starts on the delivery or the
+// caller goroutine, so those traces — spans, attrs and JSON — must be
+// byte-identical once each trace id is replaced by its rank by id among
+// them. The flush traces start on the stage goroutines: how many there are
+// follows scheduling, and they shift the shared id counter, which is why
+// ids are ranked. What they must agree on is what each stage flushed in
+// total: every capture, once.
 func TestTracedRunDeterministic(t *testing.T) {
-	serve := func() (string, *DetectionResult) {
+	const buffer = 1 << 14
+	serve := func() (string, map[string]int, *DetectionResult) {
 		clk := simclock.NewSimulated(time.Unix(0, 0).UTC())
-		tracer := trace.New(trace.Config{Enabled: true, Buffer: 1 << 14, Clock: clk.Now})
+		tracer := trace.New(trace.Config{Enabled: true, Buffer: buffer, Clock: clk.Now})
 		_, res := tracedRun(t, tracer)
 		rec := httptest.NewRecorder()
 		tracer.Handler().ServeHTTP(rec,
@@ -54,18 +67,72 @@ func TestTracedRunDeterministic(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("/debug/traces status %d", rec.Code)
 		}
-		return rec.Body.String(), res
+		var list trace.TraceList
+		if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil {
+			t.Fatal(err)
+		}
+		if len(list.Traces) >= buffer {
+			t.Fatalf("%d traces fill the ring; eviction would drop a scheduling-dependent set", len(list.Traces))
+		}
+		var kept []trace.TraceInfo
+		flushed := make(map[string]int)
+		for _, info := range list.Traces {
+			if !strings.HasPrefix(info.Name, "pipeline_") {
+				kept = append(kept, info)
+				continue
+			}
+			for _, kv := range info.Attrs {
+				if kv.Key == "batch" {
+					n, err := strconv.Atoi(kv.Value)
+					if err != nil {
+						t.Fatalf("flush trace %s: batch attr %q", info.ID, kv.Value)
+					}
+					flushed[info.Name] += n
+				}
+			}
+		}
+		// Ids are zero-padded, so string order is numeric order.
+		sort.Slice(kept, func(i, j int) bool { return kept[i].ID < kept[j].ID })
+		rank := make(map[string]string, len(kept))
+		for i, info := range kept {
+			rank[info.ID] = fmt.Sprintf("r-%06d", i)
+		}
+		body, err := json.Marshal(kept)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Adopted label spans name their label trace in a batch attr, so
+		// ids are ranked wherever they appear.
+		ranked := traceIDPattern.ReplaceAllStringFunc(string(body), func(id string) string {
+			if r, ok := rank[id]; ok {
+				return r
+			}
+			return id
+		})
+		return ranked, flushed, res
 	}
-	first, res1 := serve()
-	second, res2 := serve()
+	first, flushed1, res1 := serve()
+	second, flushed2, res2 := serve()
 	if first != second {
-		t.Fatalf("trace payloads differ between identical runs (len %d vs %d)",
+		t.Fatalf("non-flush trace payloads differ between identical runs (len %d vs %d)",
 			len(first), len(second))
+	}
+	for _, stage := range []string{"pipeline_extract", "pipeline_merge", "pipeline_label", "pipeline_detect"} {
+		if flushed1[stage] != res1.Captures || flushed2[stage] != res2.Captures {
+			t.Fatalf("%s flushed %d and %d captures in the two runs, want every capture (%d) once",
+				stage, flushed1[stage], flushed2[stage], res1.Captures)
+		}
+	}
+	if len(flushed1) != 4 || len(flushed2) != 4 {
+		t.Fatalf("flush traces of stages %v and %v, want the four stages", flushed1, flushed2)
 	}
 	if res1.Spams != res2.Spams || res1.Spammers != res2.Spammers {
 		t.Fatalf("detection results differ: %+v vs %+v", res1, res2)
 	}
 }
+
+// traceIDPattern matches a trace id as the tracer formats it.
+var traceIDPattern = regexp.MustCompile(`t-[0-9]{6,}`)
 
 // TestTracingDoesNotPerturbResults runs the identical simulation with
 // tracing off and fully on; verdict counts, labels, and the PGE ranking
@@ -97,8 +164,10 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 }
 
 // TestCaptureTraceSpanCoverage checks the acceptance contract: every
-// capture's trace records its full journey — capture, feature extraction,
-// every labeling pass, and classification.
+// capture's trace records its full journey — capture, feature extraction
+// (its stateless part on the shard, shard_extract, and its stateful part in
+// stream order, feature_complete), every labeling pass, and
+// classification.
 func TestCaptureTraceSpanCoverage(t *testing.T) {
 	tracer := trace.New(trace.Config{Enabled: true, Buffer: 1 << 14})
 	sniffer, res := tracedRun(t, tracer)
@@ -106,7 +175,7 @@ func TestCaptureTraceSpanCoverage(t *testing.T) {
 		t.Fatal("no captures")
 	}
 	wantStages := []string{
-		"capture", "feature_extract",
+		"capture", "shard_extract", "feature_complete",
 		"label_suspended", "label_cluster_image", "label_cluster_name",
 		"label_cluster_description", "label_cluster_tweets",
 		"label_rules", "label_manual",
