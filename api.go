@@ -3,7 +3,6 @@ package pseudohoneypot
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"time"
@@ -248,24 +247,22 @@ type SnifferConfig struct {
 // simulation: node selection with hourly rotation, mention monitoring,
 // labeling, training, and classification.
 type Sniffer struct {
-	sim     *Simulation
 	monitor *core.Monitor
 	cfg     SnifferConfig
 	detach  func()
 
-	// src delivers the post stream: the implicit twitter adapter unless
-	// cfg.Sources was set, in which case explicit is true and
-	// lookups/oracles resolve through the source rather than the
-	// simulation. fanout is the stage graph and tail the stateful end it
-	// feeds. runErr latches the first failure of the run (a replay
-	// adoption, a proc batch out of retries); it is delivery-goroutine
-	// state, reported by RunHours and DetectAll.
-	src      source.Source
-	explicit bool
-	srcIns   *sourceInstruments
-	fanout   *shard.Fanout
-	tail     *tail
-	runErr   error
+	// src delivers the post stream — the twitter source over the
+	// simulation unless cfg.Sources was set — and is the sniffer's only
+	// view of accounts: screening, label resolution, the manual-check
+	// oracle and recovery all go through it. fanout is the stage graph and
+	// tail the stateful end it feeds. runErr latches the first failure of
+	// the run (a replay adoption, a proc batch out of retries); it is
+	// delivery-goroutine state, reported by RunHours and DetectAll.
+	src    source.Source
+	srcIns *sourceInstruments
+	fanout *shard.Fanout
+	tail   *tail
+	runErr error
 
 	// Durability (WAL + checkpoints), nil/zero when disabled. watermark
 	// is the highest durably-accounted tweet id at startup: the re-run
@@ -321,8 +318,7 @@ func NewSniffer(sim *Simulation, cfg SnifferConfig) (*Sniffer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	explicit := len(cfg.Sources) > 0
-	if sim == nil && !explicit {
+	if sim == nil && len(cfg.Sources) == 0 {
 		return nil, errors.New("pseudohoneypot: nil simulation")
 	}
 	if len(cfg.Specs) == 0 {
@@ -347,11 +343,11 @@ func NewSniffer(sim *Simulation, cfg SnifferConfig) (*Sniffer, error) {
 		mcfg.MaxRatio = -1
 	}
 	// Resolve the ingest source: caller-provided (muxed when several) or
-	// the implicit twitter adapter over the simulation's engine.
+	// the twitter source over the simulation.
 	var src source.Source
 	switch len(cfg.Sources) {
 	case 0:
-		src = source.NewTwitter(sim.world, sim.engine)
+		src = NewTwitterSource(sim)
 	case 1:
 		src = cfg.Sources[0]
 	default:
@@ -361,16 +357,11 @@ func NewSniffer(sim *Simulation, cfg SnifferConfig) (*Sniffer, error) {
 	// the source owns the account population; replayed recordings never
 	// rotate, so they run with the null screener.
 	var scr core.Screener = source.NullScreener{}
-	if !explicit {
-		scr = &core.LocalScreener{
-			World: sim.world,
-			Rng:   rand.New(rand.NewSource(cfg.Seed + 1)),
-		}
-	} else if sc, ok := src.(source.Screening); ok {
+	if sc, ok := src.(source.Screening); ok {
 		scr = sc.NewScreener(cfg.Seed + 1)
 	}
 	m := core.NewMonitor(mcfg, scr)
-	s := &Sniffer{sim: sim, monitor: m, cfg: cfg, src: src, explicit: explicit}
+	s := &Sniffer{monitor: m, cfg: cfg, src: src}
 	s.srcIns = newSourceInstruments(cfg.Metrics)
 	if cfg.Durability.enabled() {
 		if err := s.openDurable(); err != nil {
@@ -426,12 +417,10 @@ func (s *Sniffer) attachStream() error {
 		online:         cfg.Online,
 		recordProfiles: cfg.Durability.RecordRotations,
 	}
-	if s.explicit {
-		// Caller-provided sources resolve user ids through the source at
-		// Snapshot time (mux namespacing, replay epilogue profiles); the
-		// implicit twitter path keeps the store's default live pointers.
-		t.labels.SetResolver(src.Lookup)
-	}
+	// User ids resolve through the source at Snapshot time: mux
+	// namespacing, replay epilogue profiles, and the accounts recovery
+	// could only bind to frozen profiles.
+	t.labels.SetResolver(src.Lookup)
 	s.tail = t
 
 	var workers shard.Transport
@@ -511,15 +500,11 @@ func (s *Sniffer) stopStages() {
 }
 
 // Close detaches the sniffer from the post stream, shuts the stage graph
-// down, and closes the durable store. Close is idempotent.
+// down, and closes the source and the durable store. Close is idempotent.
 func (s *Sniffer) Close() {
 	s.closeOnce.Do(func() {
 		s.stopStages()
-		if s.explicit {
-			// The implicit twitter adapter holds no resources; explicit
-			// sources (reddit engines, replay logs, muxes) do.
-			_ = s.src.Close()
-		}
+		_ = s.src.Close()
 		if s.store != nil {
 			// The tail has stopped appending: stamp the profile epilogue
 			// (replay labels suspensions against end-of-run profiles), then
@@ -589,16 +574,10 @@ func (s *Sniffer) DetectAll() (*DetectionResult, error) {
 	if len(captures) == 0 {
 		return nil, errors.New("pseudohoneypot: nothing captured yet")
 	}
-	var oracle label.Oracle
-	if s.explicit {
-		// Multi-source and replayed runs have no single live world; the
-		// manual-check oracle resolves accounts through the source. The
-		// flip hash depends only on ids and the seed, so a replay's
-		// manual checks agree with its recording.
-		oracle = label.NewNoisyLookupOracle(s.src.Lookup, s.cfg.ManualLabelErrorRate, s.cfg.Seed+2)
-	} else {
-		oracle = label.NewNoisyOracle(s.sim.world, s.cfg.ManualLabelErrorRate, s.cfg.Seed+2)
-	}
+	// The manual-check oracle resolves accounts through the source. Its
+	// flip hash depends only on ids and the seed, so a replay's manual
+	// checks agree with its recording.
+	oracle := label.NewNoisyLookupOracle(s.src.Lookup, s.cfg.ManualLabelErrorRate, s.cfg.Seed+2)
 	ls := s.tail.labels
 	labels := ls.Snapshot(oracle)
 	adoptLabelSpans(ls.LastTrace(), captures)

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/core"
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/shard"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/store"
 )
@@ -107,22 +106,19 @@ func (s *Sniffer) openDurable() error {
 	return nil
 }
 
-// recoverDurable applies the recovered checkpoint and replays the WAL tail
-// through the tail the live stream runs: AdoptCapture repeats Match's
-// bookkeeping, the stateless vector and tweet prep are recomputed from the
-// logged snapshots, and tail.apply rebuilds the extractor state, re-indexes
-// the label store and re-feeds the online detector. The watermark then
-// tells the subscribe callback which tweets of the re-run simulation are
-// already accounted for.
+// recoverDurable applies the recovered checkpoint and feeds the WAL tail
+// into the stage graph, the way a replay source's posts enter it:
+// AdoptCapture repeats Match's bookkeeping, and the graph's extract,
+// complete, label and observe steps rebuild the extractor state, re-index
+// the label store and re-feed the online detector. A worker-fleet failure
+// is latched for RunHours and DetectAll, as in a live hour. The watermark
+// then tells the subscribe callback which tweets of the re-run simulation
+// are already accounted for.
+// Accounts spawned mid-run (campaign churn) do not exist yet in the
+// re-seeded world; the label store rebinds them through the source's
+// Lookup at Snapshot time, once the re-run has recreated them.
 func (s *Sniffer) recoverDurable() error {
 	rec, t := s.recovery, s.tail
-	world := s.sim.world
-	// Accounts spawned mid-run (campaign churn) do not exist yet in the
-	// re-seeded world while recovery runs — they reappear only as the
-	// simulation re-runs. Any user bound to a frozen fallback here is
-	// therefore rebound to the live account at Snapshot time, when it
-	// exists again and carries the re-run's mutations (suspensions).
-	t.labels.SetResolver(world.Account)
 	if ck := rec.Checkpoint; ck != nil {
 		if b, ok := ck.Components[ckCaptures]; ok {
 			if err := s.monitor.Store().ReadSnapshot(bytes.NewReader(b)); err != nil {
@@ -130,7 +126,7 @@ func (s *Sniffer) recoverDurable() error {
 			}
 		}
 		if b, ok := ck.Components[ckLabels]; ok {
-			if err := t.labels.ReadSnapshot(bytes.NewReader(b), world.Account); err != nil {
+			if err := t.labels.ReadSnapshot(bytes.NewReader(b), s.src.Lookup); err != nil {
 				return fmt.Errorf("pseudohoneypot: restore label store: %w", err)
 			}
 		}
@@ -160,18 +156,18 @@ func (s *Sniffer) recoverDurable() error {
 	// exactly the history the newest checkpoint does not cover: the
 	// schedule resumes where the crashed run left it.
 	s.sinceCkpt = s.store.Seq() - s.ckptSeq
-	items := make([]shard.Item, 0, len(rec.Records))
 	for _, r := range rec.Records {
-		tw := &r.Tweet
-		c, err := s.monitor.AdoptCapture(tw, r.Sender, r.Receiver, r.Groups, world.Account)
+		c, err := s.monitor.AdoptCapture(&r.Tweet, r.Sender, r.Receiver, r.Groups, s.src.Lookup)
 		if err != nil {
-			return fmt.Errorf("pseudohoneypot: replay capture %d: %w", tw.ID, err)
+			return fmt.Errorf("pseudohoneypot: replay capture %d: %w", r.Tweet.ID, err)
 		}
-		items = append(items, shard.Item{C: c, Vec: s.monitor.StatelessVector(c), TweetPrep: t.prep.PrepTweet(tw)})
+		c.Source = r.Src
+		s.fanout.Ingest(c)
 	}
-	t.apply(items)
-	// The replayed captures are already in the log; from here on the tail
-	// appends, and the stream skips what the restored state accounts for.
+	// The replayed captures are already in the log: drain them through the
+	// graph before the tail starts appending, and let the stream skip what
+	// the restored state accounts for.
+	s.drainPipeline()
 	t.wal = s.store
 	s.watermark = t.lastCaptured
 	return nil

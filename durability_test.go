@@ -102,7 +102,21 @@ func restartAndFinish(t *testing.T, cfg SnifferConfig, hours int) *DetectionResu
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertSourceStamped(t, sn)
 	return res
+}
+
+// assertSourceStamped requires every capture sn holds — restored from a
+// checkpoint, recovered from the WAL tail or captured after the restart —
+// to carry the stamp an uninterrupted run gives it: the id of the source
+// that delivered it.
+func assertSourceStamped(t *testing.T, sn *Sniffer) {
+	t.Helper()
+	for _, c := range sn.Monitor().Captures() {
+		if c.Source != sn.src.ID() {
+			t.Fatalf("capture of tweet %d stamped %q, want %q", c.Tweet.ID, c.Source, sn.src.ID())
+		}
+	}
 }
 
 // TestDurableStreamingMatchesGolden: the WAL and hourly checkpoints must
@@ -265,7 +279,7 @@ func TestDurableCleanRestartResumes(t *testing.T) {
 
 // cleanRestartResumes runs cfg (durable) for three hours, closes it
 // gracefully, reopens the same store with a fresh simulation and finishes
-// the six hours.
+// the six hours, every capture stamped with its source.
 func cleanRestartResumes(t *testing.T, cfg SnifferConfig) {
 	t.Helper()
 	t.Setenv(parallel.EnvWorkers, "2")
@@ -296,6 +310,7 @@ func cleanRestartResumes(t *testing.T, cfg SnifferConfig) {
 		t.Fatal(err)
 	}
 	assertGolden(t, res)
+	assertSourceStamped(t, sn2)
 }
 
 // TestCrashRecoveryOnlineDetector: the online detector's sliding window and

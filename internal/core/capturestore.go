@@ -113,6 +113,7 @@ type captureRecord struct {
 	Groups      []int
 	Vector      features.Vector
 	Spam        bool
+	Source      string
 }
 
 // captureSnapshot is the gob envelope WriteSnapshot emits.
@@ -166,6 +167,7 @@ func (s *CaptureStore) encodeSnapshot(w io.Writer) error {
 			Groups: c.Groups,
 			Vector: c.Vector,
 			Spam:   c.Spam,
+			Source: c.Source,
 		}
 		if c.Tweet != nil {
 			rec.Tweet = *c.Tweet
@@ -228,6 +230,7 @@ func (s *CaptureStore) ReadSnapshot(r io.Reader) error {
 			Groups: rec.Groups,
 			Vector: rec.Vector,
 			Spam:   rec.Spam,
+			Source: rec.Source,
 		}
 		if rec.HasSender {
 			c.Sender = &rec.Sender

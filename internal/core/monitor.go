@@ -65,8 +65,7 @@ type MonitorConfig struct {
 	Seed int64
 
 	// CaptureCap bounds the capture store: past the cap the oldest capture
-	// is evicted deterministically (FIFO). Zero keeps everything — the
-	// batch seed behaviour.
+	// is evicted deterministically (FIFO). Zero keeps everything.
 	CaptureCap int
 
 	// Metrics receives the monitor's instrumentation (DESIGN.md §9).
@@ -116,8 +115,8 @@ type Capture struct {
 	// capture itself finished.
 	Trace *trace.Trace
 	// Source is the id of the ingest source that delivered the tweet
-	// ("twitter", "reddit", "replay", "wire"); empty on the legacy single-source
-	// paths, which predate the ingestion layer.
+	// ("twitter", "reddit", "replay", "wire"); empty only on captures of a
+	// monitor wired with Attach, which filters an engine without a source.
 	Source string
 
 	// senderSnap/receiverSnap are profile copies taken on the engine
@@ -158,10 +157,10 @@ type Monitor struct {
 
 	// scratchGroups is reused across Match calls so the hot stream path
 	// allocates nothing on a miss; scratchAttrs is reused across
-	// ExtractCapture calls. In streaming mode Match runs on the delivery
-	// goroutine and CompleteCapture on the merge stage goroutine, so
-	// scratchMergeAttrs belongs to CompleteCapture alone and neither method
-	// may touch the other's scratch slice.
+	// ExtractCapture calls. In a sniffer's stage graph Match runs on the
+	// delivery goroutine and CompleteCapture on the merge stage goroutine,
+	// so scratchMergeAttrs belongs to CompleteCapture alone and neither
+	// method may touch the other's scratch slice.
 	scratchGroups     []int
 	scratchAttrs      []string
 	scratchMergeAttrs []string
@@ -342,10 +341,11 @@ func (m *Monitor) AccrueGroupNodes(counts []int, period time.Duration) {
 // API). Tweets are captured when they mention a current node or are
 // authored by one (the paper's Categories (1)–(3)).
 //
-// OnTweet is the synchronous batch path: match, extract, and retain in one
-// call. The streaming pipeline runs the same steps split across goroutines
-// — Match on the delivery goroutine, StatelessVector on a shard,
-// CompleteCapture + Store().Append on the merge stage — in identical order.
+// OnTweet matches, extracts, and retains in one call on the engine
+// goroutine; it is what Attach subscribes. A sniffer's stage graph runs
+// the same steps split across goroutines — Match on the delivery
+// goroutine, StatelessVector on a shard, CompleteCapture +
+// Store().Append on the merge stage — in identical order.
 func (m *Monitor) OnTweet(t *socialnet.Tweet, lookup func(socialnet.AccountID) *socialnet.Account) {
 	c := m.Match(t, lookup)
 	if c == nil {
@@ -428,8 +428,8 @@ func (m *Monitor) Match(t *socialnet.Tweet, lookup func(socialnet.AccountID) *so
 	return c
 }
 
-// ExtractCapture is the feature step in one call (the batch path; streaming
-// splits it into StatelessVector + CompleteCapture): it extracts the
+// ExtractCapture is the feature step in one call (OnTweet's; the stage
+// graph splits it into StatelessVector + CompleteCapture): it extracts the
 // 58-feature vector from the capture's profile snapshots and finishes the
 // capture trace.
 // The extractor folds per-account history, so ExtractCapture must see

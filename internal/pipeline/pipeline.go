@@ -55,10 +55,9 @@ type Config struct {
 	// visible at /metrics.
 	Shard string
 	// Source is the ingest-source label value stamped on every
-	// ph_pipeline_* metric and flush span this runner emits ("twitter"
-	// when unset — the implicit source of a sniffer without an explicit
-	// Sources configuration). Multi-source runs label each runner with
-	// the source feeding it, or "mux" downstream of the merge.
+	// ph_pipeline_* metric and flush span this runner emits: a sniffer
+	// sets its source's id ("mux" for several merged), and "twitter" is
+	// the default only for a runner built without one.
 	Source string
 }
 

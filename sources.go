@@ -10,10 +10,9 @@ import (
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/store"
 )
 
-// NewTwitterSource wraps the simulation as an explicit ingest source —
-// the same adapter the sniffer uses implicitly when SnifferConfig.Sources
-// is empty. It exists so callers can mux the simulated Twitter firehose
-// with other sources.
+// NewTwitterSource wraps the simulation as an ingest source — the one the
+// sniffer builds when SnifferConfig.Sources is empty. Callers pass it to
+// mux the simulated Twitter firehose with other sources.
 func NewTwitterSource(sim *Simulation) IngestSource {
 	return source.NewTwitter(sim.world, sim.engine)
 }
@@ -165,7 +164,7 @@ func (s *Sniffer) writeProfileEpilogue() {
 	}
 	accounts := make([]*socialnet.Account, 0, len(ids))
 	for _, id := range ids {
-		if a := s.sim.world.Account(id); a != nil {
+		if a := s.src.Lookup(id); a != nil {
 			accounts = append(accounts, a)
 		}
 	}

@@ -10,16 +10,16 @@ import (
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/store"
 )
 
-// tail is the stateful end of every streaming topology (DESIGN.md §12):
-// whatever matched and pre-extracted a capture — the fanout's shards or
-// the WAL replay of a restart — its order-dependent effects happen here,
-// once, in three steps: complete, label, observe.
+// tail is the stateful end of the stage graph (DESIGN.md §12): every
+// capture — live, replayed from a recording, or recovered from the WAL
+// tail of a restart — reaches it through the fanout, and its
+// order-dependent effects happen here, once, in three steps: complete,
+// label, observe.
 //
 // The order contract: each step sees captures in stream order, from one
-// goroutine at a time (the fanout runs the steps on its merge, label and
-// detect stages; apply runs them back to back). Every structure a step
-// touches is private to that step, so the steps may run concurrently with
-// each other but never with themselves.
+// goroutine at a time (the fanout's merge, label and detect stages). Every
+// structure a step touches is private to that step, so the steps may run
+// concurrently with each other but never with themselves.
 type tail struct {
 	monitor *core.Monitor
 	labels  *label.Store
@@ -106,8 +106,7 @@ func (t *tail) trackProfile(id socialnet.AccountID) {
 
 // label joins one micro-batch into the incremental label store and sets
 // each item's provisional verdict. Batch boundaries never change results
-// (AddBatchPrepared is batching-invariant), so a 16-capture micro-batch
-// and a whole WAL tail label alike.
+// (AddBatchPrepared is batching-invariant).
 func (t *tail) label(items []shard.Item) {
 	tweets := make([]*socialnet.Tweet, len(items))
 	authors := make([]*socialnet.Account, len(items))
@@ -139,18 +138,5 @@ func (t *tail) observe(it *shard.Item) {
 		// Errors only surface before the window holds both classes; the
 		// window still fills, so ignore them.
 		_ = t.online.Observe(it.C, it.Spam)
-	}
-}
-
-// apply runs the three steps back to back on the caller's goroutine, for
-// the one producer that delivers a whole ordered batch: the WAL tail of a
-// restart.
-func (t *tail) apply(items []shard.Item) {
-	for i := range items {
-		t.complete(&items[i])
-	}
-	t.label(items)
-	for i := range items {
-		t.observe(&items[i])
 	}
 }
