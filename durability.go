@@ -3,9 +3,7 @@ package pseudohoneypot
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
-	"errors"
 	"fmt"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/core"
@@ -136,8 +134,8 @@ func (s *Sniffer) recoverDurable() error {
 			}
 		}
 		if b, ok := ck.Components[ckGroups]; ok {
-			var gs []core.GroupStatsSnapshot
-			if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&gs); err != nil {
+			gs, err := core.DecodeGroupStats(b)
+			if err != nil {
 				return fmt.Errorf("pseudohoneypot: restore group stats: %w", err)
 			}
 			if err := s.monitor.RestoreGroupStats(gs); err != nil {
@@ -203,24 +201,15 @@ func (s *Sniffer) checkpointDurable() error {
 	}
 	// Each component encodes into a buffer of its own, which the
 	// checkpoint then holds as is.
-	snap := func(key string, write func(*bytes.Buffer) error) error {
-		var buf bytes.Buffer
-		if err := write(&buf); err != nil {
-			return err
-		}
-		ck.Components[key] = buf.Bytes()
-		return nil
-	}
-	err := errors.Join(
-		snap(ckCaptures, func(b *bytes.Buffer) error { return s.monitor.Store().WriteSnapshot(b) }),
-		snap(ckLabels, func(b *bytes.Buffer) error { return s.tail.labels.WriteSnapshot(b) }),
-		snap(ckExtractor, func(b *bytes.Buffer) error { return s.monitor.Extractor().WriteSnapshot(b) }),
-		snap(ckGroups, func(b *bytes.Buffer) error {
-			return gob.NewEncoder(b).Encode(s.monitor.SnapshotGroupStats())
-		}),
-	)
+	labels, err := s.tail.labels.EncodeSnapshot()
+	ck.Components[ckLabels] = labels
+	ck.Components[ckCaptures] = s.monitor.Store().EncodeSnapshot()
+	ck.Components[ckExtractor] = s.monitor.Extractor().EncodeSnapshot()
+	ck.Components[ckGroups] = core.EncodeGroupStats(s.monitor.SnapshotGroupStats())
 	if err == nil && s.cfg.Online != nil {
-		err = snap(ckOnline, func(b *bytes.Buffer) error { return s.cfg.Online.WriteSnapshot(b) })
+		var buf bytes.Buffer
+		err = s.cfg.Online.WriteSnapshot(&buf)
+		ck.Components[ckOnline] = buf.Bytes()
 	}
 	if err != nil {
 		return fmt.Errorf("pseudohoneypot: checkpoint snapshot: %w", err)

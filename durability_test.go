@@ -1,13 +1,16 @@
 package pseudohoneypot
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/core"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/parallel"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/store"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/store/fstest"
@@ -528,5 +531,79 @@ func TestCheckpointScheduleBounds(t *testing.T) {
 	}
 	if restored := len(sn2.Monitor().Captures()); restored != captures {
 		t.Fatalf("reopen restored %d captures, the run made %d", restored, captures)
+	}
+}
+
+// TestCheckpointEncodingDeterministic: the same state always encodes to
+// the same bytes, per component and for the whole checkpoint file. Every
+// map in a section is written in a fixed order; gob wrote maps in
+// iteration order, so two back-to-back snapshots of one extractor or
+// label store differed.
+func TestCheckpointEncodingDeterministic(t *testing.T) {
+	wcfg := DefaultConfig()
+	wcfg.NumAccounts = 3000
+	wcfg.OrganicTweetsPerHour = 600
+	sim, err := NewSimulation(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	online, err := NewOnlineDetector(ClassifierDT, 400, 50, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := fstest.New()
+	sn, err := NewSniffer(sim, SnifferConfig{
+		Specs: RandomSpec(300), Seed: 1, Online: online, Metrics: NewMetricsRegistry(),
+		Durability: DurabilityConfig{Backend: b},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Close()
+	if err := sn.RunHours(3); err != nil {
+		t.Fatal(err)
+	}
+	sn.drainPipeline()
+
+	for name, c := range map[string]interface{ WriteSnapshot(io.Writer) error }{
+		ckCaptures: sn.monitor.Store(), ckLabels: sn.tail.labels,
+		ckExtractor: sn.monitor.Extractor(), ckOnline: online,
+	} {
+		var first, second bytes.Buffer
+		if err := c.WriteSnapshot(&first); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WriteSnapshot(&second); err != nil {
+			t.Fatal(err)
+		}
+		if first.Len() == 0 || !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Errorf("%s: two snapshots of one state differ (%d and %d bytes)", name, first.Len(), second.Len())
+		}
+	}
+	if g := core.EncodeGroupStats(sn.monitor.SnapshotGroupStats()); !bytes.Equal(g, core.EncodeGroupStats(sn.monitor.SnapshotGroupStats())) {
+		t.Error("groups: two encodings of one state differ")
+	}
+
+	// Two checkpoints cut back to back cover the same sequence, so the
+	// second file replaces the first under the same name.
+	newest := func() []byte {
+		t.Helper()
+		if err := sn.checkpointDurable(); err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("ckpt-%016d.ckpt", sn.DurableStore().Status().LastCheckpointSeq)
+		f, err := b.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		data, err := io.ReadAll(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	if first, second := newest(), newest(); len(first) == 0 || !bytes.Equal(first, second) {
+		t.Errorf("two checkpoint files of one state differ (%d and %d bytes)", len(first), len(second))
 	}
 }

@@ -1,13 +1,10 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"io"
 
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/codec"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/features"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/metrics"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
@@ -99,148 +96,123 @@ func (s *CaptureStore) Range(fn func(i int, c *Capture) bool) {
 	}
 }
 
-// captureRecord is the spill-to-disk form of one capture. Pointers are
-// flattened to values (with presence flags) so gob never meets a nil
-// pointer, and the trace — a live object graph tied to the in-process
-// tracer ring — is deliberately dropped: a restored capture re-enters the
-// pipeline untraced.
-type captureRecord struct {
-	Tweet       socialnet.Tweet
-	Sender      socialnet.Account
-	HasSender   bool
-	Receiver    socialnet.Account
-	HasReceiver bool
-	Groups      []int
-	Vector      features.Vector
-	Spam        bool
-	Source      string
-}
+// Snapshot section layout (package codec primitives):
+//
+//	uvarint evicted
+//	uvarint count, then per retained capture, oldest first:
+//	  tweet (codec.AppendTweet)
+//	  sender, receiver: presence byte, then codec.AppendProfile
+//	  groups: uvarint count, uvarint indices
+//	  spam bool, source string
+//	  vector: each feature as codec.AppendCompactFloat
+//
+// The trace, a live object graph tied to the in-process tracer ring, is
+// deliberately dropped: a restored capture re-enters the pipeline
+// untraced. The section carries no checksum of its own; the checkpoint
+// file's CRC covers it.
 
-// captureSnapshot is the gob envelope WriteSnapshot emits.
-type captureSnapshot struct {
-	Cap     int
-	Evicted uint64
-	Records []captureRecord
-}
+// minCaptureBytes bounds one capture's encoding from below: the vector
+// alone takes a byte per feature.
+const minCaptureBytes = len(features.Vector{})
 
-// Snapshot envelope: the gob payload is framed by a magic string, its
-// length, and a CRC-32C, so a spill file truncated or bit-flipped at rest
-// fails loudly at load time instead of gob silently decoding garbage into
-// plausible-looking captures.
-const (
-	captureSnapshotMagic = "PHCAP001"
-	// captureSnapshotMaxLen bounds the declared payload length so a
-	// corrupted header cannot drive a giant allocation.
-	captureSnapshotMaxLen = 1 << 32
-)
-
-var captureCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
-// WriteSnapshot spills the retained captures (oldest first) to w as a
-// checksummed gob envelope, preserving the store's bound and eviction
-// count. Traces are not persisted; the unexported engine-side fields of
-// accounts and tweets are outside the capture contract and are likewise
-// dropped.
+// WriteSnapshot writes the retained captures (oldest first) to w,
+// preserving the store's eviction count. Traces are not persisted; the
+// unexported engine-side fields of accounts and tweets are outside the
+// capture contract and are likewise dropped.
 func (s *CaptureStore) WriteSnapshot(w io.Writer) error {
-	var payload bytes.Buffer
-	if err := s.encodeSnapshot(&payload); err != nil {
-		return err
-	}
-	hdr := make([]byte, 0, len(captureSnapshotMagic)+12)
-	hdr = append(hdr, captureSnapshotMagic...)
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(payload.Len()))
-	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(payload.Bytes(), captureCRCTable))
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("capture store: write snapshot header: %w", err)
-	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
-		return fmt.Errorf("capture store: write snapshot payload: %w", err)
+	if _, err := w.Write(s.EncodeSnapshot()); err != nil {
+		return fmt.Errorf("capture store: write snapshot: %w", err)
 	}
 	return nil
 }
 
-func (s *CaptureStore) encodeSnapshot(w io.Writer) error {
-	snap := captureSnapshot{Cap: s.capLimit, Evicted: s.evicted}
-	snap.Records = make([]captureRecord, 0, s.size)
+// EncodeSnapshot returns the section WriteSnapshot writes, in a buffer of
+// its own that the caller may keep.
+func (s *CaptureStore) EncodeSnapshot() []byte {
+	b := make([]byte, 0, 16+s.size*640)
+	b = codec.AppendUvarint(b, s.evicted)
+	b = codec.AppendUvarint(b, uint64(s.size))
 	s.Range(func(_ int, c *Capture) bool {
-		rec := captureRecord{
-			Groups: c.Groups,
-			Vector: c.Vector,
-			Spam:   c.Spam,
-			Source: c.Source,
-		}
-		if c.Tweet != nil {
-			rec.Tweet = *c.Tweet
-		}
-		if c.Sender != nil {
-			rec.Sender = *c.Sender
-			rec.HasSender = true
-		}
-		if c.Receiver != nil {
-			rec.Receiver = *c.Receiver
-			rec.HasReceiver = true
-		}
-		snap.Records = append(snap.Records, rec)
+		b = appendCapture(b, c)
 		return true
 	})
-	if err := gob.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("capture store: encode snapshot: %w", err)
+	return b
+}
+
+func appendCapture(b []byte, c *Capture) []byte {
+	var t socialnet.Tweet
+	if c.Tweet != nil {
+		t = *c.Tweet
 	}
-	return nil
+	b = codec.AppendTweet(b, &t)
+	b = appendProfile(b, c.Sender)
+	b = appendProfile(b, c.Receiver)
+	b = codec.AppendInts(b, c.Groups)
+	b = codec.AppendBool(b, c.Spam)
+	b = codec.AppendString(b, c.Source)
+	for _, v := range c.Vector {
+		b = codec.AppendCompactFloat(b, v)
+	}
+	return b
+}
+
+// appendProfile writes a presence byte and, for a non-nil a, its profile.
+func appendProfile(b []byte, a *socialnet.Account) []byte {
+	if a == nil {
+		return codec.AppendBool(b, false)
+	}
+	return codec.AppendProfile(codec.AppendBool(b, true), a)
+}
+
+func decodeProfile(d *codec.Decoder) *socialnet.Account {
+	if !d.Bool() {
+		return nil
+	}
+	a := &socialnet.Account{}
+	d.Profile(a)
+	return a
 }
 
 // ReadSnapshot replaces the store's contents with a snapshot previously
-// written by WriteSnapshot. The envelope checksum is verified before any
-// state is touched — a truncated or corrupted spill leaves the store
-// unchanged and returns an error. The restored captures are rebuilt
-// oldest-first through the same Append path, so a snapshot wider than the
-// store's own bound is re-evicted deterministically.
+// written by WriteSnapshot. The whole snapshot decodes before any state is
+// touched: a truncated or corrupt one leaves the store unchanged and
+// returns an error. The restored captures are rebuilt oldest-first through
+// the same Append path, so a snapshot wider than the store's own bound is
+// re-evicted deterministically.
 func (s *CaptureStore) ReadSnapshot(r io.Reader) error {
-	hdr := make([]byte, len(captureSnapshotMagic)+12)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return fmt.Errorf("capture store: read snapshot header: %w", err)
+	b, err := codec.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("capture store: read snapshot: %w", err)
 	}
-	if string(hdr[:len(captureSnapshotMagic)]) != captureSnapshotMagic {
-		return fmt.Errorf("capture store: not a capture snapshot (bad magic)")
+	d := codec.NewDecoder(b)
+	evicted := d.Uvarint()
+	n := d.Count(minCaptureBytes)
+	tweets := make([]socialnet.Tweet, n)
+	caps := make([]Capture, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		c := &caps[i]
+		d.Tweet(&tweets[i])
+		c.Tweet = &tweets[i]
+		c.Sender = decodeProfile(d)
+		c.Receiver = decodeProfile(d)
+		c.Groups = d.Ints()
+		c.Spam = d.Bool()
+		c.Source = d.Str()
+		for j := range c.Vector {
+			c.Vector[j] = d.CompactFloat()
+		}
+		c.senderSnap = c.Sender
+		c.receiverSnap = c.Receiver
 	}
-	n := binary.LittleEndian.Uint64(hdr[len(captureSnapshotMagic):])
-	wantCRC := binary.LittleEndian.Uint32(hdr[len(captureSnapshotMagic)+8:])
-	if n > captureSnapshotMaxLen {
-		return fmt.Errorf("capture store: snapshot declares %d payload bytes", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return fmt.Errorf("capture store: snapshot truncated: %w", err)
-	}
-	if got := crc32.Checksum(payload, captureCRCTable); got != wantCRC {
-		return fmt.Errorf("capture store: snapshot checksum mismatch (%08x != %08x)", got, wantCRC)
-	}
-	var snap captureSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
+	if err := d.Finish("capture snapshot"); err != nil {
 		return fmt.Errorf("capture store: decode snapshot: %w", err)
 	}
 	s.buf = nil
 	s.head = 0
 	s.size = 0
-	s.evicted = snap.Evicted
-	for i := range snap.Records {
-		rec := &snap.Records[i]
-		c := &Capture{
-			Tweet:  &rec.Tweet,
-			Groups: rec.Groups,
-			Vector: rec.Vector,
-			Spam:   rec.Spam,
-			Source: rec.Source,
-		}
-		if rec.HasSender {
-			c.Sender = &rec.Sender
-		}
-		if rec.HasReceiver {
-			c.Receiver = &rec.Receiver
-		}
-		c.senderSnap = c.Sender
-		c.receiverSnap = c.Receiver
-		s.Append(c)
+	s.evicted = evicted
+	for i := range caps {
+		s.Append(&caps[i])
 	}
 	s.sizeGauge.Set(float64(s.size))
 	return nil

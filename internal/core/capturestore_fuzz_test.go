@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -14,17 +15,20 @@ import (
 // FuzzCaptureStoreSnapshotRoundTrip drives random store shapes (capacity,
 // stream length, nil senders/receivers, random field values) through
 // WriteSnapshot/ReadSnapshot and requires the retained window to survive
-// exactly — plus, on a second leg, feeds the raw fuzz bytes straight into
-// ReadSnapshot to shake out decode panics.
+// exactly — plus, on a first leg, feeds the raw fuzz bytes straight into
+// ReadSnapshot to shake out decode panics and oversized allocations.
 func FuzzCaptureStoreSnapshotRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(9), []byte{})
 	f.Add(int64(7), uint8(0), uint8(33), []byte("junk"))
 	f.Add(int64(42), uint8(16), uint8(16), []byte{0x03, 0xff, 0x00})
 	f.Fuzz(func(t *testing.T, seed int64, capLimit, n uint8, raw []byte) {
 		// Leg 1: adversarial decode of arbitrary bytes must error or
-		// succeed, never panic.
+		// succeed, never panic, and allocate no more than a small
+		// multiple of the input.
 		junk := NewCaptureStore(int(capLimit), metrics.NewRegistry())
-		_ = junk.ReadSnapshot(bytes.NewReader(raw))
+		if grew := allocated(func() { _ = junk.ReadSnapshot(bytes.NewReader(raw)) }); grew > allocBound(len(raw)) {
+			t.Fatalf("reading %d bytes allocated %d", len(raw), grew)
+		}
 
 		// Leg 2: structured round-trip.
 		rng := rand.New(rand.NewSource(seed))
@@ -44,6 +48,7 @@ func FuzzCaptureStoreSnapshotRoundTrip(f *testing.F) {
 				Groups: []int{rng.Intn(8)},
 				Vector: vec,
 				Spam:   rng.Intn(2) == 0,
+				Source: []string{"", "twitter", "reddit"}[rng.Intn(3)],
 			}
 			if rng.Intn(3) > 0 {
 				c.Sender = &socialnet.Account{ID: c.Tweet.AuthorID, ScreenName: "s"}
@@ -67,9 +72,10 @@ func FuzzCaptureStoreSnapshotRoundTrip(f *testing.F) {
 		}
 		want, got := src.Snapshot(), dst.Snapshot()
 		for i := range want {
-			if got[i].Tweet.ID != want[i].Tweet.ID ||
+			if !reflect.DeepEqual(got[i].Tweet, want[i].Tweet) ||
+				!reflect.DeepEqual(got[i].Groups, want[i].Groups) ||
 				got[i].Vector != want[i].Vector ||
-				got[i].Spam != want[i].Spam {
+				got[i].Spam != want[i].Spam || got[i].Source != want[i].Source {
 				t.Fatalf("capture %d mismatch after round-trip", i)
 			}
 			if (got[i].Sender == nil) != (want[i].Sender == nil) ||

@@ -1,11 +1,11 @@
 package core
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 	"sort"
 
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/codec"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 )
 
@@ -26,6 +26,40 @@ type GroupStatsSnapshot struct {
 	Senders  []socialnet.AccountID
 	Spams    int
 	Spammers []socialnet.AccountID
+}
+
+// EncodeGroupStats returns the checkpoint section for gs: the group count,
+// then per group its tweet and spam counters and its sorted sender and
+// spammer ids.
+func EncodeGroupStats(gs []GroupStatsSnapshot) []byte {
+	size := 8
+	for _, g := range gs {
+		size += 32 + 5*(len(g.Senders)+len(g.Spammers))
+	}
+	b := codec.AppendUvarint(make([]byte, 0, size), uint64(len(gs)))
+	for _, g := range gs {
+		b = codec.AppendVarint(b, int64(g.Tweets))
+		b = codec.AppendIDs(b, g.Senders)
+		b = codec.AppendVarint(b, int64(g.Spams))
+		b = codec.AppendIDs(b, g.Spammers)
+	}
+	return b
+}
+
+// DecodeGroupStats reads a section written by EncodeGroupStats.
+func DecodeGroupStats(b []byte) ([]GroupStatsSnapshot, error) {
+	d := codec.NewDecoder(b)
+	gs := make([]GroupStatsSnapshot, d.Count(4))
+	for i := range gs {
+		gs[i].Tweets = d.Int()
+		gs[i].Senders = d.IDs()
+		gs[i].Spams = d.Int()
+		gs[i].Spammers = d.IDs()
+	}
+	if err := d.Finish("group stats"); err != nil {
+		return nil, fmt.Errorf("core: decode group stats: %w", err)
+	}
+	return gs, nil
 }
 
 // SnapshotGroupStats captures the replay-dependent counters of every
@@ -124,8 +158,10 @@ func (m *Monitor) AdoptCapture(t *socialnet.Tweet, senderSnap, receiverSnap *soc
 	return c, nil
 }
 
-// onlineSnapshot is the gob payload of an OnlineDetector checkpoint. The
-// fitted classifier itself is not serialized — see ReadSnapshot.
+// onlineSnapshot is an OnlineDetector checkpoint: the window rows as
+// compact float bits (codec.AppendCompactFloat), the labels, and the
+// retrain counters. The fitted classifier itself is not serialized — see
+// ReadSnapshot.
 type onlineSnapshot struct {
 	X         [][]float64
 	Y         []bool
@@ -137,17 +173,71 @@ type onlineSnapshot struct {
 // WriteSnapshot serializes the detector's sliding window and retrain
 // schedule to w.
 func (o *OnlineDetector) WriteSnapshot(w io.Writer) error {
-	snap := onlineSnapshot{
-		X:         o.x,
-		Y:         o.y,
-		SinceFit:  o.sinceFit,
-		Retrains:  o.retrains,
-		EverTrain: o.everTrain,
+	size := 16 + len(o.y)
+	for _, row := range o.x {
+		size += 2 + 4*len(row)
 	}
-	if err := gob.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("core: encode online snapshot: %w", err)
+	b := codec.AppendUvarint(make([]byte, 0, size), uint64(len(o.x)))
+	for _, row := range o.x {
+		b = codec.AppendUvarint(b, uint64(len(row)))
+		for _, v := range row {
+			b = codec.AppendCompactFloat(b, v)
+		}
+	}
+	b = codec.AppendUvarint(b, uint64(len(o.y)))
+	for _, v := range o.y {
+		b = codec.AppendBool(b, v)
+	}
+	b = codec.AppendVarint(b, int64(o.sinceFit))
+	b = codec.AppendVarint(b, int64(o.retrains))
+	b = codec.AppendBool(b, o.everTrain)
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("core: write online snapshot: %w", err)
 	}
 	return nil
+}
+
+// decodeOnlineSnapshot reads a section written by WriteSnapshot; empty
+// slices decode as nil.
+func decodeOnlineSnapshot(b []byte) (*onlineSnapshot, error) {
+	d := codec.NewDecoder(b)
+	snap := &onlineSnapshot{}
+	if n := d.Count(1); n > 0 {
+		snap.X = make([][]float64, n)
+		for i := range snap.X {
+			if m := d.Count(1); m > 0 {
+				row := make([]float64, m)
+				for j := range row {
+					row[j] = d.CompactFloat()
+				}
+				snap.X[i] = row
+			}
+		}
+	}
+	if n := d.Count(1); n > 0 {
+		snap.Y = make([]bool, n)
+		for i := range snap.Y {
+			snap.Y[i] = d.Bool()
+		}
+	}
+	snap.SinceFit = d.Int()
+	snap.Retrains = d.Int()
+	snap.EverTrain = d.Bool()
+	if err := d.Finish("online snapshot"); err != nil {
+		return nil, fmt.Errorf("core: decode online snapshot: %w", err)
+	}
+	// Observe keeps one label per row and every row a whole vector; a
+	// window that breaks either could not be refit.
+	if len(snap.X) != len(snap.Y) {
+		return nil, fmt.Errorf("core: online snapshot has %d rows for %d labels", len(snap.X), len(snap.Y))
+	}
+	for i, row := range snap.X {
+		if len(row) != len(snap.X[0]) {
+			return nil, fmt.Errorf("core: online snapshot row %d has %d features, row 0 has %d",
+				i, len(row), len(snap.X[0]))
+		}
+	}
+	return snap, nil
 }
 
 // ReadSnapshot restores the window and retrain schedule from a snapshot
@@ -160,9 +250,13 @@ func (o *OnlineDetector) WriteSnapshot(w io.Writer) error {
 // exactly, so the detector reconverges with the uninterrupted run at its
 // next scheduled retrain.
 func (o *OnlineDetector) ReadSnapshot(r io.Reader) error {
-	var snap onlineSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("core: decode online snapshot: %w", err)
+	b, err := codec.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("core: read online snapshot: %w", err)
+	}
+	snap, err := decodeOnlineSnapshot(b)
+	if err != nil {
+		return err
 	}
 	o.x = snap.X
 	o.y = snap.Y

@@ -11,8 +11,10 @@ import (
 )
 
 // TestCaptureSnapshotRejectsCorruption is the spill-integrity regression
-// test: a snapshot with a flipped payload byte, a truncated tail, or a
-// foreign header must fail loudly and leave the store untouched.
+// test: every truncation of a snapshot, trailing bytes after one, and
+// foreign bytes must fail loudly and leave the store untouched. A flipped
+// byte inside a well-formed snapshot is the checkpoint file CRC's to catch
+// (the store package's checksum tests), since the section carries none.
 func TestCaptureSnapshotRejectsCorruption(t *testing.T) {
 	src := NewCaptureStore(0, metrics.NewRegistry())
 	for i := 0; i < 10; i++ {
@@ -26,12 +28,13 @@ func TestCaptureSnapshotRejectsCorruption(t *testing.T) {
 
 	load := func(data []byte) error {
 		dst := NewCaptureStore(0, metrics.NewRegistry())
+		dst.Append(fakeCapture(99))
 		err := dst.ReadSnapshot(bytes.NewReader(data))
 		if err == nil && dst.Len() != 10 {
 			t.Fatalf("clean load restored %d captures, want 10", dst.Len())
 		}
-		if err != nil && dst.Len() != 0 {
-			t.Fatal("failed load left partial state in the store")
+		if err != nil && (dst.Len() != 1 || dst.Snapshot()[0].Tweet.ID != 99) {
+			t.Fatal("failed load changed the store")
 		}
 		return err
 	}
@@ -39,23 +42,16 @@ func TestCaptureSnapshotRejectsCorruption(t *testing.T) {
 	if err := load(good); err != nil {
 		t.Fatalf("clean snapshot rejected: %v", err)
 	}
-	// Flip one byte in the gob payload (past the 20-byte header): the CRC
-	// must catch it even though gob might happily decode the result.
-	for _, off := range []int{20, len(good) / 2, len(good) - 1} {
-		bad := append([]byte(nil), good...)
-		bad[off] ^= 0xff
-		if err := load(bad); err == nil {
-			t.Fatalf("flipped byte at %d accepted", off)
+	for n := 0; n < len(good); n++ {
+		if err := load(good[:n]); err == nil {
+			t.Fatalf("snapshot truncated to %d of %d bytes accepted", n, len(good))
 		}
 	}
-	if err := load(good[:len(good)-3]); err == nil {
-		t.Fatal("truncated snapshot accepted")
-	}
-	if err := load(good[:10]); err == nil {
-		t.Fatal("header-only snapshot accepted")
+	if err := load(append(bytes.Clone(good), 0)); err == nil {
+		t.Fatal("snapshot with a trailing byte accepted")
 	}
 	if err := load([]byte("GARBAGE!xxxxyyyyzzzz")); err == nil {
-		t.Fatal("foreign magic accepted")
+		t.Fatal("foreign bytes accepted")
 	}
 }
 

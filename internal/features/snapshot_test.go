@@ -3,6 +3,7 @@ package features
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -90,4 +91,54 @@ func TestExtractorSnapshotEmpty(t *testing.T) {
 	if got := e.EnvScore(nil); got != DefaultTau {
 		t.Fatalf("restored tau = %v, want %v", got, DefaultTau)
 	}
+}
+
+// FuzzExtractorSnapshot holds the extractor's checkpoint section decoder
+// to the codec's contract on arbitrary bytes: ReadSnapshot restores or
+// fails cleanly, never panics and never allocates past a small multiple of
+// the input, and a failed read leaves the extractor as it was. A restored
+// extractor writes a section that reads back and writes to itself.
+func FuzzExtractorSnapshot(f *testing.F) {
+	e := NewExtractor()
+	for _, o := range snapshotObservations(40) {
+		e.Extract(o)
+	}
+	e.UpdateEnvScore("followers", 0.75)
+	var buf bytes.Buffer
+	if err := e.WriteSnapshot(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()/3])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e := NewExtractor()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := e.ReadSnapshot(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+64*uint64(len(data)) {
+			t.Fatalf("reading %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			if e.tau != DefaultTau || len(e.histories) != 0 {
+				t.Fatal("failed read changed the extractor")
+			}
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := e.WriteSnapshot(&once); err != nil {
+			t.Fatal(err)
+		}
+		again := NewExtractor()
+		if err := again.ReadSnapshot(bytes.NewReader(once.Bytes())); err != nil {
+			t.Fatalf("re-written snapshot does not read: %v", err)
+		}
+		if err := again.WriteSnapshot(&twice); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatal("re-writing a restored extractor is not stable")
+		}
+	})
 }

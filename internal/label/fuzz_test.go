@@ -1,9 +1,13 @@
 package label
 
 import (
+	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 	"unicode/utf8"
+
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/textutil/texttest"
 )
@@ -68,4 +72,68 @@ func FuzzClassCount(f *testing.F) {
 		}
 		_ = utf8.ValidString(seq) // invalid UTF-8 must terminate too
 	})
+}
+
+// FuzzStoreSnapshot holds the label store's checkpoint section decoder to
+// the codec's contract on arbitrary bytes: it decodes or fails cleanly,
+// never panics and never allocates past a small multiple of the input. A
+// decoded snapshot re-encodes to bytes that decode and re-encode to
+// themselves, and ReadSnapshot either restores it or refuses it cleanly.
+func FuzzStoreSnapshot(f *testing.F) {
+	st := NewStore(DefaultConfig())
+	for i, name := range []string{"alice01", "alice02", "bob"} {
+		a := &socialnet.Account{ID: socialnet.AccountID(i + 1), ScreenName: name,
+			Description: "gardener and amateur beekeeper, mostly"}
+		st.Add(&socialnet.Tweet{ID: socialnet.TweetID(i + 1), AuthorID: a.ID,
+			Text: "win a free prize now at http://sp.am #win"}, a, a)
+	}
+	var buf bytes.Buffer
+	if err := st.WriteSnapshot(&buf); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(NewStore(DefaultConfig()).encodeSnapshotOrNil())
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var snap *storeSnapshot
+		var err error
+		if grew := allocated(func() { snap, err = decodeStoreSnapshot(data) }); grew > 1<<20+64*uint64(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			if snap != nil {
+				t.Fatal("decoder returned both a snapshot and an error")
+			}
+			return
+		}
+		once := encodeStoreSnapshot(snap)
+		again, err := decodeStoreSnapshot(once)
+		if err != nil {
+			t.Fatalf("re-encoded snapshot does not decode: %v", err)
+		}
+		if twice := encodeStoreSnapshot(again); !bytes.Equal(once, twice) {
+			t.Fatal("re-encoding a decoded snapshot is not stable")
+		}
+		_ = NewStore(DefaultConfig()).ReadSnapshot(bytes.NewReader(data), nil)
+	})
+}
+
+// encodeSnapshotOrNil is the seed helper for an empty store's section.
+func (s *Store) encodeSnapshotOrNil() []byte {
+	b, err := s.EncodeSnapshot()
+	if err != nil {
+		return nil
+	}
+	return b
+}
+
+// allocated reports the bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

@@ -1,10 +1,11 @@
 package label
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
+	"sort"
 
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/codec"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/imagehash"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/minhash"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/parallel"
@@ -27,14 +28,14 @@ import (
 // id to the restored world's live account; the frozen copies in the
 // snapshot are only a fallback for ids the resolver cannot produce.
 
-// storeSnapshot is the gob payload. Union-find parent arrays are persisted
-// verbatim (path-compression state included), MinHash signatures in index
-// insertion order, and twPool as indices into Tweets so the pool keeps
-// aliasing the stream mirror after restore.
+// storeSnapshot is the checkpointed state. Union-find parent arrays are
+// persisted verbatim (path-compression state included), MinHash
+// signatures in index insertion order, and twPool as indices into Tweets
+// so the pool keeps aliasing the stream mirror after restore.
 type storeSnapshot struct {
-	Tweets      []socialnet.Tweet
+	Tweets      []*socialnet.Tweet
 	UserOrder   []socialnet.AccountID
-	Users       []socialnet.Account // aligned with UserOrder
+	Users       []*socialnet.Account // aligned with UserOrder
 	ImgReps     []imagehash.Hash
 	ImgMembers  map[int][]socialnet.AccountID
 	ImgOrder    []int
@@ -51,55 +52,248 @@ type storeSnapshot struct {
 
 // WriteSnapshot serializes the store's incremental labeling state to w.
 func (s *Store) WriteSnapshot(w io.Writer) error {
+	b, err := s.EncodeSnapshot()
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("label: write snapshot: %w", err)
+	}
+	return nil
+}
+
+// EncodeSnapshot returns the section WriteSnapshot writes, in a buffer of
+// its own that the caller may keep.
+func (s *Store) EncodeSnapshot() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
 	snap := storeSnapshot{
-		Tweets:      make([]socialnet.Tweet, len(s.tweets)),
+		Tweets:      s.tweets,
 		UserOrder:   s.userOrder,
-		Users:       make([]socialnet.Account, len(s.userOrder)),
+		Users:       make([]*socialnet.Account, len(s.userOrder)),
 		ImgReps:     s.img.Reps(),
 		ImgMembers:  s.imgMembers,
 		ImgOrder:    s.imgOrder,
 		NameMembers: s.nameMembers,
 		NameOrder:   s.nameOrder,
+		DescSigs:    make([]minhash.Signature, s.descIndex.Len()),
 		DescIDs:     s.descIDs,
 		DescParent:  s.descUF.parent,
+		TwSigs:      make([]minhash.Signature, s.twIndex.Len()),
+		TwPoolIdx:   make([]int, len(s.twPool)),
+		TwParent:    s.twUF.parent,
 		Repeats:     s.repeats,
 	}
-	tweetIdx := make(map[*socialnet.Tweet]int, len(s.tweets))
-	for i, t := range s.tweets {
-		snap.Tweets[i] = *t
-		tweetIdx[t] = i
-	}
 	for i, id := range s.userOrder {
-		u := s.users[id]
-		if u == nil {
-			return fmt.Errorf("label: snapshot: user %d in order but not in map", id)
+		if snap.Users[i] = s.users[id]; snap.Users[i] == nil {
+			return nil, fmt.Errorf("label: snapshot: user %d in order but not in map", id)
 		}
-		snap.Users[i] = *u
 	}
-	snap.DescSigs = make([]minhash.Signature, s.descIndex.Len())
 	for i := range snap.DescSigs {
 		snap.DescSigs[i] = s.descIndex.Signature(i)
 	}
-	snap.TwSigs = make([]minhash.Signature, s.twIndex.Len())
 	for i := range snap.TwSigs {
 		snap.TwSigs[i] = s.twIndex.Signature(i)
 	}
-	snap.TwPoolIdx = make([]int, len(s.twPool))
+	tweetIdx := make(map[*socialnet.Tweet]int, len(s.tweets))
+	for i, t := range s.tweets {
+		tweetIdx[t] = i
+	}
 	for i, t := range s.twPool {
 		idx, ok := tweetIdx[t]
 		if !ok {
-			return fmt.Errorf("label: snapshot: pooled tweet %d not in stream mirror", t.ID)
+			return nil, fmt.Errorf("label: snapshot: pooled tweet %d not in stream mirror", t.ID)
 		}
 		snap.TwPoolIdx[i] = idx
 	}
-	snap.TwParent = s.twUF.parent
-	if err := gob.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("label: encode snapshot: %w", err)
+	return encodeStoreSnapshot(&snap), nil
+}
+
+// Section layout (package codec primitives), every list prefixed with its
+// uvarint length:
+//
+//	tweets:     codec.AppendTweet each
+//	users:      id, then codec.AppendProfile (the exported fields)
+//	image reps: hi, lo words
+//	image and name groups, in ImgOrder/NameOrder: key, member ids
+//	desc index: per signature its words (8 bytes each), account id, parent
+//	tweet index: per signature its words, pool index, parent
+//	repeats:    by sorted key: key, count
+//
+// Every map is written in a fixed order, so the same state always encodes
+// to the same bytes.
+
+// Lower bounds on one encoded entry of each list, which keep a corrupt
+// length from driving an allocation the input cannot back.
+const (
+	minTweetBytes = 13
+	minUserBytes  = 50
+	minRepBytes   = 16
+	minGroupBytes = 2
+	minSigBytes   = 3
+	minRepeatByte = 2
+)
+
+func encodeStoreSnapshot(snap *storeSnapshot) []byte {
+	size := 64 + 16*len(snap.ImgReps)
+	for _, t := range snap.Tweets {
+		size += 48 + len(t.Text) + len(t.Topic)
 	}
-	return nil
+	for _, u := range snap.Users {
+		size += 96 + len(u.ScreenName) + len(u.Name) + len(u.Description)
+	}
+	size += (len(snap.DescSigs) + len(snap.TwSigs)) * (16 + 8*lshBands*lshRows)
+	b := make([]byte, 0, size)
+
+	b = codec.AppendUvarint(b, uint64(len(snap.Tweets)))
+	for _, t := range snap.Tweets {
+		b = codec.AppendTweet(b, t)
+	}
+	b = codec.AppendUvarint(b, uint64(len(snap.UserOrder)))
+	for i, id := range snap.UserOrder {
+		b = codec.AppendVarint(b, int64(id))
+		b = codec.AppendProfile(b, snap.Users[i])
+	}
+	b = codec.AppendUvarint(b, uint64(len(snap.ImgReps)))
+	for _, h := range snap.ImgReps {
+		b = codec.AppendU64(b, h.Hi)
+		b = codec.AppendU64(b, h.Lo)
+	}
+	b = codec.AppendUvarint(b, uint64(len(snap.ImgOrder)))
+	for _, g := range snap.ImgOrder {
+		b = codec.AppendVarint(b, int64(g))
+		b = codec.AppendIDs(b, snap.ImgMembers[g])
+	}
+	b = codec.AppendUvarint(b, uint64(len(snap.NameOrder)))
+	for _, seq := range snap.NameOrder {
+		b = codec.AppendString(b, seq)
+		b = codec.AppendIDs(b, snap.NameMembers[seq])
+	}
+	b = codec.AppendUvarint(b, uint64(len(snap.DescSigs)))
+	for i, sig := range snap.DescSigs {
+		b = appendSig(b, sig)
+		b = codec.AppendVarint(b, int64(snap.DescIDs[i]))
+		b = codec.AppendVarint(b, int64(snap.DescParent[i]))
+	}
+	b = codec.AppendUvarint(b, uint64(len(snap.TwSigs)))
+	for i, sig := range snap.TwSigs {
+		b = appendSig(b, sig)
+		b = codec.AppendVarint(b, int64(snap.TwPoolIdx[i]))
+		b = codec.AppendVarint(b, int64(snap.TwParent[i]))
+	}
+	keys := make([]string, 0, len(snap.Repeats))
+	for k := range snap.Repeats {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	b = codec.AppendUvarint(b, uint64(len(keys)))
+	for _, k := range keys {
+		b = codec.AppendString(b, k)
+		b = codec.AppendVarint(b, int64(snap.Repeats[k]))
+	}
+	return b
+}
+
+func appendSig(b []byte, sig minhash.Signature) []byte {
+	b = codec.AppendUvarint(b, uint64(len(sig)))
+	for _, w := range sig {
+		b = codec.AppendU64(b, w)
+	}
+	return b
+}
+
+func decodeSig(d *codec.Decoder) minhash.Signature {
+	n := d.Count(8)
+	if n == 0 {
+		return nil
+	}
+	sig := make(minhash.Signature, n)
+	for i := range sig {
+		sig[i] = d.U64()
+	}
+	return sig
+}
+
+// decodeStoreSnapshot reads a section written by encodeStoreSnapshot.
+// Empty lists decode as nil; the cross-list checks are ReadSnapshot's.
+func decodeStoreSnapshot(b []byte) (*storeSnapshot, error) {
+	d := codec.NewDecoder(b)
+	snap := &storeSnapshot{}
+	if n := d.Count(minTweetBytes); n > 0 {
+		tweets := make([]socialnet.Tweet, n)
+		snap.Tweets = make([]*socialnet.Tweet, n)
+		for i := range tweets {
+			d.Tweet(&tweets[i])
+			snap.Tweets[i] = &tweets[i]
+		}
+	}
+	if n := d.Count(minUserBytes); n > 0 {
+		users := make([]socialnet.Account, n)
+		snap.UserOrder = make([]socialnet.AccountID, n)
+		snap.Users = make([]*socialnet.Account, n)
+		for i := range users {
+			snap.UserOrder[i] = socialnet.AccountID(d.Varint())
+			d.Profile(&users[i])
+			snap.Users[i] = &users[i]
+		}
+	}
+	if n := d.Count(minRepBytes); n > 0 {
+		snap.ImgReps = make([]imagehash.Hash, n)
+		for i := range snap.ImgReps {
+			snap.ImgReps[i] = imagehash.Hash{Hi: d.U64(), Lo: d.U64()}
+		}
+	}
+	n := d.Count(minGroupBytes)
+	snap.ImgMembers = make(map[int][]socialnet.AccountID, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		g := d.Int()
+		if _, dup := snap.ImgMembers[g]; dup {
+			d.Fail(fmt.Errorf("label: snapshot repeats image group %d", g))
+		}
+		snap.ImgOrder = append(snap.ImgOrder, g)
+		snap.ImgMembers[g] = d.IDs()
+	}
+	n = d.Count(minGroupBytes)
+	snap.NameMembers = make(map[string][]socialnet.AccountID, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		seq := d.Str()
+		if _, dup := snap.NameMembers[seq]; dup {
+			d.Fail(fmt.Errorf("label: snapshot repeats name group %q", seq))
+		}
+		snap.NameOrder = append(snap.NameOrder, seq)
+		snap.NameMembers[seq] = d.IDs()
+	}
+	if n := d.Count(minSigBytes); n > 0 {
+		snap.DescSigs = make([]minhash.Signature, n)
+		snap.DescIDs = make([]socialnet.AccountID, n)
+		snap.DescParent = make([]int, n)
+		for i := range snap.DescSigs {
+			snap.DescSigs[i] = decodeSig(d)
+			snap.DescIDs[i] = socialnet.AccountID(d.Varint())
+			snap.DescParent[i] = d.Int()
+		}
+	}
+	if n := d.Count(minSigBytes); n > 0 {
+		snap.TwSigs = make([]minhash.Signature, n)
+		snap.TwPoolIdx = make([]int, n)
+		snap.TwParent = make([]int, n)
+		for i := range snap.TwSigs {
+			snap.TwSigs[i] = decodeSig(d)
+			snap.TwPoolIdx[i] = d.Int()
+			snap.TwParent[i] = d.Int()
+		}
+	}
+	n = d.Count(minRepeatByte)
+	snap.Repeats = make(map[string]int, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		k := d.Str()
+		snap.Repeats[k] = d.Int()
+	}
+	if err := d.Finish("label snapshot"); err != nil {
+		return nil, fmt.Errorf("label: decode snapshot: %w", err)
+	}
+	return snap, nil
 }
 
 // ReadSnapshot replaces the store's state with a snapshot written by
@@ -110,25 +304,24 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 // is nil or returns nil the frozen add-time copy from the snapshot is used
 // instead. On decode or validation error the store is left unchanged.
 func (s *Store) ReadSnapshot(r io.Reader, resolve func(socialnet.AccountID) *socialnet.Account) error {
-	var snap storeSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("label: decode snapshot: %w", err)
+	b, err := codec.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("label: read snapshot: %w", err)
 	}
-	if len(snap.Users) != len(snap.UserOrder) {
-		return fmt.Errorf("label: snapshot has %d users for %d order entries",
-			len(snap.Users), len(snap.UserOrder))
-	}
-	if len(snap.DescSigs) != len(snap.DescIDs) || len(snap.DescSigs) != len(snap.DescParent) {
-		return fmt.Errorf("label: snapshot description index misaligned (%d/%d/%d)",
-			len(snap.DescSigs), len(snap.DescIDs), len(snap.DescParent))
-	}
-	if len(snap.TwSigs) != len(snap.TwPoolIdx) || len(snap.TwSigs) != len(snap.TwParent) {
-		return fmt.Errorf("label: snapshot tweet index misaligned (%d/%d/%d)",
-			len(snap.TwSigs), len(snap.TwPoolIdx), len(snap.TwParent))
+	snap, err := decodeStoreSnapshot(b)
+	if err != nil {
+		return err
 	}
 	for _, idx := range snap.TwPoolIdx {
 		if idx < 0 || idx >= len(snap.Tweets) {
 			return fmt.Errorf("label: snapshot pool index %d out of %d tweets", idx, len(snap.Tweets))
+		}
+	}
+	for _, parent := range [][]int{snap.DescParent, snap.TwParent} {
+		for i, p := range parent {
+			if p < 0 || p >= len(parent) {
+				return fmt.Errorf("label: snapshot union-find parent %d of %d out of range", p, i)
+			}
 		}
 	}
 	// The banding indices key on whole bands, so a signature of any other
@@ -146,16 +339,13 @@ func (s *Store) ReadSnapshot(r io.Reader, resolve func(socialnet.AccountID) *soc
 	// The rules pass reads each tweet's normalized text; the checkpoint
 	// does not carry it, so it is recomputed here.
 	norms := parallel.Map(len(snap.Tweets), s.cfg.Workers, func(i int) string {
-		return normalizedKey(&snap.Tweets[i])
+		return normalizedKey(snap.Tweets[i])
 	})
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	s.tweets = make([]*socialnet.Tweet, len(snap.Tweets))
-	for i := range snap.Tweets {
-		s.tweets[i] = &snap.Tweets[i]
-	}
+	s.tweets = snap.Tweets
 	s.norms = norms
 	s.userOrder = snap.UserOrder
 	s.users = make(map[socialnet.AccountID]*socialnet.Account, len(snap.UserOrder))
@@ -165,7 +355,7 @@ func (s *Store) ReadSnapshot(r io.Reader, resolve func(socialnet.AccountID) *soc
 			u = resolve(id)
 		}
 		if u == nil {
-			u = &snap.Users[i]
+			u = snap.Users[i]
 		}
 		s.users[id] = u
 	}
@@ -173,14 +363,8 @@ func (s *Store) ReadSnapshot(r io.Reader, resolve func(socialnet.AccountID) *soc
 	s.img.SetWorkers(s.cfg.Workers)
 	s.img.SetReps(snap.ImgReps)
 	s.imgMembers = snap.ImgMembers
-	if s.imgMembers == nil {
-		s.imgMembers = make(map[int][]socialnet.AccountID)
-	}
 	s.imgOrder = snap.ImgOrder
 	s.nameMembers = snap.NameMembers
-	if s.nameMembers == nil {
-		s.nameMembers = make(map[string][]socialnet.AccountID)
-	}
 	s.nameOrder = snap.NameOrder
 	s.descIndex = minhash.NewIndex(lshBands, lshRows)
 	for _, sig := range snap.DescSigs {
@@ -198,8 +382,5 @@ func (s *Store) ReadSnapshot(r io.Reader, resolve func(socialnet.AccountID) *soc
 	}
 	s.twUF = &unionFind{parent: snap.TwParent}
 	s.repeats = snap.Repeats
-	if s.repeats == nil {
-		s.repeats = make(map[string]int)
-	}
 	return nil
 }

@@ -2,7 +2,6 @@ package label
 
 import (
 	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 
@@ -150,22 +149,21 @@ func TestStoreSnapshotRejectsCorruption(t *testing.T) {
 		t.Fatal("truncated snapshot accepted")
 	}
 	// A well-formed payload whose signatures are not lshBands×lshRows words
-	// long: the banding index could never match them again.
+	// long (the banding index could never match them again), or whose
+	// indices point past the lists they index.
 	for name, corrupt := range map[string]func(*storeSnapshot){
 		"short description signature": func(snap *storeSnapshot) { snap.DescSigs[0] = snap.DescSigs[0][:lshRows] },
 		"long tweet signature":        func(snap *storeSnapshot) { snap.TwSigs[0] = append(snap.TwSigs[0], 1) },
 		"empty tweet signature":       func(snap *storeSnapshot) { snap.TwSigs[0] = nil },
+		"pool index past the tweets":  func(snap *storeSnapshot) { snap.TwPoolIdx[0] = len(snap.Tweets) },
+		"parent past the index":       func(snap *storeSnapshot) { snap.DescParent[0] = len(snap.DescParent) },
 	} {
-		var snap storeSnapshot
-		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&snap); err != nil {
+		snap, err := decodeStoreSnapshot(buf.Bytes())
+		if err != nil {
 			t.Fatal(err)
 		}
-		corrupt(&snap)
-		var bad bytes.Buffer
-		if err := gob.NewEncoder(&bad).Encode(snap); err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.ReadSnapshot(&bad, nil); err == nil {
+		corrupt(snap)
+		if err := fresh.ReadSnapshot(bytes.NewReader(encodeStoreSnapshot(snap)), nil); err == nil {
 			t.Fatalf("snapshot with a %s accepted", name)
 		}
 	}

@@ -55,9 +55,9 @@ type Config struct {
 	// visible at /metrics.
 	Shard string
 	// Source is the ingest-source label value stamped on every
-	// ph_pipeline_* metric and flush span this runner emits: a sniffer
-	// sets its source's id ("mux" for several merged), and "twitter" is
-	// the default only for a runner built without one.
+	// ph_pipeline_* metric and flush span this runner emits: the sniffer
+	// gives every runner its source's id ("mux" for several merged). It
+	// has no default; a runner built without one labels its series "".
 	Source string
 }
 
@@ -85,9 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Shard == "" {
 		c.Shard = "0"
-	}
-	if c.Source == "" {
-		c.Source = "twitter"
 	}
 	return c
 }

@@ -3,11 +3,13 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sort"
+
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/codec"
 )
 
 // Checkpoint is a consistent cut of the pipeline's derived state at one
@@ -32,51 +34,89 @@ type Checkpoint struct {
 	Components map[string][]byte
 }
 
-// Checkpoint files wrap the gob payload in the same CRC framing the WAL
-// uses (magic, length, CRC-32C), so a half-written or bit-flipped
+// Checkpoint file format (DESIGN.md §14):
+//
+//	[8]byte  magic "PHCKP002"
+//	uint32   payload length (little-endian)
+//	uint32   CRC-32C over the payload
+//	payload: uvarint Seq, varint TweetWatermark, then one section per
+//	         component in name order: string name, uvarint length, bytes
+//
+// The CRC is the WAL's framing, so a half-written or bit-flipped
 // checkpoint is detected and recovery falls back to the previous one
-// instead of silently loading garbage.
-const checkpointMagic = "PHCKP001"
+// instead of silently loading garbage. Each section holds a component's
+// own binary encoding, which the file frames as is: writing a checkpoint
+// costs one pass over its bytes for the CRC and one for the write.
+const checkpointMagic = "PHCKP002"
+
+// checkpointMagicV1 marks the gob-encoded checkpoints of older builds.
+// They are refused by name rather than reported as corruption.
+const checkpointMagicV1 = "PHCKP001"
+
+var errOldCheckpoint = errors.New("older checkpoint format " + checkpointMagicV1 +
+	" (gob), which this build does not read")
 
 // MaxCheckpointSize bounds a checkpoint's payload, for the writer and the
 // reader alike. A checkpoint holds the whole derived state, which grows
-// with the history it covers (≈ 1.5 MB per simulated hour at bench scale:
-// 12 MB after seven hours), so it outgrows the WAL's per-record
-// MaxRecordSize within about ten hours; the bound here only keeps the
-// length inside the header's 32 bits with room to spare.
+// with the history it covers (≈ 1.6 MB per simulated hour at bench scale,
+// seed 7: 6.5 MB after four hours, 13.2 MB after eight), so it outgrows
+// the WAL's per-record MaxRecordSize within about ten hours; the bound
+// here only keeps the length inside the header's 32 bits with room to
+// spare.
 const MaxCheckpointSize = 1 << 30
 
 // checkpointHeaderSize is the file header: magic, payload length, CRC.
 const checkpointHeaderSize = 16
 
-// encodeCheckpointFile returns ck's file bytes: the header, then the gob
-// payload it frames. The buffer is sized from the components up front, so
-// the multi-megabyte payload is encoded once and never regrown.
-func encodeCheckpointFile(ck *Checkpoint) ([]byte, error) {
-	size := checkpointHeaderSize + 256 // gob type descriptors and fields
-	for k, v := range ck.Components {
-		size += len(k) + len(v) + 2*binary.MaxVarintLen64
+// encodeCheckpointFile frames ck for writing and returns the file as the
+// parts to write in order: the header, Seq and watermark, and each
+// section's name and length, interleaved with the component bytes
+// themselves, which are never copied.
+func encodeCheckpointFile(ck *Checkpoint) ([][]byte, error) {
+	names := make([]string, 0, len(ck.Components))
+	for k := range ck.Components {
+		names = append(names, k)
 	}
-	buf := bytes.NewBuffer(make([]byte, checkpointHeaderSize, size))
-	if err := gob.NewEncoder(buf).Encode(ck); err != nil {
-		return nil, fmt.Errorf("store: encode checkpoint: %w", err)
+	sort.Strings(names)
+	frame := make([]byte, checkpointHeaderSize, checkpointHeaderSize+32+len(names)*32)
+	frame = codec.AppendUvarint(frame, ck.Seq)
+	frame = codec.AppendVarint(frame, ck.TweetWatermark)
+	cuts := make([]int, len(names))
+	size := 0
+	for i, k := range names {
+		frame = codec.AppendString(frame, k)
+		frame = codec.AppendUvarint(frame, uint64(len(ck.Components[k])))
+		cuts[i] = len(frame)
+		size += len(ck.Components[k])
 	}
-	file := buf.Bytes()
-	payload := file[checkpointHeaderSize:]
-	if len(payload) > MaxCheckpointSize {
+	size += len(frame) - checkpointHeaderSize
+	if size > MaxCheckpointSize {
 		return nil, fmt.Errorf("store: checkpoint %d is %d bytes, over the %d limit",
-			ck.Seq, len(payload), MaxCheckpointSize)
+			ck.Seq, size, MaxCheckpointSize)
 	}
-	copy(file[:8], checkpointMagic)
-	binary.LittleEndian.PutUint32(file[8:12], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(file[12:16], crc32.Checksum(payload, castagnoli))
-	return file, nil
+	parts := make([][]byte, 0, 2*len(names)+1)
+	prev := 0
+	for i, k := range names {
+		parts = append(parts, frame[prev:cuts[i]], ck.Components[k])
+		prev = cuts[i]
+	}
+	if prev < len(frame) {
+		parts = append(parts, frame[prev:]) // no components
+	}
+	crc := crc32.Update(0, castagnoli, parts[0][checkpointHeaderSize:])
+	for _, p := range parts[1:] {
+		crc = crc32.Update(crc, castagnoli, p)
+	}
+	copy(frame[:8], checkpointMagic)
+	binary.LittleEndian.PutUint32(frame[8:12], uint32(size))
+	binary.LittleEndian.PutUint32(frame[12:16], crc)
+	return parts, nil
 }
 
-// writeCheckpointFile atomically publishes ck: encode to a temp file,
+// writeCheckpointFile atomically publishes ck: write to a temp file,
 // sync, close, then rename onto the final name.
 func writeCheckpointFile(b Backend, ck *Checkpoint) error {
-	file, err := encodeCheckpointFile(ck)
+	parts, err := encodeCheckpointFile(ck)
 	if err != nil {
 		return err
 	}
@@ -86,7 +126,12 @@ func writeCheckpointFile(b Backend, ck *Checkpoint) error {
 	if err != nil {
 		return fmt.Errorf("store: create checkpoint: %w", err)
 	}
-	_, werr := f.Write(file)
+	var werr error
+	for _, p := range parts {
+		if _, werr = f.Write(p); werr != nil {
+			break
+		}
+	}
 	if werr == nil {
 		werr = f.Sync()
 	}
@@ -104,7 +149,8 @@ func writeCheckpointFile(b Backend, ck *Checkpoint) error {
 	return nil
 }
 
-// readCheckpointFile loads and verifies one checkpoint file.
+// readCheckpointFile loads and verifies one checkpoint file. The
+// components it returns alias the file's payload buffer.
 func readCheckpointFile(b Backend, seq uint64) (*Checkpoint, error) {
 	f, err := b.Open(checkpointName(seq))
 	if err != nil {
@@ -115,7 +161,11 @@ func readCheckpointFile(b Backend, seq uint64) (*Checkpoint, error) {
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
 		return nil, fmt.Errorf("store: checkpoint %d header: %w", seq, err)
 	}
-	if string(hdr[:8]) != checkpointMagic {
+	switch string(hdr[:8]) {
+	case checkpointMagic:
+	case checkpointMagicV1:
+		return nil, fmt.Errorf("store: checkpoint %d: %w", seq, errOldCheckpoint)
+	default:
 		return nil, fmt.Errorf("store: checkpoint %d bad magic", seq)
 	}
 	length := binary.LittleEndian.Uint32(hdr[8:12])
@@ -135,12 +185,34 @@ func readCheckpointFile(b Backend, seq uint64) (*Checkpoint, error) {
 	if crc32.Checksum(payload.Bytes(), castagnoli) != wantCRC {
 		return nil, fmt.Errorf("store: checkpoint %d checksum mismatch", seq)
 	}
-	ck := &Checkpoint{}
-	if err := gob.NewDecoder(&payload).Decode(ck); err != nil {
+	ck, err := decodeCheckpoint(payload.Bytes())
+	if err != nil {
 		return nil, fmt.Errorf("store: decode checkpoint %d: %w", seq, err)
 	}
 	if ck.Seq != seq {
 		return nil, fmt.Errorf("store: checkpoint file %d claims seq %d", seq, ck.Seq)
+	}
+	return ck, nil
+}
+
+// decodeCheckpoint parses a verified payload. Sections must come in
+// strictly ascending name order, as the writer puts them.
+func decodeCheckpoint(payload []byte) (*Checkpoint, error) {
+	d := codec.NewDecoder(payload)
+	ck := &Checkpoint{Components: make(map[string][]byte)}
+	ck.Seq = d.Uvarint()
+	ck.TweetWatermark = d.Varint()
+	prev := ""
+	for i := 0; d.Err() == nil && d.Len() > 0; i++ {
+		name := d.Str()
+		body := d.Bytes(d.Count(1))
+		if d.Err() == nil && i > 0 && name <= prev {
+			return nil, fmt.Errorf("section %q follows %q", name, prev)
+		}
+		ck.Components[name], prev = body, name
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	return ck, nil
 }

@@ -150,14 +150,15 @@ func (b fileBackend) Open(name string) (io.ReadCloser, error) {
 // name or returns an error — no panic, and no allocation sized by a
 // header's claim rather than by the bytes actually present.
 func FuzzCheckpointFile(f *testing.F) {
-	valid, err := encodeCheckpointFile(&Checkpoint{
+	parts, err := encodeCheckpointFile(&Checkpoint{
 		Seq:            7,
 		TweetWatermark: 1234,
-		Components:     map[string][]byte{"labels": []byte("cluster state"), "groups": {1, 2, 3}},
+		Components:     map[string][]byte{"labels": []byte("cluster state"), "groups": {1, 2, 3}, "empty": {}},
 	})
 	if err != nil {
 		f.Fatal(err)
 	}
+	valid := bytes.Join(parts, nil)
 	lying := bytes.Clone(valid)
 	binary.LittleEndian.PutUint32(lying[8:12], MaxCheckpointSize)
 	badCRC := bytes.Clone(valid)
@@ -180,8 +181,8 @@ func FuzzCheckpointFile(f *testing.F) {
 		if err != nil && ck != nil {
 			t.Fatal("readCheckpointFile returned both a checkpoint and an error")
 		}
-		// gob and the payload buffer cost a small multiple of the input;
-		// the header may claim up to MaxCheckpointSize (1 GiB).
+		// The payload buffer and the section map cost a small multiple of
+		// the input; the header may claim up to MaxCheckpointSize (1 GiB).
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+64*uint64(len(data)) {
 			t.Fatalf("reading a %d-byte file allocated %d bytes", len(data), grew)
 		}

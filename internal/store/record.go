@@ -1,13 +1,9 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"math"
-	"time"
 
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/imagehash"
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/codec"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 )
 
@@ -36,351 +32,58 @@ type CaptureRecord struct {
 	Src string
 }
 
-// Capture records use a hand-rolled binary codec instead of gob: appends
-// sit on the streaming hot path (gob reflects per value), the format must
-// be stable across processes for crash recovery, and a fixed byte-level
-// layout is what FuzzWALRecord pins — any byte prefix either decodes to
-// the encoded records or fails cleanly at a record boundary.
+// Capture records use the hand-rolled binary codec of package codec
+// instead of gob: appends sit on the streaming hot path (gob reflects per
+// value), the format must be stable across processes for crash recovery,
+// and a fixed byte-level layout is what FuzzWALRecord pins — any byte
+// prefix either decodes to the encoded records or fails cleanly at a
+// record boundary.
 //
-// Layout (all integers little-endian or uvarint, strings and slices
-// length-prefixed with uvarint):
+// Layout (see codec.AppendTweet and codec.AppendAccount):
 //
 //	uvarint seq
 //	tweet:   id authorID createdAt(unixNano) kind source text topic
 //	         hashtags urls mentions spam campaignID
-//	sender:  presence byte, then account fields (see appendAccount)
+//	sender:  presence byte, then profile fields and last-post time
 //	receiver: likewise
 //	groups:  uvarint count, uvarint indices
-var errShortRecord = errors.New("store: capture record truncated")
-
-// appendUvarint appends v in unsigned varint form.
-func appendUvarint(b []byte, v uint64) []byte {
-	return binary.AppendUvarint(b, v)
-}
-
-// appendVarint appends v in zig-zag varint form.
-func appendVarint(b []byte, v int64) []byte {
-	return binary.AppendVarint(b, v)
-}
-
-func appendString(b []byte, s string) []byte {
-	b = appendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendStrings(b []byte, ss []string) []byte {
-	b = appendUvarint(b, uint64(len(ss)))
-	for _, s := range ss {
-		b = appendString(b, s)
-	}
-	return b
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-func appendTime(b []byte, t time.Time) []byte {
-	if t.IsZero() {
-		// time.Time's zero value is outside the UnixNano range; flag it
-		// so decode restores a true zero rather than year 1754.
-		return appendVarint(append(b, 0), 0)
-	}
-	return appendVarint(append(b, 1), t.UnixNano())
-}
-
-func appendFloat(b []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-}
-
-// appendAccount encodes a profile snapshot's exported fields plus the
-// last-post timestamp (it feeds the mention-gap feature, so replayed
-// extraction needs it — same reason the proc shard wire carries it). The
-// remaining engine-side unexported fields (activity bookkeeping, spam
-// budget) are outside the snapshot contract, exactly as in CaptureStore's
-// gob spill.
-func appendAccount(b []byte, a *socialnet.Account) []byte {
-	if a == nil {
-		return append(b, 0)
-	}
-	b = append(b, 1)
-	b = appendVarint(b, int64(a.ID))
-	b = appendString(b, a.ScreenName)
-	b = appendString(b, a.Name)
-	b = appendString(b, a.Description)
-	b = appendTime(b, a.CreatedAt)
-	b = appendVarint(b, int64(a.FriendsCount))
-	b = appendVarint(b, int64(a.FollowersCount))
-	b = appendVarint(b, int64(a.ListedCount))
-	b = appendVarint(b, int64(a.FavouritesCount))
-	b = appendVarint(b, int64(a.StatusesCount))
-	b = appendBool(b, a.Verified)
-	b = appendBool(b, a.DefaultProfileImage)
-	b = appendVarint(b, a.ProfileImageSeed)
-	b = binary.LittleEndian.AppendUint64(b, a.ProfileImageHash.Hi)
-	b = binary.LittleEndian.AppendUint64(b, a.ProfileImageHash.Lo)
-	b = appendVarint(b, int64(a.Kind))
-	b = appendVarint(b, int64(a.CampaignID))
-	b = appendBool(b, a.Suspended)
-	b = appendTime(b, a.SuspendedAt)
-	b = appendVarint(b, int64(a.HashtagCategory))
-	b = appendVarint(b, int64(a.TrendAffinity))
-	b = appendFloat(b, a.TweetsPerHour)
-	b = appendFloat(b, a.MentionRate)
-	b = appendVarint(b, int64(a.PreferredSource))
-	b = appendTime(b, a.LastPostAt())
-	return b
-}
+//	src:     optional trailing string
 
 // EncodeCapture appends rec's payload encoding to buf and returns it.
 func EncodeCapture(buf []byte, rec *CaptureRecord) []byte {
-	buf = appendUvarint(buf, rec.Seq)
-	t := &rec.Tweet
-	buf = appendVarint(buf, int64(t.ID))
-	buf = appendVarint(buf, int64(t.AuthorID))
-	buf = appendTime(buf, t.CreatedAt)
-	buf = appendVarint(buf, int64(t.Kind))
-	buf = appendVarint(buf, int64(t.Source))
-	buf = appendString(buf, t.Text)
-	buf = appendString(buf, t.Topic)
-	buf = appendStrings(buf, t.Hashtags)
-	buf = appendStrings(buf, t.URLs)
-	buf = appendUvarint(buf, uint64(len(t.Mentions)))
-	for _, m := range t.Mentions {
-		buf = appendVarint(buf, int64(m))
-	}
-	buf = appendBool(buf, t.Spam)
-	buf = appendVarint(buf, int64(t.CampaignID))
-	buf = appendAccount(buf, rec.Sender)
-	buf = appendAccount(buf, rec.Receiver)
-	buf = appendUvarint(buf, uint64(len(rec.Groups)))
-	for _, g := range rec.Groups {
-		buf = appendUvarint(buf, uint64(g))
-	}
+	buf = codec.AppendUvarint(buf, rec.Seq)
+	buf = codec.AppendTweet(buf, &rec.Tweet)
+	buf = codec.AppendAccount(buf, rec.Sender)
+	buf = codec.AppendAccount(buf, rec.Receiver)
+	buf = codec.AppendInts(buf, rec.Groups)
 	if rec.Src != "" {
 		// Optional trailing field: absent bytes decode to "", so records
 		// written by older builds remain readable.
-		buf = appendString(buf, rec.Src)
+		buf = codec.AppendString(buf, rec.Src)
 	}
 	return buf
-}
-
-// decoder walks a payload with explicit bounds checks; every read either
-// succeeds or flags err, after which all reads are no-ops. Decode never
-// panics on corrupt input — the property FuzzWALRecord hammers on.
-type decoder struct {
-	b   []byte
-	err error
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.err = errShortRecord
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.err = errShortRecord
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *decoder) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.b)) {
-		d.err = errShortRecord
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
-}
-
-func (d *decoder) strings() []string {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	// A count can't exceed the remaining bytes (every element costs at
-	// least one); reject early instead of allocating a corrupt length.
-	if n > uint64(len(d.b)) {
-		d.err = errShortRecord
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]string, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		out = append(out, d.str())
-	}
-	if d.err != nil {
-		return nil
-	}
-	return out
-}
-
-func (d *decoder) bool() bool {
-	if d.err != nil {
-		return false
-	}
-	if len(d.b) == 0 {
-		d.err = errShortRecord
-		return false
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	if v > 1 {
-		d.err = fmt.Errorf("store: invalid bool byte %d", v)
-		return false
-	}
-	return v == 1
-}
-
-func (d *decoder) time() time.Time {
-	set := d.bool()
-	ns := d.varint()
-	if d.err != nil || !set {
-		return time.Time{}
-	}
-	return time.Unix(0, ns).UTC()
-}
-
-func (d *decoder) float() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 8 {
-		d.err = errShortRecord
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 8 {
-		d.err = errShortRecord
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *decoder) account() *socialnet.Account {
-	present := d.bool()
-	if d.err != nil || !present {
-		return nil
-	}
-	a := &socialnet.Account{}
-	a.ID = socialnet.AccountID(d.varint())
-	a.ScreenName = d.str()
-	a.Name = d.str()
-	a.Description = d.str()
-	a.CreatedAt = d.time()
-	a.FriendsCount = int(d.varint())
-	a.FollowersCount = int(d.varint())
-	a.ListedCount = int(d.varint())
-	a.FavouritesCount = int(d.varint())
-	a.StatusesCount = int(d.varint())
-	a.Verified = d.bool()
-	a.DefaultProfileImage = d.bool()
-	a.ProfileImageSeed = d.varint()
-	a.ProfileImageHash = imagehash.Hash{Hi: d.u64(), Lo: d.u64()}
-	a.Kind = socialnet.AccountKind(d.varint())
-	a.CampaignID = int(d.varint())
-	a.Suspended = d.bool()
-	a.SuspendedAt = d.time()
-	a.HashtagCategory = socialnet.HashtagCategory(d.varint())
-	a.TrendAffinity = socialnet.TrendState(d.varint())
-	a.TweetsPerHour = d.float()
-	a.MentionRate = d.float()
-	a.PreferredSource = socialnet.Source(d.varint())
-	a.SetLastPostAt(d.time())
-	if d.err != nil {
-		return nil
-	}
-	return a
 }
 
 // DecodeCapture decodes one capture payload. Corrupt or truncated input
 // returns an error, never a panic and never a silently partial record:
 // trailing garbage after a structurally complete record is rejected too.
 func DecodeCapture(payload []byte) (*CaptureRecord, error) {
-	d := &decoder{b: payload}
+	d := codec.NewDecoder(payload)
 	rec := &CaptureRecord{}
-	rec.Seq = d.uvarint()
-	t := &rec.Tweet
-	t.ID = socialnet.TweetID(d.varint())
-	t.AuthorID = socialnet.AccountID(d.varint())
-	t.CreatedAt = d.time()
-	t.Kind = socialnet.TweetKind(d.varint())
-	t.Source = socialnet.Source(d.varint())
-	t.Text = d.str()
-	t.Topic = d.str()
-	t.Hashtags = d.strings()
-	t.URLs = d.strings()
-	nm := d.uvarint()
-	if d.err == nil && nm > uint64(len(d.b)) {
-		d.err = errShortRecord
-	}
-	if d.err == nil && nm > 0 {
-		t.Mentions = make([]socialnet.AccountID, 0, nm)
-		for i := uint64(0); i < nm && d.err == nil; i++ {
-			t.Mentions = append(t.Mentions, socialnet.AccountID(d.varint()))
-		}
-	}
-	t.Spam = d.bool()
-	t.CampaignID = int(d.varint())
-	rec.Sender = d.account()
-	rec.Receiver = d.account()
-	ng := d.uvarint()
-	if d.err == nil && ng > uint64(len(d.b)) {
-		d.err = errShortRecord
-	}
-	if d.err == nil && ng > 0 {
-		rec.Groups = make([]int, 0, ng)
-		for i := uint64(0); i < ng && d.err == nil; i++ {
-			rec.Groups = append(rec.Groups, int(d.uvarint()))
-		}
-	}
-	if d.err == nil && len(d.b) != 0 {
+	rec.Seq = d.Uvarint()
+	d.Tweet(&rec.Tweet)
+	rec.Sender = d.Account()
+	rec.Receiver = d.Account()
+	rec.Groups = d.Ints()
+	if d.Err() == nil && d.Len() != 0 {
 		// Optional trailing source id. The encoder writes it only when
 		// non-empty, so an empty decode here is stray bytes, not a field.
-		if rec.Src = d.str(); d.err == nil && rec.Src == "" {
+		if rec.Src = d.Str(); d.Err() == nil && rec.Src == "" {
 			return nil, errors.New("store: empty trailing source id")
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("store: %d trailing bytes after capture record", len(d.b))
+	if err := d.Finish("capture record"); err != nil {
+		return nil, err
 	}
 	return rec, nil
 }

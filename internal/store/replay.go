@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/codec"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 )
 
@@ -27,38 +28,22 @@ type RotationRecord struct {
 
 // encodeRotation appends a rotation payload to buf.
 func encodeRotation(buf []byte, rec *RotationRecord) []byte {
-	buf = appendUvarint(buf, rec.Seq)
-	buf = appendVarint(buf, int64(rec.Hour))
-	buf = appendTime(buf, rec.Now)
-	buf = appendUvarint(buf, uint64(len(rec.Counts)))
-	for _, n := range rec.Counts {
-		buf = appendUvarint(buf, uint64(n))
-	}
-	return buf
+	buf = codec.AppendUvarint(buf, rec.Seq)
+	buf = codec.AppendVarint(buf, int64(rec.Hour))
+	buf = codec.AppendTime(buf, rec.Now)
+	return codec.AppendInts(buf, rec.Counts)
 }
 
 // DecodeRotation decodes one rotation payload (RecordRotation type).
 func DecodeRotation(payload []byte) (*RotationRecord, error) {
-	d := &decoder{b: payload}
+	d := codec.NewDecoder(payload)
 	rec := &RotationRecord{}
-	rec.Seq = d.uvarint()
-	rec.Hour = int(d.varint())
-	rec.Now = d.time()
-	n := d.uvarint()
-	if d.err == nil && n > uint64(len(d.b)) {
-		d.err = errShortRecord
-	}
-	if d.err == nil && n > 0 {
-		rec.Counts = make([]int, 0, n)
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			rec.Counts = append(rec.Counts, int(d.uvarint()))
-		}
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("store: %d trailing bytes after rotation record", len(d.b))
+	rec.Seq = d.Uvarint()
+	rec.Hour = d.Int()
+	rec.Now = d.Time()
+	rec.Counts = d.Ints()
+	if err := d.Finish("rotation record"); err != nil {
+		return nil, err
 	}
 	return rec, nil
 }
@@ -66,33 +51,26 @@ func DecodeRotation(payload []byte) (*RotationRecord, error) {
 // encodeProfiles appends a profile-epilogue payload to buf: the final
 // live profiles of the accounts the run captured from.
 func encodeProfiles(buf []byte, seq uint64, accounts []*socialnet.Account) []byte {
-	buf = appendUvarint(buf, seq)
-	buf = appendUvarint(buf, uint64(len(accounts)))
+	buf = codec.AppendUvarint(buf, seq)
+	buf = codec.AppendUvarint(buf, uint64(len(accounts)))
 	for _, a := range accounts {
-		buf = appendAccount(buf, a)
+		buf = codec.AppendAccount(buf, a)
 	}
 	return buf
 }
 
 // DecodeProfiles decodes one profile-epilogue payload (RecordProfiles).
 func DecodeProfiles(payload []byte) (seq uint64, accounts []*socialnet.Account, err error) {
-	d := &decoder{b: payload}
-	seq = d.uvarint()
-	n := d.uvarint()
-	if d.err == nil && n > uint64(len(d.b)) {
-		d.err = errShortRecord
-	}
-	if d.err == nil && n > 0 {
+	d := codec.NewDecoder(payload)
+	seq = d.Uvarint()
+	if n := d.Count(1); n > 0 {
 		accounts = make([]*socialnet.Account, 0, n)
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			accounts = append(accounts, d.account())
+		for i := 0; i < n && d.Err() == nil; i++ {
+			accounts = append(accounts, d.Account())
 		}
 	}
-	if d.err != nil {
-		return 0, nil, d.err
-	}
-	if len(d.b) != 0 {
-		return 0, nil, fmt.Errorf("store: %d trailing bytes after profiles record", len(d.b))
+	if err := d.Finish("profiles record"); err != nil {
+		return 0, nil, err
 	}
 	return seq, accounts, nil
 }

@@ -1,6 +1,6 @@
 package store
 
-import "encoding/binary"
+import "github.com/pseudo-honeypot/pseudohoneypot/internal/codec"
 
 // Sim-hours journal records let twitterd fast-forward its deterministic
 // engine across restarts: each record is the number of simulated hours
@@ -9,19 +9,16 @@ import "encoding/binary"
 // naming and checkpoint coverage work identically for both record types.
 
 func encodeSimHours(buf []byte, seq uint64, hours int) []byte {
-	buf = binary.AppendUvarint(buf, seq)
-	return binary.AppendUvarint(buf, uint64(hours))
+	buf = codec.AppendUvarint(buf, seq)
+	return codec.AppendUvarint(buf, uint64(hours))
 }
 
 func decodeSimHours(payload []byte) (seq uint64, hours int, err error) {
-	d := &decoder{b: payload}
-	seq = d.uvarint()
-	h := d.uvarint()
-	if d.err != nil {
-		return 0, 0, d.err
-	}
-	if len(d.b) != 0 {
-		return 0, 0, errShortRecord
+	d := codec.NewDecoder(payload)
+	seq = d.Uvarint()
+	h := d.Uvarint()
+	if err := d.Finish("sim-hours record"); err != nil {
+		return 0, 0, err
 	}
 	return seq, int(h), nil
 }

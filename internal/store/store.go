@@ -215,6 +215,7 @@ func (s *Store) recover() (*Recovery, error) {
 			// covers are still on disk (pruning trails by one).
 			rec.Fallbacks++
 			s.obs.checkpointFallbacks.Inc()
+			sp.SetAttr("checkpoint_fallback", err.Error())
 			ckptErr = err
 			continue
 		}

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,6 +19,7 @@ import (
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/store"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/store/fstest"
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/trace"
 )
 
 // testCapture builds a deterministic capture record varying with i.
@@ -727,7 +729,7 @@ func TestLargeCheckpointReopens(t *testing.T) {
 func TestLyingCheckpointHeaderFallsBack(t *testing.T) {
 	header := func(length uint32) []byte {
 		hdr := make([]byte, 16, 16+100)
-		copy(hdr, "PHCKP001")
+		copy(hdr, "PHCKP002")
 		binary.LittleEndian.PutUint32(hdr[8:12], length)
 		return append(hdr, make([]byte, 100)...)
 	}
@@ -751,19 +753,7 @@ func TestLyingCheckpointHeaderFallsBack(t *testing.T) {
 				if err := s.Close(); err != nil {
 					t.Fatal(err)
 				}
-				f, err := b.Create(fmt.Sprintf("ckpt-%016d.ckpt", 10))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := f.Write(tc.content); err != nil {
-					t.Fatal(err)
-				}
-				if err := f.Sync(); err != nil {
-					t.Fatal(err)
-				}
-				if err := f.Close(); err != nil {
-					t.Fatal(err)
-				}
+				putCheckpointFile(t, b, 10, tc.content)
 
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
@@ -783,4 +773,83 @@ func TestLyingCheckpointHeaderFallsBack(t *testing.T) {
 			})
 		})
 	}
+}
+
+// putCheckpointFile writes content as the checkpoint file for seq.
+func putCheckpointFile(t *testing.T, b store.Backend, seq int, content []byte) {
+	t.Helper()
+	f, err := b.Create(fmt.Sprintf("ckpt-%016d.ckpt", seq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(content); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Checkpoints written by a build before the binary section format carry
+// the magic PHCKP001. Recovery refuses them by that name, not as
+// corruption: a fallback records the reason on the store_recover span, and
+// when no checkpoint is readable and the WAL prefix is pruned, Open's
+// error says which format it found.
+func TestOldCheckpointFormatRefusedByName(t *testing.T) {
+	old := make([]byte, 16, 64)
+	copy(old, "PHCKP001")
+	binary.LittleEndian.PutUint32(old[8:12], 48)
+	old = append(old, bytes.Repeat([]byte{0x2a}, 48)...)
+	checkpointBackends(t, func(t *testing.T, b store.Backend) {
+		s, _ := openTest(t, b, 1)
+		for round := 0; round < 3; round++ {
+			appendN(t, s, round*5, 5)
+			ck := &store.Checkpoint{Components: map[string][]byte{"v": {byte(round)}}}
+			if err := s.WriteCheckpoint(ck); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		putCheckpointFile(t, b, 15, old)
+		tracer := trace.New(trace.Config{Enabled: true})
+		s2, rec, err := store.Open(store.Options{
+			Backend: b, Meta: "test-meta", Metrics: metrics.NewRegistry(), Tracer: tracer,
+		})
+		if err != nil {
+			t.Fatalf("Open with one old-format checkpoint: %v", err)
+		}
+		if rec.Fallbacks != 1 || rec.Checkpoint == nil || rec.Checkpoint.Seq != 10 {
+			t.Fatalf("recovered checkpoint %+v with %d fallbacks, want seq 10 after 1",
+				rec.Checkpoint, rec.Fallbacks)
+		}
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var reason string
+		for _, tr := range tracer.Recent() {
+			if sp, ok := tr.Span("store_recover"); ok {
+				for _, kv := range sp.Attrs {
+					if kv.Key == "checkpoint_fallback" {
+						reason = kv.Value
+					}
+				}
+			}
+		}
+		if !strings.Contains(reason, "PHCKP001") {
+			t.Errorf("recorded fallback reason %q does not name the old format", reason)
+		}
+
+		putCheckpointFile(t, b, 10, old)
+		_, _, err = store.Open(store.Options{Backend: b, Meta: "test-meta", Metrics: metrics.NewRegistry()})
+		if err == nil || !strings.Contains(err.Error(), "PHCKP001") ||
+			!strings.Contains(err.Error(), "all 2 checkpoints unreadable and WAL history pruned") {
+			t.Fatalf("Open with only old-format checkpoints and a pruned WAL: %v", err)
+		}
+	})
 }

@@ -43,6 +43,60 @@ var testSeams = map[string]string{
 // unless testSeams names it. A package that only tests import is never
 // loaded, so it is exempt as a whole.
 func TestNoTestOnlyProductionCode(t *testing.T) {
+	l := loadModules(t)
+	unreached := l.unreached()
+	var findings []string
+	seen := map[string]bool{}
+	for _, d := range unreached {
+		if _, ok := testSeams[d.key]; ok {
+			seen[d.key] = true
+			continue
+		}
+		findings = append(findings, fmt.Sprintf("%s %s", d.pos, d.key))
+	}
+	sort.Strings(findings)
+	for _, f := range findings {
+		t.Errorf("only tests reach %s", f)
+	}
+	if len(findings) > 0 {
+		t.Logf("delete each, move it into test code, or give it a production caller; " +
+			"a deliberate test seam goes into testSeams with its reason")
+	}
+	for key := range testSeams {
+		if !seen[key] {
+			t.Errorf("testSeams entry %q names no unreached internal/ function; drop it", key)
+		}
+	}
+}
+
+// TestNoGobInProductionCode keeps encoding/gob out of every byte boundary
+// the program persists or sends: WAL records and checkpoint sections use
+// package codec, whose layout is fixed byte for byte, encodes in one pass
+// without reflection, and writes maps in a fixed order. It fails on any
+// non-test file of the root module that imports encoding/gob; the bench/
+// module is a measuring harness and exempt.
+func TestNoGobInProductionCode(t *testing.T) {
+	l := loadModules(t)
+	bench := l.mods[1].path
+	for _, p := range l.checked {
+		if path := p.pkg.Path(); path == bench || strings.HasPrefix(path, bench+"/") {
+			continue
+		}
+		for _, f := range p.files {
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"encoding/gob"` {
+					t.Errorf("%s imports encoding/gob", l.fset.Position(imp.Pos()))
+				}
+			}
+		}
+	}
+}
+
+// loadModules type-checks the non-test files of the root module and of
+// bench/, rooted at every package outside internal/ (see
+// TestNoTestOnlyProductionCode).
+func loadModules(t *testing.T) *declLoader {
+	t.Helper()
 	modDir, err := filepath.Abs(".")
 	if err != nil {
 		t.Fatal(err)
@@ -67,30 +121,7 @@ func TestNoTestOnlyProductionCode(t *testing.T) {
 	if len(l.checked) < 30 {
 		t.Fatalf("checked only %d packages; is the test rooted at the module?", len(l.checked))
 	}
-
-	unreached := l.unreached()
-	var findings []string
-	seen := map[string]bool{}
-	for _, d := range unreached {
-		if _, ok := testSeams[d.key]; ok {
-			seen[d.key] = true
-			continue
-		}
-		findings = append(findings, fmt.Sprintf("%s %s", d.pos, d.key))
-	}
-	sort.Strings(findings)
-	for _, f := range findings {
-		t.Errorf("only tests reach %s", f)
-	}
-	if len(findings) > 0 {
-		t.Logf("delete each, move it into test code, or give it a production caller; " +
-			"a deliberate test seam goes into testSeams with its reason")
-	}
-	for key := range testSeams {
-		if !seen[key] {
-			t.Errorf("testSeams entry %q names no unreached internal/ function; drop it", key)
-		}
-	}
+	return l
 }
 
 // rootDirs lists the package directories of root's module outside
