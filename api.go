@@ -270,9 +270,10 @@ type Sniffer struct {
 	// state and are skipped by the subscribe callback. ckptSeq is the
 	// sequence the newest checkpoint covers and sinceCkpt the WAL records
 	// caused since — counted on the delivery goroutine as captures match
-	// and rotations are journaled, the inputs of checkpointDue.
+	// and rotations are journaled, the inputs of checkpointDue. recovered
+	// reports what startup recovery found.
 	store     *store.Store
-	recovery  *store.Recovery
+	recovered *RecoveryReport
 	watermark socialnet.TweetID
 	ckptSeq   uint64
 	sinceCkpt uint64
@@ -363,14 +364,16 @@ func NewSniffer(sim *Simulation, cfg SnifferConfig) (*Sniffer, error) {
 	m := core.NewMonitor(mcfg, scr)
 	s := &Sniffer{monitor: m, cfg: cfg, src: src}
 	s.srcIns = newSourceInstruments(cfg.Metrics)
+	var rec *store.Recovery
 	if cfg.Durability.enabled() {
-		if err := s.openDurable(); err != nil {
+		var err error
+		if rec, err = s.openDurable(); err != nil {
 			return nil, err
 		}
 	}
 	err := s.attachStream()
 	if err == nil && s.store != nil {
-		err = s.recoverDurable()
+		err = s.recoverDurable(rec)
 	}
 	if err != nil {
 		// Release whatever was acquired: stages, workers, the store's

@@ -222,8 +222,8 @@ func run() error {
 	defer stopWatchdog()
 	if rec := sniffer.Recovery(); rec != nil {
 		logger.Info("durable store recovered",
-			"dir", *storeDir, "checkpoint", rec.Checkpoint != nil,
-			"replayed_records", len(rec.Records), "torn_segments", rec.Torn,
+			"dir", *storeDir, "checkpoint", rec.Checkpoint,
+			"replayed_records", rec.Replayed, "torn_segments", rec.Torn,
 			"checkpoint_fallbacks", rec.Fallbacks)
 	}
 

@@ -1,12 +1,10 @@
 package pseudohoneypot
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/core"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/store"
 )
@@ -58,14 +56,36 @@ type DurabilityConfig struct {
 
 func (d DurabilityConfig) enabled() bool { return d.Dir != "" || d.Backend != nil }
 
-// Checkpoint component keys.
-const (
-	ckCaptures  = "captures"
-	ckLabels    = "labels"
-	ckExtractor = "extractor"
-	ckGroups    = "groups"
-	ckOnline    = "online"
-)
+// section is one component of the durable checkpoint: the name the file
+// holds its bytes under, how a cut encodes them, and how recovery restores
+// the component from the bytes it arrived in.
+type section struct {
+	name    string
+	encode  func() ([]byte, error)
+	restore func([]byte) error
+}
+
+// sections is the checkpoint's one table of components, walked by both
+// checkpointDurable and recoverDurable. Recovery restores them in this
+// order: the group statistics re-base the monitor's capture counter from
+// the capture store, so the captures come first.
+func (s *Sniffer) sections() []section {
+	m, labels := s.monitor, s.tail.labels
+	secs := []section{
+		{"captures", infallible(m.Store().EncodeSnapshot), m.Store().RestoreSnapshot},
+		{"labels", labels.EncodeSnapshot, func(b []byte) error { return labels.RestoreSnapshot(b, s.src.Lookup) }},
+		{"extractor", infallible(m.Extractor().EncodeSnapshot), m.Extractor().RestoreSnapshot},
+		{"groups", infallible(m.EncodeGroupStats), m.RestoreGroupStats},
+	}
+	if o := s.cfg.Online; o != nil {
+		secs = append(secs, section{"online", infallible(o.EncodeSnapshot), o.RestoreSnapshot})
+	}
+	return secs
+}
+
+func infallible(encode func() []byte) func() ([]byte, error) {
+	return func() ([]byte, error) { return encode(), nil }
+}
 
 // durabilityMeta fingerprints the configuration axes that change what the
 // WAL and checkpoints mean. The store refuses to open a directory written
@@ -78,15 +98,15 @@ func durabilityMeta(cfg SnifferConfig) string {
 	return hex.EncodeToString(h[:])
 }
 
-// openDurable opens (or creates) the durable store and holds the recovery
-// state for recoverDurable to apply once the pipeline exists.
-func (s *Sniffer) openDurable() error {
+// openDurable opens (or creates) the durable store and returns the
+// recovery state for recoverDurable to apply once the pipeline exists.
+func (s *Sniffer) openDurable() (*store.Recovery, error) {
 	d := s.cfg.Durability
 	b := d.Backend
 	if b == nil {
 		var err error
 		if b, err = store.NewDir(d.Dir); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	st, rec, err := store.Open(store.Options{
@@ -98,10 +118,10 @@ func (s *Sniffer) openDurable() error {
 		RetainAll: d.RecordRotations,
 	})
 	if err != nil {
-		return fmt.Errorf("pseudohoneypot: open durable store: %w", err)
+		return nil, fmt.Errorf("pseudohoneypot: open durable store: %w", err)
 	}
-	s.store, s.recovery = st, rec
-	return nil
+	s.store = st
+	return rec, nil
 }
 
 // recoverDurable applies the recovered checkpoint and feeds the WAL tail
@@ -111,44 +131,25 @@ func (s *Sniffer) openDurable() error {
 // the label store and re-feed the online detector. A worker-fleet failure
 // is latched for RunHours and DetectAll, as in a live hour. The watermark
 // then tells the subscribe callback which tweets of the re-run simulation
-// are already accounted for.
+// are already accounted for. The sniffer keeps only the RecoveryReport of
+// rec, so the checkpoint's bytes are released once they are applied.
 // Accounts spawned mid-run (campaign churn) do not exist yet in the
 // re-seeded world; the label store rebinds them through the source's
 // Lookup at Snapshot time, once the re-run has recreated them.
-func (s *Sniffer) recoverDurable() error {
-	rec, t := s.recovery, s.tail
+func (s *Sniffer) recoverDurable(rec *store.Recovery) error {
+	t := s.tail
+	s.recovered = &RecoveryReport{Replayed: len(rec.Records), Torn: rec.Torn, Fallbacks: rec.Fallbacks}
 	if ck := rec.Checkpoint; ck != nil {
-		if b, ok := ck.Components[ckCaptures]; ok {
-			if err := s.monitor.Store().ReadSnapshot(bytes.NewReader(b)); err != nil {
-				return fmt.Errorf("pseudohoneypot: restore captures: %w", err)
-			}
-		}
-		if b, ok := ck.Components[ckLabels]; ok {
-			if err := t.labels.ReadSnapshot(bytes.NewReader(b), s.src.Lookup); err != nil {
-				return fmt.Errorf("pseudohoneypot: restore label store: %w", err)
-			}
-		}
-		if b, ok := ck.Components[ckExtractor]; ok {
-			if err := s.monitor.Extractor().ReadSnapshot(bytes.NewReader(b)); err != nil {
-				return fmt.Errorf("pseudohoneypot: restore extractor: %w", err)
-			}
-		}
-		if b, ok := ck.Components[ckGroups]; ok {
-			gs, err := core.DecodeGroupStats(b)
-			if err != nil {
-				return fmt.Errorf("pseudohoneypot: restore group stats: %w", err)
-			}
-			if err := s.monitor.RestoreGroupStats(gs); err != nil {
-				return err
-			}
-		}
-		if b, ok := ck.Components[ckOnline]; ok && s.cfg.Online != nil {
-			if err := s.cfg.Online.ReadSnapshot(bytes.NewReader(b)); err != nil {
-				return fmt.Errorf("pseudohoneypot: restore online detector: %w", err)
+		for _, sec := range s.sections() {
+			if b, ok := ck.Components[sec.name]; ok {
+				if err := sec.restore(b); err != nil {
+					return fmt.Errorf("pseudohoneypot: restore %s: %w", sec.name, err)
+				}
 			}
 		}
 		t.lastCaptured = socialnet.TweetID(ck.TweetWatermark)
 		s.ckptSeq = ck.Seq
+		s.recovered.Checkpoint, s.recovered.CheckpointSeq = true, ck.Seq
 	}
 	// The store is quiescent until the stream starts, so its sequence is
 	// exactly the history the newest checkpoint does not cover: the
@@ -201,18 +202,12 @@ func (s *Sniffer) checkpointDurable() error {
 	}
 	// Each component encodes into a buffer of its own, which the
 	// checkpoint then holds as is.
-	labels, err := s.tail.labels.EncodeSnapshot()
-	ck.Components[ckLabels] = labels
-	ck.Components[ckCaptures] = s.monitor.Store().EncodeSnapshot()
-	ck.Components[ckExtractor] = s.monitor.Extractor().EncodeSnapshot()
-	ck.Components[ckGroups] = core.EncodeGroupStats(s.monitor.SnapshotGroupStats())
-	if err == nil && s.cfg.Online != nil {
-		var buf bytes.Buffer
-		err = s.cfg.Online.WriteSnapshot(&buf)
-		ck.Components[ckOnline] = buf.Bytes()
-	}
-	if err != nil {
-		return fmt.Errorf("pseudohoneypot: checkpoint snapshot: %w", err)
+	for _, sec := range s.sections() {
+		b, err := sec.encode()
+		if err != nil {
+			return fmt.Errorf("pseudohoneypot: checkpoint %s: %w", sec.name, err)
+		}
+		ck.Components[sec.name] = b
 	}
 	if err := s.store.WriteCheckpoint(ck); err != nil {
 		return err
@@ -226,7 +221,22 @@ func (s *Sniffer) checkpointDurable() error {
 // disabled) for sequence inspection and explicit syncs.
 func (s *Sniffer) DurableStore() *store.Store { return s.store }
 
+// RecoveryReport is what recovery found at startup.
+type RecoveryReport struct {
+	// Checkpoint reports whether a checkpoint was restored, and
+	// CheckpointSeq the record sequence it covers.
+	Checkpoint    bool
+	CheckpointSeq uint64
+	// Replayed counts the WAL capture records replayed past it.
+	Replayed int
+	// Torn counts WAL segments that ended in a torn write.
+	Torn int
+	// Fallbacks counts checkpoints that failed verification and were
+	// skipped in favour of an older one.
+	Fallbacks int
+}
+
 // Recovery reports what recovery found at startup: the checkpoint used,
 // how many WAL records were replayed, torn tails tolerated, and checkpoint
 // fallbacks taken. Nil when durability is disabled.
-func (s *Sniffer) Recovery() *store.Recovery { return s.recovery }
+func (s *Sniffer) Recovery() *RecoveryReport { return s.recovered }

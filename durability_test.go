@@ -7,10 +7,12 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"weak"
 
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/core"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/parallel"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/store"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/store/fstest"
@@ -97,7 +99,7 @@ func restartAndFinish(t *testing.T, cfg SnifferConfig, hours int) *DetectionResu
 	if rec == nil {
 		t.Fatal("restarted sniffer reports no recovery state")
 	}
-	if rec.Checkpoint == nil && len(rec.Records) == 0 {
+	if !rec.Checkpoint && rec.Replayed == 0 {
 		t.Fatal("recovery found nothing durable")
 	}
 	sim.RunHours(hours)
@@ -280,6 +282,74 @@ func TestDurableCleanRestartResumes(t *testing.T) {
 	cleanRestartResumes(t, cfg)
 }
 
+// TestReopenReleasesCheckpointBytes: a reopened sniffer keeps only the
+// RecoveryReport of its recovery. No restored component aliases the bytes
+// its section arrived in, so once recovery is done the collector frees
+// every buffer the checkpoint file was read into while the sniffer lives.
+func TestReopenReleasesCheckpointBytes(t *testing.T) {
+	b := fstest.New()
+	cfg := durableConfig(b, 1)
+	sim := testSimulation(t)
+	sn, err := NewSniffer(sim, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.RunHours(3)
+	sn.Close()
+
+	tracker := &checkpointReads{StoreBackend: b}
+	cfg.Durability.Backend = tracker
+	sn2, err := NewSniffer(testSimulation(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn2.Close()
+	if rec := sn2.Recovery(); rec == nil || !rec.Checkpoint {
+		t.Fatalf("reopen recovered %+v, want a checkpoint", rec)
+	}
+	if len(tracker.bufs) == 0 {
+		t.Fatal("recovery read no checkpoint bytes")
+	}
+	runtime.GC()
+	runtime.GC()
+	for i, buf := range tracker.bufs {
+		if buf.Value() != nil {
+			t.Fatalf("checkpoint read buffer %d of %d is still referenced after recovery", i, len(tracker.bufs))
+		}
+	}
+	runtime.KeepAlive(sn2)
+}
+
+// checkpointReads is a backend that remembers, through weak pointers,
+// every buffer a checkpoint file is read into.
+type checkpointReads struct {
+	StoreBackend
+	mu   sync.Mutex
+	bufs []weak.Pointer[byte]
+}
+
+func (b *checkpointReads) Open(name string) (io.ReadCloser, error) {
+	f, err := b.StoreBackend.Open(name)
+	if err != nil || !strings.HasSuffix(name, ".ckpt") {
+		return f, err
+	}
+	return trackedFile{f, b}, nil
+}
+
+type trackedFile struct {
+	io.ReadCloser
+	b *checkpointReads
+}
+
+func (f trackedFile) Read(p []byte) (int, error) {
+	if len(p) > 0 {
+		f.b.mu.Lock()
+		f.b.bufs = append(f.b.bufs, weak.Make(&p[0]))
+		f.b.mu.Unlock()
+	}
+	return f.ReadCloser.Read(p)
+}
+
 // cleanRestartResumes runs cfg (durable) for three hours, closes it
 // gracefully, reopens the same store with a fresh simulation and finishes
 // the six hours, every capture stamped with its source.
@@ -301,10 +371,10 @@ func cleanRestartResumes(t *testing.T, cfg SnifferConfig) {
 	}
 	defer sn2.Close()
 	rec := sn2.Recovery()
-	if rec == nil || rec.Checkpoint == nil {
+	if rec == nil || !rec.Checkpoint {
 		t.Fatal("clean restart recovered no checkpoint")
 	}
-	if len(rec.Records) == 0 {
+	if rec.Replayed == 0 {
 		t.Fatal("clean restart replayed no WAL tail past the checkpoint")
 	}
 	sim2.RunHours(6)
@@ -522,12 +592,12 @@ func TestCheckpointScheduleBounds(t *testing.T) {
 	}
 	defer sn2.Close()
 	rec := sn2.Recovery()
-	if rec.Checkpoint == nil {
+	if !rec.Checkpoint {
 		t.Fatal("a day-long run left no checkpoint")
 	}
-	if got, bound := len(rec.Records), int(rec.Checkpoint.Seq)+maxHour; got > bound {
+	if got, bound := rec.Replayed, int(rec.CheckpointSeq)+maxHour; got > bound {
 		t.Fatalf("reopen replays %d records past checkpoint seq %d, over the bound %d (largest hour: %d captures)",
-			got, rec.Checkpoint.Seq, bound, maxHour)
+			got, rec.CheckpointSeq, bound, maxHour)
 	}
 	if restored := len(sn2.Monitor().Captures()); restored != captures {
 		t.Fatalf("reopen restored %d captures, the run made %d", restored, captures)
@@ -565,23 +635,22 @@ func TestCheckpointEncodingDeterministic(t *testing.T) {
 	}
 	sn.drainPipeline()
 
-	for name, c := range map[string]interface{ WriteSnapshot(io.Writer) error }{
-		ckCaptures: sn.monitor.Store(), ckLabels: sn.tail.labels,
-		ckExtractor: sn.monitor.Extractor(), ckOnline: online,
-	} {
-		var first, second bytes.Buffer
-		if err := c.WriteSnapshot(&first); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.WriteSnapshot(&second); err != nil {
-			t.Fatal(err)
-		}
-		if first.Len() == 0 || !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Errorf("%s: two snapshots of one state differ (%d and %d bytes)", name, first.Len(), second.Len())
-		}
+	secs := sn.sections()
+	if len(secs) != 5 {
+		t.Fatalf("the cut has %d sections, want 5 with an online detector", len(secs))
 	}
-	if g := core.EncodeGroupStats(sn.monitor.SnapshotGroupStats()); !bytes.Equal(g, core.EncodeGroupStats(sn.monitor.SnapshotGroupStats())) {
-		t.Error("groups: two encodings of one state differ")
+	for _, sec := range secs {
+		first, err := sec.encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := sec.encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(first) == 0 || !bytes.Equal(first, second) {
+			t.Errorf("%s: two snapshots of one state differ (%d and %d bytes)", sec.name, len(first), len(second))
+		}
 	}
 
 	// Two checkpoints cut back to back cover the same sequence, so the

@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"time"
@@ -157,20 +156,6 @@ func AppendAccount(b []byte, a *socialnet.Account) []byte {
 	}
 	b = AppendProfile(append(b, 1), a)
 	return AppendTime(b, a.LastPostAt())
-}
-
-// ReadAll returns r's remaining bytes, sized in one allocation when r
-// reports its length (a *bytes.Reader does).
-func ReadAll(r io.Reader) ([]byte, error) {
-	lr, ok := r.(interface{ Len() int })
-	if !ok {
-		return io.ReadAll(r)
-	}
-	b := make([]byte, lr.Len())
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
-	}
-	return b, nil
 }
 
 // Decoder walks an encoding with explicit bounds checks. Every read either

@@ -115,10 +115,7 @@ func (s *CaptureStore) Range(fn func(i int, c *Capture) bool) {
 // alone takes a byte per feature.
 const minCaptureBytes = len(features.Vector{})
 
-// WriteSnapshot writes the retained captures (oldest first) to w,
-// preserving the store's eviction count. Traces are not persisted; the
-// unexported engine-side fields of accounts and tweets are outside the
-// capture contract and are likewise dropped.
+// WriteSnapshot writes the section EncodeSnapshot returns to w.
 func (s *CaptureStore) WriteSnapshot(w io.Writer) error {
 	if _, err := w.Write(s.EncodeSnapshot()); err != nil {
 		return fmt.Errorf("capture store: write snapshot: %w", err)
@@ -126,8 +123,11 @@ func (s *CaptureStore) WriteSnapshot(w io.Writer) error {
 	return nil
 }
 
-// EncodeSnapshot returns the section WriteSnapshot writes, in a buffer of
-// its own that the caller may keep.
+// EncodeSnapshot returns the retained captures (oldest first) and the
+// store's eviction count as a checkpoint section, in a buffer of its own
+// that the caller may keep. Traces are not persisted; the unexported
+// engine-side fields of accounts and tweets are outside the capture
+// contract and are likewise dropped.
 func (s *CaptureStore) EncodeSnapshot() []byte {
 	b := make([]byte, 0, 16+s.size*640)
 	b = codec.AppendUvarint(b, s.evicted)
@@ -173,17 +173,13 @@ func decodeProfile(d *codec.Decoder) *socialnet.Account {
 	return a
 }
 
-// ReadSnapshot replaces the store's contents with a snapshot previously
-// written by WriteSnapshot. The whole snapshot decodes before any state is
-// touched: a truncated or corrupt one leaves the store unchanged and
-// returns an error. The restored captures are rebuilt oldest-first through
-// the same Append path, so a snapshot wider than the store's own bound is
-// re-evicted deterministically.
-func (s *CaptureStore) ReadSnapshot(r io.Reader) error {
-	b, err := codec.ReadAll(r)
-	if err != nil {
-		return fmt.Errorf("capture store: read snapshot: %w", err)
-	}
+// RestoreSnapshot replaces the store's contents with a section written by
+// EncodeSnapshot, decoded in place. The whole section decodes before any
+// state is touched: a truncated or corrupt one leaves the store unchanged
+// and returns an error. The restored captures are rebuilt oldest-first
+// through the same Append path, so a section wider than the store's own
+// bound is re-evicted deterministically.
+func (s *CaptureStore) RestoreSnapshot(b []byte) error {
 	d := codec.NewDecoder(b)
 	evicted := d.Uvarint()
 	n := d.Count(minCaptureBytes)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -14,9 +13,10 @@ import (
 
 // FuzzCaptureStoreSnapshotRoundTrip drives random store shapes (capacity,
 // stream length, nil senders/receivers, random field values) through
-// WriteSnapshot/ReadSnapshot and requires the retained window to survive
-// exactly — plus, on a first leg, feeds the raw fuzz bytes straight into
-// ReadSnapshot to shake out decode panics and oversized allocations.
+// EncodeSnapshot/RestoreSnapshot and requires the retained window to
+// survive exactly — plus, on a first leg, feeds the raw fuzz bytes
+// straight into RestoreSnapshot to shake out decode panics and oversized
+// allocations.
 func FuzzCaptureStoreSnapshotRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(9), []byte{})
 	f.Add(int64(7), uint8(0), uint8(33), []byte("junk"))
@@ -26,8 +26,8 @@ func FuzzCaptureStoreSnapshotRoundTrip(f *testing.F) {
 		// succeed, never panic, and allocate no more than a small
 		// multiple of the input.
 		junk := NewCaptureStore(int(capLimit), metrics.NewRegistry())
-		if grew := allocated(func() { _ = junk.ReadSnapshot(bytes.NewReader(raw)) }); grew > allocBound(len(raw)) {
-			t.Fatalf("reading %d bytes allocated %d", len(raw), grew)
+		if grew := allocated(func() { _ = junk.RestoreSnapshot(raw) }); grew > allocBound(len(raw)) {
+			t.Fatalf("restoring %d bytes allocated %d", len(raw), grew)
 		}
 
 		// Leg 2: structured round-trip.
@@ -58,13 +58,9 @@ func FuzzCaptureStoreSnapshotRoundTrip(f *testing.F) {
 			}
 			src.Append(c)
 		}
-		var buf bytes.Buffer
-		if err := src.WriteSnapshot(&buf); err != nil {
-			t.Fatalf("write: %v", err)
-		}
 		dst := NewCaptureStore(int(capLimit), metrics.NewRegistry())
-		if err := dst.ReadSnapshot(&buf); err != nil {
-			t.Fatalf("read back own snapshot: %v", err)
+		if err := dst.RestoreSnapshot(src.EncodeSnapshot()); err != nil {
+			t.Fatalf("restore own snapshot: %v", err)
 		}
 		if dst.Len() != src.Len() || dst.Evicted() != src.Evicted() {
 			t.Fatalf("len/evicted %d/%d, want %d/%d",

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"time"
@@ -137,12 +136,8 @@ func TestCaptureStoreSpillRoundTrip(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		src.Append(fakeCapture(i))
 	}
-	var buf bytes.Buffer
-	if err := src.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
 	dst := NewCaptureStore(16, metrics.NewRegistry())
-	if err := dst.ReadSnapshot(&buf); err != nil {
+	if err := dst.RestoreSnapshot(src.EncodeSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Len() != src.Len() || dst.Evicted() != src.Evicted() {
@@ -179,12 +174,8 @@ func TestCaptureStoreRestoreReEvicts(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		src.Append(fakeCapture(i))
 	}
-	var buf bytes.Buffer
-	if err := src.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
 	dst := NewCaptureStore(8, metrics.NewRegistry())
-	if err := dst.ReadSnapshot(&buf); err != nil {
+	if err := dst.RestoreSnapshot(src.EncodeSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Len() != 8 {
@@ -201,7 +192,7 @@ func TestCaptureStoreRestoreReEvicts(t *testing.T) {
 // panicking or silently clearing into a half-restored state being used.
 func TestCaptureStoreReadGarbage(t *testing.T) {
 	s := NewCaptureStore(4, metrics.NewRegistry())
-	if err := s.ReadSnapshot(bytes.NewReader([]byte("not a gob stream"))); err == nil {
+	if err := s.RestoreSnapshot([]byte("not a snapshot section")); err == nil {
 		t.Fatal("corrupt snapshot restored without error")
 	}
 }

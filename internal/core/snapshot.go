@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/codec"
@@ -28,10 +27,13 @@ type GroupStatsSnapshot struct {
 	Spammers []socialnet.AccountID
 }
 
-// EncodeGroupStats returns the checkpoint section for gs: the group count,
-// then per group its tweet and spam counters and its sorted sender and
-// spammer ids.
-func EncodeGroupStats(gs []GroupStatsSnapshot) []byte {
+// EncodeGroupStats returns the replay-dependent counters of every group as
+// a checkpoint section, in a buffer of its own that the caller may keep.
+func (m *Monitor) EncodeGroupStats() []byte { return encodeGroupStats(m.SnapshotGroupStats()) }
+
+// encodeGroupStats writes the group count, then per group its tweet and
+// spam counters and its sorted sender and spammer ids.
+func encodeGroupStats(gs []GroupStatsSnapshot) []byte {
 	size := 8
 	for _, g := range gs {
 		size += 32 + 5*(len(g.Senders)+len(g.Spammers))
@@ -46,8 +48,8 @@ func EncodeGroupStats(gs []GroupStatsSnapshot) []byte {
 	return b
 }
 
-// DecodeGroupStats reads a section written by EncodeGroupStats.
-func DecodeGroupStats(b []byte) ([]GroupStatsSnapshot, error) {
+// decodeGroupStats reads a section written by encodeGroupStats.
+func decodeGroupStats(b []byte) ([]GroupStatsSnapshot, error) {
 	d := codec.NewDecoder(b)
 	gs := make([]GroupStatsSnapshot, d.Count(4))
 	for i := range gs {
@@ -55,6 +57,10 @@ func DecodeGroupStats(b []byte) ([]GroupStatsSnapshot, error) {
 		gs[i].Senders = d.IDs()
 		gs[i].Spams = d.Int()
 		gs[i].Spammers = d.IDs()
+		if d.Err() == nil && (gs[i].Tweets < 0 || gs[i].Spams < 0) {
+			// The counters re-base monotone metrics on restore.
+			d.Fail(fmt.Errorf("group %d has negative counters %d/%d", i, gs[i].Tweets, gs[i].Spams))
+		}
 	}
 	if err := d.Finish("group stats"); err != nil {
 		return nil, fmt.Errorf("core: decode group stats: %w", err)
@@ -78,10 +84,15 @@ func (m *Monitor) SnapshotGroupStats() []GroupStatsSnapshot {
 }
 
 // RestoreGroupStats replaces the replay-dependent counters of every group
-// with a snapshot taken by SnapshotGroupStats, and re-bases the capture
-// counters of the monitor's instrumentation. The snapshot must come from a
-// monitor with the same selector specs.
-func (m *Monitor) RestoreGroupStats(snap []GroupStatsSnapshot) error {
+// with a section written by EncodeGroupStats, decoded in place, and
+// re-bases the capture counters of the monitor's instrumentation. The
+// section must come from a monitor with the same selector specs; one that
+// does not decode or does not fit leaves the monitor unchanged.
+func (m *Monitor) RestoreGroupStats(b []byte) error {
+	snap, err := decodeGroupStats(b)
+	if err != nil {
+		return err
+	}
 	if len(snap) != len(m.groups) {
 		return fmt.Errorf("core: group snapshot has %d groups, monitor has %d",
 			len(snap), len(m.groups))
@@ -161,7 +172,7 @@ func (m *Monitor) AdoptCapture(t *socialnet.Tweet, senderSnap, receiverSnap *soc
 // onlineSnapshot is an OnlineDetector checkpoint: the window rows as
 // compact float bits (codec.AppendCompactFloat), the labels, and the
 // retrain counters. The fitted classifier itself is not serialized — see
-// ReadSnapshot.
+// RestoreSnapshot.
 type onlineSnapshot struct {
 	X         [][]float64
 	Y         []bool
@@ -170,9 +181,10 @@ type onlineSnapshot struct {
 	EverTrain bool
 }
 
-// WriteSnapshot serializes the detector's sliding window and retrain
-// schedule to w.
-func (o *OnlineDetector) WriteSnapshot(w io.Writer) error {
+// EncodeSnapshot returns the detector's sliding window and retrain
+// schedule as a checkpoint section, in a buffer of its own that the caller
+// may keep.
+func (o *OnlineDetector) EncodeSnapshot() []byte {
 	size := 16 + len(o.y)
 	for _, row := range o.x {
 		size += 2 + 4*len(row)
@@ -190,14 +202,10 @@ func (o *OnlineDetector) WriteSnapshot(w io.Writer) error {
 	}
 	b = codec.AppendVarint(b, int64(o.sinceFit))
 	b = codec.AppendVarint(b, int64(o.retrains))
-	b = codec.AppendBool(b, o.everTrain)
-	if _, err := w.Write(b); err != nil {
-		return fmt.Errorf("core: write online snapshot: %w", err)
-	}
-	return nil
+	return codec.AppendBool(b, o.everTrain)
 }
 
-// decodeOnlineSnapshot reads a section written by WriteSnapshot; empty
+// decodeOnlineSnapshot reads a section written by EncodeSnapshot; empty
 // slices decode as nil.
 func decodeOnlineSnapshot(b []byte) (*onlineSnapshot, error) {
 	d := codec.NewDecoder(b)
@@ -240,8 +248,9 @@ func decodeOnlineSnapshot(b []byte) (*onlineSnapshot, error) {
 	return snap, nil
 }
 
-// ReadSnapshot restores the window and retrain schedule from a snapshot
-// written by WriteSnapshot, then performs a recovery refit: when the
+// RestoreSnapshot restores the window and retrain schedule from a section
+// written by EncodeSnapshot, decoded in place, then performs a recovery
+// refit: when the
 // detector had ever trained, the model is re-fit on the restored window
 // with the seed of the most recent retrain. The refit window may be
 // slightly newer than the one behind the crashed model (observations since
@@ -249,11 +258,7 @@ func decodeOnlineSnapshot(b []byte) (*onlineSnapshot, error) {
 // therefore the seed sequence of every future retrain — is preserved
 // exactly, so the detector reconverges with the uninterrupted run at its
 // next scheduled retrain.
-func (o *OnlineDetector) ReadSnapshot(r io.Reader) error {
-	b, err := codec.ReadAll(r)
-	if err != nil {
-		return fmt.Errorf("core: read online snapshot: %w", err)
-	}
+func (o *OnlineDetector) RestoreSnapshot(b []byte) error {
 	snap, err := decodeOnlineSnapshot(b)
 	if err != nil {
 		return err

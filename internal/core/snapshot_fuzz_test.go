@@ -22,10 +22,10 @@ func allocated(fn func()) uint64 {
 // allocate: a small multiple of the input, plus a constant.
 func allocBound(n int) uint64 { return 1<<20 + 64*uint64(n) }
 
-// FuzzOnlineSnapshot holds the online window's section decoder to the
-// codec's contract on arbitrary bytes: it decodes or fails cleanly, never
-// panics and never allocates past a small multiple of the input. A decoded
-// window writes a section that decodes and writes to itself.
+// FuzzOnlineSnapshot holds the online detector's restore to the codec's
+// contract on arbitrary bytes: it restores or fails cleanly, never panics
+// and never allocates past a small multiple of the input. A restored
+// detector encodes a section that restores and encodes to itself.
 func FuzzOnlineSnapshot(f *testing.F) {
 	online, err := NewOnlineDetector(ClassifierDT, 100, 10, 1)
 	if err != nil {
@@ -38,66 +38,63 @@ func FuzzOnlineSnapshot(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := online.WriteSnapshot(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:buf.Len()/2])
+	valid := online.EncodeSnapshot()
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
 	f.Add([]byte{0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var snap *onlineSnapshot
+		restore := func(b []byte) (*OnlineDetector, error) {
+			o, err := NewOnlineDetector(ClassifierDT, 100, 10, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return o, o.RestoreSnapshot(b)
+		}
+		var o *OnlineDetector
 		var err error
-		if grew := allocated(func() { snap, err = decodeOnlineSnapshot(data) }); grew > allocBound(len(data)) {
-			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		if grew := allocated(func() { o, err = restore(data) }); grew > allocBound(len(data)) {
+			t.Fatalf("restoring %d bytes allocated %d", len(data), grew)
 		}
 		if err != nil {
 			return
 		}
-		write := func(s *onlineSnapshot) []byte {
-			o := &OnlineDetector{x: s.X, y: s.Y, sinceFit: s.SinceFit, retrains: s.Retrains, everTrain: s.EverTrain}
-			var b bytes.Buffer
-			if err := o.WriteSnapshot(&b); err != nil {
-				t.Fatal(err)
-			}
-			return b.Bytes()
-		}
-		once := write(snap)
-		again, err := decodeOnlineSnapshot(once)
+		once := o.EncodeSnapshot()
+		again, err := restore(once)
 		if err != nil {
-			t.Fatalf("re-written window does not decode: %v", err)
+			t.Fatalf("re-encoded window does not restore: %v", err)
 		}
-		if !bytes.Equal(once, write(again)) {
-			t.Fatal("re-writing a decoded window is not stable")
+		if !bytes.Equal(once, again.EncodeSnapshot()) {
+			t.Fatal("re-encoding a restored window is not stable")
 		}
 	})
 }
 
-// FuzzGroupStats holds DecodeGroupStats to the codec's contract on
-// arbitrary bytes, and a decoded section to re-encoding stably.
+// FuzzGroupStats holds the monitor's group-stats restore to the codec's
+// contract on arbitrary bytes, and a restored monitor to re-encoding
+// stably.
 func FuzzGroupStats(f *testing.F) {
-	f.Add(EncodeGroupStats([]GroupStatsSnapshot{
+	f.Add(encodeGroupStats([]GroupStatsSnapshot{
 		{Tweets: 9, Senders: []socialnet.AccountID{1, 4, 7}, Spams: 2, Spammers: []socialnet.AccountID{4}},
 		{},
 	}))
-	f.Add(EncodeGroupStats(nil))
+	f.Add(encodeGroupStats(nil))
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var gs []GroupStatsSnapshot
+		m := newSnapshotMonitor(t)
 		var err error
-		if grew := allocated(func() { gs, err = DecodeGroupStats(data) }); grew > allocBound(len(data)) {
-			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		if grew := allocated(func() { err = m.RestoreGroupStats(data) }); grew > allocBound(len(data)) {
+			t.Fatalf("restoring %d bytes allocated %d", len(data), grew)
 		}
 		if err != nil {
 			return
 		}
-		once := EncodeGroupStats(gs)
-		again, err := DecodeGroupStats(once)
-		if err != nil {
-			t.Fatalf("re-encoded group stats do not decode: %v", err)
+		once := m.EncodeGroupStats()
+		again := newSnapshotMonitor(t)
+		if err := again.RestoreGroupStats(once); err != nil {
+			t.Fatalf("re-encoded group stats do not restore: %v", err)
 		}
-		if !bytes.Equal(once, EncodeGroupStats(again)) {
-			t.Fatal("re-encoding decoded group stats is not stable")
+		if !bytes.Equal(once, again.EncodeGroupStats()) {
+			t.Fatal("re-encoding restored group stats is not stable")
 		}
 	})
 }

@@ -20,16 +20,12 @@ func TestCaptureSnapshotRejectsCorruption(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		src.Append(fakeCapture(i))
 	}
-	var buf bytes.Buffer
-	if err := src.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
+	good := src.EncodeSnapshot()
 
 	load := func(data []byte) error {
 		dst := NewCaptureStore(0, metrics.NewRegistry())
 		dst.Append(fakeCapture(99))
-		err := dst.ReadSnapshot(bytes.NewReader(data))
+		err := dst.RestoreSnapshot(data)
 		if err == nil && dst.Len() != 10 {
 			t.Fatalf("clean load restored %d captures, want 10", dst.Len())
 		}
@@ -77,16 +73,11 @@ func testOnlineSnapshotRoundTrip(t *testing.T, name ClassifierName) {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := online.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-
 	restored, err := NewOnlineDetector(name, 100, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.ReadSnapshot(&buf); err != nil {
+	if err := restored.RestoreSnapshot(online.EncodeSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if restored.Retrains() != online.Retrains() {
@@ -126,7 +117,7 @@ func testOnlineSnapshotRoundTrip(t *testing.T, name ClassifierName) {
 		}
 	}
 
-	if err := restored.ReadSnapshot(bytes.NewReader([]byte("junk"))); err == nil {
+	if err := restored.RestoreSnapshot([]byte("junk")); err == nil {
 		t.Fatal("garbage online snapshot accepted")
 	}
 }
@@ -153,9 +144,8 @@ func TestGroupStatsSnapshotRoundTrip(t *testing.T) {
 	g.Spams = 2
 	g.Spammers[11] = struct{}{}
 
-	snap := m.SnapshotGroupStats()
 	m2 := newSnapshotMonitor(t)
-	if err := m2.RestoreGroupStats(snap); err != nil {
+	if err := m2.RestoreGroupStats(m.EncodeGroupStats()); err != nil {
 		t.Fatal(err)
 	}
 	for gi := range m.Groups() {
@@ -166,8 +156,12 @@ func TestGroupStatsSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("group %d diverged after restore", gi)
 		}
 	}
-	if err := m2.RestoreGroupStats(snap[:1]); err == nil {
+	if err := m2.RestoreGroupStats(encodeGroupStats(m.SnapshotGroupStats()[:1])); err == nil {
 		t.Fatal("short snapshot accepted")
+	}
+	negative := encodeGroupStats([]GroupStatsSnapshot{{Tweets: -1}, {}})
+	if err := m2.RestoreGroupStats(negative); err == nil {
+		t.Fatal("negative tweet count accepted")
 	}
 }
 

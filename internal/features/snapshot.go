@@ -12,7 +12,7 @@ import (
 )
 
 // The extractor accumulates behavioural state in stream order, so a crash
-// mid-stream loses every per-account history. WriteSnapshot/ReadSnapshot
+// mid-stream loses every per-account history. EncodeSnapshot/RestoreSnapshot
 // serialize that state for the durable checkpoint (DESIGN.md §14): an
 // extractor restored from a snapshot produces bit-identical vectors for the
 // remainder of the stream, because every behavioural feature is a pure
@@ -40,7 +40,7 @@ const (
 	minLastBytes    = 3
 )
 
-// WriteSnapshot serializes the extractor's behavioural state to w.
+// WriteSnapshot writes the section EncodeSnapshot returns to w.
 func (e *Extractor) WriteSnapshot(w io.Writer) error {
 	if _, err := w.Write(e.EncodeSnapshot()); err != nil {
 		return fmt.Errorf("features: write snapshot: %w", err)
@@ -48,8 +48,8 @@ func (e *Extractor) WriteSnapshot(w io.Writer) error {
 	return nil
 }
 
-// EncodeSnapshot returns the section WriteSnapshot writes, in a buffer of
-// its own that the caller may keep.
+// EncodeSnapshot returns the extractor's behavioural state as a
+// checkpoint section, in a buffer of its own that the caller may keep.
 func (e *Extractor) EncodeSnapshot() []byte {
 	b := make([]byte, 0, 64+
 		len(e.histories)*(minHistoryBytes+24)+len(e.pairs)*8+
@@ -114,14 +114,10 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	return keys
 }
 
-// ReadSnapshot replaces the extractor's behavioural state with a snapshot
-// previously written by WriteSnapshot. On decode error the extractor is
-// left unchanged.
-func (e *Extractor) ReadSnapshot(r io.Reader) error {
-	b, err := codec.ReadAll(r)
-	if err != nil {
-		return fmt.Errorf("features: read snapshot: %w", err)
-	}
+// RestoreSnapshot replaces the extractor's behavioural state with a
+// section written by EncodeSnapshot, decoded in place. On decode error the
+// extractor is left unchanged.
+func (e *Extractor) RestoreSnapshot(b []byte) error {
 	d := codec.NewDecoder(b)
 	tau := d.Float()
 

@@ -50,12 +50,8 @@ func TestExtractorSnapshotResumesStream(t *testing.T) {
 	for _, o := range obs[:half] {
 		first.Extract(o)
 	}
-	var buf bytes.Buffer
-	if err := first.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
 	restored := NewExtractor()
-	if err := restored.ReadSnapshot(&buf); err != nil {
+	if err := restored.RestoreSnapshot(first.EncodeSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	for i, o := range obs[half:] {
@@ -71,7 +67,7 @@ func TestExtractorSnapshotResumesStream(t *testing.T) {
 // and leaves the extractor usable.
 func TestExtractorSnapshotRejectsGarbage(t *testing.T) {
 	e := NewExtractor()
-	if err := e.ReadSnapshot(bytes.NewReader([]byte("not a gob"))); err == nil {
+	if err := e.RestoreSnapshot([]byte("not a snapshot section")); err == nil {
 		t.Fatal("garbage snapshot accepted")
 	}
 	// Still usable after the failed restore.
@@ -80,12 +76,8 @@ func TestExtractorSnapshotRejectsGarbage(t *testing.T) {
 
 // TestExtractorSnapshotEmpty round-trips a pristine extractor.
 func TestExtractorSnapshotEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := NewExtractor().WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
 	e := NewExtractor()
-	if err := e.ReadSnapshot(&buf); err != nil {
+	if err := e.RestoreSnapshot(NewExtractor().EncodeSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.EnvScore(nil); got != DefaultTau {
@@ -94,28 +86,25 @@ func TestExtractorSnapshotEmpty(t *testing.T) {
 }
 
 // FuzzExtractorSnapshot holds the extractor's checkpoint section decoder
-// to the codec's contract on arbitrary bytes: ReadSnapshot restores or
+// to the codec's contract on arbitrary bytes: RestoreSnapshot restores or
 // fails cleanly, never panics and never allocates past a small multiple of
-// the input, and a failed read leaves the extractor as it was. A restored
-// extractor writes a section that reads back and writes to itself.
+// the input, and a failed restore leaves the extractor as it was. A
+// restored extractor encodes a section that restores and encodes to itself.
 func FuzzExtractorSnapshot(f *testing.F) {
 	e := NewExtractor()
 	for _, o := range snapshotObservations(40) {
 		e.Extract(o)
 	}
 	e.UpdateEnvScore("followers", 0.75)
-	var buf bytes.Buffer
-	if err := e.WriteSnapshot(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:buf.Len()/3])
+	valid := e.EncodeSnapshot()
+	f.Add(valid)
+	f.Add(valid[:len(valid)/3])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := NewExtractor()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := e.ReadSnapshot(bytes.NewReader(data))
+		err := e.RestoreSnapshot(data)
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+64*uint64(len(data)) {
 			t.Fatalf("reading %d bytes allocated %d", len(data), grew)
@@ -126,19 +115,13 @@ func FuzzExtractorSnapshot(f *testing.F) {
 			}
 			return
 		}
-		var once, twice bytes.Buffer
-		if err := e.WriteSnapshot(&once); err != nil {
-			t.Fatal(err)
-		}
+		once := e.EncodeSnapshot()
 		again := NewExtractor()
-		if err := again.ReadSnapshot(bytes.NewReader(once.Bytes())); err != nil {
-			t.Fatalf("re-written snapshot does not read: %v", err)
+		if err := again.RestoreSnapshot(once); err != nil {
+			t.Fatalf("re-encoded snapshot does not restore: %v", err)
 		}
-		if err := again.WriteSnapshot(&twice); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
-			t.Fatal("re-writing a restored extractor is not stable")
+		if !bytes.Equal(once, again.EncodeSnapshot()) {
+			t.Fatal("re-encoding a restored extractor is not stable")
 		}
 	})
 }

@@ -74,11 +74,10 @@ func FuzzClassCount(f *testing.F) {
 	})
 }
 
-// FuzzStoreSnapshot holds the label store's checkpoint section decoder to
-// the codec's contract on arbitrary bytes: it decodes or fails cleanly,
-// never panics and never allocates past a small multiple of the input. A
-// decoded snapshot re-encodes to bytes that decode and re-encode to
-// themselves, and ReadSnapshot either restores it or refuses it cleanly.
+// FuzzStoreSnapshot holds the label store's restore to the codec's
+// contract on arbitrary bytes: it restores or fails cleanly, never panics
+// and never allocates past a small multiple of the input. A decoded
+// section re-encodes to bytes that decode and re-encode to themselves.
 func FuzzStoreSnapshot(f *testing.F) {
 	st := NewStore(DefaultConfig())
 	for i, name := range []string{"alice01", "alice02", "bob"} {
@@ -87,21 +86,17 @@ func FuzzStoreSnapshot(f *testing.F) {
 		st.Add(&socialnet.Tweet{ID: socialnet.TweetID(i + 1), AuthorID: a.ID,
 			Text: "win a free prize now at http://sp.am #win"}, a, a)
 	}
-	var buf bytes.Buffer
-	if err := st.WriteSnapshot(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := mustEncode(f, st)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	f.Add(NewStore(DefaultConfig()).encodeSnapshotOrNil())
+	f.Add(mustEncode(f, NewStore(DefaultConfig())))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var snap *storeSnapshot
-		var err error
-		if grew := allocated(func() { snap, err = decodeStoreSnapshot(data) }); grew > 1<<20+64*uint64(len(data)) {
-			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		fresh := NewStore(DefaultConfig())
+		if grew := allocated(func() { _ = fresh.RestoreSnapshot(data, nil) }); grew > 1<<20+64*uint64(len(data)) {
+			t.Fatalf("restoring %d bytes allocated %d", len(data), grew)
 		}
+		snap, err := decodeStoreSnapshot(data)
 		if err != nil {
 			if snap != nil {
 				t.Fatal("decoder returned both a snapshot and an error")
@@ -116,17 +111,7 @@ func FuzzStoreSnapshot(f *testing.F) {
 		if twice := encodeStoreSnapshot(again); !bytes.Equal(once, twice) {
 			t.Fatal("re-encoding a decoded snapshot is not stable")
 		}
-		_ = NewStore(DefaultConfig()).ReadSnapshot(bytes.NewReader(data), nil)
 	})
-}
-
-// encodeSnapshotOrNil is the seed helper for an empty store's section.
-func (s *Store) encodeSnapshotOrNil() []byte {
-	b, err := s.EncodeSnapshot()
-	if err != nil {
-		return nil
-	}
-	return b
 }
 
 // allocated reports the bytes fn allocates.

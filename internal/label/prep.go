@@ -91,7 +91,7 @@ func (p *Prepper) PrepUser(profile *socialnet.Account) UserPrep {
 // So is any prep whose signature is not lshBands×lshRows words long: preps
 // cross a process boundary in proc mode, and a signature of another shape
 // would never match in the index and would make the next checkpoint one
-// that ReadSnapshot refuses.
+// that RestoreSnapshot refuses.
 func (s *Store) AddBatchPrepared(tweets []*socialnet.Tweet, authors, profiles []*socialnet.Account,
 	tweetPreps []TweetPrep, userPreps []*UserPrep) []bool {
 	s.mu.Lock()

@@ -14,17 +14,19 @@ import (
 
 // The label store's cluster indices accumulate in author-first-appearance
 // order, so they cannot be rebuilt from a truncated stream without
-// replaying it. WriteSnapshot/ReadSnapshot serialize the complete
+// replaying it. EncodeSnapshot/RestoreSnapshot serialize the complete
 // incremental state for the durable checkpoint (DESIGN.md §14); restoring
 // it and then continuing to Add the remaining stream yields the same
 // indices the uninterrupted run built, because every join is a pure
 // function of the state captured here and the restored schemes are
-// reseeded from the same Config.
+// reseeded from the same Config. The section is decoded in place from the
+// bytes it arrived in; decoded strings are copies, so the restored store
+// holds no reference to those bytes.
 //
 // The one subtlety is the users map: its values are the LIVE accounts the
 // stream handed to Add, and Snapshot's corpus must observe the
 // engine-mutated profile state at labeling time, not frozen add-time
-// copies. ReadSnapshot therefore takes a resolver that rebinds each user
+// copies. RestoreSnapshot therefore takes a resolver that rebinds each user
 // id to the restored world's live account; the frozen copies in the
 // snapshot are only a fallback for ids the resolver cannot produce.
 
@@ -50,7 +52,7 @@ type storeSnapshot struct {
 	Repeats     map[string]int
 }
 
-// WriteSnapshot serializes the store's incremental labeling state to w.
+// WriteSnapshot writes the section EncodeSnapshot returns to w.
 func (s *Store) WriteSnapshot(w io.Writer) error {
 	b, err := s.EncodeSnapshot()
 	if err != nil {
@@ -62,8 +64,8 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 	return nil
 }
 
-// EncodeSnapshot returns the section WriteSnapshot writes, in a buffer of
-// its own that the caller may keep.
+// EncodeSnapshot returns the store's incremental labeling state as a
+// checkpoint section, in a buffer of its own that the caller may keep.
 func (s *Store) EncodeSnapshot() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -216,7 +218,7 @@ func decodeSig(d *codec.Decoder) minhash.Signature {
 }
 
 // decodeStoreSnapshot reads a section written by encodeStoreSnapshot.
-// Empty lists decode as nil; the cross-list checks are ReadSnapshot's.
+// Empty lists decode as nil; the cross-list checks are RestoreSnapshot's.
 func decodeStoreSnapshot(b []byte) (*storeSnapshot, error) {
 	d := codec.NewDecoder(b)
 	snap := &storeSnapshot{}
@@ -296,18 +298,15 @@ func decodeStoreSnapshot(b []byte) (*storeSnapshot, error) {
 	return snap, nil
 }
 
-// ReadSnapshot replaces the store's state with a snapshot written by
-// WriteSnapshot. The store must have been created with the same Config the
-// snapshotted store used (the MinHash schemes are reseeded from it, and
-// signatures from different schemes are incomparable). resolve rebinds
-// each restored user id to the live account of the restored world; when it
-// is nil or returns nil the frozen add-time copy from the snapshot is used
-// instead. On decode or validation error the store is left unchanged.
-func (s *Store) ReadSnapshot(r io.Reader, resolve func(socialnet.AccountID) *socialnet.Account) error {
-	b, err := codec.ReadAll(r)
-	if err != nil {
-		return fmt.Errorf("label: read snapshot: %w", err)
-	}
+// RestoreSnapshot replaces the store's state with a section written by
+// EncodeSnapshot, decoded in place. The store must have been created with
+// the same Config the snapshotted store used (the MinHash schemes are
+// reseeded from it, and signatures from different schemes are
+// incomparable). resolve rebinds each restored user id to the live account
+// of the restored world; when it is nil or returns nil the frozen add-time
+// copy from the snapshot is used instead. On decode or validation error
+// the store is left unchanged.
+func (s *Store) RestoreSnapshot(b []byte, resolve func(socialnet.AccountID) *socialnet.Account) error {
 	snap, err := decodeStoreSnapshot(b)
 	if err != nil {
 		return err

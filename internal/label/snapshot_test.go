@@ -1,7 +1,6 @@
 package label
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -24,14 +23,11 @@ func TestStoreSnapshotRestoreResumesStream(t *testing.T) {
 
 	st := NewStore(DefaultConfig())
 	feedStore(st, prefix, 13, nil)
-	var buf bytes.Buffer
-	if err := st.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
+	section := mustEncode(t, st)
 
 	restored := NewStore(DefaultConfig())
 	resolve := func(id socialnet.AccountID) *socialnet.Account { return corpus.Users[id] }
-	if err := restored.ReadSnapshot(bytes.NewReader(buf.Bytes()), resolve); err != nil {
+	if err := restored.RestoreSnapshot(section, resolve); err != nil {
 		t.Fatal(err)
 	}
 	tweets, users := restored.Len()
@@ -68,12 +64,9 @@ func TestStoreSnapshotFrozenFallback(t *testing.T) {
 	a := &socialnet.Account{ID: 1, ScreenName: "alice", Description: "hello there friends"}
 	st.Add(&socialnet.Tweet{ID: 1, AuthorID: 1, Text: "lunch was nice today"}, a, a)
 
-	var buf bytes.Buffer
-	if err := st.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
+	section := mustEncode(t, st)
 	restored := NewStore(DefaultConfig())
-	if err := restored.ReadSnapshot(&buf, nil); err != nil {
+	if err := restored.RestoreSnapshot(section, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, users := restored.Len(); users != 1 {
@@ -96,14 +89,11 @@ func TestStoreSnapshotResolverRebindsAtSnapshotTime(t *testing.T) {
 	frozen := &socialnet.Account{ID: 9, ScreenName: "spawned_sp4mm3r",
 		Description: "buy cheap stuff now", DefaultProfileImage: true}
 	st.Add(&socialnet.Tweet{ID: 1, AuthorID: 9, Text: "amazing deal follow the link"}, frozen, frozen)
-	var buf bytes.Buffer
-	if err := st.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
+	section := mustEncode(t, st)
 
 	// Restore-time resolution misses: the account does not exist yet.
 	restored := NewStore(DefaultConfig())
-	if err := restored.ReadSnapshot(&buf, func(socialnet.AccountID) *socialnet.Account { return nil }); err != nil {
+	if err := restored.RestoreSnapshot(section, func(socialnet.AccountID) *socialnet.Account { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	// WAL replay likewise binds a later spawned author to its frozen
@@ -135,17 +125,13 @@ func TestStoreSnapshotRejectsCorruption(t *testing.T) {
 	st := NewStore(DefaultConfig())
 	a := &socialnet.Account{ID: 1, ScreenName: "alice", Description: "gardener and amateur beekeeper"}
 	st.Add(&socialnet.Tweet{ID: 1, AuthorID: 1, Text: "some tweet text, long enough to be signed"}, a, a)
-	var buf bytes.Buffer
-	if err := st.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
+	section := mustEncode(t, st)
 
 	fresh := NewStore(DefaultConfig())
-	if err := fresh.ReadSnapshot(bytes.NewReader([]byte("garbage")), nil); err == nil {
+	if err := fresh.RestoreSnapshot([]byte("garbage"), nil); err == nil {
 		t.Fatal("garbage snapshot accepted")
 	}
-	truncated := buf.Bytes()[:buf.Len()/2]
-	if err := fresh.ReadSnapshot(bytes.NewReader(truncated), nil); err == nil {
+	if err := fresh.RestoreSnapshot(section[:len(section)/2], nil); err == nil {
 		t.Fatal("truncated snapshot accepted")
 	}
 	// A well-formed payload whose signatures are not lshBands×lshRows words
@@ -158,16 +144,26 @@ func TestStoreSnapshotRejectsCorruption(t *testing.T) {
 		"pool index past the tweets":  func(snap *storeSnapshot) { snap.TwPoolIdx[0] = len(snap.Tweets) },
 		"parent past the index":       func(snap *storeSnapshot) { snap.DescParent[0] = len(snap.DescParent) },
 	} {
-		snap, err := decodeStoreSnapshot(buf.Bytes())
+		snap, err := decodeStoreSnapshot(section)
 		if err != nil {
 			t.Fatal(err)
 		}
 		corrupt(snap)
-		if err := fresh.ReadSnapshot(bytes.NewReader(encodeStoreSnapshot(snap)), nil); err == nil {
+		if err := fresh.RestoreSnapshot(encodeStoreSnapshot(snap), nil); err == nil {
 			t.Fatalf("snapshot with a %s accepted", name)
 		}
 	}
 	if tweets, users := fresh.Len(); tweets != 0 || users != 0 {
 		t.Fatalf("failed restore mutated store: %d/%d", tweets, users)
 	}
+}
+
+// mustEncode returns s's checkpoint section.
+func mustEncode(t testing.TB, s *Store) []byte {
+	t.Helper()
+	b, err := s.EncodeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

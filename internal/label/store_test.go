@@ -1,7 +1,6 @@
 package label
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -280,11 +279,7 @@ func TestStoreRecomputesMalformedPreps(t *testing.T) {
 	if want, got := good.Snapshot(NewNoisyOracle(w, 0.02, 7)), bad.Snapshot(NewNoisyOracle(w, 0.02, 7)); !reflect.DeepEqual(want, got) {
 		t.Fatal("malformed preps changed the labels")
 	}
-	var buf bytes.Buffer
-	if err := bad.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := NewStore(cfg).ReadSnapshot(&buf, nil); err != nil {
+	if err := NewStore(cfg).RestoreSnapshot(mustEncode(t, bad), nil); err != nil {
 		t.Fatalf("checkpoint of a store fed malformed preps is refused: %v", err)
 	}
 }

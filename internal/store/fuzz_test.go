@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
@@ -49,7 +52,9 @@ func fuzzRecords(data []byte) []*CaptureRecord {
 // prefix of a well-formed segment, readSegment either delivers exactly
 // the records whose frames fit the prefix (clean end or torn tail — no
 // panic, no silent partial record), and raw DecodeCapture never panics
-// on arbitrary bytes.
+// on arbitrary bytes. It then drives walkLog over segments of mixed
+// record types whose sequences repeat, as a rewritten group's do, and
+// requires it to admit exactly what a model of the admission rule does.
 func FuzzWALRecord(f *testing.F) {
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte("spam spam spam"), uint16(9))
@@ -127,22 +132,133 @@ func FuzzWALRecord(f *testing.F) {
 				t.Fatalf("cut=%d mid-frame: err=%v, want ErrTornTail", cut, err)
 			}
 		}
+
+		// Property 3: the walker over mixed records and repeated seqs.
+		fuzzWalk(t, data, cutRaw)
 	})
 }
 
-// fileBackend serves one file's bytes under one name; readCheckpointFile
-// only ever calls Open.
-type fileBackend struct {
+// filesBackend serves whole files by name; readCheckpointFile and
+// walkLog only ever call Open.
+type filesBackend struct {
 	Backend
-	name string
-	data []byte
+	files map[string][]byte
 }
 
-func (b fileBackend) Open(name string) (io.ReadCloser, error) {
-	if name != b.name {
+func (b filesBackend) Open(name string) (io.ReadCloser, error) {
+	data, ok := b.files[name]
+	if !ok {
 		return nil, fs.ErrNotExist
 	}
-	return io.NopCloser(bytes.NewReader(b.data)), nil
+	return io.NopCloser(bytes.NewReader(data)), nil
+}
+
+// fuzzWalk derives a log from data: each byte picks a record type, whether
+// the record repeats an earlier sequence, and whether a new segment starts
+// before it. The last segment is cut at cutRaw. walkLog, counting from a
+// data-derived sequence, must return what the model below admits: a
+// sequenced record when its seq is past the last one admitted, the first
+// meta, and only the frames that fit the cut.
+func fuzzWalk(t *testing.T, data []byte, cutRaw uint16) {
+	if len(data) > 64 {
+		data = data[:64]
+	}
+	var segs [][]byte
+	var ends []int // frame ends in the last segment
+	want, last := &Log{}, uint64(0)
+	if len(data) > 0 {
+		last = uint64(data[0] % 4)
+	}
+	after := last
+	type pending struct {
+		seq  uint64
+		keep func()
+	}
+	var lastSeg []pending // the last segment's records, admitted once the cut is known
+	admit := func(p pending) {
+		if p.seq == 0 || p.seq > last {
+			if p.seq != 0 {
+				last = p.seq
+			}
+			p.keep()
+		}
+	}
+	seq := uint64(0)
+	for i, v := range data {
+		if i == 0 || v&0x10 != 0 {
+			for _, p := range lastSeg {
+				admit(p)
+			}
+			segs, ends, lastSeg = append(segs, []byte(walMagic)), []int{len(walMagic)}, nil
+		}
+		if v&0x20 != 0 && seq > 1 {
+			seq -= uint64(v>>6) % seq // a rewritten frame's copy
+		} else {
+			seq++
+		}
+		var typ byte
+		var payload []byte
+		var p pending
+		switch v % 5 {
+		case 0:
+			rec := &CaptureRecord{Seq: seq, Tweet: socialnet.Tweet{ID: socialnet.TweetID(i)}}
+			typ, payload = RecordCapture, EncodeCapture(nil, rec)
+			p = pending{seq, func() { want.Captures = append(want.Captures, rec) }}
+		case 1:
+			hours := int(v % 7)
+			typ, payload = RecordSimHours, encodeSimHours(nil, seq, hours)
+			p = pending{seq, func() { want.SimHours += hours }}
+		case 2:
+			rr := &RotationRecord{Seq: seq, Hour: i, Counts: []int{int(v)}}
+			typ, payload = RecordRotation, encodeRotation(nil, rr)
+			p = pending{seq, func() { want.Rotations = append(want.Rotations, rr) }}
+		case 3:
+			accounts := []*socialnet.Account{{ID: socialnet.AccountID(v % 4), Name: fmt.Sprint(i)}, nil}
+			typ, payload = RecordProfiles, encodeProfiles(nil, seq, accounts)
+			p = pending{seq, func() { want.addProfiles(accounts) }}
+		default:
+			meta := fmt.Sprint("meta-", i)
+			typ, payload = RecordMeta, []byte(meta)
+			p = pending{0, func() {
+				if want.Meta == "" {
+					want.Meta = meta
+				}
+			}}
+		}
+		n := len(segs) - 1
+		segs[n] = appendFrame(segs[n], typ, payload)
+		ends = append(ends, len(segs[n]))
+		lastSeg = append(lastSeg, p)
+	}
+	files := map[string][]byte{}
+	firsts := make([]uint64, len(segs))
+	for i, seg := range segs {
+		if i == len(segs)-1 {
+			cut := int(cutRaw) % (len(seg) + 1)
+			if !slices.Contains(ends, cut) {
+				want.Torn++
+			}
+			for j, p := range lastSeg {
+				if ends[j+1] <= cut {
+					admit(p)
+				}
+			}
+			seg = seg[:cut]
+		}
+		firsts[i] = uint64(i + 1)
+		files[segmentName(firsts[i])] = seg
+	}
+
+	got, gotLast, err := walkLog(filesBackend{files: files}, firsts, after, true)
+	if err != nil {
+		t.Fatalf("walk: %v", err)
+	}
+	if gotLast != last {
+		t.Fatalf("walk admitted up to seq %d, want %d", gotLast, last)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("walk read %+v, want %+v", got, want)
+	}
 }
 
 // FuzzCheckpointFile pins the checkpoint reader against arbitrary file
@@ -170,7 +286,7 @@ func FuzzCheckpointFile(f *testing.F) {
 	f.Add(valid, uint64(8)) // a file whose name disagrees with its content
 
 	f.Fuzz(func(t *testing.T, data []byte, seq uint64) {
-		b := fileBackend{name: checkpointName(seq), data: data}
+		b := filesBackend{files: map[string][]byte{checkpointName(seq): data}}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		ck, err := readCheckpointFile(b, seq)

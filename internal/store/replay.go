@@ -123,70 +123,68 @@ func ReadLog(b Backend) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: list: %w", err)
 	}
-	log := &Log{}
-	// A frame rewritten after a failed sync can persist under the same
-	// sequence in two segments; every record type keeps the first copy.
-	var lastSeq uint64
-	next := func(seq uint64) bool {
-		if seq <= lastSeq {
+	log, _, err := walkLog(b, listSeqs(names, segmentPrefix, segmentSuffix), 0, true)
+	return log, err
+}
+
+// walkLog reads the segments named by their first sequences, in order,
+// into a Log: the one WAL reader, behind both ReadLog and Open. A
+// sequenced record is admitted only when its sequence is past the last one
+// admitted, counting from after, which drops the records a checkpoint
+// covers and the second copy of a frame rewritten after a failed sync.
+// Rotation and profile payloads are kept only when schedule is set;
+// recovery re-runs the simulation, which rotates again, so it needs their
+// sequences alone. walkLog also returns the last sequence admitted.
+func walkLog(b Backend, segments []uint64, after uint64, schedule bool) (*Log, uint64, error) {
+	log, last := &Log{}, after
+	admit := func(seq uint64) bool {
+		if seq <= last {
 			return false
 		}
-		lastSeq = seq
+		last = seq
 		return true
 	}
-	for _, first := range listSeqs(names, segmentPrefix, segmentSuffix) {
+	for _, first := range segments {
 		f, err := b.Open(segmentName(first))
 		if err != nil {
-			return nil, fmt.Errorf("store: open segment %d: %w", first, err)
+			return nil, 0, fmt.Errorf("store: open segment %d: %w", first, err)
 		}
 		err = readSegment(f, func(typ byte, payload []byte) error {
+			var err error
 			switch typ {
 			case RecordCapture:
-				cr, err := DecodeCapture(payload)
-				if err != nil {
-					return fmt.Errorf("store: segment %d: %w", first, err)
-				}
-				if next(cr.Seq) {
+				var cr *CaptureRecord
+				if cr, err = DecodeCapture(payload); err == nil && admit(cr.Seq) {
 					log.Captures = append(log.Captures, cr)
 				}
-			case RecordRotation:
-				rr, err := DecodeRotation(payload)
-				if err != nil {
-					return fmt.Errorf("store: segment %d: %w", first, err)
+			case RecordSimHours:
+				var seq uint64
+				var hours int
+				if seq, hours, err = decodeSimHours(payload); err == nil && admit(seq) {
+					log.SimHours += hours
 				}
-				if next(rr.Seq) {
+			case RecordRotation:
+				var rr *RotationRecord
+				if rr, err = DecodeRotation(payload); err == nil && admit(rr.Seq) && schedule {
 					log.Rotations = append(log.Rotations, rr)
 				}
 			case RecordProfiles:
-				seq, accounts, err := DecodeProfiles(payload)
-				if err != nil {
-					return fmt.Errorf("store: segment %d: %w", first, err)
-				}
-				if !next(seq) {
-					return nil
-				}
-				if log.Profiles == nil {
-					log.Profiles = make(map[socialnet.AccountID]*socialnet.Account, len(accounts))
-				}
-				for _, a := range accounts {
-					if a != nil {
-						log.Profiles[a.ID] = a
-					}
-				}
-			case RecordSimHours:
-				seq, hours, err := decodeSimHours(payload)
-				if err != nil {
-					return fmt.Errorf("store: segment %d: %w", first, err)
-				}
-				if next(seq) {
-					log.SimHours += hours
+				var seq uint64
+				var accounts []*socialnet.Account
+				if seq, accounts, err = DecodeProfiles(payload); err == nil && admit(seq) && schedule {
+					log.addProfiles(accounts)
 				}
 			case RecordMeta:
 				if log.Meta == "" {
 					log.Meta = string(payload)
 				}
 			default:
-				return fmt.Errorf("store: segment %d: unknown record type %d", first, typ)
+				err = fmt.Errorf("unknown record type %d", typ)
+			}
+			if err != nil {
+				// The frame passed its checksum, so this is a format bug
+				// or adversarial corruption, not a torn write.
+				return fmt.Errorf("store: segment %d: %w", first, err)
 			}
 			return nil
 		})
@@ -195,12 +193,24 @@ func ReadLog(b Backend) (*Log, error) {
 			log.Torn++
 			err = nil
 		}
-		if err != nil {
-			return nil, err
+		if err == nil {
+			err = cerr
 		}
-		if cerr != nil {
-			return nil, cerr
+		if err != nil {
+			return nil, 0, err
 		}
 	}
-	return log, nil
+	return log, last, nil
+}
+
+// addProfiles files an epilogue's accounts by id, over older epilogues'.
+func (log *Log) addProfiles(accounts []*socialnet.Account) {
+	if log.Profiles == nil {
+		log.Profiles = make(map[socialnet.AccountID]*socialnet.Account, len(accounts))
+	}
+	for _, a := range accounts {
+		if a != nil {
+			log.Profiles[a.ID] = a
+		}
+	}
 }

@@ -233,95 +233,25 @@ func (s *Store) recover() (*Recovery, error) {
 	if rec.Checkpoint != nil {
 		base = rec.Checkpoint.Seq
 	}
-	s.seq = base
 	s.lastCkpt = base
-
-	for i, first := range segSeqs {
-		if i+1 < len(segSeqs) && segSeqs[i+1] <= base+1 {
-			// Every record in this segment has seq < the next segment's
-			// first (or is rewritten there), hence <= base: fully covered
-			// by the checkpoint.
-			continue
-		}
-		if err := s.replaySegment(first, rec); err != nil {
-			return nil, err
-		}
+	// A segment whose successor starts at or below base+1 holds only
+	// records with seq <= base: the checkpoint covers it.
+	for len(segSeqs) > 1 && segSeqs[1] <= base+1 {
+		segSeqs = segSeqs[1:]
 	}
+	log, last, err := walkLog(s.b, segSeqs, base, false)
+	if err != nil {
+		return nil, err
+	}
+	s.seq = last
+	rec.Records, rec.SimHours, rec.Torn, rec.Meta = log.Captures, log.SimHours, log.Torn, log.Meta
+	s.obs.recoveryRecords.Add(float64(len(rec.Records)))
+	s.obs.tornTails.Add(float64(rec.Torn))
 	s.obs.tailRecords.Set(float64(s.seq - base))
 	s.obs.recoverySeconds.ObserveDuration(start)
 	sp.SetAttr("records", fmt.Sprint(len(rec.Records)))
 	sp.SetAttr("torn", fmt.Sprint(rec.Torn))
 	return rec, nil
-}
-
-// replaySegment streams one segment into rec, keeping records past s.seq.
-func (s *Store) replaySegment(first uint64, rec *Recovery) error {
-	f, err := s.b.Open(segmentName(first))
-	if err != nil {
-		return fmt.Errorf("store: open segment %d: %w", first, err)
-	}
-	defer func() { _ = f.Close() }()
-	// next admits a sequenced record: one past everything seen so far.
-	// s.seq starts at the checkpoint's, so this skips both the covered
-	// prefix and the second copy of a frame rewritten after a failed sync.
-	next := func(seq uint64) bool {
-		if seq <= s.seq {
-			return false
-		}
-		s.seq = seq
-		return true
-	}
-	err = readSegment(f, func(typ byte, payload []byte) error {
-		switch typ {
-		case RecordCapture:
-			cr, err := DecodeCapture(payload)
-			if err != nil {
-				// The frame passed its checksum, so this is a format
-				// bug or adversarial corruption, not a torn write.
-				return fmt.Errorf("store: segment %d: %w", first, err)
-			}
-			if next(cr.Seq) {
-				rec.Records = append(rec.Records, cr)
-				s.obs.recoveryRecords.Inc()
-			}
-		case RecordSimHours:
-			seq, hours, err := decodeSimHours(payload)
-			if err != nil {
-				return fmt.Errorf("store: segment %d: %w", first, err)
-			}
-			if next(seq) {
-				rec.SimHours += hours
-			}
-		case RecordRotation:
-			rr, err := DecodeRotation(payload)
-			if err != nil {
-				return fmt.Errorf("store: segment %d: %w", first, err)
-			}
-			// Recovery re-runs the simulation, which rotates again; only
-			// the sequence matters here. ReadLog is the consumer of the
-			// rotation schedule itself.
-			next(rr.Seq)
-		case RecordProfiles:
-			seq, _, err := DecodeProfiles(payload)
-			if err != nil {
-				return fmt.Errorf("store: segment %d: %w", first, err)
-			}
-			next(seq)
-		case RecordMeta:
-			if rec.Meta == "" {
-				rec.Meta = string(payload)
-			}
-		default:
-			return fmt.Errorf("store: segment %d: unknown record type %d", first, typ)
-		}
-		return nil
-	})
-	if errors.Is(err, ErrTornTail) {
-		rec.Torn++
-		s.obs.tornTails.Inc()
-		return nil
-	}
-	return err
 }
 
 // Seq returns the last assigned record sequence.

@@ -405,6 +405,89 @@ func TestRewrittenFramesReplayOnce(t *testing.T) {
 	}
 }
 
+// TestOpenAgreesWithReadLog is the differential test of the WAL's two
+// readers. One recording holds a checkpoint in the middle, a group
+// rewritten after a failed fsync, rotations, sim-hours records, a profile
+// epilogue and a torn last segment. Past the checkpoint, Open must recover
+// exactly the captures, sim hours, torn count and meta that ReadLog reads.
+func TestOpenAgreesWithReadLog(t *testing.T) {
+	b := fstest.New()
+	s, _, err := store.Open(store.Options{
+		Backend: b, SyncEvery: 4, Meta: "test-meta", Metrics: metrics.NewRegistry(), RetainAll: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendN(t, s, 0, 3)                     // 1..3
+	must(s.AppendRotation(testRotation(0))) // 4: the group syncs
+	must(s.AppendSimHours(2))               // 5
+	must(s.WriteCheckpoint(&store.Checkpoint{Components: map[string][]byte{"state": {1}}}))
+	atCheckpoint, err := store.ReadLog(b)
+	must(err)
+	appendN(t, s, 3, 4)                     // 6..9, synced in wal-6
+	must(s.AppendRotation(testRotation(1))) // 10
+	must(s.AppendSimHours(3))               // 11
+	appendN(t, s, 7, 1)                     // 12
+	b.FailAfter(fstest.OpSync, 1)
+	appendN(t, s, 8, 1) // 13: wal-6 keeps 10..13, which are rewritten into wal-10
+	must(s.AppendProfiles([]*socialnet.Account{{ID: 7, ScreenName: "final"}, nil}))
+	appendN(t, s, 9, 2) // 15, 16
+	must(s.Close())
+	names, err := b.List()
+	must(err)
+	if want := []string{"ckpt-0000000000000005.ckpt", "wal-0000000000000001.log",
+		"wal-0000000000000006.log", "wal-0000000000000010.log"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("files %v, want %v", names, want)
+	}
+	last := names[len(names)-1]
+	if !b.CorruptSynced(last, b.Size(last)-1) { // tear seq 16's frame
+		t.Fatalf("no segment %s", last)
+	}
+
+	s2, rec := openTest(t, b, 4)
+	defer func() { _ = s2.Close() }()
+	log, err := store.ReadLog(b)
+	must(err)
+	if rec.Checkpoint == nil || rec.Checkpoint.Seq != 5 {
+		t.Fatalf("recovered checkpoint %+v, want seq 5", rec.Checkpoint)
+	}
+	var past []*store.CaptureRecord
+	for _, c := range log.Captures {
+		if c.Seq > rec.Checkpoint.Seq {
+			past = append(past, c)
+		}
+	}
+	if !reflect.DeepEqual(rec.Records, past) {
+		t.Errorf("Open recovered seqs %v, ReadLog reads %v past the checkpoint", recordSeqs(rec), recordSeqs(&store.Recovery{Records: past}))
+	}
+	if got, want := rec.SimHours, log.SimHours-atCheckpoint.SimHours; got != want || got != 3 {
+		t.Errorf("Open recovered %d sim hours, ReadLog reads %d past the checkpoint, want 3", got, want)
+	}
+	if rec.Torn != log.Torn || rec.Torn != 1 {
+		t.Errorf("torn segments: Open %d, ReadLog %d, want 1", rec.Torn, log.Torn)
+	}
+	if rec.Meta != log.Meta || rec.Meta != "test-meta" {
+		t.Errorf("meta: Open %q, ReadLog %q", rec.Meta, log.Meta)
+	}
+	// The fixture holds what it claims: the rewritten group's copies, the
+	// schedule records, and the torn frame, which neither reader admits.
+	if want := []uint64{6, 7, 8, 9, 12, 13, 15}; !reflect.DeepEqual(recordSeqs(rec), want) {
+		t.Errorf("recovered seqs %v, want %v", recordSeqs(rec), want)
+	}
+	if s2.Seq() != 15 {
+		t.Errorf("reopened store at seq %d, want 15", s2.Seq())
+	}
+	if len(log.Rotations) != 2 || log.Profiles[7] == nil || log.Profiles[7].ScreenName != "final" {
+		t.Errorf("ReadLog kept %d rotations and profiles %v", len(log.Rotations), log.Profiles)
+	}
+}
+
 func TestShortReadsRecover(t *testing.T) {
 	b := fstest.New()
 	s, _ := openTest(t, b, 1)
