@@ -47,12 +47,19 @@ OBS_COVER_MIN := 90
 # source: the ingestion layer decides what the whole pipeline sees, so an
 # untested delivery or merge branch is a silent stream corruption.
 SOURCE_COVER_MIN := 90
+# shard: in proc mode the extract response reader and the retry loop are
+# the coordinator's only defence against a dying worker, so an untested
+# branch there turns a torn response into a lost or wrong batch. The gate
+# sits below the others because the process transport (worker.go: spawn,
+# serve, HTTP client) is driven only by the root package's end-to-end tests
+# with real worker processes, which this package's profile does not count.
+SHARD_COVER_MIN := 70
 
 upper = $(shell echo $(1) | tr a-z A-Z)
 
 .PHONY: check fmt vet vulncheck build test race examples bench bench-smoke records
 
-check: fmt vet vulncheck build test race examples cover-metrics cover-trace cover-store cover-obs cover-source bench-smoke
+check: fmt vet vulncheck build test race examples cover-metrics cover-trace cover-store cover-obs cover-source cover-shard bench-smoke
 
 # fmt fails when any Go file differs from gofmt's output (and lists it).
 fmt:

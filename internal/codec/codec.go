@@ -80,6 +80,17 @@ func AppendIDs(b []byte, ids []socialnet.AccountID) []byte {
 	return b
 }
 
+// AppendWords appends ws, count first, each as a little-endian 8-byte
+// word: the form for MinHash signatures, whose words are uniform hashes a
+// varint would only lengthen.
+func AppendWords(b []byte, ws []uint64) []byte {
+	b = AppendUvarint(b, uint64(len(ws)))
+	for _, w := range ws {
+		b = AppendU64(b, w)
+	}
+	return b
+}
+
 // AppendBool appends v as one byte, 0 or 1.
 func AppendBool(b []byte, v bool) []byte {
 	if v {
@@ -308,6 +319,19 @@ func (d *Decoder) IDs() []socialnet.AccountID {
 		ids[i] = socialnet.AccountID(d.Varint())
 	}
 	return ids
+}
+
+// Words reads words written by AppendWords; none decodes as nil.
+func (d *Decoder) Words() []uint64 {
+	n := d.Count(8)
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	ws := make([]uint64, n)
+	for i := range ws {
+		ws[i] = d.U64()
+	}
+	return ws
 }
 
 // Bool reads one byte that must be 0 or 1.

@@ -20,6 +20,7 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	b = AppendString(b, "héllo")
 	b = AppendStrings(b, []string{"a", ""})
 	b = AppendInts(b, []int{0, 300})
+	b = AppendWords(AppendWords(b, []uint64{7, math.MaxUint64}), nil)
 	b = AppendBool(b, true)
 	b = AppendTime(b, at)
 	b = AppendTime(b, time.Time{})
@@ -36,6 +37,9 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	}
 	if xs := d.Ints(); len(xs) != 2 || xs[1] != 300 {
 		t.Fatalf("ints = %v", xs)
+	}
+	if ws, none := d.Words(), d.Words(); len(ws) != 2 || ws[1] != math.MaxUint64 || none != nil {
+		t.Fatalf("words = %v, then %v", ws, none)
 	}
 	if !d.Bool() || !d.Time().Equal(at) || !d.Time().IsZero() {
 		t.Fatal("bool or time mismatch")

@@ -156,7 +156,7 @@ func BenchmarkOnTweetUntraced(b *testing.B) {
 
 // BenchmarkOnTweetTraced is the same stream replay with tracing enabled:
 // every hit additionally records a capture trace with capture and
-// feature_extract spans into the ring buffer. Compare against
+// feature_complete spans into the ring buffer. Compare against
 // BenchmarkOnTweetUntraced for the tracing overhead (DESIGN.md §11).
 func BenchmarkOnTweetTraced(b *testing.B) {
 	m, tweets, lookup := benchStreamMonitor(b, trace.New(trace.Config{Enabled: true}))

@@ -157,13 +157,11 @@ type Monitor struct {
 
 	// scratchGroups is reused across Match calls so the hot stream path
 	// allocates nothing on a miss; scratchAttrs is reused across
-	// ExtractCapture calls. In a sniffer's stage graph Match runs on the
+	// CompleteCapture calls. In a sniffer's stage graph Match runs on the
 	// delivery goroutine and CompleteCapture on the merge stage goroutine,
-	// so scratchMergeAttrs belongs to CompleteCapture alone and neither
-	// method may touch the other's scratch slice.
-	scratchGroups     []int
-	scratchAttrs      []string
-	scratchMergeAttrs []string
+	// so neither method may touch the other's scratch slice.
+	scratchGroups []int
+	scratchAttrs  []string
 
 	rotations int
 	// lastRotation is the per-group node count of the most recent Rotate —
@@ -429,25 +427,11 @@ func (m *Monitor) Match(t *socialnet.Tweet, lookup func(socialnet.AccountID) *so
 }
 
 // ExtractCapture is the feature step in one call (OnTweet's; the stage
-// graph splits it into StatelessVector + CompleteCapture): it extracts the
-// 58-feature vector from the capture's profile snapshots and finishes the
-// capture trace.
-// The extractor folds per-account history, so ExtractCapture must see
-// captures in stream order — one goroutine, FIFO.
+// graph runs its two halves on different goroutines): StatelessVector,
+// then CompleteCapture. CompleteCapture folds per-account history, so
+// ExtractCapture must see captures in stream order — one goroutine, FIFO.
 func (m *Monitor) ExtractCapture(c *Capture) {
-	attrKeys := m.scratchAttrs[:0]
-	for _, gi := range c.Groups {
-		attrKeys = append(attrKeys, m.groups[gi].Spec.Selector.Attr.Key())
-	}
-	c.Vector = m.extractor.Extract(features.Observation{
-		Tweet:    c.Tweet,
-		Sender:   c.senderSnap,
-		Receiver: c.receiverSnap,
-		AttrKeys: attrKeys,
-		Trace:    c.Trace,
-	})
-	m.scratchAttrs = attrKeys[:0]
-	c.Trace.Finish()
+	m.CompleteCapture(c, m.StatelessVector(c))
 }
 
 // StatelessVector computes the order-independent portion of c's feature
@@ -462,14 +446,13 @@ func (m *Monitor) StatelessVector(c *Capture) features.Vector {
 	})
 }
 
-// CompleteCapture finishes a capture whose stateless vector a shard worker
-// already computed: it fills the stateful features (repeated-content,
-// behaviour, environment score) in stream order and finishes the capture
-// trace. Given vec == StatelessVector(c), the resulting c.Vector is
-// bit-identical to what ExtractCapture would have produced.
+// CompleteCapture finishes a capture given vec == StatelessVector(c),
+// which a shard may have computed on another goroutine or in a worker
+// process: it fills the stateful features (repeated-content, behaviour,
+// environment score) in stream order and finishes the capture trace.
 func (m *Monitor) CompleteCapture(c *Capture, vec features.Vector) {
 	sp := c.Trace.StartSpan("feature_complete")
-	attrKeys := m.scratchMergeAttrs[:0]
+	attrKeys := m.scratchAttrs[:0]
 	for _, gi := range c.Groups {
 		attrKeys = append(attrKeys, m.groups[gi].Spec.Selector.Attr.Key())
 	}
@@ -478,10 +461,9 @@ func (m *Monitor) CompleteCapture(c *Capture, vec features.Vector) {
 		Sender:   c.senderSnap,
 		Receiver: c.receiverSnap,
 		AttrKeys: attrKeys,
-		Trace:    c.Trace,
 	}, &vec)
 	c.Vector = vec
-	m.scratchMergeAttrs = attrKeys[:0]
+	m.scratchAttrs = attrKeys[:0]
 	sp.End()
 	c.Trace.Finish()
 }

@@ -16,7 +16,6 @@ import (
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/textutil"
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/trace"
 )
 
 // NumFeatures is the dimensionality of a feature vector (the paper's 58).
@@ -270,20 +269,6 @@ type Observation struct {
 	// AttrKeys are the selector keys of the pseudo-honeypot group(s) that
 	// captured the tweet, for the environment-score feature.
 	AttrKeys []string
-	// Trace, when non-nil, receives a "feature_extract" span covering the
-	// extraction.
-	Trace *trace.Trace
-}
-
-// Extract converts one observation into a feature vector and folds the
-// observation into the behavioural state. Observations must be fed in
-// stream (chronological) order.
-func (e *Extractor) Extract(o Observation) Vector {
-	sp := o.Trace.StartSpan("feature_extract")
-	defer sp.End()
-	v := Stateless(o)
-	e.CompleteStateful(o, &v)
-	return v
 }
 
 // Stateless computes the order-independent portion of the feature vector:
@@ -316,7 +301,7 @@ func Stateless(o Observation) Vector {
 // CompleteStateful fills the stateful features — repeated-content and the
 // 18 behaviour features — into a vector begun by Stateless, then folds the
 // observation into the behavioural state. Completions must run in stream
-// (chronological) order; Extract is the single-call composition.
+// (chronological) order.
 func (e *Extractor) CompleteStateful(o Observation, v *Vector) {
 	t := o.Tweet
 

@@ -35,6 +35,13 @@ func testTweet(id socialnet.TweetID, author socialnet.AccountID, at time.Time, t
 	}
 }
 
+// extract is the whole feature step for one observation, in stream order.
+func extract(e *Extractor, o Observation) Vector {
+	v := Stateless(o)
+	e.CompleteStateful(o, &v)
+	return v
+}
+
 func TestNumFeaturesIs58(t *testing.T) {
 	if NumFeatures != 58 {
 		t.Fatalf("NumFeatures = %d, want the paper's 58", NumFeatures)
@@ -67,7 +74,7 @@ func TestSenderProfileFeatures(t *testing.T) {
 	sender.Verified = true
 	sender.DefaultProfileImage = true
 	tw := testTweet(1, 1, simclock.Epoch, "hello")
-	v := e.Extract(Observation{Tweet: tw, Sender: sender})
+	v := extract(e, Observation{Tweet: tw, Sender: sender})
 
 	if v[FSenderFriends] != 50 || v[FSenderFollowers] != 200 {
 		t.Fatal("sender friend/follower features wrong")
@@ -92,7 +99,7 @@ func TestSenderProfileFeatures(t *testing.T) {
 func TestReceiverFeaturesZeroWithoutReceiver(t *testing.T) {
 	e := NewExtractor()
 	tw := testTweet(1, 1, simclock.Epoch, "hello")
-	v := e.Extract(Observation{Tweet: tw, Sender: testAccount(1)})
+	v := extract(e, Observation{Tweet: tw, Sender: testAccount(1)})
 	for i := FReceiverFriends; i <= FReceiverDescDigits; i++ {
 		if v[i] != 0 {
 			t.Fatalf("receiver feature %d = %v without a receiver", i, v[i])
@@ -109,7 +116,7 @@ func TestContentFeatures(t *testing.T) {
 		Hashtags: []string{"a", "b"},
 		Mentions: []socialnet.AccountID{2},
 	}
-	v := e.Extract(Observation{Tweet: tw, Sender: testAccount(1)})
+	v := extract(e, Observation{Tweet: tw, Sender: testAccount(1)})
 	if v[FContentKind] != float64(socialnet.KindQuote) {
 		t.Fatal("content kind wrong")
 	}
@@ -130,8 +137,8 @@ func TestContentFeatures(t *testing.T) {
 func TestRepeatedContentFlag(t *testing.T) {
 	e := NewExtractor()
 	s := testAccount(1)
-	first := e.Extract(Observation{Tweet: testTweet(1, 1, simclock.Epoch, "same text"), Sender: s})
-	second := e.Extract(Observation{Tweet: testTweet(2, 1, simclock.Epoch.Add(time.Minute), "same text"), Sender: s})
+	first := extract(e, Observation{Tweet: testTweet(1, 1, simclock.Epoch, "same text"), Sender: s})
+	second := extract(e, Observation{Tweet: testTweet(2, 1, simclock.Epoch.Add(time.Minute), "same text"), Sender: s})
 	if first[FContentRepeated] != 0 {
 		t.Fatal("first occurrence flagged as repeated")
 	}
@@ -148,9 +155,9 @@ func TestReciprocityAccumulates(t *testing.T) {
 		tw.Mentions = []socialnet.AccountID{2}
 		return Observation{Tweet: tw, Sender: s, Receiver: r}
 	}
-	v1 := e.Extract(obs(1, simclock.Epoch))
-	v2 := e.Extract(obs(2, simclock.Epoch.Add(time.Minute)))
-	v3 := e.Extract(obs(3, simclock.Epoch.Add(2*time.Minute)))
+	v1 := extract(e, obs(1, simclock.Epoch))
+	v2 := extract(e, obs(2, simclock.Epoch.Add(time.Minute)))
+	v3 := extract(e, obs(3, simclock.Epoch.Add(2*time.Minute)))
 	if v1[FBehaviorReciprocity] != 0 || v2[FBehaviorReciprocity] != 1 || v3[FBehaviorReciprocity] != 2 {
 		t.Fatalf("reciprocity sequence = %v %v %v, want 0 1 2",
 			v1[FBehaviorReciprocity], v2[FBehaviorReciprocity], v3[FBehaviorReciprocity])
@@ -168,10 +175,10 @@ func TestTweetKindDistribution(t *testing.T) {
 	for i, k := range kinds {
 		tw := testTweet(socialnet.TweetID(i+1), 1, at.Add(time.Duration(i)*time.Minute), "t")
 		tw.Kind = k
-		e.Extract(Observation{Tweet: tw, Sender: s})
+		extract(e, Observation{Tweet: tw, Sender: s})
 	}
 	// Next observation sees the distribution over the 4 prior tweets.
-	v := e.Extract(Observation{Tweet: testTweet(9, 1, at.Add(time.Hour), "t"), Sender: s})
+	v := extract(e, Observation{Tweet: testTweet(9, 1, at.Add(time.Hour), "t"), Sender: s})
 	if v[FBehaviorSenderTweetPct] != 0.5 {
 		t.Fatalf("tweet pct = %v, want 0.5", v[FBehaviorSenderTweetPct])
 	}
@@ -190,9 +197,9 @@ func TestSourceDistribution(t *testing.T) {
 	for i, src := range sources {
 		tw := testTweet(socialnet.TweetID(i+1), 1, simclock.Epoch.Add(time.Duration(i)*time.Minute), "t")
 		tw.Source = src
-		e.Extract(Observation{Tweet: tw, Sender: s})
+		extract(e, Observation{Tweet: tw, Sender: s})
 	}
-	v := e.Extract(Observation{Tweet: testTweet(9, 1, simclock.Epoch.Add(time.Hour), "t"), Sender: s})
+	v := extract(e, Observation{Tweet: testTweet(9, 1, simclock.Epoch.Add(time.Hour), "t"), Sender: s})
 	if v[FBehaviorSenderWebPct] != 0.5 {
 		t.Fatalf("web pct = %v, want 0.5", v[FBehaviorSenderWebPct])
 	}
@@ -211,12 +218,12 @@ func TestMentionTimeFromObservedPosts(t *testing.T) {
 
 	// The honeypot posts (observed by the monitor, Category (1)).
 	post := testTweet(1, 2, simclock.Epoch, "my own post")
-	e.Extract(Observation{Tweet: post, Sender: honeypot})
+	extract(e, Observation{Tweet: post, Sender: honeypot})
 
 	// 90 seconds later a spam mention arrives.
 	mention := testTweet(2, 3, simclock.Epoch.Add(90*time.Second), "@user_test click this")
 	mention.Mentions = []socialnet.AccountID{2}
-	v := e.Extract(Observation{Tweet: mention, Sender: spammer, Receiver: honeypot})
+	v := extract(e, Observation{Tweet: mention, Sender: spammer, Receiver: honeypot})
 	if v[FBehaviorMentionTime] != 90 {
 		t.Fatalf("mention time = %v, want 90s", v[FBehaviorMentionTime])
 	}
@@ -226,7 +233,7 @@ func TestMentionTimeUnknownDefaultsToDay(t *testing.T) {
 	e := NewExtractor()
 	mention := testTweet(1, 3, simclock.Epoch, "@x hi")
 	mention.Mentions = []socialnet.AccountID{2}
-	v := e.Extract(Observation{Tweet: mention, Sender: testAccount(3), Receiver: testAccount(2)})
+	v := extract(e, Observation{Tweet: mention, Sender: testAccount(3), Receiver: testAccount(2)})
 	if v[FBehaviorMentionTime] != 86400 {
 		t.Fatalf("unknown mention time = %v, want 86400", v[FBehaviorMentionTime])
 	}
@@ -237,12 +244,12 @@ func TestAvgTweetInterval(t *testing.T) {
 	s := testAccount(1)
 	at := simclock.Epoch
 	for i := 0; i < 3; i++ {
-		e.Extract(Observation{
+		extract(e, Observation{
 			Tweet:  testTweet(socialnet.TweetID(i+1), 1, at.Add(time.Duration(i)*10*time.Minute), "t"),
 			Sender: s,
 		})
 	}
-	v := e.Extract(Observation{Tweet: testTweet(9, 1, at.Add(time.Hour), "t"), Sender: s})
+	v := extract(e, Observation{Tweet: testTweet(9, 1, at.Add(time.Hour), "t"), Sender: s})
 	if v[FBehaviorAvgInterval] != 600 {
 		t.Fatalf("avg interval = %v, want 600s", v[FBehaviorAvgInterval])
 	}
@@ -250,7 +257,7 @@ func TestAvgTweetInterval(t *testing.T) {
 
 func TestAvgIntervalDefaultWithoutHistory(t *testing.T) {
 	e := NewExtractor()
-	v := e.Extract(Observation{Tweet: testTweet(1, 1, simclock.Epoch, "t"), Sender: testAccount(1)})
+	v := extract(e, Observation{Tweet: testTweet(1, 1, simclock.Epoch, "t"), Sender: testAccount(1)})
 	if v[FBehaviorAvgInterval] != 3600 {
 		t.Fatalf("default avg interval = %v, want 3600", v[FBehaviorAvgInterval])
 	}
@@ -274,7 +281,7 @@ func TestEnvironmentScore(t *testing.T) {
 	}
 
 	tw := testTweet(1, 1, simclock.Epoch, "t")
-	v := e.Extract(Observation{
+	v := extract(e, Observation{
 		Tweet: tw, Sender: testAccount(1),
 		AttrKeys: []string{"listed_count"},
 	})
@@ -303,7 +310,7 @@ func TestExtractorOnSimulatedStream(t *testing.T) {
 		if len(tw.Mentions) > 0 {
 			receiver = w.Account(tw.Mentions[0])
 		}
-		v := ex.Extract(Observation{Tweet: tw, Sender: sender, Receiver: receiver})
+		v := extract(ex, Observation{Tweet: tw, Sender: sender, Receiver: receiver})
 		if receiver == nil {
 			return
 		}

@@ -42,20 +42,20 @@ func TestExtractorSnapshotResumesStream(t *testing.T) {
 	uninterrupted.UpdateEnvScore("followers", 0.25)
 	var want []Vector
 	for _, o := range obs {
-		want = append(want, uninterrupted.Extract(o))
+		want = append(want, extract(uninterrupted, o))
 	}
 
 	first := NewExtractor()
 	first.UpdateEnvScore("followers", 0.25)
 	for _, o := range obs[:half] {
-		first.Extract(o)
+		extract(first, o)
 	}
 	restored := NewExtractor()
 	if err := restored.RestoreSnapshot(first.EncodeSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	for i, o := range obs[half:] {
-		got := restored.Extract(o)
+		got := extract(restored, o)
 		if got != want[half+i] {
 			t.Fatalf("vector %d diverged after restore:\n got %v\nwant %v",
 				half+i, got, want[half+i])
@@ -71,7 +71,7 @@ func TestExtractorSnapshotRejectsGarbage(t *testing.T) {
 		t.Fatal("garbage snapshot accepted")
 	}
 	// Still usable after the failed restore.
-	e.Extract(Observation{Tweet: testTweet(1, 1, simclock.Epoch, "x"), Sender: testAccount(1)})
+	extract(e, Observation{Tweet: testTweet(1, 1, simclock.Epoch, "x"), Sender: testAccount(1)})
 }
 
 // TestExtractorSnapshotEmpty round-trips a pristine extractor.
@@ -93,7 +93,7 @@ func TestExtractorSnapshotEmpty(t *testing.T) {
 func FuzzExtractorSnapshot(f *testing.F) {
 	e := NewExtractor()
 	for _, o := range snapshotObservations(40) {
-		e.Extract(o)
+		extract(e, o)
 	}
 	e.UpdateEnvScore("followers", 0.75)
 	valid := e.EncodeSnapshot()

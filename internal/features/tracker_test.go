@@ -34,7 +34,7 @@ func TestVectorBoundsProperty(t *testing.T) {
 			tw.Mentions = []socialnet.AccountID{2}
 			o.Receiver = receiver
 		}
-		v := e.Extract(o)
+		v := extract(e, o)
 		pctIdx := []int{
 			FBehaviorSenderTweetPct, FBehaviorSenderRetweetPct,
 			FBehaviorSenderQuotePct, FBehaviorReceiverTweetPct,
@@ -75,7 +75,7 @@ func TestKindPctSumProperty(t *testing.T) {
 			Source: socialnet.SourceWeb,
 			Text:   "t",
 		}
-		v := e.Extract(Observation{Tweet: tw, Sender: sender})
+		v := extract(e, Observation{Tweet: tw, Sender: sender})
 		sum := v[FBehaviorSenderTweetPct] + v[FBehaviorSenderRetweetPct] +
 			v[FBehaviorSenderQuotePct]
 		if i == 1 {
@@ -94,9 +94,9 @@ func TestExtractorIndependentPerInstance(t *testing.T) {
 	a, b := NewExtractor(), NewExtractor()
 	sender := testAccount(1)
 	tw := testTweet(1, 1, simclock.Epoch, "same text")
-	a.Extract(Observation{Tweet: tw, Sender: sender})
+	extract(a, Observation{Tweet: tw, Sender: sender})
 	// Extractor b never saw the text: not repeated for it.
-	v := b.Extract(Observation{Tweet: testTweet(2, 1, simclock.Epoch, "same text"), Sender: sender})
+	v := extract(b, Observation{Tweet: testTweet(2, 1, simclock.Epoch, "same text"), Sender: sender})
 	if v[FContentRepeated] != 0 {
 		t.Fatal("extractors share repeated-text state")
 	}
@@ -107,11 +107,11 @@ func TestMentionTimeClampedToDay(t *testing.T) {
 	honeypot := testAccount(2)
 	// Post long ago.
 	post := testTweet(1, 2, simclock.Epoch, "old post")
-	e.Extract(Observation{Tweet: post, Sender: honeypot})
+	extract(e, Observation{Tweet: post, Sender: honeypot})
 	// Mention arrives a week later.
 	mention := testTweet(2, 3, simclock.Epoch.Add(7*24*time.Hour), "@x hi")
 	mention.Mentions = []socialnet.AccountID{2}
-	v := e.Extract(Observation{Tweet: mention, Sender: testAccount(3), Receiver: honeypot})
+	v := extract(e, Observation{Tweet: mention, Sender: testAccount(3), Receiver: honeypot})
 	if v[FBehaviorMentionTime] != 86400 {
 		t.Fatalf("week-old mention time = %v, want clamped 86400", v[FBehaviorMentionTime])
 	}
@@ -121,10 +121,10 @@ func TestNegativeMentionTimeClampedToZero(t *testing.T) {
 	e := NewExtractor()
 	honeypot := testAccount(2)
 	post := testTweet(1, 2, simclock.Epoch.Add(time.Hour), "future post")
-	e.Extract(Observation{Tweet: post, Sender: honeypot})
+	extract(e, Observation{Tweet: post, Sender: honeypot})
 	mention := testTweet(2, 3, simclock.Epoch, "@x hi") // earlier than post
 	mention.Mentions = []socialnet.AccountID{2}
-	v := e.Extract(Observation{Tweet: mention, Sender: testAccount(3), Receiver: honeypot})
+	v := extract(e, Observation{Tweet: mention, Sender: testAccount(3), Receiver: honeypot})
 	if v[FBehaviorMentionTime] != 0 {
 		t.Fatalf("negative mention time = %v, want 0", v[FBehaviorMentionTime])
 	}

@@ -9,25 +9,25 @@ import (
 
 // This file exports the pure, per-item half of the label store's ingest —
 // normalization, shingling, MinHash signing, Σ-Seq computation — so shard
-// workers (in-process goroutines or separate worker processes on the NDJSON
-// wire) can precompute it concurrently; the store's own AddBatch runs the
-// same Prepper over the worker pool. AddBatchPrepared then applies the
-// stateful index joins sequentially.
+// workers (in-process goroutines or worker processes behind the proc
+// extract RPC) can precompute it concurrently; the store's own AddBatch
+// runs the same Prepper over the worker pool. AddBatchPrepared then
+// applies the stateful index joins sequentially.
 
 // TweetPrep is the precomputed pure portion of one tweet add. Fields are
-// exported (and JSON-shaped) so proc-mode shard workers can ship preps over
-// the wire; uint64 signature words survive the JSON round-trip exactly.
+// exported so proc-mode shard workers can ship preps over the extract
+// wire, whose package codec form keeps every signature word exact.
 type TweetPrep struct {
-	Norm string            `json:"norm"`
-	Sig  minhash.Signature `json:"sig,omitempty"` // nil below MinTweetLen
+	Norm string
+	Sig  minhash.Signature // nil below MinTweetLen
 }
 
 // UserPrep is the precomputed pure portion of one first-appearance user
 // add, derived from the capture-time profile snapshot.
 type UserPrep struct {
-	NameSeq  string            `json:"name_seq"`
-	DescNorm string            `json:"desc_norm"`
-	DescSig  minhash.Signature `json:"desc_sig,omitempty"` // nil when DescNorm == ""
+	NameSeq  string
+	DescNorm string
+	DescSig  minhash.Signature // nil when DescNorm == ""
 }
 
 // Prepper computes label preps. It derives its MinHash schemes from the

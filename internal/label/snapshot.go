@@ -174,13 +174,13 @@ func encodeStoreSnapshot(snap *storeSnapshot) []byte {
 	}
 	b = codec.AppendUvarint(b, uint64(len(snap.DescSigs)))
 	for i, sig := range snap.DescSigs {
-		b = appendSig(b, sig)
+		b = codec.AppendWords(b, sig)
 		b = codec.AppendVarint(b, int64(snap.DescIDs[i]))
 		b = codec.AppendVarint(b, int64(snap.DescParent[i]))
 	}
 	b = codec.AppendUvarint(b, uint64(len(snap.TwSigs)))
 	for i, sig := range snap.TwSigs {
-		b = appendSig(b, sig)
+		b = codec.AppendWords(b, sig)
 		b = codec.AppendVarint(b, int64(snap.TwPoolIdx[i]))
 		b = codec.AppendVarint(b, int64(snap.TwParent[i]))
 	}
@@ -195,26 +195,6 @@ func encodeStoreSnapshot(snap *storeSnapshot) []byte {
 		b = codec.AppendVarint(b, int64(snap.Repeats[k]))
 	}
 	return b
-}
-
-func appendSig(b []byte, sig minhash.Signature) []byte {
-	b = codec.AppendUvarint(b, uint64(len(sig)))
-	for _, w := range sig {
-		b = codec.AppendU64(b, w)
-	}
-	return b
-}
-
-func decodeSig(d *codec.Decoder) minhash.Signature {
-	n := d.Count(8)
-	if n == 0 {
-		return nil
-	}
-	sig := make(minhash.Signature, n)
-	for i := range sig {
-		sig[i] = d.U64()
-	}
-	return sig
 }
 
 // decodeStoreSnapshot reads a section written by encodeStoreSnapshot.
@@ -271,7 +251,7 @@ func decodeStoreSnapshot(b []byte) (*storeSnapshot, error) {
 		snap.DescIDs = make([]socialnet.AccountID, n)
 		snap.DescParent = make([]int, n)
 		for i := range snap.DescSigs {
-			snap.DescSigs[i] = decodeSig(d)
+			snap.DescSigs[i] = d.Words()
 			snap.DescIDs[i] = socialnet.AccountID(d.Varint())
 			snap.DescParent[i] = d.Int()
 		}
@@ -281,7 +261,7 @@ func decodeStoreSnapshot(b []byte) (*storeSnapshot, error) {
 		snap.TwPoolIdx = make([]int, n)
 		snap.TwParent = make([]int, n)
 		for i := range snap.TwSigs {
-			snap.TwSigs[i] = decodeSig(d)
+			snap.TwSigs[i] = d.Words()
 			snap.TwPoolIdx[i] = d.Int()
 			snap.TwParent[i] = d.Int()
 		}

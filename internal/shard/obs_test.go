@@ -26,7 +26,7 @@ func pipelineConfig(reg *metrics.Registry) pipeline.Config {
 // TestProcCaptureTraceCarriesExtractSpan: a proc-mode capture trace has
 // the same shard_extract span an in-process one has — timed around the
 // RPC, tagged with the shard and the worker-side elapsed time from the
-// response trailer — and /debug/traces serves it. (It replaces the
+// response's telemetry — and /debug/traces serves it. (It replaces the
 // per-epoch shard_epoch trace with its stitched worker spans.)
 func TestProcCaptureTraceCarriesExtractSpan(t *testing.T) {
 	tracer := trace.New(trace.Config{Enabled: true, Buffer: 4096})

@@ -26,8 +26,9 @@ const (
 // without real processes. The production implementation (SpawnWorkers)
 // runs worker subprocesses and POSTs over loopback HTTP.
 type Transport interface {
-	// Extract posts one batch request to a shard worker and returns the
-	// raw NDJSON response. It must give up when ctx is done.
+	// Extract posts one batch request to a shard worker and returns its
+	// undecoded codec response (see wire.go). It must give up when ctx is
+	// done.
 	Extract(ctx context.Context, shard int, body []byte) ([]byte, error)
 	// Restart tears down and respawns one worker after a failure. The
 	// replacement starts with empty shard-local state; the wire contract
@@ -51,7 +52,7 @@ const (
 // same pure functions — so the merge stage never waits on a sequence
 // number that will not come, and the failure is latched for Drain. The
 // retry loop is also the only witness of the worker's health, so it keeps
-// the shard's /healthz row, and an answered batch's trailer feeds the
+// the shard's /healthz row, and an answered batch's telemetry feeds the
 // worker's heap and GC gauges.
 func (f *Fanout) remoteExtract(s int, shardLabel string, local func([]Item)) func([]Item) {
 	reg := f.cfg.Pipeline.Metrics
@@ -131,7 +132,7 @@ func (f *Fanout) remoteExtract(s int, shardLabel string, local func([]Item)) fun
 		for i, it := range batch {
 			it.C.Trace.SetAttr("shard", shardLabel)
 			it.C.Trace.AddSpan("shard_extract", start, end, attrs[:]...)
-			copy(it.Vec[:], results[i].Vec)
+			it.Vec = results[i].Vec
 			it.TweetPrep, it.UserPrep = results[i].TweetPrep, results[i].UserPrep
 			_ = f.merge.Push(it)
 		}

@@ -78,8 +78,8 @@ func (mt *memTransport) Extract(ctx context.Context, s int, body []byte) ([]byte
 	}
 	switch fault {
 	case faultTruncate:
-		// Cut mid-line: the worker streamed part of its response and
-		// died before the done trailer.
+		// Cut mid-result: the worker wrote part of its response and
+		// died before the telemetry that closes it.
 		return resp[:len(resp)*2/3], nil
 	case faultDie:
 		return nil, errors.New("connection reset by peer")
@@ -215,8 +215,8 @@ func faultedRun(t *testing.T, shards, hours int, faults map[int]faultKind) {
 	assertSameCaptures(t, clean, faulty)
 }
 
-// TestProcRetryAfterTruncatedStream kills a shard mid-response (truncated
-// NDJSON, no done trailer): the shard must detect the truncation, restart
+// TestProcRetryAfterTruncatedStream kills a shard mid-response (a torn
+// result, no telemetry): the shard must detect the truncation, restart
 // the worker, re-post the identical batch, and deliver a result
 // indistinguishable from the clean run.
 func TestProcRetryAfterTruncatedStream(t *testing.T) {
@@ -326,7 +326,7 @@ func TestWorkerCoreExtractMatchesInProcess(t *testing.T) {
 	prep, preps := testPrepper(), 0
 	for i, it := range batch {
 		want := m.StatelessVector(it.C)
-		if !reflect.DeepEqual(results[i].Vec, want[:]) {
+		if results[i].Vec != want {
 			t.Fatalf("capture %d: vector diverged across the wire", i)
 		}
 		if !reflect.DeepEqual(results[i].TweetPrep, prep.PrepTweet(it.C.Tweet)) {

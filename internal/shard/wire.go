@@ -1,14 +1,13 @@
 package shard
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	rtm "runtime/metrics"
 	"time"
 
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/codec"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/features"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/label"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
@@ -16,46 +15,58 @@ import (
 )
 
 // Proc-mode extract wire (one HTTP POST per shard micro-batch — DESIGN.md
-// §15). The request is the batch's captures, each a 4-byte little-endian
-// length followed by a store.EncodeCapture payload — the WAL's capture
-// codec: tweet, frozen sender/receiver snapshots, groups, source id, with
-// Seq carrying the fanout's ingest sequence number. The response is NDJSON:
-// one result line per capture, in request order, closed by a trailer
-// {"done":N,"elapsed_ns":…,"heap_bytes":…,"gc_cycles":…} whose count lets
-// the coordinator detect truncated streams and whose other fields are the
-// worker's telemetry: the coordinator exports them per shard, so nobody
-// scrapes the worker.
+// §15). Both directions use package codec, the encoding of the WAL and the
+// checkpoint. The request is the batch's captures, each a 4-byte
+// little-endian length followed by a store.EncodeCapture payload — the
+// WAL's capture codec: tweet, frozen sender/receiver snapshots, groups,
+// source id, with Seq carrying the fanout's ingest sequence number. The
+// response is the result count as a uvarint, then one result per capture
+// in request order (appendResult), then the worker's telemetry as three
+// uvarints — elapsed ns, heap bytes, GC cycles — which the coordinator
+// exports per shard, so nobody scrapes the worker. A response cut short
+// fails to decode, so a torn write never passes for a shorter batch.
 
-// result is one response line: everything the extract step computes for
-// one capture.
+// result is everything the extract step computes for one capture.
 type result struct {
-	Vec       []float64       `json:"vec"`
-	TweetPrep label.TweetPrep `json:"tweet_prep"`
-	UserPrep  *label.UserPrep `json:"user_prep,omitempty"`
+	Vec       features.Vector
+	TweetPrep label.TweetPrep
+	UserPrep  *label.UserPrep // nil unless the worker saw the author first
 }
 
-// telemetry is the worker's report in the response trailer: how long it
-// spent on the batch, its live heap, and its completed GC cycles. The
-// fields are unsigned, so a negative, fractional or out-of-range value
-// fails to decode instead of reaching a gauge.
-type telemetry struct {
-	ElapsedNS uint64 `json:"elapsed_ns"`
-	HeapBytes uint64 `json:"heap_bytes"`
-	GCCycles  uint64 `json:"gc_cycles"`
+// minResultBytes is the least a result encodes to: one byte per feature,
+// an empty norm, an absent signature and the user-prep flag.
+const minResultBytes = features.NumFeatures + 3
+
+// appendResult appends r: its features as compact floats, the tweet prep
+// (norm, signature words), and a flag followed, when set, by the user prep
+// (name sequence, description norm, description signature words).
+func appendResult(b []byte, r *result) []byte {
+	for _, f := range r.Vec {
+		b = codec.AppendCompactFloat(b, f)
+	}
+	b = codec.AppendWords(codec.AppendString(b, r.TweetPrep.Norm), r.TweetPrep.Sig)
+	b = codec.AppendBool(b, r.UserPrep != nil)
+	if up := r.UserPrep; up != nil {
+		b = codec.AppendString(b, up.NameSeq)
+		b = codec.AppendWords(codec.AppendString(b, up.DescNorm), up.DescSig)
+	}
+	return b
 }
 
-// trailer closes a response: the result count, then the telemetry.
-type trailer struct {
-	Done int `json:"done"`
-	telemetry
+// readResult reads a result written by appendResult into r.
+func readResult(d *codec.Decoder, r *result) {
+	for f := range r.Vec {
+		r.Vec[f] = d.CompactFloat()
+	}
+	r.TweetPrep = label.TweetPrep{Norm: d.Str(), Sig: d.Words()}
+	if d.Bool() {
+		r.UserPrep = &label.UserPrep{NameSeq: d.Str(), DescNorm: d.Str(), DescSig: d.Words()}
+	}
 }
 
-// resultLine is the response-line union readResults decodes into.
-type resultLine struct {
-	result
-	Done *int `json:"done"`
-	telemetry
-}
+// telemetry is the worker's report closing a response: how long it spent
+// on the batch, its live heap, and its completed GC cycles.
+type telemetry struct{ ElapsedNS, HeapBytes, GCCycles uint64 }
 
 // appendRequest frames batch onto buf.
 func appendRequest(buf []byte, batch []Item) []byte {
@@ -87,7 +98,7 @@ func appendRequest(buf []byte, batch []Item) []byte {
 type WorkerCore struct {
 	prepper *label.Prepper
 	seen    map[socialnet.AccountID]struct{}
-	// runtime is the trailer's heap and GC sample, read with one
+	// runtime is the telemetry's heap and GC sample, read with one
 	// runtime/metrics.Read per batch — no ReadMemStats stop-the-world.
 	runtime [2]rtm.Sample
 }
@@ -107,28 +118,32 @@ func NewWorkerCore(lcfg label.Config) *WorkerCore {
 }
 
 // Extract answers one batch request. A request that does not decode is an
-// error and yields no partial response: the coordinator retries the whole
-// batch.
+// error and yields no partial response (and leaves the first-appearance
+// set untouched): the coordinator retries the whole batch.
 func (w *WorkerCore) Extract(req []byte) ([]byte, error) {
 	start := time.Now()
-	var out bytes.Buffer
-	enc := json.NewEncoder(&out)
-	n := 0
+	var recs []*store.CaptureRecord
 	for len(req) > 0 {
 		if len(req) < 4 {
 			return nil, errors.New("shard: extract request: torn length prefix")
 		}
 		size := int(binary.LittleEndian.Uint32(req))
 		if req = req[4:]; size > len(req) {
-			return nil, fmt.Errorf("shard: extract request: capture %d runs past the body", n)
+			return nil, fmt.Errorf("shard: extract request: capture %d runs past the body", len(recs))
 		}
 		rec, err := store.DecodeCapture(req[:size])
 		if err != nil {
-			return nil, fmt.Errorf("shard: extract request: capture %d: %w", n, err)
+			return nil, fmt.Errorf("shard: extract request: capture %d: %w", len(recs), err)
 		}
 		req = req[size:]
-		vec := features.Stateless(features.Observation{Tweet: &rec.Tweet, Sender: rec.Sender, Receiver: rec.Receiver})
-		res := result{Vec: vec[:], TweetPrep: w.prepper.PrepTweet(&rec.Tweet)}
+		recs = append(recs, rec)
+	}
+	out := codec.AppendUvarint(nil, uint64(len(recs)))
+	for _, rec := range recs {
+		res := result{
+			Vec:       features.Stateless(features.Observation{Tweet: &rec.Tweet, Sender: rec.Sender, Receiver: rec.Receiver}),
+			TweetPrep: w.prepper.PrepTweet(&rec.Tweet),
+		}
 		if rec.Sender != nil {
 			if _, ok := w.seen[rec.Sender.ID]; !ok {
 				w.seen[rec.Sender.ID] = struct{}{}
@@ -136,18 +151,12 @@ func (w *WorkerCore) Extract(req []byte) ([]byte, error) {
 				res.UserPrep = &up
 			}
 		}
-		if err := enc.Encode(res); err != nil {
-			return nil, fmt.Errorf("shard: extract response: %w", err)
-		}
-		n++
+		out = appendResult(out, &res)
 	}
 	rtm.Read(w.runtime[:])
-	err := enc.Encode(trailer{Done: n, telemetry: telemetry{
-		ElapsedNS: uint64(time.Since(start)),
-		HeapBytes: sampleUint(w.runtime[0]),
-		GCCycles:  sampleUint(w.runtime[1]),
-	}})
-	return out.Bytes(), err
+	out = codec.AppendUvarint(out, uint64(time.Since(start)))
+	out = codec.AppendUvarint(out, sampleUint(w.runtime[0]))
+	return codec.AppendUvarint(out, sampleUint(w.runtime[1])), nil
 }
 
 // sampleUint is a runtime/metrics sample's value, 0 when this runtime
@@ -160,39 +169,23 @@ func sampleUint(s rtm.Sample) uint64 {
 }
 
 // readResults decodes one extract response for a batch of want captures.
-// It returns exactly want well-formed results and the trailer's telemetry,
-// or an error: a torn line, a missing or malformed trailer, or a count
-// that disagrees with the trailer or the request means the worker died
-// mid-write (or is not the worker we think it is) and the batch must be
-// retried.
-func readResults(resp []byte, want int) (results []result, tel telemetry, err error) {
-	done := -1
-	for len(resp) > 0 {
-		if done >= 0 {
-			return nil, telemetry{}, errors.New("data after done trailer")
-		}
-		var raw []byte
-		raw, resp, _ = bytes.Cut(resp, []byte("\n"))
-		var line resultLine
-		if err := json.Unmarshal(raw, &line); err != nil {
-			return nil, telemetry{}, fmt.Errorf("response line: %w", err)
-		}
-		if line.Done != nil {
-			if done, tel = *line.Done, line.telemetry; done < 0 {
-				return nil, telemetry{}, fmt.Errorf("negative done count %d", done)
-			}
-			continue
-		}
-		if len(line.Vec) != features.NumFeatures {
-			return nil, telemetry{}, fmt.Errorf("result vector has %d features", len(line.Vec))
-		}
-		results = append(results, line.result)
+// It returns exactly want results and the worker's telemetry, or an error:
+// a count that disagrees with the request, a torn result or telemetry, or
+// bytes after the telemetry mean the worker died mid-write (or is not the
+// worker we think it is) and the batch must be retried.
+func readResults(resp []byte, want int) ([]result, telemetry, error) {
+	d := codec.NewDecoder(resp)
+	n := d.Count(minResultBytes)
+	if d.Err() == nil && n != want {
+		return nil, telemetry{}, fmt.Errorf("response has %d results, batch has %d", n, want)
 	}
-	if done < 0 {
-		return nil, telemetry{}, errors.New("response truncated (no done trailer)")
+	results := make([]result, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		readResult(d, &results[i])
 	}
-	if done != len(results) || done != want {
-		return nil, telemetry{}, fmt.Errorf("response truncated (%d results, trailer says %d, batch has %d)", len(results), done, want)
+	tel := telemetry{ElapsedNS: d.Uvarint(), HeapBytes: d.Uvarint(), GCCycles: d.Uvarint()}
+	if err := d.Finish("extract response"); err != nil {
+		return nil, telemetry{}, err
 	}
 	return results, tel, nil
 }

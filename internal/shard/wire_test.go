@@ -3,43 +3,61 @@ package shard
 import (
 	"bytes"
 	"context"
-	"strings"
+	"encoding/binary"
+	"errors"
 	"testing"
 
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/features"
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/codec"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/label"
 )
 
+// damagedResponse is one failure class of the response reader: a
+// response, the batch size it is read for, and whether the reader must
+// fail with codec.ErrShort.
+type damagedResponse struct {
+	resp  []byte
+	want  int
+	short bool
+}
+
+// damagedResponses builds every failure class from clean, a worker's
+// response to a two-capture batch.
+func damagedResponses(clean []byte) map[string]damagedResponse {
+	withCount := func(n byte) []byte { return append([]byte{n}, clean[1:]...) }
+	return map[string]damagedResponse{
+		"torn result":        {clean[:len(clean)/2], 2, true},
+		"torn telemetry":     {clean[:len(clean)-1], 2, true},
+		"trailing byte":      {append(bytes.Clone(clean), 0), 2, false},
+		"count ≠ batch":      {clean, 3, false},
+		"count ≠ results":    {withCount(3), 3, true},
+		"count beyond input": {withCount(100)[:minResultBytes*3], 100, true},
+	}
+}
+
+// extractResponse is a worker's response to a two-capture batch.
+func extractResponse(t testing.TB) []byte {
+	t.Helper()
+	batch, _ := matchedBatch(t, 2)
+	resp, err := NewWorkerCore(label.DefaultConfig()).Extract(appendRequest(nil, batch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
 // FuzzExtractResponse fuzzes the one decoder the extract wire adds, the
 // coordinator's response reader: any bytes either decode to exactly the
-// batch's count of well-formed results plus a trailer of non-negative
-// integers, or fail — never a panic, never a short slice the shard would
-// index past, never a malformed trailer reaching the worker gauges, which
-// are set only from what readResults accepted. (The request side is
+// batch's count of results plus the worker's telemetry, or fail — never a
+// panic, never a short slice the shard would index past, never an
+// allocation the input cannot back, never telemetry reaching the worker
+// gauges from a response readResults refused. (The request side is
 // store.DecodeCapture, already under FuzzWALRecord.)
 func FuzzExtractResponse(f *testing.F) {
-	batch, _ := matchedBatch(f, 2)
-	clean, err := NewWorkerCore(label.DefaultConfig()).Extract(appendRequest(nil, batch))
-	if err != nil {
-		f.Fatal(err)
+	clean := extractResponse(f)
+	f.Add(clean, uint8(2))
+	for _, d := range damagedResponses(clean) {
+		f.Add(d.resp, uint8(d.want))
 	}
-	lines := bytes.SplitAfter(bytes.TrimSuffix(clean, []byte("\n")), []byte("\n"))
-	results := bytes.Join(lines[:2], nil)
-	withTrailer := func(tr string) []byte { return append(bytes.Clone(results), tr+"\n"...) }
-	short := `{"vec":[1,2,3],"tweet_prep":{"norm":"x"}}` + "\n"
-	f.Add(clean, uint8(2))                                                    // a clean two-capture response
-	f.Add(clean[:len(clean)*2/3], uint8(2))                                   // a torn line
-	f.Add(bytes.Join(lines[:2], nil), uint8(2))                               // a missing trailer
-	f.Add([]byte(short+short+`{"done":2}`+"\n"), uint8(2))                    // a wrong vector length
-	f.Add(append(bytes.Join(lines[:2], nil), `{"done":3}`+"\n"...), uint8(2)) // done ≠ line count
-	f.Add(append(bytes.Clone(clean), lines[0]...), uint8(2))                  // data after the trailer
-	f.Add(clean, uint8(3))                                                    // done ≠ the batch
-	f.Add(withTrailer(`{"done":2}`), uint8(2))                                // telemetry missing
-	f.Add(withTrailer(`{"done":2,"elapsed_ns":5,"heap_bytes":-1}`), uint8(2)) // a negative field
-	f.Add(withTrailer(`{"done":2,"gc_cycles":1e400}`), uint8(2))              // out of range
-	f.Add(withTrailer(`{"done":2,"heap_bytes":"4096"}`), uint8(2))            // a string
-	f.Add(withTrailer(`{"done":-2}`), uint8(2))                               // a negative count
-
 	f.Fuzz(func(t *testing.T, resp []byte, want uint8) {
 		results, tel, err := readResults(resp, int(want))
 		if err != nil {
@@ -51,12 +69,26 @@ func FuzzExtractResponse(f *testing.F) {
 		if len(results) != int(want) {
 			t.Fatalf("%d results for a batch of %d", len(results), want)
 		}
-		for i, r := range results {
-			if len(r.Vec) != features.NumFeatures {
-				t.Fatalf("result %d has %d features", i, len(r.Vec))
-			}
-		}
 	})
+}
+
+// TestExtractResponseRefusesDamage: a clean response opens with its result
+// count and reads back whole, and every failure class of the fuzz seeds is
+// refused for the reason it names.
+func TestExtractResponseRefusesDamage(t *testing.T) {
+	clean := extractResponse(t)
+	if n, _ := binary.Uvarint(clean); n != 2 {
+		t.Fatalf("response opens with %d, want the result count 2", n)
+	}
+	if results, tel, err := readResults(clean, 2); err != nil || len(results) != 2 || tel.ElapsedNS == 0 {
+		t.Fatalf("clean response: %d results, telemetry %+v, error %v", len(results), tel, err)
+	}
+	for name, d := range damagedResponses(clean) {
+		results, tel, err := readResults(d.resp, d.want)
+		if err == nil || results != nil || tel != (telemetry{}) || errors.Is(err, codec.ErrShort) != d.short {
+			t.Errorf("%s: %d results, telemetry %+v, error %v", name, len(results), tel, err)
+		}
+	}
 }
 
 // TestExtractRequestRejectsGarbage: the worker answers a request it cannot
@@ -74,8 +106,12 @@ func TestExtractRequestRejectsGarbage(t *testing.T) {
 			t.Fatalf("%s: response %q, error %v", name, resp, err)
 		}
 	}
-	if resp, err := core.Extract(req); err != nil || strings.Count(string(resp), "\n") != 3 {
-		t.Fatalf("clean request: response %q, error %v", resp, err)
+	resp, err := core.Extract(req)
+	if err != nil {
+		t.Fatalf("clean request: %v", err)
+	}
+	if results, _, err := readResults(resp, 2); err != nil || results[0].UserPrep == nil {
+		t.Fatalf("clean request after refused ones: %v (the first author's profile prep must still ship)", err)
 	}
 }
 

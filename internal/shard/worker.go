@@ -47,7 +47,7 @@ func MaybeWorker() {
 }
 
 // runWorker serves one shard's extract RPC until stdin closes. It is the
-// worker's only route: its telemetry rides the response trailer, and its
+// worker's only route: its telemetry closes every response, and its
 // health is what the coordinator's retry loop sees.
 func runWorker(shardIdx int) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

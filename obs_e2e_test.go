@@ -1,8 +1,8 @@
 package pseudohoneypot
 
 import (
-	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -44,9 +44,9 @@ func counterTotal(fams []metrics.FamilySnapshot, name string, want map[string]st
 	return total
 }
 
-// trailerCounter wraps the real worker fleet and sums, per shard, the done
-// count of every response trailer: the workers' own tally of what they
-// extracted, read off the wire rather than from any worker endpoint.
+// trailerCounter wraps the real worker fleet and sums, per shard, the
+// result count every response opens with: the workers' own tally of what
+// they extracted, read off the wire rather than from any worker endpoint.
 type trailerCounter struct {
 	shard.Transport
 	mu   sync.Mutex
@@ -58,13 +58,9 @@ func (tc *trailerCounter) Extract(ctx context.Context, s int, body []byte) ([]by
 	if err != nil {
 		return resp, err
 	}
-	trailer := resp[bytes.LastIndexByte(bytes.TrimSuffix(resp, []byte("\n")), '\n')+1:]
-	var tr struct {
-		Done int `json:"done"`
-	}
-	if json.Unmarshal(trailer, &tr) == nil {
+	if n, size := binary.Uvarint(resp); size > 0 {
 		tc.mu.Lock()
-		tc.done[s] += tr.Done
+		tc.done[s] += int(n)
 		tc.mu.Unlock()
 	}
 	return resp, nil
@@ -72,9 +68,9 @@ func (tc *trailerCounter) Extract(ctx context.Context, s int, body []byte) ([]by
 
 // TestProcTelemetryEndToEnd drives real worker subprocesses and checks
 // that the coordinator's one registry is the whole fleet's view: each
-// shard's ph_shard_batch_captures_total equals the done counts its
-// worker's trailers reported, the capture total equals an unsharded run's,
-// the trailer-fed heap and GC gauges carry every worker, /healthz lists
+// shard's ph_shard_batch_captures_total equals the result counts its
+// worker's responses reported, the capture total equals an unsharded run's,
+// the telemetry-fed heap and GC gauges carry every worker, /healthz lists
 // two healthy shards from the fanout's own state, and /debug/traces holds
 // capture traces whose shard_extract span carries the worker's elapsed
 // time.
@@ -115,8 +111,8 @@ func TestProcTelemetryEndToEnd(t *testing.T) {
 	}
 
 	// Cross-process consistency: every capture a worker extracted is one
-	// result line the coordinator read back (no batch was retried in this
-	// run), so the trailers' done counts must equal the coordinator-side
+	// result the coordinator read back (no batch was retried in this
+	// run), so the responses' result counts must equal the coordinator-side
 	// counter, per shard. Both worker gauges hold a sample per shard.
 	coord := reg.Snapshot()
 	counter.mu.Lock()
@@ -128,7 +124,7 @@ func TestProcTelemetryEndToEnd(t *testing.T) {
 			t.Fatalf("shard %d returned no captures", s)
 		}
 		if extracted := float64(counter.done[s-1]); extracted != shipped {
-			t.Fatalf("shard %d: worker trailers report %v captures != coordinator read back %v",
+			t.Fatalf("shard %d: worker responses report %v captures != coordinator read back %v",
 				s, extracted, shipped)
 		}
 		for _, gauge := range []string{"ph_shard_worker_heap_bytes", "ph_shard_worker_gc_cycles"} {

@@ -1,6 +1,11 @@
 package pseudohoneypot
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -84,6 +89,38 @@ func TestReplayReproducesRun(t *testing.T) {
 		}
 		rep.Close()
 	}
+}
+
+// TestRecordingIsDeterministic: a recording's files are a function of its
+// seed. Two recordings of the reference run hold the same bytes, file for
+// file — the rotation records land after the hour's captures, not wherever
+// the tail happened to be when the hour hook fired.
+func TestRecordingIsDeterministic(t *testing.T) {
+	t.Setenv(parallel.EnvWorkers, "2")
+	first, _ := recordGoldenRun(t)
+	second, _ := recordGoldenRun(t)
+	want, got := dirHashes(t, first), dirHashes(t, second)
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("two recordings of one seed differ:\n first  %v\n second %v", want, got)
+	}
+}
+
+// dirHashes maps every file name in dir to the SHA-256 of its contents.
+func dirHashes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashes := make(map[string]string, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashes[e.Name()] = fmt.Sprintf("%x", sha256.Sum256(b))
+	}
+	return hashes
 }
 
 // recordGoldenRun records six hours at the reference configuration, with

@@ -95,7 +95,7 @@ func (si *sourceInstruments) capture(origin string) {
 // recording, and checkpoint when the schedule says so. It runs on the
 // source's delivery goroutine at an hour boundary, when the producer is
 // idle — the quiescence the durable checkpoint needs. An hour that cuts no
-// checkpoint does not drain the stage graph.
+// checkpoint and journals no rotation does not drain the stage graph.
 func (s *Sniffer) rotateHour(hour int, now time.Time) {
 	if counts := s.src.Rotation(hour); counts != nil {
 		// A replayed recording cannot re-screen its world; credit the
@@ -104,6 +104,10 @@ func (s *Sniffer) rotateHour(hour int, now time.Time) {
 	} else {
 		s.monitor.Rotate(now, time.Hour)
 		if s.store != nil && s.cfg.Durability.RecordRotations {
+			// The tail may still be appending the last hour's captures:
+			// drain it, so the rotation lands after all of them and a
+			// recording's bytes are a function of its seed alone.
+			s.drainPipeline()
 			err := s.store.AppendRotation(&store.RotationRecord{
 				Hour:   hour,
 				Now:    now,

@@ -70,24 +70,50 @@ func TestNoTestOnlyProductionCode(t *testing.T) {
 }
 
 // TestNoGobInProductionCode keeps encoding/gob out of every byte boundary
-// the program persists or sends: WAL records and checkpoint sections use
-// package codec, whose layout is fixed byte for byte, encodes in one pass
-// without reflection, and writes maps in a fixed order. It fails on any
-// non-test file of the root module that imports encoding/gob; the bench/
-// module is a measuring harness and exempt.
+// the program persists or sends: WAL records, checkpoint sections and the
+// proc extract wire use package codec, whose layout is fixed byte for
+// byte, encodes in one pass without reflection, and writes maps in a fixed
+// order. It fails on any non-test file of the root module that imports
+// encoding/gob, and on any in the packages that own those boundaries
+// (codecOnly) that imports encoding/json or tags a struct field, so no
+// second serialization grows back beside the codec; the bench/ module is a
+// measuring harness and exempt.
 func TestNoGobInProductionCode(t *testing.T) {
 	l := loadModules(t)
 	bench := l.mods[1].path
+	codecOnly := map[string]bool{} // import path → loaded
+	for _, pkg := range []string{"shard", "store", "codec", "label"} {
+		codecOnly[l.mods[0].path+"/internal/"+pkg] = false
+	}
 	for _, p := range l.checked {
-		if path := p.pkg.Path(); path == bench || strings.HasPrefix(path, bench+"/") {
+		path := p.pkg.Path()
+		if path == bench || strings.HasPrefix(path, bench+"/") {
 			continue
+		}
+		_, noJSON := codecOnly[path]
+		if noJSON {
+			codecOnly[path] = true
 		}
 		for _, f := range p.files {
 			for _, imp := range f.Imports {
-				if imp.Path.Value == `"encoding/gob"` {
-					t.Errorf("%s imports encoding/gob", l.fset.Position(imp.Pos()))
+				if imp.Path.Value == `"encoding/gob"` || (noJSON && imp.Path.Value == `"encoding/json"`) {
+					t.Errorf("%s imports %s", l.fset.Position(imp.Pos()), imp.Path.Value)
 				}
 			}
+			if !noJSON {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if fd, ok := n.(*ast.Field); ok && fd.Tag != nil {
+					t.Errorf("%s: struct tag %s", l.fset.Position(fd.Tag.Pos()), fd.Tag.Value)
+				}
+				return true
+			})
+		}
+	}
+	for path, loaded := range codecOnly {
+		if !loaded {
+			t.Errorf("%s was not loaded; the encoding/json check did not run on it", path)
 		}
 	}
 }
