@@ -11,26 +11,57 @@ import (
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/label"
 )
 
-// damagedResponse is one failure class of the response reader: a
-// response, the batch size it is read for, and whether the reader must
+// damagedResponse is one failure class of the response reader: its name,
+// a response, the batch size it is read for, and whether the reader must
 // fail with codec.ErrShort.
 type damagedResponse struct {
+	name  string
 	resp  []byte
 	want  int
 	short bool
 }
 
 // damagedResponses builds every failure class from clean, a worker's
-// response to a two-capture batch.
-func damagedResponses(clean []byte) map[string]damagedResponse {
-	withCount := func(n byte) []byte { return append([]byte{n}, clean[1:]...) }
-	return map[string]damagedResponse{
-		"torn result":        {clean[:len(clean)/2], 2, true},
-		"torn telemetry":     {clean[:len(clean)-1], 2, true},
-		"trailing byte":      {append(bytes.Clone(clean), 0), 2, false},
-		"count ≠ batch":      {clean, 3, false},
-		"count ≠ results":    {withCount(3), 3, true},
-		"count beyond input": {withCount(100)[:minResultBytes*3], 100, true},
+// response to a two-capture batch, in a fixed order so each is always the
+// same fuzz seed.
+func damagedResponses(t testing.TB, clean []byte) []damagedResponse {
+	t.Helper()
+	// Walk clean to where the first result's user-prep flag sits and to
+	// where the telemetry starts.
+	d := codec.NewDecoder(clean)
+	d.Count(minResultBytes)
+	var r result
+	for range r.Vec {
+		d.CompactFloat()
+	}
+	d.Str()
+	d.Words()
+	flagAt := len(clean) - d.Len()
+	d = codec.NewDecoder(clean)
+	for range d.Count(minResultBytes) {
+		readResult(d, &r)
+	}
+	if d.Err() != nil {
+		t.Fatal(d.Err())
+	}
+	telAt := len(clean) - d.Len()
+
+	withCount := func(n uint64) []byte { return append(codec.AppendUvarint(nil, n), clean[1:]...) }
+	withTelemetry := func(tel ...byte) []byte { return append(bytes.Clone(clean[:telAt]), tel...) }
+	badFlag := bytes.Clone(clean)
+	badFlag[flagAt] = 2
+	return []damagedResponse{
+		{"torn result", clean[:len(clean)/2], 2, true},
+		{"telemetry missing", clean[:telAt], 2, true},
+		{"bad user-prep flag", badFlag, 2, false},
+		{"count ≠ results", withCount(3), 3, true},
+		{"trailing byte", append(bytes.Clone(clean), 0), 2, false},
+		{"count ≠ batch", clean, 3, false},
+		{"torn telemetry", clean[:len(clean)-1], 2, true},
+		{"telemetry overflow", withTelemetry(0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0, 0), 2, true},
+		{"count beyond input", withCount(100)[:minResultBytes*3], 100, true},
+		{"empty response", nil, 2, true},
+		{"count overflow", withCount(1 << 63), 2, true},
 	}
 }
 
@@ -55,7 +86,7 @@ func extractResponse(t testing.TB) []byte {
 func FuzzExtractResponse(f *testing.F) {
 	clean := extractResponse(f)
 	f.Add(clean, uint8(2))
-	for _, d := range damagedResponses(clean) {
+	for _, d := range damagedResponses(f, clean) {
 		f.Add(d.resp, uint8(d.want))
 	}
 	f.Fuzz(func(t *testing.T, resp []byte, want uint8) {
@@ -83,10 +114,10 @@ func TestExtractResponseRefusesDamage(t *testing.T) {
 	if results, tel, err := readResults(clean, 2); err != nil || len(results) != 2 || tel.ElapsedNS == 0 {
 		t.Fatalf("clean response: %d results, telemetry %+v, error %v", len(results), tel, err)
 	}
-	for name, d := range damagedResponses(clean) {
+	for _, d := range damagedResponses(t, clean) {
 		results, tel, err := readResults(d.resp, d.want)
 		if err == nil || results != nil || tel != (telemetry{}) || errors.Is(err, codec.ErrShort) != d.short {
-			t.Errorf("%s: %d results, telemetry %+v, error %v", name, len(results), tel, err)
+			t.Errorf("%s: %d results, telemetry %+v, error %v", d.name, len(results), tel, err)
 		}
 	}
 }
