@@ -54,12 +54,16 @@ SOURCE_COVER_MIN := 90
 # serve, HTTP client) is driven only by the root package's end-to-end tests
 # with real worker processes, which this package's profile does not count.
 SHARD_COVER_MIN := 70
+# core: the capture store's restore and AdoptCapture are where checkpoint
+# and WAL bytes become captures again, so an untested branch there is a
+# resumed run that silently differs from one that never stopped.
+CORE_COVER_MIN := 90
 
 upper = $(shell echo $(1) | tr a-z A-Z)
 
 .PHONY: check fmt vet vulncheck build test race examples bench bench-smoke records
 
-check: fmt vet vulncheck build test race examples cover-metrics cover-trace cover-store cover-obs cover-source cover-shard bench-smoke
+check: fmt vet vulncheck build test race examples cover-metrics cover-trace cover-store cover-obs cover-source cover-shard cover-core bench-smoke
 
 # fmt fails when any Go file differs from gofmt's output (and lists it).
 fmt:

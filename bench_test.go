@@ -331,9 +331,9 @@ func ablationYield(b *testing.B, hours int, static bool, mutate func(*core.Monit
 	spamCaptures, spamToSpammerNodes := 0, 0
 	for i, c := range m.Captures() {
 		verdicts[i] = c.Tweet.Spam
-		if c.Tweet.Spam && c.Receiver != nil {
+		if r := c.ReceiverSnapshot(); c.Tweet.Spam && r != nil {
 			spamCaptures++
-			if c.Receiver.Kind == socialnet.KindSpammer {
+			if r.Kind == socialnet.KindSpammer {
 				spamToSpammerNodes++
 			}
 		}

@@ -72,7 +72,7 @@ type section struct {
 func (s *Sniffer) sections() []section {
 	m, labels := s.monitor, s.tail.labels
 	secs := []section{
-		{"captures", infallible(m.Store().EncodeSnapshot), m.Store().RestoreSnapshot},
+		{"captures", infallible(m.Store().EncodeSnapshot), func(b []byte) error { return m.Store().RestoreSnapshot(b, s.src.Lookup) }},
 		{"labels", labels.EncodeSnapshot, func(b []byte) error { return labels.RestoreSnapshot(b, s.src.Lookup) }},
 		{"extractor", infallible(m.Extractor().EncodeSnapshot), m.Extractor().RestoreSnapshot},
 		{"groups", infallible(m.EncodeGroupStats), m.RestoreGroupStats},
@@ -133,9 +133,13 @@ func (s *Sniffer) openDurable() (*store.Recovery, error) {
 // then tells the subscribe callback which tweets of the re-run simulation
 // are already accounted for. The sniffer keeps only the RecoveryReport of
 // rec, so the checkpoint's bytes are released once they are applied.
-// Accounts spawned mid-run (campaign churn) do not exist yet in the
-// re-seeded world; the label store rebinds them through the source's
-// Lookup at Snapshot time, once the re-run has recreated them.
+// Restored and replayed captures resolve their live Sender through the
+// source's Lookup. Accounts spawned mid-run do not exist yet in the
+// re-seeded world: their captures keep a nil Sender, and the label store
+// rebinds them at Snapshot time, once the re-run has recreated them. The
+// re-run may cut a checkpoint at an hour it is still re-simulating; it
+// equals the uninterrupted run's cut at that seq, because every section
+// encodes only facts of the stream (DESIGN.md §14).
 func (s *Sniffer) recoverDurable(rec *store.Recovery) error {
 	t := s.tail
 	s.recovered = &RecoveryReport{Replayed: len(rec.Records), Torn: rec.Torn, Fallbacks: rec.Fallbacks}

@@ -169,6 +169,16 @@ func AppendAccount(b []byte, a *socialnet.Account) []byte {
 	return AppendTime(b, a.LastPostAt())
 }
 
+// AppendCapture appends a capture's match-time facts, the one capture
+// layout of the WAL and the checkpoint: the tweet, the sender and receiver
+// snapshots frozen at match time (AppendAccount), and the group indices.
+func AppendCapture(b []byte, t *socialnet.Tweet, sender, receiver *socialnet.Account, groups []int) []byte {
+	b = AppendTweet(b, t)
+	b = AppendAccount(b, sender)
+	b = AppendAccount(b, receiver)
+	return AppendInts(b, groups)
+}
+
 // Decoder walks an encoding with explicit bounds checks. Every read either
 // succeeds or latches an error, after which all reads return zero values;
 // decoding never panics on corrupt input. No read allocates more than the
@@ -426,6 +436,12 @@ func (d *Decoder) Profile(a *socialnet.Account) {
 	a.TweetsPerHour = d.Float()
 	a.MentionRate = d.Float()
 	a.PreferredSource = socialnet.Source(d.Varint())
+}
+
+// Capture reads a capture written by AppendCapture, its tweet into t.
+func (d *Decoder) Capture(t *socialnet.Tweet) (sender, receiver *socialnet.Account, groups []int) {
+	d.Tweet(t)
+	return d.Account(), d.Account(), d.Ints()
 }
 
 // Account reads an account written by AppendAccount; nil when it was

@@ -100,13 +100,15 @@ func (s *CaptureStore) Range(fn func(i int, c *Capture) bool) {
 //
 //	uvarint evicted
 //	uvarint count, then per retained capture, oldest first:
-//	  tweet (codec.AppendTweet)
-//	  sender, receiver: presence byte, then codec.AppendProfile
-//	  groups: uvarint count, uvarint indices
-//	  spam bool, source string
+//	  codec.AppendCapture: tweet, the sender and receiver snapshots
+//	    frozen at match time, groups (the WAL record's body)
+//	  source string, spam bool
 //	  vector: each feature as codec.AppendCompactFloat
 //
-// The trace, a live object graph tied to the in-process tracer ring, is
+// Every field is a fact of the stream: the profiles are the match-time
+// snapshots, never the live accounts, so the section's bytes depend only
+// on the captures it covers, not on the hour at which it was cut. The
+// trace, a live object graph tied to the in-process tracer ring, is
 // deliberately dropped: a restored capture re-enters the pipeline
 // untraced. The section carries no checksum of its own; the checkpoint
 // file's CRC covers it.
@@ -144,61 +146,38 @@ func appendCapture(b []byte, c *Capture) []byte {
 	if c.Tweet != nil {
 		t = *c.Tweet
 	}
-	b = codec.AppendTweet(b, &t)
-	b = appendProfile(b, c.Sender)
-	b = appendProfile(b, c.Receiver)
-	b = codec.AppendInts(b, c.Groups)
-	b = codec.AppendBool(b, c.Spam)
+	b = codec.AppendCapture(b, &t, c.senderSnap, c.receiverSnap, c.Groups)
 	b = codec.AppendString(b, c.Source)
+	b = codec.AppendBool(b, c.Spam)
 	for _, v := range c.Vector {
 		b = codec.AppendCompactFloat(b, v)
 	}
 	return b
 }
 
-// appendProfile writes a presence byte and, for a non-nil a, its profile.
-func appendProfile(b []byte, a *socialnet.Account) []byte {
-	if a == nil {
-		return codec.AppendBool(b, false)
-	}
-	return codec.AppendProfile(codec.AppendBool(b, true), a)
-}
-
-func decodeProfile(d *codec.Decoder) *socialnet.Account {
-	if !d.Bool() {
-		return nil
-	}
-	a := &socialnet.Account{}
-	d.Profile(a)
-	return a
-}
-
 // RestoreSnapshot replaces the store's contents with a section written by
-// EncodeSnapshot, decoded in place. The whole section decodes before any
-// state is touched: a truncated or corrupt one leaves the store unchanged
-// and returns an error. The restored captures are rebuilt oldest-first
-// through the same Append path, so a section wider than the store's own
-// bound is re-evicted deterministically.
-func (s *CaptureStore) RestoreSnapshot(b []byte) error {
+// EncodeSnapshot, decoded in place. Each capture is built as AdoptCapture
+// builds a replayed one: it keeps the decoded match-time snapshots and
+// resolves its live Sender through lookup. The whole section decodes
+// before any state is touched: a truncated or corrupt one leaves the store
+// unchanged and returns an error. The restored captures are rebuilt
+// oldest-first through the same Append path, so a section wider than the
+// store's own bound is re-evicted deterministically.
+func (s *CaptureStore) RestoreSnapshot(b []byte, lookup func(socialnet.AccountID) *socialnet.Account) error {
 	d := codec.NewDecoder(b)
 	evicted := d.Uvarint()
 	n := d.Count(minCaptureBytes)
 	tweets := make([]socialnet.Tweet, n)
 	caps := make([]Capture, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
+		sender, receiver, groups := d.Capture(&tweets[i])
 		c := &caps[i]
-		d.Tweet(&tweets[i])
-		c.Tweet = &tweets[i]
-		c.Sender = decodeProfile(d)
-		c.Receiver = decodeProfile(d)
-		c.Groups = d.Ints()
-		c.Spam = d.Bool()
+		*c = adopted(&tweets[i], sender, receiver, groups, lookup)
 		c.Source = d.Str()
+		c.Spam = d.Bool()
 		for j := range c.Vector {
 			c.Vector[j] = d.CompactFloat()
 		}
-		c.senderSnap = c.Sender
-		c.receiverSnap = c.Receiver
 	}
 	if err := d.Finish("capture snapshot"); err != nil {
 		return fmt.Errorf("capture store: decode snapshot: %w", err)

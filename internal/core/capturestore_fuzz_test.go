@@ -26,7 +26,7 @@ func FuzzCaptureStoreSnapshotRoundTrip(f *testing.F) {
 		// succeed, never panic, and allocate no more than a small
 		// multiple of the input.
 		junk := NewCaptureStore(int(capLimit), metrics.NewRegistry())
-		if grew := allocated(func() { _ = junk.RestoreSnapshot(raw) }); grew > allocBound(len(raw)) {
+		if grew := allocated(func() { _ = junk.RestoreSnapshot(raw, missLookup) }); grew > allocBound(len(raw)) {
 			t.Fatalf("restoring %d bytes allocated %d", len(raw), grew)
 		}
 
@@ -52,14 +52,26 @@ func FuzzCaptureStoreSnapshotRoundTrip(f *testing.F) {
 			}
 			if rng.Intn(3) > 0 {
 				c.Sender = &socialnet.Account{ID: c.Tweet.AuthorID, ScreenName: "s"}
+				snap := *c.Sender
+				snap.StatusesCount = rng.Intn(1000)
+				snap.TweetsPerHour = rng.Float64()
+				snap.SetLastPostAt(time.Unix(rng.Int63n(1<<32), 0).UTC())
+				c.senderSnap = &snap
 			}
 			if rng.Intn(3) == 0 {
-				c.Receiver = &socialnet.Account{ID: 7}
+				c.receiverSnap = &socialnet.Account{ID: 7, FollowersCount: rng.Intn(1000)}
 			}
 			src.Append(c)
 		}
+		// The restored world holds only some of the authors.
+		lookup := func(id socialnet.AccountID) *socialnet.Account {
+			if id%2 == 0 {
+				return nil
+			}
+			return &socialnet.Account{ID: id}
+		}
 		dst := NewCaptureStore(int(capLimit), metrics.NewRegistry())
-		if err := dst.RestoreSnapshot(src.EncodeSnapshot()); err != nil {
+		if err := dst.RestoreSnapshot(src.EncodeSnapshot(), lookup); err != nil {
 			t.Fatalf("restore own snapshot: %v", err)
 		}
 		if dst.Len() != src.Len() || dst.Evicted() != src.Evicted() {
@@ -74,9 +86,13 @@ func FuzzCaptureStoreSnapshotRoundTrip(f *testing.F) {
 				got[i].Spam != want[i].Spam || got[i].Source != want[i].Source {
 				t.Fatalf("capture %d mismatch after round-trip", i)
 			}
-			if (got[i].Sender == nil) != (want[i].Sender == nil) ||
-				(got[i].Receiver == nil) != (want[i].Receiver == nil) {
-				t.Fatalf("capture %d pointer presence mismatch", i)
+			if !reflect.DeepEqual(got[i].SenderSnapshot(), want[i].SenderSnapshot()) ||
+				!reflect.DeepEqual(got[i].ReceiverSnapshot(), want[i].ReceiverSnapshot()) {
+				t.Fatalf("capture %d snapshots mismatch after round-trip", i)
+			}
+			if live := lookup(got[i].Tweet.AuthorID); (got[i].Sender == nil) != (live == nil) ||
+				live != nil && got[i].Sender.ID != live.ID {
+				t.Fatalf("capture %d sender %v, want the lookup's %v", i, got[i].Sender, live)
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,7 +11,9 @@ import (
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 )
 
-// fakeCapture builds a synthetic capture with recognizable field values.
+// fakeCapture builds a synthetic capture with recognizable field values:
+// a live sender and its match-time snapshot, and on even i a receiver
+// snapshot (a mention capture).
 func fakeCapture(i int) *Capture {
 	var vec features.Vector
 	vec[0] = float64(i)
@@ -33,14 +36,21 @@ func fakeCapture(i int) *Capture {
 		Groups: []int{0, 2},
 		Vector: vec,
 		Spam:   i%3 == 0,
+		Source: "twitter",
 	}
+	snap := *sender
+	snap.StatusesCount = i
+	snap.SetLastPostAt(time.Unix(int64(i)*30, 0).UTC())
+	c.senderSnap = &snap
 	if i%2 == 0 {
-		c.Receiver = &socialnet.Account{ID: 7, ScreenName: "node"}
+		c.receiverSnap = &socialnet.Account{ID: 7, ScreenName: "node", FollowersCount: i}
 	}
-	c.senderSnap = c.Sender
-	c.receiverSnap = c.Receiver
 	return c
 }
+
+// missLookup resolves no account: a world that has not spawned the
+// captures' authors yet.
+func missLookup(socialnet.AccountID) *socialnet.Account { return nil }
 
 // TestCaptureStoreUnboundedKeepsAll verifies cap 0 behaves like the seed's
 // unbounded slice.
@@ -131,13 +141,21 @@ func TestCaptureStoreSnapshotIsCopy(t *testing.T) {
 // TestCaptureStoreSpillRoundTrip spills a bounded store to a buffer and
 // restores it into a fresh store, requiring the retained window, order,
 // vectors, and eviction count to survive (traces are dropped by contract).
+// A restored capture keeps its match-time snapshots field for field, and
+// its live Sender is whatever the lookup resolves: nil for the authors the
+// restored world does not hold.
 func TestCaptureStoreSpillRoundTrip(t *testing.T) {
 	src := NewCaptureStore(16, metrics.NewRegistry())
 	for i := 0; i < 40; i++ {
 		src.Append(fakeCapture(i))
 	}
+	live := map[socialnet.AccountID]*socialnet.Account{}
+	for i := 24; i < 40; i += 3 {
+		live[socialnet.AccountID(1000+i)] = &socialnet.Account{ID: socialnet.AccountID(1000 + i), ScreenName: "live"}
+	}
+	lookup := func(id socialnet.AccountID) *socialnet.Account { return live[id] }
 	dst := NewCaptureStore(16, metrics.NewRegistry())
-	if err := dst.RestoreSnapshot(src.EncodeSnapshot()); err != nil {
+	if err := dst.RestoreSnapshot(src.EncodeSnapshot(), lookup); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Len() != src.Len() || dst.Evicted() != src.Evicted() {
@@ -148,21 +166,22 @@ func TestCaptureStoreSpillRoundTrip(t *testing.T) {
 	got := dst.Snapshot()
 	for i := range want {
 		w, g := want[i], got[i]
-		if g.Tweet.ID != w.Tweet.ID || g.Tweet.Text != w.Tweet.Text {
-			t.Fatalf("capture %d tweet mismatch: %+v vs %+v", i, g.Tweet, w.Tweet)
+		if !reflect.DeepEqual(g.Tweet, w.Tweet) || !reflect.DeepEqual(g.Groups, w.Groups) {
+			t.Fatalf("capture %d tweet or groups mismatch: %+v vs %+v", i, g.Tweet, w.Tweet)
 		}
-		if (g.Sender == nil) != (w.Sender == nil) ||
-			(g.Receiver == nil) != (w.Receiver == nil) {
-			t.Fatalf("capture %d nil-ness mismatch", i)
+		if !reflect.DeepEqual(g.SenderSnapshot(), w.SenderSnapshot()) ||
+			!reflect.DeepEqual(g.ReceiverSnapshot(), w.ReceiverSnapshot()) {
+			t.Fatalf("capture %d snapshots mismatch: %+v/%+v vs %+v/%+v", i,
+				g.SenderSnapshot(), g.ReceiverSnapshot(), w.SenderSnapshot(), w.ReceiverSnapshot())
 		}
-		if g.Sender != nil && g.Sender.ID != w.Sender.ID {
-			t.Fatalf("capture %d sender %d, want %d", i, g.Sender.ID, w.Sender.ID)
+		if g.Sender != lookup(g.Tweet.AuthorID) {
+			t.Fatalf("capture %d sender %p, want the lookup's %p", i, g.Sender, lookup(g.Tweet.AuthorID))
 		}
 		if g.Vector != w.Vector {
 			t.Fatalf("capture %d vector mismatch", i)
 		}
-		if g.Spam != w.Spam {
-			t.Fatalf("capture %d spam flag mismatch", i)
+		if g.Spam != w.Spam || g.Source != w.Source {
+			t.Fatalf("capture %d spam/source %t/%q, want %t/%q", i, g.Spam, g.Source, w.Spam, w.Source)
 		}
 	}
 }
@@ -175,7 +194,7 @@ func TestCaptureStoreRestoreReEvicts(t *testing.T) {
 		src.Append(fakeCapture(i))
 	}
 	dst := NewCaptureStore(8, metrics.NewRegistry())
-	if err := dst.RestoreSnapshot(src.EncodeSnapshot()); err != nil {
+	if err := dst.RestoreSnapshot(src.EncodeSnapshot(), missLookup); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Len() != 8 {
@@ -192,7 +211,7 @@ func TestCaptureStoreRestoreReEvicts(t *testing.T) {
 // panicking or silently clearing into a half-restored state being used.
 func TestCaptureStoreReadGarbage(t *testing.T) {
 	s := NewCaptureStore(4, metrics.NewRegistry())
-	if err := s.RestoreSnapshot([]byte("not a snapshot section")); err == nil {
+	if err := s.RestoreSnapshot([]byte("not a snapshot section"), missLookup); err == nil {
 		t.Fatal("corrupt snapshot restored without error")
 	}
 }

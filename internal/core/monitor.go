@@ -99,9 +99,10 @@ type GroupStats struct {
 
 // Capture is one collected tweet with its extraction context.
 type Capture struct {
-	Tweet    *socialnet.Tweet
-	Sender   *socialnet.Account
-	Receiver *socialnet.Account
+	Tweet *socialnet.Tweet
+	// Sender is the author's live account (nil when the lookup missed);
+	// the mentioned node is read only as ReceiverSnapshot.
+	Sender *socialnet.Account
 	// Groups indexes into the monitor's group list: every selector group
 	// whose node captured this tweet.
 	Groups []int
@@ -400,11 +401,10 @@ func (m *Monitor) Match(t *socialnet.Tweet, lookup func(socialnet.AccountID) *so
 	m.scratchGroups = scratch[:0]
 
 	c := &Capture{
-		Tweet:    t,
-		Sender:   sender,
-		Receiver: receiver,
-		Groups:   groups,
-		Trace:    tr,
+		Tweet:  t,
+		Sender: sender,
+		Groups: groups,
+		Trace:  tr,
 	}
 	// Profile snapshots for deferred extraction: copied here, on the
 	// engine goroutine, so they freeze the exact values a synchronous
@@ -510,7 +510,7 @@ func (m *Monitor) AttributeSpam(verdicts []bool) {
 			return false
 		}
 		c.Spam = verdicts[i]
-		if !c.Spam || c.Receiver == nil {
+		if !c.Spam || c.receiverSnap == nil {
 			return true
 		}
 		for _, gi := range c.Groups {

@@ -131,17 +131,17 @@ func idSet(ids []socialnet.AccountID) map[socialnet.AccountID]struct{} {
 
 // ReceiverSnapshot returns the receiver profile frozen at match time (nil
 // for tweets that mentioned no monitored account), the counterpart of
-// SenderSnapshot. The WAL persists both snapshots so replayed extraction
-// reads the same frozen values the original extraction did.
+// SenderSnapshot, and non-nil exactly for the captures AttributeSpam
+// credits. The WAL and the checkpoint persist both snapshots, so replayed
+// extraction reads the frozen values the original extraction did.
 func (c *Capture) ReceiverSnapshot() *socialnet.Account { return c.receiverSnap }
 
 // AdoptCapture is the WAL-replay twin of Match: it rebuilds a capture from
 // its logged ingredients and repeats Match's per-group bookkeeping
 // (Tweets, Senders, instrument counters). The group indices were decided
 // by the original Match against the then-current node set, so no filtering
-// happens here; lookup resolves the live accounts of the restored world.
-// The caller then completes and appends the capture exactly as the live
-// stream's tail would. Replayed captures are untraced.
+// happens here. The caller then completes and appends the capture exactly
+// as the live stream's tail would. Replayed captures are untraced.
 func (m *Monitor) AdoptCapture(t *socialnet.Tweet, senderSnap, receiverSnap *socialnet.Account,
 	groups []int, lookup func(socialnet.AccountID) *socialnet.Account) (*Capture, error) {
 	for _, gi := range groups {
@@ -149,16 +149,7 @@ func (m *Monitor) AdoptCapture(t *socialnet.Tweet, senderSnap, receiverSnap *soc
 			return nil, fmt.Errorf("core: replayed capture names group %d of %d", gi, len(m.groups))
 		}
 	}
-	c := &Capture{
-		Tweet:      t,
-		Sender:     lookup(t.AuthorID),
-		Groups:     groups,
-		senderSnap: senderSnap,
-	}
-	if receiverSnap != nil {
-		c.Receiver = lookup(receiverSnap.ID)
-		c.receiverSnap = receiverSnap
-	}
+	c := adopted(t, senderSnap, receiverSnap, groups, lookup)
 	for _, gi := range groups {
 		g := m.groups[gi]
 		g.Tweets++
@@ -166,7 +157,21 @@ func (m *Monitor) AdoptCapture(t *socialnet.Tweet, senderSnap, receiverSnap *soc
 		m.ins.groupTweets[gi].Inc()
 	}
 	m.ins.tweetsCaptured.Inc()
-	return c, nil
+	return &c, nil
+}
+
+// adopted builds a capture from the match-time facts a WAL record or a
+// checkpoint holds; only the live Sender is resolved, through lookup (nil
+// for an author the restored world has not spawned yet).
+func adopted(t *socialnet.Tweet, senderSnap, receiverSnap *socialnet.Account, groups []int,
+	lookup func(socialnet.AccountID) *socialnet.Account) Capture {
+	return Capture{
+		Tweet:        t,
+		Sender:       lookup(t.AuthorID),
+		Groups:       groups,
+		senderSnap:   senderSnap,
+		receiverSnap: receiverSnap,
+	}
 }
 
 // onlineSnapshot is an OnlineDetector checkpoint: the window rows as

@@ -25,7 +25,7 @@ func TestCaptureSnapshotRejectsCorruption(t *testing.T) {
 	load := func(data []byte) error {
 		dst := NewCaptureStore(0, metrics.NewRegistry())
 		dst.Append(fakeCapture(99))
-		err := dst.RestoreSnapshot(data)
+		err := dst.RestoreSnapshot(data, missLookup)
 		if err == nil && dst.Len() != 10 {
 			t.Fatalf("clean load restored %d captures, want 10", dst.Len())
 		}
@@ -183,8 +183,8 @@ func TestAdoptCaptureRepeatsBookkeeping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Sender != live[5] || c.Receiver != live[7] {
-		t.Fatal("adopted capture not bound to live accounts")
+	if c.Sender != live[5] {
+		t.Fatal("adopted capture not bound to the live sender")
 	}
 	if c.SenderSnapshot() != senderSnap || c.ReceiverSnapshot() != receiverSnap {
 		t.Fatal("adopted capture lost its logged profile snapshots")
@@ -205,4 +205,35 @@ func TestAdoptCaptureRepeatsBookkeeping(t *testing.T) {
 	}
 	// ExtractCapture works on an adopted capture (snapshots present).
 	m.ExtractCapture(c)
+}
+
+// TestAdoptedSpamCreditsGroupWithoutLiveReceiver: a mention capture
+// adopted while the restored world lacks its receiver — a node spawned
+// mid-run, which recovery's hour-zero world has not recreated — still
+// credits its groups with the spam. Attribution reads the logged receiver
+// snapshot, as it reads the match-time one on a live capture.
+func TestAdoptedSpamCreditsGroupWithoutLiveReceiver(t *testing.T) {
+	m := newSnapshotMonitor(t)
+	sender := &socialnet.Account{ID: 5}
+	lookup := func(id socialnet.AccountID) *socialnet.Account {
+		if id == sender.ID {
+			return sender
+		}
+		return nil
+	}
+	tw := &socialnet.Tweet{ID: 1, AuthorID: 5, Mentions: []socialnet.AccountID{4100}}
+	receiverSnap := &socialnet.Account{ID: 4100, ScreenName: "spawned_node"}
+	c, err := m.AdoptCapture(tw, &socialnet.Account{ID: 5}, receiverSnap, []int{1}, lookup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Store().Append(c)
+	m.AttributeSpam([]bool{true})
+	g := m.Groups()[1]
+	if _, ok := g.Spammers[5]; g.Spams != 1 || !ok {
+		t.Fatalf("group credited %d spams, spammers %v; want 1 from sender 5", g.Spams, g.Spammers)
+	}
+	if other := m.Groups()[0]; other.Spams != 0 {
+		t.Fatal("unrelated group credited")
+	}
 }

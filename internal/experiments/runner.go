@@ -338,7 +338,7 @@ func (r *Runner) tally(det *core.Detector, m *core.Monitor, seen map[socialnet.A
 	fresh := captures[done:]
 	verdicts := det.Classify(fresh)
 	for i, c := range fresh {
-		if verdicts[i] && c.Receiver != nil {
+		if verdicts[i] && c.ReceiverSnapshot() != nil {
 			seen[c.Tweet.AuthorID] = struct{}{}
 			if spams != nil {
 				*spams++

@@ -106,12 +106,13 @@ func (s *Store) AddBatchPrepared(tweets []*socialnet.Tweet, authors, profiles []
 	parallel.ForEach(2, s.cfg.Workers, func(half int) {
 		if half == 0 {
 			for _, i := range first {
+				profile := profileOr(profiles[i], authors[i])
 				up := userPreps[i]
 				if up == nil || !sigShapeOK(up.DescSig) {
-					p := s.prep.PrepUser(profileOr(profiles[i], authors[i]))
+					p := s.prep.PrepUser(profile)
 					up = &p
 				}
-				s.addUserLocked(authors[i], *up)
+				s.addUserLocked(authors[i], profile, *up)
 			}
 			return
 		}

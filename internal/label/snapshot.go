@@ -25,10 +25,13 @@ import (
 //
 // The one subtlety is the users map: its values are the LIVE accounts the
 // stream handed to Add, and Snapshot's corpus must observe the
-// engine-mutated profile state at labeling time, not frozen add-time
-// copies. RestoreSnapshot therefore takes a resolver that rebinds each user
-// id to the restored world's live account; the frozen copies in the
-// snapshot are only a fallback for ids the resolver cannot produce.
+// engine-mutated profile state at labeling time. A live account's state
+// depends on the hour a checkpoint is cut, not on the stream, so the
+// section records each user's add-time profile instead: the capture-time
+// snapshot the user joined the indices with, a fact of the stream.
+// RestoreSnapshot takes a resolver that rebinds each user id to the
+// restored world's live account; the add-time profile is only a fallback
+// for ids the resolver cannot produce.
 
 // storeSnapshot is the checkpointed state. Union-find parent arrays are
 // persisted verbatim (path-compression state included), MinHash
@@ -36,8 +39,7 @@ import (
 // so the pool keeps aliasing the stream mirror after restore.
 type storeSnapshot struct {
 	Tweets      []*socialnet.Tweet
-	UserOrder   []socialnet.AccountID
-	Users       []*socialnet.Account // aligned with UserOrder
+	Users       []*socialnet.Account // add-time profiles, in join order
 	ImgReps     []imagehash.Hash
 	ImgMembers  map[int][]socialnet.AccountID
 	ImgOrder    []int
@@ -72,8 +74,7 @@ func (s *Store) EncodeSnapshot() ([]byte, error) {
 
 	snap := storeSnapshot{
 		Tweets:      s.tweets,
-		UserOrder:   s.userOrder,
-		Users:       make([]*socialnet.Account, len(s.userOrder)),
+		Users:       s.userProfiles,
 		ImgReps:     s.img.Reps(),
 		ImgMembers:  s.imgMembers,
 		ImgOrder:    s.imgOrder,
@@ -86,11 +87,6 @@ func (s *Store) EncodeSnapshot() ([]byte, error) {
 		TwPoolIdx:   make([]int, len(s.twPool)),
 		TwParent:    s.twUF.parent,
 		Repeats:     s.repeats,
-	}
-	for i, id := range s.userOrder {
-		if snap.Users[i] = s.users[id]; snap.Users[i] == nil {
-			return nil, fmt.Errorf("label: snapshot: user %d in order but not in map", id)
-		}
 	}
 	for i := range snap.DescSigs {
 		snap.DescSigs[i] = s.descIndex.Signature(i)
@@ -116,7 +112,8 @@ func (s *Store) EncodeSnapshot() ([]byte, error) {
 // uvarint length:
 //
 //	tweets:     codec.AppendTweet each
-//	users:      id, then codec.AppendProfile (the exported fields)
+//	users:      codec.AppendProfile of each add-time profile (its id is
+//	            the user's)
 //	image reps: hi, lo words
 //	image and name groups, in ImgOrder/NameOrder: key, member ids
 //	desc index: per signature its words (8 bytes each), account id, parent
@@ -152,10 +149,9 @@ func encodeStoreSnapshot(snap *storeSnapshot) []byte {
 	for _, t := range snap.Tweets {
 		b = codec.AppendTweet(b, t)
 	}
-	b = codec.AppendUvarint(b, uint64(len(snap.UserOrder)))
-	for i, id := range snap.UserOrder {
-		b = codec.AppendVarint(b, int64(id))
-		b = codec.AppendProfile(b, snap.Users[i])
+	b = codec.AppendUvarint(b, uint64(len(snap.Users)))
+	for _, u := range snap.Users {
+		b = codec.AppendProfile(b, u)
 	}
 	b = codec.AppendUvarint(b, uint64(len(snap.ImgReps)))
 	for _, h := range snap.ImgReps {
@@ -212,10 +208,8 @@ func decodeStoreSnapshot(b []byte) (*storeSnapshot, error) {
 	}
 	if n := d.Count(minUserBytes); n > 0 {
 		users := make([]socialnet.Account, n)
-		snap.UserOrder = make([]socialnet.AccountID, n)
 		snap.Users = make([]*socialnet.Account, n)
 		for i := range users {
-			snap.UserOrder[i] = socialnet.AccountID(d.Varint())
 			d.Profile(&users[i])
 			snap.Users[i] = &users[i]
 		}
@@ -283,8 +277,8 @@ func decodeStoreSnapshot(b []byte) (*storeSnapshot, error) {
 // the same Config the snapshotted store used (the MinHash schemes are
 // reseeded from it, and signatures from different schemes are
 // incomparable). resolve rebinds each restored user id to the live account
-// of the restored world; when it is nil or returns nil the frozen add-time
-// copy from the snapshot is used instead. On decode or validation error
+// of the restored world; when it is nil or returns nil the add-time
+// profile from the snapshot is used instead. On decode or validation error
 // the store is left unchanged.
 func (s *Store) RestoreSnapshot(b []byte, resolve func(socialnet.AccountID) *socialnet.Account) error {
 	snap, err := decodeStoreSnapshot(b)
@@ -326,17 +320,16 @@ func (s *Store) RestoreSnapshot(b []byte, resolve func(socialnet.AccountID) *soc
 
 	s.tweets = snap.Tweets
 	s.norms = norms
-	s.userOrder = snap.UserOrder
-	s.users = make(map[socialnet.AccountID]*socialnet.Account, len(snap.UserOrder))
-	for i, id := range snap.UserOrder {
-		var u *socialnet.Account
+	s.userProfiles = snap.Users
+	s.users = make(map[socialnet.AccountID]*socialnet.Account, len(snap.Users))
+	for _, p := range snap.Users {
+		u := p
 		if resolve != nil {
-			u = resolve(id)
+			if live := resolve(p.ID); live != nil {
+				u = live
+			}
 		}
-		if u == nil {
-			u = snap.Users[i]
-		}
-		s.users[id] = u
+		s.users[p.ID] = u
 	}
 	s.img = imagehash.NewGrouper(s.cfg.ImageHammingThreshold)
 	s.img.SetWorkers(s.cfg.Workers)

@@ -45,10 +45,12 @@ type Store struct {
 
 	// Stream mirror: the corpus Snapshot rebuilds. norms[i] is
 	// normalizedKey(tweets[i]), kept from the prep for the rules pass.
-	tweets    []*socialnet.Tweet
-	norms     []string
-	users     map[socialnet.AccountID]*socialnet.Account
-	userOrder []socialnet.AccountID
+	// users are the live accounts; userProfiles, in join order, the
+	// capture-time profile each user joined with.
+	tweets       []*socialnet.Tweet
+	norms        []string
+	users        map[socialnet.AccountID]*socialnet.Account
+	userProfiles []*socialnet.Account
 
 	// Profile-image clustering: persistent dHash grouper.
 	img        *imagehash.Grouper
@@ -190,10 +192,11 @@ func profileOr(profile, author *socialnet.Account) *socialnet.Account {
 	return profile
 }
 
-// addUserLocked joins one first-appearance user into the profile indices.
-func (s *Store) addUserLocked(u *socialnet.Account, up UserPrep) {
+// addUserLocked joins one first-appearance user, live account u with its
+// capture-time profile, into the profile indices.
+func (s *Store) addUserLocked(u, profile *socialnet.Account, up UserPrep) {
 	s.users[u.ID] = u
-	s.userOrder = append(s.userOrder, u.ID)
+	s.userProfiles = append(s.userProfiles, profile)
 
 	// Image: the grouper assigns the lowest matching group id, so users
 	// must arrive in the global author first-appearance order.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/codec"
@@ -81,8 +82,8 @@ func extractResponse(t testing.TB) []byte {
 // batch's count of results plus the worker's telemetry, or fail — never a
 // panic, never a short slice the shard would index past, never an
 // allocation the input cannot back, never telemetry reaching the worker
-// gauges from a response readResults refused. (The request side is
-// store.DecodeCapture, already under FuzzWALRecord.)
+// gauges from a response readResults refused. FuzzExtractRequest holds the
+// worker's side.
 func FuzzExtractResponse(f *testing.F) {
 	clean := extractResponse(f)
 	f.Add(clean, uint8(2))
@@ -122,16 +123,30 @@ func TestExtractResponseRefusesDamage(t *testing.T) {
 	}
 }
 
+// damagedRequests returns two refusals built from a one-capture request:
+// its length prefix claiming more than the body holds, and its capture
+// framed with a trailing byte.
+func damagedRequests(one []byte) (pastBody, trailing []byte) {
+	pastBody = bytes.Clone(one)
+	binary.LittleEndian.PutUint32(pastBody, uint32(len(one)))
+	trailing = append(bytes.Clone(one), 0)
+	binary.LittleEndian.PutUint32(trailing, uint32(len(trailing)-4))
+	return pastBody, trailing
+}
+
 // TestExtractRequestRejectsGarbage: the worker answers a request it cannot
 // decode with an error and no partial response.
 func TestExtractRequestRejectsGarbage(t *testing.T) {
 	batch, _ := matchedBatch(t, 2)
 	req := appendRequest(nil, batch)
+	pastBody, trailing := damagedRequests(appendRequest(nil, batch[:1]))
 	core := NewWorkerCore(label.DefaultConfig())
 	for name, bad := range map[string][]byte{
-		"torn prefix":  req[:2],
-		"torn capture": req[:len(req)-1],
-		"bad capture":  append([]byte{3, 0, 0, 0}, "xyz"...),
+		"torn prefix":    req[:2],
+		"torn capture":   req[:len(req)-1],
+		"bad capture":    append([]byte{3, 0, 0, 0}, "xyz"...),
+		"size past body": pastBody,
+		"trailing byte":  trailing,
 	} {
 		if resp, err := core.Extract(bad); err == nil || resp != nil {
 			t.Fatalf("%s: response %q, error %v", name, resp, err)
@@ -144,6 +159,43 @@ func TestExtractRequestRejectsGarbage(t *testing.T) {
 	if results, _, err := readResults(resp, 2); err != nil || results[0].UserPrep == nil {
 		t.Fatalf("clean request after refused ones: %v (the first author's profile prep must still ship)", err)
 	}
+}
+
+// FuzzExtractRequest fuzzes the worker's side of the extract wire, the
+// last decoder that reads socket bytes: any request either answers one
+// result per framed capture or is refused with no response and the
+// first-appearance set untouched, and decoding it never allocates more
+// than a small multiple of the input.
+func FuzzExtractRequest(f *testing.F) {
+	batch, _ := matchedBatch(f, 3)
+	one, three := appendRequest(nil, batch[:1]), appendRequest(nil, batch)
+	pastBody, trailing := damagedRequests(one)
+	for _, req := range [][]byte{one, three, three[:2], pastBody, trailing, {}} {
+		f.Add(req)
+	}
+	f.Fuzz(func(t *testing.T, req []byte) {
+		w := NewWorkerCore(label.DefaultConfig())
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, err := w.Extract(req)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+64*uint64(len(req)) {
+			t.Fatalf("a %d-byte request allocated %d bytes", len(req), grew)
+		}
+		if err != nil {
+			if resp != nil || len(w.seen) != 0 {
+				t.Fatalf("refused request answered %d bytes and marked %d authors seen", len(resp), len(w.seen))
+			}
+			return
+		}
+		n := 0
+		for rest := req; len(rest) > 0; n++ {
+			rest = rest[4+binary.LittleEndian.Uint32(rest):]
+		}
+		if results, _, err := readResults(resp, n); err != nil || len(results) != n {
+			t.Fatalf("a served %d-capture request answered %d results: %v", n, len(results), err)
+		}
+	})
 }
 
 // BenchmarkProcExtract is the number the ledger cannot see (no

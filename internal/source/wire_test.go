@@ -133,7 +133,7 @@ func TestWireEndToEnd(t *testing.T) {
 		t.Fatal("wire run captured nothing")
 	}
 	for _, c := range captures {
-		if c.Sender == nil || c.Receiver == nil && !isNode(run.nodes, c.Tweet.AuthorID) {
+		if c.Sender == nil || c.ReceiverSnapshot() == nil && !isNode(run.nodes, c.Tweet.AuthorID) {
 			t.Fatalf("capture %d without its profiles", c.Tweet.ID)
 		}
 	}

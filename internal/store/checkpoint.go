@@ -36,7 +36,7 @@ type Checkpoint struct {
 
 // Checkpoint file format (DESIGN.md §14):
 //
-//	[8]byte  magic "PHCKP002"
+//	[8]byte  magic "PHCKP003"
 //	uint32   payload length (little-endian)
 //	uint32   CRC-32C over the payload
 //	payload: uvarint Seq, varint TweetWatermark, then one section per
@@ -47,14 +47,14 @@ type Checkpoint struct {
 // instead of silently loading garbage. Each section holds a component's
 // own binary encoding, which the file frames as is: writing a checkpoint
 // costs one pass over its bytes for the CRC and one for the write.
-const checkpointMagic = "PHCKP002"
+const checkpointMagic = "PHCKP003"
 
-// checkpointMagicV1 marks the gob-encoded checkpoints of older builds.
-// They are refused by name rather than reported as corruption.
-const checkpointMagicV1 = "PHCKP001"
-
-var errOldCheckpoint = errors.New("older checkpoint format " + checkpointMagicV1 +
-	" (gob), which this build does not read")
+// oldCheckpointFormats names the formats of older builds by their magic.
+// Their files are refused by that name rather than reported as corruption.
+var oldCheckpointFormats = map[string]string{
+	"PHCKP001": "gob sections",
+	"PHCKP002": "captures and label users as live profiles at the cut",
+}
 
 // MaxCheckpointSize bounds a checkpoint's payload, for the writer and the
 // reader alike. A checkpoint holds the whole derived state, which grows
@@ -161,11 +161,11 @@ func readCheckpointFile(b Backend, seq uint64) (*Checkpoint, error) {
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
 		return nil, fmt.Errorf("store: checkpoint %d header: %w", seq, err)
 	}
-	switch string(hdr[:8]) {
-	case checkpointMagic:
-	case checkpointMagicV1:
-		return nil, fmt.Errorf("store: checkpoint %d: %w", seq, errOldCheckpoint)
-	default:
+	if magic := string(hdr[:8]); magic != checkpointMagic {
+		if format, ok := oldCheckpointFormats[magic]; ok {
+			return nil, fmt.Errorf("store: checkpoint %d: older checkpoint format %s (%s), which this build does not read",
+				seq, magic, format)
+		}
 		return nil, fmt.Errorf("store: checkpoint %d bad magic", seq)
 	}
 	length := binary.LittleEndian.Uint32(hdr[8:12])

@@ -39,23 +39,16 @@ type CaptureRecord struct {
 // prefix either decodes to the encoded records or fails cleanly at a
 // record boundary.
 //
-// Layout (see codec.AppendTweet and codec.AppendAccount):
+// Layout:
 //
 //	uvarint seq
-//	tweet:   id authorID createdAt(unixNano) kind source text topic
-//	         hashtags urls mentions spam campaignID
-//	sender:  presence byte, then profile fields and last-post time
-//	receiver: likewise
-//	groups:  uvarint count, uvarint indices
+//	capture: codec.AppendCapture (tweet, sender, receiver, groups)
 //	src:     optional trailing string
 
 // EncodeCapture appends rec's payload encoding to buf and returns it.
 func EncodeCapture(buf []byte, rec *CaptureRecord) []byte {
 	buf = codec.AppendUvarint(buf, rec.Seq)
-	buf = codec.AppendTweet(buf, &rec.Tweet)
-	buf = codec.AppendAccount(buf, rec.Sender)
-	buf = codec.AppendAccount(buf, rec.Receiver)
-	buf = codec.AppendInts(buf, rec.Groups)
+	buf = codec.AppendCapture(buf, &rec.Tweet, rec.Sender, rec.Receiver, rec.Groups)
 	if rec.Src != "" {
 		// Optional trailing field: absent bytes decode to "", so records
 		// written by older builds remain readable.
@@ -71,10 +64,7 @@ func DecodeCapture(payload []byte) (*CaptureRecord, error) {
 	d := codec.NewDecoder(payload)
 	rec := &CaptureRecord{}
 	rec.Seq = d.Uvarint()
-	d.Tweet(&rec.Tweet)
-	rec.Sender = d.Account()
-	rec.Receiver = d.Account()
-	rec.Groups = d.Ints()
+	rec.Sender, rec.Receiver, rec.Groups = d.Capture(&rec.Tweet)
 	if d.Err() == nil && d.Len() != 0 {
 		// Optional trailing source id. The encoder writes it only when
 		// non-empty, so an empty decode here is stray bytes, not a field.

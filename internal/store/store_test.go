@@ -812,7 +812,7 @@ func TestLargeCheckpointReopens(t *testing.T) {
 func TestLyingCheckpointHeaderFallsBack(t *testing.T) {
 	header := func(length uint32) []byte {
 		hdr := make([]byte, 16, 16+100)
-		copy(hdr, "PHCKP002")
+		copy(hdr, "PHCKP003")
 		binary.LittleEndian.PutUint32(hdr[8:12], length)
 		return append(hdr, make([]byte, 100)...)
 	}
@@ -876,16 +876,20 @@ func putCheckpointFile(t *testing.T, b store.Backend, seq int, content []byte) {
 	}
 }
 
-// Checkpoints written by a build before the binary section format carry
-// the magic PHCKP001. Recovery refuses them by that name, not as
-// corruption: a fallback records the reason on the store_recover span, and
-// when no checkpoint is readable and the WAL prefix is pruned, Open's
-// error says which format it found.
+// Checkpoints written by older builds carry an older magic: PHCKP001 (gob
+// sections) or PHCKP002 (captures and label users as their live profiles
+// at the cut). Recovery refuses each by that name, not as corruption: a
+// fallback records the reason on the store_recover span, and when no
+// checkpoint is readable and the WAL prefix is pruned, Open's error says
+// which format it found.
 func TestOldCheckpointFormatRefusedByName(t *testing.T) {
-	old := make([]byte, 16, 64)
-	copy(old, "PHCKP001")
-	binary.LittleEndian.PutUint32(old[8:12], 48)
-	old = append(old, bytes.Repeat([]byte{0x2a}, 48)...)
+	magics := []string{"PHCKP001", "PHCKP002"}
+	oldFile := func(magic string) []byte {
+		old := make([]byte, 16, 64)
+		copy(old, magic)
+		binary.LittleEndian.PutUint32(old[8:12], 48)
+		return append(old, bytes.Repeat([]byte{0x2a}, 48)...)
+	}
 	checkpointBackends(t, func(t *testing.T, b store.Backend) {
 		s, _ := openTest(t, b, 1)
 		for round := 0; round < 3; round++ {
@@ -899,40 +903,45 @@ func TestOldCheckpointFormatRefusedByName(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		putCheckpointFile(t, b, 15, old)
-		tracer := trace.New(trace.Config{Enabled: true})
-		s2, rec, err := store.Open(store.Options{
-			Backend: b, Meta: "test-meta", Metrics: metrics.NewRegistry(), Tracer: tracer,
-		})
-		if err != nil {
-			t.Fatalf("Open with one old-format checkpoint: %v", err)
-		}
-		if rec.Fallbacks != 1 || rec.Checkpoint == nil || rec.Checkpoint.Seq != 10 {
-			t.Fatalf("recovered checkpoint %+v with %d fallbacks, want seq 10 after 1",
-				rec.Checkpoint, rec.Fallbacks)
-		}
-		if err := s2.Close(); err != nil {
-			t.Fatal(err)
-		}
-		var reason string
-		for _, tr := range tracer.Recent() {
-			if sp, ok := tr.Span("store_recover"); ok {
-				for _, kv := range sp.Attrs {
-					if kv.Key == "checkpoint_fallback" {
-						reason = kv.Value
+		for _, magic := range magics {
+			putCheckpointFile(t, b, 15, oldFile(magic))
+			tracer := trace.New(trace.Config{Enabled: true})
+			s2, rec, err := store.Open(store.Options{
+				Backend: b, Meta: "test-meta", Metrics: metrics.NewRegistry(), Tracer: tracer,
+			})
+			if err != nil {
+				t.Fatalf("Open with one %s checkpoint: %v", magic, err)
+			}
+			if rec.Fallbacks != 1 || rec.Checkpoint == nil || rec.Checkpoint.Seq != 10 {
+				t.Fatalf("%s: recovered checkpoint %+v with %d fallbacks, want seq 10 after 1",
+					magic, rec.Checkpoint, rec.Fallbacks)
+			}
+			if err := s2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var reason string
+			for _, tr := range tracer.Recent() {
+				if sp, ok := tr.Span("store_recover"); ok {
+					for _, kv := range sp.Attrs {
+						if kv.Key == "checkpoint_fallback" {
+							reason = kv.Value
+						}
 					}
 				}
 			}
-		}
-		if !strings.Contains(reason, "PHCKP001") {
-			t.Errorf("recorded fallback reason %q does not name the old format", reason)
+			if !strings.Contains(reason, magic) {
+				t.Errorf("recorded fallback reason %q does not name the old format %s", reason, magic)
+			}
 		}
 
-		putCheckpointFile(t, b, 10, old)
-		_, _, err = store.Open(store.Options{Backend: b, Meta: "test-meta", Metrics: metrics.NewRegistry()})
-		if err == nil || !strings.Contains(err.Error(), "PHCKP001") ||
-			!strings.Contains(err.Error(), "all 2 checkpoints unreadable and WAL history pruned") {
-			t.Fatalf("Open with only old-format checkpoints and a pruned WAL: %v", err)
+		for _, magic := range magics {
+			putCheckpointFile(t, b, 15, oldFile(magic))
+			putCheckpointFile(t, b, 10, oldFile(magic))
+			_, _, err := store.Open(store.Options{Backend: b, Meta: "test-meta", Metrics: metrics.NewRegistry()})
+			if err == nil || !strings.Contains(err.Error(), magic) ||
+				!strings.Contains(err.Error(), "all 2 checkpoints unreadable and WAL history pruned") {
+				t.Fatalf("Open with only %s checkpoints and a pruned WAL: %v", magic, err)
+			}
 		}
 	})
 }
