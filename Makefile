@@ -58,12 +58,17 @@ SHARD_COVER_MIN := 70
 # and WAL bytes become captures again, so an untested branch there is a
 # resumed run that silently differs from one that never stopped.
 CORE_COVER_MIN := 90
+# socialnet, simclock: the simulated firehose is the first stage of every
+# end-to-end number and of every restart, which re-simulates each hour
+# before the cut, so an untested branch there is an unpinned event order.
+SOCIALNET_COVER_MIN := 95
+SIMCLOCK_COVER_MIN := 95
 
 upper = $(shell echo $(1) | tr a-z A-Z)
 
 .PHONY: check fmt vet vulncheck build test race examples bench bench-smoke records
 
-check: fmt vet vulncheck build test race examples cover-metrics cover-trace cover-store cover-obs cover-source cover-shard cover-core bench-smoke
+check: fmt vet vulncheck build test race examples cover-metrics cover-trace cover-store cover-obs cover-source cover-shard cover-core cover-socialnet cover-simclock bench-smoke
 
 # fmt fails when any Go file differs from gofmt's output (and lists it).
 fmt:

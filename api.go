@@ -169,7 +169,8 @@ func (s *Simulation) NewAPIServer(opts ...twitterapi.ServerOption) *APIServer {
 
 // StreamConfig tunes the sniffer's stage graph (DESIGN.md §12): match →
 // extract → merge → label → detect, with micro-batching and backpressure.
-// Zero values take the pipeline package defaults.
+// A zero BatchSize or QueueDepth takes its default; a zero FlushInterval
+// means no wait (see the field).
 type StreamConfig struct {
 	// Deprecated: Enabled is ignored. Every sniffer runs on the stage
 	// graph; there is no other topology to select.
@@ -177,7 +178,9 @@ type StreamConfig struct {
 	// BatchSize is the micro-batch flush size bound (default 64).
 	BatchSize int
 	// FlushInterval bounds how long a partial batch waits for more
-	// items (default 25ms).
+	// items. Zero (or negative) does not wait: a stage takes what is
+	// already queued and flushes. It has no default; phsniffer's
+	// -flush-interval passes DefaultStreamFlushInterval (25ms).
 	FlushInterval time.Duration
 	// QueueDepth bounds each stage's input queue (default 4×BatchSize).
 	// Push blocks while a queue is full, pausing the stream reader —

@@ -1,7 +1,10 @@
 package pseudohoneypot
 
 import (
+	"reflect"
 	"testing"
+
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/parallel"
 )
 
 func testSimulation(t *testing.T) *Simulation {
@@ -69,6 +72,43 @@ func TestSnifferEndToEnd(t *testing.T) {
 	}
 	if len(res.PGE) == 0 {
 		t.Fatal("no PGE rows")
+	}
+}
+
+// TestDetectAllTwiceCreditsSpamOnce: DetectAll may be called between
+// RunHours calls, so a second call on the same captures must report the
+// PGE rows the first one did, not credit the same spam to the groups
+// again.
+func TestDetectAllTwiceCreditsSpamOnce(t *testing.T) {
+	t.Setenv(parallel.EnvWorkers, "2")
+	sniffer, err := NewSniffer(testSimulation(t), goldenStream(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sniffer.Close()
+	if err := sniffer.RunHours(4); err != nil {
+		t.Fatal(err)
+	}
+	first, err := sniffer.DetectAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := sniffer.DetectAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	credited := func(rows []PGERow) (spams int) {
+		for _, r := range rows {
+			spams += r.Spams
+		}
+		return spams
+	}
+	if credited(first.PGE) == 0 {
+		t.Fatal("no spam credited to any group; the run does not exercise attribution")
+	}
+	if !reflect.DeepEqual(second.PGE, first.PGE) {
+		t.Fatalf("second DetectAll moved the PGE rows: %d spams credited, then %d",
+			credited(first.PGE), credited(second.PGE))
 	}
 }
 

@@ -486,9 +486,14 @@ func appendUnique(dst []int, gis []int) []int {
 	return dst
 }
 
-// AttributeSpam records detector verdicts into the per-group statistics
-// and refreshes the environment scores (P_attr) the extractor uses for
-// subsequent captures.
+// AttributeSpam sets the per-group spam statistics from the detector's
+// verdicts on the retained captures, index for index, and refreshes the
+// environment scores (P_attr) the extractor uses for subsequent captures.
+// Every call attributes from zero, so the statistics are a function of
+// the verdicts it is given: calling it again with the same verdicts, as
+// a second DetectAll does, changes nothing. A capture that CaptureCap has
+// evicted has no verdict, so it loses whatever credit an earlier call gave
+// it: like training and classification, PGE covers the retained window.
 //
 // Only spam *received* by a node (a mention capture) is attributed to the
 // node's selector group: PGE measures an attribute's power to attract
@@ -505,6 +510,10 @@ func (m *Monitor) AttributeSpam(verdicts []bool) {
 		}
 		tr.Finish()
 	}()
+	for _, g := range m.groups {
+		g.Spams = 0
+		clear(g.Spammers)
+	}
 	m.store.Range(func(i int, c *Capture) bool {
 		if i >= len(verdicts) {
 			return false

@@ -37,8 +37,9 @@ type Config struct {
 	// FlushSize is the micro-batch size bound (default 64).
 	FlushSize int
 	// FlushInterval bounds how long a partial batch waits for more items
-	// after its first item arrived (default 25ms). Zero flushes whatever
-	// is immediately available.
+	// after its first item arrived. Zero (or negative) does not wait: it
+	// flushes whatever is immediately available. There is no default; a
+	// caller that wants a wait passes DefaultFlushInterval.
 	FlushInterval time.Duration
 	// QueueCap bounds every queue created for the runner
 	// (default 4×FlushSize). Push blocks while the queue is full.
@@ -64,7 +65,9 @@ type Config struct {
 // DefaultFlushSize is the default micro-batch size bound.
 const DefaultFlushSize = 64
 
-// DefaultFlushInterval is the default partial-batch age bound.
+// DefaultFlushInterval is a partial-batch age bound for callers that want
+// one (phsniffer's -flush-interval default). Config does not apply it: a
+// zero FlushInterval means no wait.
 const DefaultFlushInterval = 25 * time.Millisecond
 
 func (c Config) withDefaults() Config {

@@ -8,8 +8,6 @@
 package simclock
 
 import (
-	"container/heap"
-	"errors"
 	"sync"
 	"time"
 )
@@ -17,9 +15,6 @@ import (
 // Epoch is the virtual-time origin used by simulated clocks when no explicit
 // start is given. It matches the paper's data-collection period (March 2018).
 var Epoch = time.Date(2018, time.March, 10, 0, 0, 0, 0, time.UTC)
-
-// ErrEmpty is returned by Queue.Pop when no events remain.
-var ErrEmpty = errors.New("simclock: event queue is empty")
 
 // Clock abstracts the passage of time. Implementations must be safe for
 // concurrent use.
@@ -85,109 +80,90 @@ var _ Clock = Wall{}
 // Now returns the wall-clock time.
 func (Wall) Now() time.Time { return time.Now() }
 
-// Event is a unit of scheduled work in virtual time.
-type Event struct {
-	// At is the virtual instant the event fires.
-	At time.Time
-	// Seq breaks ties between events scheduled for the same instant;
-	// lower sequences fire first. The Queue assigns it automatically.
-	Seq uint64
-	// Fire is invoked when the event is due. It may schedule further
-	// events on the same queue.
-	Fire func(now time.Time)
-}
-
-// Queue is a virtual-time event queue. It is not safe for concurrent use;
-// the traffic engine drives it from a single goroutine.
-type Queue struct {
-	h   eventHeap
+// Queue is a virtual-time event queue of values. Events fire in (instant,
+// push order) order: the earlier instant first, and events pushed for the
+// same instant in the order they were pushed. Each event is one slot of a
+// slice-backed binary heap, so scheduling allocates nothing once the slice
+// has grown. The zero value is an empty queue. It is not safe for
+// concurrent use; the traffic engine drives it from a single goroutine.
+type Queue[T any] struct {
+	h   []slot[T]
 	seq uint64
 }
 
-// NewQueue returns an empty event queue.
-func NewQueue() *Queue {
-	return &Queue{}
+// slot is one scheduled event. key is at.UnixNano(), which orders exactly
+// as time.Time.Before for every instant between 1678 and 2262; seq is the
+// push order and breaks ties.
+type slot[T any] struct {
+	key int64
+	seq uint64
+	at  time.Time
+	v   T
+}
+
+func (s *slot[T]) before(o *slot[T]) bool {
+	return s.key < o.key || s.key == o.key && s.seq < o.seq
 }
 
 // Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.h) }
+func (q *Queue[T]) Len() int { return len(q.h) }
 
-// Push schedules fire at instant at.
-func (q *Queue) Push(at time.Time, fire func(now time.Time)) {
+// Push schedules v to fire at instant at.
+func (q *Queue[T]) Push(at time.Time, v T) {
 	q.seq++
-	heap.Push(&q.h, &Event{At: at, Seq: q.seq, Fire: fire})
-}
-
-// PeekTime returns the instant of the earliest pending event.
-func (q *Queue) PeekTime() (time.Time, error) {
-	if len(q.h) == 0 {
-		return time.Time{}, ErrEmpty
-	}
-	return q.h[0].At, nil
-}
-
-// Pop removes and returns the earliest pending event.
-func (q *Queue) Pop() (*Event, error) {
-	if len(q.h) == 0 {
-		return nil, ErrEmpty
-	}
-	ev, ok := heap.Pop(&q.h).(*Event)
-	if !ok {
-		return nil, errors.New("simclock: corrupt event heap")
-	}
-	return ev, nil
-}
-
-// RunUntil pops and fires events in order until the queue is empty or the
-// next event is after deadline. The clock is advanced to each event's
-// instant before it fires. It returns the number of events fired.
-func (q *Queue) RunUntil(clock *Simulated, deadline time.Time) int {
-	fired := 0
-	for {
-		at, err := q.PeekTime()
-		if err != nil || at.After(deadline) {
+	s := slot[T]{key: at.UnixNano(), seq: q.seq, at: at, v: v}
+	q.h = append(q.h, s)
+	i := len(q.h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.before(&q.h[p]) {
 			break
 		}
-		ev, err := q.Pop()
-		if err != nil {
-			break
-		}
-		clock.Set(ev.At)
-		if ev.Fire != nil {
-			ev.Fire(ev.At)
-		}
-		fired++
+		q.h[i] = q.h[p]
+		i = p
+	}
+	q.h[i] = s
+}
+
+// RunUntil pops the events due at or before deadline in order, sets the
+// clock to each event's instant and calls fire with it; fire may push
+// further events, which fire in this call if they are due by deadline.
+// The clock ends at deadline.
+func (q *Queue[T]) RunUntil(clock *Simulated, deadline time.Time, fire func(now time.Time, v T)) {
+	end := deadline.UnixNano()
+	for len(q.h) > 0 && q.h[0].key <= end {
+		s := q.pop()
+		clock.Set(s.at)
+		fire(s.at, s.v)
 	}
 	clock.Set(deadline)
-	return fired
 }
 
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At.Equal(h[j].At) {
-		return h[i].Seq < h[j].Seq
+// pop removes and returns the earliest event: the last slot moves into
+// the root's place and sifts down.
+func (q *Queue[T]) pop() slot[T] {
+	top := q.h[0]
+	n := len(q.h) - 1
+	last := q.h[n]
+	q.h[n] = slot[T]{} // drop the payload's references
+	q.h = q.h[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q.h[c+1].before(&q.h[c]) {
+			c++
+		}
+		if !q.h[c].before(&last) {
+			break
+		}
+		q.h[i] = q.h[c]
+		i = c
 	}
-	return h[i].At.Before(h[j].At)
-}
-
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) {
-	ev, ok := x.(*Event)
-	if !ok {
-		return
+	if n > 0 {
+		q.h[i] = last
 	}
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	return top
 }

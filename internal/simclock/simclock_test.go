@@ -1,8 +1,9 @@
 package simclock
 
 import (
-	"errors"
+	"container/heap"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -65,51 +66,45 @@ func TestWallClockTracksRealTime(t *testing.T) {
 	}
 }
 
+// run fires every event of q due by deadline on clock and returns the
+// payloads in fire order.
+func run[T any](q *Queue[T], clock *Simulated, deadline time.Time) []T {
+	var fired []T
+	q.RunUntil(clock, deadline, func(_ time.Time, v T) { fired = append(fired, v) })
+	return fired
+}
+
 func TestQueueOrdersByTime(t *testing.T) {
-	q := NewQueue()
-	var order []int
+	var q Queue[int]
 	times := []time.Duration{5 * time.Minute, time.Minute, 3 * time.Minute}
 	for i, d := range times {
-		i := i
-		q.Push(Epoch.Add(d), func(time.Time) { order = append(order, i) })
+		q.Push(Epoch.Add(d), i)
 	}
-	clock := NewSimulated(time.Time{})
-	fired := q.RunUntil(clock, Epoch.Add(time.Hour))
-	if fired != 3 {
-		t.Fatalf("fired %d events, want 3", fired)
-	}
-	want := []int{1, 2, 0}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("fire order = %v, want %v", order, want)
-		}
+	order := run(&q, NewSimulated(time.Time{}), Epoch.Add(time.Hour))
+	if want := []int{1, 2, 0}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("fire order = %v, want %v", order, want)
 	}
 }
 
 func TestQueueTieBreakIsFIFO(t *testing.T) {
-	q := NewQueue()
+	var q Queue[int]
 	at := Epoch.Add(time.Minute)
-	var order []int
 	for i := 0; i < 10; i++ {
-		i := i
-		q.Push(at, func(time.Time) { order = append(order, i) })
+		q.Push(at, i)
 	}
-	clock := NewSimulated(time.Time{})
-	q.RunUntil(clock, at)
-	if !sort.IntsAreSorted(order) {
+	order := run(&q, NewSimulated(time.Time{}), at)
+	if len(order) != 10 || !sort.IntsAreSorted(order) {
 		t.Fatalf("same-instant events fired out of order: %v", order)
 	}
 }
 
 func TestQueueRunUntilStopsAtDeadline(t *testing.T) {
-	q := NewQueue()
-	fired := 0
-	q.Push(Epoch.Add(time.Minute), func(time.Time) { fired++ })
-	q.Push(Epoch.Add(2*time.Hour), func(time.Time) { fired++ })
+	var q Queue[int]
+	q.Push(Epoch.Add(time.Minute), 0)
+	q.Push(Epoch.Add(2*time.Hour), 1)
 	clock := NewSimulated(time.Time{})
-	n := q.RunUntil(clock, Epoch.Add(time.Hour))
-	if n != 1 || fired != 1 {
-		t.Fatalf("fired %d (%d calls), want 1", n, fired)
+	if fired := run(&q, clock, Epoch.Add(time.Hour)); !reflect.DeepEqual(fired, []int{0}) {
+		t.Fatalf("fired %v, want [0]", fired)
 	}
 	if q.Len() != 1 {
 		t.Fatalf("queue length = %d, want 1 pending", q.Len())
@@ -120,62 +115,66 @@ func TestQueueRunUntilStopsAtDeadline(t *testing.T) {
 }
 
 func TestQueueRunUntilAdvancesClockToEventInstant(t *testing.T) {
-	q := NewQueue()
+	var q Queue[int]
 	at := Epoch.Add(42 * time.Minute)
-	var seen time.Time
-	q.Push(at, func(now time.Time) { seen = now })
+	q.Push(at, 0)
 	clock := NewSimulated(time.Time{})
-	q.RunUntil(clock, Epoch.Add(time.Hour))
-	if !seen.Equal(at) {
-		t.Fatalf("event observed now = %v, want %v", seen, at)
+	var seen, clockAt time.Time
+	q.RunUntil(clock, Epoch.Add(time.Hour), func(now time.Time, _ int) {
+		seen, clockAt = now, clock.Now()
+	})
+	if !seen.Equal(at) || !clockAt.Equal(at) {
+		t.Fatalf("event observed now = %v and clock %v, want %v", seen, clockAt, at)
 	}
 }
 
+// An empty queue fires nothing, and RunUntil still moves the clock to the
+// deadline.
 func TestQueuePopEmpty(t *testing.T) {
-	q := NewQueue()
-	if _, err := q.Pop(); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("Pop on empty queue: err = %v, want ErrEmpty", err)
+	var q Queue[int]
+	clock := NewSimulated(time.Time{})
+	if fired := run(&q, clock, Epoch.Add(time.Hour)); len(fired) != 0 {
+		t.Fatalf("empty queue fired %v", fired)
 	}
-	if _, err := q.PeekTime(); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("PeekTime on empty queue: err = %v, want ErrEmpty", err)
+	if !clock.Now().Equal(Epoch.Add(time.Hour)) {
+		t.Fatalf("clock = %v, want advanced to deadline", clock.Now())
 	}
 }
 
 func TestQueueEventsScheduledDuringRunFire(t *testing.T) {
-	q := NewQueue()
+	var q Queue[int]
 	fired := 0
-	q.Push(Epoch.Add(time.Minute), func(now time.Time) {
+	q.Push(Epoch.Add(time.Minute), 0)
+	q.RunUntil(NewSimulated(time.Time{}), Epoch.Add(time.Hour), func(now time.Time, v int) {
 		fired++
-		q.Push(now.Add(time.Minute), func(time.Time) { fired++ })
+		if v == 0 {
+			q.Push(now.Add(time.Minute), 1)
+		}
 	})
-	clock := NewSimulated(time.Time{})
-	q.RunUntil(clock, Epoch.Add(time.Hour))
 	if fired != 2 {
 		t.Fatalf("fired %d, want cascaded event to fire too", fired)
 	}
 }
 
-// Property: popping every event yields a non-decreasing time sequence no
+// Property: draining the queue yields a non-decreasing time sequence no
 // matter the insertion order.
 func TestQueuePopOrderProperty(t *testing.T) {
 	prop := func(offsets []int16) bool {
-		q := NewQueue()
-		for _, off := range offsets {
+		var q Queue[int]
+		for i, off := range offsets {
 			d := time.Duration(int64(off)&0x7fff) * time.Second
-			q.Push(Epoch.Add(d), nil)
+			q.Push(Epoch.Add(d), i)
 		}
 		var last time.Time
-		for q.Len() > 0 {
-			ev, err := q.Pop()
-			if err != nil {
-				return false
+		ok, n := true, 0
+		q.RunUntil(NewSimulated(time.Time{}), Epoch.Add(0x8000*time.Second), func(now time.Time, _ int) {
+			if !last.IsZero() && now.Before(last) {
+				ok = false
 			}
-			if !last.IsZero() && ev.At.Before(last) {
-				return false
-			}
-			last = ev.At
-		}
-		return true
+			last = now
+			n++
+		})
+		return ok && n == len(offsets) && q.Len() == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -186,7 +185,7 @@ func TestQueuePopOrderProperty(t *testing.T) {
 func TestQueueRunUntilCountProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
-		q := NewQueue()
+		var q Queue[int]
 		deadline := Epoch.Add(time.Duration(rng.Intn(3600)) * time.Second)
 		want := 0
 		for i := 0; i < 100; i++ {
@@ -194,13 +193,160 @@ func TestQueueRunUntilCountProperty(t *testing.T) {
 			if !at.After(deadline) {
 				want++
 			}
-			q.Push(at, nil)
+			q.Push(at, i)
 		}
-		clock := NewSimulated(time.Time{})
-		if got := q.RunUntil(clock, deadline); got != want {
+		if got := len(run(&q, NewSimulated(time.Time{}), deadline)); got != want {
 			t.Fatalf("trial %d: fired %d, want %d", trial, got, want)
 		}
+		if q.Len() != 100-want {
+			t.Fatalf("trial %d: %d pending, want %d", trial, q.Len(), 100-want)
+		}
 	}
+}
+
+// oracleQueue is the pointer-heap queue Queue replaced: container/heap
+// over *oracleEvent, ordered through time.Time.Equal/Before and then
+// push order. TestQueueMatchesHeapOracle holds Queue to its fire order.
+type oracleQueue struct {
+	h   oracleHeap
+	seq uint64
+}
+
+type oracleEvent struct {
+	at   time.Time
+	seq  uint64
+	fire func(now time.Time)
+}
+
+func (q *oracleQueue) Push(at time.Time, fire func(now time.Time)) {
+	q.seq++
+	heap.Push(&q.h, &oracleEvent{at: at, seq: q.seq, fire: fire})
+}
+
+func (q *oracleQueue) RunUntil(clock *Simulated, deadline time.Time) {
+	for len(q.h) > 0 && !q.h[0].at.After(deadline) {
+		ev := heap.Pop(&q.h).(*oracleEvent)
+		clock.Set(ev.at)
+		ev.fire(ev.at)
+	}
+	clock.Set(deadline)
+}
+
+type oracleHeap []*oracleEvent
+
+func (h oracleHeap) Len() int { return len(h) }
+func (h oracleHeap) Less(i, j int) bool {
+	if h[i].at.Equal(h[j].at) {
+		return h[i].seq < h[j].seq
+	}
+	return h[i].at.Before(h[j].at)
+}
+func (h oracleHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *oracleHeap) Push(x any)   { *h = append(*h, x.(*oracleEvent)) }
+func (h *oracleHeap) Pop() any {
+	old := *h
+	ev := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return ev
+}
+
+// firing is what one fired event observed.
+type firing struct {
+	id         int
+	now, clock time.Time
+}
+
+// TestQueueMatchesHeapOracle drives Queue and the container/heap oracle
+// through the same script and requires the same firings: instants drawn
+// from a minute, so most collide exactly; one event at each deadline; and
+// fired events that push children due before their own instant, at it, at
+// the round's deadline and past it. The script runs as several RunUntil
+// rounds, so what one round leaves pending fires in a later one.
+func TestQueueMatchesHeapOracle(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		deadlines := make([]time.Time, 4)
+		for r := range deadlines {
+			deadlines[r] = Epoch.Add(time.Duration(10*(r+1)+rng.Intn(10)) * time.Second)
+		}
+		type push struct {
+			id int
+			at time.Time
+		}
+		var initial []push
+		for i, n := 0, 1+rng.Intn(200); i < n; i++ {
+			initial = append(initial, push{i, Epoch.Add(time.Duration(rng.Intn(60)) * time.Second)})
+		}
+		for r, d := range deadlines {
+			initial = append(initial, push{1000 + r, d})
+		}
+		// spawn returns the instants at which event id, fired at now in
+		// the round ending at deadline, pushes children. Children get
+		// ids from 5000 up, and only the first few hundred spawn more.
+		spawn := func(id int, now, deadline time.Time) []time.Time {
+			if id >= 5600 {
+				return nil
+			}
+			crng := rand.New(rand.NewSource(seed*1e6 + int64(id)))
+			var ats []time.Time
+			for k := crng.Intn(3); k > 0; k-- {
+				ats = append(ats, now.Add(time.Duration(crng.Intn(30)-10)*time.Second))
+			}
+			if crng.Intn(4) == 0 {
+				ats = append(ats, deadline)
+			}
+			return ats
+		}
+
+		var got, want []firing
+		var q Queue[int]
+		qc, nextQ := NewSimulated(time.Time{}), 5000
+		var oq oracleQueue
+		oc, nextO := NewSimulated(time.Time{}), 5000
+		var deadline time.Time
+		var oracleFire func(id int) func(time.Time)
+		oracleFire = func(id int) func(time.Time) {
+			return func(now time.Time) {
+				want = append(want, firing{id, now, oc.Now()})
+				for _, at := range spawn(id, now, deadline) {
+					oq.Push(at, oracleFire(nextO))
+					nextO++
+				}
+			}
+		}
+		for _, p := range initial {
+			q.Push(p.at, p.id)
+			oq.Push(p.at, oracleFire(p.id))
+		}
+		for r, d := range deadlines {
+			deadline = d
+			q.RunUntil(qc, d, func(now time.Time, id int) {
+				got = append(got, firing{id, now, qc.Now()})
+				for _, at := range spawn(id, now, d) {
+					q.Push(at, nextQ)
+					nextQ++
+				}
+			})
+			oq.RunUntil(oc, d)
+			if !qc.Now().Equal(d) || !oc.Now().Equal(d) || q.Len() != oq.h.Len() {
+				t.Fatalf("seed %d round %d: clock %v / %v, want %v; pending %d / %d",
+					seed, r, qc.Now(), oc.Now(), d, q.Len(), oq.h.Len())
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: %d firings, oracle %d; first difference at %d",
+				seed, len(got), len(want), firstDiff(got, want))
+		}
+	}
+}
+
+func firstDiff(a, b []firing) int {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
 }
 
 func TestSimulatedConcurrentAdvance(t *testing.T) {

@@ -30,7 +30,7 @@ type Stats struct {
 type Engine struct {
 	world *World
 	clock *simclock.Simulated
-	queue *simclock.Queue
+	queue simclock.Queue[event]
 	rng   *rand.Rand
 	gen   *textGen
 
@@ -43,10 +43,14 @@ type Engine struct {
 	// post this hour.
 	watches map[AccountID][]*spamWatch
 
-	// victimIDs/victimCum implement weighted victim sampling by prefix
+	// victims/victimCum implement weighted victim sampling by prefix
 	// sums of attraction scores; rebuilt hourly.
-	victimIDs []AccountID
+	victims   []*Account
 	victimCum []float64
+	// authors/authorCum do the same for organic authors, by posting
+	// rate.
+	authors   []*Account
+	authorCum []float64
 
 	// recentTweets is a ring of recently emitted benign tweets available
 	// for retweeting/quoting.
@@ -69,6 +73,30 @@ type Engine struct {
 	retired int
 }
 
+// event is one scheduled unit of traffic, fired by (*Engine).fire.
+type event struct {
+	kind eventKind
+	// a is the post's author, the reply's target, or the spam mention's
+	// victim.
+	a   *Account
+	wch *spamWatch
+}
+
+type eventKind uint8
+
+const (
+	// evPost is an organic post by a.
+	evPost eventKind = iota
+	// evReply is a benign reply mentioning a.
+	evReply
+	// evSpamMention is one of wch's spam mentions of a.
+	evSpamMention
+	// evStaleMention is wch's hour-end fallback mention of a quiet
+	// victim, unless a fresh post fired wch first. The victim is
+	// resolved by id when it fires.
+	evStaleMention
+)
+
 // spamWatch is one pending spam reaction from a spammer to a victim.
 type spamWatch struct {
 	spammer *Account
@@ -81,7 +109,6 @@ func NewEngine(w *World) *Engine {
 	return &Engine{
 		world:        w,
 		clock:        simclock.NewSimulated(w.start),
-		queue:        simclock.NewQueue(),
 		rng:          rand.New(rand.NewSource(w.cfg.Seed + 2)),
 		gen:          newTextGen(rand.New(rand.NewSource(w.cfg.Seed + 3))),
 		subs:         make(map[int]func(*Tweet)),
@@ -150,7 +177,7 @@ func (e *Engine) runHour() {
 	e.scheduleOrganic(now)
 	e.scheduleSpam(now, hourEnd)
 
-	e.queue.RunUntil(e.clock, hourEnd)
+	e.queue.RunUntil(e.clock, hourEnd, e.fire)
 
 	// Unconsumed watches expire with the hour.
 	e.watches = make(map[AccountID][]*spamWatch)
@@ -221,7 +248,7 @@ func (e *Engine) spendSpamBudget(a *Account) bool {
 // rebuildVictimSampler recomputes the attraction prefix sums used to draw
 // spam victims.
 func (e *Engine) rebuildVictimSampler(now time.Time) {
-	e.victimIDs = e.victimIDs[:0]
+	e.victims = e.victims[:0]
 	e.victimCum = e.victimCum[:0]
 	cum := 0.0
 	for _, a := range e.world.accounts {
@@ -230,7 +257,7 @@ func (e *Engine) rebuildVictimSampler(now time.Time) {
 			continue
 		}
 		cum += score
-		e.victimIDs = append(e.victimIDs, a.ID)
+		e.victims = append(e.victims, a)
 		e.victimCum = append(e.victimCum, cum)
 	}
 }
@@ -251,10 +278,10 @@ func (e *Engine) sampleVictim() *Account {
 		total := e.victimCum[len(e.victimCum)-1]
 		r := e.rng.Float64() * total
 		i := sort.SearchFloat64s(e.victimCum, r)
-		if i >= len(e.victimIDs) {
-			i = len(e.victimIDs) - 1
+		if i >= len(e.victims) {
+			i = len(e.victims) - 1
 		}
-		a = e.world.byID[e.victimIDs[i]]
+		a = e.victims[i]
 		if !a.lastPostAt.IsZero() && now.Sub(a.lastPostAt) <= 24*time.Hour {
 			return a
 		}
@@ -271,31 +298,46 @@ func (e *Engine) scheduleOrganic(hourStart time.Time) {
 		return
 	}
 	// Author sampler over posting rates (excludes suspended accounts).
-	ids := make([]AccountID, 0, len(e.world.accounts))
-	cums := make([]float64, 0, len(e.world.accounts))
+	authors, cums := e.authors[:0], e.authorCum[:0]
 	cum := 0.0
 	for _, a := range e.world.accounts {
 		if a.Suspended {
 			continue
 		}
 		cum += a.TweetsPerHour
-		ids = append(ids, a.ID)
+		authors = append(authors, a)
 		cums = append(cums, cum)
 	}
-	if len(ids) == 0 {
+	e.authors, e.authorCum = authors, cums
+	if len(authors) == 0 {
 		return
 	}
 	for i := 0; i < n; i++ {
 		r := e.rng.Float64() * cum
 		j := sort.SearchFloat64s(cums, r)
-		if j >= len(ids) {
-			j = len(ids) - 1
+		if j >= len(authors) {
+			j = len(authors) - 1
 		}
-		author := e.world.byID[ids[j]]
 		at := hourStart.Add(time.Duration(e.rng.Float64() * float64(time.Hour)))
-		e.queue.Push(at, func(now time.Time) {
-			e.fireOrganicPost(author, now)
-		})
+		e.queue.Push(at, event{kind: evPost, a: authors[j]})
+	}
+}
+
+// fire runs one due event.
+func (e *Engine) fire(now time.Time, ev event) {
+	switch ev.kind {
+	case evPost:
+		e.fireOrganicPost(ev.a, now)
+	case evReply:
+		e.fireReply(ev.a, now)
+	case evSpamMention:
+		e.fireSpamMention(ev.wch, ev.a, now)
+	case evStaleMention:
+		if ev.wch.fired {
+			return
+		}
+		ev.wch.fired = true
+		e.fireSpamMention(ev.wch, e.world.byID[ev.a.ID], now)
 	}
 }
 
@@ -313,9 +355,7 @@ func (e *Engine) fireOrganicPost(author *Account, now time.Time) {
 	replies := e.poisson(repliesPerPost(author))
 	for i := 0; i < replies; i++ {
 		delay := time.Duration(logNormal(e.rng, math.Log(1500), 1.0)) * time.Second
-		e.queue.Push(now.Add(delay), func(rnow time.Time) {
-			e.fireReply(author, rnow)
-		})
+		e.queue.Push(now.Add(delay), event{kind: evReply, a: author})
 	}
 
 	// Spammers watching this victim react fast (Category (3)).
@@ -439,14 +479,10 @@ func (e *Engine) scheduleSpam(hourStart, hourEnd time.Time) {
 			// Spammers react to fresh posts; a victim that stays quiet
 			// all hour is usually abandoned, but a quarter of spammers
 			// reply to the victim's stale post at hour end anyway.
-			stale := e.rng.Float64() < 0.25
-			e.queue.Push(hourEnd.Add(-time.Second), func(now time.Time) {
-				if wch.fired || !stale {
-					return
-				}
-				wch.fired = true
-				e.fireSpamMention(wch, e.world.byID[victim.ID], now)
-			})
+			if e.rng.Float64() < 0.25 {
+				e.queue.Push(hourEnd.Add(-time.Second),
+					event{kind: evStaleMention, a: victim, wch: wch})
+			}
 		}
 	}
 }
@@ -460,9 +496,7 @@ func (e *Engine) scheduleSpamReaction(wch *spamWatch, victim *Account, postAt ti
 	if delay < time.Second {
 		delay = time.Second
 	}
-	e.queue.Push(postAt.Add(delay), func(now time.Time) {
-		e.fireSpamMention(wch, victim, now)
-	})
+	e.queue.Push(postAt.Add(delay), event{kind: evSpamMention, a: victim, wch: wch})
 }
 
 // fireSpamMention emits the watch's spam mentions of victim.
@@ -503,9 +537,7 @@ func (e *Engine) fireSpamMention(wch *spamWatch, victim *Account, now time.Time)
 	// scheduled through the queue to keep global emission chronological.
 	if wch.count > 1 {
 		wch.count--
-		e.queue.Push(now.Add(17*time.Second), func(next time.Time) {
-			e.fireSpamMention(wch, victim, next)
-		})
+		e.queue.Push(now.Add(17*time.Second), event{kind: evSpamMention, a: victim, wch: wch})
 	}
 }
 

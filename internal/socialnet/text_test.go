@@ -190,13 +190,13 @@ func TestAttractionCacheMatchesFormula(t *testing.T) {
 				continue
 			}
 			cum += score
-			if e.victimIDs[j] != a.ID || math.Float64bits(e.victimCum[j]) != math.Float64bits(cum) {
-				t.Fatalf("hour %d: sampler entry %d is (%d, %v), want (%d, %v)", hour, j, e.victimIDs[j], e.victimCum[j], a.ID, cum)
+			if e.victims[j] != a || math.Float64bits(e.victimCum[j]) != math.Float64bits(cum) {
+				t.Fatalf("hour %d: sampler entry %d is (%d, %v), want (%d, %v)", hour, j, e.victims[j].ID, e.victimCum[j], a.ID, cum)
 			}
 			j++
 		}
-		if j != len(e.victimIDs) {
-			t.Fatalf("hour %d: sampler has %d entries, want %d", hour, len(e.victimIDs), j)
+		if j != len(e.victims) {
+			t.Fatalf("hour %d: sampler has %d entries, want %d", hour, len(e.victims), j)
 		}
 	})
 	e.RunHours(24)

@@ -526,9 +526,10 @@ func (w *World) Attraction(a *Account, now time.Time) float64 {
 		return 0
 	}
 	score := 0.2 // base exposure of any account
+	age := a.AgeDays(now)
 
 	// Activity-derived attributes (strongest; Table VI ranks 1, 7, 9).
-	ld := a.ListsPerDay(now)
+	ld := perDay(a.ListedCount, age) // ListsPerDay, age derived once
 	switch {
 	case ld >= 1:
 		score += 5.5 - 1.8*math.Min(ld-1, 2) // peak at 1/day, falling after
@@ -554,7 +555,6 @@ func (w *World) Attraction(a *Account, now time.Time) float64 {
 	score += 0.35 * f.ratio
 
 	// Account age: mild peak near 1,000 days (paper Fig. 3(e)).
-	age := a.AgeDays(now)
 	if age > 0 {
 		score += 0.3 * math.Exp(-sq(log10(age)-3)/(2*0.09))
 	}
