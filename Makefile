@@ -63,12 +63,17 @@ CORE_COVER_MIN := 90
 # before the cut, so an untested branch there is an unpinned event order.
 SOCIALNET_COVER_MIN := 95
 SIMCLOCK_COVER_MIN := 95
+# label, minhash, imagehash: the labeler decides every training label, so
+# an untested probe branch there is a silently different ground truth.
+LABEL_COVER_MIN := 95
+MINHASH_COVER_MIN := 95
+IMAGEHASH_COVER_MIN := 90
 
 upper = $(shell echo $(1) | tr a-z A-Z)
 
 .PHONY: check fmt vet vulncheck build test race examples bench bench-smoke records
 
-check: fmt vet vulncheck build test race examples cover-metrics cover-trace cover-store cover-obs cover-source cover-shard cover-core cover-socialnet cover-simclock bench-smoke
+check: fmt vet vulncheck build test race examples cover-metrics cover-trace cover-store cover-obs cover-source cover-shard cover-core cover-socialnet cover-simclock cover-label cover-minhash cover-imagehash bench-smoke
 
 # fmt fails when any Go file differs from gofmt's output (and lists it).
 fmt:

@@ -15,9 +15,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"sync/atomic"
-
-	"github.com/pseudo-honeypot/pseudohoneypot/internal/parallel"
 )
 
 const (
@@ -294,21 +291,46 @@ func clampByte(v float64) uint8 {
 }
 
 // Grouper clusters hashes whose Hamming distance to a group representative
-// is at most the threshold. Groups are identified by small integer ids.
-// This mirrors the paper's image-clustering step: linear scan against group
-// representatives, which is accurate at the dataset sizes involved. Once
-// the representative list grows past a cutoff the scan fans out over the
-// worker pool, still returning the lowest matching group id, so grouping
-// is identical at any worker count.
+// is at most the threshold t, assigning each hash to the lowest-numbered
+// such group, as a linear scan of the representatives would: the paper's
+// image-clustering step. Groups are identified by small integer ids.
+//
+// The scan is exact multi-index hashing ("Fast Search in Hamming Space
+// with Multi-Index Hashing", Norouzi, Punjani and Fleet, CVPR 2012): the
+// 128 bits are cut into t+1 disjoint blocks, and by pigeonhole a
+// representative within distance t equals the query on at least one
+// block. One exact-match table per block lists the representatives by
+// block value, so Add checks the full distance only of those that share a
+// block with the query, not of every representative.
 type Grouper struct {
 	threshold int
-	workers   int
 	reps      []Hash
+	// blocks is the layout of the t+1 blocks; at a threshold of 128 or
+	// more it is empty, since every hash is then within it of rep 0.
+	blocks []block
+	// heads[b] maps a block-b value to the newest rep with it, and
+	// next[id*len(blocks)+b] is the rep added to that bucket before id,
+	// -1 when id was the first: each bucket is a chain of descending ids.
+	heads []map[uint64]int32
+	next  []int32
+	// checks counts full-distance checks made by Add.
+	checks int
 }
 
-// grouperParallelMin is the representative count below which a sequential
-// scan beats pool dispatch.
-const grouperParallelMin = 512
+// block is a run of n bits (1 ≤ n ≤ 64) of a hash, starting off bits
+// from the top of Hi; bits 64 to 127 are Lo's.
+type block struct{ off, n uint }
+
+// value returns the block's bits of h as an integer.
+func (bl block) value(h Hash) uint64 {
+	var w uint64 // the 64 bits from off on, the block's at the top
+	if bl.off < 64 {
+		w = h.Hi<<bl.off | h.Lo>>(64-bl.off)
+	} else {
+		w = h.Lo << (bl.off - 64)
+	}
+	return w >> (64 - bl.n)
+}
 
 // NewGrouper returns a Grouper with the given Hamming threshold; a
 // non-positive threshold uses DefaultThreshold.
@@ -316,58 +338,90 @@ func NewGrouper(threshold int) *Grouper {
 	if threshold <= 0 {
 		threshold = DefaultThreshold
 	}
-	return &Grouper{threshold: threshold}
+	g := &Grouper{threshold: threshold}
+	if threshold < 128 {
+		// 128 bits in t+1 blocks, the first 128 mod (t+1) one bit longer.
+		m := uint(threshold + 1)
+		off := uint(0)
+		for i := uint(0); i < m; i++ {
+			n := 128 / m
+			if i < 128%m {
+				n++
+			}
+			g.blocks = append(g.blocks, block{off, n})
+			off += n
+		}
+	}
+	g.heads = make([]map[uint64]int32, len(g.blocks))
+	for i := range g.heads {
+		g.heads[i] = make(map[uint64]int32)
+	}
+	return g
 }
-
-// SetWorkers bounds the scan pool; 0 (the default) resolves the process
-// default (PH_WORKERS or GOMAXPROCS).
-func (g *Grouper) SetWorkers(workers int) { g.workers = workers }
 
 // Add assigns h to an existing group within the threshold or creates a new
 // group, returning the group id. When several representatives are within
-// the threshold, the lowest group id wins.
+// the threshold, the lowest group id wins. Beyond the amortized growth of
+// its tables Add allocates nothing.
 func (g *Grouper) Add(h Hash) int {
-	if len(g.reps) >= grouperParallelMin {
-		if id := g.findParallel(h); id >= 0 {
-			return id
-		}
-	} else {
-		for id, rep := range g.reps {
-			if rep.Distance(h) <= g.threshold {
-				return id
-			}
-		}
+	if id := g.find(h); id >= 0 {
+		return id
 	}
-	g.reps = append(g.reps, h)
+	g.push(h)
 	return len(g.reps) - 1
 }
 
-// findParallel scans the representatives in parallel chunks and returns
-// the lowest matching group id, or -1.
-func (g *Grouper) findParallel(h Hash) int {
-	best := int64(len(g.reps))
-	parallel.ForEachChunk(len(g.reps), g.workers, grouperParallelMin/4, func(lo, hi int) {
-		if int64(lo) >= atomic.LoadInt64(&best) {
-			return // a lower chunk already matched
+// find returns the lowest id of a representative within the threshold of
+// h, or -1.
+func (g *Grouper) find(h Hash) int {
+	if len(g.blocks) == 0 {
+		if len(g.reps) > 0 {
+			return 0
 		}
-		for id := lo; id < hi; id++ {
+		return -1
+	}
+	best := int32(len(g.reps))
+	for b, bl := range g.blocks {
+		id, ok := g.heads[b][bl.value(h)]
+		if !ok {
+			continue
+		}
+		for ; id >= 0; id = g.next[int(id)*len(g.blocks)+b] {
+			if id >= best {
+				continue // no better than a match already found
+			}
+			g.checks++
 			if g.reps[id].Distance(h) <= g.threshold {
-				// Keep the minimum matching id across chunks.
-				for {
-					cur := atomic.LoadInt64(&best)
-					if int64(id) >= cur || atomic.CompareAndSwapInt64(&best, cur, int64(id)) {
-						break
-					}
-				}
-				return
+				best = id
 			}
 		}
-	})
+	}
 	if int(best) == len(g.reps) {
 		return -1
 	}
 	return int(best)
 }
+
+// push appends h as a new representative and links it into every block's
+// table.
+func (g *Grouper) push(h Hash) {
+	id := int32(len(g.reps))
+	g.reps = append(g.reps, h)
+	for b, bl := range g.blocks {
+		v := bl.value(h)
+		prev, ok := g.heads[b][v]
+		if !ok {
+			prev = -1
+		}
+		g.next = append(g.next, prev)
+		g.heads[b][v] = id
+	}
+}
+
+// Checks returns how many full-distance checks Add has made so far: the
+// work its block tables leave, where a linear scan would check every
+// representative.
+func (g *Grouper) Checks() int { return g.checks }
 
 // Len returns the number of groups formed so far.
 func (g *Grouper) Len() int { return len(g.reps) }
@@ -381,8 +435,16 @@ func (g *Grouper) Reps() []Hash {
 	return out
 }
 
-// SetReps replaces the representative list, discarding any current groups.
-// It is the restore half of Reps and is intended for crash recovery.
+// SetReps replaces the representative list, discarding any current groups,
+// and rebuilds the block tables from it. It is the restore half of Reps
+// and is intended for crash recovery.
 func (g *Grouper) SetReps(reps []Hash) {
-	g.reps = append(g.reps[:0:0], reps...)
+	g.reps = g.reps[:0:0]
+	g.next = g.next[:0:0]
+	for b := range g.heads {
+		g.heads[b] = make(map[uint64]int32)
+	}
+	for _, h := range reps {
+		g.push(h)
+	}
 }

@@ -106,7 +106,6 @@ func (p *pipeline) clusterUsers(c *Corpus) [][]socialnet.AccountID {
 func (p *pipeline) clusterByImage(c *Corpus, ids []socialnet.AccountID) [][]socialnet.AccountID {
 	defer p.tr.StartSpan("label_cluster_image").End()
 	imgGrouper := imagehash.NewGrouper(p.cfg.ImageHammingThreshold)
-	imgGrouper.SetWorkers(p.cfg.Workers)
 	imgGroups := make(map[int][]socialnet.AccountID)
 	var imgOrder []int
 	for _, id := range ids {

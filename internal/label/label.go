@@ -179,8 +179,8 @@ type Config struct {
 	// or GOMAXPROCS). Labels are bit-identical at any worker count.
 	Workers int
 
-	// Metrics receives the clustering pass timings; nil means
-	// metrics.Default().
+	// Metrics receives the clustering pass timings and the probe work
+	// counters; nil means metrics.Default().
 	Metrics *metrics.Registry
 
 	// Tracer records one trace per Snapshot with a span per labeling

@@ -332,7 +332,6 @@ func (s *Store) RestoreSnapshot(b []byte, resolve func(socialnet.AccountID) *soc
 		s.users[p.ID] = u
 	}
 	s.img = imagehash.NewGrouper(s.cfg.ImageHammingThreshold)
-	s.img.SetWorkers(s.cfg.Workers)
 	s.img.SetReps(snap.ImgReps)
 	s.imgMembers = snap.ImgMembers
 	s.imgOrder = snap.ImgOrder

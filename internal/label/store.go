@@ -105,7 +105,6 @@ func NewStore(cfg Config) *Store {
 		repeats:     make(map[string]int),
 		ins:         newStoreInstruments(cfg.Metrics),
 	}
-	s.img.SetWorkers(cfg.Workers)
 	return s
 }
 
@@ -201,7 +200,9 @@ func (s *Store) addUserLocked(u, profile *socialnet.Account, up UserPrep) {
 	// Image: the grouper assigns the lowest matching group id, so users
 	// must arrive in the global author first-appearance order.
 	if !u.DefaultProfileImage {
+		checks := s.img.Checks()
 		g := s.img.Add(u.ProfileImageHash)
+		s.ins.imageChecks.Add(float64(s.img.Checks() - checks))
 		if len(s.imgMembers[g]) == 0 {
 			s.imgOrder = append(s.imgOrder, g)
 		}
@@ -216,27 +217,30 @@ func (s *Store) addUserLocked(u, profile *socialnet.Account, up UserPrep) {
 
 	if up.DescSig != nil {
 		s.descProbe = join(s.descIndex, s.descUF, up.DescSig, s.cfg.DescSimilarity, s.descProbe)
+		s.ins.descCandidates.Add(float64(len(s.descProbe)))
 		s.descIDs = append(s.descIDs, u.ID)
 	}
 }
 
 // join adds sig to a banding index and its union-find, uniting it with the
 // sets of the earlier signatures that share a band with it and clear the
-// similarity threshold. Probing before Add excludes self-candidates and
-// reproduces the partition of the batch pair set {(i,j): j<i, shared band,
-// sim ≥ τ}. Each candidate, in ascending order, is first compared by root
-// with the new item: one already in sig's set — joined through an earlier
-// candidate of this same probe — is skipped, because uniting a set with
-// itself is a no-op whatever the similarity says. The rest are confirmed
-// with AgreeAtLeast only when the index's sketch bound leaves them viable;
-// the bound refuses only what AgreeAtLeast would. The root comparison still
-// runs for a refused candidate: find compresses paths, and checkpoints
-// persist the parent arrays verbatim. buf is the probe's scratch; join
-// returns it, grown as needed, for the next call on the same index.
+// similarity threshold. Index.Join probes as the index stood before sig,
+// so it excludes self-candidates and reproduces the partition of the batch
+// pair set {(i,j): j<i, shared band, sim ≥ τ}, and it adds sig in the same
+// pass over the bands. Each candidate, in ascending order, is first
+// compared by root with the new item: one already in sig's set — joined
+// through an earlier candidate of this same probe — is skipped, because
+// uniting a set with itself is a no-op whatever the similarity says. The
+// rest are confirmed with AgreeAtLeast only when the index's sketch bound
+// leaves them viable; the bound refuses only what AgreeAtLeast would. The
+// root comparison still runs for a refused candidate: find compresses
+// paths, and checkpoints persist the parent arrays verbatim. buf is the
+// probe's scratch; join returns it, grown as needed, for the next call on
+// the same index.
 func join(ix *minhash.Index, uf *unionFind, sig minhash.Signature, threshold float64, buf []minhash.Candidate) []minhash.Candidate {
 	idx := uf.add()
 	need := minhash.MinAgree(len(sig), threshold)
-	buf = ix.AppendCandidates(buf[:0], sig, need)
+	buf = ix.Join(buf[:0], sig, need)
 	for _, c := range buf {
 		if uf.find(c.ID) == uf.find(idx) || !c.Viable {
 			continue
@@ -245,7 +249,6 @@ func join(ix *minhash.Index, uf *unionFind, sig minhash.Signature, threshold flo
 			uf.union(idx, c.ID)
 		}
 	}
-	ix.Add(sig)
 	return buf
 }
 
@@ -257,6 +260,7 @@ func (s *Store) addTweetLocked(t *socialnet.Tweet, profile *socialnet.Account, p
 	s.repeats[p.Norm]++
 	if p.Sig != nil {
 		s.twProbe = join(s.twIndex, s.twUF, p.Sig, s.cfg.TweetSimilarity, s.twProbe)
+		s.ins.tweetCandidates.Add(float64(len(s.twProbe)))
 		s.twPool = append(s.twPool, t)
 	}
 	if profile != nil && profile.Suspended {

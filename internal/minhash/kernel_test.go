@@ -535,7 +535,8 @@ func TestSketchBoundAtTheThreshold(t *testing.T) {
 // FuzzAppendCandidates holds the probe to the oracles on signatures of
 // eight words drawn from the fuzzer's bytes, so words share bands, low
 // nibbles and high nibbles in every combination, at every need from none
-// to one past all.
+// to one past all. A second index takes every signature through Join,
+// which must append what AppendCandidates then Add gives.
 func FuzzAppendCandidates(f *testing.F) {
 	f.Add([]byte("\x00\x01\x02\x03\x04\x05\x06\x07\x00\x01\x12\x03\x04\x15\x06\x17"), uint8(6))
 	f.Add([]byte("aaaaaaaaaaaaaaaabbbbbbbbaaqaaaaa"), uint8(8))
@@ -544,17 +545,48 @@ func FuzzAppendCandidates(f *testing.F) {
 		const bands, rows = 4, 2
 		const words = bands * rows
 		need := int(needByte) % (words + 2)
-		ix, ref := NewIndex(bands, rows), newReferenceIndex(bands, rows)
+		ix, jx, ref := NewIndex(bands, rows), NewIndex(bands, rows), newReferenceIndex(bands, rows)
 		for ; len(data) >= words; data = data[words:] {
 			sig := make(Signature, words)
 			for i := range sig {
 				sig[i] = uint64(data[i])
 			}
 			checkProbe(t, ix, ref.candidates(sig), sig, need)
-			ix.Add(sig)
+			checkJoin(t, ix, jx, sig, need)
 			ref.add(sig)
 		}
 	})
+}
+
+// checkJoin probes ix with AppendCandidates and then adds sig to it, and
+// joins sig into jx, which has seen the same signatures: Join must append
+// the same candidates after the same prefix, and give sig the same id.
+func checkJoin(t testing.TB, ix, jx *Index, sig Signature, need int) {
+	t.Helper()
+	prefix := []Candidate{{-1, true}}
+	want := ix.AppendCandidates(slices.Clone(prefix), sig, need)
+	got := jx.Join(slices.Clone(prefix), sig, need)
+	if !slices.Equal(got, want) {
+		t.Fatalf("need %d: Join %v, AppendCandidates %v", need, got, want)
+	}
+	if id := ix.Add(sig); jx.Len() != id+1 {
+		t.Fatalf("Join left %d signatures, Add %d", jx.Len(), id+1)
+	}
+}
+
+// TestJoinMatchesProbeThenAdd runs the reference streams through Join at
+// both label thresholds.
+func TestJoinMatchesProbeThenAdd(t *testing.T) {
+	for _, shape := range []struct{ bands, rows, n int }{{16, 4, 3000}, {6, 3, 300}, {40, 1, 300}} {
+		sigs := skewedSignatures(rand.New(rand.NewSource(int64(shape.bands))), shape.n, shape.bands, shape.rows)
+		for _, th := range []float64{0.75, 0.85} {
+			need := MinAgree(shape.bands*shape.rows, th)
+			ix, jx := NewIndex(shape.bands, shape.rows), NewIndex(shape.bands, shape.rows)
+			for _, sig := range sigs {
+				checkJoin(t, ix, jx, sig, need)
+			}
+		}
+	}
 }
 
 // TestIndexWrongLengthSignature: a signature of the wrong length (a corrupt
@@ -575,13 +607,21 @@ func TestIndexWrongLengthSignature(t *testing.T) {
 	if id := ix.Add(full); id != 0 {
 		t.Fatalf("first id = %d", id)
 	}
+	jx := NewIndex(4, 2)
+	jx.Join(nil, full, 0)
 	for i, sig := range wrong {
 		if got := probe(sig); got != nil {
 			t.Fatalf("wrong-length probe %v has candidates %v", sig, got)
 		}
+		if got := jx.Join(nil, sig, 0); got != nil {
+			t.Fatalf("wrong-length join %v has candidates %v", sig, got)
+		}
 		if id := ix.Add(sig); id != i+1 {
 			t.Fatalf("Add(%v) = %d, want %d", sig, id, i+1)
 		}
+	}
+	if got := jx.Join(nil, full, 0); !slices.Equal(got, []Candidate{{0, true}}) || jx.Len() != len(wrong)+2 {
+		t.Fatalf("join after wrong-length joins: candidates %v, %d signatures", got, jx.Len())
 	}
 	if got := probe(full); !slices.Equal(got, []Candidate{{0, true}}) {
 		t.Fatalf("candidates = %v, want only the well-formed signature", got)
@@ -662,8 +702,11 @@ func TestIndexAllocs(t *testing.T) {
 	// AllocsPerRun reports the whole-number average, so growth of the
 	// tables, which doubles them a few times over these adds, rounds away.
 	i = n - 1 // the warm-up call adds one too
-	if got := testing.AllocsPerRun(n, func() { ix.Add(sigs[i]); i++ }); got != 0 {
+	if got := testing.AllocsPerRun(n/2, func() { ix.Add(sigs[i]); i++ }); got != 0 {
 		t.Errorf("Add allocates %v times per call beyond amortized growth, want 0", got)
+	}
+	if got := testing.AllocsPerRun(n/2-1, func() { buf = ix.Join(buf[:0], sigs[i], 48); i++ }); got != 0 {
+		t.Errorf("Join allocates %v times per call beyond amortized growth, want 0", got)
 	}
 }
 
@@ -677,9 +720,9 @@ func BenchmarkSignText(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexAddProbe is the label store's use of the index: probe,
-// confirm the viable candidates at the tweet threshold, then add, over 10k
-// campaign-skewed signatures. cands/probe counts the candidates the probe
+// BenchmarkIndexAddProbe is the label store's use of the index: probe and
+// add in one Join, then confirm the viable candidates at the tweet
+// threshold, over 10k campaign-skewed signatures. cands/probe counts the candidates the probe
 // walks, confirms/probe the AgreeAtLeast calls the sketch bound leaves.
 func BenchmarkIndexAddProbe(b *testing.B) {
 	sigs := skewedSignatures(rand.New(rand.NewSource(5)), 10_000, 16, 4)
@@ -691,7 +734,7 @@ func BenchmarkIndexAddProbe(b *testing.B) {
 		var buf []Candidate
 		cands, confirms := 0, 0
 		for _, sig := range sigs {
-			buf = ix.AppendCandidates(buf[:0], sig, need)
+			buf = ix.Join(buf[:0], sig, need)
 			cands += len(buf)
 			for _, c := range buf {
 				if c.Viable {
@@ -699,7 +742,6 @@ func BenchmarkIndexAddProbe(b *testing.B) {
 					_ = AgreeAtLeast(sig, ix.Signature(c.ID), need)
 				}
 			}
-			ix.Add(sig)
 		}
 		b.ReportMetric(float64(cands)/float64(len(sigs)), "cands/probe")
 		b.ReportMetric(float64(confirms)/float64(len(sigs)), "confirms/probe")

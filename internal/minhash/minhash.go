@@ -235,17 +235,21 @@ type bandKey [MaxRows]uint64
 // Index is an LSH banding index over signatures. Signatures whose bands
 // collide become candidate near-duplicates; AppendCandidates returns them,
 // each marked with whether its sketch leaves it able to agree in enough
-// words, and the caller confirms those with AgreeAtLeast.
+// words, and the caller confirms those with AgreeAtLeast. Join probes and
+// adds in one pass, for a caller that adds every signature it probes.
 //
-// Add may not run concurrently with any other method; any number of
-// AppendCandidates calls may run at once.
+// Add and Join may not run concurrently with any other method; any number
+// of AppendCandidates calls may run at once.
 type Index struct {
 	bands int
 	rows  int
-	// heads[b] maps a band-b key to the id added to that bucket last, and
-	// next[id*bands+b] is the id added to it before id, -1 when id was the
-	// first: each bucket is a chain of descending ids.
-	heads []map[bandKey]int32
+	// slots[b] maps a band-b key to its bucket's slot in heads, which holds
+	// the id added to that bucket last, and next[id*bands+b] is the id
+	// added to it before id, -1 when id was the first: each bucket is a
+	// chain of descending ids. Adding to a bucket that exists writes its
+	// slot, not the map.
+	slots []map[bandKey]int32
+	heads []int32
 	next  []int32
 	// sketch[id*sketchWords:][:sketchWords] is the b-bit sketch of id's
 	// signature (see sketchOf).
@@ -267,14 +271,14 @@ func NewIndex(bands, rows int) *Index {
 	if rows > MaxRows {
 		panic("minhash: NewIndex rows exceeds MaxRows")
 	}
-	heads := make([]map[bandKey]int32, bands)
-	for i := range heads {
-		heads[i] = make(map[bandKey]int32)
+	slots := make([]map[bandKey]int32, bands)
+	for i := range slots {
+		slots[i] = make(map[bandKey]int32)
 	}
 	return &Index{
 		bands:       bands,
 		rows:        rows,
-		heads:       heads,
+		slots:       slots,
 		sketchWords: (bands*rows + nibblesPerWord - 1) / nibblesPerWord,
 	}
 }
@@ -294,13 +298,25 @@ func (ix *Index) Add(sig Signature) int {
 		ix.next = append(ix.next, make([]int32, ix.bands)...)
 		return id
 	}
-	for b, heads := range ix.heads {
-		key := ix.key(sig, b)
-		ix.next = append(ix.next, ix.head(b, key))
-		heads[key] = int32(id)
+	for b := range ix.slots {
+		ix.next = append(ix.next, ix.push(b, ix.key(sig, b), int32(id)))
 	}
 	sketchOf(ix.sketch[n:], sig)
 	return id
+}
+
+// push makes id the newest member of the band-b bucket of key and returns
+// the member it displaces, -1 when the bucket was empty: one map lookup
+// for a bucket that exists, and one insertion for one that does not.
+func (ix *Index) push(b int, key bandKey, id int32) int32 {
+	if slot, ok := ix.slots[b][key]; ok {
+		prev := ix.heads[slot]
+		ix.heads[slot] = id
+		return prev
+	}
+	ix.slots[b][key] = int32(len(ix.heads))
+	ix.heads = append(ix.heads, id)
+	return -1
 }
 
 // nibblesPerWord is how many signature words one sketch word holds.
@@ -343,11 +359,13 @@ func (ix *Index) AppendCandidates(dst []Candidate, sig Signature, need int) []Ca
 		return dst
 	}
 	var headBuf [32]int32
-	cur := headBuf[:]
-	if ix.bands > len(headBuf) {
-		cur = make([]int32, ix.bands)
+	cur := ix.chainBuf(headBuf[:])
+	for b := range cur {
+		cur[b] = -1
+		if slot, ok := ix.slots[b][ix.key(sig, b)]; ok {
+			cur[b] = ix.heads[slot]
+		}
 	}
-	cur = cur[:ix.bands]
 	var skBuf [8]uint64
 	sk := skBuf[:]
 	if ix.sketchWords > len(skBuf) {
@@ -355,12 +373,44 @@ func (ix *Index) AppendCandidates(dst []Candidate, sig Signature, need int) []Ca
 	}
 	sk = sk[:ix.sketchWords]
 	sketchOf(sk, sig)
-	// A candidate is viable while its differing nibbles stay within misses.
-	misses := len(sig) - need
+	return ix.walk(dst, cur, sk, len(sig)-need)
+}
+
+// Join is AppendCandidates followed by Add, in one pass over the bands:
+// it adds sig, then walks from the bucket heads that adding it displaced,
+// which are the heads the probe would have read, so each band costs one
+// map lookup. It appends the same candidates AppendCandidates would have,
+// and the index ends as Add leaves it. Like Add, it may not run
+// concurrently with any other method, and beyond the amortized growth of
+// the index and of dst it allocates nothing, up to 32 bands.
+func (ix *Index) Join(dst []Candidate, sig Signature, need int) []Candidate {
+	id := ix.Add(sig)
+	if len(sig) != ix.bands*ix.rows {
+		return dst
+	}
+	var headBuf [32]int32
+	cur := ix.chainBuf(headBuf[:])
+	copy(cur, ix.next[id*ix.bands:])
+	sk := ix.sketch[id*ix.sketchWords:][:ix.sketchWords]
+	return ix.walk(dst, cur, sk, len(sig)-need)
+}
+
+// chainBuf returns buf cut to one entry per band, or a fresh slice when
+// buf is too short.
+func (ix *Index) chainBuf(buf []int32) []int32 {
+	if ix.bands > len(buf) {
+		return make([]int32, ix.bands)
+	}
+	return buf[:ix.bands]
+}
+
+// walk appends to dst every id on the chains that start at cur, one chain
+// per band, once and in ascending order, each marked Viable when its
+// sketch differs from sk in at most misses nibbles. cur is consumed.
+func (ix *Index) walk(dst []Candidate, cur []int32, sk []uint64, misses int) []Candidate {
 	top := int32(-1)
-	for b := range cur {
-		cur[b] = ix.head(b, ix.key(sig, b))
-		top = max(top, cur[b])
+	for _, id := range cur {
+		top = max(top, id)
 	}
 	start := len(dst)
 	// Walk the chains in step from the highest id down: each id comes
@@ -392,15 +442,6 @@ func nonZeroNibbles(x uint64) int {
 	x |= x >> 1
 	x |= x >> 2
 	return bits.OnesCount64(x & 0x1111111111111111)
-}
-
-// head returns the id added last to the band-b bucket of key, -1 when the
-// bucket is empty.
-func (ix *Index) head(b int, key bandKey) int32 {
-	if id, ok := ix.heads[b][key]; ok {
-		return id
-	}
-	return -1
 }
 
 // Signature returns the stored signature for id.

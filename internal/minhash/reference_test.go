@@ -44,6 +44,15 @@ func (ix *Index) Candidates(sig Signature) []int {
 	return out
 }
 
+// head returns the id added last to the band-b bucket of key, -1 when the
+// bucket is empty.
+func (ix *Index) head(b int, key bandKey) int32 {
+	if slot, ok := ix.slots[b][key]; ok {
+		return ix.heads[slot]
+	}
+	return -1
+}
+
 // chains fills cur, one entry per band, with the head of the chain that
 // sig's band selects, and returns it.
 func (ix *Index) chains(cur []int32, sig Signature) []int32 {

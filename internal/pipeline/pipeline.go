@@ -101,12 +101,26 @@ type Runner struct {
 	ins    *instruments
 	stages []*stageState
 	wg     sync.WaitGroup
+
+	// mu guards kick and drains. kick is closed while a Drain is on, so
+	// a stage that holds a partial batch flushes it at once instead of
+	// waiting out FlushInterval; drains counts the Drains in progress.
+	mu     sync.Mutex
+	kick   chan struct{}
+	drains int
 }
 
 // NewRunner creates a runner; queues and stages bind to its config.
 func NewRunner(cfg Config) *Runner {
 	cfg = cfg.withDefaults()
-	return &Runner{cfg: cfg, ins: newInstruments(cfg.Metrics)}
+	return &Runner{cfg: cfg, ins: newInstruments(cfg.Metrics), kick: make(chan struct{})}
+}
+
+// draining returns a channel that is closed while a Drain is on.
+func (r *Runner) draining() <-chan struct{} {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.kick
 }
 
 // Queue is a bounded FIFO of T with blocking push (backpressure) and
@@ -116,6 +130,7 @@ func NewRunner(cfg Config) *Runner {
 type Queue[T any] struct {
 	name string
 	ch   chan T
+	r    *Runner
 
 	mu     sync.Mutex
 	closed bool
@@ -131,11 +146,13 @@ type Queue[T any] struct {
 }
 
 // NewQueue creates a bounded queue named after the stage that consumes it,
-// sized by the runner's QueueCap.
+// sized by the runner's QueueCap. The consuming stage must be r's: a
+// partial batch waits out r's FlushInterval unless r is draining.
 func NewQueue[T any](r *Runner, name string) *Queue[T] {
 	return &Queue[T]{
 		name:         name,
 		ch:           make(chan T, r.cfg.QueueCap),
+		r:            r,
 		depth:        r.ins.depth.With(name, r.cfg.Shard, r.cfg.Source),
 		backpressure: r.ins.backpressure.With(name, r.cfg.Shard, r.cfg.Source),
 	}
@@ -185,8 +202,9 @@ func (q *Queue[T]) Pushed() uint64 {
 }
 
 // popBatch blocks for the first item (or end of stream), then collects up
-// to max items, waiting at most wait after the first item for stragglers.
-// It returns ok=false only when the queue is closed and fully drained.
+// to max items, waiting at most wait after the first item for stragglers,
+// and not at all while the queue's runner is draining. It returns
+// ok=false only when the queue is closed and fully drained.
 // The returned batch reuses the queue's buffer and is valid only until the
 // consumer's next popBatch call.
 func (q *Queue[T]) popBatch(max int, wait time.Duration) (batch []T, ok bool) {
@@ -200,6 +218,7 @@ func (q *Queue[T]) popBatch(max int, wait time.Duration) (batch []T, ok bool) {
 	batch = append(q.batchBuf[:0], v)
 	defer func() { q.batchBuf = batch }()
 	var deadline <-chan time.Time
+	var woken <-chan struct{}
 	for len(batch) < max {
 		select {
 		case v, open := <-q.ch:
@@ -215,6 +234,7 @@ func (q *Queue[T]) popBatch(max int, wait time.Duration) (batch []T, ok bool) {
 			}
 			if deadline == nil {
 				deadline = time.After(wait)
+				woken = q.r.draining()
 			}
 			select {
 			case v, open := <-q.ch:
@@ -226,6 +246,9 @@ func (q *Queue[T]) popBatch(max int, wait time.Duration) (batch []T, ok bool) {
 			case <-deadline:
 				q.depth.Set(float64(len(q.ch)))
 				return batch, true
+			case <-woken:
+				q.depth.Set(float64(len(q.ch)))
+				return batch, true
 			}
 		}
 	}
@@ -233,10 +256,15 @@ func (q *Queue[T]) popBatch(max int, wait time.Duration) (batch []T, ok bool) {
 	return batch, true
 }
 
-// stageState tracks one stage's completion for Drain.
+// stageState tracks one stage's completion for Drain, and holds its
+// flush instruments, resolved once when the stage is registered.
 type stageState struct {
-	name   string
+	span   string // the flush trace's and span's name
 	pushed func() uint64
+
+	batches   *metrics.Counter
+	items     *metrics.Counter
+	flushSecs *metrics.Histogram
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -263,28 +291,35 @@ func (s *stageState) drain() {
 }
 
 func newStage(r *Runner, name string, pushed func() uint64) *stageState {
-	s := &stageState{name: name, pushed: pushed}
+	s := &stageState{
+		span:      "pipeline_" + name,
+		pushed:    pushed,
+		batches:   r.ins.batches.With(name, r.cfg.Shard, r.cfg.Source),
+		items:     r.ins.items.With(name, r.cfg.Shard, r.cfg.Source),
+		flushSecs: r.ins.flushSecs.With(name, r.cfg.Shard, r.cfg.Source),
+	}
 	s.cond = sync.NewCond(&s.mu)
 	r.stages = append(r.stages, s)
 	return s
 }
 
-// flush wraps one micro-batch through the runner's instrumentation: batch
-// and item counters, flush-latency histogram, and a per-flush trace.
-func (r *Runner) flush(name string, n int, fn func(tr *trace.Trace)) {
+// flush wraps one micro-batch of stage s through the runner's
+// instrumentation: batch and item counters, flush-latency histogram, and a
+// per-flush trace.
+func (r *Runner) flush(s *stageState, n int, fn func()) {
 	start := time.Now()
-	tr := r.cfg.Tracer.Start("pipeline_" + name)
-	sp := tr.StartSpan("pipeline_" + name)
-	fn(tr)
+	tr := r.cfg.Tracer.Start(s.span)
+	sp := tr.StartSpan(s.span)
+	fn()
 	sp.End()
 	if tr != nil {
 		tr.SetAttr("batch", strconv.Itoa(n))
 		tr.SetAttr("source", r.cfg.Source)
 	}
 	tr.Finish()
-	r.ins.batches.With(name, r.cfg.Shard, r.cfg.Source).Inc()
-	r.ins.items.With(name, r.cfg.Shard, r.cfg.Source).Add(float64(n))
-	r.ins.flushSecs.With(name, r.cfg.Shard, r.cfg.Source).ObserveDuration(start)
+	s.batches.Inc()
+	s.items.Add(float64(n))
+	s.flushSecs.ObserveDuration(start)
 }
 
 // Through registers a stage that consumes in, applies fn per micro-batch,
@@ -302,7 +337,7 @@ func Through[In, Out any](r *Runner, name string, in *Queue[In], out *Queue[Out]
 				return
 			}
 			var outs []Out
-			r.flush(name, len(batch), func(*trace.Trace) {
+			r.flush(s, len(batch), func() {
 				outs = fn(batch)
 			})
 			for _, o := range outs {
@@ -327,7 +362,7 @@ func Sink[In any](r *Runner, name string, in *Queue[In], fn func(batch []In)) {
 			if !ok {
 				return
 			}
-			r.flush(name, len(batch), func(*trace.Trace) {
+			r.flush(s, len(batch), func() {
 				fn(batch)
 			})
 			s.done(len(batch))
@@ -347,11 +382,26 @@ func (r *Runner) Start() {
 }
 
 // Drain blocks until every item pushed so far has been fully processed by
-// every stage, in upstream-to-downstream order. The caller must guarantee
-// the external producer is quiescent for the duration (the sniffer drains
-// between RunHours calls); Drain does not close anything, so streaming can
-// resume afterwards.
+// every stage, in upstream-to-downstream order. While it runs no stage
+// waits for stragglers: a partial batch flushes at once. The caller must
+// guarantee the external producer is quiescent for the duration (the
+// sniffer drains between RunHours calls); Drain does not close anything,
+// so streaming can resume afterwards.
 func (r *Runner) Drain() {
+	r.mu.Lock()
+	if r.drains == 0 {
+		close(r.kick)
+	}
+	r.drains++
+	r.mu.Unlock()
+	defer func() {
+		r.mu.Lock()
+		r.drains--
+		if r.drains == 0 {
+			r.kick = make(chan struct{})
+		}
+		r.mu.Unlock()
+	}()
 	for _, s := range r.stages {
 		s.drain()
 	}

@@ -167,6 +167,56 @@ func TestFlushByInterval(t *testing.T) {
 	r.Wait()
 }
 
+// TestDrainFlushesPartialBatches: at an hour's flush interval every stage
+// would hold its partial batch for an hour, so a Drain that returns shows
+// it flushed them at once. Two Drains run at a time the second time, and
+// a partial batch between them waits for its interval again.
+func TestDrainFlushesPartialBatches(t *testing.T) {
+	qIn, r, mu, got := chain(t, Config{FlushSize: 64, FlushInterval: time.Hour})
+	drain := func(n, drains int) {
+		t.Helper()
+		done := make(chan struct{}, drains)
+		for i := 0; i < drains; i++ {
+			go func() {
+				r.Drain()
+				done <- struct{}{}
+			}()
+		}
+		timeout := time.After(10 * time.Second)
+		for i := 0; i < drains; i++ {
+			select {
+			case <-done:
+			case <-timeout:
+				t.Fatalf("Drain waited on a partial batch's flush interval")
+			}
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if len(*got) != n {
+			t.Fatalf("sink saw %d items after Drain, want %d", len(*got), n)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if err := qIn.Push(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain(3, 1)
+	if err := qIn.Push(3); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	mu.Lock()
+	early := len(*got)
+	mu.Unlock()
+	if early != 3 {
+		t.Fatalf("a partial batch flushed before its interval with no drain on: sink saw %d items", early)
+	}
+	drain(4, 2)
+	qIn.Close()
+	r.Wait()
+}
+
 // TestDrainWaitsForInFlight pushes through a deliberately slow stage and
 // checks Drain does not return until the sink has seen every item.
 func TestDrainWaitsForInFlight(t *testing.T) {

@@ -103,27 +103,11 @@ func NewFanout(cfg FanoutConfig) *Fanout {
 	qLabel := pipeline.NewQueue[Item](coord, "label")
 	qDetect := pipeline.NewQueue[Item](coord, "detect")
 
-	// merge: reorder by ingest sequence. pending holds out-of-order
-	// arrivals; next is the sequence number the stream is waiting on.
-	// Only this stage goroutine touches either.
-	pending := make(map[uint64]Item)
-	next := uint64(1)
+	// merge: reorder by ingest sequence. Only this stage goroutine
+	// touches the reorder.
+	ro := &reorder{next: 1}
 	pipeline.Through(coord, "merge", f.merge, qLabel, func(batch []Item) []Item {
-		ready := make([]Item, 0, len(batch))
-		for _, it := range batch {
-			pending[it.Seq] = it
-		}
-		for {
-			it, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			cfg.Complete(&it)
-			ready = append(ready, it)
-		}
-		return ready
+		return ro.release(batch, cfg.Complete)
 	})
 	pipeline.Through(coord, "label", qLabel, qDetect, func(items []Item) []Item {
 		cfg.Label(items)
@@ -188,6 +172,43 @@ func NewFanout(cfg FanoutConfig) *Fanout {
 	return f
 }
 
+// reorder restores ingest order at the merge stage. next is the sequence
+// number the stream is waiting on, and window[i] holds the arrival with
+// sequence number next+i, or the zero Item while it is still out: Ingest
+// numbers from 1, so Seq 0 marks a gap. ready is release's output. Once
+// grown, neither allocates per capture.
+type reorder struct {
+	next   uint64
+	window []Item
+	ready  []Item
+}
+
+// release files batch's items by sequence number and returns the run the
+// stream was waiting on, in order, each passed to complete in place. The
+// returned slice is valid until the next call: the merge stage pushes
+// every item of it downstream before it calls release again.
+func (r *reorder) release(batch []Item, complete func(*Item)) []Item {
+	for _, it := range batch {
+		off := int(it.Seq - r.next)
+		for len(r.window) <= off {
+			r.window = append(r.window, Item{})
+		}
+		r.window[off] = it
+	}
+	n := 0
+	for n < len(r.window) && r.window[n].Seq != 0 {
+		n++
+	}
+	r.ready = append(r.ready[:0], r.window[:n]...)
+	clear(r.window[copy(r.window, r.window[n:]):])
+	r.window = r.window[:len(r.window)-n]
+	r.next += uint64(n)
+	for i := range r.ready {
+		complete(&r.ready[i])
+	}
+	return r.ready
+}
+
 // Ingest routes one freshly matched capture to its owning shard. It must
 // be called from a single goroutine (the engine's); the assigned sequence
 // numbers define the canonical merge order. Routing keys on the receiver
@@ -229,8 +250,8 @@ func (f *Fanout) ShardHealth() []metrics.ShardHealth {
 
 // Drain blocks until every capture ingested so far has fully cleared the
 // topology: shard runners first (so all merge pushes happened), then the
-// coordinator. After Drain, the merge stage's pending map is empty — the
-// reorder can only hold gaps while some earlier capture is still inside a
+// coordinator. After Drain, the merge stage's reorder window is empty —
+// it can only hold gaps while some earlier capture is still inside a
 // shard runner. It returns Err: a failed worker batch was extracted
 // in-process, so the drain itself always completes.
 func (f *Fanout) Drain() error {

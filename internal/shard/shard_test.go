@@ -3,6 +3,7 @@ package shard
 import (
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -136,6 +137,73 @@ func TestFanoutPreservesStreamOrder(t *testing.T) {
 	}
 	if labeled != ingested {
 		t.Fatalf("labeled %d of %d captures", labeled, ingested)
+	}
+}
+
+// TestReorderReleasesInStreamOrder feeds the merge stage's reorder
+// batches with gaps, out of order and across batch boundaries: each call
+// must release exactly the run the stream is waiting on, in order, and
+// complete each item once.
+func TestReorderReleasesInStreamOrder(t *testing.T) {
+	ro := &reorder{next: 1}
+	var completed []uint64
+	complete := func(it *Item) { completed = append(completed, it.Seq) }
+	release := func(seqs ...uint64) []uint64 {
+		batch := make([]Item, len(seqs))
+		for i, s := range seqs {
+			batch[i] = Item{Seq: s}
+		}
+		var out []uint64
+		for _, it := range ro.release(batch, complete) {
+			out = append(out, it.Seq)
+		}
+		return out
+	}
+	for _, step := range []struct{ in, out []uint64 }{
+		{[]uint64{3, 2}, nil},
+		{[]uint64{5}, nil},
+		{[]uint64{1, 7}, []uint64{1, 2, 3}},
+		{[]uint64{4, 6}, []uint64{4, 5, 6, 7}},
+		{[]uint64{8, 9}, []uint64{8, 9}},
+	} {
+		if got := release(step.in...); !slices.Equal(got, step.out) {
+			t.Fatalf("release %v = %v, want %v", step.in, got, step.out)
+		}
+	}
+	if want := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9}; !slices.Equal(completed, want) {
+		t.Fatalf("completed %v, want %v", completed, want)
+	}
+	if len(ro.window) != 0 {
+		t.Fatalf("window holds %d slots after the stream caught up", len(ro.window))
+	}
+}
+
+// TestReorderAllocs: once its buffers have grown, the reorder allocates
+// nothing for items that arrive in order, nor for a batch that arrives
+// reversed.
+func TestReorderAllocs(t *testing.T) {
+	ro := &reorder{next: 1}
+	batch := make([]Item, 64)
+	complete := func(*Item) {}
+	fill := func(reversed bool) {
+		for i := range batch {
+			batch[i] = Item{Seq: ro.next + uint64(i)}
+		}
+		if reversed {
+			slices.Reverse(batch)
+		}
+	}
+	fill(true)
+	ro.release(batch, complete) // grows the window and the output
+	for _, reversed := range []bool{false, true} {
+		if got := testing.AllocsPerRun(100, func() {
+			fill(reversed)
+			if out := ro.release(batch, complete); len(out) != len(batch) {
+				t.Fatalf("released %d of %d", len(out), len(batch))
+			}
+		}); got != 0 {
+			t.Errorf("reversed=%v: a batch allocates %v times, want 0", reversed, got)
+		}
 	}
 }
 

@@ -26,6 +26,7 @@ var testSeams = map[string]string{
 	"core.Monitor.AccrueHours":       "the static-deployment ablation benchmark holds one node set for a whole run",
 	"core.OnlineDetector.WindowSize": "the root recovery tests compare a recovered window with an uninterrupted one",
 	"metrics.Histogram.Count":        "tests in several packages reconcile observation counts against a private registry",
+	"minhash.Index.AppendCandidates": "the read-only probe that may run concurrently: the tests hold Join, which the labeler calls, to it",
 	"simclock.Simulated.Advance":     "tests step a simulated clock by a duration; production sets instants",
 	"twitterapi.Client.SetMetrics":   "isolated-registry hook: tests keep a client's series off metrics.Default()",
 	"twitterapi.WithMetrics":         "isolated-registry hook: tests keep a server's series off metrics.Default()",
