@@ -1,7 +1,6 @@
 package core
 
 import (
-	"maps"
 	"math/rand"
 	"testing"
 	"time"
@@ -63,20 +62,22 @@ func BenchmarkDetectorClassify(b *testing.B) {
 	}
 }
 
-// BenchmarkRotate times one hourly node rotation (paper §III-D) of the
-// 123-selector StandardSpecs(4) plan over the 20k-account world bench/
-// runs: one op is one rotation, so ns/op and allocs/op read as ns/rotation
-// and allocs/rotation. "cold" is hour 0 — nobody is Active yet, so every
-// group takes the dormant fallback and the sparse ones the reuse fallback
-// (≈ 2 scans per group); "warm" is hour 3 of a monitored run, with active
-// candidates and the exclusion set three rotations have filled.
+// BenchmarkRotate times one hourly node rotation (paper §III-D) over the
+// 20k-account world bench/ runs: one op is one rotation, so ns/op and
+// allocs/op read as ns/rotation and allocs/rotation. "cold" and "warm"
+// rotate the 123-selector StandardSpecs(4) plan: "cold" is hour 0 —
+// nobody is Active yet, so every group takes the dormant fallback and the
+// sparse ones the reuse fallback (≈ 2 screens per group); "warm" is hour 3
+// of a monitored run, with active candidates and the exclusion set three
+// rotations have filled. "dense" is hour 3 of the dense rows' plan, one
+// RandomSpec(2000) group.
 func BenchmarkRotate(b *testing.B) {
 	cfg := socialnet.DefaultConfig()
 	cfg.NumAccounts = 20000
 	cfg.OrganicTweetsPerHour = 4000
-	newMonitor := func(w *socialnet.World) *Monitor {
+	newMonitor := func(w *socialnet.World, specs []SelectorSpec) *Monitor {
 		return NewMonitor(
-			MonitorConfig{Specs: StandardSpecs(4), ActiveOnly: true, Seed: 1},
+			MonitorConfig{Specs: specs, ActiveOnly: true, Seed: 1},
 			&LocalScreener{World: w, Rng: rand.New(rand.NewSource(2))})
 	}
 	// rotate runs b.N rotations from the same monitor state. Each gets its
@@ -84,15 +85,29 @@ func BenchmarkRotate(b *testing.B) {
 	// unchanged world would be served by the previous iteration's
 	// screening index and hide the cost of building it.
 	rotate := func(b *testing.B, m *Monitor, now time.Time) {
-		used := m.used
+		used := m.used.AppendIDs(nil)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			m.used = maps.Clone(used)
+			m.used = socialnet.AccountSet{}
+			for _, id := range used {
+				m.used.Add(id)
+			}
 			b.StartTimer()
 			m.Rotate(now.Add(time.Duration(i)), time.Hour)
 		}
+	}
+	warm := func(b *testing.B, specs []SelectorSpec) {
+		w, err := socialnet.NewWorld(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e := socialnet.NewEngine(w)
+		m := newMonitor(w, specs)
+		defer Attach(m, e)()
+		e.RunHours(3)
+		rotate(b, m, e.Now())
 	}
 
 	b.Run("cold", func(b *testing.B) {
@@ -100,19 +115,10 @@ func BenchmarkRotate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rotate(b, newMonitor(w), socialnet.NewEngine(w).Now())
+		rotate(b, newMonitor(w, StandardSpecs(4)), socialnet.NewEngine(w).Now())
 	})
-	b.Run("warm", func(b *testing.B) {
-		w, err := socialnet.NewWorld(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e := socialnet.NewEngine(w)
-		m := newMonitor(w)
-		defer Attach(m, e)()
-		e.RunHours(3)
-		rotate(b, m, e.Now())
-	})
+	b.Run("warm", func(b *testing.B) { warm(b, StandardSpecs(4)) })
+	b.Run("dense", func(b *testing.B) { warm(b, RandomSpec(2000)) })
 }
 
 // benchStreamMonitor builds a monitor with a realistic node set and a

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/label"
+	"github.com/pseudo-honeypot/pseudohoneypot/internal/metrics"
 	"github.com/pseudo-honeypot/pseudohoneypot/internal/socialnet"
 )
 
@@ -154,6 +155,54 @@ func TestMonitorRotationFallsBackWhenExhausted(t *testing.T) {
 		if len(m.nodes) < 90 {
 			t.Fatalf("rotation %d selected only %d nodes", i, len(m.nodes))
 		}
+	}
+}
+
+// countingScreener counts the screens that returned accounts.
+type countingScreener struct {
+	Screener
+	hits int
+}
+
+func (c *countingScreener) Screen(q socialnet.ScreenQuery, now time.Time) []*socialnet.Account {
+	out := c.Screener.Screen(q, now)
+	if len(out) > 0 {
+		c.hits++
+	}
+	return out
+}
+
+// TestRotateAllocs holds a warm rotation of the paper's plan to one
+// allocation per screen that finds accounts — its result slice — plus a
+// few per rotation: the node map, its group lists, the rotation's picks,
+// the exclusion set and the screening index's views are all reused.
+func TestRotateAllocs(t *testing.T) {
+	w := testWorld(t)
+	e := socialnet.NewEngine(w)
+	scr := &countingScreener{Screener: &LocalScreener{World: w, Rng: rand.New(rand.NewSource(2))}}
+	m := NewMonitor(MonitorConfig{
+		Specs: StandardSpecs(1), ActiveOnly: true, Seed: 1, Metrics: metrics.NewRegistry(),
+	}, scr)
+	defer Attach(m, e)()
+	e.RunHours(3)
+	now := e.Now()
+	const runs = 20
+	i := 0
+	hits := scr.hits
+	allocs := testing.AllocsPerRun(runs, func() {
+		// A new instant per rotation, as every hour has, so each one
+		// rebuilds the screening index.
+		i++
+		m.Rotate(now.Add(time.Duration(i)), time.Hour)
+	})
+	// AllocsPerRun rotates once more to warm up.
+	results := float64(scr.hits-hits) / (runs + 1)
+	if len(m.nodes) < len(m.groups) {
+		t.Fatalf("rotation selected %d nodes for %d groups", len(m.nodes), len(m.groups))
+	}
+	if extra := allocs - results; extra > 4 {
+		t.Fatalf("a warm rotation allocates %.1f times for %.1f screen results: %.1f more, want ≤ 4",
+			allocs, results, extra)
 	}
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -149,9 +151,13 @@ type Monitor struct {
 
 	groups []*GroupStats
 	// nodes maps a currently-selected account to the groups it serves.
-	nodes map[socialnet.AccountID][]int
+	// Rotate reuses the map, and each group list is a window of
+	// nodeGroups, built from the rotation's picks; all three are reused.
+	nodes      map[socialnet.AccountID][]int
+	nodeGroups []int
+	picks      []nodePick
 	// used records accounts selected in any rotation (exclusion set).
-	used map[socialnet.AccountID]struct{}
+	used socialnet.AccountSet
 
 	extractor *features.Extractor
 	store     *CaptureStore
@@ -180,7 +186,6 @@ func NewMonitor(cfg MonitorConfig, screener Screener) *Monitor {
 		screener:  screener,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		nodes:     make(map[socialnet.AccountID][]int),
-		used:      make(map[socialnet.AccountID]struct{}),
 		extractor: features.NewExtractor(),
 	}
 	for _, spec := range cfg.Specs {
@@ -241,7 +246,7 @@ func (m *Monitor) Rotate(now time.Time, period time.Duration) {
 	start := time.Now()
 	tr := m.tracer.Start("rotate")
 	sp := tr.StartSpan("rotate")
-	m.nodes = make(map[socialnet.AccountID][]int)
+	picks := m.picks[:0]
 	rotCounts := make([]int, len(m.groups))
 	maxRatio := m.cfg.MaxRatio
 	if maxRatio == 0 {
@@ -258,7 +263,7 @@ func (m *Monitor) Rotate(now time.Time, period time.Duration) {
 			q.MaxFriendFollowerRatio = maxRatio
 		}
 		if !m.cfg.ReuseNodes {
-			q.Exclude = m.used
+			q.Exclude = &m.used
 		}
 		accounts := m.screener.Screen(q, now)
 		if m.cfg.ActiveOnly && len(accounts) < g.Spec.Nodes {
@@ -273,14 +278,15 @@ func (m *Monitor) Rotate(now time.Time, period time.Duration) {
 			accounts = m.screener.Screen(q, now)
 		}
 		for _, a := range accounts {
-			m.nodes[a.ID] = append(m.nodes[a.ID], gi)
-			m.used[a.ID] = struct{}{}
+			picks = append(picks, nodePick{a.ID, gi})
+			m.used.Add(a.ID)
 		}
 		g.NodeHours += float64(len(accounts)) * period.Hours()
 		rotCounts[gi] = len(accounts)
 		m.ins.groupNodeHours[gi].Add(float64(len(accounts)) * period.Hours())
 		m.ins.updateGroup(gi, g)
 	}
+	m.setNodes(picks)
 	m.lastRotation = rotCounts
 	m.rotations++
 	m.ins.rotations.Inc()
@@ -292,6 +298,35 @@ func (m *Monitor) Rotate(now time.Time, period time.Duration) {
 		tr.SetAttr("nodes", strconv.Itoa(len(m.nodes)))
 	}
 	tr.Finish()
+}
+
+// nodePick is one account a rotation selected for one group.
+type nodePick struct {
+	id socialnet.AccountID
+	gi int
+}
+
+// setNodes replaces the node set with the rotation's picks. Sorted by
+// (id, group), each account's groups are one run, in the ascending group
+// order the picks were made in; the run becomes its group list.
+func (m *Monitor) setNodes(picks []nodePick) {
+	slices.SortFunc(picks, func(a, b nodePick) int {
+		if c := cmp.Compare(a.id, b.id); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.gi, b.gi)
+	})
+	clear(m.nodes)
+	groups := slices.Grow(m.nodeGroups[:0], len(picks))
+	for i := 0; i < len(picks); {
+		start := len(groups)
+		id := picks[i].id
+		for ; i < len(picks) && picks[i].id == id; i++ {
+			groups = append(groups, picks[i].gi)
+		}
+		m.nodes[id] = groups[start:len(groups):len(groups)]
+	}
+	m.nodeGroups, m.picks = groups, picks
 }
 
 // AccrueHours extends the current node set's monitored time without

@@ -193,13 +193,13 @@ func TestScreenExcludes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	q := ScreenQuery{Selector: Selector{Attr: AttrRandom}, Count: 50}
 	first := w.Screen(q, simclock.Epoch, rng)
-	q.Exclude = make(map[AccountID]struct{}, len(first))
+	q.Exclude = &AccountSet{}
 	for _, a := range first {
-		q.Exclude[a.ID] = struct{}{}
+		q.Exclude.Add(a.ID)
 	}
 	second := w.Screen(q, simclock.Epoch, rng)
 	for _, b := range second {
-		if _, bad := q.Exclude[b.ID]; bad {
+		if q.Exclude.Has(b.ID) {
 			t.Fatalf("excluded account %d reselected", b.ID)
 		}
 	}

@@ -337,7 +337,7 @@ func (e *Engine) fire(now time.Time, ev event) {
 			return
 		}
 		ev.wch.fired = true
-		e.fireSpamMention(ev.wch, e.world.byID[ev.a.ID], now)
+		e.fireSpamMention(ev.wch, e.world.Account(ev.a.ID), now)
 	}
 }
 
@@ -383,7 +383,7 @@ func (e *Engine) composeOrganic(author *Account, now time.Time) *Tweet {
 	case r < 0.12:
 		if src := e.sampleRecent(); src != nil {
 			kind = KindRetweet
-			srcAuthor := e.world.byID[src.AuthorID]
+			srcAuthor := e.world.Account(src.AuthorID)
 			if srcAuthor != nil {
 				text = "RT @" + srcAuthor.ScreenName + ": " + src.Text
 				mentions = append(mentions, src.AuthorID)
@@ -587,13 +587,13 @@ func (e *Engine) emit(t *Tweet) {
 		t.CampaignID = NoCampaign
 	}
 
-	author := e.world.byID[t.AuthorID]
+	author := e.world.Account(t.AuthorID)
 	if author != nil {
 		author.StatusesCount++
 		author.lastPostAt = t.CreatedAt
 	}
 	for _, m := range t.Mentions {
-		if target := e.world.byID[m]; target != nil {
+		if target := e.world.Account(m); target != nil {
 			target.recentMentions++
 		}
 		e.stats.MentionTweets++
@@ -628,7 +628,7 @@ func (e *Engine) sampleUpPoster() *Account {
 	if n == 0 {
 		return nil
 	}
-	a := e.world.byID[e.upPosters[e.rng.Intn(n)]]
+	a := e.world.Account(e.upPosters[e.rng.Intn(n)])
 	if a == nil || a.Suspended {
 		return nil
 	}

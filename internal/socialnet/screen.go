@@ -29,9 +29,9 @@ type ScreenQuery struct {
 	ActiveOnly   bool
 	ActiveWindow time.Duration
 
-	// Exclude lists accounts that must not be selected (e.g. nodes
-	// already used in a previous rotation).
-	Exclude map[AccountID]struct{}
+	// Exclude holds accounts that must not be selected (e.g. nodes
+	// already used in a previous rotation). Nil excludes no one.
+	Exclude *AccountSet
 
 	// MaxFriendFollowerRatio drops candidates whose friend/follower
 	// ratio exceeds the bound — basic selection hygiene against
@@ -45,7 +45,7 @@ type ScreenQuery struct {
 // returned accounts are shared pointers into the world (profiles mutate as
 // the engine runs, as live API lookups would).
 //
-// Screen scans the world's columnar screening index (DESIGN.md "Screening
+// Screen reads the world's columnar screening index (DESIGN.md "Screening
 // index"), which it rebuilds when now or the world changed since the last
 // call. It therefore writes cached state: like every other World method it
 // must run on the goroutine that drives the world's Engine.
@@ -57,38 +57,21 @@ func (w *World) Screen(q ScreenQuery, now time.Time, rng *rand.Rand) []*Account 
 	if tol <= 0 {
 		tol = DefaultTolerance
 	}
-	window := q.ActiveWindow
-	if window <= 0 {
-		window = 24 * time.Hour
-	}
 	ix := &w.screen
 	ix.refresh(w, now)
 
-	// The selector's own test runs first, alone, over its one contiguous
-	// column: it is the most selective predicate. All predicates are
-	// pure, so their order does not change the match set.
-	cand := ix.candidates(w, q.Selector, tol)
-
-	var ratio []float64
-	if q.MaxFriendFollowerRatio > 0 {
-		ratio = ix.cols[AttrFriendFollowerRatio]
-	}
+	// The predicates that do not depend on the selector leave ≈ 1 account
+	// in 8 of a warm world, and a rotation asks for only a few
+	// combinations of them: the selector's test runs over that view's
+	// positions alone. All predicates are pure and the view keeps
+	// w.accounts order, so the match set and its order are the full
+	// scan's.
+	cand := ix.candidates(w, ix.view(q), q.Selector, tol)
 	matches := cand[:0]
 	for _, i := range cand {
-		f := ix.flags[i]
-		if f&flagSuspended != 0 {
-			continue
+		if !q.Exclude.Has(ix.ids[i]) {
+			matches = append(matches, i)
 		}
-		if q.ActiveOnly && (f&flagEngaged == 0 || ix.idle[i] > window) {
-			continue
-		}
-		if ratio != nil && ratio[i] > q.MaxFriendFollowerRatio {
-			continue
-		}
-		if _, excluded := q.Exclude[ix.ids[i]]; excluded {
-			continue
-		}
-		matches = append(matches, i)
 	}
 	if len(matches) == 0 {
 		return nil
@@ -109,34 +92,36 @@ func (w *World) Screen(q ScreenQuery, now time.Time, rng *rand.Rand) []*Account 
 	return out
 }
 
-// candidates returns, in w.accounts order, the indices of the accounts the
-// selector matches (Selector.Matches, decided on the columns). The result
-// lives in ix.scratch until the next call.
-func (ix *screenIndex) candidates(w *World, sel Selector, tol float64) []int32 {
+// candidates returns, in w.accounts order, the positions of view whose
+// accounts the selector matches (Selector.Matches, decided on the
+// columns). The result lives in ix.scratch until the next call.
+func (ix *screenIndex) candidates(w *World, view []int32, sel Selector, tol float64) []int32 {
 	cand := ix.scratch[:0]
 	switch {
 	case sel.Attr == AttrHashtag:
-		for i, c := range ix.category {
-			if c == sel.Category {
-				cand = append(cand, int32(i))
+		for _, i := range view {
+			if ix.category[i] == sel.Category {
+				cand = append(cand, i)
 			}
 		}
 	case sel.Attr == AttrTrend:
-		for i, s := range ix.trend {
-			if s == sel.Trend {
-				cand = append(cand, int32(i))
+		for _, i := range view {
+			if ix.trend[i] == sel.Trend {
+				cand = append(cand, i)
 			}
 		}
 	case sel.Attr.Numeric():
-		// The hot loop: ≈ 110 of a rotation's ≈ 150 queries × every
-		// account. Band hits are unpredictable, so the index is stored
-		// unconditionally and kept by advancing k with the comparison's
-		// 0/1 — no branch to mispredict (3× faster than if+append).
+		// The hot loop: ≈ 110 of a rotation's ≈ 150 queries. Band hits
+		// are unpredictable, so the position is stored unconditionally
+		// and kept by advancing k with the comparison's 0/1 — no branch
+		// to mispredict (3× faster than if+append).
 		lo, hi := sel.Value*(1-tol), sel.Value*(1+tol)
-		cand = cand[:ix.n]
+		col := ix.column(w, sel.Attr)
+		cand = cand[:len(view)]
 		k := 0
-		for i, v := range ix.column(w, sel.Attr) {
-			cand[k] = int32(i)
+		for _, i := range view {
+			v := col[i]
+			cand[k] = i
 			k += b2i(v >= lo) & b2i(v <= hi)
 		}
 		cand = cand[:k]
@@ -150,9 +135,7 @@ func (ix *screenIndex) candidates(w *World, sel Selector, tol float64) []int32 {
 				break
 			}
 		}
-		for i := range ix.flags {
-			cand = append(cand, int32(i))
-		}
+		cand = append(cand, view...)
 	}
 	return cand
 }
@@ -202,9 +185,74 @@ type screenIndex struct {
 	cols    [AttrStatusesPerDay + 1][]float64
 	numeric bool
 
-	// scratch holds a scan's candidate indices into w.accounts; its
-	// capacity is the population, so a scan never grows it.
+	// views holds the eligible positions of the (ActiveOnly, window,
+	// ratio bound) combinations queried since the last rebuild; nviews
+	// counts the views built since then, so the first min(nviews,
+	// maxViews) are current. Their buffers outlive rebuilds.
+	views  [maxViews]screenView
+	nviews int
+
+	// scratch holds a query's candidate positions in w.accounts; its
+	// capacity is the population, so a query never grows it.
 	scratch []int32
+}
+
+// maxViews bounds the views kept per index key. A rotation asks for
+// four: ActiveOnly and its dormant fallback, each with the ratio bound
+// and without it (ratio selectors). A fifth combination replaces the
+// oldest.
+const maxViews = 4
+
+// screenView lists, ascending, the positions of the accounts that pass
+// the query-independent predicates under one combination of their
+// parameters: not suspended; under active, engaged and idle ≤ window;
+// under bound > 0, friend/follower ratio ≤ bound. window is 0 unless
+// active, and bound is 0 when the query sets none, so equal combinations
+// have equal keys.
+type screenView struct {
+	active bool
+	window time.Duration
+	bound  float64
+	pos    []int32
+}
+
+// view returns the positions eligible for q, building them on the first
+// query of their combination since the last rebuild.
+func (ix *screenIndex) view(q ScreenQuery) []int32 {
+	var window time.Duration
+	if q.ActiveOnly {
+		window = q.ActiveWindow
+		if window <= 0 {
+			window = 24 * time.Hour
+		}
+	}
+	var bound float64
+	if q.MaxFriendFollowerRatio > 0 {
+		bound = q.MaxFriendFollowerRatio
+	}
+	for k := range ix.views[:min(ix.nviews, maxViews)] {
+		v := &ix.views[k]
+		if v.active == q.ActiveOnly && v.window == window && v.bound == bound {
+			return v.pos
+		}
+	}
+	// The next slot round-robin: a free one, or the oldest view's.
+	v := &ix.views[ix.nviews%maxViews]
+	ix.nviews++
+	v.active, v.window, v.bound = q.ActiveOnly, window, bound
+	ratio := ix.cols[AttrFriendFollowerRatio]
+	pos := v.pos[:0]
+	for i, f := range ix.flags {
+		switch {
+		case f&flagSuspended != 0:
+		case q.ActiveOnly && (f&flagEngaged == 0 || ix.idle[i] > window):
+		case bound > 0 && ratio[i] > bound:
+		default:
+			pos = append(pos, int32(i))
+		}
+	}
+	v.pos = pos
+	return pos
 }
 
 // refresh rebuilds the always-present columns unless the index still
@@ -217,6 +265,7 @@ func (ix *screenIndex) refresh(w *World, now time.Time) {
 	n := len(w.accounts)
 	ix.now, ix.n, ix.gen = now, n, w.generation
 	ix.numeric = false
+	ix.nviews = 0
 	ix.scratch = slices.Grow(ix.scratch[:0], n)
 	ix.ids = resize(ix.ids, n)
 	ix.flags = resize(ix.flags, n)

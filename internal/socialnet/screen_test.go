@@ -2,7 +2,9 @@ package socialnet
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -31,7 +33,7 @@ func referenceScreen(w *World, q ScreenQuery, now time.Time, rng *rand.Rand) []*
 		if a.Suspended {
 			continue
 		}
-		if _, excluded := q.Exclude[a.ID]; excluded {
+		if q.Exclude.Has(a.ID) {
 			continue
 		}
 		if q.ActiveOnly && !a.Active(now, window) {
@@ -110,7 +112,7 @@ func (c *screenChecker) check(where string, q ScreenQuery, now time.Time) []*Acc
 
 // describeQuery drops the exclusion set's contents from failure messages.
 func describeQuery(q ScreenQuery) string {
-	ex := len(q.Exclude)
+	ex := len(q.Exclude.AppendIDs(nil))
 	q.Exclude = nil
 	return fmt.Sprintf("%+v exclude=%d", q, ex)
 }
@@ -148,13 +150,13 @@ func (c *screenChecker) randomQuery(now time.Time) ScreenQuery {
 	switch rng.Intn(4) {
 	case 0: // nil
 	case 1:
-		q.Exclude = map[AccountID]struct{}{}
+		q.Exclude = &AccountSet{}
 	default:
-		q.Exclude = make(map[AccountID]struct{})
+		q.Exclude = &AccountSet{}
 		share := rng.Float64() * 0.7
 		for _, a := range c.w.accounts {
 			if rng.Float64() < share {
-				q.Exclude[a.ID] = struct{}{}
+				q.Exclude.Add(a.ID)
 			}
 		}
 	}
@@ -188,9 +190,36 @@ func (c *screenChecker) checkColumns(where string, now time.Time) {
 	}
 }
 
+// alternate screens at one instant under more (ActiveOnly, window, ratio
+// bound) combinations than the index keeps views for, each twice in a row
+// and the whole cycle twice, so views are both reused and rebuilt. Some
+// combinations differ only in a parameter their view ignores (a window
+// without ActiveOnly, the default window spelled out).
+func (c *screenChecker) alternate(where string, now time.Time) {
+	c.t.Helper()
+	combos := []struct {
+		active bool
+		window time.Duration
+		bound  float64
+	}{
+		{true, 0, 10}, {false, 0, 10}, {true, 0, 0}, {false, 0, -1},
+		{true, 2 * time.Hour, 10}, {false, time.Hour, 2}, {true, 24 * time.Hour, 10},
+		{false, 0, 10}, {true, 20 * time.Minute, 0.5},
+	}
+	for round := 0; round < 2; round++ {
+		for _, cb := range combos {
+			for rep := 0; rep < 2; rep++ {
+				q := c.randomQuery(now)
+				q.ActiveOnly, q.ActiveWindow, q.MaxFriendFollowerRatio = cb.active, cb.window, cb.bound
+				c.check(where, q, now)
+			}
+		}
+	}
+}
+
 // rotate screens like core.Monitor.Rotate does: a plan of selectors with
 // ActiveOnly, the ratio bound and the monitor's growing exclusion set.
-func (c *screenChecker) rotate(where string, used map[AccountID]struct{}, now time.Time) {
+func (c *screenChecker) rotate(where string, used *AccountSet, now time.Time) {
 	c.t.Helper()
 	for i := 0; i < 8; i++ {
 		q := c.randomQuery(now)
@@ -205,7 +234,7 @@ func (c *screenChecker) rotate(where string, used map[AccountID]struct{}, now ti
 			nodes = c.check(where+" (dormant fallback)", q, now)
 		}
 		for _, a := range nodes {
-			used[a.ID] = struct{}{}
+			used.Add(a.ID)
 		}
 	}
 }
@@ -230,11 +259,12 @@ func TestScreenMatchesReferenceScan(t *testing.T) {
 		c := newScreenChecker(t, w, seed)
 
 		c.burst("cold world", simclock.Epoch, 60)
+		c.alternate("cold world, alternating views", simclock.Epoch)
 
 		// Two monitors share the world and rotate in the same hour hook
 		// round: the second reads the index the first one built.
 		for m := 0; m < 2; m++ {
-			used := make(map[AccountID]struct{})
+			used := &AccountSet{}
 			name := fmt.Sprintf("monitor %d hour hook", m)
 			e.OnHourStart(func(_ int, now time.Time) { c.rotate(name, used, now) })
 		}
@@ -257,6 +287,7 @@ func TestScreenMatchesReferenceScan(t *testing.T) {
 			e.RunHours(1)
 			now := e.Now()
 			c.burst("between hours", now, 10)
+			c.alternate("alternating views", now)
 			switch h {
 			case 1:
 				w.AddAccount(&Account{
@@ -284,6 +315,141 @@ func TestScreenMatchesReferenceScan(t *testing.T) {
 			t.Fatalf("seed %d: weak coverage: %d checks, %d non-empty, %d sampled, %d active-only hits",
 				seed, c.checks, c.nonEmpty, c.sampled, c.activeHits)
 		}
+	}
+}
+
+// FuzzScreen holds World.Screen to referenceScreen on arbitrary queries:
+// attributes, categories and trend states outside their tables; sample
+// values 0, negative, NaN and ±Inf; any tolerance (≥ 1 included), window,
+// ratio bound (NaN included) and count; and exclusion sets holding ids
+// outside the world (0, negative, past the last id, 1<<62, another
+// namespace). Every input must return the same accounts, in the same
+// order, and leave the sampling rng in the state the reference leaves it.
+// The world is shared and a few instants recur, so the screening index and
+// its views are both reused and rebuilt across inputs.
+func FuzzScreen(f *testing.F) {
+	cfg := DefaultConfig()
+	cfg.NumAccounts = 400
+	cfg.OrganicTweetsPerHour = 150
+	w, err := NewWorld(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	e := NewEngine(w)
+	e.RunHours(3)
+	base := e.Now()
+	n := int64(w.NumAccounts())
+
+	inf, nan := math.Inf(1), math.NaN()
+	f.Add(int(AttrFollowers), 0, 150.0, 0.0, true, int64(0), 10.0, 6, int64(0), []byte{4, 1, 2, 4, 3, 4})
+	f.Add(int(AttrListsPerDay), 0, 0.0, 1.0, true, int64(time.Hour), 10.0, 3, int64(1), []byte{0, 1, 200, 1, 0, 9})
+	f.Add(int(AttrAgeDays), 0, -3.0, 2.5, false, int64(-1), nan, 1<<40, int64(2), []byte{2, 0, 0, 3, 0, 1})
+	f.Add(int(AttrFriendFollowerRatio), 0, nan, 0.35, true, int64(1<<62), 2.0, 40, int64(-1), []byte{})
+	f.Add(int(AttrStatuses), 0, inf, nan, false, int64(0), inf, 100000, int64(3), []byte{4, 0, 7})
+	f.Add(int(AttrFavourites), 0, -inf, -1.0, true, int64(20*time.Minute), -1.0, 0, int64(0), []byte{1, 0, 5})
+	f.Add(int(AttrHashtag), int(HashtagSocial), 0.0, 0.0, true, int64(0), 10.0, 5, int64(0), []byte{4, 0, 1})
+	f.Add(int(AttrHashtag), 99, 0.0, 0.0, false, int64(0), 0.0, 5, int64(0), []byte{})
+	f.Add(int(AttrTrend), int(TrendUp), 0.0, 0.0, true, int64(0), 10.0, -4, int64(1), []byte{})
+	f.Add(int(AttrTrend), -7, 0.0, 0.0, false, int64(0), 10.0, 9, int64(1), []byte{})
+	f.Add(int(AttrRandom), 0, 0.0, 0.0, true, int64(0), 10.0, 7, int64(2), []byte{4, 9, 9, 4, 8, 8})
+	f.Add(0, 0, 0.0, 0.0, false, int64(0), 0.0, 7, int64(0), []byte{})
+	f.Add(16, 0, 5.0, 0.35, false, int64(0), 0.0, 7, int64(0), []byte{})
+	f.Add(-1, 0, 0.0, nan, true, int64(0), 10.0, 7, int64(0), []byte{})
+	f.Add(1<<40, 0, -0.0, 3.0, false, int64(0), 10.0, 7, int64(0), []byte{})
+
+	f.Fuzz(func(t *testing.T, attr, class int, value, tol float64, active bool, window int64,
+		bound float64, count int, at int64, exclude []byte) {
+		q := ScreenQuery{
+			Selector: Selector{
+				Attr: Attribute(attr), Value: value,
+				Category: HashtagCategory(class), Trend: TrendState(class),
+			},
+			Count:                  count,
+			Tolerance:              tol,
+			ActiveOnly:             active,
+			ActiveWindow:           time.Duration(window),
+			MaxFriendFollowerRatio: bound,
+		}
+		if len(exclude) > 0 {
+			q.Exclude = &AccountSet{}
+			for ; len(exclude) >= 3; exclude = exclude[3:] {
+				v := int64(exclude[1])<<8 | int64(exclude[2])
+				switch exclude[0] % 5 {
+				case 0: // around the population: 0 and past the last id
+					q.Exclude.Add(AccountID(v % (n + 20)))
+				case 1:
+					q.Exclude.Add(AccountID(-v))
+				case 2:
+					q.Exclude.Add(AccountID(1<<62 + v))
+				case 3: // the same id in namespace 1
+					q.Exclude.Add(AccountID(1<<NamespaceShift + v%n + 1))
+				default:
+					q.Exclude.Add(AccountID(v%n + 1))
+				}
+			}
+		}
+		c := newScreenChecker(t, w, at)
+		c.check("fuzz", q, base.Add(time.Duration(at%3)*time.Hour))
+	})
+}
+
+// TestAccountSet holds the set to a map over ids of several namespaces,
+// with ids it must ignore.
+func TestAccountSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var s AccountSet
+	want := make(map[AccountID]bool)
+	draw := func() AccountID {
+		id := AccountID(rng.Intn(3000))
+		switch rng.Intn(4) {
+		case 0:
+			id += AccountID(rng.Intn(3)) << NamespaceShift
+		case 1:
+			id = -id
+		}
+		return id
+	}
+	for i := 0; i < 2000; i++ {
+		id := draw()
+		s.Add(id)
+		if id > 0 {
+			want[id] = true
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		if id := draw(); s.Has(id) != want[id] {
+			t.Fatalf("Has(%d) = %t, want %t", id, s.Has(id), want[id])
+		}
+	}
+	ids := s.AppendIDs(nil)
+	if len(ids) != len(want) || !slices.IsSorted(ids) {
+		t.Fatalf("AppendIDs gave %d ids (sorted %t), want %d ascending", len(ids), slices.IsSorted(ids), len(want))
+	}
+	for _, id := range ids {
+		if !want[id] {
+			t.Fatalf("AppendIDs gave %d, which was never added", id)
+		}
+	}
+	perNS := make(map[AccountID]int)
+	for id := range want {
+		perNS[id>>NamespaceShift]++
+	}
+	for ns := 0; ns < 4; ns++ {
+		page := s.Namespace(ns)
+		got := page.AppendIDs(nil)
+		for _, id := range got {
+			if full := id + AccountID(ns)<<NamespaceShift; id>>NamespaceShift != 0 || !want[full] {
+				t.Fatalf("Namespace(%d) holds %d, want only namespace %d's ids moved to 0", ns, id, ns)
+			}
+		}
+		if len(got) != perNS[AccountID(ns)] {
+			t.Fatalf("Namespace(%d) holds %d ids, want %d", ns, len(got), perNS[AccountID(ns)])
+		}
+	}
+	var empty *AccountSet
+	page := empty.Namespace(0)
+	if empty.Has(1) || len(empty.AppendIDs(nil)) != 0 || len(page.AppendIDs(nil)) != 0 {
+		t.Fatal("a nil set is not empty")
 	}
 }
 

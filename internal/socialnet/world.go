@@ -18,11 +18,17 @@ import (
 // included, which maintains a cached index — belong to the goroutine that
 // drives the engine.
 type World struct {
-	cfg      Config
-	rng      *rand.Rand
-	gen      *textGen
+	cfg Config
+	rng *rand.Rand
+	gen *textGen
+	// accounts is the population in screening and sampling order. A
+	// generated world's accounts are one slab in this order, so the
+	// hourly passes over it read memory front to back; accounts added
+	// later are allocated one by one and appended.
 	accounts []*Account
-	byID     map[AccountID]*Account
+	// byID[id] is the account with that id: ids are 1..len(accounts),
+	// in the order they were assigned, and byID[0] is nil.
+	byID []*Account
 	// byName maps a screen name to the first account registered under it.
 	byName    map[string]*Account
 	campaigns []*Campaign
@@ -57,7 +63,6 @@ func NewWorld(cfg Config) (*World, error) {
 		cfg:    cfg,
 		rng:    rng,
 		gen:    newTextGen(rng),
-		byID:   make(map[AccountID]*Account, cfg.NumAccounts),
 		byName: make(map[string]*Account, cfg.NumAccounts),
 		trends: NewTrendSet(rand.New(rand.NewSource(cfg.Seed + 1))),
 		start:  simclock.Epoch,
@@ -78,7 +83,12 @@ func (w *World) Campaigns() []*Campaign {
 func (w *World) NumAccounts() int { return len(w.accounts) }
 
 // Account returns the account with the given id, or nil.
-func (w *World) Account(id AccountID) *Account { return w.byID[id] }
+func (w *World) Account(id AccountID) *Account {
+	if id <= 0 || id >= AccountID(len(w.byID)) {
+		return nil
+	}
+	return w.byID[id]
+}
 
 // Accounts returns the account slice. Callers must not mutate entries; the
 // slice itself is a copy.
@@ -99,29 +109,25 @@ func (w *World) registerName(a *Account) {
 }
 
 // AddAccount registers an externally created account (e.g. a traditional
-// honeypot) and returns its assigned id. The account joins the world's
-// population and becomes targetable by spammers on the next engine hour.
+// honeypot) and returns its assigned id, the next after the largest. The
+// account joins the world's population and becomes targetable by spammers
+// on the next engine hour.
 func (w *World) AddAccount(a *Account) AccountID {
-	id := AccountID(len(w.byID) + 1)
-	for {
-		if _, taken := w.byID[id]; !taken {
-			break
-		}
-		id++
-	}
+	id := AccountID(len(w.byID))
 	a.ID = id
 	w.accounts = append(w.accounts, a)
-	w.byID[id] = a
+	w.byID = append(w.byID, a)
 	w.registerName(a)
 	w.profilesChanged()
 	return id
 }
 
 // generate builds the account population and campaigns in two passes:
-// every world-RNG draw happens first, in account order, and records each
+// every world-RNG draw happens first, in id order, and records each
 // avatar's recipe; the avatars are then synthesized and hashed on the
 // worker pool. A hash depends only on its recipe and the config, so the
-// world is the same at any worker count.
+// world is the same at any worker count. The accounts are generated into
+// one slab by id, then moved in place to the shuffled order.
 func (w *World) generate() {
 	n := w.cfg.NumAccounts
 	numSpammers := int(float64(n) * w.cfg.SpammerFraction)
@@ -147,39 +153,63 @@ func (w *World) generate() {
 		w.campaigns[i].BaseImageSeed = seed
 	}
 
-	w.accounts = make([]*Account, 0, n)
-	recipes := make([]avatarRecipe, 0, n)
-	for i := 0; i < n; i++ {
-		id := AccountID(i + 1)
-		var (
-			a   *Account
-			rec avatarRecipe
-		)
+	slab := make([]Account, n)
+	recipes := make([]avatarRecipe, n)
+	for i := range slab {
+		id, a := AccountID(i+1), &slab[i]
 		switch {
 		case i < numCampaignMembers && numCampaigns > 0:
-			a, rec = w.genSpammer(id, w.campaigns[i%numCampaigns], w.start)
+			recipes[i] = w.genSpammer(a, id, w.campaigns[i%numCampaigns], w.start)
 		case i < numCampaignMembers+numLoneWolves:
 			c := newLoneWolfCampaign(len(w.campaigns), w.rng)
 			w.campaigns = append(w.campaigns, c)
-			a, rec = w.genSpammer(id, c, w.start)
+			recipes[i] = w.genSpammer(a, id, c, w.start)
 		case i < numSpammers+numSeeds:
-			a, rec = w.genSeed(id)
+			recipes[i] = w.genSeed(a, id)
 		default:
-			a, rec = w.genNormal(id)
+			recipes[i] = w.genNormal(a, id)
 		}
-		w.accounts = append(w.accounts, a)
-		recipes = append(recipes, rec)
-		w.byID[id] = a
 	}
-	w.hashAvatars(recipes)
-	// Shuffle so account ids do not leak kind.
-	w.rng.Shuffle(len(w.accounts), func(i, j int) {
-		w.accounts[i], w.accounts[j] = w.accounts[j], w.accounts[i]
-	})
-	// After the shuffle, so the first holder of a duplicated name is the
-	// first in w.accounts order — the one a scan would find.
-	for _, a := range w.accounts {
+	w.hashAvatars(slab, recipes)
+	// Shuffle so account ids do not leak kind: the draws a shuffle of
+	// the accounts would make, on their positions.
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	w.rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	permute(slab, perm)
+	w.accounts = make([]*Account, n)
+	w.byID = make([]*Account, n+1)
+	for i := range slab {
+		a := &slab[i]
+		w.accounts[i] = a
+		w.byID[a.ID] = a
+		// In shuffled order, so the first holder of a duplicated name is
+		// the first in w.accounts order — the one a scan would find.
 		w.registerName(a)
+	}
+}
+
+// permute moves slab[perm[i]] to slab[i] for every i, in place: each
+// cycle of the permutation is walked once with one account in hand, so no
+// second copy of the population is made. perm is consumed.
+func permute(slab []Account, perm []int32) {
+	for start := range perm {
+		if perm[start] < 0 {
+			continue
+		}
+		held := slab[start]
+		for k := int32(start); ; {
+			from := perm[k]
+			perm[k] = -1
+			if from == int32(start) {
+				slab[k] = held
+				break
+			}
+			slab[k] = slab[from]
+			k = from
+		}
 	}
 }
 
@@ -219,16 +249,16 @@ func avatarHash(cfg Config, r avatarRecipe, s *imagehash.Synthesizer) imagehash.
 	return imagehash.DHash(m)
 }
 
-// hashAvatars sets w.accounts[i].ProfileImageHash from recipes[i] on the
+// hashAvatars sets accounts[i].ProfileImageHash from recipes[i] on the
 // worker pool, one Synthesizer per worker.
-func (w *World) hashAvatars(recipes []avatarRecipe) {
+func (w *World) hashAvatars(accounts []Account, recipes []avatarRecipe) {
 	workers := parallel.Resolve(0, len(recipes))
 	synths := make([]*imagehash.Synthesizer, workers)
 	parallel.ForEachWorker(len(recipes), workers, func(wk, i int) {
 		if synths[wk] == nil {
 			synths[wk] = imagehash.NewSynthesizer()
 		}
-		w.accounts[i].ProfileImageHash = avatarHash(w.cfg, recipes[i], synths[wk])
+		accounts[i].ProfileImageHash = avatarHash(w.cfg, recipes[i], synths[wk])
 	})
 }
 
@@ -247,10 +277,10 @@ func (w *World) AvatarHash(seed int64) imagehash.Hash {
 	return w.avatarHashOne(avatarRecipe{seed: seed})
 }
 
-// genNormal creates a benign account. A DiverseFraction share of the
+// genNormal fills a with a benign account. A DiverseFraction share of the
 // population draws attributes log-uniformly over the full Table II ranges;
 // the rest follow typical lognormal profiles.
-func (w *World) genNormal(id AccountID) (*Account, avatarRecipe) {
+func (w *World) genNormal(a *Account, id AccountID) avatarRecipe {
 	rng := w.rng
 	diverse := rng.Float64() < w.cfg.DiverseFraction
 
@@ -284,7 +314,7 @@ func (w *World) genNormal(id AccountID) (*Account, avatarRecipe) {
 	}
 
 	imgSeed := rng.Int63()
-	a := &Account{
+	*a = Account{
 		ID:               id,
 		ScreenName:       w.gen.normalScreenName(id),
 		Name:             w.gen.displayName(),
@@ -304,20 +334,21 @@ func (w *World) genNormal(id AccountID) (*Account, avatarRecipe) {
 	}
 	a.TweetsPerHour = clampF(a.StatusesPerDay(w.start)/24*1.5, 0.02, 2.5)
 	a.Suspended = rng.Float64() < 0.0005 // rare pre-existing false suspensions
-	return a, avatarRecipe{seed: imgSeed}
+	return avatarRecipe{seed: imgSeed}
 }
 
-// genSpammer creates a spam account: young, aggressive friending (high
-// friends, low followers), third-party clients, a finite spam-message
-// budget, and either shared campaign artefacts or — for lone wolves —
-// organic-looking ones. The avatar hash is left to the returned recipe.
-func (w *World) genSpammer(id AccountID, c *Campaign, now time.Time) (*Account, avatarRecipe) {
+// genSpammer fills a with a spam account: young, aggressive friending
+// (high friends, low followers), third-party clients, a finite
+// spam-message budget, and either shared campaign artefacts or — for lone
+// wolves — organic-looking ones. The avatar hash is left to the returned
+// recipe.
+func (w *World) genSpammer(a *Account, id AccountID, c *Campaign, now time.Time) avatarRecipe {
 	rng := w.rng
 	ageDays := logUniform(rng, 5, 500)
 	friends := int(logUniform(rng, 50, 5000))
 	followers := int(logUniform(rng, 1, 30)) // fresh fakes: nobody follows back
 
-	a := &Account{
+	*a = Account{
 		ID:              id,
 		Name:            w.gen.displayName(),
 		CreatedAt:       now.Add(-time.Duration(ageDays*24) * time.Hour),
@@ -353,7 +384,7 @@ func (w *World) genSpammer(id AccountID, c *Campaign, now time.Time) (*Account, 
 	// the screener's ActiveOnly selection passes them over.
 	a.TweetsPerHour = clampF(a.StatusesPerDay(now)/24*0.3, 0.05, 1.5)
 	c.MemberIDs = append(c.MemberIDs, id)
-	return a, rec
+	return rec
 }
 
 // drawSpamBudget draws the account's total spam-message budget:
@@ -428,7 +459,8 @@ func (w *World) SpawnSpammer(now time.Time) *Account {
 	} else {
 		c = w.campaigns[w.rng.Intn(len(w.campaigns))]
 	}
-	a, rec := w.genSpammer(0, c, now)
+	a := new(Account)
+	rec := w.genSpammer(a, 0, c, now)
 	a.ProfileImageHash = w.avatarHashOne(rec)
 	// Replacement accounts mix fresh registrations with purchased aged
 	// accounts (Thomas et al., USENIX Sec'13).
@@ -468,12 +500,12 @@ func (w *World) AdvanceSuspensions(hours float64, rng *rand.Rand) int {
 	return n
 }
 
-// genSeed creates a trusted account: verified, old, huge audience.
-func (w *World) genSeed(id AccountID) (*Account, avatarRecipe) {
+// genSeed fills a with a trusted account: verified, old, huge audience.
+func (w *World) genSeed(a *Account, id AccountID) avatarRecipe {
 	rng := w.rng
 	ageDays := logUniform(rng, 1500, 4000)
 	imgSeed := rng.Int63()
-	a := &Account{
+	*a = Account{
 		ID:               id,
 		ScreenName:       w.gen.seedScreenName(),
 		Name:             w.gen.displayName(),
@@ -493,7 +525,7 @@ func (w *World) genSeed(id AccountID) (*Account, avatarRecipe) {
 		PreferredSource:  SourceWeb,
 	}
 	a.TweetsPerHour = clampF(a.StatusesPerDay(w.start)/24, 0.1, 4)
-	return a, avatarRecipe{seed: imgSeed}
+	return avatarRecipe{seed: imgSeed}
 }
 
 // sampleSource draws a tweet source with the given web/mobile/third-party

@@ -347,6 +347,45 @@ func TestAccountAgeNeverNegative(t *testing.T) {
 	}
 }
 
+// TestWorldIDsDense: a world numbers its accounts 1..N in the order they
+// join — the generated population, then spawned and added accounts — and
+// Account resolves exactly those ids. AddAccount's id, World.byID and the
+// twitterapi server's exclusion bound all rest on it.
+func TestWorldIDsDense(t *testing.T) {
+	w := newTestWorld(t)
+	n := AccountID(w.NumAccounts())
+	seen := make([]bool, n+1)
+	for i, a := range w.accounts {
+		if a.ID < 1 || a.ID > n || seen[a.ID] {
+			t.Fatalf("generated account %d has id %d: want each of 1..%d once", i, a.ID, n)
+		}
+		seen[a.ID] = true
+	}
+	if w.accounts[0].ID == 1 && w.accounts[n-1].ID == n {
+		t.Fatal("generated accounts are in id order; the shuffle did not run")
+	}
+	joined := []*Account{w.SpawnSpammer(simclock.Epoch)}
+	added := &Account{ScreenName: "late_joiner"}
+	w.AddAccount(added)
+	joined = append(joined, added, w.SpawnSpammer(simclock.Epoch))
+	for i, a := range joined {
+		if want := n + 1 + AccountID(i); a.ID != want || w.accounts[want-1] != a {
+			t.Fatalf("account %d to join has id %d (at position %d: %v), want id %d, last in order",
+				i, a.ID, want-1, w.accounts[want-1] == a, want)
+		}
+	}
+	for id := AccountID(1); id <= n+3; id++ {
+		if a := w.Account(id); a == nil || a.ID != id {
+			t.Fatalf("Account(%d) = %v", id, a)
+		}
+	}
+	for _, id := range []AccountID{0, -1, -n, math.MinInt64, n + 4, 1 << 40, 1 << 62, math.MaxInt64} {
+		if a := w.Account(id); a != nil {
+			t.Fatalf("Account(%d) = account %d, want nil", id, a.ID)
+		}
+	}
+}
+
 func TestByScreenName(t *testing.T) {
 	w := newTestWorld(t)
 	want := w.accounts[10]

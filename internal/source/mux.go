@@ -12,8 +12,10 @@ import (
 // nsShift positions the child index in the high bits of namespaced ids.
 // Simulated tweet and account ids stay far below 2^40, so offsetting
 // child i's ids by i<<40 keeps every source's id space disjoint while
-// preserving relative order within a child.
-const nsShift = 40
+// preserving relative order within a child. It is the account set's
+// namespace boundary, so each child's exclusions are one page of the
+// monitor's set.
+const nsShift = socialnet.NamespaceShift
 
 // MuxSource merges several sources into one deterministic stream. Each
 // hour it fires its own hour hooks, runs every child for one hour while
@@ -200,6 +202,8 @@ func (m *MuxSource) NewScreener(seed int64) core.Screener {
 type childScreener struct {
 	ci  int
 	scr core.Screener
+	// ex is the child's namespace page of the query's exclusions.
+	ex socialnet.AccountSet
 }
 
 type muxScreener struct {
@@ -208,13 +212,16 @@ type muxScreener struct {
 }
 
 // Screen implements core.Screener across the mux's screenable children.
+// Each child is handed its own namespace page of the exclusion set, moved
+// to its local ids.
 func (ms *muxScreener) Screen(q socialnet.ScreenQuery, now time.Time) []*socialnet.Account {
 	k := len(ms.screeners)
 	if k == 0 {
 		return nil
 	}
 	var out []*socialnet.Account
-	for i, cs := range ms.screeners {
+	for i := range ms.screeners {
+		cs := &ms.screeners[i]
 		share := q.Count / k
 		if i < q.Count%k {
 			share++
@@ -224,7 +231,8 @@ func (ms *muxScreener) Screen(q socialnet.ScreenQuery, now time.Time) []*socialn
 		}
 		cq := q
 		cq.Count = share
-		cq.Exclude = ms.childExclude(cs.ci, q.Exclude)
+		cs.ex = q.Exclude.Namespace(cs.ci)
+		cq.Exclude = &cs.ex
 		off := socialnet.AccountID(int64(cs.ci) << nsShift)
 		for _, a := range cs.scr.Screen(cq, now) {
 			if cs.ci == 0 {
@@ -233,23 +241,6 @@ func (ms *muxScreener) Screen(q socialnet.ScreenQuery, now time.Time) []*socialn
 			}
 			out = append(out, ms.mux.wrap(a.ID+off, a))
 		}
-	}
-	return out
-}
-
-// childExclude projects the monitor's namespaced exclusion set into one
-// child's id space, dropping ids owned by other children.
-func (ms *muxScreener) childExclude(ci int, ex map[socialnet.AccountID]struct{}) map[socialnet.AccountID]struct{} {
-	if len(ex) == 0 {
-		return nil
-	}
-	out := make(map[socialnet.AccountID]struct{})
-	off := socialnet.AccountID(int64(ci) << nsShift)
-	for id := range ex {
-		if int(uint64(id)>>nsShift) != ci {
-			continue
-		}
-		out[id-off] = struct{}{}
 	}
 	return out
 }

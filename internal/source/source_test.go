@@ -227,7 +227,7 @@ func (f *fakeScreener) Screen(q socialnet.ScreenQuery, _ time.Time) []*socialnet
 	f.lastCount = q.Count
 	var out []*socialnet.Account
 	for _, a := range f.candidates {
-		if _, ex := q.Exclude[a.ID]; ex {
+		if q.Exclude.Has(a.ID) {
 			continue
 		}
 		if len(out) == q.Count {
@@ -260,14 +260,11 @@ func TestMuxScreenerSplitsBudget(t *testing.T) {
 	scr := m.NewScreener(7)
 
 	off := socialnet.AccountID(int64(1) << nsShift)
-	got := scr.Screen(socialnet.ScreenQuery{
-		Count: 5,
-		// Exclude child 0's account 1 and child 1's (namespaced) account 2.
-		Exclude: map[socialnet.AccountID]struct{}{
-			1:       {},
-			off + 2: {},
-		},
-	}, t0)
+	// Exclude child 0's account 1 and child 1's (namespaced) account 2.
+	var exclude socialnet.AccountSet
+	exclude.Add(1)
+	exclude.Add(off + 2)
+	got := scr.Screen(socialnet.ScreenQuery{Count: 5, Exclude: &exclude}, t0)
 	// 5 splits 3 (child 0) + 2 (child 1); exclusions apply per child.
 	if a.scr.lastCount != 3 || b.scr.lastCount != 2 {
 		t.Fatalf("budget split %d/%d, want 3/2", a.scr.lastCount, b.scr.lastCount)

@@ -58,13 +58,13 @@ func (c *Client) UsersLookup(ctx context.Context, ids []int64) ([]User, error) {
 }
 
 // joinIDs renders ids as a comma-separated list.
-func joinIDs(ids []int64) string {
+func joinIDs[ID ~int64](ids []ID) string {
 	b := make([]byte, 0, 8*len(ids))
 	for i, id := range ids {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = strconv.AppendInt(b, id, 10)
+		b = strconv.AppendInt(b, int64(id), 10)
 	}
 	return string(b)
 }

@@ -15,7 +15,8 @@ import (
 // through POST /1.1/users/search and decodes the selected profiles. The
 // server applies the ratio bound and the exclusions before it samples,
 // exactly as World.Screen does in-process; the exclusions travel in the
-// form body, since the used set of a long run outgrows a URL.
+// form body, since the used set of a long run outgrows a URL, in
+// ascending id order.
 func (c *Client) Screen(ctx context.Context, q socialnet.ScreenQuery) ([]*socialnet.Account, error) {
 	vals := url.Values{
 		"attr":  {q.Selector.Attr.Key()},
@@ -39,11 +40,8 @@ func (c *Client) Screen(ctx context.Context, q socialnet.ScreenQuery) ([]*social
 	if q.MaxFriendFollowerRatio > 0 {
 		vals.Set("max_ratio", strconv.FormatFloat(q.MaxFriendFollowerRatio, 'f', -1, 64))
 	}
-	if len(q.Exclude) > 0 {
-		ids := make([]int64, 0, len(q.Exclude))
-		for id := range q.Exclude {
-			ids = append(ids, int64(id))
-		}
+	// Ascending, so equal queries send equal bodies.
+	if ids := q.Exclude.AppendIDs(nil); len(ids) > 0 {
 		vals.Set("exclude", joinIDs(ids))
 	}
 	req, err := c.newFormRequest(ctx, "/1.1/users/search.json", vals)

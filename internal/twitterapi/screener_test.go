@@ -2,7 +2,16 @@ package twitterapi
 
 import (
 	"context"
+	"encoding/json"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -60,10 +69,10 @@ func TestRemoteScreenerExcludes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	now := socialnet.NewEngine(local).Now()
 
-	exclude := make(map[socialnet.AccountID]struct{})
+	exclude := &socialnet.AccountSet{}
 	for i, a := range local.Accounts() {
 		if i%2 == 0 {
-			exclude[a.ID] = struct{}{}
+			exclude.Add(a.ID)
 		}
 	}
 	for _, q := range []socialnet.ScreenQuery{
@@ -77,7 +86,7 @@ func TestRemoteScreenerExcludes(t *testing.T) {
 			t.Fatalf("%v: remote screened %d, in-process %d, want %d", q.Selector, len(got), len(want), q.Count)
 		}
 		for i, a := range got {
-			if _, excluded := exclude[a.ID]; excluded {
+			if exclude.Has(a.ID) {
 				t.Fatalf("%v: excluded account %d returned", q.Selector, a.ID)
 			}
 			if q.MaxFriendFollowerRatio > 0 && a.FriendFollowerRatio() > q.MaxFriendFollowerRatio {
@@ -203,5 +212,102 @@ func TestDecodeTweetNil(t *testing.T) {
 	tw, a := DecodeTweet(nil)
 	if tw != nil || a != nil {
 		t.Fatal("nil decode should be nil")
+	}
+}
+
+// TestScreenSendsExclusionsInOrder: equal queries send equal bodies, with
+// the exclusions in ascending id order.
+func TestScreenSendsExclusionsInOrder(t *testing.T) {
+	var bodies []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		bodies = append(bodies, string(b))
+		w.Write([]byte("[]"))
+	}))
+	defer ts.Close()
+	client := NewClient(ts.URL, ts.Client())
+
+	exclude := &socialnet.AccountSet{}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		exclude.Add(socialnet.AccountID(1 + rng.Intn(5000)))
+	}
+	q := socialnet.ScreenQuery{Selector: socialnet.Selector{Attr: socialnet.AttrRandom}, Count: 5, Exclude: exclude}
+	for i := 0; i < 2; i++ {
+		if _, err := client.Screen(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(bodies) != 2 || bodies[0] != bodies[1] {
+		t.Fatalf("two equal queries sent %q", bodies)
+	}
+	form, err := url.ParseQuery(bodies[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent []int64
+	for _, f := range strings.Split(form.Get("exclude"), ",") {
+		id, err := strconv.ParseInt(f, 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, id)
+	}
+	want := exclude.AppendIDs(nil)
+	if len(sent) != len(want) || !slices.IsSorted(sent) {
+		t.Fatalf("sent %d exclusions (ascending %t), want all %d ascending", len(sent), slices.IsSorted(sent), len(want))
+	}
+}
+
+// TestUserSearchDropsForeignExcludes: users/search drops the exclusion ids
+// that name no account of its world — 0, negative, past the last id, in
+// another namespace, 1<<62, the largest int64 — so a request carrying
+// them answers exactly what it answers without them, and they cost the
+// handler no more than their bytes. Twin servers share a seed, so each
+// answers its first request from the same rng state.
+func TestUserSearchDropsForeignExcludes(t *testing.T) {
+	search := func(exclude string) (string, uint64) {
+		srv, _ := newTestServer(t, WithSeed(7))
+		body := url.Values{"attr": {"random"}, "count": {"40"}, "exclude": {exclude}}.Encode()
+		req := httptest.NewRequest(http.MethodPost, "/1.1/users/search.json", strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		srv.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("users/search answered %d: %s", rec.Code, rec.Body)
+		}
+		return rec.Body.String(), after.TotalAlloc - before.TotalAlloc
+	}
+	var own []string
+	for id := 2; id <= 1500; id += 3 {
+		own = append(own, strconv.Itoa(id))
+	}
+	foreign := []string{"0", "-5", "-9223372036854775808", "1501", "99999",
+		"1099511627775", "1099511627778", "4611686018427387904", "9223372036854775807"}
+	plain := strings.Join(own, ",")
+	mixed := strings.Join(append(foreign[:4:4], append(own, foreign[4:]...)...), ",")
+
+	want, plainBytes := search(plain)
+	got, mixedBytes := search(mixed)
+	if got != want {
+		t.Fatalf("with foreign ids users/search answered\n%s\nwithout them\n%s", got, want)
+	}
+	var users []User
+	if err := json.Unmarshal([]byte(got), &users); err != nil || len(users) != 40 {
+		t.Fatalf("answer holds %d users (%v), want 40", len(users), err)
+	}
+	for _, u := range users {
+		if u.ID%3 == 2 {
+			t.Fatalf("excluded account %d returned", u.ID)
+		}
+	}
+	if extra := int64(mixedBytes) - int64(plainBytes); extra > 64<<10 {
+		t.Fatalf("the foreign ids cost the handler %d more bytes", extra)
 	}
 }

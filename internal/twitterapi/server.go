@@ -448,21 +448,18 @@ func (s *Server) handleUserSearch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if ex := splitNonEmpty(q.Get("exclude")); len(ex) > 0 {
-		query.Exclude = make(map[socialnet.AccountID]struct{}, len(ex))
-		for _, idStr := range ex {
-			id, err := strconv.ParseInt(strings.TrimSpace(idStr), 10, 64)
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, "bad exclude id")
-				return
-			}
-			query.Exclude[socialnet.AccountID(id)] = struct{}{}
-		}
-	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	matches := s.engine.World().Screen(query, s.engine.Now(), s.rng)
+	world := s.engine.World()
+	if ex := q.Get("exclude"); ex != "" {
+		query.Exclude = &socialnet.AccountSet{}
+		if !parseExclude(query.Exclude, ex, world.NumAccounts()) {
+			writeErr(w, http.StatusBadRequest, "bad exclude id")
+			return
+		}
+	}
+	matches := world.Screen(query, s.engine.Now(), s.rng)
 	users := make([]User, 0, len(matches))
 	for _, a := range matches {
 		users = append(users, encodeUser(a))
@@ -530,6 +527,29 @@ func writeErr(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(APIError{Code: code, Message: msg})
+}
+
+// parseExclude adds the comma-separated ids of list to set, skipping
+// blank entries. The world numbers its accounts 1..n, so an id outside
+// that range excludes no one and is dropped, costing the set nothing.
+// It reports false on an entry that is not an integer.
+func parseExclude(set *socialnet.AccountSet, list string, n int) bool {
+	for rest, more := list, true; more; {
+		var field string
+		field, rest, more = strings.Cut(rest, ",")
+		field = strings.TrimSpace(field)
+		if field == "" {
+			continue
+		}
+		id, err := strconv.ParseInt(field, 10, 64)
+		if err != nil {
+			return false
+		}
+		if id >= 1 && id <= int64(n) {
+			set.Add(socialnet.AccountID(id))
+		}
+	}
+	return true
 }
 
 func splitNonEmpty(s string) []string {
